@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf perf-smoke clean
+.PHONY: all build test bench bench-smoke bench-e2e-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf perf-smoke clean
 
 all: build
 
@@ -101,6 +101,21 @@ fabric-smoke:
 # comparison with a warning).
 perf-smoke:
 	sh scripts/perf_gate.sh
+
+# The mp5bench oracles on every push: each workload runs for 3 s at
+# seed 1 and its result line (the last line of stdout) must report
+# "correct": true and "failed": 0.  On fabric-checkpointed that checks
+# the drain chunked through mp5-fab/1 suspend/resume against the
+# uninterrupted one.
+bench-e2e-smoke:
+	@for w in switch-linerate apps-verify fabric-checkpointed; do \
+	  line=$$(bash mp5bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  case "$$line" in \
+	    *'"correct": true'*'"failed": 0,'*) ;; \
+	    *) echo "bench-e2e-smoke: $$w did not pass its oracle" >&2; exit 1 ;; \
+	  esac; \
+	done
 
 bench:
 	dune exec bench/main.exe

@@ -64,24 +64,20 @@ let move t ~cell ~to_ =
   t.loads.(to_) <- t.loads.(to_) + c;
   t.pipelines.(cell) <- to_
 
-let access_counts t = Array.copy t.counts
-let inflight_counts t = Array.copy t.inflights
-let pipeline_assignment t = Array.copy t.pipelines
+let w_state w t =
+  Mp5_util.Binio.w_int_array w t.pipelines;
+  Mp5_util.Binio.w_int_array w t.counts;
+  Mp5_util.Binio.w_int_array w t.inflights
 
-let load_state t ~pipelines ~counts ~inflights =
-  let size = Array.length t.pipelines in
-  if
-    Array.length pipelines <> size
-    || Array.length counts <> size
-    || Array.length inflights <> size
-  then invalid_arg "Index_map.load_state: size mismatch";
-  Array.blit pipelines 0 t.pipelines 0 size;
-  Array.blit counts 0 t.counts 0 size;
-  Array.blit inflights 0 t.inflights 0 size;
+let r_state r t =
+  let mismatch = "snapshot: index map size does not match the program" in
+  Mp5_util.Binio.r_int_array_into r t.pipelines ~mismatch;
+  Mp5_util.Binio.r_int_array_into r t.counts ~mismatch;
+  Mp5_util.Binio.r_int_array_into r t.inflights ~mismatch;
   (* [loads] is the per-pipeline aggregation of [counts]; recompute it
      rather than trusting a serialized copy. *)
   Array.fill t.loads 0 t.k 0;
-  for cell = 0 to size - 1 do
+  for cell = 0 to Array.length t.pipelines - 1 do
     let p = t.pipelines.(cell) in
     t.loads.(p) <- t.loads.(p) + t.counts.(cell)
   done

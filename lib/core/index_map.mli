@@ -56,17 +56,12 @@ val cells_of_pipeline : t -> int -> int list
 
 (** {2 Checkpointing} *)
 
-val pipeline_assignment : t -> int array
-(** Copy of the per-cell pipeline assignment. *)
+val w_state : Mp5_util.Binio.writer -> t -> unit
+(** Serialize the mutable state: the per-cell pipeline assignment,
+    access counters and in-flight counters, as three int arrays. *)
 
-val access_counts : t -> int array
-(** Copy of the per-cell access counters. *)
-
-val inflight_counts : t -> int array
-(** Copy of the per-cell in-flight counters. *)
-
-val load_state : t -> pipelines:int array -> counts:int array -> inflights:int array -> unit
-(** Overwrite the map's mutable state from snapshot arrays (each of
-    length {!size}); the per-pipeline load aggregates are recomputed from
-    [counts] rather than deserialized.  Raises [Invalid_argument] on a
-    size mismatch. *)
+val r_state : Mp5_util.Binio.reader -> t -> unit
+(** Overwrite the map's mutable state from {!w_state} output, read in
+    place; the per-pipeline load aggregates are recomputed from the
+    counters rather than deserialized.  Raises [Failure] when an array's
+    length is not {!size}. *)

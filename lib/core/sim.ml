@@ -2655,7 +2655,7 @@ let w_packet b sim pkt =
   Binio.w_int b sl.Slab.seq.(pkt);
   Binio.w_int b sl.Slab.time_in.(pkt);
   Binio.w_bool b (sl.Slab.ecn.(pkt) <> 0);
-  Binio.w_int_array b (Array.sub sl.Slab.fields (pkt * sl.Slab.nf) sl.Slab.nf);
+  Binio.w_int_sub b sl.Slab.fields ~pos:(pkt * sl.Slab.nf) ~len:sl.Slab.nf;
   let ab = pkt * sl.Slab.na in
   for i = 0 to sl.Slab.na - 1 do
     Binio.w_int b sl.Slab.gk.(ab + i);
@@ -2669,15 +2669,13 @@ let r_packet r sim =
   let seq = Binio.r_int r in
   let time_in = Binio.r_int r in
   let ecn = Binio.r_bool r in
-  let fields = Binio.r_int_array r in
-  if Array.length fields <> Array.length sim.config.Config.fields then
-    failwith "snapshot: packet field count does not match the program";
   let pkt = Slab.alloc sim.sl in
   let sl = sim.sl in
+  Binio.r_int_sub_into r sl.Slab.fields ~pos:(pkt * sl.Slab.nf) ~len:sl.Slab.nf
+    ~mismatch:"snapshot: packet field count does not match the program";
   sl.Slab.seq.(pkt) <- seq;
   sl.Slab.time_in.(pkt) <- time_in;
   sl.Slab.ecn.(pkt) <- (if ecn then 1 else 0);
-  Array.blit fields 0 sl.Slab.fields (pkt * sl.Slab.nf) sl.Slab.nf;
   let ab = pkt * sl.Slab.na in
   for i = 0 to sl.Slab.na - 1 do
     (* Explicit order: each component is a separate sequenced read. *)
@@ -2876,8 +2874,7 @@ let count_in_flight sim =
    so at the boundary all in-flight packets sit in FIFOs or transfer
    buffers.  [st.now] is the next cycle to visit, so resuming replays
    that cycle in full — bit-identically to the uninterrupted run. *)
-let encode sim st source =
-  let b = Binio.writer () in
+let encode_into b sim st source =
   Binio.w_tag b 1;
   w_params b sim.p;
   Binio.w_tag b 2;
@@ -2925,12 +2922,7 @@ let encode sim st source =
     done
   done;
   Binio.w_tag b 8;
-  Array.iter
-    (fun map ->
-      Binio.w_int_array b (Index_map.pipeline_assignment map);
-      Binio.w_int_array b (Index_map.access_counts map);
-      Binio.w_int_array b (Index_map.inflight_counts map))
-    sim.maps;
+  Array.iter (Index_map.w_state b) sim.maps;
   Binio.w_tag b 9;
   for s = 0 to sim.n_stages - 1 do
     for p = 0 to sim.p.k - 1 do
@@ -2976,7 +2968,9 @@ let encode sim st source =
   (* Claims persist across the boundary: [spawn_dup] reads them during
      the next apply phase. *)
   Array.iter
-    (fun row -> Binio.w_int_array b (Array.map (fun c -> if c then 1 else 0) row))
+    (fun row ->
+      Binio.w_int b (Array.length row);
+      Array.iter (fun c -> Binio.w_int b (if c then 1 else 0)) row)
     sim.claimed;
   Binio.w_bool b sim.claims_dirty;
   Binio.w_tag b 14;
@@ -2988,7 +2982,11 @@ let encode sim st source =
     Binio.w_int b (Vec.get sim.dig_hi i);
     Binio.w_int b (Vec.get sim.dig_lo i)
   done;
-  Binio.w_tag b 15;
+  Binio.w_tag b 15
+
+let encode sim st source =
+  let b = Binio.writer () in
+  encode_into b sim st source;
   Binio.to_string ~magic:snap_magic b
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
@@ -3484,21 +3482,12 @@ let decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r =
   Binio.r_tag r ~expect:7 ~what:"store section";
   for p = 0 to params.k - 1 do
     for reg = 0 to Array.length sim.config.Config.regs - 1 do
-      let arr = Binio.r_int_array r in
-      let dst = Store.array sim.stores.(p) ~reg in
-      if Array.length arr <> Array.length dst then
-        failwith "snapshot: register array size does not match the program";
-      Array.blit arr 0 dst 0 (Array.length arr)
+      Binio.r_int_array_into r (Store.array sim.stores.(p) ~reg)
+        ~mismatch:"snapshot: register array size does not match the program"
     done
   done;
   Binio.r_tag r ~expect:8 ~what:"index map section";
-  Array.iter
-    (fun map ->
-      let pipelines = Binio.r_int_array r in
-      let counts = Binio.r_int_array r in
-      let inflights = Binio.r_int_array r in
-      Index_map.load_state map ~pipelines ~counts ~inflights)
-    sim.maps;
+  Array.iter (Index_map.r_state r) sim.maps;
   Binio.r_tag r ~expect:9 ~what:"queue section";
   for s = 0 to sim.n_stages - 1 do
     for p = 0 to params.k - 1 do
@@ -3529,29 +3518,26 @@ let decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r =
   Binio.r_tag r ~expect:12 ~what:"doomed section";
   Array.iter (fun seq -> Hashtbl.replace sim.doomed seq ()) (Binio.r_int_array r);
   Binio.r_tag r ~expect:13 ~what:"watch section";
-  let read_matrix dst what =
-    Array.iter
-      (fun row ->
-        let arr = Binio.r_int_array r in
-        if Array.length arr <> Array.length row then
-          failwith (Printf.sprintf "snapshot: %s row size mismatch" what);
-        Array.blit arr 0 row 0 (Array.length arr))
-      dst
-  in
-  read_matrix sim.hw_key "head watch";
-  read_matrix sim.hw_since "head watch";
+  let mismatch = "snapshot: head watch row size mismatch" in
+  Array.iter (fun row -> Binio.r_int_array_into r row ~mismatch) sim.hw_key;
+  Array.iter (fun row -> Binio.r_int_array_into r row ~mismatch) sim.hw_since;
   Array.iter
     (fun row ->
-      let arr = Binio.r_int_array r in
-      if Array.length arr <> Array.length row then
+      if Binio.r_array_length r <> Array.length row then
         failwith "snapshot: claim row size mismatch";
-      Array.iteri (fun i v -> row.(i) <- v <> 0) arr)
+      for i = 0 to Array.length row - 1 do
+        row.(i) <- Binio.r_int r <> 0
+      done)
     sim.claimed;
   sim.claims_dirty <- Binio.r_bool r;
   Binio.r_tag r ~expect:14 ~what:"digest section";
   sim.ed_hi <- Binio.r_int r;
   sim.ed_lo <- Binio.r_int r;
-  let n_keys = Binio.r_int r in
+  let n_keys = Binio.r_count r ~min_bytes:24 ~what:"access log length" in
+  Mp5_util.Int_table.reserve sim.access_log n_keys;
+  Vec.reserve sim.log_keys n_keys 0;
+  Vec.reserve sim.dig_hi n_keys 0;
+  Vec.reserve sim.dig_lo n_keys 0;
   for i = 0 to n_keys - 1 do
     let key = Binio.r_int r in
     Mp5_util.Int_table.replace sim.access_log key i;
@@ -3798,22 +3784,23 @@ let node_final_check node =
   | Some mon -> monitor_phase node.nd_sim mon node.nd_st.now
   | None -> ()
 
-let node_encode node = encode node.nd_sim node.nd_st node.nd_src
+let node_encode w node =
+  Binio.w_framed w ~magic:snap_magic (fun w ->
+      encode_into w node.nd_sim node.nd_st node.nd_src)
 
-let node_restore ?metrics ?events ?monitor ?(compiled = true) ~on_exit ~on_drop ~snapshot
-    prog =
-  match Binio.of_string ~magic:snap_magic snapshot with
-  | Error msg -> Error (Corrupt msg)
-  | Ok r -> (
-      match decode_machine ?metrics ?events ?monitor ~compiled prog r with
-      | exception Resume_mismatch msg -> Error (Mismatch msg)
-      | exception Binio.Corrupt { pos; reason } ->
-          Error (Corrupt (Binio.corrupt_message ~pos ~reason))
-      | exception Failure msg -> Error (Corrupt msg)
-      | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
-      | sim, st, consumed ->
-          sim.on_exit <- Some on_exit;
-          sim.on_drop <- Some on_drop;
-          let q = Queue.create () in
-          let src = Psource.of_queue ~consumed q in
-          Ok { nd_sim = sim; nd_st = { st with track_src = false }; nd_q = q; nd_src = src })
+let node_restore ?metrics ?events ?monitor ?(compiled = true) ~on_exit ~on_drop r prog =
+  match
+    decode_machine ?metrics ?events ?monitor ~compiled prog
+      (Binio.r_framed r ~magic:snap_magic)
+  with
+  | exception Resume_mismatch msg -> Error (Mismatch msg)
+  | exception Binio.Corrupt { pos; reason } ->
+      Error (Corrupt (Binio.corrupt_message ~pos ~reason))
+  | exception Failure msg -> Error (Corrupt msg)
+  | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
+  | sim, st, consumed ->
+      sim.on_exit <- Some on_exit;
+      sim.on_drop <- Some on_drop;
+      let q = Queue.create () in
+      let src = Psource.of_queue ~consumed q in
+      Ok { nd_sim = sim; nd_st = { st with track_src = false }; nd_q = q; nd_src = src }

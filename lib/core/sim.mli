@@ -459,10 +459,12 @@ val node_final_check : node -> unit
 (** Run the node's invariant monitor once in the terminal state, as the
     end of {!run_source} does. *)
 
-val node_encode : node -> string
-(** Serialize the node machine as a standard ["mp5-snap/1"] snapshot
-    (the ingress queue is NOT included — the fabric snapshot carries
-    pending packets itself, since it owns their metadata). *)
+val node_encode : Mp5_util.Binio.writer -> node -> unit
+(** Append the node machine to a caller's writer as one nested
+    ["mp5-snap/1"] frame ({!Mp5_util.Binio.w_framed}), byte-identical to
+    a length-prefixed standard snapshot.  The ingress queue is NOT
+    included — the fabric snapshot carries pending packets itself,
+    since it owns their metadata. *)
 
 val node_restore :
   ?metrics:Mp5_obs.Metrics.t ->
@@ -471,10 +473,13 @@ val node_restore :
   ?compiled:bool ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
-  snapshot:string ->
+  Mp5_util.Binio.reader ->
   Transform.t ->
   (node, resume_error) Stdlib.result
-(** Rebuild a node from {!node_encode} output with a fresh, empty
-    ingress queue positioned at the snapshot's admission cursor; the
-    caller re-injects any pending packets it recorded.  Error cases are
-    those of {!resume}. *)
+(** Read one {!node_encode} frame from the caller's reader (through a
+    bounded sub-reader, in place; the frame's magic, length and checksum
+    are verified) and rebuild the node with a fresh, empty ingress queue
+    positioned at the snapshot's admission cursor; the caller re-injects
+    any pending packets it recorded.  Error cases are those of
+    {!resume}; [Corrupt] positions are absolute offsets in the caller's
+    file. *)

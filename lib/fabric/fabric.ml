@@ -474,7 +474,7 @@ let encode fab =
   Binio.w_int w (Array.length fab.nodes);
   Array.iteri
     (fun i nd ->
-      Binio.w_string w (Sim.node_encode nd);
+      Sim.node_encode w nd;
       let pending = Sim.node_pending nd in
       Binio.w_int w (List.length pending);
       List.iter (fun input -> w_input w input) pending;
@@ -553,9 +553,8 @@ let decode_fabric ?team ?monitor ~compiled ~dst p prog r =
     Array.init n (fun i ->
         let on_exit ~seq ~latency ~headers = Vec.push exits.(i) (seq, latency, headers) in
         let on_drop ~seq = Vec.push drops.(i) seq in
-        let blob = Binio.r_string r in
         let nd =
-          match Sim.node_restore ~compiled ~on_exit ~on_drop ~snapshot:blob prog with
+          match Sim.node_restore ~compiled ~on_exit ~on_drop r prog with
           | Ok nd -> nd
           | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
           | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))

@@ -58,12 +58,22 @@ let rec replace t key v =
   in
   go (slot keys key)
 
-and grow t =
+and grow t = resize t (2 * Array.length t.keys)
+
+and resize t cap =
   let okeys = t.keys and ovals = t.vals in
-  t.keys <- Array.make (2 * Array.length okeys) empty;
-  t.vals <- Array.make (2 * Array.length ovals) 0;
+  t.keys <- Array.make cap empty;
+  t.vals <- Array.make cap 0;
   t.len <- 0;
   Array.iteri (fun i k -> if k <> empty then replace t k ovals.(i)) okeys
+
+(* The load-factor bound [replace] grows at: [4 * len <= 3 * slots]. *)
+let reserve t n =
+  let cap = ref (Array.length t.keys) in
+  while 4 * n > 3 * !cap do
+    cap := 2 * !cap
+  done;
+  if !cap > Array.length t.keys then resize t !cap
 
 let remove t key =
   let keys = t.keys in

@@ -22,5 +22,9 @@ val replace : t -> int -> int -> unit
 (** Insert or overwrite.
     @raise Invalid_argument on the reserved key [min_int]. *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] sizes the table so that [n] bindings in total fit
+    without growing again. *)
+
 val remove : t -> int -> unit
 (** No-op when the key has no binding. *)

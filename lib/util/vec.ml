@@ -18,6 +18,13 @@ let push t x =
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1
 
+let reserve t n x =
+  if n > Array.length t.data then begin
+    let data = Array.make n x in
+    Array.blit t.data 0 data 0 t.len;
+    t.data <- data
+  end
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of range";
   t.data.(i)

@@ -16,6 +16,11 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Append, doubling the backing array when full. *)
 
+val reserve : 'a t -> int -> 'a -> unit
+(** [reserve t n x] makes room for [n] elements in total, so the next
+    pushes up to that length do not reallocate; [x] fills the unused
+    capacity. *)
+
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument when out of range. *)
 

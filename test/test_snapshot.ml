@@ -377,6 +377,12 @@ let fabric_fixture () =
   in
   (prog, trace, dst, fp)
 
+let fabric_snapshot () =
+  let prog, trace, dst, fp = fabric_fixture () in
+  match Fabric.run ~cycle_budget:12 ~dst fp prog (Psource.of_array trace) with
+  | Fabric.Suspended snap -> (prog, trace, dst, fp, snap)
+  | Fabric.Completed _ -> Alcotest.fail "budget 12 did not suspend the fabric run"
+
 let fabric_completed = function
   | Fabric.Completed r -> r
   | Fabric.Suspended _ -> Alcotest.fail "fabric run suspended without a budget"
@@ -417,12 +423,7 @@ let test_fabric_resume () =
     Alcotest.fail "fabric resume on a team diverges from the uninterrupted run"
 
 let test_fabric_rejects () =
-  let prog, trace, dst, fp = fabric_fixture () in
-  let snap =
-    match Fabric.run ~cycle_budget:12 ~dst fp prog (Psource.of_array trace) with
-    | Fabric.Suspended snap -> snap
-    | Fabric.Completed _ -> Alcotest.fail "budget 12 did not suspend the fabric run"
-  in
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
   let err ?(fp = fp) ?(prog = prog) snap =
     match Fabric.resume ~dst ~snapshot:snap fp prog (Psource.of_array trace) with
     | Ok _ -> None
@@ -459,6 +460,138 @@ let test_fabric_rejects () =
   | Some (Sim.Corrupt msg) -> Alcotest.failf "wrong program: corrupt, want mismatch: %s" msg
   | None -> Alcotest.fail "fabric snapshot accepted under a different program"
 
+(* --- the wire format does not move ---
+
+   MD5s of the two fixture snapshots as the format was first pinned.
+   Any change to the writer, the framing or the nested node frames that
+   alters a single byte breaks old snapshots on disk, so the encoders
+   must reproduce them exactly. *)
+
+let test_format_pinned () =
+  let _, _, _, snap = snapshot_fixture () in
+  let _, _, _, _, fsnap = fabric_snapshot () in
+  Alcotest.(check (pair int string))
+    "mp5-snap/1 fixture" (2544, "8a424b6eeae47ad60ce850b307cb35d3")
+    (String.length snap, Digest.to_hex (Digest.string snap));
+  Alcotest.(check (pair int string))
+    "mp5-fab/1 fixture" (9536, "6a27c6380aeec039deabd9d0d9d0529f")
+    (String.length fsnap, Digest.to_hex (Digest.string fsnap))
+
+(* --- the checksum ---
+
+   Standard FNV-1a-64 vectors, and the original closure-over-[String.iter]
+   implementation kept as the oracle for random strings. *)
+
+let checksum_oracle s =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
+    s;
+  !h
+
+let test_checksum_vectors () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check int64) (Printf.sprintf "fnv1a64 %S" s) want (Binio.checksum s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
+let prop_checksum_oracle =
+  QCheck.Test.make ~name:"checksum = String.iter FNV-1a oracle" ~count:500
+    QCheck.(string_gen_of_size Gen.(0 -- 2000) Gen.char)
+    (fun s -> Binio.checksum s = checksum_oracle s)
+
+(* --- nested node frames inside mp5-fab/1 ---
+
+   A node frame is [length:8 "mp5-snap/1\n" payload_len:8 checksum:8
+   payload]; the fabric frame's own header is [magic '\n' len:8 sum:8]. *)
+
+type node_frame = { nf_prefix : int; nf_len_at : int; nf_body : int; nf_end : int }
+
+let find_from s sub from =
+  let n = String.length sub in
+  let rec at i =
+    if i + n > String.length s then None else if String.sub s i n = sub then Some i else at (i + 1)
+  in
+  at from
+
+let node_frames snap =
+  let rec go from acc =
+    match find_from snap (Sim.snapshot_magic ^ "\n") from with
+    | None -> List.rev acc
+    | Some m ->
+        let len_at = m + String.length Sim.snapshot_magic + 1 in
+        let body = len_at + 16 in
+        let nf_end = body + Int64.to_int (String.get_int64_le snap len_at) in
+        go nf_end ({ nf_prefix = m - 8; nf_len_at = len_at; nf_body = body; nf_end } :: acc)
+  in
+  go 0 []
+
+let reseal_node b nf =
+  let body = Bytes.sub_string b nf.nf_body (nf.nf_end - nf.nf_body) in
+  Bytes.set_int64_le b (nf.nf_len_at + 8) (Binio.checksum body)
+
+let reseal_fabric b =
+  let hdr = String.index (Bytes.to_string b) '\n' + 1 in
+  let body = Bytes.sub_string b (hdr + 16) (Bytes.length b - hdr - 16) in
+  Bytes.set_int64_le b (hdr + 8) (Binio.checksum body)
+
+(* The N of the first "byte N" in an error message. *)
+let byte_pos msg =
+  match find_from msg "byte " 0 with
+  | None -> None
+  | Some i ->
+      let j = ref (i + 5) in
+      while !j < String.length msg && msg.[!j] >= '0' && msg.[!j] <= '9' do
+        incr j
+      done;
+      int_of_string_opt (String.sub msg (i + 5) (!j - i - 5))
+
+let fabric_corrupt_pos what (prog, trace, dst, fp) damaged =
+  match Fabric.resume ~dst ~snapshot:damaged fp prog (Psource.of_array trace) with
+  | Error (Sim.Corrupt msg) -> (
+      match byte_pos msg with
+      | Some pos -> (pos, msg)
+      | None -> Alcotest.failf "%s: message not positioned: %s" what msg)
+  | Error (Sim.Mismatch msg) -> Alcotest.failf "%s: mismatch, want corrupt: %s" what msg
+  | Ok _ -> Alcotest.failf "%s: damaged fabric snapshot accepted" what
+
+let test_node_error_absolute () =
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
+  let frames = node_frames snap in
+  if List.length frames <> Topology.n_switches fp.Fabric.fp_topo then
+    Alcotest.failf "found %d node frames" (List.length frames);
+  let nf = List.nth frames 1 in
+  (* The first payload byte is the params section tag (1). *)
+  let b = Bytes.of_string snap in
+  Alcotest.(check char) "params tag" '\001' (Bytes.get b nf.nf_body);
+  Bytes.set b nf.nf_body '\099';
+  reseal_node b nf;
+  reseal_fabric b;
+  let pos, msg = fabric_corrupt_pos "node 1 tag" (prog, trace, dst, fp) (Bytes.to_string b) in
+  if not (contains msg "bad section tag 99") then Alcotest.failf "node 1 tag: %s" msg;
+  Alcotest.(check int) "absolute offset of the damaged tag" nf.nf_body pos
+
+let test_nested_frame_bounded () =
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
+  let nf = List.hd (node_frames snap) in
+  let len = nf.nf_end - nf.nf_body in
+  List.iter
+    (fun forged ->
+      let b = Bytes.of_string snap in
+      Bytes.set_int64_le b nf.nf_len_at (Int64.of_int forged);
+      reseal_node b { nf with nf_end = nf.nf_body + min len forged };
+      reseal_fabric b;
+      let what = Printf.sprintf "node 0 length %d (real %d)" forged len in
+      let before = Gc.allocated_bytes () in
+      let pos, msg = fabric_corrupt_pos what (prog, trace, dst, fp) (Bytes.to_string b) in
+      let allocated = Gc.allocated_bytes () -. before in
+      if pos < nf.nf_prefix || pos >= nf.nf_end then
+        Alcotest.failf "%s: error at byte %d, outside node 0's frame [%d, %d): %s" what pos
+          nf.nf_prefix nf.nf_end msg;
+      if allocated > float_of_int (16 * String.length snap) then
+        Alcotest.failf "%s: rejecting it allocated %.0f bytes" what allocated)
+    [ len + 8; len + (1 lsl 30); max_int; len - 8 ]
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -485,5 +618,16 @@ let () =
             test_fabric_resume;
           Alcotest.test_case "damaged or mismatched fabric snapshots are rejected" `Quick
             test_fabric_rejects;
+                  Alcotest.test_case "node errors carry absolute file offsets" `Quick
+            test_node_error_absolute;
+          Alcotest.test_case "a forged node frame length stays inside its frame" `Quick
+            test_nested_frame_bounded;
+        ] );
+      ( "format",
+        [
+          Alcotest.test_case "fixture snapshots are byte-identical to the pinned format" `Quick
+            test_format_pinned;
+          Alcotest.test_case "checksum is FNV-1a-64" `Quick test_checksum_vectors;
+          QCheck_alcotest.to_alcotest prop_checksum_oracle;
         ] );
     ]
