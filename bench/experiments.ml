@@ -662,6 +662,9 @@ type micro = {
   mi_reps : int;
   mi_interp_ns : float;  (** min wall-clock per [Sim.run], AST interpreter *)
   mi_kernel_ns : float;  (** min wall-clock per [Sim.run], closure kernels *)
+  mi_kernel_words : float;
+      (** minor-heap words allocated per packet by one closure-kernel
+          [Sim.run]: a deterministic counter, unlike the wall clock *)
 }
 
 let micro_speedup m = m.mi_interp_ns /. m.mi_kernel_ns
@@ -689,6 +692,11 @@ let sim_micro scale =
   let ref_kernel = run ~compiled:true () in
   if not (Sim.results_equal (run ~compiled:false ()) ref_kernel) then
     failwith "sim-micro: compiled kernels diverge from the AST interpreter";
+  let kernel_words =
+    let before = Gc.minor_words () in
+    ignore (run ~compiled:true () : Sim.result);
+    (Gc.minor_words () -. before) /. float_of_int (Array.length trace)
+  in
   let reps = max 5 scale.runs in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -718,7 +726,12 @@ let sim_micro scale =
     if not (Sim.results_equal ri rk) then
       failwith "sim-micro: compiled kernels diverge from the AST interpreter"
   done;
-  { mi_reps = reps; mi_interp_ns = !interp_ns; mi_kernel_ns = !kernel_ns }
+  {
+    mi_reps = reps;
+    mi_interp_ns = !interp_ns;
+    mi_kernel_ns = !kernel_ns;
+    mi_kernel_words = kernel_words;
+  }
 
 (* --- parallel vs sequential cycle engine ---
 

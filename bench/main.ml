@@ -200,10 +200,13 @@ let run_sim_micro scale =
   Format.printf "  AST interpreter: %12.0f ns/run@." m.Experiments.mi_interp_ns;
   Format.printf "  closure kernels: %12.0f ns/run@." m.Experiments.mi_kernel_ns;
   Format.printf "  speedup: %.2fx (outputs bit-identical)@." speedup;
+  Format.printf "  closure kernels allocate %.1f minor words/packet@."
+    m.Experiments.mi_kernel_words;
   [
     ("heavy-hitter-2k/interp_ns", m.Experiments.mi_interp_ns);
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
     ("heavy-hitter-2k/speedup", speedup);
+    ("heavy-hitter-2k/words_per_pkt", m.Experiments.mi_kernel_words);
   ]
 
 let run_sim_par scale =

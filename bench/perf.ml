@@ -79,14 +79,9 @@ let fifo_test =
          for i = 0 to 31 do
            ignore (Mp5_arch.Fifo.insert_data f ~key:i i)
          done;
-         let rec drain () =
-           match Mp5_arch.Fifo.head f with
-           | `Data (_, _) ->
-               ignore (Mp5_arch.Fifo.pop_data f);
-               drain ()
-           | _ -> ()
-         in
-         drain ()))
+         while Mp5_arch.Fifo.take f >= 0 do
+           ()
+         done))
 
 let table_tests =
   [

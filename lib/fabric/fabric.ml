@@ -136,10 +136,8 @@ type t = {
   mutable last_event : int;
   mutable last_score : int;
   mutable last_progress_t : int;
-  mutable ed_hi : int;
-  mutable ed_lo : int;                       (* fabric exit digest *)
-  mutable src_hi : int;
-  mutable src_lo : int;                      (* host source digest *)
+  ed : Hashing.state;                        (* fabric exit digest *)
+  src : Hashing.state;                       (* host source digest *)
   hop_hist : Hist.t;
   e2e_hist : Hist.t;
   hops_hist : Hist.t;
@@ -169,7 +167,12 @@ type outcome = Completed of result | Suspended of string
 
 exception Conservation of string
 
-let feed_pair hi lo x = Hashing.feed_int_halves hi lo x
+(* The host source digest folds each injected packet's time, port and
+   headers. *)
+let feed_input st (input : Machine.input) =
+  Hashing.feed st input.Machine.time;
+  Hashing.feed st input.Machine.port;
+  Array.iter (Hashing.feed st) input.Machine.headers
 
 (* --- construction --- *)
 
@@ -208,10 +211,8 @@ let create ?team ?monitor ?(compiled = true) ~dst ~anchor p prog =
     last_event = anchor;
     last_score = 0;
     last_progress_t = anchor;
-    ed_hi = Hashing.fnv_offset_hi;
-    ed_lo = Hashing.fnv_offset_lo;
-    src_hi = Hashing.fnv_offset_hi;
-    src_lo = Hashing.fnv_offset_lo;
+    ed = Hashing.start ();
+    src = Hashing.start ();
     hop_hist = Hist.create ();
     e2e_hist = Hist.create ();
     hops_hist = Hist.create ();
@@ -252,15 +253,7 @@ let inject_phase fab t source =
     match Psource.peek source with
     | Some input when input.Machine.time <= t ->
         ignore (Psource.next source : Machine.input option);
-        let hi, lo = feed_pair fab.src_hi fab.src_lo input.Machine.time in
-        let hi, lo = feed_pair hi lo input.Machine.port in
-        let hi, lo =
-          Array.fold_left
-            (fun (hi, lo) x -> feed_pair hi lo x)
-            (hi, lo) input.Machine.headers
-        in
-        fab.src_hi <- hi;
-        fab.src_lo <- lo;
+        feed_input fab.src input;
         let fseq = fab.injected in
         fab.injected <- fab.injected + 1;
         let n_hosts = Topology.n_hosts fab.p.fp_topo in
@@ -302,15 +295,9 @@ let delivery_phase fab t =
                 let m = fl.f_meta in
                 fab.delivered <- fab.delivered + 1;
                 fab.last_event <- t;
-                let hi, lo = feed_pair fab.ed_hi fab.ed_lo m.m_fseq in
-                let hi, lo = feed_pair hi lo fl.f_aux in
-                let hi, lo =
-                  Array.fold_left
-                    (fun (hi, lo) x -> feed_pair hi lo x)
-                    (hi, lo) fl.f_input.Machine.headers
-                in
-                fab.ed_hi <- hi;
-                fab.ed_lo <- lo;
+                Hashing.feed fab.ed m.m_fseq;
+                Hashing.feed fab.ed fl.f_aux;
+                Array.iter (Hashing.feed fab.ed) fl.f_input.Machine.headers;
                 Hist.observe fab.e2e_hist (fl.f_due - m.m_inject);
                 Hist.observe fab.hops_hist m.m_hops)
         | _ -> continue_ := false
@@ -462,10 +449,10 @@ let encode fab =
   Binio.w_int w fab.last_event;
   Binio.w_int w fab.last_score;
   Binio.w_int w fab.last_progress_t;
-  Binio.w_int w fab.ed_hi;
-  Binio.w_int w fab.ed_lo;
-  Binio.w_int w fab.src_hi;
-  Binio.w_int w fab.src_lo;
+  Binio.w_int w fab.ed.Hashing.hi;
+  Binio.w_int w fab.ed.Hashing.lo;
+  Binio.w_int w fab.src.Hashing.hi;
+  Binio.w_int w fab.src.Hashing.lo;
   Binio.w_tag w 2;
   Hist.encode w fab.hop_hist;
   Hist.encode w fab.e2e_hist;
@@ -612,10 +599,8 @@ let decode_fabric ?team ?monitor ~compiled ~dst p prog r =
     last_event;
     last_score;
     last_progress_t;
-    ed_hi;
-    ed_lo;
-    src_hi;
-    src_lo;
+    ed = { Hashing.hi = ed_hi; lo = ed_lo };
+    src = { Hashing.hi = src_hi; lo = src_lo };
     hop_hist;
     e2e_hist;
     hops_hist;
@@ -632,12 +617,8 @@ let finish fab =
     Array.fold_left (fun acc nd -> (acc + Sim.node_access_digest nd) land digest_mask) 0 fab.nodes
   in
   let store_digest =
-    let hi = ref Hashing.fnv_offset_hi and lo = ref Hashing.fnv_offset_lo in
-    let feed x =
-      let h, l = Hashing.feed_int_halves !hi !lo x in
-      hi := h;
-      lo := l
-    in
+    let st = Hashing.start () in
+    let feed = Hashing.feed st in
     Array.iteri
       (fun i nd ->
         feed i;
@@ -647,7 +628,7 @@ let finish fab =
           Array.iter feed (Store.array store ~reg)
         done)
       fab.nodes;
-    Hashing.finish (!hi, !lo)
+    Hashing.value st
   in
   {
     fr_switches = n;
@@ -658,7 +639,7 @@ let finish fab =
     fr_miss_dropped = fab.miss_dropped;
     fr_link_dropped = fab.link_dropped;
     fr_cycles = fab.last_event - fab.anchor + 1;
-    fr_exit_digest = Hashing.finish (fab.ed_hi, fab.ed_lo);
+    fr_exit_digest = Hashing.value fab.ed;
     fr_access_digest = access;
     fr_store_digest = store_digest;
     fr_hop_hist = fab.hop_hist;
@@ -774,7 +755,7 @@ let resume ?team ?monitor ?cycle_budget ?(compiled = true) ~dst ~snapshot p prog
             match Psource.consumed source with
             | c when c = fab.injected -> ()
             | 0 ->
-                let hi = ref Hashing.fnv_offset_hi and lo = ref Hashing.fnv_offset_lo in
+                let src = Hashing.start () in
                 for i = 0 to fab.injected - 1 do
                   match Psource.next source with
                   | None ->
@@ -783,18 +764,9 @@ let resume ?team ?monitor ?cycle_budget ?(compiled = true) ~dst ~snapshot p prog
                            (Printf.sprintf
                               "host source ended after %d packets; snapshot injected %d" i
                               fab.injected))
-                  | Some input ->
-                      let h, l = feed_pair !hi !lo input.Machine.time in
-                      let h, l = feed_pair h l input.Machine.port in
-                      let h, l =
-                        Array.fold_left
-                          (fun (h, l) x -> feed_pair h l x)
-                          (h, l) input.Machine.headers
-                      in
-                      hi := h;
-                      lo := l
+                  | Some input -> feed_input src input
                 done;
-                if !hi <> fab.src_hi || !lo <> fab.src_lo then
+                if src <> fab.src then
                   raise
                     (Restore_mismatch
                        "host source does not replay the checkpointed fabric's packets")

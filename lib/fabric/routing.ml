@@ -123,12 +123,8 @@ let pp ppf policy =
     policy.rules
 
 let digest policy =
-  let hi = ref Hashing.fnv_offset_hi and lo = ref Hashing.fnv_offset_lo in
-  let feed x =
-    let h, l = Hashing.feed_int_halves !hi !lo x in
-    hi := h;
-    lo := l
-  in
+  let st = Hashing.start () in
+  let feed = Hashing.feed st in
   feed policy.bits;
   Array.iter
     (fun rules ->
@@ -140,4 +136,4 @@ let digest policy =
           feed port)
         rules)
     policy.rules;
-  Hashing.finish (!hi, !lo)
+  Hashing.value st

@@ -439,12 +439,8 @@ let pp ppf t =
     t.links
 
 let digest t =
-  let hi = ref Hashing.fnv_offset_hi and lo = ref Hashing.fnv_offset_lo in
-  let feed x =
-    let h, l = Hashing.feed_int_halves !hi !lo x in
-    hi := h;
-    lo := l
-  in
+  let st = Hashing.start () in
+  let feed = Hashing.feed st in
   let feed_ep = function Host h -> feed (2 * h) | Switch s -> feed ((2 * s) + 1) in
   feed t.n_switches;
   feed t.n_hosts;
@@ -455,4 +451,4 @@ let digest t =
       feed_ep l.l_dst;
       feed l.l_delay)
     t.links;
-  Hashing.finish (!hi, !lo)
+  Hashing.value st

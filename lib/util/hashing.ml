@@ -1,56 +1,64 @@
 (* FNV-1a over the 8 little-endian bytes of each int, on the full 64-bit
-   state.  The state is kept as two 32-bit halves in native ints so the
-   hot loop allocates nothing (Int64 arithmetic boxes every intermediate,
-   which dominated the simulator's allocation profile).  The halves
-   computation is exact: with prime = 2^40 + 0x1B3,
-     h * prime mod 2^64 = (h * 0x1B3 + (lo h) * 2^40) mod 2^64
-   and both products fit in 62 bits when split by halves. *)
-
-let fnv_offset_hi = 0xCBF29CE4 (* of 0xCBF29CE484222325 *)
-let fnv_offset_lo = 0x84222325
-let fnv_prime_low = 0x1B3 (* prime = 2^40 + 0x1B3 *)
-let mask32 = 0xFFFFFFFF
-
-(* One byte of input: state is (hi, lo); returns via the two refs. *)
-let feed_int_halves hi lo x =
-  let h = ref hi and l = ref lo in
-  for shift = 0 to 7 do
-    let byte = (x lsr (shift * 8)) land 0xFF in
-    let l0 = !l lxor byte in
-    let pl = l0 * fnv_prime_low in
-    let ph = ((!h * fnv_prime_low) + (pl lsr 32) + (l0 lsl 8)) land mask32 in
-    h := ph;
-    l := pl land mask32
-  done;
-  (!h, !l)
-
-(* 62-bit result, identical to the old
+   state.  One core, [mix], runs on an [Int64] accumulator; it is
+   inlined into every entry point, so the accumulator lives in a
+   register and nothing is boxed.  Results are the 62-bit
    [Int64.to_int h land 0x3FFF_FFFF_FFFF_FFFF]. *)
-let finish (hi, lo) = ((hi land 0x3FFFFFFF) lsl 32) lor lo
+
+let prime = 0x100000001B3L
+let offset = 0xCBF29CE484222325L
+let mask62 = 0x3FFF_FFFF_FFFF_FFFF
+let mask32 = 0xFFFF_FFFF
+
+let[@inline] mix h x =
+  let h = ref h in
+  for shift = 0 to 7 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (shift * 8)) land 0xFF))) prime
+  done;
+  !h
+
+let[@inline] finish64 h = Int64.to_int h land mask62
 
 let fnv1a_seeded ~seed xs =
-  let hi, lo = feed_int_halves fnv_offset_hi fnv_offset_lo seed in
-  let state =
-    List.fold_left (fun (hi, lo) x -> feed_int_halves hi lo x) (hi, lo) xs
-  in
-  finish state
+  (* A [while] over locals: a [List.iter] closure would capture [h] and
+     box the accumulator. *)
+  let h = ref (mix offset seed) and rest = ref xs in
+  while
+    match !rest with
+    | [] -> false
+    | x :: tl ->
+        h := mix !h x;
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  finish64 !h
 
 let fnv1a xs = fnv1a_seeded ~seed:0 xs
 
-let fnv1a1 x =
-  (* [fnv1a [x]] without the list: the expression evaluator's single-key
-     [hash(...)] fast path. *)
-  let hi, lo = feed_int_halves fnv_offset_hi fnv_offset_lo 0 in
-  let hi, lo = feed_int_halves hi lo x in
-  finish (hi, lo)
+(* [fnv1a [x]] and [fnv1a [x; y]] without the list: the single- and
+   two-key fast paths of the expression evaluator and the compiled
+   [hash(...)] kernels. *)
+let fnv1a1 x = finish64 (mix (mix offset 0) x)
+let fnv1a2 x y = finish64 (mix (mix (mix offset 0) x) y)
 
-let fnv1a2 x y =
-  (* [fnv1a [x; y]] without the list: the two-key fast path of the
-     compiled [hash(...)] kernels. *)
-  let hi, lo = feed_int_halves fnv_offset_hi fnv_offset_lo 0 in
-  let hi, lo = feed_int_halves hi lo x in
-  let hi, lo = feed_int_halves hi lo y in
-  finish (hi, lo)
+type state = { mutable hi : int; mutable lo : int }
+
+let offset_hi = Int64.to_int (Int64.shift_right_logical offset 32)
+let offset_lo = Int64.to_int offset land mask32
+
+let start () = { hi = offset_hi; lo = offset_lo }
+
+let reset st =
+  st.hi <- offset_hi;
+  st.lo <- offset_lo
+
+let feed st x =
+  let h = mix (Int64.logor (Int64.shift_left (Int64.of_int st.hi) 32) (Int64.of_int st.lo)) x in
+  st.hi <- Int64.to_int (Int64.shift_right_logical h 32);
+  st.lo <- Int64.to_int h land mask32
+
+let value st = ((st.hi land 0x3FFF_FFFF) lsl 32) lor st.lo
 
 let crc_table =
   lazy

@@ -25,26 +25,28 @@ val crc32 : int list -> int
 (** CRC-32 (IEEE polynomial) over the same byte stream, as switch hardware
     commonly provides.  Result fits in 32 bits. *)
 
-(** {2 Incremental FNV-1a}
+(** {2 Streaming FNV-1a}
 
-    The same hash as {!fnv1a}, exposed as an explicit fold so callers can
+    The same hash as {!fnv1a}, as a mutable fold state, so callers can
     digest unbounded streams (the simulator's streaming run summaries)
-    without materializing a list.  The state is the 64-bit FNV accumulator
-    split into two unboxed 32-bit halves, so a fold step allocates only
-    the returned pair.  [finish (List.fold_left (fun (h,l) x ->
-    feed_int_halves h l x) (fnv_offset_hi, fnv_offset_lo) xs)] equals
-    [fnv1a (0 :: xs)]'s tail behaviour — concretely, seeding with the
-    offsets and feeding the same ints gives the same 62-bit result as the
-    list API. *)
+    without materializing a list.  The state is the 64-bit FNV
+    accumulator split into two 32-bit halves held as immediate ints:
+    {!feed} allocates nothing, and checkpoints serialize the halves
+    directly.  Feeding [xs] into a fresh state gives
+    [value st = fnv1a_seeded ~seed:(List.hd xs) (List.tl xs)]. *)
 
-val fnv_offset_hi : int
-val fnv_offset_lo : int
-(** FNV-1a 64-bit offset basis, split into high/low 32-bit halves. *)
+type state = { mutable hi : int; mutable lo : int }
+(** Upper and lower 32 bits of the accumulator. *)
 
-val feed_int_halves : int -> int -> int -> int * int
-(** [feed_int_halves hi lo x] feeds the 8 little-endian bytes of [x] into
-    the state [(hi, lo)]. *)
+val start : unit -> state
+(** A fresh state at the FNV-1a 64-bit offset basis. *)
 
-val finish : int * int -> int
-(** Collapse a fold state to the non-negative 62-bit result (identical to
-    what {!fnv1a} returns for the same byte stream). *)
+val reset : state -> unit
+(** Back to the offset basis. *)
+
+val feed : state -> int -> unit
+(** Feed the 8 little-endian bytes of an int. *)
+
+val value : state -> int
+(** The non-negative 62-bit digest of everything fed so far (identical
+    to what {!fnv1a} returns for the same byte stream). *)

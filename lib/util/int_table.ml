@@ -2,8 +2,10 @@
    probing over a power-of-two slot array, backward-shift deletion (no
    tombstones).  The simulator's FIFO directories perform a
    find/replace/remove per packet per stage; compared to [Hashtbl] this
-   avoids the generic hash primitive and all bucket allocation — every
-   operation here allocates nothing. *)
+   avoids the generic hash primitive and all bucket allocation.  The
+   probe loops are [while] loops over locals, not local recursive
+   functions, which would capture the table in a fresh closure per
+   call. *)
 
 type t = {
   mutable keys : int array;  (* [empty] marks a free slot *)
@@ -23,49 +25,49 @@ let length t = t.len
    the mask remain a bijection of the key. *)
 let slot keys key = (key * 0x2545F4914F6CDD1D) lsr 3 land (Array.length keys - 1)
 
-let find t key =
-  let keys = t.keys in
+(* The slot holding [key], or the free slot ending its probe chain. *)
+let probe keys key =
   let mask = Array.length keys - 1 in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = key then Array.unsafe_get t.vals i
-    else if k = empty then raise Not_found
-    else go ((i + 1) land mask)
-  in
-  go (slot keys key)
+  let i = ref (slot keys key) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> key && k <> empty
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
 
-let mem t key =
-  match find t key with _ -> true | exception Not_found -> false
+let find t key =
+  let i = probe t.keys key in
+  if key <> empty && Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i
+  else raise Not_found
+
+let mem t key = key <> empty && t.keys.(probe t.keys key) = key
 
 let rec replace t key v =
   if key = empty then invalid_arg "Int_table.replace: reserved key";
   let keys = t.keys in
-  let mask = Array.length keys - 1 in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = key then t.vals.(i) <- v
-    else if k = empty then
-      if 4 * (t.len + 1) > 3 * (mask + 1) then begin
-        grow t;
-        replace t key v
-      end
-      else begin
-        keys.(i) <- key;
-        t.vals.(i) <- v;
-        t.len <- t.len + 1
-      end
-    else go ((i + 1) land mask)
-  in
-  go (slot keys key)
-
-and grow t = resize t (2 * Array.length t.keys)
+  let i = probe keys key in
+  if Array.unsafe_get keys i = key then t.vals.(i) <- v
+  else if 4 * (t.len + 1) > 3 * Array.length keys then begin
+    resize t (2 * Array.length keys);
+    replace t key v
+  end
+  else begin
+    keys.(i) <- key;
+    t.vals.(i) <- v;
+    t.len <- t.len + 1
+  end
 
 and resize t cap =
   let okeys = t.keys and ovals = t.vals in
   t.keys <- Array.make cap empty;
   t.vals <- Array.make cap 0;
   t.len <- 0;
-  Array.iteri (fun i k -> if k <> empty then replace t k ovals.(i)) okeys
+  for i = 0 to Array.length okeys - 1 do
+    let k = okeys.(i) in
+    if k <> empty then replace t k ovals.(i)
+  done
 
 (* The load-factor bound [replace] grows at: [4 * len <= 3 * slots]. *)
 let reserve t n =
@@ -76,32 +78,26 @@ let reserve t n =
   if !cap > Array.length t.keys then resize t !cap
 
 let remove t key =
-  let keys = t.keys in
-  let vals = t.vals in
+  let keys = t.keys and vals = t.vals in
   let mask = Array.length keys - 1 in
-  let rec locate i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i else if k = empty then -1 else locate ((i + 1) land mask)
-  in
-  let i = locate (slot keys key) in
-  if i >= 0 then begin
+  let i = probe keys key in
+  if key <> empty && Array.unsafe_get keys i = key then begin
     t.len <- t.len - 1;
     (* Backward-shift deletion: walk the probe chain after the hole and
        pull back any entry whose home slot lies at or before the hole, so
        lookups never cross a gap. *)
-    let rec shift hole j =
-      let j = (j + 1) land mask in
-      let k = Array.unsafe_get keys j in
-      if k = empty then keys.(hole) <- empty
-      else begin
-        let home = slot keys k in
-        if (j - home) land mask >= (j - hole) land mask then begin
-          keys.(hole) <- k;
-          vals.(hole) <- vals.(j);
-          shift j j
-        end
-        else shift hole j
+    let hole = ref i and j = ref i and walking = ref true in
+    while !walking do
+      j := (!j + 1) land mask;
+      let k = Array.unsafe_get keys !j in
+      if k = empty then begin
+        keys.(!hole) <- empty;
+        walking := false
       end
-    in
-    shift i i
+      else if (!j - slot keys k) land mask >= (!j - !hole) land mask then begin
+        keys.(!hole) <- k;
+        vals.(!hole) <- vals.(!j);
+        hole := !j
+      end
+    done
   end

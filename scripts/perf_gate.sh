@@ -3,12 +3,17 @@
 #
 # Reads the committed BENCH_results.json baseline (the copy in git HEAD
 # — the working-tree file is overwritten by every bench run), runs the
-# sim-micro smoke, and compares the fresh heavy-hitter-2k/kernel_ns
-# against the baseline:
+# sim-micro smoke, and compares two fresh keys against the baseline.
+#
+# heavy-hitter-2k/kernel_ns, wall clock:
 #
 #   new > 1.25 x baseline  ->  hard fail (regression)
 #   new < 0.75 x baseline  ->  warn: the loop got faster, refresh and
 #                              commit the baseline so the gate tightens
+#
+# heavy-hitter-2k/words_per_pkt, minor words allocated per packet: a
+# deterministic counter that moves only when code changes, so it is
+# gated tight, at 1.02 x baseline, and needs no retries.
 #
 # The harness already takes the min over 5 interleaved repetitions,
 # but shared runners also swing between whole invocations (observed
@@ -25,10 +30,12 @@ set -eu
 
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
+WORDS_KEY='heavy-hitter-2k/words_per_pkt'
 
 extract() {
-  # Pull a bare number out of  "<key>": <float>  without a JSON parser.
-  awk -v key="\"$KEY\":" '
+  # Pull a bare number out of  "<key>": <float>  without a JSON parser;
+  # the key is $1, or $KEY when omitted.
+  awk -v key="\"${1:-$KEY}\":" '
     {
       while (match($0, key " *[0-9][0-9.eE+-]*")) {
         s = substr($0, RSTART, RLENGTH)
@@ -40,6 +47,7 @@ extract() {
 }
 
 baseline=$(git show "HEAD:$RESULTS" 2>/dev/null | extract || true)
+baseline_words=$(git show "HEAD:$RESULTS" 2>/dev/null | extract "$WORDS_KEY" || true)
 
 dune build bench/main.exe
 
@@ -54,6 +62,21 @@ while [ "$attempt" -le 3 ]; do
   if [ -z "$new" ]; then
     echo "perf-gate: FAIL: $KEY missing from fresh $RESULTS" >&2
     exit 1
+  fi
+  if [ "$attempt" -eq 1 ]; then
+    words=$(extract "$WORDS_KEY" < "$RESULTS")
+    if [ -z "$words" ]; then
+      echo "perf-gate: FAIL: $WORDS_KEY missing from fresh $RESULTS" >&2
+      exit 1
+    fi
+    if [ -z "$baseline_words" ]; then
+      echo "perf-gate: no committed baseline for $WORDS_KEY; skipping its comparison" >&2
+    elif awk -v new="$words" -v base="$baseline_words" 'BEGIN { exit !(new <= 1.02 * base) }'; then
+      echo "perf-gate: $WORDS_KEY: baseline $baseline_words, measured $words"
+    else
+      echo "perf-gate: FAIL: $WORDS_KEY: $words words/packet vs baseline $baseline_words (bound 1.02x)" >&2
+      exit 1
+    fi
   fi
   if [ -z "$best" ] || awk -v a="$new" -v b="$best" 'BEGIN { exit !(a < b) }'; then
     best=$new

@@ -316,26 +316,26 @@ let prop_simplify_never_grows =
       Expr.size (Mp5_banzai.Simplify.expr e) <= Expr.size e)
 
 let prop_ring_buffer_model =
-  (* Ring buffer behaves like a bounded queue. *)
+  (* A one-ring FIFO (one ring buffer) behaves like a bounded queue. *)
   QCheck.Test.make ~name:"ring buffer = bounded queue model" ~count:200
     QCheck.(list (QCheck.int_range 0 9))
     (fun ops ->
-      let rb = Mp5_util.Ring_buffer.create ~capacity:4 in
+      let rb = Mp5_arch.Fifo.create ~k:1 ~capacity:4 ~adaptive:false in
       let model = Queue.create () in
       List.for_all
-        (fun op ->
+        (fun (i, op) ->
           if op < 6 then begin
-            let accepted = Mp5_util.Ring_buffer.push rb op in
+            let accepted = Mp5_arch.Fifo.push_data rb ~ring:0 ~ts:i ~key:i op = `Ok in
             let model_accepts = Queue.length model < 4 in
             if model_accepts then Queue.push op model;
             accepted = model_accepts
           end
           else
-            match (Mp5_util.Ring_buffer.pop rb, Queue.take_opt model) with
-            | None, None -> true
-            | Some a, Some b -> a = b
-            | _ -> false)
-        ops)
+            let code = Mp5_arch.Fifo.take rb in
+            match Queue.take_opt model with
+            | None -> code = Mp5_arch.Fifo.empty
+            | Some b -> code = b)
+        (List.mapi (fun i op -> (i, op)) ops))
 
 let prop_int_table_model =
   (* Open addressing with backward-shift deletion behaves like Hashtbl;

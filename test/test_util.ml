@@ -2,7 +2,6 @@
    statistics, hashing. *)
 
 module Rng = Mp5_util.Rng
-module Ring_buffer = Mp5_util.Ring_buffer
 module Dist = Mp5_util.Dist
 module Stats = Mp5_util.Stats
 module Hashing = Mp5_util.Hashing
@@ -85,90 +84,121 @@ let test_rng_pick () =
     check "pick from array" true (Array.mem (Rng.pick rng a) a)
   done
 
-(* --- Ring buffer --- *)
+(* --- Ring buffer ---
+
+   A one-ring FIFO ([k = 1]) is a single ring buffer: data pushes are
+   its push, [take] its pop, and [insert_data] on a queued phantom its
+   in-place [set] by stable address. *)
+
+module Fifo = Mp5_arch.Fifo
+
+type rb = { f : Fifo.t; mutable next_key : int }
+
+let rb_create ?(adaptive = false) capacity =
+  { f = Fifo.create ~k:1 ~capacity ~adaptive; next_key = 0 }
+
+let fresh_key rb =
+  let key = rb.next_key in
+  rb.next_key <- key + 1;
+  key
+
+let rb_push rb x =
+  let key = fresh_key rb in
+  Fifo.push_data rb.f ~ring:0 ~ts:key ~key x = `Ok
+
+(* A placeholder whose value is set later; returns its key (address). *)
+let rb_push_slot rb =
+  let key = fresh_key rb in
+  check "slot pushed" true (Fifo.push_phantom rb.f ~ring:0 ~ts:key ~key = `Ok);
+  key
+
+let rb_pop rb =
+  let code = Fifo.take rb.f in
+  if code >= 0 then Some code else None
+
+let rb_contents rb =
+  let acc = ref [] in
+  Fifo.iter_data rb.f (fun ~key:_ v -> acc := v :: !acc);
+  List.rev !acc
 
 let test_rb_fifo_order () =
-  let rb = Ring_buffer.create ~capacity:4 in
-  List.iter (fun x -> check "push ok" true (Ring_buffer.push rb x)) [ 1; 2; 3 ];
-  check_int "pop 1" 1 (Option.get (Ring_buffer.pop rb));
-  check_int "pop 2" 2 (Option.get (Ring_buffer.pop rb));
-  check "push after pops" true (Ring_buffer.push rb 4);
-  check_int "pop 3" 3 (Option.get (Ring_buffer.pop rb));
-  check_int "pop 4" 4 (Option.get (Ring_buffer.pop rb));
-  check "empty" true (Ring_buffer.pop rb = None)
+  let rb = rb_create 4 in
+  List.iter (fun x -> check "push ok" true (rb_push rb x)) [ 1; 2; 3 ];
+  check_int "pop 1" 1 (Option.get (rb_pop rb));
+  check_int "pop 2" 2 (Option.get (rb_pop rb));
+  check "push after pops" true (rb_push rb 4);
+  check_int "pop 3" 3 (Option.get (rb_pop rb));
+  check_int "pop 4" 4 (Option.get (rb_pop rb));
+  check "empty" true (rb_pop rb = None)
 
 let test_rb_full_drop () =
-  let rb = Ring_buffer.create ~capacity:2 in
-  check "push 1" true (Ring_buffer.push rb 1);
-  check "push 2" true (Ring_buffer.push rb 2);
-  check "push 3 dropped" false (Ring_buffer.push rb 3);
-  check_int "length" 2 (Ring_buffer.length rb)
+  let rb = rb_create 2 in
+  check "push 1" true (rb_push rb 1);
+  check "push 2" true (rb_push rb 2);
+  check "push 3 dropped" false (rb_push rb 3);
+  check_int "length" 2 (Fifo.length rb.f)
 
 let test_rb_wraparound () =
-  let rb = Ring_buffer.create ~capacity:3 in
+  let rb = rb_create 3 in
   for round = 0 to 9 do
-    check "push" true (Ring_buffer.push rb round);
-    check_int "pop" round (Option.get (Ring_buffer.pop rb))
+    check "push" true (rb_push rb round);
+    check_int "pop" round (Option.get (rb_pop rb))
   done
 
 let test_rb_get_set () =
-  let rb = Ring_buffer.create ~capacity:4 in
-  ignore (Ring_buffer.push rb 10);
-  ignore (Ring_buffer.push rb 20);
-  ignore (Ring_buffer.push rb 30);
-  check_int "get 0" 10 (Ring_buffer.get rb 0);
-  check_int "get 2" 30 (Ring_buffer.get rb 2);
-  Ring_buffer.set rb 1 99;
-  check_int "set visible" 99 (Ring_buffer.get rb 1);
-  Alcotest.check_raises "get out of range"
-    (Invalid_argument "Ring_buffer.get: index out of range") (fun () ->
-      ignore (Ring_buffer.get rb 3))
+  let rb = rb_create 4 in
+  let a = rb_push_slot rb in
+  let b = rb_push_slot rb in
+  let c = rb_push_slot rb in
+  check "set 0" true (Fifo.insert_data rb.f ~key:a 10 = `Ok);
+  check "set 2" true (Fifo.insert_data rb.f ~key:c 30 = `Ok);
+  Alcotest.(check (list int)) "positions 0 and 2 set" [ 10; 30 ] (rb_contents rb);
+  check "set 1" true (Fifo.insert_data rb.f ~key:b 99 = `Ok);
+  Alcotest.(check (list int)) "set visible in place" [ 10; 99; 30 ] (rb_contents rb);
+  check "set out of range misses" true (Fifo.insert_data rb.f ~key:3 0 = `No_phantom)
 
 let test_rb_stable_addresses () =
-  let rb = Ring_buffer.create ~capacity:4 in
-  ignore (Ring_buffer.push rb 10);
-  let seq1 = Ring_buffer.head_seq rb + Ring_buffer.length rb in
-  ignore (Ring_buffer.push rb 20);
-  (* seq1 addresses the element 20 even after earlier pops. *)
-  check_int "get_seq before pop" 20 (Option.get (Ring_buffer.get_seq rb seq1));
-  ignore (Ring_buffer.pop rb);
-  check_int "get_seq after pop" 20 (Option.get (Ring_buffer.get_seq rb seq1));
-  check "set_seq" true (Ring_buffer.set_seq rb seq1 25);
-  check_int "set_seq visible" 25 (Option.get (Ring_buffer.get_seq rb seq1));
-  ignore (Ring_buffer.pop rb);
-  check "stale seq" true (Ring_buffer.get_seq rb seq1 = None)
+  let rb = rb_create 4 in
+  ignore (rb_push rb 10);
+  let addr = rb_push_slot rb in
+  ignore (rb_pop rb);
+  (* [addr] still addresses the second element after the head moved. *)
+  check "set after pop" true (Fifo.insert_data rb.f ~key:addr 25 = `Ok);
+  check_int "set visible" 25 (Option.get (rb_pop rb));
+  check "stale address" true (Fifo.insert_data rb.f ~key:addr 26 = `No_phantom)
 
 let test_rb_grow () =
-  let rb = Ring_buffer.create ~capacity:2 in
-  ignore (Ring_buffer.push rb 1);
-  ignore (Ring_buffer.push rb 2);
-  let addr2 = Ring_buffer.head_seq rb + 1 in
-  Ring_buffer.grow rb;
-  check_int "capacity doubled" 4 (Ring_buffer.capacity rb);
-  check_int "contents preserved" 2 (Ring_buffer.length rb);
-  check "push after grow" true (Ring_buffer.push rb 3);
-  check_int "stable address survives grow" 2 (Option.get (Ring_buffer.get_seq rb addr2));
-  check_int "order preserved" 1 (Option.get (Ring_buffer.pop rb));
-  check_int "order preserved 2" 2 (Option.get (Ring_buffer.pop rb));
-  check_int "order preserved 3" 3 (Option.get (Ring_buffer.pop rb))
+  let rb = rb_create ~adaptive:true 2 in
+  ignore (rb_push rb 1);
+  let addr = rb_push_slot rb in
+  check "push beyond capacity grows" true (rb_push rb 3);
+  check_int "capacity doubled" 4 (Fifo.dump rb.f).Fifo.d_rings.(0).Fifo.rd_capacity;
+  check_int "contents preserved" 3 (Fifo.length rb.f);
+  check "stable address survives grow" true (Fifo.insert_data rb.f ~key:addr 2 = `Ok);
+  check_int "order preserved" 1 (Option.get (rb_pop rb));
+  check_int "order preserved 2" 2 (Option.get (rb_pop rb));
+  check_int "order preserved 3" 3 (Option.get (rb_pop rb))
 
 let test_rb_grow_wrapped () =
-  let rb = Ring_buffer.create ~capacity:3 in
-  ignore (Ring_buffer.push rb 1);
-  ignore (Ring_buffer.push rb 2);
-  ignore (Ring_buffer.pop rb);
-  ignore (Ring_buffer.push rb 3);
-  ignore (Ring_buffer.push rb 4);
-  (* physically wrapped now *)
-  Ring_buffer.grow rb;
-  Alcotest.(check (list int)) "wrapped contents preserved" [ 2; 3; 4 ] (Ring_buffer.to_list rb)
+  (* Storage for 2 x 3 slots rounds up to 8: fill it with the head
+     moved off slot 0, so the next push grows storage while wrapped. *)
+  let rb = rb_create ~adaptive:true 3 in
+  for x = 1 to 8 do
+    ignore (rb_push rb x)
+  done;
+  for _ = 1 to 3 do
+    ignore (rb_pop rb)
+  done;
+  for x = 9 to 12 do
+    ignore (rb_push rb x)
+  done;
+  Alcotest.(check (list int))
+    "wrapped contents preserved" [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ] (rb_contents rb)
 
 let test_rb_iter () =
-  let rb = Ring_buffer.create ~capacity:4 in
-  List.iter (fun x -> ignore (Ring_buffer.push rb x)) [ 5; 6; 7 ];
-  let acc = ref [] in
-  Ring_buffer.iter (fun x -> acc := x :: !acc) rb;
-  Alcotest.(check (list int)) "iter head to tail" [ 5; 6; 7 ] (List.rev !acc)
+  let rb = rb_create 4 in
+  List.iter (fun x -> ignore (rb_push rb x)) [ 5; 6; 7 ];
+  Alcotest.(check (list int)) "iter head to tail" [ 5; 6; 7 ] (rb_contents rb)
 
 (* --- Dist --- *)
 
@@ -330,6 +360,116 @@ let test_crc32_known () =
   check_int "crc of zero" 0x6522DF69 (Hashing.crc32 [ 0 ]);
   check "crc fits 32 bits" true (Hashing.crc32 [ 123456789 ] land lnot 0xFFFFFFFF = 0)
 
+(* --- pinned streams ---
+
+   Outputs recorded before the RNG state and the FNV core were rewritten
+   for allocation-free operation: every experiment's numbers derive from
+   these streams, so they must never move. *)
+
+let test_rng_streams_pinned () =
+  let pinned =
+    [
+      ( 0,
+        [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L ],
+        [ 8367321170050143165L; -5593573913773984795L; 496793865428327935L;
+          -796218591138621766L ],
+        [ 85; 844; 693; 508 ],
+        [ 0x1.92bfb4c36dbf8p-4; 0x1.daa95605dfc9cp-1 ] );
+      ( 1,
+        [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+          7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+          1310552918490157286L; 7031611932980406429L ],
+        [ 6243110573602142007L; -5343123491108834659L; -6027086951509973698L;
+          -1212018186333133171L ],
+        [ 400; 129; 398; 689 ],
+        [ 0x1.3da7b698cc86ap-2; 0x1.53c6c57808dd7p-1 ] );
+      ( 42,
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+          -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+          -5178765164775350862L; -2766855848391737209L ],
+        [ 2315423597042293463L; -2234526745998941065L; 1596337000078141156L;
+          6609098082684862032L ],
+        [ 277; 841; 989; 398 ],
+        [ 0x1.010cb49684e84p-2; 0x1.bd877e5b10f9ap-2 ] );
+    ]
+  in
+  List.iter
+    (fun (seed, raw, split, ints, floats) ->
+      let r = Rng.create seed in
+      let what s = Printf.sprintf "seed %d %s" seed s in
+      Alcotest.(check (list int64)) (what "int64") raw (List.map (fun _ -> Rng.int64 r) raw);
+      let child = Rng.split r in
+      Alcotest.(check (list int64)) (what "split") split
+        (List.map (fun _ -> Rng.int64 child) split);
+      Alcotest.(check (list int)) (what "int") ints (List.map (fun _ -> Rng.int r 1000) ints);
+      Alcotest.(check (list (float 0.))) (what "float") floats
+        (List.map (fun _ -> Rng.float r 1.0) floats))
+    pinned
+
+let test_fnv_pinned () =
+  check_int "fnv1a [1; 2; -3]" 4152361888579890556 (Hashing.fnv1a [ 1; 2; -3 ]);
+  check_int "fnv1a1 7" 3111928648566932994 (Hashing.fnv1a1 7);
+  check_int "fnv1a2 5 -9" 1752047642421228992 (Hashing.fnv1a2 5 (-9));
+  check_int "fnv1a_seeded 3 [4; 5]" 533523859689578247 (Hashing.fnv1a_seeded ~seed:3 [ 4; 5 ]);
+  let st = Hashing.start () in
+  List.iter (Hashing.feed st) [ 10; -1; max_int; min_int; 0; 123456789 ];
+  check_int "streaming fold" 4294618313889356243 (Hashing.value st);
+  check_int "fold = list API" (Hashing.fnv1a_seeded ~seed:10 [ -1; max_int; min_int; 0; 123456789 ])
+    (Hashing.value st)
+
+(* --- allocation --- *)
+
+(* Minor words allocated per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_packet_path_allocates_nothing () =
+  let n = 100_000 in
+  let expect_free ?(result_words = 0.) what w =
+    if w >= 1. +. result_words then
+      Alcotest.failf "%s allocates %.2f words per call (bound %.0f)" what w (1. +. result_words)
+  in
+  let t = Mp5_util.Int_table.create () in
+  expect_free "Int_table.replace"
+    (words_per_call n (fun i -> Mp5_util.Int_table.replace t (i land 1023) i));
+  let sum = ref 0 in
+  expect_free "Int_table.find"
+    (words_per_call n (fun i -> sum := !sum + Mp5_util.Int_table.find t (i land 1023)));
+  expect_free "Int_table.remove"
+    (words_per_call n (fun i ->
+         Mp5_util.Int_table.remove t (i land 1023);
+         Mp5_util.Int_table.replace t (i land 1023) i));
+  let r = Rng.create 9 in
+  expect_free "Rng.int" (words_per_call n (fun _ -> sum := !sum + Rng.int r 1000));
+  (* A [float] or [int64] returned across a module boundary is boxed by
+     OCaml's calling convention (2 and 3 words); the draw itself must
+     allocate nothing on top of that. *)
+  expect_free ~result_words:2. "Rng.float" (words_per_call n (fun _ -> ignore (Rng.float r 1.0)));
+  expect_free ~result_words:3. "Rng.int64" (words_per_call n (fun _ -> ignore (Rng.int64 r)));
+  let st = Hashing.start () in
+  expect_free "Hashing.feed" (words_per_call n (fun i -> Hashing.feed st i));
+  expect_free "Hashing.fnv1a2" (words_per_call n (fun i -> sum := !sum + Hashing.fnv1a2 i 3));
+  (* Steady-state FIFO traffic: phantoms in, data inserted, heads taken. *)
+  let f = Fifo.create ~k:4 ~capacity:16 ~adaptive:false in
+  expect_free "Fifo.push_phantom/insert_data/take"
+    (words_per_call n (fun i ->
+         ignore (Fifo.push_phantom f ~ring:(i land 3) ~ts:i ~key:i);
+         ignore (Fifo.insert_data f ~key:i i);
+         sum := !sum + Fifo.take f));
+  let ch = Mp5_arch.Channel.create () in
+  let deliver ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ = sum := !sum + seq in
+  expect_free "Channel.schedule/drain"
+    (words_per_call n (fun i ->
+         Mp5_arch.Channel.schedule ch ~at:(i + 3) ~seq:i ~stage:2 ~dest:1 ~ring:0 ~cell:i;
+         Mp5_arch.Channel.drain ch ~now:i deliver));
+  ignore (Sys.opaque_identity !sum)
+
 let () =
   Alcotest.run "util"
     [
@@ -344,6 +484,7 @@ let () =
           Alcotest.test_case "invalid bound" `Quick test_rng_invalid_bound;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
+          Alcotest.test_case "streams pinned" `Quick test_rng_streams_pinned;
         ] );
       ( "ring-buffer",
         [
@@ -383,5 +524,11 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
           Alcotest.test_case "seeded" `Quick test_hash_seeded;
           Alcotest.test_case "crc32" `Quick test_crc32_known;
+          Alcotest.test_case "fnv values pinned" `Quick test_fnv_pinned;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "packet-path utilities allocate nothing" `Quick
+            test_packet_path_allocates_nothing;
         ] );
     ]
