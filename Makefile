@@ -25,13 +25,13 @@ metrics-smoke:
 
 # Profiler smoke: the cram test pins the --profile CLI surface (report
 # shape, snapshot/trace schema tags, exit codes), then a full-profiled
-# heavy-hitter-2k run on the parallel engine writes the mp5-prof/1
+# heavy-hitter-2k run on the generic loop writes the mp5-prof/1
 # snapshot (validated before the write; a broken snapshot exits 3) and
 # the Perfetto trace CI uploads as an artifact.
 profile-smoke:
 	dune build @profile
 	dune exec bin/mp5sim.exe -- --app heavy_hitter --pipelines 4 --packets 2000 --seed 3 \
-	  --engine par --jobs 2 --profile=full \
+	  --profile=full \
 	  --profile-out PROFILE_snapshot.json --trace-perfetto PROFILE_trace.json
 
 # Degraded-mode smoke: a pipeline dies mid-run with the invariant
@@ -86,19 +86,14 @@ fabric-smoke:
 	dune exec bench/main.exe -- --smoke fabric --json BENCH_fabric.json
 
 # Engine parity + performance gate: sim-micro times compiled kernels vs
-# the AST interpreter, sim-par times the sequential vs parallel cycle
-# engines at jobs = 1, 2, 4, 8 (k = 8) and appends both rows to
-# BENCH_results.json.  Either experiment exits non-zero the moment the
-# engines' outputs differ; sim-par additionally fails if the parallel
-# engine is slower than the sequential one at jobs >= 4 — but only on
-# hosts whose Domain.recommended_domain_count can actually run 4
-# domains, so a 1-core CI container still proves bit-identity without
-# flagging barrier overhead it cannot amortize.
-# scripts/perf_gate.sh additionally compares the fresh
-# heavy-hitter-2k/kernel_ns against the baseline committed in git HEAD
-# (+/-25% band: above fails as a regression, well below warns that the
-# baseline should be refreshed; no committed baseline skips the
-# comparison with a warning).
+# the AST interpreter on the same trace, exits non-zero the moment their
+# outputs differ, and writes its row to BENCH_results.json.
+# scripts/perf_gate.sh then compares two fresh keys against the baseline
+# committed in git HEAD: heavy-hitter-2k/kernel_ns (wall clock, +/-25%
+# band: above fails as a regression, well below warns that the baseline
+# should be refreshed) and heavy-hitter-2k/words_per_pkt (minor words
+# allocated per packet, deterministic, fails above 1.02x).  No committed
+# baseline skips a comparison with a warning.
 perf-smoke:
 	sh scripts/perf_gate.sh
 

@@ -51,28 +51,6 @@ let set_loop l = loop := l
    generic loop — instead of aborting the whole suite. *)
 let loop_for ~eligible = match !loop with Sim.Fast when not eligible -> Sim.Auto | l -> l
 
-(* The sim-par jobs sweep stops at the host's real parallelism by
-   default: a 1-core container recording jobs=8 at 0.19x is barrier
-   overhead, not a scaling result.  --oversubscribe restores the full
-   curve for when the overhead itself is the measurement. *)
-let oversubscribe = ref false
-let set_oversubscribe b = oversubscribe := b
-
-(* Cycle engine for every simulator invocation below: the sequential
-   loop (default) or the domain-parallel engine (--engine par), which
-   advances each pipeline's stage chain on its own domain of one
-   persistent [Pool.Team].  Bit-identical by construction (enforced by
-   [sim_par]), so the choice only affects wall-clock.  A team is not
-   re-entrant, so the driver keeps the run-level pool off when a team
-   is installed. *)
-let cycle_team : Pool.Team.t option ref = ref None
-
-let set_engine_par ~jobs =
-  (match !cycle_team with Some tm -> Pool.Team.shutdown tm | None -> ());
-  cycle_team := Some (Pool.Team.create ~jobs:(max 1 jobs))
-
-let team () = !cycle_team
-
 let pool : Pool.t option ref = ref None
 
 let set_jobs n =
@@ -153,7 +131,7 @@ let eligible_params (params : Sim.params) =
 
 let throughput ?mode ?shard_init ?finite_fifos setup sw trace =
   let params = sim_params ?mode ?shard_init ?finite_fifos setup in
-  (Sim.run ?team:(team ()) ~loop:(loop_for ~eligible:(eligible_params params))
+  (Sim.run ~loop:(loop_for ~eligible:(eligible_params params))
      ~compiled:!compiled params sw.Switch.prog trace)
     .Sim.normalized_throughput
 
@@ -165,7 +143,7 @@ let summary_source ?mode ?shard_init ?finite_fifos ?remap_period ?remap_noise_ga
     sim_params ?mode ?shard_init ?finite_fifos ?remap_period ?remap_noise_gate setup
   in
   match
-    Sim.run_source ?team:(team ()) ~loop:(loop_for ~eligible:(eligible_params params))
+    Sim.run_source ~loop:(loop_for ~eligible:(eligible_params params))
       ~compiled:!compiled params sw.Switch.prog
       (source_for setup ~n ~seed)
   with
@@ -288,7 +266,7 @@ let d4 scale =
             mode = m; fifo_capacity = 16; adaptive_fifos = false }
         in
         let r =
-          Sim.run ?team:(team ()) ~loop:(loop_for ~eligible:false) ~compiled:!compiled params
+          Sim.run ~loop:(loop_for ~eligible:false) ~compiled:!compiled params
             sw.Switch.prog trace
         in
         violations r.Sim.access_seqs r.Sim.headers_out r.Sim.store r.Sim.exit_order
@@ -357,7 +335,7 @@ let fig8_one scale name =
             in
             let trace = Traces.trace_for name pkts in
             let r, rep =
-              Switch.verify ?team:(team ()) ~loop:!loop ~compiled:!compiled ~k sw trace
+              Switch.verify ~loop:!loop ~compiled:!compiled ~k sw trace
             in
             let lats = Array.of_list (List.map (fun (_, l) -> float_of_int l) r.Sim.latencies) in
             ( r.Sim.normalized_throughput,
@@ -406,7 +384,7 @@ let ablate_priority scale =
       in
       let stats params =
         let r =
-          Sim.run ?team:(team ()) ~loop:!loop ~compiled:!compiled params sw.Switch.prog trace
+          Sim.run ~loop:!loop ~compiled:!compiled params sw.Switch.prog trace
         in
         let lats = Array.of_list (List.map (fun (_, l) -> float_of_int l) r.Sim.latencies) in
         (r.Sim.normalized_throughput, Stats.percentile lats 50.0)
@@ -454,7 +432,7 @@ let ablate_fifo scale =
       in
       let s =
         match
-          Sim.run_source ?team:(team ()) ~loop:(loop_for ~eligible:false)
+          Sim.run_source ~loop:(loop_for ~eligible:false)
             ~compiled:!compiled params sw.Switch.prog
             (source_for setup ~n:scale.n_packets ~seed:1200)
         with
@@ -489,7 +467,7 @@ let degraded scale =
       let run ?(mode = Sim.Mp5) ?fault ?monitor () =
         let params = Sim.default_params ~k:setup.k in
         let eligible = fault = None && monitor = None in
-        (Sim.run ?team:(team ()) ~loop:(loop_for ~eligible) ~compiled:!compiled ?fault
+        (Sim.run ~loop:(loop_for ~eligible) ~compiled:!compiled ?fault
            ?monitor { params with mode } sw.Switch.prog trace)
           .Sim.normalized_throughput
       in
@@ -618,14 +596,10 @@ let probe_target scale name =
       Some (target sw trace ~k:4)
   | _ -> None (* table1, sram, perf: no cycle simulator involved *)
 
-(* Run a probe target once with the given instruments attached.  A fault
-   plan implies the sequential engine (the gate falls back anyway, and
-   the un-teamed run matches what the experiment itself measured). *)
+(* Run a probe target once with the given instruments attached. *)
 let probe_run ?metrics ?prof pt =
   ignore
-    (Sim.run
-       ?team:(if pt.pt_fault = None then team () else None)
-       ~loop:(loop_for ~eligible:false) ~compiled:!compiled ?metrics ?prof
+    (Sim.run ~loop:(loop_for ~eligible:false) ~compiled:!compiled ?metrics ?prof
        ?fault:pt.pt_fault pt.pt_params pt.pt_sw.Switch.prog pt.pt_trace)
 
 let metrics_probe scale name =
@@ -733,118 +707,6 @@ let sim_micro scale =
     mi_kernel_words = kernel_words;
   }
 
-(* --- parallel vs sequential cycle engine ---
-
-   The tentpole scaling curve: one heavy-hitter trace at k = 8, run on
-   the sequential cycle engine and on the parallel engine with teams of
-   jobs = 1, 2, 4, 8 domains.  Output divergence at any job count is a
-   hard failure (same contract as [sim_micro]); timing is min-of-N with
-   the team torn down between legs so idle members never tax the other
-   engine's collector.  [pe_host_domains] records what the host can
-   actually run in parallel: the wall-clock gate below only binds where
-   the hardware can show a speedup, while the parity check always runs
-   — a 1-core container still proves bit-identity, it just cannot prove
-   scaling. *)
-
-type par_point = {
-  pp_jobs : int;
-  pp_ns : float;         (** min wall-clock per [Sim.run] with this team *)
-  pp_median_ns : float;  (** median over the same reps *)
-  pp_spread_ns : float;  (** max - min over the same reps *)
-  pp_speedup : float;    (** sequential-engine min time / this min time *)
-}
-
-type par_micro = {
-  pe_reps : int;
-  pe_seq_ns : float;
-  pe_points : par_point list;
-  pe_host_domains : int;
-}
-
-let sim_par scale =
-  let sw = Switch.create_exn Sources.heavy_hitter in
-  let trace =
-    Tracegen.sensitivity
-      {
-        Tracegen.n_packets = max 2000 scale.n_packets;
-        k = 8;
-        pkt_bytes = 64;
-        n_fields = 2;
-        index_fields = [ 0 ];
-        reg_size = 512;
-        pattern = Tracegen.Uniform;
-        n_ports = 64;
-        seed = 3;
-      }
-  in
-  let params = Sim.default_params ~k:8 in
-  let run ?team () = Sim.run ?team ~loop:!loop ~compiled:!compiled params sw.Switch.prog trace in
-  let reps = max 5 scale.runs in
-  (* First (untimed) call warms the heap and is the parity witness.  All
-     rep timings are kept, not just the best: min is the headline (least
-     machine noise), while median and spread (max - min) record how
-     noisy the host was — a speedup whose spread rivals its min is a
-     scheduling artifact, not a scaling result. *)
-  let time_stats f =
-    let r0 = f () in
-    let samples = Array.make reps infinity in
-    for i = 0 to reps - 1 do
-      Gc.minor ();
-      let t0 = Unix.gettimeofday () in
-      ignore (f () : Sim.result);
-      samples.(i) <- (Unix.gettimeofday () -. t0) *. 1e9
-    done;
-    Array.sort compare samples;
-    let median =
-      if reps land 1 = 1 then samples.(reps / 2)
-      else (samples.((reps / 2) - 1) +. samples.(reps / 2)) /. 2.0
-    in
-    ((samples.(0), median, samples.(reps - 1) -. samples.(0)), r0)
-  in
-  let (seq_ns, _, _), ref_r = time_stats (fun () -> run ()) in
-  let host = Domain.recommended_domain_count () in
-  (* Default sweep stops at the host's real parallelism (see
-     [set_oversubscribe]); the parity check runs at every recorded
-     point either way. *)
-  let sweep =
-    if !oversubscribe then [ 1; 2; 4; 8 ]
-    else
-      match List.filter (fun j -> j <= host) [ 1; 2; 4; 8 ] with
-      | [] -> [ 1 ]
-      | l -> l
-  in
-  let points =
-    List.map
-      (fun jobs ->
-        let team = Pool.Team.create ~jobs in
-        let (ns, median, spread), r =
-          Fun.protect
-            ~finally:(fun () -> Pool.Team.shutdown team)
-            (fun () -> time_stats (fun () -> run ~team ()))
-        in
-        if not (Sim.results_equal r ref_r) then
-          failwith (Printf.sprintf "sim-par: parallel engine diverges at jobs=%d" jobs);
-        {
-          pp_jobs = jobs;
-          pp_ns = ns;
-          pp_median_ns = median;
-          pp_spread_ns = spread;
-          pp_speedup = seq_ns /. ns;
-        })
-      sweep
-  in
-  (* CI gate: where the host can actually run 4 domains, the parallel
-     engine must not lose to the sequential one at jobs >= 4. *)
-  if host >= 4 then
-    List.iter
-      (fun p ->
-        if p.pp_jobs >= 4 && p.pp_jobs <= host && p.pp_speedup < 1.0 then
-          failwith
-            (Printf.sprintf "sim-par: parallel engine slower than sequential at jobs=%d (%.2fx)"
-               p.pp_jobs p.pp_speedup))
-      points;
-  { pe_reps = reps; pe_seq_ns = seq_ns; pe_points = points; pe_host_domains = host }
-
 (* --- longrun: multi-megapacket streamed run with chunked resume ---
 
    The memory-scaling demonstration: one pull-based source drained
@@ -897,7 +759,7 @@ let longrun scale =
     | Sim.Suspended snap -> (
         incr chunks;
         match
-          Sim.resume ?team:(team ()) ~loop:!loop ~compiled:!compiled
+          Sim.resume ~loop:!loop ~compiled:!compiled
             ~cycle_budget:chunk_cycles ~snapshot:snap sw.Switch.prog source
         with
         | Ok o -> go o
@@ -906,7 +768,7 @@ let longrun scale =
   in
   let s =
     go
-      (Sim.run_source ?team:(team ()) ~loop:!loop ~compiled:!compiled
+      (Sim.run_source ~loop:!loop ~compiled:!compiled
          ~cycle_budget:chunk_cycles params sw.Switch.prog source)
   in
   let seconds = Unix.gettimeofday () -. t0 in
@@ -920,7 +782,7 @@ let longrun scale =
     else
       let straight =
         match
-          Sim.run_source ?team:(team ()) ~loop:!loop ~compiled:!compiled params sw.Switch.prog
+          Sim.run_source ~loop:!loop ~compiled:!compiled params sw.Switch.prog
             (source_for setup ~n ~seed)
         with
         | Sim.Completed s -> s
@@ -1004,8 +866,8 @@ type fabric_bench = {
 }
 
 (* A 2x2 leaf-spine (4 switches, 4 hosts) driven by seeded all-to-all
-   host traffic.  The measured run uses whatever engine the driver
-   configured; a second run on a fresh 4-domain team must then be
+   host traffic.  The measured run steps its switches sequentially; a
+   second run on a fresh 4-domain team must then be
    bit-identical in every counter, digest and histogram — the same
    cross-jobs determinism contract the fabric test battery pins, here
    enforced on every bench invocation so a regression can never produce
@@ -1049,7 +911,7 @@ let fabric scale =
     | Fb.Suspended _ -> assert false (* no cycle budget attached *)
   in
   let t0 = Unix.gettimeofday () in
-  let r = one ?team:(team ()) () in
+  let r = one () in
   let seconds = Unix.gettimeofday () -. t0 in
   let tm = Pool.Team.create ~jobs:4 in
   let r4 = one ~team:tm () in

@@ -209,36 +209,6 @@ let run_sim_micro scale =
     ("heavy-hitter-2k/words_per_pkt", m.Experiments.mi_kernel_words);
   ]
 
-let run_sim_par scale =
-  let r = Experiments.sim_par scale in
-  Format.printf
-    "@.sim-par: heavy-hitter, k=8, sequential vs parallel cycle engine (min over %d reps)@."
-    r.Experiments.pe_reps;
-  Format.printf "  host offers %d domain(s)@." r.Experiments.pe_host_domains;
-  Format.printf "  engine seq:          %12.0f ns/run@." r.Experiments.pe_seq_ns;
-  List.iter
-    (fun (p : Experiments.par_point) ->
-      Format.printf
-        "  engine par, jobs=%d:  %12.0f ns/run  (%.2fx vs seq; median %.0f, spread %.0f)@."
-        p.Experiments.pp_jobs p.Experiments.pp_ns p.Experiments.pp_speedup
-        p.Experiments.pp_median_ns p.Experiments.pp_spread_ns)
-    r.Experiments.pe_points;
-  Format.printf "  outputs bit-identical at every job count@.";
-  ("host_domains", float_of_int r.Experiments.pe_host_domains)
-  :: ("seq_ns", r.Experiments.pe_seq_ns)
-  :: List.concat_map
-       (fun (p : Experiments.par_point) ->
-         [
-           (Printf.sprintf "jobs=%d/ns" p.Experiments.pp_jobs, p.Experiments.pp_ns);
-           (Printf.sprintf "jobs=%d/min_ns" p.Experiments.pp_jobs, p.Experiments.pp_ns);
-           (Printf.sprintf "jobs=%d/median_ns" p.Experiments.pp_jobs,
-            p.Experiments.pp_median_ns);
-           (Printf.sprintf "jobs=%d/spread_ns" p.Experiments.pp_jobs,
-            p.Experiments.pp_spread_ns);
-           (Printf.sprintf "jobs=%d/speedup" p.Experiments.pp_jobs, p.Experiments.pp_speedup);
-         ])
-       r.Experiments.pe_points
-
 let run_longrun scale =
   let r = Experiments.longrun scale in
   Format.printf "@.longrun: streamed source + chunked checkpoint/resume@.";
@@ -374,7 +344,7 @@ let run_fabric scale =
 let all =
   [ "table1"; "sram"; "d2"; "d3"; "d4"; "fig7a"; "fig7b"; "fig7c"; "fig7d"; "fig8";
     "ablate-priority"; "ablate-period"; "ablate-fifo"; "ablate-gate"; "degraded";
-    "sim-micro"; "sim-par"; "longrun"; "chaos"; "fabric" ]
+    "sim-micro"; "longrun"; "chaos"; "fabric" ]
 
 (* Timing experiments must not share the process with an idle worker
    domain: every minor collection then pays a stop-the-world rendezvous,
@@ -393,20 +363,8 @@ let () =
   let json_path = ref "BENCH_results.json" in
   let metrics_dir = ref None in
   let profile_dir = ref None in
-  let engine = ref `Seq in
   let rec parse acc = function
     | [] -> List.rev acc
-    | "--engine" :: e :: rest -> (
-        match e with
-        | "seq" ->
-            engine := `Seq;
-            parse acc rest
-        | "par" ->
-            engine := `Par;
-            parse acc rest
-        | _ ->
-            Format.eprintf "--engine expects seq or par, got %S@." e;
-            exit 1)
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 1 ->
@@ -444,9 +402,6 @@ let () =
         | _ ->
             Format.eprintf "--loop expects auto, generic or fast, got %S@." l;
             exit 1)
-    | "--oversubscribe" :: rest ->
-        Experiments.set_oversubscribe true;
-        parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
@@ -457,15 +412,7 @@ let () =
     else if smoke then Experiments.smoke
     else Experiments.quick
   in
-  (* --engine par moves the parallelism inside each run (one domain per
-     pipeline, cycle-boundary barrier): [--jobs] then sizes the team,
-     and the run-level pool stays off — a [Pool.Team] is not re-entrant,
-     so the two levels must not nest. *)
-  (match !engine with
-  | `Seq -> Experiments.set_jobs !jobs
-  | `Par ->
-      Experiments.set_jobs 1;
-      Experiments.set_engine_par ~jobs:(max !jobs 2));
+  Experiments.set_jobs !jobs;
   let wanted = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
   let wanted = if wanted = [] then all else wanted in
   (* Exit-code contract (see README): unknown experiment names are a
@@ -484,10 +431,7 @@ let () =
     Format.printf "(%s scale: %d packets, %d runs per point; pass --full for paper scale)@."
       (if smoke then "smoke" else "reduced")
       scale.Experiments.n_packets scale.Experiments.runs;
-  (match !engine with
-  | `Par -> Format.printf "(parallel cycle engine: %d domains per run)@." (max !jobs 2)
-  | `Seq ->
-      if !jobs > 1 then Format.printf "(running with %d domains)@." (Experiments.jobs ()));
+  if !jobs > 1 then Format.printf "(running with %d domains)@." (Experiments.jobs ());
   List.iter
     (fun dir_ref ->
       match !dir_ref with
@@ -569,7 +513,6 @@ let () =
         | "ablate-gate" -> Some (fun () -> run_ablate_gate scale)
         | "degraded" -> Some (fun () -> run_degraded scale)
         | "sim-micro" -> Some (fun () -> serially (fun () -> run_sim_micro scale))
-        | "sim-par" -> Some (fun () -> serially (fun () -> run_sim_par scale))
         | "longrun" -> Some (fun () -> serially (fun () -> run_longrun scale))
         (* serially: the supervisor forks, and forking with live worker
            domains is unsafe. *)

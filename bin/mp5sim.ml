@@ -32,7 +32,7 @@ let with_out path f =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
 
 let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_file jobs runs
-    no_compile engine loop metrics_file metrics_prom trace_out trace_packets trace_cap report
+    no_compile loop metrics_file metrics_prom trace_out trace_packets trace_cap report
     profile profile_out trace_perfetto fault_plan monitor monitor_epoch monitor_dump stream
     checkpoint_every snapshot_path resume_file keep_snapshots supervise heartbeat_file
     heartbeat_every max_restarts hang_timeout backoff stop_at chaos_kill_at fabric fab_print
@@ -41,6 +41,10 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
   if list_apps then begin
     List.iter print_endline (apps ());
     exit 0
+  end;
+  if jobs < 1 then begin
+    Format.eprintf "mp5sim: --jobs expects a positive integer@.";
+    exit 1
   end;
   if fabric = None && (fab_print || fab_plan <> None || fab_rate <> None || fab_sabotage)
   then begin
@@ -95,11 +99,6 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
         Format.eprintf
           "mp5sim: --fabric is a single generated-traffic run (drop --runs/--recirc/\
            streaming flags/--trace-file; link faults go through --fab-plan)@.";
-        exit 1
-      end;
-      if engine = `Par then begin
-        Format.eprintf
-          "mp5sim: --fabric parallelises over switches already; size it with --jobs@.";
         exit 1
       end;
       (match fab_rate with
@@ -192,23 +191,6 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
     Format.eprintf "mp5sim: --fault-plan applies to single runs only (drop --runs)@.";
     exit 1
   end;
-  (* --engine par: advance each pipeline's stage chain on its own domain
-     of a persistent team sized by --jobs.  Results are bit-identical to
-     the sequential engine (the cram tests pin the digests), so this is
-     purely a throughput switch for single runs. *)
-  if engine = `Par && runs > 1 then begin
-    Format.eprintf "mp5sim: --engine par applies to single runs (drop --runs)@.";
-    exit 1
-  end;
-  if engine = `Par && recirc then begin
-    Format.eprintf "mp5sim: --engine par does not apply to the --recirc baseline@.";
-    exit 1
-  end;
-  let team =
-    match engine with
-    | `Seq -> None
-    | `Par -> Some (Mp5_util.Pool.Team.create ~jobs:(max jobs 1))
-  in
   if Option.is_some plan && recirc then begin
     Format.eprintf "mp5sim: --fault-plan is not supported by the --recirc baseline@.";
     exit 1
@@ -250,10 +232,6 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       if resume_file <> None then begin
         Format.eprintf
           "mp5sim: --supervise resumes from the snapshot rotation chain (drop --resume)@.";
-        exit 1
-      end;
-      if engine = `Par then begin
-        Format.eprintf "mp5sim: --supervise runs the sequential engine (drop --engine par)@.";
         exit 1
       end
     end
@@ -506,7 +484,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           match resume_snap with
           | Some snap -> (
               match
-                Mp5_core.Switch.resume ?team ~loop ?metrics ?events ?monitor:mon ?prof
+                Mp5_core.Switch.resume ~loop ?metrics ?events ?monitor:mon ?prof
                   ~compiled ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat
                   ~stop ?cycle_budget:stop_at ~snapshot:snap sw (source ())
               with
@@ -518,7 +496,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
                   Format.eprintf "mp5sim: snapshot mismatch: %s@." msg;
                   exit 3)
           | None ->
-              Mp5_core.Switch.run_source ?team ~loop ~params ?metrics ?events ?fault:plan
+              Mp5_core.Switch.run_source ~loop ~params ?metrics ?events ?fault:plan
                 ?monitor:mon ?prof ~compiled ?checkpoint_every ?on_checkpoint
                 ~heartbeat_every ?on_heartbeat ~stop ?cycle_budget:stop_at ~k sw
                 (source ())
@@ -610,7 +588,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
   let trace = Lazy.force trace in
   let r, rep =
     try
-      Mp5_core.Switch.verify ?team ~compiled ~loop ~params ?metrics ?events ?fault:plan
+      Mp5_core.Switch.verify ~compiled ~loop ~params ?metrics ?events ?fault:plan
         ?monitor:mon ?prof ~k sw trace
     with
     | Invalid_argument msg ->
@@ -673,8 +651,8 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
-        ~doc:"Domains for multi-seed runs (see --runs) or for the \
-              parallel cycle engine (see --engine); results are \
+        ~doc:"Domains for multi-seed runs (see --runs) or for switch \
+              stepping in a fabric run (see --fabric); results are \
               independent of N.")
 
 let runs_arg =
@@ -683,18 +661,6 @@ let runs_arg =
     & info [ "runs" ] ~docv:"R"
         ~doc:"Repeat on R generated traces seeded seed, seed+1, ... and \
               report per-run and mean throughput (generated traces only).")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("seq", `Seq); ("par", `Par) ]) `Seq
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Cycle engine: 'seq' (default) or 'par', which advances each \
-              pipeline's stage chain on its own domain (sized by --jobs) \
-              with a cycle-boundary barrier.  Results are bit-identical; \
-              runs that attach --fault-plan, --trace, disable adaptive \
-              FIFOs or arm the starvation guard fall back to seq \
-              automatically.")
 
 let loop_arg =
   Arg.(
@@ -1039,7 +1005,7 @@ let cmd =
     Term.(
       const run $ app_arg $ file_arg $ k_arg $ mode_arg $ n_arg $ bytes_arg $ skew_arg
       $ seed_arg $ recirc_arg $ list_arg $ trace_arg $ jobs_arg $ runs_arg $ no_compile_arg
-      $ engine_arg $ loop_arg $ metrics_arg $ metrics_prom_arg $ trace_out_arg $ trace_packets_arg
+      $ loop_arg $ metrics_arg $ metrics_prom_arg $ trace_out_arg $ trace_packets_arg
       $ trace_cap_arg
       $ report_arg $ profile_arg $ profile_out_arg $ trace_perfetto_arg
       $ fault_plan_arg $ monitor_arg $ monitor_epoch_arg $ monitor_dump_arg

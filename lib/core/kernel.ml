@@ -7,7 +7,6 @@ type guard = G_true | G_pred of (Expr.frame -> bool) | G_unknown
 type index = I_cell of (Expr.frame -> int) | I_none
 
 type t = {
-  compiled : bool;
   stateless : (Expr.frame -> unit) array;
   exec : (Expr.frame -> int array -> int -> int) array;
   guard : guard array;
@@ -118,4 +117,4 @@ let create ~compiled (prog : Transform.t) =
         | Transform.I_unresolved -> I_none)
       prog.Transform.accesses
   in
-  { compiled; stateless; exec; guard; index }
+  { stateless; exec; guard; index }

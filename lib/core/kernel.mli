@@ -27,7 +27,6 @@ type index =
   | I_none  (** [Transform.I_unresolved] (pinned arrays) *)
 
 type t = {
-  compiled : bool;
   stateless : (Mp5_banzai.Expr.frame -> unit) array;
       (** per stage: all stateless ops of the stage, fused *)
   exec : (Mp5_banzai.Expr.frame -> int array -> int -> int) array;

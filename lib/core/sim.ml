@@ -13,7 +13,6 @@ module Etrace = Mp5_obs.Trace
 module Prof = Mp5_obs.Prof
 module Fault = Mp5_fault.Fault
 module Monitor = Mp5_fault.Monitor
-module Pool = Mp5_util.Pool
 module Psource = Mp5_workload.Packet_source
 module Binio = Mp5_util.Binio
 module Hashing = Mp5_util.Hashing
@@ -107,31 +106,31 @@ type resume_error = Corrupt of string | Mismatch of string
 
 type loop = Auto | Generic | Fast
 
-(* The variant lattice, selected once per run (not per cycle).  The
-   *fast* loops are compiled for the bare configuration: every
-   instrumentation site (metrics, event trace, fault hooks, monitor,
-   observer) is statically absent from the loop body, FIFOs are known
-   adaptive (pushes cannot drop), the starvation guard is known off, and
-   each pipeline's deliver/apply/pop/exec chain is fused into one closed
-   closure.  The *generic* loops are the PR 1-6 code paths, kept
-   verbatim as the differential oracle.
+(* Two variants, selected once per run (not per cycle).  The *fast*
+   loop is compiled for the bare configuration: every instrumentation
+   site (metrics, event trace, fault hooks, monitor, observer) is
+   statically absent from the loop body, FIFOs are known adaptive
+   (pushes cannot drop), the starvation guard is known off, and the
+   deliver/apply/pop/exec/movement phases are fused into one
+   stage-major sweep.  The *generic* loop is the instrumented phase
+   structure, kept as the differential oracle.
 
    [Ideal] mode is excluded from the fast gate for two reasons: its
-   per-cell queues need the [Per_cell] machinery the fused chains
-   unwrap away, and its LPT re-packer reads *cumulative* access counts,
+   per-cell queues need the [Per_cell] machinery the fused sweep
+   unwraps away, and its LPT re-packer reads *cumulative* access counts,
    so idle remap boundaries are observable and the quiescence
    fast-forward below would change results.  Every other mode resets
    the counters at each boundary, and [Sharding.remap_step] provably
    returns no move when all counters are zero — which is what makes
    skipping clean idle boundaries safe. *)
 (* A profiler is a pure observer like metrics, but its *sampled* mode
-   hooks only at cycle edges the fast loops already expose (deliver,
-   arrival, the fused sweep, movement/remap/checkpoint in the shared
-   suffix), so it does not close the fast gate.  *Full* mode wants the
-   per-phase spans (apply/pop/exec split out) that only the generic
-   loop's phase structure can time, so it routes Auto to Generic and
-   makes a forced Fast a contract violation. *)
-let select_loop ~loop ~jobs ~metrics ~events ~fault ~monitor ~observer ~prof (p : params) =
+   hooks only at cycle edges the fast loop already exposes (deliver,
+   arrival, the fused sweep, remap/checkpoint in the shared suffix), so
+   it does not close the fast gate.  *Full* mode wants the per-phase
+   spans (apply/pop/exec split out) that only the generic loop's phase
+   structure can time, so it routes Auto to Generic and makes a forced
+   Fast a contract violation. *)
+let select_loop ~loop ~metrics ~events ~fault ~monitor ~observer ~prof (p : params) =
   let fast_ok =
     (not metrics) && (not events) && (not fault) && (not monitor) && (not observer)
     && prof <> Some Prof.Full
@@ -139,21 +138,14 @@ let select_loop ~loop ~jobs ~metrics ~events ~fault ~monitor ~observer ~prof (p 
     && p.starvation_threshold = None
     && p.mode <> Ideal
   in
-  let par_ok =
-    jobs > 1 && (not fault) && (not events) && (not observer) && p.adaptive_fifos
-    && p.starvation_threshold = None
-  in
   match loop with
   | Fast when not fast_ok ->
       invalid_arg
         "Sim: ~loop:Fast requested, but the run is not fast-eligible (instrumentation \
          attached, finite FIFOs, starvation guard, or Ideal mode)"
-  | Fast -> if jobs > 1 then `Fast_par else `Fast_seq
-  | Generic -> if par_ok then `Generic_par else `Generic_seq
-  | Auto ->
-      if fast_ok then (if jobs > 1 then `Fast_par else `Fast_seq)
-      else if par_ok then `Generic_par
-      else `Generic_seq
+  | Fast -> `Fast
+  | Generic -> `Generic
+  | Auto -> if fast_ok then `Fast else `Generic
 
 (* --- runtime packet state --- *)
 
@@ -1529,365 +1521,6 @@ let observe sim now observer =
       in
       f { occ_cycle = now; occ_slots; occ_queues }
 
-(* --- parallel cycle engine ---
-
-   Each pipeline's deliver -> apply -> pop -> sweep -> exec chain
-   touches only state keyed by that pipeline (its FIFO column, its slot
-   column, its store, the inflight counters of cells it homes), so the
-   chains for different pipelines can run on different domains between
-   two sequential sections:
-
-   - prefix (caller only): monitor epoch, cycle tick, calendar drain
-     into per-destination buffers, arrivals (the only slab allocation);
-   - fan-out: domain [j] runs the chain for every pipeline [p] with
-     [p mod jobs = j];
-   - barrier (caller only): replay buffered access-log entries in the
-     sequential engine's exec order, absorb per-domain metric shards,
-     check transfer conservation, clear the cycle buffers.  Movement and
-     remap stay in the sequential suffix (crossbar steering is global).
-
-   The fan-out is only taken under a gate that excludes everything that
-   could drop or free a packet mid-cycle (fault plans, bounded rings,
-   the starvation guard) or that observes mid-cycle state in sequential
-   order (event traces, observers), so the parallel sections never
-   release slab slots and never race the shared drop/trace paths.  Under
-   the gate the chains write disjoint state, the barrier re-serializes
-   the only shared logs, and every merge is order-independent
-   (commutative counter sums, max-merged high-water marks) — which is
-   the determinism argument for bit-identical results at any [jobs]. *)
-
-type par_state = {
-  ps_team : Pool.Team.t;
-  ps_jobs : int;
-  (* per-domain kernel clones: compiled stateful kernels thread their
-     match state through a captured ref, so domains must not share one *)
-  ps_kernels : Kernel.t array;
-  ps_frames : Expr.frame array;
-  (* per-domain metrics shards, absorbed at the barrier; [||] when the
-     run is unmetered *)
-  ps_shards : Metrics.t array;
-  (* phantom deliveries due this cycle, bucketed by destination
-     pipeline in the prefix drain: four ints (seq, stage, ring, cell)
-     per delivery *)
-  ps_dbuf : Int_vec.t array;
-  (* buffered access-log entries per (stage, pipeline), three ints
-     (reg, cell, seq) per access, replayed at the barrier *)
-  ps_log : Int_vec.t array array;
-  (* per-pipeline applied-transfer counts for the conservation check *)
-  ps_applied : int array;
-  (* per-domain fan-out end timestamps (profiling only): each domain
-     writes its own slot right before leaving [Pool.Team.run], and the
-     join's happens-before makes the reads below race-free.  The caller
-     reconstructs compute = mark - fan and barrier = join - mark. *)
-  ps_marks : int array;
-}
-
-let make_par_state sim team =
-  let jobs = Pool.Team.size team in
-  {
-    ps_team = team;
-    ps_jobs = jobs;
-    ps_kernels =
-      Array.init jobs (fun j ->
-          if j = 0 then sim.kernel
-          else Kernel.create ~compiled:sim.kernel.Kernel.compiled sim.prog);
-    ps_frames = Array.init jobs (fun j -> if j = 0 then sim.frame else Expr.frame_of_array [||]);
-    ps_shards =
-      (match sim.ms with
-      | Some _ -> Array.init jobs (fun _ -> Metrics.create ~stages:sim.n_stages ~k:sim.p.k)
-      | None -> [||]);
-    ps_dbuf = Array.init sim.p.k (fun _ -> Int_vec.create ());
-    ps_log =
-      Array.init sim.n_stages (fun _ -> Array.init sim.p.k (fun _ -> Int_vec.create ()));
-    ps_applied = Array.make sim.p.k 0;
-    ps_marks = Array.make jobs 0;
-  }
-
-(* [deliver_phantoms] for one pipeline's pre-drained bucket.  The gate
-   guarantees no fault plan (no downed destinations) and no event trace,
-   so only the live branches remain. *)
-let par_deliver sim ms dest dbuf =
-  let i = ref 0 in
-  while !i < Int_vec.length dbuf do
-    let seq = Int_vec.get dbuf !i in
-    if Int_table.mem sim.doomed seq then (
-      match ms with Some m -> Metrics.phantom_doomed m | None -> ())
-    else begin
-      let f =
-        match sim.fifos.(Int_vec.get dbuf (!i + 1)).(dest) with
-        | Some (Logical f) -> f
-        | Some (Per_cell pc) -> cell_fifo sim pc (Int_vec.get dbuf (!i + 3))
-        | None -> invalid_arg "phantom destined to a stateless stage"
-      in
-      match Fifo.push_phantom f ~ring:(Int_vec.get dbuf (!i + 2)) ~ts:seq ~key:seq with
-      | `Ok -> ( match ms with Some m -> Metrics.phantom_delivered m | None -> ())
-      | `Dropped -> ( match ms with Some m -> Metrics.phantom_dropped m | None -> ())
-    end;
-    i := !i + 4
-  done
-
-(* Bucket one drained delivery by destination for the fan-out. *)
-let push_delivery dbuf ~seq ~stage ~dest ~ring ~cell =
-  let b = dbuf.(dest) in
-  Int_vec.push b seq;
-  Int_vec.push b stage;
-  Int_vec.push b ring;
-  Int_vec.push b cell
-
-let par_insert_stateful sim now stage pkt ~dest ~src ~cell =
-  let seq = sim.sl.Slab.seq.(pkt) in
-  let push_or_insert f =
-    if uses_phantoms sim then Fifo.insert_data f ~key:seq pkt
-    else
-      match Fifo.push_data f ~ring:src ~ts:((now lsl 22) lor seq) ~key:seq pkt with
-      | `Ok -> `Ok
-      | `Dropped -> `No_phantom
-  in
-  let f, pc = stage_queue sim stage ~dest ~cell in
-  match push_or_insert f with
-  | `Ok -> (
-      (match pc with Some pc -> notify_ready pc cell | None -> ());
-      match sim.p.ecn_threshold with
-      | Some thr when Fifo.data_length f > thr -> sim.sl.Slab.ecn.(pkt) <- 1
-      | _ -> ())
-  | `No_phantom ->
-      (* Unreachable under the parallel gate: adaptive rings never drop
-         a push, and fault-free Invariant 1 guarantees the phantom
-         precedes its data packet. *)
-      assert false
-
-(* [apply_transfers] for one destination pipeline: walk the shared
-   buffers in the sequential order (stage ascending, index descending)
-   and take only the descriptors steered here.  Same-destination
-   relative order — the only order a FIFO can see — is preserved.
-   Returns the number applied, for the barrier conservation check. *)
-let par_apply sim ms now pipe =
-  let applied = ref 0 in
-  for stage = 0 to sim.n_stages - 1 do
-    let pkts = sim.t_pkts.(stage) and descs = sim.t_descs.(stage) in
-    for i = Int_vec.length pkts - 1 downto 0 do
-      let desc = Int_vec.get descs i in
-      let dest = (desc lsr 2) land 63 in
-      if dest = pipe then begin
-        let pkt = Int_vec.get pkts i in
-        let src = (desc lsr 8) land 63 in
-        incr applied;
-        (match ms with
-        | Some m -> Metrics.transfer m ~stage ~cross:(dest <> src)
-        | None -> ());
-        match desc land 3 with
-        | 1 (* stateful *) ->
-            par_insert_stateful sim now stage pkt ~dest ~src ~cell:((desc lsr 14) - 1)
-        | 2 (* queued *) -> (
-            let f, pc = stage_queue sim stage ~dest ~cell:(-1) in
-            let seq = sim.sl.Slab.seq.(pkt) in
-            match Fifo.push_data f ~ring:src ~ts:seq ~key:seq pkt with
-            | `Ok -> ( match pc with Some pc -> notify_ready pc (-1) | None -> ())
-            | `Dropped -> assert false (* adaptive rings never drop *))
-        | _ (* stateless *) ->
-            (* No starvation guard under the gate (threshold = None). *)
-            assert (sim.slots.(stage).(dest) = no_pkt);
-            sim.slots.(stage).(dest) <- pkt
-      end
-    done
-  done;
-  !applied
-
-(* [pop_phase] for one pipeline.  The head watch is inert under the
-   gate ([watch_heads] is false), fault stalls cannot occur, and there
-   is no event trace — only the live branches remain. *)
-let par_pop sim ms p =
-  for stage = 0 to sim.n_stages - 1 do
-    if sim.stateful_stage.(stage) then begin
-      if sim.slots.(stage).(p) <> no_pkt then (
-        match ms with Some m -> Metrics.claimed m ~stage ~pipe:p | None -> ())
-      else
-        match sim.fifos.(stage).(p) with
-        | Some (Logical f) -> (
-            let code = Fifo.take f in
-            if code >= 0 then begin
-              sim.slots.(stage).(p) <- code;
-              match ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ()
-            end
-            else
-              match ms with
-              | Some m ->
-                  if code = Fifo.empty then Metrics.stall_empty m ~stage ~pipe:p
-                  else Metrics.stall_phantom m ~stage ~pipe:p
-              | None -> ())
-        | Some (Per_cell pc) -> (
-            match ready_cell pc with
-            | Some (_, f, cell) ->
-                let pkt = Fifo.pop_data f in
-                sim.slots.(stage).(p) <- pkt;
-                (match ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ());
-                Hashtbl.replace pc.pc_ready cell ()
-            | None -> (
-                match ms with
-                | Some m ->
-                    let queued =
-                      Hashtbl.fold (fun _ f acc -> acc || Fifo.length f > 0) pc.pc_cells false
-                    in
-                    if queued then Metrics.stall_phantom m ~stage ~pipe:p
-                    else Metrics.stall_empty m ~stage ~pipe:p
-                | None -> ()))
-        | None -> ()
-    end
-  done
-
-(* [metrics_sweep] for one pipeline, into a shard. *)
-let par_sweep sim m p =
-  for stage = 0 to sim.n_stages - 1 do
-    if sim.stateful_stage.(stage) then begin
-      let depth =
-        match sim.fifos.(stage).(p) with
-        | Some (Logical f) -> Fifo.data_length f
-        | Some (Per_cell pc) ->
-            Hashtbl.fold (fun _ f acc -> acc + Fifo.data_length f) pc.pc_cells 0
-        | None -> 0
-      in
-      Metrics.occupancy m ~stage ~pipe:p ~depth
-    end
-    else if sim.slots.(stage).(p) <> no_pkt then Metrics.busy m ~stage ~pipe:p
-    else Metrics.stall_empty m ~stage ~pipe:p
-  done
-
-let par_aim frame sim pkt =
-  let sl = sim.sl in
-  frame.Expr.base <- sl.Slab.fields;
-  frame.Expr.off <- pkt * sl.Slab.nf;
-  frame.Expr.len <- sl.Slab.nf;
-  frame
-
-(* [run_accs] with a per-domain kernel and frame; accesses are buffered
-   into [logbuf] instead of touching the shared access log. *)
-let par_run_accs sim kernel frame logbuf pkt pipeline accs =
-  let frame = par_aim frame sim pkt in
-  let sl = sim.sl in
-  let ab = pkt * sl.Slab.na in
-  let seq = sl.Slab.seq.(pkt) in
-  for i = 0 to Array.length accs - 1 do
-    let acc_id = Array.unsafe_get accs i in
-    let reg = sim.accesses.(acc_id).Transform.reg in
-    let reg_array = Store.array sim.stores.(pipeline) ~reg in
-    let cell = kernel.Kernel.exec.(acc_id) frame reg_array sl.Slab.cell.(ab + acc_id) in
-    if cell >= 0 then begin
-      assert (sl.Slab.cell.(ab + acc_id) < 0 || sl.Slab.cell.(ab + acc_id) = cell);
-      assert (sl.Slab.dest.(ab + acc_id) = pipeline);
-      Int_vec.push logbuf reg;
-      Int_vec.push logbuf cell;
-      Int_vec.push logbuf seq
-    end;
-    sl.Slab.done_.(ab + acc_id) <- 1;
-    release_inflight sim pkt acc_id
-  done
-
-let par_exec sim ps j p =
-  let kernel = ps.ps_kernels.(j) and frame = ps.ps_frames.(j) in
-  for stage = 1 to sim.n_stages - 1 do
-    let pkt = sim.slots.(stage).(p) in
-    if pkt <> no_pkt then begin
-      kernel.Kernel.stateless.(stage) (par_aim frame sim pkt);
-      if sim.sl.Slab.seq.(pkt) < sim.dup_base then
-        par_run_accs sim kernel frame ps.ps_log.(stage).(p) pkt p sim.accs_by_stage.(stage)
-    end
-  done
-
-(* One parallel cycle: everything [drive]'s sequential arm does from
-   the monitor epoch through [exec_phase], leaving movement and remap
-   to the shared sequential suffix. *)
-let par_cycle sim ps now source st =
-  (* sequential prefix *)
-  (match sim.mon with
-  | Some mon when Monitor.due mon ~now -> monitor_phase sim mon now
-  | _ -> ());
-  (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-  (match sim.pf with
-  | None -> Channel.drain sim.channel ~now (push_delivery ps.ps_dbuf)
-  | Some pf ->
-      let t0 = Prof.now () in
-      Channel.drain sim.channel ~now (push_delivery ps.ps_dbuf);
-      Prof.record pf Prof.Deliver ~t0);
-  (* Arrivals hoisted before the fan-out: under the gate the arrival
-     phase touches only stage-0 slots, the slab allocator and the
-     phantom calendar — none of which deliver/apply read or write — so
-     hoisting is behavior-preserving and keeps every slab allocation
-     (the arrays may move when they grow) in sequential code. *)
-  (match sim.pf with
-  | None -> arrival_phase sim now source st
-  | Some pf ->
-      let t0 = Prof.now () in
-      arrival_phase sim now source st;
-      Prof.record pf Prof.Source ~t0);
-  let k = sim.p.k and jobs = ps.ps_jobs in
-  let fan j =
-    let ms = if ps.ps_shards = [||] then None else Some ps.ps_shards.(j) in
-    let p = ref j in
-    while !p < k do
-      let pipe = !p in
-      par_deliver sim ms pipe ps.ps_dbuf.(pipe);
-      ps.ps_applied.(pipe) <- par_apply sim ms now pipe;
-      par_pop sim ms pipe;
-      (match ms with Some m -> par_sweep sim m pipe | None -> ());
-      par_exec sim ps j pipe;
-      p := !p + jobs
-    done
-  in
-  (match sim.pf with
-  | None -> Pool.Team.run ps.ps_team fan
-  | Some pf ->
-      (* Per-domain barrier attribution: each domain stamps its own
-         [ps_marks] slot as it finishes (single writer; the join gives
-         happens-before), so compute(j) = mark(j) - fan and
-         barrier(j) = join - mark(j) partition the fan-out wall time. *)
-      let t_fan = Prof.now () in
-      Pool.Team.run ps.ps_team (fun j ->
-          fan j;
-          ps.ps_marks.(j) <- Prof.now ());
-      let t_join = Prof.now () in
-      for j = 0 to jobs - 1 do
-        let mark = ps.ps_marks.(j) in
-        Prof.add pf ~domain:j Prof.Compute ~ts:t_fan ~dur:(mark - t_fan);
-        Prof.add pf ~domain:j Prof.Barrier ~ts:mark ~dur:(t_join - mark)
-      done);
-  let t_replay = match sim.pf with Some _ -> Prof.now () | None -> 0 in
-  (* barrier: re-serialize the shared logs in deterministic order *)
-  for stage = 1 to sim.n_stages - 1 do
-    for p = 0 to k - 1 do
-      let b = ps.ps_log.(stage).(p) in
-      let n = Int_vec.length b in
-      let i = ref 0 in
-      while !i < n do
-        log_access sim (Int_vec.get b !i) (Int_vec.get b (!i + 1)) (Int_vec.get b (!i + 2));
-        i := !i + 3
-      done;
-      Int_vec.clear b
-    done
-  done;
-  (match sim.ms with
-  | Some m -> Array.iter (fun shard -> Metrics.absorb m shard) ps.ps_shards
-  | None -> ());
-  (* Packet conservation across the merge: the transfer buffers are
-     consumed but not cleared by the fan-out, so they still count the
-     descriptors that were pending at the top of the cycle.  Nothing
-     drops under the gate. *)
-  (match sim.mon with
-  | Some mon ->
-      let transfers = ref 0 in
-      Array.iter (fun v -> transfers := !transfers + Int_vec.length v) sim.t_pkts;
-      let applied = Array.fold_left ( + ) 0 ps.ps_applied in
-      Monitor.barrier mon ~cycle:now ~transfers:!transfers ~applied ~dropped:0
-  | None -> ());
-  Array.fill ps.ps_applied 0 k 0;
-  Array.iter Int_vec.clear ps.ps_dbuf;
-  for stage = 0 to sim.n_stages - 1 do
-    Int_vec.clear sim.t_pkts.(stage);
-    Int_vec.clear sim.t_descs.(stage)
-  done;
-  match sim.pf with
-  | Some pf -> Prof.record pf Prof.Replay ~t0:t_replay
-  | None -> ()
-
 (* --- specialized fast cycle loop (the bare variant) ---
 
    Selected by [select_loop] when nothing is attached to the run:
@@ -1910,10 +1543,12 @@ let par_cycle sim ps now source st =
      remaps move values between arrays, never replace them), each
      access's register id, and the kernel's closure tables.
 
-   Two arms share the machinery.  The sequential arm runs one
-   stage-major sweep — apply(s), pop(s), exec(s), movement(s) for s
-   ascending — with [log_access] called directly, so its access-log
-   order is the generic [exec_phase] order by construction.  Fusing
+   The sweep is stage-major — apply(s), pop(s), exec(s), movement(s)
+   for s ascending — with [log_access] called directly, so its
+   access-log order is the generic [exec_phase] order by construction:
+   apply(s)/pop(s)/exec(s) touch only stage-s structures, and exec at
+   stage s runs after pop at stage s exactly as the generic
+   pop-all-stages-then-exec-all-stages does within one cycle.  Fusing
    movement needs ping-pong transfer buffers: movement(s) writes the
    next cycle's transfers into a shadow buffer for stage s+1 (swapped
    into [sim.t_pkts]/[t_descs] at the end of the sweep, so snapshots
@@ -1921,23 +1556,11 @@ let par_cycle sim ps now source st =
    apply(s+1) — which runs *after* movement(s) in the fused order —
    must consume only the previous cycle's entries.  Order is otherwise
    preserved: each transfer buffer t.(s+1) receives pushes from exactly
-   one source stage (s), in pipe-ascending order under both sweeps;
+   one source stage (s), in pipe-ascending order under both loops;
    exits happen only at stage n-1, so the exit digest / collect order
    and the slab freelist order are sweep-invariant; the crossbar claim
    row for stage s+1 is written and read only by movement(s) within a
-   cycle ([spawn_dup], the only other reader, needs a fault plan).
-
-   The parallel arm fuses each pipeline's chain into a closed
-   per-pipeline closure fanned out on a [Pool.Team] (one kernel clone
-   per domain), buffers access-log writes per (stage, pipeline), and
-   replays them stage-major/pipe-minor at the cycle barrier — again the
-   exact sequential order.  Movement stays in [drive]'s shared suffix
-   there (the crossbar steers across pipelines, so it is inherently
-   sequential).  The fused interleaving is bit-identical to the generic
-   phase order by the PR 6 argument: apply(s)/pop(s)/exec(s) touch only
-   stage-s structures of one pipeline, stages are swept ascending, and
-   exec at stage s runs after pop at stage s exactly as the generic
-   pop-all-stages-then-exec-all-stages does within one cycle. *)
+   cycle ([spawn_dup], the only other reader, needs a fault plan). *)
 
 (* Arrivals prefetched in batches: [Psource.next] per admitted packet
    becomes one buffer refill per [fast_chunk] packets.  Only legal when
@@ -1948,16 +1571,8 @@ let fast_chunk = 64
 
 type fast_state = {
   fs_deliver : int -> unit;
-      (* drain the phantom calendar for cycle [now]: straight into the
-         rings (sequential arm) or into per-destination buckets the
-         chains empty (parallel arm) *)
-  fs_body : int -> unit;
-      (* the fused apply/pop/exec sweep (plus movement on the
-         sequential arm; fan-out, log replay and buffer clears on the
-         parallel arm) *)
-  fs_moved : bool;
-      (* movement is fused into [fs_body]: [drive] must skip the shared
-         [movement_phase] (sequential arm only) *)
+      (* drain the phantom calendar for cycle [now] into the rings *)
+  fs_body : int -> unit;  (* the fused apply/pop/exec/movement sweep *)
   mutable fs_dirty : bool;
       (* some index map may hold nonzero access counters: remap
          boundaries must be visited while idle.  Set on every admission,
@@ -2017,7 +1632,7 @@ let fast_arrival sim fs source now =
    the snapshot ([r_queue] replaces the FIFO objects); under the fast
    gate nothing ever replaces them afterwards (only the fault paths do),
    so the unwrapped matrix stays valid for the whole leg. *)
-let make_fast_state sim team ~chunked ~consumed =
+let make_fast_state sim ~chunked ~consumed =
   let k = sim.p.k and n_stages = sim.n_stages in
   let cols =
     Array.init n_stages (fun s ->
@@ -2041,459 +1656,260 @@ let make_fast_state sim team ~chunked ~consumed =
   let stateful = sim.stateful_stage in
   let phantoms = uses_phantoms sim in
   let ecn = match sim.p.ecn_threshold with Some t -> t | None -> max_int in
-  let deliver, body, moved =
-    match team with
-    | None ->
-        (* Sequential arm: deliveries straight into the rings in calendar
-           (drain) order — the generic [deliver_phantoms] order — and one
-           stage-major sweep (apply/pop/exec/movement per stage) with
-           [log_access] inline. *)
-        let deliver_one ~seq ~stage ~dest ~ring ~cell:_ =
-          (* [doomed] is provably empty under the gate (nothing can
-             drop), but the membership test is kept: it is one int-table
-             probe per delivery, and it turns a violated assumption into
-             a visible differential failure instead of silent state
-             corruption. *)
-          if not (Int_table.mem doomed seq) then
-            match cols.(stage).(dest) with
-            | Some f -> ignore (Fifo.push_phantom f ~ring ~ts:seq ~key:seq : [ `Ok | `Dropped ])
-            | None -> invalid_arg "phantom destined to a stateless stage"
-        in
-        let kernel = sim.kernel in
-        let exec = kernel.Kernel.exec and stateless = kernel.Kernel.stateless in
-        let frame = sim.frame in
-        let claimed = sim.claimed in
-        let stateless_priority = sim.p.stateless_priority in
-        let collect = sim.collect in
-        let n_user = sim.config.Config.n_user_fields in
-        (* Ping-pong shadows for the transfer buffers: movement(s) fills
-           the shadow of stage s+1 while apply(s+1) — later in the same
-           sweep — consumes the live buffer; the end-of-sweep swap makes
-           the shadows live, so snapshots taken at the cycle boundary
-           see the generic representation. *)
-        let nx_pkts = Array.init n_stages (fun _ -> Int_vec.create ()) in
-        let nx_descs = Array.init n_stages (fun _ -> Int_vec.create ()) in
-        let maps = sim.maps in
-        let body now =
-          (* Hoist the slab columns once per cycle: the arrays move only
-             on slab growth, and the only allocation site (arrival) runs
-             before the body.  Field loads through [sim.sl] cannot be
-             CSE'd across the FIFO/kernel calls below, so this saves two
-             loads per array touch across the whole sweep. *)
-          let sl = sim.sl in
-          let fields = sl.Slab.fields in
-          let nf = sl.Slab.nf and na = sl.Slab.na in
-          let seqs = sl.Slab.seq and gks = sl.Slab.gk in
-          let dests = sl.Slab.dest and cells = sl.Slab.cell in
-          let dones = sl.Slab.done_ and counted = sl.Slab.counted in
-          let times = sl.Slab.time_in and ecns = sl.Slab.ecn in
-          frame.Expr.base <- fields;
-          frame.Expr.len <- nf;
-          (* The crossbar claim matrix resets once per cycle; the
-             generic loop does it at the top of [movement_phase], but
-             under the gate nothing reads claims between the phases
-             ([spawn_dup] needs a fault plan), so resetting at sweep
-             start is unobservable. *)
-          if sim.claims_dirty then begin
-            Array.iter (fun row -> Array.fill row 0 (Array.length row) false) claimed;
-            sim.claims_dirty <- false
-          end;
-          for stage = 0 to n_stages - 1 do
-            let colrow = cols.(stage) in
-            let srow = slots.(stage) in
-            (* apply(stage): one reverse scan (the generic order),
-               dispatching by destination directly. *)
-            (let pkts = t_pkts.(stage) and descs = t_descs.(stage) in
-             let n = Int_vec.length pkts in
-             if n > 0 then begin
-               for i = n - 1 downto 0 do
-                 let pkt = Int_vec.unsafe_get pkts i in
-                 let desc = Int_vec.unsafe_get descs i in
-                 let dest = (desc lsr 2) land 63 in
-                 match desc land 3 with
-                 | 1 (* stateful *) -> (
-                     let f =
-                       match colrow.(dest) with Some f -> f | None -> assert false
-                     in
-                     let seq = Array.unsafe_get seqs pkt in
-                     let pushed =
-                       if phantoms then Fifo.insert_data f ~key:seq pkt
-                       else
-                         match
-                           Fifo.push_data f
-                             ~ring:((desc lsr 8) land 63)
-                             ~ts:((now lsl 22) lor seq)
-                             ~key:seq pkt
-                         with
-                         | `Ok -> `Ok
-                         | `Dropped -> `No_phantom
-                     in
-                     match pushed with
-                     | `Ok ->
-                         if Fifo.data_length f > ecn then Array.unsafe_set ecns pkt 1
-                     | `No_phantom -> assert false (* adaptive + Invariant 1 *))
-                 | 2 (* queued *) -> (
-                     let f =
-                       match colrow.(dest) with Some f -> f | None -> assert false
-                     in
-                     let seq = Array.unsafe_get seqs pkt in
-                     match
-                       Fifo.push_data f ~ring:((desc lsr 8) land 63) ~ts:seq ~key:seq pkt
-                     with
-                     | `Ok -> ()
-                     | `Dropped -> assert false (* adaptive rings never drop *))
-                 | _ (* stateless *) -> Array.unsafe_set srow dest pkt
-               done;
-               Int_vec.clear pkts;
-               Int_vec.clear descs
-             end);
-            (* pop(stage): only stateful stages have ring columns *)
-            if Array.unsafe_get stateful stage then
-              for p = 0 to k - 1 do
-                if Array.unsafe_get srow p = no_pkt then
-                  match colrow.(p) with
-                  | Some f ->
-                      let pkt = Fifo.take f in
-                      if pkt >= 0 then Array.unsafe_set srow p pkt
-                  | None -> ()
-              done;
-            (* exec(stage): stage 0 is address resolution, done on
-               arrival.  No [dup_base] compare: ghosts need a fault
-               plan. *)
-            if stage > 0 then begin
-              let accs = accs_by_stage.(stage) in
-              let n_acc = Array.length accs in
-              let st_fn = stateless.(stage) in
-              for p = 0 to k - 1 do
-                let pkt = Array.unsafe_get srow p in
-                if pkt <> no_pkt then begin
-                  frame.Expr.off <- pkt * nf;
-                  st_fn frame;
-                  if n_acc > 0 then begin
-                    let regs_p = regs.(p) in
-                    let ab = pkt * na in
-                    let seq = Array.unsafe_get seqs pkt in
-                    for i = 0 to n_acc - 1 do
-                      let acc_id = Array.unsafe_get accs i in
-                      let reg = Array.unsafe_get acc_reg acc_id in
-                      let ai = ab + acc_id in
-                      let cell =
-                        exec.(acc_id) frame regs_p.(reg) (Array.unsafe_get cells ai)
-                      in
-                      if cell >= 0 then log_access sim reg cell seq;
-                      Array.unsafe_set dones ai 1;
-                      (* [release_inflight] inlined against the
-                         captures *)
-                      if Array.unsafe_get counted ai <> 0 then begin
-                        Array.unsafe_set counted ai 0;
-                        Index_map.decr_inflight maps.(reg) (Array.unsafe_get cells ai)
-                      end
-                    done
-                  end
-                end
-              done
-            end;
-            (* movement(stage): vacate every occupied slot — into the
-               shadow buffer of stage+1 or out of the pipeline.  The
-               moving packet's own slab state is final (its exec just
-               ran; later stages touch other packets), so reading the
-               guards here matches the generic all-exec-then-move
-               order. *)
-            let next = stage + 1 in
-            if next = n_stages then
-              for p = 0 to k - 1 do
-                let pkt = Array.unsafe_get srow p in
-                if pkt <> no_pkt then begin
-                  Array.unsafe_set srow p no_pkt;
-                  let seq = Array.unsafe_get seqs pkt in
-                  let time_in = Array.unsafe_get times pkt in
-                  let fb = pkt * nf in
-                  sim.delivered <- sim.delivered + 1;
-                  sim.in_flight <- sim.in_flight - 1;
-                  if Array.unsafe_get ecns pkt <> 0 then sim.marked <- sim.marked + 1;
-                  if sim.first_exit < 0 then sim.first_exit <- now;
-                  sim.last_exit <- now;
-                  if collect then begin
-                    Int_vec.push sim.exit_seqs seq;
-                    Vec.push sim.exit_headers (Array.sub fields fb n_user);
-                    Int_vec.push sim.exit_lats (now - time_in)
-                  end
-                  else begin
-                    (* Streaming: fold the exit record into the running
-                       digest — same feed order as the generic exit. *)
-                    let ed = sim.ed in
-                    Hashing.feed ed seq;
-                    Hashing.feed ed (now - time_in);
-                    for f = 0 to n_user - 1 do
-                      Hashing.feed ed (Array.unsafe_get fields (fb + f))
-                    done
-                  end;
-                  Slab.release sl pkt
-                end
-              done
-            else begin
-              let npk = nx_pkts.(next) and nds = nx_descs.(next) in
-              let accs = accs_by_stage.(next) in
-              let n_qa = Array.length accs in
-              let crow = claimed.(next) in
-              let next_stateful = Array.unsafe_get stateful next in
-              for p = 0 to k - 1 do
-                let pkt = Array.unsafe_get srow p in
-                if pkt <> no_pkt then begin
-                  Array.unsafe_set srow p no_pkt;
-                  (* [queued_acc] inlined against the captures: first
-                     access at [next] whose guard is not known false. *)
-                  let ab = pkt * na in
-                  let acc_id = ref (-1) in
-                  (let i = ref 0 in
-                   while !acc_id < 0 && !i < n_qa do
-                     let id = Array.unsafe_get accs !i in
-                     if Array.unsafe_get gks (ab + id) <> gk_false then acc_id := id
-                     else incr i
-                   done);
-                  let a = !acc_id in
-                  if a >= 0 then begin
-                    let ai = ab + a in
-                    Int_vec.push npk pkt;
-                    Int_vec.push nds
-                      (pack_transfer ~tag:t_stateful
-                         ~dest:(Array.unsafe_get dests ai)
-                         ~src:p
-                         ~cell:(Array.unsafe_get cells ai))
-                  end
-                  else if next_stateful && not stateless_priority then begin
-                    Int_vec.push npk pkt;
-                    Int_vec.push nds (pack_transfer ~tag:t_queued ~dest:p ~src:p ~cell:(-1))
-                  end
-                  else begin
-                    let dest =
-                      if not (Array.unsafe_get crow p) then p
-                      else begin
-                        let d = ref (-1) in
-                        for q = k - 1 downto 0 do
-                          if not (Array.unsafe_get crow q) then d := q
-                        done;
-                        !d
-                      end
-                    in
-                    assert (dest >= 0);
-                    crow.(dest) <- true;
-                    sim.claims_dirty <- true;
-                    Int_vec.push npk pkt;
-                    Int_vec.push nds (pack_transfer ~tag:t_stateless ~dest ~src:p ~cell:(-1))
-                  end
+  (* Deliveries go straight into the rings in calendar (drain) order —
+     the generic [deliver_phantoms] order.  [doomed] is provably empty
+     under the gate (nothing can drop), but the membership test is kept:
+     it is one int-table probe per delivery, and it turns a violated
+     assumption into a visible differential failure instead of silent
+     state corruption. *)
+  let deliver_one ~seq ~stage ~dest ~ring ~cell:_ =
+    if not (Int_table.mem doomed seq) then
+      match cols.(stage).(dest) with
+      | Some f -> ignore (Fifo.push_phantom f ~ring ~ts:seq ~key:seq : [ `Ok | `Dropped ])
+      | None -> invalid_arg "phantom destined to a stateless stage"
+  in
+  let kernel = sim.kernel in
+  let exec = kernel.Kernel.exec and stateless = kernel.Kernel.stateless in
+  let frame = sim.frame in
+  let claimed = sim.claimed in
+  let stateless_priority = sim.p.stateless_priority in
+  let collect = sim.collect in
+  let n_user = sim.config.Config.n_user_fields in
+  (* Ping-pong shadows for the transfer buffers: movement(s) fills
+     the shadow of stage s+1 while apply(s+1) — later in the same
+     sweep — consumes the live buffer; the end-of-sweep swap makes
+     the shadows live, so snapshots taken at the cycle boundary
+     see the generic representation. *)
+  let nx_pkts = Array.init n_stages (fun _ -> Int_vec.create ()) in
+  let nx_descs = Array.init n_stages (fun _ -> Int_vec.create ()) in
+  let maps = sim.maps in
+  let body now =
+    (* Hoist the slab columns once per cycle: the arrays move only
+       on slab growth, and the only allocation site (arrival) runs
+       before the body.  Field loads through [sim.sl] cannot be
+       CSE'd across the FIFO/kernel calls below, so this saves two
+       loads per array touch across the whole sweep. *)
+    let sl = sim.sl in
+    let fields = sl.Slab.fields in
+    let nf = sl.Slab.nf and na = sl.Slab.na in
+    let seqs = sl.Slab.seq and gks = sl.Slab.gk in
+    let dests = sl.Slab.dest and cells = sl.Slab.cell in
+    let dones = sl.Slab.done_ and counted = sl.Slab.counted in
+    let times = sl.Slab.time_in and ecns = sl.Slab.ecn in
+    frame.Expr.base <- fields;
+    frame.Expr.len <- nf;
+    (* The crossbar claim matrix resets once per cycle; the
+       generic loop does it at the top of [movement_phase], but
+       under the gate nothing reads claims between the phases
+       ([spawn_dup] needs a fault plan), so resetting at sweep
+       start is unobservable. *)
+    if sim.claims_dirty then begin
+      Array.iter (fun row -> Array.fill row 0 (Array.length row) false) claimed;
+      sim.claims_dirty <- false
+    end;
+    for stage = 0 to n_stages - 1 do
+      let colrow = cols.(stage) in
+      let srow = slots.(stage) in
+      (* apply(stage): one reverse scan (the generic order),
+         dispatching by destination directly. *)
+      (let pkts = t_pkts.(stage) and descs = t_descs.(stage) in
+       let n = Int_vec.length pkts in
+       if n > 0 then begin
+         for i = n - 1 downto 0 do
+           let pkt = Int_vec.unsafe_get pkts i in
+           let desc = Int_vec.unsafe_get descs i in
+           let dest = (desc lsr 2) land 63 in
+           match desc land 3 with
+           | 1 (* stateful *) -> (
+               let f =
+                 match colrow.(dest) with Some f -> f | None -> assert false
+               in
+               let seq = Array.unsafe_get seqs pkt in
+               let pushed =
+                 if phantoms then Fifo.insert_data f ~key:seq pkt
+                 else
+                   match
+                     Fifo.push_data f
+                       ~ring:((desc lsr 8) land 63)
+                       ~ts:((now lsl 22) lor seq)
+                       ~key:seq pkt
+                   with
+                   | `Ok -> `Ok
+                   | `Dropped -> `No_phantom
+               in
+               match pushed with
+               | `Ok ->
+                   if Fifo.data_length f > ecn then Array.unsafe_set ecns pkt 1
+               | `No_phantom -> assert false (* adaptive + Invariant 1 *))
+           | 2 (* queued *) -> (
+               let f =
+                 match colrow.(dest) with Some f -> f | None -> assert false
+               in
+               let seq = Array.unsafe_get seqs pkt in
+               match
+                 Fifo.push_data f ~ring:((desc lsr 8) land 63) ~ts:seq ~key:seq pkt
+               with
+               | `Ok -> ()
+               | `Dropped -> assert false (* adaptive rings never drop *))
+           | _ (* stateless *) -> Array.unsafe_set srow dest pkt
+         done;
+         Int_vec.clear pkts;
+         Int_vec.clear descs
+       end);
+      (* pop(stage): only stateful stages have ring columns *)
+      if Array.unsafe_get stateful stage then
+        for p = 0 to k - 1 do
+          if Array.unsafe_get srow p = no_pkt then
+            match colrow.(p) with
+            | Some f ->
+                let pkt = Fifo.take f in
+                if pkt >= 0 then Array.unsafe_set srow p pkt
+            | None -> ()
+        done;
+      (* exec(stage): stage 0 is address resolution, done on
+         arrival.  No [dup_base] compare: ghosts need a fault
+         plan. *)
+      if stage > 0 then begin
+        let accs = accs_by_stage.(stage) in
+        let n_acc = Array.length accs in
+        let st_fn = stateless.(stage) in
+        for p = 0 to k - 1 do
+          let pkt = Array.unsafe_get srow p in
+          if pkt <> no_pkt then begin
+            frame.Expr.off <- pkt * nf;
+            st_fn frame;
+            if n_acc > 0 then begin
+              let regs_p = regs.(p) in
+              let ab = pkt * na in
+              let seq = Array.unsafe_get seqs pkt in
+              for i = 0 to n_acc - 1 do
+                let acc_id = Array.unsafe_get accs i in
+                let reg = Array.unsafe_get acc_reg acc_id in
+                let ai = ab + acc_id in
+                let cell =
+                  exec.(acc_id) frame regs_p.(reg) (Array.unsafe_get cells ai)
+                in
+                if cell >= 0 then log_access sim reg cell seq;
+                Array.unsafe_set dones ai 1;
+                (* [release_inflight] inlined against the
+                   captures *)
+                if Array.unsafe_get counted ai <> 0 then begin
+                  Array.unsafe_set counted ai 0;
+                  Index_map.decr_inflight maps.(reg) (Array.unsafe_get cells ai)
                 end
               done
             end
-          done;
-          (* Swap: the shadows become the live transfer buffers (the
-             consumed live ones, already cleared by apply, become next
-             cycle's shadows). *)
-          for s = 0 to n_stages - 1 do
-            let tp = t_pkts.(s) in
-            t_pkts.(s) <- nx_pkts.(s);
-            nx_pkts.(s) <- tp;
-            let td = t_descs.(s) in
-            t_descs.(s) <- nx_descs.(s);
-            nx_descs.(s) <- td
-          done
-        in
-        ((fun now -> Channel.drain sim.channel ~now deliver_one), body, true)
-    | Some tm ->
-        (* Parallel arm: compiled stateful kernels thread match state
-           through a captured ref, so each domain needs its own clone
-           (domain 0 reuses the sim's own kernel and frame, exactly as
-           the generic parallel engine). *)
-        let jobs = Pool.Team.size tm in
-        let kernels =
-          Array.init jobs (fun j ->
-              if j = 0 then sim.kernel
-              else Kernel.create ~compiled:sim.kernel.Kernel.compiled sim.prog)
-        in
-        let frames =
-          Array.init jobs (fun j -> if j = 0 then sim.frame else Expr.frame_of_array [||])
-        in
-        let dbuf = Array.init k (fun _ -> Int_vec.create ()) in
-        let logs = Array.init n_stages (fun _ -> Array.init k (fun _ -> Int_vec.create ())) in
-        let chains =
-          Array.init k (fun pipe ->
-              let kernel = kernels.(pipe mod jobs) and frame = frames.(pipe mod jobs) in
-              let exec = kernel.Kernel.exec and stateless = kernel.Kernel.stateless in
-              let regs_p = regs.(pipe) in
-              let col = Array.init n_stages (fun s -> cols.(s).(pipe)) in
-              let logcol = Array.init n_stages (fun s -> logs.(s).(pipe)) in
-              let db = dbuf.(pipe) in
-              fun now ->
-                (* deliver: this pipeline's pre-drained phantom bucket
-                   (same defensive [doomed] probe as the sequential
-                   arm) *)
-                let i = ref 0 in
-                while !i < Int_vec.length db do
-                  let seq = Int_vec.unsafe_get db !i in
-                  (if not (Int_table.mem doomed seq) then
-                     match col.(Int_vec.unsafe_get db (!i + 1)) with
-                     | Some f ->
-                         ignore
-                           (Fifo.push_phantom f
-                              ~ring:(Int_vec.unsafe_get db (!i + 2))
-                              ~ts:seq ~key:seq
-                             : [ `Ok | `Dropped ])
-                     | None -> invalid_arg "phantom destined to a stateless stage");
-                  i := !i + 4
-                done;
-                (* fused apply(s) -> pop(s) -> exec(s), one stage sweep *)
-                for stage = 0 to n_stages - 1 do
-                  (let pkts = t_pkts.(stage) and descs = t_descs.(stage) in
-                   for i = Int_vec.length pkts - 1 downto 0 do
-                     let desc = Int_vec.unsafe_get descs i in
-                     if (desc lsr 2) land 63 = pipe then begin
-                       let pkt = Int_vec.unsafe_get pkts i in
-                       let sl = sim.sl in
-                       match desc land 3 with
-                       | 1 (* stateful *) -> (
-                           let f =
-                             match col.(stage) with Some f -> f | None -> assert false
-                           in
-                           let seq = sl.Slab.seq.(pkt) in
-                           let pushed =
-                             if phantoms then Fifo.insert_data f ~key:seq pkt
-                             else
-                               match
-                                 Fifo.push_data f
-                                   ~ring:((desc lsr 8) land 63)
-                                   ~ts:((now lsl 22) lor seq)
-                                   ~key:seq pkt
-                               with
-                               | `Ok -> `Ok
-                               | `Dropped -> `No_phantom
-                           in
-                           match pushed with
-                           | `Ok ->
-                               if Fifo.data_length f > ecn then sl.Slab.ecn.(pkt) <- 1
-                           | `No_phantom -> assert false (* adaptive + Invariant 1 *))
-                       | 2 (* queued *) -> (
-                           let f =
-                             match col.(stage) with Some f -> f | None -> assert false
-                           in
-                           let seq = sl.Slab.seq.(pkt) in
-                           match
-                             Fifo.push_data f
-                               ~ring:((desc lsr 8) land 63)
-                               ~ts:seq ~key:seq pkt
-                           with
-                           | `Ok -> ()
-                           | `Dropped -> assert false (* adaptive rings never drop *))
-                       | _ (* stateless *) ->
-                           assert (slots.(stage).(pipe) = no_pkt);
-                           slots.(stage).(pipe) <- pkt
-                     end
-                   done);
-                  (match col.(stage) with
-                  | Some f when slots.(stage).(pipe) = no_pkt ->
-                      let pkt = Fifo.take f in
-                      if pkt >= 0 then slots.(stage).(pipe) <- pkt
-                  | _ -> ());
-                  if stage > 0 then begin
-                    let pkt = slots.(stage).(pipe) in
-                    if pkt <> no_pkt then begin
-                      let sl = sim.sl in
-                      frame.Expr.base <- sl.Slab.fields;
-                      frame.Expr.off <- pkt * sl.Slab.nf;
-                      frame.Expr.len <- sl.Slab.nf;
-                      stateless.(stage) frame;
-                      let accs = accs_by_stage.(stage) in
-                      let n = Array.length accs in
-                      if n > 0 then begin
-                        let logbuf = logcol.(stage) in
-                        let ab = pkt * sl.Slab.na in
-                        let seq = sl.Slab.seq.(pkt) in
-                        for i = 0 to n - 1 do
-                          let acc_id = Array.unsafe_get accs i in
-                          let reg = Array.unsafe_get acc_reg acc_id in
-                          let cell =
-                            exec.(acc_id) frame regs_p.(reg) sl.Slab.cell.(ab + acc_id)
-                          in
-                          if cell >= 0 then begin
-                            Int_vec.push logbuf reg;
-                            Int_vec.push logbuf cell;
-                            Int_vec.push logbuf seq
-                          end;
-                          sl.Slab.done_.(ab + acc_id) <- 1;
-                          release_inflight sim pkt acc_id
-                        done
-                      end
-                    end
-                  end
-                done)
-        in
-        (* barrier: replay the buffered logs stage-major/pipe-minor —
-           the sequential [exec_phase] order — so the shared access
-           log (and with it result tables, digests and snapshot bytes)
-           is loop-invariant *)
-        let replay () =
-          for stage = 1 to n_stages - 1 do
-            for p = 0 to k - 1 do
-              let b = logs.(stage).(p) in
-              let n = Int_vec.length b in
-              let i = ref 0 in
-              while !i < n do
-                log_access sim (Int_vec.unsafe_get b !i)
-                  (Int_vec.unsafe_get b (!i + 1))
-                  (Int_vec.unsafe_get b (!i + 2));
-                i := !i + 3
-              done;
-              Int_vec.clear b
-            done
-          done;
-          Array.iter Int_vec.clear dbuf;
-          for stage = 0 to n_stages - 1 do
-            Int_vec.clear t_pkts.(stage);
-            Int_vec.clear t_descs.(stage)
-          done
-        in
-        let body =
-          match sim.pf with
-          | None ->
-              fun now ->
-                Pool.Team.run tm (fun j ->
-                    let p = ref j in
-                    while !p < k do
-                      chains.(!p) now;
-                      p := !p + jobs
-                    done);
-                replay ()
-          | Some pf ->
-              (* Sampled hooks at the fan-out edges only (the fused
-                 chains run untouched): per-domain end marks give the
-                 same compute/barrier attribution as the generic
-                 parallel engine. *)
-              let marks = Array.make jobs 0 in
-              fun now ->
-                let t_fan = Prof.now () in
-                Pool.Team.run tm (fun j ->
-                    let p = ref j in
-                    while !p < k do
-                      chains.(!p) now;
-                      p := !p + jobs
-                    done;
-                    marks.(j) <- Prof.now ());
-                let t_join = Prof.now () in
-                for j = 0 to jobs - 1 do
-                  let mark = marks.(j) in
-                  Prof.add pf ~domain:j Prof.Compute ~ts:t_fan ~dur:(mark - t_fan);
-                  Prof.add pf ~domain:j Prof.Barrier ~ts:mark ~dur:(t_join - mark)
-                done;
-                let t0 = Prof.now () in
-                replay ();
-                Prof.record pf Prof.Replay ~t0
-        in
-        let bucket = push_delivery dbuf in
-        ((fun now -> Channel.drain sim.channel ~now bucket), body, false)
+          end
+        done
+      end;
+      (* movement(stage): vacate every occupied slot — into the
+         shadow buffer of stage+1 or out of the pipeline.  The
+         moving packet's own slab state is final (its exec just
+         ran; later stages touch other packets), so reading the
+         guards here matches the generic all-exec-then-move
+         order. *)
+      let next = stage + 1 in
+      if next = n_stages then
+        for p = 0 to k - 1 do
+          let pkt = Array.unsafe_get srow p in
+          if pkt <> no_pkt then begin
+            Array.unsafe_set srow p no_pkt;
+            let seq = Array.unsafe_get seqs pkt in
+            let time_in = Array.unsafe_get times pkt in
+            let fb = pkt * nf in
+            sim.delivered <- sim.delivered + 1;
+            sim.in_flight <- sim.in_flight - 1;
+            if Array.unsafe_get ecns pkt <> 0 then sim.marked <- sim.marked + 1;
+            if sim.first_exit < 0 then sim.first_exit <- now;
+            sim.last_exit <- now;
+            if collect then begin
+              Int_vec.push sim.exit_seqs seq;
+              Vec.push sim.exit_headers (Array.sub fields fb n_user);
+              Int_vec.push sim.exit_lats (now - time_in)
+            end
+            else begin
+              (* Streaming: fold the exit record into the running
+                 digest — same feed order as the generic exit. *)
+              let ed = sim.ed in
+              Hashing.feed ed seq;
+              Hashing.feed ed (now - time_in);
+              for f = 0 to n_user - 1 do
+                Hashing.feed ed (Array.unsafe_get fields (fb + f))
+              done
+            end;
+            Slab.release sl pkt
+          end
+        done
+      else begin
+        let npk = nx_pkts.(next) and nds = nx_descs.(next) in
+        let accs = accs_by_stage.(next) in
+        let n_qa = Array.length accs in
+        let crow = claimed.(next) in
+        let next_stateful = Array.unsafe_get stateful next in
+        for p = 0 to k - 1 do
+          let pkt = Array.unsafe_get srow p in
+          if pkt <> no_pkt then begin
+            Array.unsafe_set srow p no_pkt;
+            (* [queued_acc] inlined against the captures: first
+               access at [next] whose guard is not known false. *)
+            let ab = pkt * na in
+            let acc_id = ref (-1) in
+            (let i = ref 0 in
+             while !acc_id < 0 && !i < n_qa do
+               let id = Array.unsafe_get accs !i in
+               if Array.unsafe_get gks (ab + id) <> gk_false then acc_id := id
+               else incr i
+             done);
+            let a = !acc_id in
+            if a >= 0 then begin
+              let ai = ab + a in
+              Int_vec.push npk pkt;
+              Int_vec.push nds
+                (pack_transfer ~tag:t_stateful
+                   ~dest:(Array.unsafe_get dests ai)
+                   ~src:p
+                   ~cell:(Array.unsafe_get cells ai))
+            end
+            else if next_stateful && not stateless_priority then begin
+              Int_vec.push npk pkt;
+              Int_vec.push nds (pack_transfer ~tag:t_queued ~dest:p ~src:p ~cell:(-1))
+            end
+            else begin
+              let dest =
+                if not (Array.unsafe_get crow p) then p
+                else begin
+                  let d = ref (-1) in
+                  for q = k - 1 downto 0 do
+                    if not (Array.unsafe_get crow q) then d := q
+                  done;
+                  !d
+                end
+              in
+              assert (dest >= 0);
+              crow.(dest) <- true;
+              sim.claims_dirty <- true;
+              Int_vec.push npk pkt;
+              Int_vec.push nds (pack_transfer ~tag:t_stateless ~dest ~src:p ~cell:(-1))
+            end
+          end
+        done
+      end
+    done;
+    (* Swap: the shadows become the live transfer buffers (the
+       consumed live ones, already cleared by apply, become next
+       cycle's shadows). *)
+    for s = 0 to n_stages - 1 do
+      let tp = t_pkts.(s) in
+      t_pkts.(s) <- nx_pkts.(s);
+      nx_pkts.(s) <- tp;
+      let td = t_descs.(s) in
+      t_descs.(s) <- nx_descs.(s);
+      nx_descs.(s) <- td
+    done
   in
   {
-    fs_deliver = deliver;
+    fs_deliver = (fun now -> Channel.drain sim.channel ~now deliver_one);
     fs_body = body;
-    fs_moved = moved;
     fs_dirty = true;
     fs_chunked = chunked;
     fs_buf = Vec.create ();
@@ -2504,8 +1920,8 @@ let make_fast_state sim team ~chunked ~consumed =
 
 (* One fast cycle: drain the calendar, admit arrivals (the only slab
    allocation — the arrays may move, so the body re-reads [sim.sl] after
-   it), run the fused sweep.  The sequential sweep includes movement
-   ([fs_moved]); remap stays in [drive]'s shared suffix. *)
+   it), run the fused sweep, movement included; remap stays in
+   [drive]'s shared suffix. *)
 let fast_cycle sim fs now source st =
   fs.fs_deliver now;
   let before = sim.in_flight in
@@ -2970,38 +2386,25 @@ let encode sim st source =
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
 
-let drive ?team ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoint
+let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoint
     ~cycle_budget ~heartbeat ~stop =
   let params = sim.p in
-  (* Variant selection, once per leg.  [`Fast_*] is the bare loop
+  (* Variant selection, once per leg.  [`Fast] is the bare loop
      (select_loop's gate guarantees nothing is attached that could drop
-     a packet or observe mid-cycle state); [`Generic_par] is the PR 6
-     parallel engine behind its own gate — fault plans, event traces,
-     observers, bounded rings and the starvation guard all fall back to
-     the sequential generic arm, byte for byte. *)
-  let jobs = match team with Some tm -> Pool.Team.size tm | None -> 1 in
-  let choice =
-    select_loop ~loop ~jobs ~metrics:(Option.is_some sim.ms)
-      ~events:(Option.is_some sim.tr) ~fault:(Option.is_some sim.flt)
-      ~monitor:(Option.is_some sim.mon) ~observer:(Option.is_some observer)
-      ~prof:(Option.map Prof.mode sim.pf) params
-  in
+     a packet or observe mid-cycle state). *)
   let fstate =
-    match choice with
-    | `Fast_seq | `Fast_par ->
-        let team = if choice = `Fast_par then team else None in
+    match
+      select_loop ~loop ~metrics:(Option.is_some sim.ms) ~events:(Option.is_some sim.tr)
+        ~fault:(Option.is_some sim.flt) ~monitor:(Option.is_some sim.mon)
+        ~observer:(Option.is_some observer) ~prof:(Option.map Prof.mode sim.pf) params
+    with
+    | `Fast ->
         (* Chunked admission only when this leg can never checkpoint:
            [track_src] is armed exactly when it can ([checkpoint_every]
            or [cycle_budget] on [run_source], always on [resume]). *)
         Some
-          (make_fast_state sim team ~chunked:(not st.track_src)
-             ~consumed:(Psource.consumed source))
-    | _ -> None
-  in
-  let pstate =
-    match (choice, team) with
-    | `Generic_par, Some tm -> Some (make_par_state sim tm)
-    | _ -> None
+          (make_fast_state sim ~chunked:(not st.track_src) ~consumed:(Psource.consumed source))
+    | `Generic -> None
   in
   let has_next () =
     match fstate with
@@ -3046,63 +2449,55 @@ let drive ?team ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_che
             | None -> fast_cycle sim fs t source st
             | Some pf -> fast_cycle_prof sim pf fs t source st)
         | None -> (
-            match pstate with
-            | Some ps -> par_cycle sim ps t source st
-            | None -> (
-                (match sim.mon with
-                | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
-                | _ -> ());
-                match sim.pf with
-                | None ->
-                    (match sim.flt with Some f -> fault_edges sim f t | None -> ());
-                    (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-                    deliver_phantoms sim t;
-                    apply_transfers sim t;
-                    arrival_phase sim t source st;
-                    pop_phase sim t;
-                    (match sim.ms with Some m -> metrics_sweep sim m | None -> ());
-                    observe sim t observer;
-                    exec_phase sim t
-                | Some pf ->
-                    (* Full-span arm: the generic phase structure is the
-                       only place the apply/pop/exec split exists, so
-                       each phase call gets its own span.  (A sampled
-                       profile on the generic loop takes this arm too —
-                       the spans are per-cycle either way.) *)
-                    (match sim.flt with
-                    | Some f ->
-                        if Fault.next_edge f <= t then Prof.instant pf Prof.Fault;
-                        fault_edges sim f t
-                    | None -> ());
-                    (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-                    let t0 = Prof.now () in
-                    deliver_phantoms sim t;
-                    Prof.record pf Prof.Deliver ~t0;
-                    let t0 = Prof.now () in
-                    apply_transfers sim t;
-                    Prof.record pf Prof.Apply ~t0;
-                    let t0 = Prof.now () in
-                    arrival_phase sim t source st;
-                    Prof.record pf Prof.Source ~t0;
-                    let t0 = Prof.now () in
-                    pop_phase sim t;
-                    Prof.record pf Prof.Pop ~t0;
-                    (match sim.ms with
-                    | Some m ->
-                        let t0 = Prof.now () in
-                        metrics_sweep sim m;
-                        Prof.record pf Prof.Sweep ~t0
-                    | None -> ());
-                    observe sim t observer;
-                    let t0 = Prof.now () in
-                    exec_phase sim t;
-                    Prof.record pf Prof.Exec ~t0)));
-        (match fstate with
-        | Some fs when fs.fs_moved -> () (* fused into the sweep *)
-        | _ -> (
+            (match sim.mon with
+            | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
+            | _ -> ());
             match sim.pf with
-            | None -> movement_phase sim t
+            | None ->
+                (match sim.flt with Some f -> fault_edges sim f t | None -> ());
+                (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
+                deliver_phantoms sim t;
+                apply_transfers sim t;
+                arrival_phase sim t source st;
+                pop_phase sim t;
+                (match sim.ms with Some m -> metrics_sweep sim m | None -> ());
+                observe sim t observer;
+                exec_phase sim t;
+                movement_phase sim t
             | Some pf ->
+                (* Full-span arm: the generic phase structure is the only
+                   place the apply/pop/exec split exists, so each phase
+                   call gets its own span.  (A sampled profile on the
+                   generic loop takes this arm too — the spans are
+                   per-cycle either way.) *)
+                (match sim.flt with
+                | Some f ->
+                    if Fault.next_edge f <= t then Prof.instant pf Prof.Fault;
+                    fault_edges sim f t
+                | None -> ());
+                (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
+                let t0 = Prof.now () in
+                deliver_phantoms sim t;
+                Prof.record pf Prof.Deliver ~t0;
+                let t0 = Prof.now () in
+                apply_transfers sim t;
+                Prof.record pf Prof.Apply ~t0;
+                let t0 = Prof.now () in
+                arrival_phase sim t source st;
+                Prof.record pf Prof.Source ~t0;
+                let t0 = Prof.now () in
+                pop_phase sim t;
+                Prof.record pf Prof.Pop ~t0;
+                (match sim.ms with
+                | Some m ->
+                    let t0 = Prof.now () in
+                    metrics_sweep sim m;
+                    Prof.record pf Prof.Sweep ~t0
+                | None -> ());
+                observe sim t observer;
+                let t0 = Prof.now () in
+                exec_phase sim t;
+                Prof.record pf Prof.Exec ~t0;
                 let t0 = Prof.now () in
                 movement_phase sim t;
                 Prof.record pf Prof.Movement ~t0));
@@ -3246,7 +2641,7 @@ let fresh_loop_state ~start ~track_src =
     track_src;
   }
 
-let run ?team ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?(compiled = true)
+let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?(compiled = true)
     params prog trace =
   if Array.length trace = 0 then invalid_arg "Sim.run: empty trace";
   let source = Psource.of_array trace in
@@ -3258,7 +2653,7 @@ let run ?team ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?(compiled 
   | None -> ());
   let st = fresh_loop_state ~start:trace.(0).Machine.time ~track_src:false in
   (match
-     drive ?team ?loop sim st source ~observer ~checkpoint_every:None ~on_checkpoint:None
+     drive ?loop sim st source ~observer ~checkpoint_every:None ~on_checkpoint:None
        ~cycle_budget:None ~heartbeat:None ~stop:None
    with
   | `Suspended _ -> assert false
@@ -3354,7 +2749,7 @@ let finish_summary sim st source =
       { dg_exits = Hashing.value sim.ed; dg_access = access_digest sim };
   }
 
-let run_source ?team ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
+let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
     ?(compiled = true) ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat
     ?stop ?cycle_budget params prog source =
   (match checkpoint_every with
@@ -3384,7 +2779,7 @@ let run_source ?team ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
       ~track_src:(checkpoint_every <> None || cycle_budget <> None || stop <> None)
   in
   match
-    drive ?team ?loop sim st source ~observer ~checkpoint_every ~on_checkpoint ~cycle_budget
+    drive ?loop sim st source ~observer ~checkpoint_every ~on_checkpoint ~cycle_budget
       ~heartbeat ~stop
   with
   | `Suspended snap -> Suspended snap
@@ -3565,7 +2960,7 @@ let decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r =
   in
   (sim, st, consumed)
 
-let resume ?team ?loop ?observer ?metrics ?events ?monitor ?prof ?(compiled = true)
+let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?(compiled = true)
     ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop
     ?cycle_budget ~snapshot prog source =
   if heartbeat_every <= 0 then invalid_arg "Sim.resume: heartbeat_every must be positive";
@@ -3621,7 +3016,7 @@ let resume ?team ?loop ?observer ?metrics ?events ?monitor ?prof ?(compiled = tr
       | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
       | sim, st -> (
           match
-            drive ?team ?loop sim st source ~observer ~checkpoint_every ~on_checkpoint
+            drive ?loop sim st source ~observer ~checkpoint_every ~on_checkpoint
               ~cycle_budget ~heartbeat ~stop
           with
           | `Suspended snap -> Ok (Suspended snap)

@@ -87,13 +87,12 @@ type result = {
 
     - the {e generic} loop — the instrumented code path, one branch per
       metrics/trace/fault/monitor/observer site, kept as the
-      differential oracle (and, behind its own gate, the
-      domain-parallel engine of [?team]);
+      differential oracle;
     - the {e fast} loop — compiled for the bare configuration: every
-      instrumentation branch statically absent, each pipeline's
-      deliver/apply/pop/exec chain fused into a single closed closure
-      over its FIFO column, register arrays and kernel, a whole-machine
-      quiescence fast-forward (idle remap boundaries with clean access
+      instrumentation branch statically absent, the
+      deliver/apply/pop/exec/movement phases fused into one stage-major
+      sweep over pre-resolved FIFO columns, register arrays and kernel
+      tables, a whole-machine quiescence fast-forward (idle remap boundaries with clean access
       counters are provably no-ops and are skipped outright), and
       chunked source admission on runs that never checkpoint.
 
@@ -111,7 +110,6 @@ type loop =
 
 val select_loop :
   loop:loop ->
-  jobs:int ->
   metrics:bool ->
   events:bool ->
   fault:bool ->
@@ -119,25 +117,20 @@ val select_loop :
   observer:bool ->
   prof:Mp5_obs.Prof.mode option ->
   params ->
-  [ `Fast_seq | `Fast_par | `Generic_seq | `Generic_par ]
+  [ `Fast | `Generic ]
 (** The (pure) variant-selection function {!run}/{!run_source}/{!resume}
     apply to their own arguments.  Fast eligibility: no metrics, events,
     fault plan, monitor or observer attached, no full-mode profiler,
     adaptive FIFOs, no starvation guard, and a mode other than [Ideal]
     (whose LPT packer reads cumulative access counters, making idle
     remap boundaries observable).  A {e sampled} profiler keeps fast
-    eligibility: its hooks fire only at cycle edges the fast loops
-    already expose, never per packet; a {e full} profiler needs the
-    generic loop's phase structure, so it routes Auto to the generic
-    variants.  [jobs > 1] selects the parallel arm of whichever variant
-    wins; the generic parallel arm additionally requires its PR 6 gate
-    (no fault/events/observer, adaptive FIFOs, no starvation guard) and
-    otherwise degrades to [`Generic_seq].
+    eligibility: its hooks fire only at cycle edges the fast loop
+    already exposes, never per packet; a {e full} profiler needs the
+    generic loop's phase structure, so it routes Auto to [`Generic].
     @raise Invalid_argument for [~loop:Fast] on an ineligible run
     (full-mode profiling included). *)
 
 val run :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:loop ->
   ?observer:(occupancy -> unit) ->
   ?metrics:Mp5_obs.Metrics.t ->
@@ -152,19 +145,9 @@ val run :
   result
 (** [run params program trace] simulates the (sorted) trace to completion:
     all packets either delivered or dropped.  [observer] is called once
-    per cycle after FIFO pops, with the stage occupancy.
-
-    [team] selects the parallel cycle engine: each pipeline's
-    deliver/apply/pop/exec chain advances on its own domain of the team
-    ({!Mp5_util.Pool.Team}), with a cycle-boundary barrier that merges
-    the shared logs back in sequential order — results are bit-identical
-    to the sequential engine for any team size (enforced by differential
-    tests).  Runs that attach a fault plan, an event trace or an
-    observer, disable adaptive FIFOs, or arm the starvation guard fall
-    back to the sequential engine automatically (correctness first: those
-    paths can drop packets or observe mid-cycle state in sequential
-    order).  A jobs=1 team, or no team, is byte-for-byte the sequential
-    code path.
+    per cycle after FIFO pops, with the stage occupancy.  [loop] picks
+    the cycle-loop variant (see {!select_loop}); the result does not
+    depend on it.
 
     [metrics] accumulates per-cycle counters (utilization, stall
     attribution, crossbar traffic, phantom accounting, latency and
@@ -188,8 +171,7 @@ val run :
     @raise Failure when a plan takes down the last live pipeline).
 
     [prof] attaches the wall-clock span profiler ({!Mp5_obs.Prof}):
-    monotonic-clock spans per cycle phase and (parallel engine) per
-    domain, accumulated entirely outside the simulated machine — the
+    monotonic-clock spans per cycle phase, accumulated entirely outside the simulated machine — the
     same pure-observer discipline as [metrics], so results are
     bit-identical with profiling off, sampled, or full.  A sampled
     profiler keeps the run fast-eligible; a full one routes Auto to the
@@ -271,7 +253,6 @@ val snapshot_magic : string
     them (e.g. picking the newest valid slot of a rotation chain). *)
 
 val run_source :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:loop ->
   ?observer:(occupancy -> unit) ->
   ?metrics:Mp5_obs.Metrics.t ->
@@ -294,11 +275,9 @@ val run_source :
     (or until [cycle_budget] simulated cycles have run, yielding
     [Suspended snapshot]).  The machine executes the exact same cycle
     loop as {!run} — a streamed run and an array run over the same
-    packets produce equal counters, stores, and digests.  [team] selects
-    the parallel cycle engine exactly as in {!run}, with the same
-    automatic sequential fallback and the same bit-identical guarantee —
-    including across checkpoints: a snapshot records no engine choice,
-    so a run checkpointed under either engine resumes under either.
+    packets produce equal counters, stores, and digests.  The same
+    holds across checkpoints: a snapshot records no loop variant, so a
+    run checkpointed under either variant resumes under either.
 
     [checkpoint_every] (positive; @raise Invalid_argument otherwise)
     calls [on_checkpoint ~cycle snapshot] every N visited cycles with a
@@ -324,7 +303,6 @@ val run_source :
     @raise Invalid_argument otherwise) and non-empty. *)
 
 val resume :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:loop ->
   ?observer:(occupancy -> unit) ->
   ?metrics:Mp5_obs.Metrics.t ->
@@ -345,9 +323,9 @@ val resume :
 (** [resume ~snapshot program source] restores the machine from a
     snapshot produced by {!run_source}/{!resume} and continues the run;
     the continuation is bit-identical to the uninterrupted run — same
-    final store, counters, and digests.  [team] selects the parallel
-    cycle engine as in {!run_source}; snapshots record no engine choice,
-    so a sequential checkpoint resumes under a team and vice versa.
+    final store, counters, and digests.  Snapshots record no loop
+    variant, so a checkpoint taken under [Fast] resumes under [Generic]
+    and vice versa.
 
     The snapshot embeds its fault plan, so there is no [?fault]
     parameter.  [?metrics] must be passed iff the snapshot was taken

@@ -25,10 +25,8 @@
     The arrays are [mutable] because {!alloc} grows them by doubling:
     never cache an array across an allocation — re-read it through the
     record ([t.fields], two loads) instead.  [alloc] returns a {e stale}
-    slot; the caller owns the reset.  Not thread-safe: allocation and
-    release happen only in the sequential sections of the cycle loop
-    (arrival, movement, snapshot decode), while parallel sections only
-    read/write already-allocated slots — disjoint ones per domain. *)
+    slot; the caller owns the reset.  Not thread-safe: a slab belongs to
+    one simulator, which one domain steps at a time. *)
 
 type t = {
   nf : int;  (** ints of header state per slot *)

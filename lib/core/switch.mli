@@ -43,7 +43,6 @@ val golden : t -> Mp5_banzai.Machine.input array -> Mp5_banzai.Machine.result
 (** Run the logical single-pipeline reference. *)
 
 val run :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:Sim.loop ->
   ?params:Sim.params ->
   ?metrics:Mp5_obs.Metrics.t ->
@@ -57,11 +56,10 @@ val run :
   Mp5_banzai.Machine.input array ->
   Sim.result
 (** Run the MP5 simulator ([params] defaults to {!Sim.default_params};
-    [team], [loop], [metrics], [events], [fault], [monitor], [prof] and
+    [loop], [metrics], [events], [fault], [monitor], [prof] and
     [compiled] as in {!Sim.run}). *)
 
 val run_source :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:Sim.loop ->
   ?params:Sim.params ->
   ?metrics:Mp5_obs.Metrics.t ->
@@ -86,7 +84,6 @@ val run_source :
     a cycle budget (see {!Sim.run_source}). *)
 
 val resume :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:Sim.loop ->
   ?metrics:Mp5_obs.Metrics.t ->
   ?events:Mp5_obs.Trace.t ->
@@ -107,7 +104,6 @@ val resume :
     {!Sim.resume}; params and fault plan come from the snapshot). *)
 
 val verify :
-  ?team:Mp5_util.Pool.Team.t ->
   ?loop:Sim.loop ->
   ?params:Sim.params ->
   ?metrics:Mp5_obs.Metrics.t ->

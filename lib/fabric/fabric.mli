@@ -106,8 +106,10 @@ val run :
     fabric until every packet is delivered or dropped.  [source] packets
     carry [port = source host id]; [dst] reads the destination host from
     a packet (out-of-range means an ingress forwarding miss, counted).
-    [team] parallelises switch stepping only — results are bit-identical
-    across any team size and the sequential fallback.  [sabotage]
+    [team] parallelises switch stepping, the simulator's only
+    parallelism inside one run: each switch steps its own cycle loop
+    sequentially.  Results are bit-identical across any team
+    size and without a team.  [sabotage]
     (testing hook, default 0) skews the injected counter before the
     final conservation check so the violation path can be demonstrated.
 

@@ -56,18 +56,6 @@ let report t ~cycle what =
   t.last <- Some diag;
   if t.fail_fast then raise (Violation diag)
 
-(* Cycle-barrier conservation for the parallel engine: every transfer
-   descriptor pending at the top of the cycle must be consumed by
-   exactly one worker domain — applied to a slot or queue, or dropped
-   with its packet.  A mismatch means the barrier merge lost or
-   double-applied a packet. *)
-let barrier t ~cycle ~transfers ~applied ~dropped =
-  if transfers <> applied + dropped then
-    report t ~cycle
-      (Printf.sprintf
-         "barrier conservation: %d transfers pending, %d applied + %d dropped" transfers
-         applied dropped)
-
 let summary t =
   Printf.sprintf "monitor: %d epochs checked, %d violations%s" t.checks t.violations
     (match t.last with None -> "" | Some d -> "\n" ^ d)

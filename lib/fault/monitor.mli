@@ -48,12 +48,6 @@ val report : t -> cycle:int -> string -> unit
 (** Record a violation found at [cycle].
     @raise Violation when the monitor is fail-fast. *)
 
-val barrier : t -> cycle:int -> transfers:int -> applied:int -> dropped:int -> unit
-(** Assert the parallel engine's cycle-barrier merge conserved packets:
-    [transfers] descriptors were pending at the top of the cycle and the
-    worker domains report [applied] delivered plus [dropped] dropped.
-    Reports a violation (as {!report}) when the sums disagree. *)
-
 val checks : t -> int
 val violations : t -> int
 val ok : t -> bool

@@ -159,89 +159,6 @@ let remap_move m ~before ~after =
   m.m_imb_before <- m.m_imb_before + before;
   m.m_imb_after <- m.m_imb_after + after
 
-(* --- shard merging (parallel engine) ---
-
-   The domain-parallel cycle engine gives each worker domain a private
-   shard to bump during its slice of the cycle and folds the shards into
-   the main record at the cycle barrier.  Every counter is a sum; the
-   occupancy high-water marks and the latency maximum merge by [max].
-   [absorb] also zeroes the shard so it is ready for the next cycle. *)
-
-let absorb m shard =
-  if m.m_stages <> shard.m_stages || m.m_k <> shard.m_k then
-    invalid_arg "Metrics.absorb: shard shape does not match";
-  let add_arr dst src =
-    for i = 0 to Array.length dst - 1 do
-      dst.(i) <- dst.(i) + src.(i);
-      src.(i) <- 0
-    done
-  in
-  let max_arr dst src =
-    for i = 0 to Array.length dst - 1 do
-      if src.(i) > dst.(i) then dst.(i) <- src.(i);
-      src.(i) <- 0
-    done
-  in
-  m.m_cycles <- m.m_cycles + shard.m_cycles;
-  shard.m_cycles <- 0;
-  add_arr m.m_busy shard.m_busy;
-  add_arr m.m_idle shard.m_idle;
-  add_arr m.m_blocked shard.m_blocked;
-  add_arr m.m_claimed shard.m_claimed;
-  max_arr m.m_occ_hwm shard.m_occ_hwm;
-  add_arr m.m_occ_hist shard.m_occ_hist;
-  add_arr m.m_xfer shard.m_xfer;
-  add_arr m.m_xfer_cross shard.m_xfer_cross;
-  m.m_arrivals <- m.m_arrivals + shard.m_arrivals;
-  shard.m_arrivals <- 0;
-  m.m_delivered <- m.m_delivered + shard.m_delivered;
-  shard.m_delivered <- 0;
-  m.m_ecn_marked <- m.m_ecn_marked + shard.m_ecn_marked;
-  shard.m_ecn_marked <- 0;
-  m.m_drop_fifo_full <- m.m_drop_fifo_full + shard.m_drop_fifo_full;
-  shard.m_drop_fifo_full <- 0;
-  m.m_drop_no_phantom <- m.m_drop_no_phantom + shard.m_drop_no_phantom;
-  shard.m_drop_no_phantom <- 0;
-  m.m_drop_starved <- m.m_drop_starved + shard.m_drop_starved;
-  shard.m_drop_starved <- 0;
-  m.m_drop_pipeline_down <- m.m_drop_pipeline_down + shard.m_drop_pipeline_down;
-  shard.m_drop_pipeline_down <- 0;
-  m.m_drop_injected <- m.m_drop_injected + shard.m_drop_injected;
-  shard.m_drop_injected <- 0;
-  m.m_fault_events <- m.m_fault_events + shard.m_fault_events;
-  shard.m_fault_events <- 0;
-  m.m_fault_stall_cycles <- m.m_fault_stall_cycles + shard.m_fault_stall_cycles;
-  shard.m_fault_stall_cycles <- 0;
-  m.m_pipe_down_cycles <- m.m_pipe_down_cycles + shard.m_pipe_down_cycles;
-  shard.m_pipe_down_cycles <- 0;
-  m.m_evac_moves <- m.m_evac_moves + shard.m_evac_moves;
-  shard.m_evac_moves <- 0;
-  m.m_dup_packets <- m.m_dup_packets + shard.m_dup_packets;
-  shard.m_dup_packets <- 0;
-  m.m_phantom_scheduled <- m.m_phantom_scheduled + shard.m_phantom_scheduled;
-  shard.m_phantom_scheduled <- 0;
-  m.m_phantom_delivered <- m.m_phantom_delivered + shard.m_phantom_delivered;
-  shard.m_phantom_delivered <- 0;
-  m.m_phantom_doomed <- m.m_phantom_doomed + shard.m_phantom_doomed;
-  shard.m_phantom_doomed <- 0;
-  m.m_phantom_dropped <- m.m_phantom_dropped + shard.m_phantom_dropped;
-  shard.m_phantom_dropped <- 0;
-  m.m_remap_periods <- m.m_remap_periods + shard.m_remap_periods;
-  shard.m_remap_periods <- 0;
-  m.m_remap_moves <- m.m_remap_moves + shard.m_remap_moves;
-  shard.m_remap_moves <- 0;
-  m.m_imb_before <- m.m_imb_before + shard.m_imb_before;
-  shard.m_imb_before <- 0;
-  m.m_imb_after <- m.m_imb_after + shard.m_imb_after;
-  shard.m_imb_after <- 0;
-  add_arr m.m_lat_hist shard.m_lat_hist;
-  m.m_lat_count <- m.m_lat_count + shard.m_lat_count;
-  shard.m_lat_count <- 0;
-  m.m_lat_sum <- m.m_lat_sum + shard.m_lat_sum;
-  shard.m_lat_sum <- 0;
-  if shard.m_lat_max > m.m_lat_max then m.m_lat_max <- shard.m_lat_max;
-  shard.m_lat_max <- 0
-
 (* --- accessors --- *)
 
 let cell arr m ~stage ~pipe = arr.(slot m ~stage ~pipe)

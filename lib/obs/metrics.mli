@@ -137,14 +137,6 @@ val equal : t -> t -> bool
 (** Structural equality of every counter — the differential harness
     checks the two execution engines emit identical telemetry. *)
 
-val absorb : t -> t -> unit
-(** [absorb m shard] folds a per-domain shard into [m] and zeroes the
-    shard.  The parallel cycle engine gives each worker domain a private
-    shard to bump during its slice of a cycle and absorbs all shards at
-    the cycle barrier; counters add, high-water marks and the latency
-    maximum merge by [max], so seq and par runs produce equal telemetry.
-    Raises [Invalid_argument] when the shapes (stages, k) differ. *)
-
 val validate : t -> (unit, string) result
 (** Internal invariants: cycle classification totals, latency mass vs
     deliveries, drop causes vs totals, phantom conservation. *)

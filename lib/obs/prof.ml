@@ -12,12 +12,9 @@ type phase =
   | Source
   | Checkpoint
   | Remap
-  | Compute
-  | Barrier
-  | Replay
   | Fault
 
-let n_phases = 13
+let n_phases = 10
 
 let phase_index = function
   | Deliver -> 0
@@ -29,10 +26,7 @@ let phase_index = function
   | Source -> 6
   | Checkpoint -> 7
   | Remap -> 8
-  | Compute -> 9
-  | Barrier -> 10
-  | Replay -> 11
-  | Fault -> 12
+  | Fault -> 9
 
 let phase_name = function
   | Deliver -> "deliver"
@@ -44,15 +38,12 @@ let phase_name = function
   | Source -> "source"
   | Checkpoint -> "checkpoint"
   | Remap -> "remap"
-  | Compute -> "compute"
-  | Barrier -> "barrier"
-  | Replay -> "replay"
   | Fault -> "fault"
 
 let phase_names =
   [|
     "deliver"; "apply"; "pop"; "exec"; "movement"; "sweep"; "source"; "checkpoint"; "remap";
-    "compute"; "barrier"; "replay"; "fault";
+    "fault";
   |]
 
 let hist_bins = 64
@@ -66,8 +57,7 @@ type t = {
   p_mode : mode;
   max_events : int;
   (* per-phase, per-domain nanosecond totals and span counts; the
-     domain dimension grows on demand (the profiler does not know the
-     team size at creation) *)
+     domain dimension (one track per recorder id) grows on demand *)
   mutable totals : int array array;  (* [phase][domain] *)
   mutable counts : int array array;
   hist : int array array;            (* [phase][bucket], domains folded *)
@@ -205,12 +195,7 @@ let wall_ns t = t.wall
 let row_total row = Array.fold_left ( + ) 0 row
 let total_ns t phase = row_total t.totals.(phase_index phase)
 
-let domain_ns t phase ~domain =
-  let row = t.totals.(phase_index phase) in
-  if domain < Array.length row then row.(domain) else 0
-
 let count t phase = row_total t.counts.(phase_index phase)
-let domains t = t.ndom
 
 (* --- invariants --- *)
 
@@ -438,16 +423,6 @@ let pp fmt t =
       Format.fprintf fmt "  %-10s %10d spans %12.3f ms  %5.1f%% wall@\n" phase_names.(p) cnt
         (float_of_int tot /. 1e6) (pct tot t.wall)
   done;
-  let comp = phase_index Compute and barr = phase_index Barrier in
-  if row_total t.counts.(barr) > 0 then begin
-    Format.fprintf fmt "  barrier stall:";
-    for d = 0 to t.ndom - 1 do
-      let c = if d < Array.length t.totals.(comp) then t.totals.(comp).(d) else 0 in
-      let b = if d < Array.length t.totals.(barr) then t.totals.(barr).(d) else 0 in
-      if c + b > 0 then Format.fprintf fmt " d%d %.1f%%" d (pct b (c + b))
-    done;
-    Format.fprintf fmt "@\n"
-  end;
   Format.fprintf fmt "  gc: %d samples, %d minor, %d major, %d promoted words@\n"
     t.gc_samples t.gc_minor t.gc_major t.gc_promoted;
   if t.ev_dropped > 0 then

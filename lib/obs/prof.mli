@@ -1,4 +1,4 @@
-(** Wall-clock span profiler for the cycle engines.
+(** Wall-clock span profiler for the cycle loops.
 
     Accumulates monotonic-clock (CLOCK_MONOTONIC, nanosecond) spans per
     (phase, domain): nanosecond totals, span counts, and log2-bucketed
@@ -13,14 +13,13 @@
     counters are deterministic — only its {e shape} is pinned by tests.
 
     {b Modes.}  [Sampled] hooks fire only at cycle edges — deliver,
-    source pull, the fused sweep, movement, remap and checkpoint
-    boundaries, and (parallel arms) per-domain fan-out marks — never
-    per packet or per phase inside the fused sweep, so a sampled
-    profile keeps a run eligible for the fast cycle loops.  [Full]
+    source pull, the fused sweep, remap and checkpoint boundaries —
+    never per packet or per phase inside the fused sweep, so a sampled
+    profile keeps a run eligible for the fast cycle loop.  [Full]
     additionally wants per-phase spans (apply/pop/exec split out),
     which only the generic loop can provide: [Sim.select_loop] routes
-    Auto to the generic variants under a full profile and rejects a
-    forced fast loop. *)
+    Auto to the generic loop under a full profile and rejects a forced
+    fast loop. *)
 
 type mode = Sampled | Full
 
@@ -34,9 +33,6 @@ type phase =
   | Source      (** arrival admission / source pull *)
   | Checkpoint  (** snapshot encoding *)
   | Remap       (** sharding remap at a period boundary *)
-  | Compute     (** per-domain chain work between fan-out and its mark *)
-  | Barrier     (** per-domain wait from its mark to the join *)
-  | Replay      (** sequential access-log replay after the join *)
   | Fault       (** fault-plan edges (instant events only) *)
 
 val phase_name : phase -> string
@@ -74,9 +70,8 @@ val record : t -> ?domain:int -> phase -> t0:int -> unit
     event buffer. *)
 
 val add : t -> ?domain:int -> phase -> ts:int -> dur:int -> unit
-(** Like {!record} with an explicit duration — used by the parallel
-    barrier attribution, where the caller reconstructs per-domain
-    compute/wait spans from fan-out marks after the join. *)
+(** Like {!record} with an explicit duration — used where adjacent
+    spans share a boundary timestamp, saving a clock read. *)
 
 val instant : t -> ?domain:int -> phase -> unit
 (** Mark a point event (remap, checkpoint, fault edge) at [now ()];
@@ -92,12 +87,7 @@ val wall_ns : t -> int
 val total_ns : t -> phase -> int
 (** Sum of the phase's span durations across all domains. *)
 
-val domain_ns : t -> phase -> domain:int -> int
-
 val count : t -> phase -> int
-
-val domains : t -> int
-(** 1 + the highest domain id recorded (at least 1). *)
 
 val validate : t -> (unit, string) result
 (** Internal invariants: no open leg, non-negative totals, and every
@@ -126,5 +116,4 @@ val chrome_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** One-screen report: wall time, per-phase share of wall time with
-    counts, per-domain barrier-stall share (barrier / (compute +
-    barrier)), and the GC counters. *)
+    counts, and the GC counters. *)

@@ -61,9 +61,9 @@ val quiesce : t -> unit
     the pool exists for. *)
 
 (** A fixed team of domains for repeated fork-join rounds over the {e
-    same} mutable state — the simulator's parallel cycle engine, where
-    every simulated cycle fans one closure out over pipeline slices and
-    must rejoin at the cycle boundary.
+    same} mutable state — the fabric's lock-step driver, where every
+    fabric cycle fans one closure out over the switches and must rejoin
+    before links and routing run.
 
     Unlike the work-queue maps above, [run] hands every member the same
     closure with its member index; the caller participates as member 0.

@@ -57,7 +57,7 @@ while [ "$attempt" -le 3 ]; do
   # --profile-dir records the wall-clock phase breakdown (validated
   # mp5-prof/1 snapshots) next to the results, so a gate failure comes
   # with the "where did the time go" answer attached.
-  ./_build/default/bench/main.exe --smoke sim-micro sim-par --json "$RESULTS" --profile-dir BENCH_prof
+  ./_build/default/bench/main.exe --smoke sim-micro --json "$RESULTS" --profile-dir BENCH_prof
   new=$(extract < "$RESULTS")
   if [ -z "$new" ]; then
     echo "perf-gate: FAIL: $KEY missing from fresh $RESULTS" >&2

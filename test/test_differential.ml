@@ -8,13 +8,10 @@
    order, latencies, counters).  This is the enforcement half of the
    bit-identical guarantee documented in Sim.run.
 
-   Each seed is additionally replayed under the domain-parallel cycle
-   engine (a [Pool.Team] of 1/2/4/8 members, cycling across the corpus)
-   and must be bit-identical to the sequential run — results, telemetry,
-   streaming digests, and snapshots taken under one engine and resumed
-   under the other.  The bare fast cycle loop (both arms, forced with
-   [~loop:Fast]) is held to the same standard: array and streamed runs,
-   every job count, and resumes that switch loop variants mid-run.
+   Each seed is additionally replayed under the bare fast cycle loop
+   (forced with [~loop:Fast], over both kernels) and must be
+   bit-identical to the instrumented generic run — array and streamed
+   runs, and resumes that switch loop variants mid-run.
 
    Both execution engines are additionally checked against the independent
    reference interpreter (lib/fuzz/interp), which executes the untyped
@@ -24,7 +21,6 @@
 
 module Store = Mp5_banzai.Store
 module Sim = Mp5_core.Sim
-module Pool = Mp5_util.Pool
 open Mp5_domino
 module Progen = Mp5_fuzz.Progen
 module Interp = Mp5_fuzz.Interp
@@ -32,11 +28,6 @@ module Interp = Mp5_fuzz.Interp
 let limits = Progen.limits
 let n_programs = 220
 let n_packets = 100
-
-(* One persistent team per job count, shared across the whole corpus so
-   the 220 seeds pay domain spawn once, not 220 times.  [Team.create]
-   registers an [at_exit] shutdown hook. *)
-let teams = lazy (Array.map (fun jobs -> Pool.Team.create ~jobs) [| 1; 2; 4; 8 |])
 
 let compile_gen seed =
   let src = Progen.generate seed in
@@ -83,74 +74,52 @@ let run_seed seed =
   let interp = Sim.run ~compiled:false ~metrics:mi ~events:ti params prog trace in
   if not (Sim.results_equal kernel interp) then
     Alcotest.failf "seed %d: kernel and interpreter engines diverge on:\n%s" seed src;
-  (* Parallel cycle engine: a team of any size must be bit-identical to
-     the sequential engine — result and telemetry both.  Job counts
-     cycle through {1,2,4,8} across the corpus, and the engine choice is
-     orthogonal to the kernel/interpreter choice, so that alternates
-     too. *)
-  let team = (Lazy.force teams).(seed mod 4) in
-  let jobs = Pool.Team.size team in
+  (* Telemetry does not depend on the event trace riding along: a
+     metrics-only run emits counter-for-counter the same telemetry. *)
   let mp = Mp5_obs.Metrics.create ~stages ~k in
-  let par = Sim.run ~team ~compiled:(seed mod 2 = 0) ~metrics:mp params prog trace in
-  if not (Sim.results_equal kernel par) then
-    Alcotest.failf "seed %d: parallel engine (jobs=%d) diverges on:\n%s" seed jobs src;
+  let metered = Sim.run ~compiled:true ~metrics:mp params prog trace in
+  if not (Sim.results_equal kernel metered) then
+    Alcotest.failf "seed %d: metrics-only run diverges on:\n%s" seed src;
   if not (Mp5_obs.Metrics.equal mk mp) then
-    Alcotest.failf "seed %d: parallel engine (jobs=%d) telemetry diverges on:\n%s" seed jobs
-      src;
-  (* The bare fast loop (forced, both arms) must be bit-identical to the
-     instrumented generic runs above: telemetry is a pure observer, so
-     stripping it — and fusing the cycle phases — may change nothing
-     observable.  The team cycles jobs through {1,2,4,8} across the
-     corpus, so both fast arms and every job count see all 220
-     programs. *)
+    Alcotest.failf "seed %d: metrics-only telemetry diverges on:\n%s" seed src;
+  (* The bare fast loop (forced, over both kernels) must be
+     bit-identical to the instrumented generic runs above: telemetry is
+     a pure observer, so stripping it — and fusing the cycle phases —
+     may change nothing observable. *)
   let fast = Sim.run ~loop:Sim.Fast ~compiled:true params prog trace in
   if not (Sim.results_equal kernel fast) then
-    Alcotest.failf "seed %d: fast sequential loop diverges on:\n%s" seed src;
-  let fastp = Sim.run ~team ~loop:Sim.Fast ~compiled:(seed mod 2 = 1) params prog trace in
-  if not (Sim.results_equal kernel fastp) then
-    Alcotest.failf "seed %d: fast parallel loop (jobs=%d) diverges on:\n%s" seed jobs src;
+    Alcotest.failf "seed %d: fast loop diverges on:\n%s" seed src;
+  let fasti = Sim.run ~loop:Sim.Fast ~compiled:false params prog trace in
+  if not (Sim.results_equal kernel fasti) then
+    Alcotest.failf "seed %d: fast loop over the interpreter diverges on:\n%s" seed src;
   (* The span profiler is a pure observer on host wall time: sampled
-     profiling keeps the fast loops (both arms, every job count via the
-     cycling team) and full profiling routes to the generic loops, and
-     neither may perturb a single observable bit. *)
+     profiling keeps the fast loop and full profiling routes to the
+     generic loop, and neither may perturb a single observable bit. *)
   let prof_sampled = Mp5_obs.Prof.create () in
   let profs =
     Sim.run ~loop:Sim.Fast ~prof:prof_sampled ~compiled:true params prog trace
   in
   if not (Sim.results_equal kernel profs) then
-    Alcotest.failf "seed %d: sampled profiling changes the fast sequential run on:\n%s" seed
-      src;
-  let profp =
-    Sim.run ~team ~loop:Sim.Fast ~prof:(Mp5_obs.Prof.create ()) ~compiled:true params prog
-      trace
-  in
-  if not (Sim.results_equal kernel profp) then
-    Alcotest.failf "seed %d: sampled profiling changes the fast parallel run (jobs=%d) on:\n%s"
-      seed jobs src;
+    Alcotest.failf "seed %d: sampled profiling changes the fast run on:\n%s" seed src;
   let prof_full = Mp5_obs.Prof.create ~mode:Mp5_obs.Prof.Full () in
-  let proff = Sim.run ~team ~prof:prof_full ~compiled:true params prog trace in
+  let proff = Sim.run ~prof:prof_full ~compiled:true params prog trace in
   if not (Sim.results_equal kernel proff) then
-    Alcotest.failf "seed %d: full profiling changes the generic run (jobs=%d) on:\n%s" seed
-      jobs src;
+    Alcotest.failf "seed %d: full profiling changes the generic run on:\n%s" seed src;
   (* An empty fault plan plus an attached invariant monitor must be
      invisible: the fault hooks' no-plan path is bit-identical to an
-     unfaulted build, and the monitor is a pure observer.  An empty plan
-     does not close the parallel gate, so attaching the team here also
-     exercises the cycle-barrier conservation check
-     ([Monitor.barrier]). *)
+     unfaulted build, and the monitor is a pure observer. *)
   let mon = Mp5_fault.Monitor.create () in
   let faulted =
-    Sim.run ~team ~compiled:true ~fault:Mp5_fault.Fault.empty ~monitor:mon params prog
-      trace
+    Sim.run ~compiled:true ~fault:Mp5_fault.Fault.empty ~monitor:mon params prog trace
   in
   if not (Sim.results_equal kernel faulted) then
     Alcotest.failf "seed %d: empty fault plan + monitor changes the result on:\n%s" seed src;
   if not (Mp5_fault.Monitor.ok mon) then
     Alcotest.failf "seed %d: monitor violation on an unfaulted run:\n%s\n%s" seed src
       (Mp5_fault.Monitor.summary mon);
-  (* A non-empty plan closes the gate: the run falls back to the
-     sequential engine automatically, and a team must not change the
-     faulted results. *)
+  (* A non-empty plan draws its drops from the plan's own RNG, never
+     from kernel state: both kernels must land on the same faulted
+     result. *)
   if seed mod 7 = 0 then begin
     let plan =
       {
@@ -158,10 +127,10 @@ let run_seed seed =
         events = [ Mp5_fault.Fault.window ~from_:5 ~until_:60 (Mp5_fault.Fault.Xbar_drop 0.25) ];
       }
     in
-    let fs = Sim.run ~compiled:true ~fault:plan params prog trace in
-    let fp = Sim.run ~team ~compiled:true ~fault:plan params prog trace in
-    if not (Sim.results_equal fs fp) then
-      Alcotest.failf "seed %d: faulted fallback (jobs=%d) diverges on:\n%s" seed jobs src
+    let fk = Sim.run ~compiled:true ~fault:plan params prog trace in
+    let fi = Sim.run ~compiled:false ~fault:plan params prog trace in
+    if not (Sim.results_equal fk fi) then
+      Alcotest.failf "seed %d: faulted kernel and interpreter runs diverge on:\n%s" seed src
   end;
   (match Mp5_obs.Metrics.validate mk with
   | Ok () -> ()
@@ -175,9 +144,9 @@ let run_seed seed =
      counter, the merged store, and the exit/access digests
      ([Sim.digests_of_result] condenses the array run's per-packet lists
      into the digests the streaming path maintains online). *)
-  let stream ?team ?loop ~compiled () =
+  let stream ?loop ~compiled () =
     match
-      Sim.run_source ?team ?loop ~compiled params prog
+      Sim.run_source ?loop ~compiled params prog
         (Mp5_workload.Packet_source.of_array trace)
     with
     | Sim.Completed s -> s
@@ -190,49 +159,33 @@ let run_seed seed =
   if not (Sim.summary_equal want (stream ~compiled:false ())) then
     Alcotest.failf "seed %d: streamed source diverges from the array run (interp):\n%s" seed
       src;
-  if not (Sim.summary_equal want (stream ~team ~compiled:true ())) then
-    Alcotest.failf "seed %d: streamed source diverges from the array run (par jobs=%d):\n%s"
-      seed jobs src;
   (* Streamed fast loop: exercises chunked source admission (no
      checkpointing armed, so the prefetch buffer is live) and the
      streaming exit/access digests under the fused sweep. *)
   if not (Sim.summary_equal want (stream ~loop:Sim.Fast ~compiled:true ())) then
     Alcotest.failf "seed %d: streamed fast loop diverges from the array run:\n%s" seed src;
-  if not (Sim.summary_equal want (stream ~team ~loop:Sim.Fast ~compiled:true ())) then
-    Alcotest.failf "seed %d: streamed fast parallel loop diverges (jobs=%d):\n%s" seed jobs
-      src;
-  (* Cross-engine checkpoint/resume on a corpus slice: a snapshot taken
-     under either engine must resume under the other and land on the
-     uninterrupted run's summary — snapshots record no engine choice. *)
+  (* Snapshots record no loop-variant choice: on a corpus slice, a leg
+     suspended under one cycle-loop variant must resume under the other
+     and land on the uninterrupted summary. *)
   if seed mod 23 = 0 then begin
-    let cross ?l1 ?l2 t1 t2 =
+    let cross l1 l2 =
       match
-        Sim.run_source ?team:t1 ?loop:l1 ~cycle_budget:25 params prog
+        Sim.run_source ~loop:l1 ~cycle_budget:25 params prog
           (Mp5_workload.Packet_source.of_array trace)
       with
       | Sim.Completed s -> s (* finished inside the budget; nothing to cross *)
       | Sim.Suspended snap -> (
           match
-            Sim.resume ?team:t2 ?loop:l2 ~snapshot:snap prog
-              (Mp5_workload.Packet_source.of_array trace)
+            Sim.resume ~loop:l2 ~snapshot:snap prog (Mp5_workload.Packet_source.of_array trace)
           with
           | Ok (Sim.Completed s) -> s
           | Ok (Sim.Suspended _) ->
               Alcotest.failf "seed %d: resume suspended without a budget" seed
-          | Error _ -> Alcotest.failf "seed %d: cross-engine resume rejected" seed)
+          | Error _ -> Alcotest.failf "seed %d: cross-variant resume rejected" seed)
     in
-    if not (Sim.summary_equal want (cross (Some team) None)) then
-      Alcotest.failf "seed %d: par checkpoint -> seq resume diverges (jobs=%d):\n%s" seed
-        jobs src;
-    if not (Sim.summary_equal want (cross None (Some team))) then
-      Alcotest.failf "seed %d: seq checkpoint -> par resume diverges (jobs=%d):\n%s" seed
-        jobs src;
-    (* Snapshots record no loop-variant choice either: a leg suspended
-       under one cycle-loop variant must resume under the other and land
-       on the uninterrupted summary. *)
-    if not (Sim.summary_equal want (cross ~l1:Sim.Fast ~l2:Sim.Generic None None)) then
+    if not (Sim.summary_equal want (cross Sim.Fast Sim.Generic)) then
       Alcotest.failf "seed %d: fast checkpoint -> generic resume diverges:\n%s" seed src;
-    if not (Sim.summary_equal want (cross ~l1:Sim.Generic ~l2:Sim.Fast None None)) then
+    if not (Sim.summary_equal want (cross Sim.Generic Sim.Fast)) then
       Alcotest.failf "seed %d: generic checkpoint -> fast resume diverges:\n%s" seed src
   end;
   if kernel.Sim.dropped = 0 then begin

@@ -20,66 +20,46 @@ let limits = Progen.limits
 let variant =
   Alcotest.testable
     (fun fmt v ->
-      Format.pp_print_string fmt
-        (match v with
-        | `Fast_seq -> "Fast_seq"
-        | `Fast_par -> "Fast_par"
-        | `Generic_seq -> "Generic_seq"
-        | `Generic_par -> "Generic_par"))
+      Format.pp_print_string fmt (match v with `Fast -> "Fast" | `Generic -> "Generic"))
     ( = )
 
-let select ?(loop = Sim.Auto) ?(jobs = 1) ?(metrics = false) ?(events = false)
-    ?(fault = false) ?(monitor = false) ?(observer = false) ?prof params =
-  Sim.select_loop ~loop ~jobs ~metrics ~events ~fault ~monitor ~observer ~prof params
+let select ?(loop = Sim.Auto) ?(metrics = false) ?(events = false) ?(fault = false)
+    ?(monitor = false) ?(observer = false) ?prof params =
+  Sim.select_loop ~loop ~metrics ~events ~fault ~monitor ~observer ~prof params
 
 let test_selection_matrix () =
   let p = Sim.default_params ~k:4 in
   let check msg want got = Alcotest.check variant msg want got in
-  (* Bare runs take the fast path; a team takes the fast parallel arm. *)
-  check "bare seq" `Fast_seq (select p);
-  check "bare par" `Fast_par (select ~jobs:4 p);
-  (* Every instrumentation hook closes the fast gate on its own.  At
-     jobs > 1 the PR 6 generic-parallel gate still admits the pure
-     cycle-local observers (metrics, monitor) but not the hooks that
-     need the sequential phase order (fault plans, event traces,
-     occupancy observers). *)
-  check "metrics seq" `Generic_seq (select ~metrics:true p);
-  check "metrics par" `Generic_par (select ~jobs:4 ~metrics:true p);
-  check "monitor par" `Generic_par (select ~jobs:4 ~monitor:true p);
-  check "events" `Generic_seq (select ~jobs:4 ~events:true p);
-  check "fault" `Generic_seq (select ~jobs:4 ~fault:true p);
-  check "observer" `Generic_seq (select ~jobs:4 ~observer:true p);
+  (* Bare runs take the fast path. *)
+  check "bare" `Fast (select p);
+  (* Every instrumentation hook closes the fast gate on its own. *)
+  check "metrics" `Generic (select ~metrics:true p);
+  check "monitor" `Generic (select ~monitor:true p);
+  check "events" `Generic (select ~events:true p);
+  check "fault" `Generic (select ~fault:true p);
+  check "observer" `Generic (select ~observer:true p);
   (* Structural exclusions: bounded rings can drop, the starvation
      guard needs the generic bookkeeping, Ideal's per-cell queues are
      not representable in the unwrapped FIFO matrix. *)
   let finite = { p with Sim.adaptive_fifos = false } in
-  check "finite fifos seq" `Generic_seq (select finite);
-  check "finite fifos par" `Generic_seq (select ~jobs:4 finite);
+  check "finite fifos" `Generic (select finite);
   let starve = { p with Sim.starvation_threshold = Some 64 } in
-  check "starvation guard" `Generic_seq (select starve);
+  check "starvation guard" `Generic (select starve);
   let ideal = { p with Sim.mode = Sim.Ideal } in
-  check "ideal seq" `Generic_seq (select ideal);
-  check "ideal par" `Generic_par (select ~jobs:4 ideal);
+  check "ideal" `Generic (select ideal);
   (* Profiling: a sampled profiler hooks only at cycle edges the fast
-     loops already expose, so it keeps the fast gate open on both arms;
-     a full profiler needs the generic loop's phase structure, so Auto
-     routes to Generic (and to the parallel generic arm at jobs > 1 —
-     the profiler is a pure observer, like metrics). *)
-  check "sampled prof seq" `Fast_seq (select ~prof:Mp5_obs.Prof.Sampled p);
-  check "sampled prof par" `Fast_par (select ~jobs:4 ~prof:Mp5_obs.Prof.Sampled p);
-  check "full prof seq" `Generic_seq (select ~prof:Mp5_obs.Prof.Full p);
-  check "full prof par" `Generic_par (select ~jobs:4 ~prof:Mp5_obs.Prof.Full p);
-  check "sampled prof + metrics" `Generic_seq
-    (select ~metrics:true ~prof:Mp5_obs.Prof.Sampled p);
+     loop already exposes, so it keeps the fast gate open; a full
+     profiler needs the generic loop's phase structure, so Auto routes
+     to Generic. *)
+  check "sampled prof" `Fast (select ~prof:Mp5_obs.Prof.Sampled p);
+  check "full prof" `Generic (select ~prof:Mp5_obs.Prof.Full p);
+  check "sampled prof + metrics" `Generic (select ~metrics:true ~prof:Mp5_obs.Prof.Sampled p);
   (* Forcing the generic loop always honours the request. *)
-  check "forced generic" `Generic_seq (select ~loop:Sim.Generic p);
-  check "forced generic par" `Generic_par (select ~loop:Sim.Generic ~jobs:4 p);
+  check "forced generic" `Generic (select ~loop:Sim.Generic p);
   (* Forcing the fast loop on an eligible run honours the request;
      forcing it on an ineligible one is a loud contract violation. *)
-  check "forced fast" `Fast_seq (select ~loop:Sim.Fast p);
-  check "forced fast par" `Fast_par (select ~loop:Sim.Fast ~jobs:4 p);
-  check "forced fast + sampled prof" `Fast_seq
-    (select ~loop:Sim.Fast ~prof:Mp5_obs.Prof.Sampled p);
+  check "forced fast" `Fast (select ~loop:Sim.Fast p);
+  check "forced fast + sampled prof" `Fast (select ~loop:Sim.Fast ~prof:Mp5_obs.Prof.Sampled p);
   List.iter
     (fun (name, f) ->
       Alcotest.check_raises name

@@ -170,17 +170,12 @@ let prop_recirc_k1_equivalent =
         QCheck.Test.fail_reportf "program:\n%s\n%s" src (Format.asprintf "%a" Equiv.pp rep);
       true)
 
-(* One persistent team per job count, shared across all property
-   iterations ([Team.create] registers an [at_exit] shutdown hook). *)
-let par_teams = lazy (Array.map (fun jobs -> Mp5_util.Pool.Team.create ~jobs) [| 1; 2; 4; 8 |])
-
-let prop_par_engine_bit_identical =
-  (* The domain-parallel cycle engine is bit-identical to the sequential
-     one for random programs at jobs in {1,2,4,8}; a fault plan closes
-     the parallel gate and the automatic sequential fallback must be
-     invisible; and a checkpoint taken under either engine resumes under
-     the other onto the uninterrupted run's summary. *)
-  QCheck.Test.make ~name:"parallel cycle engine bit-identical to sequential" ~count:100
+let prop_loop_variants_bit_identical =
+  (* The fast and generic cycle loops are bit-identical for random
+     programs, and a checkpoint taken under either variant resumes under
+     the other onto the uninterrupted run's summary: snapshots record no
+     loop variant. *)
+  QCheck.Test.make ~name:"fast/generic loops resume each other" ~count:100
     QCheck.(small_nat)
     (fun seed ->
       let src, t = compile_gen seed in
@@ -188,44 +183,30 @@ let prop_par_engine_bit_identical =
       let k = 2 + (seed mod 4) in
       let trace = gen_trace ~seed ~k ~n:200 in
       let params = Sim.default_params ~k in
-      let team = (Lazy.force par_teams).(seed mod 4) in
-      let jobs = Mp5_util.Pool.Team.size team in
-      let seq = Sim.run params prog trace in
-      let par = Sim.run ~team params prog trace in
-      if not (Sim.results_equal seq par) then
-        QCheck.Test.fail_reportf "parallel engine (jobs=%d) diverges on:\n%s" jobs src;
-      let plan =
-        {
-          Mp5_fault.Fault.seed = seed + 17;
-          events = [ Mp5_fault.Fault.window ~from_:3 ~until_:50 (Mp5_fault.Fault.Xbar_drop 0.2) ];
-        }
-      in
-      let fs = Sim.run ~fault:plan params prog trace in
-      let fp = Sim.run ~team ~fault:plan params prog trace in
-      if not (Sim.results_equal fs fp) then
-        QCheck.Test.fail_reportf "faulted fallback (jobs=%d) diverges on:\n%s" jobs src;
-      let want = Sim.summary_of_result ~packets:(Array.length trace) seq in
-      let cross t1 t2 =
+      let generic = Sim.run ~loop:Sim.Generic params prog trace in
+      let fast = Sim.run ~loop:Sim.Fast params prog trace in
+      if not (Sim.results_equal generic fast) then
+        QCheck.Test.fail_reportf "fast loop diverges on:\n%s" src;
+      let want = Sim.summary_of_result ~packets:(Array.length trace) generic in
+      let cross l1 l2 =
         match
-          Sim.run_source ?team:t1 ~cycle_budget:30 params prog
+          Sim.run_source ~loop:l1 ~cycle_budget:30 params prog
             (Mp5_workload.Packet_source.of_array trace)
         with
         | Sim.Completed s -> s (* finished inside the budget; nothing to cross *)
         | Sim.Suspended snap -> (
             match
-              Sim.resume ?team:t2 ~snapshot:snap prog
+              Sim.resume ~loop:l2 ~snapshot:snap prog
                 (Mp5_workload.Packet_source.of_array trace)
             with
             | Ok (Sim.Completed s) -> s
             | Ok (Sim.Suspended _) -> QCheck.Test.fail_report "resume suspended without a budget"
-            | Error _ -> QCheck.Test.fail_report "cross-engine resume rejected")
+            | Error _ -> QCheck.Test.fail_report "cross-variant resume rejected")
       in
-      if not (Sim.summary_equal want (cross (Some team) None)) then
-        QCheck.Test.fail_reportf "par checkpoint -> seq resume diverges (jobs=%d):\n%s" jobs
-          src;
-      if not (Sim.summary_equal want (cross None (Some team))) then
-        QCheck.Test.fail_reportf "seq checkpoint -> par resume diverges (jobs=%d):\n%s" jobs
-          src;
+      if not (Sim.summary_equal want (cross Sim.Fast Sim.Generic)) then
+        QCheck.Test.fail_reportf "fast checkpoint -> generic resume diverges:\n%s" src;
+      if not (Sim.summary_equal want (cross Sim.Generic Sim.Fast)) then
+        QCheck.Test.fail_reportf "generic checkpoint -> fast resume diverges:\n%s" src;
       true)
 
 let prop_sim_deterministic =
@@ -315,23 +296,23 @@ let prop_simplify_never_grows =
       let e = gen_rand_expr rng 4 in
       Expr.size (Mp5_banzai.Simplify.expr e) <= Expr.size e)
 
-let prop_ring_buffer_model =
-  (* A one-ring FIFO (one ring buffer) behaves like a bounded queue. *)
-  QCheck.Test.make ~name:"ring buffer = bounded queue model" ~count:200
+let prop_one_ring_fifo_model =
+  (* A bounded one-ring FIFO behaves like a bounded queue. *)
+  QCheck.Test.make ~name:"one-ring Fifo = bounded queue model" ~count:200
     QCheck.(list (QCheck.int_range 0 9))
     (fun ops ->
-      let rb = Mp5_arch.Fifo.create ~k:1 ~capacity:4 ~adaptive:false in
+      let f = Mp5_arch.Fifo.create ~k:1 ~capacity:4 ~adaptive:false in
       let model = Queue.create () in
       List.for_all
         (fun (i, op) ->
           if op < 6 then begin
-            let accepted = Mp5_arch.Fifo.push_data rb ~ring:0 ~ts:i ~key:i op = `Ok in
+            let accepted = Mp5_arch.Fifo.push_data f ~ring:0 ~ts:i ~key:i op = `Ok in
             let model_accepts = Queue.length model < 4 in
             if model_accepts then Queue.push op model;
             accepted = model_accepts
           end
           else
-            let code = Mp5_arch.Fifo.take rb in
+            let code = Mp5_arch.Fifo.take f in
             match Queue.take_opt model with
             | None -> code = Mp5_arch.Fifo.empty
             | Some b -> code = b)
@@ -429,13 +410,13 @@ let () =
             prop_transform_invariants;
             prop_finite_fifo_accounting;
             prop_recirc_k1_equivalent;
-            prop_par_engine_bit_identical;
+            prop_loop_variants_bit_identical;
             prop_sim_deterministic;
           ] );
       ("pretty", q [ prop_pretty_roundtrip ]);
       ("simplify", q [ prop_simplify_preserves_eval; prop_simplify_never_grows ]);
       ( "structures",
-        q [ prop_ring_buffer_model; prop_int_table_model; prop_sort_trace_sorted;
+        q [ prop_one_ring_fifo_model; prop_int_table_model; prop_sort_trace_sorted;
             prop_expr_eval_in_range;
             prop_dist_in_support ] );
     ]
