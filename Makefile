@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-e2e-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf perf-smoke clean
+.PHONY: all build test bench bench-smoke bench-e2e-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf-smoke clean
 
 all: build
 
@@ -11,12 +11,11 @@ test:
 # Tiny CI-sized subset: two domains exercise the parallel runner, the
 # smoke scale keeps it under a minute on one core.  sim-micro times the
 # compiled-kernel vs AST-interpreter engines on the same traces and
-# exits non-zero if their results ever differ; perf records the bechamel
-# estimates (including sim:heavy-hitter-2k and its :interp twin).
+# exits non-zero if their results ever differ.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke --jobs 2 --json BENCH_results.json \
 	  --metrics-dir BENCH_metrics \
-	  d2 d3 fig7a ablate-fifo ablate-gate sim-micro perf
+	  d2 d3 fig7a ablate-fifo ablate-gate sim-micro
 
 # Cram test of the mp5sim telemetry surface (--metrics / --metrics-prom /
 # --trace / --report): exact CLI output, schema tags, event counts.
@@ -75,12 +74,12 @@ chaos-smoke:
 	  --chaos-dir CHAOS_repro
 
 # Multi-switch fabric smoke: the cram test pins the --fabric CLI
-# surface (topology and forwarding-table pretty-print, jobs 1 vs 4
-# byte-identical run output, the 0/1/2/3 exit-code contract including
-# the --fab-sabotage conservation violation), then the fabric bench
-# experiment runs a 2x2 leaf-spine with an enforced jobs-parity check
-# and writes its per-hop latency percentiles and throughput row to
-# BENCH_fabric.json for CI to upload.
+# surface (topology and forwarding-table pretty-print, the run's
+# digests, the 0/1/2/3 exit-code contract including the --fab-sabotage
+# conservation violation), then the fabric bench experiment runs a 2x2
+# leaf-spine under the conservation monitor and writes its per-hop
+# latency percentiles and throughput row to BENCH_fabric.json for CI
+# to upload.
 fabric-smoke:
 	dune build @fabric
 	dune exec bench/main.exe -- --smoke fabric --json BENCH_fabric.json
@@ -114,9 +113,6 @@ bench-e2e-smoke:
 
 bench:
 	dune exec bench/main.exe
-
-perf:
-	dune exec bench/main.exe -- perf
 
 clean:
 	dune clean

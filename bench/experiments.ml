@@ -594,7 +594,7 @@ let probe_target scale name =
           }
       in
       Some (target sw trace ~k:4)
-  | _ -> None (* table1, sram, perf: no cycle simulator involved *)
+  | _ -> None (* table1, sram: no cycle simulator involved *)
 
 (* Run a probe target once with the given instruments attached. *)
 let probe_run ?metrics ?prof pt =
@@ -627,7 +627,7 @@ let profile_probe scale name =
 
 (* --- kernel vs interpreter micro-benchmark ---
 
-   The heavy-hitter workload from bench/perf.ml, run back-to-back on both
+   A heavy-hitter workload (2000 packets, k = 4), run back-to-back on both
    execution engines.  Interleaved min-of-N timing cancels machine drift;
    the bit-identical check is a hard failure (CI gates on it), not a
    statistic. *)
@@ -862,16 +862,10 @@ type fabric_bench = {
   fb_e2e_p99 : int;
   fb_hops_mean : float;
   fb_seconds : float;      (** wall-clock of the measured run *)
-  fb_parity : bool;        (** jobs=1 run = jobs=4 run, every field *)
 }
 
 (* A 2x2 leaf-spine (4 switches, 4 hosts) driven by seeded all-to-all
-   host traffic.  The measured run steps its switches sequentially; a
-   second run on a fresh 4-domain team must then be
-   bit-identical in every counter, digest and histogram — the same
-   cross-jobs determinism contract the fabric test battery pins, here
-   enforced on every bench invocation so a regression can never produce
-   a "fast but different" row. *)
+   host traffic, with the fabric conservation monitor attached. *)
 let fabric scale =
   let module Fb = Mp5_fabric.Fabric in
   let topo =
@@ -897,28 +891,20 @@ let fabric scale =
       fp_plan = Mp5_fault.Linkplan.empty;
     }
   in
-  let one ?team () =
-    let mon = Mp5_fault.Monitor.create ~epoch:64 () in
+  let mon = Mp5_fault.Monitor.create ~epoch:64 () in
+  let t0 = Unix.gettimeofday () in
+  let r =
     match
-      Fb.run ?team ~monitor:mon ~compiled:!compiled
+      Fb.run ~monitor:mon ~compiled:!compiled
         ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Switch.prog
         (Mp5_fabric.Traffic.source spec)
     with
-    | Fb.Completed r ->
-        if not (Mp5_fault.Monitor.ok mon) then
-          failwith "fabric: conservation violation during bench run";
-        r
+    | Fb.Completed r -> r
     | Fb.Suspended _ -> assert false (* no cycle budget attached *)
   in
-  let t0 = Unix.gettimeofday () in
-  let r = one () in
   let seconds = Unix.gettimeofday () -. t0 in
-  let tm = Pool.Team.create ~jobs:4 in
-  let r4 = one ~team:tm () in
-  Pool.Team.shutdown tm;
-  let parity = Fb.results_equal r r4 in
-  if not parity then
-    failwith "fabric: jobs=4 run diverged from the measured run";
+  if not (Mp5_fault.Monitor.ok mon) then
+    failwith "fabric: conservation violation during bench run";
   {
     fb_switches = r.Fb.fr_switches;
     fb_hosts = r.Fb.fr_hosts;
@@ -933,5 +919,4 @@ let fabric scale =
     fb_e2e_p99 = Fb.Hist.percentile r.Fb.fr_e2e_hist 99.;
     fb_hops_mean = Fb.Hist.mean r.Fb.fr_hops_hist;
     fb_seconds = seconds;
-    fb_parity = parity;
   }

@@ -5,7 +5,6 @@
      dune exec bench/main.exe -- --smoke # tiny scale, for CI smoke runs
      dune exec bench/main.exe -- --jobs 4 fig7a   # domain-parallel runner
      dune exec bench/main.exe -- fig7a d2 table1  # selected experiments
-     dune exec bench/main.exe -- perf    # Bechamel micro-benchmarks
 
    Besides the human-readable report, every run writes BENCH_results.json
    (override the path with --json PATH): wall-clock seconds per experiment
@@ -325,7 +324,6 @@ let run_fabric scale =
   Format.printf "  per-hop latency p50=%d p99=%d, end-to-end p50=%d p99=%d, %.2f hops/pkt@."
     r.Experiments.fb_hop_p50 r.Experiments.fb_hop_p99 r.Experiments.fb_e2e_p50
     r.Experiments.fb_e2e_p99 r.Experiments.fb_hops_mean;
-  Format.printf "  jobs=4 run bit-identical to the measured run (all counters and digests)@.";
   [
     ("switches", float_of_int r.Experiments.fb_switches);
     ("hosts", float_of_int r.Experiments.fb_hosts);
@@ -417,14 +415,12 @@ let () =
   let wanted = if wanted = [] then all else wanted in
   (* Exit-code contract (see README): unknown experiment names are a
      usage error, caught before anything runs. *)
-  let known = "perf" :: all in
-  (match List.filter (fun n -> not (List.mem n known)) wanted with
+  (match List.filter (fun n -> not (List.mem n all)) wanted with
   | [] -> ()
   | unknown ->
       List.iter
         (fun other ->
-          Format.eprintf "unknown experiment %S (known: %s, perf)@." other
-            (String.concat ", " all))
+          Format.eprintf "unknown experiment %S (known: %s)@." other (String.concat ", " all))
         unknown;
       exit 1);
   if not full then
@@ -517,9 +513,8 @@ let () =
         (* serially: the supervisor forks, and forking with live worker
            domains is unsafe. *)
         | "chaos" -> Some (fun () -> serially (fun () -> run_chaos scale))
-        (* serially: the fabric drives its own switch-stepping team. *)
+        (* serially: the fabric row reports its run's wall-clock. *)
         | "fabric" -> Some (fun () -> serially (fun () -> run_fabric scale))
-        | "perf" -> Some (fun () -> serially Perf.run)
         | _ -> None (* unreachable: names validated above *)
       in
       match runner with

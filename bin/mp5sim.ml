@@ -101,6 +101,11 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
            streaming flags/--trace-file; link faults go through --fab-plan)@.";
         exit 1
       end;
+      if jobs > 1 then begin
+        Format.eprintf
+          "mp5sim: --fabric steps its switches sequentially (--jobs spreads --runs only)@.";
+        exit 1
+      end;
       (match fab_rate with
       | Some r when r <= 0 ->
           Format.eprintf "mp5sim: --fab-rate expects a positive packets/cycle count@.";
@@ -149,10 +154,9 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
         }
       in
       let mon = Mp5_fault.Monitor.create ~epoch:monitor_epoch () in
-      let team = if jobs > 1 then Some (Mp5_util.Pool.Team.create ~jobs) else None in
       let outcome =
         try
-          Mp5_fabric.Fabric.run ?team ~monitor:mon ~compiled
+          Mp5_fabric.Fabric.run ~monitor:mon ~compiled
             ~sabotage:(if fab_sabotage then 1 else 0)
             ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Mp5_core.Switch.prog
             (Mp5_fabric.Traffic.source spec)
@@ -164,7 +168,6 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
             Format.eprintf "mp5sim: %s@." msg;
             exit 1
       in
-      Option.iter Mp5_util.Pool.Team.shutdown team;
       (match outcome with
       | Mp5_fabric.Fabric.Suspended _ -> assert false (* no cycle budget attached *)
       | Mp5_fabric.Fabric.Completed r ->
@@ -651,9 +654,8 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
-        ~doc:"Domains for multi-seed runs (see --runs) or for switch \
-              stepping in a fabric run (see --fabric); results are \
-              independent of N.")
+        ~doc:"Domains that spread the seeds of a multi-seed run (see \
+              --runs); results are independent of N.")
 
 let runs_arg =
   Arg.(
@@ -935,7 +937,7 @@ let fabric_arg =
         ~doc:"Simulate a multi-switch fabric: every switch runs the \
               program as its own simulator instance, joined by \
               delay-carrying links with deterministic cycle-boundary \
-              handoff (results are bit-identical at any --jobs).  SPEC \
+              handoff.  SPEC \
               is a topology: 'line:4,hosts=2,delay=1', \
               'tree:depth=2,fanout=2,hosts=1', 'fattree:4', \
               'leafspine:2x2,hosts=2,delay=1', or an explicit edge list \

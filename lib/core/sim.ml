@@ -247,8 +247,8 @@ type sim = {
      streaming path folds everything into constant-size FNV digest
      state — [ed] for exits, [dig_hi]/[dig_lo] (parallel to [log_keys])
      for per-cell access sequences, fed through the scratch state
-     [dig].  Both states are per machine: fabric nodes step in parallel
-     domains. *)
+     [dig].  Both states are per machine, so every fabric node keeps
+     its own digests. *)
   collect : bool;
   ed : Hashing.state;
   dig_hi : Int_vec.t;
@@ -2386,6 +2386,30 @@ let encode sim st source =
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
 
+(* One unprofiled generic cycle at [t]: the instrumented phase sequence
+   behind [drive]'s generic arm and [node_step].  [drive]'s profiled arm
+   runs the same sequence with a span around each phase. *)
+let generic_cycle sim t source st observer =
+  (match sim.mon with
+  | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
+  | _ -> ());
+  (match sim.flt with Some f -> fault_edges sim f t | None -> ());
+  (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
+  deliver_phantoms sim t;
+  apply_transfers sim t;
+  arrival_phase sim t source st;
+  pop_phase sim t;
+  (match sim.ms with Some m -> metrics_sweep sim m | None -> ());
+  observe sim t observer;
+  exec_phase sim t;
+  movement_phase sim t
+
+(* Remap boundaries fall every [remap_period] cycles after the first
+   arrival, in every loop variant and on every fabric node. *)
+let remap_due sim st t =
+  sim.p.remap_period > 0 && t > st.first_arrival
+  && (t - st.first_arrival) mod sim.p.remap_period = 0
+
 let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoint
     ~cycle_budget ~heartbeat ~stop =
   let params = sim.p in
@@ -2449,27 +2473,17 @@ let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoin
             | None -> fast_cycle sim fs t source st
             | Some pf -> fast_cycle_prof sim pf fs t source st)
         | None -> (
-            (match sim.mon with
-            | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
-            | _ -> ());
             match sim.pf with
-            | None ->
-                (match sim.flt with Some f -> fault_edges sim f t | None -> ());
-                (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-                deliver_phantoms sim t;
-                apply_transfers sim t;
-                arrival_phase sim t source st;
-                pop_phase sim t;
-                (match sim.ms with Some m -> metrics_sweep sim m | None -> ());
-                observe sim t observer;
-                exec_phase sim t;
-                movement_phase sim t
+            | None -> generic_cycle sim t source st observer
             | Some pf ->
                 (* Full-span arm: the generic phase structure is the only
                    place the apply/pop/exec split exists, so each phase
                    call gets its own span.  (A sampled profile on the
                    generic loop takes this arm too — the spans are
                    per-cycle either way.) *)
+                (match sim.mon with
+                | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
+                | _ -> ());
                 (match sim.flt with
                 | Some f ->
                     if Fault.next_edge f <= t then Prof.instant pf Prof.Fault;
@@ -2501,10 +2515,7 @@ let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoin
                 let t0 = Prof.now () in
                 movement_phase sim t;
                 Prof.record pf Prof.Movement ~t0));
-        if
-          params.remap_period > 0 && t > st.first_arrival
-          && (t - st.first_arrival) mod params.remap_period = 0
-        then begin
+        if remap_due sim st t then begin
           (match sim.pf with
           | None -> remap_phase sim t
           | Some pf ->
@@ -3078,9 +3089,9 @@ let summary_equal (a : summary) (b : summary) =
    by the fabric driver.  The driver owns everything [drive] normally
    owns — idle fast-forward, the progress guard, checkpoint cadence —
    because those are fabric-global decisions (a switch idles only when
-   the whole fabric is quiet).  [node_step] is exactly the generic
-   sequential cycle, phase for phase, so a one-switch fabric fed the
-   same packets at the same cycles is bit-identical to [Sim.run]. *)
+   the whole fabric is quiet).  [node_step] runs [generic_cycle] and
+   the remap boundary, so a one-switch fabric fed the same packets at
+   the same cycles is bit-identical to [Sim.run]. *)
 type node = {
   nd_sim : sim;
   nd_st : loop_state;
@@ -3088,9 +3099,8 @@ type node = {
   nd_src : Psource.t;
 }
 
-let node_create ?metrics ?events ?monitor ?(compiled = true) ~anchor ~on_exit ~on_drop
-    params prog =
-  let sim = create ~compiled ~collect:false ?metrics ?events ?monitor params prog in
+let node_create ?(compiled = true) ~anchor ~on_exit ~on_drop params prog =
+  let sim = create ~compiled ~collect:false params prog in
   sim.on_exit <- Some on_exit;
   sim.on_drop <- Some on_drop;
   let q = Queue.create () in
@@ -3107,24 +3117,9 @@ let node_inject node input =
 
 let node_step node ~now =
   let sim = node.nd_sim and st = node.nd_st in
-  let t = now in
-  (match sim.mon with
-  | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
-  | _ -> ());
-  (match sim.flt with Some f -> fault_edges sim f t | None -> ());
-  (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-  deliver_phantoms sim t;
-  apply_transfers sim t;
-  arrival_phase sim t node.nd_src st;
-  pop_phase sim t;
-  (match sim.ms with Some m -> metrics_sweep sim m | None -> ());
-  exec_phase sim t;
-  movement_phase sim t;
-  if
-    sim.p.remap_period > 0 && t > st.first_arrival
-    && (t - st.first_arrival) mod sim.p.remap_period = 0
-  then remap_phase sim t;
-  st.now <- t + 1;
+  generic_cycle sim now node.nd_src st None;
+  if remap_due sim st now then remap_phase sim now;
+  st.now <- now + 1;
   st.visited <- st.visited + 1
 
 let node_in_flight node = node.nd_sim.in_flight
@@ -3136,11 +3131,9 @@ let node_backlog node = Queue.length node.nd_q + Psource.buffered node.nd_src
 let node_pending node =
   let q = Queue.fold (fun acc x -> x :: acc) [] node.nd_q |> List.rev in
   match Psource.lookahead node.nd_src with Some x -> x :: q | None -> q
-let node_consumed node = Psource.consumed node.nd_src
+
 let node_delivered node = node.nd_sim.delivered
 let node_dropped node = node.nd_sim.dropped
-let node_dropped_stateless node = node.nd_sim.dropped_stateless
-let node_marked node = node.nd_sim.marked
 let node_max_queue node = max_queue_depth node.nd_sim
 let node_access_digest node = access_digest node.nd_sim
 let node_store node = merge_stores node.nd_sim
@@ -3150,20 +3143,12 @@ let node_next_due node = Channel.next_due node.nd_sim.channel
 let node_fault_edge node =
   match node.nd_sim.flt with Some f -> Fault.next_edge f | None -> max_int
 
-let node_final_check node =
-  match node.nd_sim.mon with
-  | Some mon -> monitor_phase node.nd_sim mon node.nd_st.now
-  | None -> ()
-
 let node_encode w node =
   Binio.w_framed w ~magic:snap_magic (fun w ->
       encode_into w node.nd_sim node.nd_st node.nd_src)
 
-let node_restore ?metrics ?events ?monitor ?(compiled = true) ~on_exit ~on_drop r prog =
-  match
-    decode_machine ?metrics ?events ?monitor ~compiled prog
-      (Binio.r_framed r ~magic:snap_magic)
-  with
+let node_restore ?(compiled = true) ~on_exit ~on_drop r prog =
+  match decode_machine ~compiled prog (Binio.r_framed r ~magic:snap_magic) with
   | exception Resume_mismatch msg -> Error (Mismatch msg)
   | exception Binio.Corrupt { pos; reason } ->
       Error (Corrupt (Binio.corrupt_message ~pos ~reason))

@@ -371,9 +371,6 @@ val summary_equal : summary -> summary -> bool
 type node
 
 val node_create :
-  ?metrics:Mp5_obs.Metrics.t ->
-  ?events:Mp5_obs.Trace.t ->
-  ?monitor:Mp5_fault.Monitor.t ->
   ?compiled:bool ->
   anchor:int ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
@@ -406,9 +403,6 @@ val node_in_flight : node -> int
 val node_backlog : node -> int
 (** Packets injected but not yet admitted (ingress queue + lookahead). *)
 
-val node_consumed : node -> int
-(** Packets admitted so far; local seqs [0 .. consumed-1] are in use. *)
-
 val node_pending : node -> Mp5_banzai.Machine.input list
 (** Injected-but-unadmitted packets in admission order — what a fabric
     snapshot serializes alongside {!node_encode} (which excludes the
@@ -416,8 +410,6 @@ val node_pending : node -> Mp5_banzai.Machine.input list
 
 val node_delivered : node -> int
 val node_dropped : node -> int
-val node_dropped_stateless : node -> int
-val node_marked : node -> int
 val node_max_queue : node -> int
 
 val node_access_digest : node -> int
@@ -433,10 +425,6 @@ val node_next_due : node -> int option
 val node_fault_edge : node -> int
 (** Next fault-plan edge ([max_int] when no plan is attached). *)
 
-val node_final_check : node -> unit
-(** Run the node's invariant monitor once in the terminal state, as the
-    end of {!run_source} does. *)
-
 val node_encode : Mp5_util.Binio.writer -> node -> unit
 (** Append the node machine to a caller's writer as one nested
     ["mp5-snap/1"] frame ({!Mp5_util.Binio.w_framed}), byte-identical to
@@ -445,9 +433,6 @@ val node_encode : Mp5_util.Binio.writer -> node -> unit
     since it owns their metadata. *)
 
 val node_restore :
-  ?metrics:Mp5_obs.Metrics.t ->
-  ?events:Mp5_obs.Trace.t ->
-  ?monitor:Mp5_fault.Monitor.t ->
   ?compiled:bool ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->

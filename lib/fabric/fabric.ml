@@ -2,10 +2,8 @@ module Machine = Mp5_banzai.Machine
 module Sim = Mp5_core.Sim
 module Transform = Mp5_core.Transform
 module Psource = Mp5_workload.Packet_source
-module Pool = Mp5_util.Pool
 module Hashing = Mp5_util.Hashing
 module Binio = Mp5_util.Binio
-module Vec = Mp5_util.Vec
 module Monitor = Mp5_fault.Monitor
 module Linkplan = Mp5_fault.Linkplan
 module Store = Mp5_banzai.Store
@@ -16,9 +14,9 @@ let digest_mask = 0x3FFF_FFFF_FFFF_FFFF
 (* --- latency histograms ---
 
    Log2-bucketed, constant size, integer-only: two fabrics that ran the
-   same packets produce structurally equal histograms, so cross-jobs
-   identity checks can compare them exactly while the bench layer reads
-   approximate percentiles off the buckets. *)
+   same packets produce structurally equal histograms, so identity
+   checks (engines, snapshot/resume) can compare them exactly while the
+   bench layer reads approximate percentiles off the buckets. *)
 
 module Hist = struct
   type t = { mutable count : int; mutable sum : int; mutable max : int; buckets : int array }
@@ -115,17 +113,11 @@ type t = {
   p : params;
   prog : Transform.t;
   fwd : int array array;                     (* switch -> dst host -> egress port *)
-  team : Pool.Team.t option;
   mon : Monitor.t option;
   dst_of : Machine.input -> int;
-  nodes : Sim.node array;
+  mutable nodes : Sim.node array;            (* set once by [make_nodes] *)
   metas : (int, meta) Hashtbl.t array;       (* per node, local seq -> meta *)
   links : link_state array;
-  (* per-node egress buffers filled by the Sim hooks during node
-     stepping (each node writes only its own buffers, so parallel
-     stepping stays race-free) and drained sequentially in node order *)
-  exits : (int * int * int array) Vec.t array;  (* (seq, latency, headers) *)
-  drops : int Vec.t array;
   anchor : int;
   mutable now : int;
   mutable visited : int;
@@ -173,50 +165,6 @@ let feed_input st (input : Machine.input) =
   Hashing.feed st input.Machine.time;
   Hashing.feed st input.Machine.port;
   Array.iter (Hashing.feed st) input.Machine.headers
-
-(* --- construction --- *)
-
-let make_nodes ~compiled params prog n exits drops anchor =
-  Array.init n (fun i ->
-      let on_exit ~seq ~latency ~headers = Vec.push exits.(i) (seq, latency, headers) in
-      let on_drop ~seq = Vec.push drops.(i) seq in
-      Sim.node_create ~compiled ~anchor ~on_exit ~on_drop params prog)
-
-let create ?team ?monitor ?(compiled = true) ~dst ~anchor p prog =
-  (match Linkplan.validate p.fp_plan ~n_links:(Topology.n_links p.fp_topo) with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Fabric.create: " ^ msg));
-  let n = Topology.n_switches p.fp_topo in
-  let exits = Array.init n (fun _ -> Vec.create ()) in
-  let drops = Array.init n (fun _ -> Vec.create ()) in
-  {
-    p;
-    prog;
-    fwd = Routing.compile p.fp_policy p.fp_topo;
-    team;
-    mon = monitor;
-    dst_of = dst;
-    nodes = make_nodes ~compiled p.fp_sim prog n exits drops anchor;
-    metas = Array.init n (fun _ -> Hashtbl.create 64);
-    links = Array.init (Topology.n_links p.fp_topo) (fun _ -> { ls_q = Queue.create (); ls_last_due = 0 });
-    exits;
-    drops;
-    anchor;
-    now = anchor;
-    visited = 0;
-    injected = 0;
-    delivered = 0;
-    miss_dropped = 0;
-    link_dropped = 0;
-    last_event = anchor;
-    last_score = 0;
-    last_progress_t = anchor;
-    ed = Hashing.start ();
-    src = Hashing.start ();
-    hop_hist = Hist.create ();
-    e2e_hist = Hist.create ();
-    hops_hist = Hist.create ();
-  }
 
 (* --- per-cycle machinery --- *)
 
@@ -270,8 +218,8 @@ let inject_phase fab t source =
     | _ -> continue_ := false
   done
 
-(* Link delivery, ascending link id, FIFO within a link — the (link-id,
-   seq) handoff order that makes results independent of [--jobs]. *)
+(* Link delivery, ascending link id, FIFO within a link: one fixed
+   (link-id, seq) handoff order. *)
 let delivery_phase fab t =
   Array.iteri
     (fun li ls ->
@@ -304,65 +252,85 @@ let delivery_phase fab t =
       done)
     fab.links
 
-(* Lock-step node stepping: one switch per team member slot, strided.
-   Each node touches only its own machine and its own egress buffers,
-   and every shared mutation happens outside this phase, so any [jobs]
-   produces identical state at the barrier. *)
-let step_phase fab t =
-  let n = Array.length fab.nodes in
-  match fab.team with
-  | Some tm when Pool.Team.size tm > 1 ->
-      let jobs = Pool.Team.size tm in
-      Pool.Team.run tm (fun member ->
-          let i = ref member in
-          while !i < n do
-            Sim.node_step fab.nodes.(!i) ~now:t;
-            i := !i + jobs
-          done)
-  | _ ->
-      for i = 0 to n - 1 do
-        Sim.node_step fab.nodes.(i) ~now:t
-      done
+(* The [on_exit] hook of switch [i], fired while it steps cycle
+   [fab.now]: the packet releases its metadata, consults [i]'s
+   forwarding table and enters its next link, or falls off as a counted
+   miss.  Switches step in node order and each owns its egress links, so
+   every link receives its packets in one fixed order. *)
+let route_exit fab i ~seq ~latency ~headers =
+  let t = fab.now in
+  match Hashtbl.find_opt fab.metas.(i) seq with
+  | None -> failwith "Fabric: exited packet has no metadata (driver bug)"
+  | Some m ->
+      Hashtbl.remove fab.metas.(i) seq;
+      m.m_hops <- m.m_hops + 1;
+      Hist.observe fab.hop_hist latency;
+      let port = fab.fwd.(i).(m.m_dst) in
+      if port < 0 then begin
+        fab.miss_dropped <- fab.miss_dropped + 1;
+        fab.last_event <- t
+      end
+      else begin
+        let link = (Topology.out_links fab.p.fp_topo i).(port) in
+        let aux =
+          match (Topology.link fab.p.fp_topo link).Topology.l_dst with
+          | Topology.Host _ -> latency
+          | Topology.Switch _ -> 0
+        in
+        let input = { Machine.time = t; port = link; headers } in
+        send fab ~now:t ~link ~aux input m
+      end
 
-(* Drain the per-node egress buffers in node order: drops release their
-   metadata, exits consult the forwarding table and enter their next
-   link (or fall off as a counted miss). *)
-let egress_phase fab t =
-  Array.iteri
-    (fun i dv ->
-      for j = 0 to Vec.length dv - 1 do
-        Hashtbl.remove fab.metas.(i) (Vec.get dv j)
-      done;
-      Vec.clear dv)
-    fab.drops;
-  Array.iteri
-    (fun i ev ->
-      for j = 0 to Vec.length ev - 1 do
-        let seq, latency, headers = Vec.get ev j in
-        match Hashtbl.find_opt fab.metas.(i) seq with
-        | None -> failwith "Fabric: exited packet has no metadata (driver bug)"
-        | Some m ->
-            Hashtbl.remove fab.metas.(i) seq;
-            m.m_hops <- m.m_hops + 1;
-            Hist.observe fab.hop_hist latency;
-            let port = if m.m_dst < Array.length fab.fwd.(i) then fab.fwd.(i).(m.m_dst) else -1 in
-            if port < 0 then begin
-              fab.miss_dropped <- fab.miss_dropped + 1;
-              fab.last_event <- t
-            end
-            else begin
-              let link = (Topology.out_links fab.p.fp_topo i).(port) in
-              let aux =
-                match (Topology.link fab.p.fp_topo link).Topology.l_dst with
-                | Topology.Host _ -> latency
-                | Topology.Switch _ -> 0
-              in
-              let input = { Machine.time = t; port = link; headers } in
-              send fab ~now:t ~link ~aux input m
-            end
-      done;
-      Vec.clear ev)
-    fab.exits
+(* --- construction --- *)
+
+(* Build every switch with the hooks that route its exits and release
+   its dropped packets' metadata.  [node i ~on_exit ~on_drop] makes
+   switch [i]: fresh in [create], decoded in [decode_fabric]. *)
+let make_nodes fab node =
+  fab.nodes <-
+    Array.init (Topology.n_switches fab.p.fp_topo) (fun i ->
+        let on_drop ~seq = Hashtbl.remove fab.metas.(i) seq in
+        node i ~on_exit:(route_exit fab i) ~on_drop)
+
+(* A fabric at [anchor] with no switches yet, empty links and zeroed
+   counters. *)
+let blank ?monitor ~dst ~anchor p prog =
+  {
+    p;
+    prog;
+    fwd = Routing.compile p.fp_policy p.fp_topo;
+    mon = monitor;
+    dst_of = dst;
+    nodes = [||];
+    metas = Array.init (Topology.n_switches p.fp_topo) (fun _ -> Hashtbl.create 64);
+    links =
+      Array.init (Topology.n_links p.fp_topo) (fun _ ->
+          { ls_q = Queue.create (); ls_last_due = 0 });
+    anchor;
+    now = anchor;
+    visited = 0;
+    injected = 0;
+    delivered = 0;
+    miss_dropped = 0;
+    link_dropped = 0;
+    last_event = anchor;
+    last_score = 0;
+    last_progress_t = anchor;
+    ed = Hashing.start ();
+    src = Hashing.start ();
+    hop_hist = Hist.create ();
+    e2e_hist = Hist.create ();
+    hops_hist = Hist.create ();
+  }
+
+let create ?monitor ~compiled ~dst ~anchor p prog =
+  (match Linkplan.validate p.fp_plan ~n_links:(Topology.n_links p.fp_topo) with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Fabric.create: " ^ msg));
+  let fab = blank ?monitor ~dst ~anchor p prog in
+  make_nodes fab (fun _ ~on_exit ~on_drop ->
+      Sim.node_create ~compiled ~anchor ~on_exit ~on_drop p.fp_sim prog);
+  fab
 
 (* Fabric-wide packet conservation: everything injected is in a switch,
    queued at its ingress, in flight on a link, delivered, or counted
@@ -427,9 +395,9 @@ let w_meta w m =
   Binio.w_int w m.m_inject;
   Binio.w_int w m.m_hops
 
-let r_meta r =
+let r_meta ~n_hosts r =
   let m_fseq = Binio.r_int r in
-  let m_dst = Binio.r_int r in
+  let m_dst = Binio.r_index r ~bound:n_hosts ~what:"fabric packet destination host" in
   let m_inject = Binio.r_int r in
   let m_hops = Binio.r_int r in
   { m_fseq; m_dst; m_inject; m_hops }
@@ -497,7 +465,7 @@ let encode fab =
 
 exception Restore_mismatch of string
 
-let decode_fabric ?team ?monitor ~compiled ~dst p prog r =
+let decode_fabric ?monitor ~compiled ~dst p prog r =
   Binio.r_tag r ~expect:1 ~what:"fabric header";
   let topo_dig = Binio.r_int r in
   if topo_dig <> Topology.digest p.fp_topo then
@@ -529,88 +497,68 @@ let decode_fabric ?team ?monitor ~compiled ~dst p prog r =
   let hop_hist = Hist.decode r in
   let e2e_hist = Hist.decode r in
   let hops_hist = Hist.decode r in
+  let fab =
+    {
+      (blank ?monitor ~dst ~anchor p prog) with
+      now;
+      injected;
+      delivered;
+      miss_dropped;
+      link_dropped;
+      last_event;
+      last_score;
+      last_progress_t;
+      ed = { Hashing.hi = ed_hi; lo = ed_lo };
+      src = { Hashing.hi = src_hi; lo = src_lo };
+      hop_hist;
+      e2e_hist;
+      hops_hist;
+    }
+  in
+  let n_hosts = Topology.n_hosts p.fp_topo in
   Binio.r_tag r ~expect:3 ~what:"fabric nodes";
-  let n = Binio.r_int r in
-  if n <> Topology.n_switches p.fp_topo then
+  if Binio.r_int r <> Topology.n_switches p.fp_topo then
     raise (Restore_mismatch "snapshot node count does not match the topology");
-  let exits = Array.init n (fun _ -> Vec.create ()) in
-  let drops = Array.init n (fun _ -> Vec.create ()) in
-  let metas = Array.init n (fun _ -> Hashtbl.create 64) in
-  let nodes =
-    Array.init n (fun i ->
-        let on_exit ~seq ~latency ~headers = Vec.push exits.(i) (seq, latency, headers) in
-        let on_drop ~seq = Vec.push drops.(i) seq in
-        let nd =
-          match Sim.node_restore ~compiled ~on_exit ~on_drop r prog with
-          | Ok nd -> nd
-          | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
-          | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
-        in
-        let n_pending = Binio.r_int r in
-        for _ = 1 to n_pending do
-          ignore (Sim.node_inject nd (r_input r) : int)
-        done;
-        let n_metas = Binio.r_int r in
-        for _ = 1 to n_metas do
-          let k = Binio.r_int r in
-          Hashtbl.replace metas.(i) k (r_meta r)
-        done;
-        nd)
-  in
+  make_nodes fab (fun i ~on_exit ~on_drop ->
+      let nd =
+        match Sim.node_restore ~compiled ~on_exit ~on_drop r prog with
+        | Ok nd -> nd
+        | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
+        | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
+      in
+      let n_pending = Binio.r_int r in
+      for _ = 1 to n_pending do
+        ignore (Sim.node_inject nd (r_input r) : int)
+      done;
+      let n_metas = Binio.r_int r in
+      for _ = 1 to n_metas do
+        let k = Binio.r_int r in
+        Hashtbl.replace fab.metas.(i) k (r_meta ~n_hosts r)
+      done;
+      nd);
   Binio.r_tag r ~expect:4 ~what:"fabric links";
-  let n_links = Binio.r_int r in
-  if n_links <> Topology.n_links p.fp_topo then
+  if Binio.r_int r <> Array.length fab.links then
     raise (Restore_mismatch "snapshot link count does not match the topology");
-  let links =
-    Array.init n_links (fun _ ->
-        let ls_last_due = Binio.r_int r in
-        let ls = { ls_q = Queue.create (); ls_last_due } in
-        let n_fl = Binio.r_int r in
-        for _ = 1 to n_fl do
-          let f_due = Binio.r_int r in
-          let f_aux = Binio.r_int r in
-          let f_input = r_input r in
-          let f_meta = r_meta r in
-          Queue.push { f_due; f_aux; f_input; f_meta } ls.ls_q
-        done;
-        ls)
-  in
+  Array.iter
+    (fun ls ->
+      ls.ls_last_due <- Binio.r_int r;
+      let n_fl = Binio.r_int r in
+      for _ = 1 to n_fl do
+        let f_due = Binio.r_int r in
+        let f_aux = Binio.r_int r in
+        let f_input = r_input r in
+        let f_meta = r_meta ~n_hosts r in
+        Queue.push { f_due; f_aux; f_input; f_meta } ls.ls_q
+      done)
+    fab.links;
   Binio.r_tag r ~expect:5 ~what:"fabric end marker";
   if Binio.remaining r <> 0 then failwith "fabric snapshot: trailing data after end marker";
-  {
-    p;
-    prog;
-    fwd = Routing.compile p.fp_policy p.fp_topo;
-    team;
-    mon = monitor;
-    dst_of = dst;
-    nodes;
-    metas;
-    links;
-    exits;
-    drops;
-    anchor;
-    now;
-    visited = 0;
-    injected;
-    delivered;
-    miss_dropped;
-    link_dropped;
-    last_event;
-    last_score;
-    last_progress_t;
-    ed = { Hashing.hi = ed_hi; lo = ed_lo };
-    src = { Hashing.hi = src_hi; lo = src_lo };
-    hop_hist;
-    e2e_hist;
-    hops_hist;
-  }
+  fab
 
 (* --- the drive loop --- *)
 
 let finish fab =
   conservation_check fab fab.now;
-  Array.iter Sim.node_final_check fab.nodes;
   let n = Array.length fab.nodes in
   let node_dropped = Array.fold_left (fun acc nd -> acc + Sim.node_dropped nd) 0 fab.nodes in
   let access =
@@ -669,8 +617,9 @@ let drive fab source ~cycle_budget ~sabotage =
       | _ -> ());
       inject_phase fab t source;
       delivery_phase fab t;
-      step_phase fab t;
-      egress_phase fab t;
+      (* Lock-step: every switch advances one machine cycle, in node
+         order; its hooks route exits onward as they happen. *)
+      Array.iter (fun nd -> Sim.node_step nd ~now:t) fab.nodes;
       (* Progress guard against driver deadlock bugs. *)
       let node_dropped = Array.fold_left (fun acc nd -> acc + Sim.node_dropped nd) 0 fab.nodes in
       let score =
@@ -727,7 +676,7 @@ let drive fab source ~cycle_budget ~sabotage =
       if sabotage <> 0 then fab.injected <- fab.injected + sabotage;
       Completed (finish fab)
 
-let run ?team ?monitor ?cycle_budget ?(compiled = true) ?(sabotage = 0) ~dst p prog source =
+let run ?monitor ?cycle_budget ?(compiled = true) ?(sabotage = 0) ~dst p prog source =
   let anchor =
     match Psource.peek source with
     | Some i -> i.Machine.time
@@ -735,14 +684,14 @@ let run ?team ?monitor ?cycle_budget ?(compiled = true) ?(sabotage = 0) ~dst p p
   in
   if Psource.consumed source > 0 then
     invalid_arg "Fabric.run: source already partially consumed";
-  let fab = create ?team ?monitor ~compiled ~dst ~anchor p prog in
+  let fab = create ?monitor ~compiled ~dst ~anchor p prog in
   drive fab source ~cycle_budget ~sabotage
 
-let resume ?team ?monitor ?cycle_budget ?(compiled = true) ~dst ~snapshot p prog source =
+let resume ?monitor ?cycle_budget ?(compiled = true) ~dst ~snapshot p prog source =
   match Binio.of_string ~magic:snap_magic snapshot with
   | Error msg -> Error (Sim.Corrupt msg)
   | Ok r -> (
-      match decode_fabric ?team ?monitor ~compiled ~dst p prog r with
+      match decode_fabric ?monitor ~compiled ~dst p prog r with
       | exception Restore_mismatch msg -> Error (Sim.Mismatch msg)
       | exception Binio.Corrupt { pos; reason } ->
           Error (Sim.Corrupt (Binio.corrupt_message ~pos ~reason))

@@ -10,16 +10,13 @@
     + {b deliver} — link packets whose due cycle has arrived enter the
       destination switch's ingress queue (ascending link id, FIFO within
       a link) or, on a host-bound link, leave the fabric;
-    + {b step} — every switch advances one machine cycle, one switch per
-      {!Mp5_util.Pool.Team} member slot (strided), each writing only its
-      own egress buffers;
-    + {b egress} — exited packets consult the forwarding table
-      ({!Routing.compile}) and enter their next link, in node order.
+    + {b step} — every switch advances one machine cycle, in node
+      order; each packet that exits a switch consults the forwarding
+      table ({!Routing.compile}) and enters its next link as it exits.
 
-    All cross-switch effects happen in phases 1, 2 and 4, which are
-    sequential and ordered by (link id, FIFO position) and node id — so
-    the result is bit-identical at any [--jobs], which the fabric test
-    battery pins.
+    The driver is sequential: deliveries are ordered by (link id, FIFO
+    position), and each switch owns its egress links, so every link
+    receives its packets in one fixed order.
 
     The driver extends the single-switch invariant monitor to
     fabric-wide packet conservation: at every monitor epoch,
@@ -92,7 +89,6 @@ val snapshot_magic : string
 (** ["mp5-fab/1"]. *)
 
 val run :
-  ?team:Mp5_util.Pool.Team.t ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
   ?compiled:bool ->
@@ -106,11 +102,7 @@ val run :
     fabric until every packet is delivered or dropped.  [source] packets
     carry [port = source host id]; [dst] reads the destination host from
     a packet (out-of-range means an ingress forwarding miss, counted).
-    [team] parallelises switch stepping, the simulator's only
-    parallelism inside one run: each switch steps its own cycle loop
-    sequentially.  Results are bit-identical across any team
-    size and without a team.  [sabotage]
-    (testing hook, default 0) skews the injected counter before the
+    [sabotage] (testing hook, default 0) skews the injected counter before the
     final conservation check so the violation path can be demonstrated.
 
     @raise Invalid_argument on an empty or already-consumed source, or a
@@ -118,7 +110,6 @@ val run :
     @raise Conservation (no monitor) on an accounting violation. *)
 
 val resume :
-  ?team:Mp5_util.Pool.Team.t ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
   ?compiled:bool ->
@@ -136,11 +127,13 @@ val resume :
     digests guard against resuming under a different fabric; the link
     plan travels inside the snapshot.  Monitor counters restart (the
     snapshot does not carry monitor state) but conservation holds at
-    every epoch of the resumed run. *)
+    every epoch of the resumed run.  Forged metadata, such as a packet
+    destination outside the topology's hosts, is a positioned
+    [Corrupt]. *)
 
 val results_equal : result -> result -> bool
-(** Exact equality on every field, histograms included — the cross-jobs
-    and snapshot/resume identity checks. *)
+(** Exact equality on every field, histograms included — the engine and
+    snapshot/resume identity checks. *)
 
 val throughput : result -> float
 (** Delivered packets per fabric cycle. *)

@@ -169,118 +169,3 @@ let map_array t f src =
 
 let map_list t f l = Array.to_list (map_array t f (Array.of_list l))
 let init t n f = map_array t f (Array.init n Fun.id)
-
-(* --- Team: a cyclic barrier of persistent domains --- *)
-
-module Team = struct
-  type t = {
-    jobs : int;
-    m : Mutex.t;
-    start_cv : Condition.t;          (* members: a new round began, or stop *)
-    done_cv : Condition.t;           (* caller: all members finished the round *)
-    mutable round : int;             (* bumped once per [run] *)
-    mutable work : (int -> unit) option;
-    mutable pending : int;           (* members still inside the current round *)
-    mutable stopped : bool;
-    mutable failed : (int * exn * Printexc.raw_backtrace) option;
-    mutable members : unit Domain.t array;
-  }
-
-  let record_failure t slice exn bt =
-    match t.failed with
-    | Some (s, _, _) when s <= slice -> ()
-    | _ -> t.failed <- Some (slice, exn, bt)
-
-  (* Member [slice] (1-based; slice 0 is the caller): wait for a round it
-     has not run yet, execute it, report completion. *)
-  let member_loop t slice =
-    let seen = ref 0 in
-    let rec loop () =
-      Mutex.lock t.m;
-      while (not t.stopped) && t.round = !seen do
-        Condition.wait t.start_cv t.m
-      done;
-      if t.stopped then Mutex.unlock t.m
-      else begin
-        seen := t.round;
-        let work = match t.work with Some f -> f | None -> assert false in
-        Mutex.unlock t.m;
-        (match work slice with
-        | () -> ()
-        | exception exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            Mutex.lock t.m;
-            record_failure t slice exn bt;
-            Mutex.unlock t.m);
-        Mutex.lock t.m;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.broadcast t.done_cv;
-        Mutex.unlock t.m;
-        loop ()
-      end
-    in
-    loop ()
-
-  let shutdown t =
-    if not t.stopped then begin
-      Mutex.lock t.m;
-      t.stopped <- true;
-      Condition.broadcast t.start_cv;
-      Mutex.unlock t.m;
-      Array.iter Domain.join t.members;
-      t.members <- [||]
-    end
-
-  let create ~jobs =
-    if jobs < 1 then invalid_arg "Pool.Team.create: jobs must be >= 1";
-    let t =
-      {
-        jobs;
-        m = Mutex.create ();
-        start_cv = Condition.create ();
-        done_cv = Condition.create ();
-        round = 0;
-        work = None;
-        pending = 0;
-        stopped = false;
-        failed = None;
-        members = [||];
-      }
-    in
-    t.members <- Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> member_loop t (i + 1)));
-    if jobs > 1 then at_exit (fun () -> shutdown t);
-    t
-
-  let size t = t.jobs
-
-  let run t f =
-    if t.jobs = 1 || t.stopped then f 0
-    else begin
-      Mutex.lock t.m;
-      t.work <- Some f;
-      t.pending <- t.jobs - 1;
-      t.round <- t.round + 1;
-      t.failed <- None;
-      Condition.broadcast t.start_cv;
-      Mutex.unlock t.m;
-      (* The caller is member 0 of every round. *)
-      (match f 0 with
-      | () -> ()
-      | exception exn ->
-          let bt = Printexc.get_raw_backtrace () in
-          Mutex.lock t.m;
-          record_failure t 0 exn bt;
-          Mutex.unlock t.m);
-      Mutex.lock t.m;
-      while t.pending > 0 do
-        Condition.wait t.done_cv t.m
-      done;
-      t.work <- None;
-      let failed = t.failed in
-      t.failed <- None;
-      Mutex.unlock t.m;
-      match failed with
-      | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | None -> ()
-    end
-end

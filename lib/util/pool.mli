@@ -5,7 +5,9 @@
     order without changing the numbers.  The pool provides deterministic
     [map_array]/[map_list]: results are returned in input order and any
     exception raised by [f] is re-raised in the caller (the one from the
-    lowest input index wins when several tasks fail).
+    lowest input index wins when several tasks fail).  Parallelism lives
+    only here, between runs: a single run, one switch or a whole fabric,
+    always steps on the domain that started it.
 
     [create ~jobs:1] spawns no domains and runs every map inline, so a
     [--jobs 1] run is byte-for-byte the sequential code path.  The caller
@@ -59,38 +61,3 @@ val quiesce : t -> unit
     running the whole experiment pool-free).  Respawning on the next map
     costs one [Domain.spawn] per worker — noise for the batch workloads
     the pool exists for. *)
-
-(** A fixed team of domains for repeated fork-join rounds over the {e
-    same} mutable state — the fabric's lock-step driver, where every
-    fabric cycle fans one closure out over the switches and must rejoin
-    before links and routing run.
-
-    Unlike the work-queue maps above, [run] hands every member the same
-    closure with its member index; the caller participates as member 0.
-    Members are persistent (spawned once at [create]), so a run's
-    per-cycle cost is two condition-variable handshakes, not a domain
-    spawn.  [create ~jobs:1] spawns nothing and [run] is a plain inline
-    call — the jobs=1 team is byte-for-byte the sequential code path.
-
-    Exceptions raised by members are re-raised in the caller after the
-    round completes (the one from the smallest member index wins). *)
-module Team : sig
-  type t
-
-  val create : jobs:int -> t
-  (** Spawn [jobs - 1] member domains ([jobs >= 1], or
-      [Invalid_argument]).  Registers an [at_exit] hook that shuts the
-      members down. *)
-
-  val size : t -> int
-
-  val run : t -> (int -> unit) -> unit
-  (** [run t f] executes [f 0 .. f (size t - 1)] concurrently (member 0
-      on the caller) and returns when all have finished.  Not
-      re-entrant. *)
-
-  val shutdown : t -> unit
-  (** Join the member domains.  Idempotent; [run] after shutdown executes
-      [f 0] inline only — callers should not race [shutdown] with an
-      in-flight [run]. *)
-end

@@ -10,15 +10,14 @@
    On top of that, a 100-seed property quantifies over random topologies
    (2-8 switches, random trunk delays, random host placement):
    fabric-wide packet conservation holds at every monitor epoch, and the
-   result is bit-identical across --jobs 1/2/4 and across the
-   kernel/interpreter engines — including under a seeded link-down
-   fault plan.  Topology validation, forwarding-miss accounting and the
-   zero-delay corner get direct unit tests. *)
+   result is bit-identical across the kernel/interpreter engines —
+   including under a seeded link-down fault plan.  Topology validation,
+   forwarding-miss accounting and the zero-delay corner get direct unit
+   tests. *)
 
 module Sim = Mp5_core.Sim
 module Machine = Mp5_banzai.Machine
 module Psource = Mp5_workload.Packet_source
-module Pool = Mp5_util.Pool
 module Rng = Mp5_util.Rng
 module Monitor = Mp5_fault.Monitor
 module Linkplan = Mp5_fault.Linkplan
@@ -49,9 +48,6 @@ let params_for topo ~k plan =
 let completed seed = function
   | Fabric.Completed r -> r
   | Fabric.Suspended _ -> Alcotest.failf "seed %d: fabric run suspended without a budget" seed
-
-(* Teams shared across the whole file so domain spawn is paid once. *)
-let teams = lazy (Array.map (fun jobs -> Pool.Team.create ~jobs) [| 2; 4 |])
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate differential: 1-switch fabric = plain streamed run.      *)
@@ -157,8 +153,8 @@ let gen_trace rng ~n_hosts ~n =
         headers = Array.init 4 (fun _ -> Rng.int rng 16 - 2);
       })
 
-let prop_fabric_deterministic =
-  QCheck.Test.make ~name:"conservation + jobs/engine identity (random fabrics)" ~count:100
+let prop_fabric_conservation =
+  QCheck.Test.make ~name:"conservation + engine identity (random fabrics)" ~count:100
     QCheck.(small_nat)
     (fun seed ->
       let src, prog = prog_for (seed mod 220) in
@@ -180,12 +176,12 @@ let prop_fabric_deterministic =
         else Linkplan.empty
       in
       let fp = params_for topo ~k:2 plan in
-      let one ?team ~compiled () =
+      let one ~compiled =
         let mon = Monitor.create ~epoch:16 () in
         let r =
           try
             completed seed
-              (Fabric.run ?team ~monitor:mon ~compiled ~dst fp prog (Psource.of_array trace))
+              (Fabric.run ~monitor:mon ~compiled ~dst fp prog (Psource.of_array trace))
           with Monitor.Violation diag ->
             QCheck.Test.fail_reportf "seed %d: conservation violated:\n%s\n%s" seed diag src
         in
@@ -195,7 +191,7 @@ let prop_fabric_deterministic =
           QCheck.Test.fail_reportf "seed %d: run finished with zero conservation checks" seed;
         r
       in
-      let base = one ~compiled:true () in
+      let base = one ~compiled:true in
       (* Every packet is accounted for at the end, too. *)
       if
         base.Fabric.fr_delivered + base.Fabric.fr_node_dropped + base.Fabric.fr_miss_dropped
@@ -205,12 +201,7 @@ let prop_fabric_deterministic =
         QCheck.Test.fail_reportf "seed %d: final accounting leaks: %d+%d+%d+%d <> %d" seed
           base.Fabric.fr_delivered base.Fabric.fr_node_dropped base.Fabric.fr_miss_dropped
           base.Fabric.fr_link_dropped base.Fabric.fr_injected;
-      let t2 = (Lazy.force teams).(0) and t4 = (Lazy.force teams).(1) in
-      if not (Fabric.results_equal base (one ~team:t2 ~compiled:true ())) then
-        QCheck.Test.fail_reportf "seed %d: jobs=2 diverges from jobs=1 on:\n%s" seed src;
-      if not (Fabric.results_equal base (one ~team:t4 ~compiled:true ())) then
-        QCheck.Test.fail_reportf "seed %d: jobs=4 diverges from jobs=1 on:\n%s" seed src;
-      if not (Fabric.results_equal base (one ~compiled:false ())) then
+      if not (Fabric.results_equal base (one ~compiled:false)) then
         QCheck.Test.fail_reportf "seed %d: interpreter engine diverges from kernels on:\n%s"
           seed src;
       true)
@@ -360,7 +351,7 @@ let () =
             test_degenerate;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_fabric_deterministic ] );
+        [ QCheck_alcotest.to_alcotest prop_fabric_conservation ] );
       ( "topology",
         [
           Alcotest.test_case "validation rejects malformed topologies" `Quick test_validation;

@@ -107,54 +107,6 @@ let test_quiesce_respawn () =
       Alcotest.(check (array int)) "before quiesce" [| 2; 3; 4 |] a;
       Alcotest.(check (array int)) "workers respawn after quiesce" [| 2; 3; 4 |] b)
 
-(* --- cycle-engine teams --- *)
-
-let with_team ~jobs f =
-  let tm = Pool.Team.create ~jobs in
-  Fun.protect ~finally:(fun () -> Pool.Team.shutdown tm) (fun () -> f tm)
-
-let test_team_fan_out () =
-  with_team ~jobs:4 (fun tm ->
-      check_int "size" 4 (Pool.Team.size tm);
-      (* hits.(j) is only ever written by member j, so no synchronisation
-         is needed beyond the round barrier [run] provides. *)
-      let hits = Array.make 4 0 in
-      for _ = 1 to 50 do
-        Pool.Team.run tm (fun j -> hits.(j) <- hits.(j) + 1)
-      done;
-      Alcotest.(check (array int)) "every member runs every round" (Array.make 4 50) hits)
-
-let test_team_jobs_one_inline () =
-  with_team ~jobs:1 (fun tm ->
-      check_int "size" 1 (Pool.Team.size tm);
-      let ran = ref 0 in
-      Pool.Team.run tm (fun j ->
-          check_int "only member 0" 0 j;
-          incr ran);
-      check_int "ran inline" 1 !ran)
-
-let test_team_exception_propagation () =
-  with_team ~jobs:4 (fun tm ->
-      let raised =
-        try
-          Pool.Team.run tm (fun j -> if j >= 2 then raise (Boom j));
-          None
-        with Boom j -> Some j
-      in
-      Alcotest.(check (option int)) "smallest member index wins" (Some 2) raised;
-      (* The team survives a failed round. *)
-      let sum = Atomic.make 0 in
-      Pool.Team.run tm (fun j -> ignore (Atomic.fetch_and_add sum j));
-      check_int "team alive after failure" 6 (Atomic.get sum))
-
-let test_team_shutdown_idempotent () =
-  let tm = Pool.Team.create ~jobs:3 in
-  Pool.Team.shutdown tm;
-  Pool.Team.shutdown tm;
-  let hit = ref 0 in
-  Pool.Team.run tm (fun j -> if j = 0 then incr hit);
-  check_int "post-shutdown runs member 0 inline" 1 !hit
-
 (* --- simulator determinism under the pool --- *)
 
 let heavy_trace ~seed =
@@ -215,13 +167,6 @@ let () =
           Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs;
           Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_inline;
           Alcotest.test_case "quiesce keeps the pool usable" `Quick test_quiesce_respawn;
-        ] );
-      ( "team",
-        [
-          Alcotest.test_case "run fans out to every member" `Quick test_team_fan_out;
-          Alcotest.test_case "jobs=1 runs inline" `Quick test_team_jobs_one_inline;
-          Alcotest.test_case "exception propagation" `Quick test_team_exception_propagation;
-          Alcotest.test_case "shutdown is idempotent" `Quick test_team_shutdown_idempotent;
         ] );
       ( "determinism",
         [

@@ -344,9 +344,9 @@ let test_torn_fallback () =
    ingress adapters, and in flight on delay-carrying links — suspended
    by [cycle_budget], serialized, and resumed must finish bit-identical
    to the uninterrupted run ([Fabric.results_equal]: every counter,
-   digest and histogram), including when the resume runs on a team.
-   Damaged fabric snapshots are [Corrupt]; a snapshot resumed against a
-   different topology, routing policy or program is [Mismatch]. *)
+   digest and histogram).  Damaged fabric snapshots are [Corrupt]; a
+   snapshot resumed against a different topology, routing policy or
+   program is [Mismatch]. *)
 
 module Fabric = Mp5_fabric.Fabric
 module Topology = Mp5_fabric.Topology
@@ -394,17 +394,16 @@ let test_fabric_resume () =
   in
   (* Chunk the run through suspensions; each leg resumes from the
      previous snapshot against a fresh source (replayed-prefix path). *)
-  let team = Mp5_util.Pool.Team.create ~jobs:2 in
-  let rec chunks ?team n outcome =
+  let rec chunks n outcome =
     match outcome with
     | Fabric.Completed r -> (n, r)
     | Fabric.Suspended snap -> (
         if n > 50 then Alcotest.fail "fabric resume chain does not terminate";
         match
-          Fabric.resume ?team ~cycle_budget:30 ~dst ~snapshot:snap fp prog
+          Fabric.resume ~cycle_budget:30 ~dst ~snapshot:snap fp prog
             (Psource.of_array trace)
         with
-        | Ok o -> chunks ?team (n + 1) o
+        | Ok o -> chunks (n + 1) o
         | Error (Sim.Corrupt m) -> Alcotest.failf "chunk %d: corrupt: %s" n m
         | Error (Sim.Mismatch m) -> Alcotest.failf "chunk %d: mismatch: %s" n m)
   in
@@ -415,12 +414,7 @@ let test_fabric_resume () =
   let n, chunked = chunks 0 first in
   if n < 2 then Alcotest.failf "expected several suspensions, got %d" n;
   if not (Fabric.results_equal straight chunked) then
-    Alcotest.fail "chunked fabric run diverges from the uninterrupted run";
-  (* Resuming on a team must land on the same result. *)
-  let _, par = chunks ~team 0 (Fabric.run ~cycle_budget:12 ~dst fp prog (Psource.of_array trace)) in
-  Mp5_util.Pool.Team.shutdown team;
-  if not (Fabric.results_equal straight par) then
-    Alcotest.fail "fabric resume on a team diverges from the uninterrupted run"
+    Alcotest.fail "chunked fabric run diverges from the uninterrupted run"
 
 let test_fabric_rejects () =
   let prog, trace, dst, fp, snap = fabric_snapshot () in
@@ -592,6 +586,33 @@ let test_nested_frame_bounded () =
         Alcotest.failf "%s: rejecting it allocated %.0f bytes" what allocated)
     [ len + 8; len + (1 lsl 30); max_int; len - 8 ]
 
+(* A packet's fabric metadata names its destination host, which indexes
+   the forwarding table when the packet exits a switch: a forged
+   destination must be rejected when the snapshot is decoded, positioned
+   at the field, not raise mid-run.  Node 0's frame is followed by its
+   pending inputs (time, port, header count, headers), its meta count,
+   then per meta (local seq, fabric seq, destination, ...). *)
+let test_rejects_forged_meta_dst () =
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
+  let nf = List.hd (node_frames snap) in
+  let int_at p = Int64.to_int (String.get_int64_le snap p) in
+  let rec skip_inputs p n =
+    if n = 0 then p else skip_inputs (p + 24 + (8 * int_at (p + 16))) (n - 1)
+  in
+  let metas = skip_inputs (nf.nf_end + 8) (int_at nf.nf_end) in
+  if int_at metas = 0 then Alcotest.fail "fixture node 0 holds no packet metadata";
+  let at = metas + 24 in
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string snap in
+      Bytes.set_int64_le b at (Int64.of_int v);
+      reseal_fabric b;
+      let what = Printf.sprintf "meta destination %d" v in
+      let pos, msg = fabric_corrupt_pos what (prog, trace, dst, fp) (Bytes.to_string b) in
+      if not (contains msg "destination host") then Alcotest.failf "%s: %s" what msg;
+      Alcotest.(check int) (what ^ ": positioned at the field") at pos)
+    [ -1; Topology.n_hosts fp.Fabric.fp_topo ]
+
 (* A pending phantom delivery whose destination pipeline does not exist
    must be rejected when the snapshot is decoded — positioned, and
    without raising — not when the resumed run drains it.  The channel
@@ -688,6 +709,8 @@ let () =
             test_node_error_absolute;
           Alcotest.test_case "a forged node frame length stays inside its frame" `Quick
             test_nested_frame_bounded;
+          Alcotest.test_case "a forged metadata destination is rejected at decode" `Quick
+            test_rejects_forged_meta_dst;
         ] );
       ( "format",
         [
