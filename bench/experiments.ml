@@ -846,7 +846,7 @@ let chaos ?dir scale =
     ch_repro_dir = dir;
   }
 
-(* --- fabric: multi-switch leaf-spine run with jobs-parity check ---- *)
+(* --- fabric: multi-switch leaf-spine run with conservation check --- *)
 
 type fabric_bench = {
   fb_switches : int;

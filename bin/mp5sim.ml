@@ -38,6 +38,8 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
     heartbeat_every max_restarts hang_timeout backoff stop_at chaos_kill_at fabric fab_print
     fab_plan fab_rate fab_sabotage =
   let compiled = not no_compile in
+  let pkt_bytes_set = pkt_bytes <> None in
+  let pkt_bytes = Option.value pkt_bytes ~default:64 in
   if list_apps then begin
     List.iter print_endline (apps ());
     exit 0
@@ -106,6 +108,33 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           "mp5sim: --fabric steps its switches sequentially (--jobs spreads --runs only)@.";
         exit 1
       end;
+      (* Per-switch instruments, snapshot/supervision files and the
+         synthetic-trace shape have no fabric counterpart: naming the
+         flag beats silently ignoring it. *)
+      (match
+         List.filter_map
+           (fun (set, flag) -> if set then Some flag else None)
+           [
+             (metrics_file <> None, "--metrics");
+             (metrics_prom <> None, "--metrics-prom");
+             (profile <> None, "--profile");
+             (profile_out <> None, "--profile-out");
+             (trace_out <> None, "--trace");
+             (trace_perfetto <> None, "--trace-perfetto");
+             (trace_packets <> [], "--trace-packets");
+             (report, "--report");
+             (monitor_dump <> None, "--monitor-dump");
+             (heartbeat_file <> None, "--heartbeat");
+             (snapshot_path <> None, "--snapshot");
+             (stop_at <> None, "--stop-at");
+             (skewed, "--skewed");
+             (pkt_bytes_set, "--pkt-bytes");
+           ]
+       with
+      | [] -> ()
+      | flags ->
+          Format.eprintf "mp5sim: --fabric does not support %s@." (String.concat ", " flags);
+          exit 1);
       (match fab_rate with
       | Some r when r <= 0 ->
           Format.eprintf "mp5sim: --fab-rate expects a positive packets/cycle count@.";
@@ -156,7 +185,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       let mon = Mp5_fault.Monitor.create ~epoch:monitor_epoch () in
       let outcome =
         try
-          Mp5_fabric.Fabric.run ~monitor:mon ~compiled
+          Mp5_fabric.Fabric.run ~monitor:mon ~loop ~compiled
             ~sabotage:(if fab_sabotage then 1 else 0)
             ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Mp5_core.Switch.prog
             (Mp5_fabric.Traffic.source spec)
@@ -634,7 +663,10 @@ let mode_arg =
 let n_arg = Arg.(value & opt int 20000 & info [ "n"; "packets" ] ~docv:"N" ~doc:"Packets to simulate.")
 
 let bytes_arg =
-  Arg.(value & opt int 64 & info [ "pkt-bytes" ] ~docv:"B" ~doc:"Packet size for synthetic traces.")
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "pkt-bytes" ] ~docv:"B" ~doc:"Packet size for synthetic traces (default 64).")
 
 let skew_arg = Arg.(value & flag & info [ "skewed" ] ~doc:"Skewed state access pattern.")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
@@ -682,7 +714,8 @@ let loop_arg =
               mode) and the instrumented generic loop otherwise; \
               'generic' pins the oracle loop for differential runs; \
               'fast' forces the fast loop and fails (exit 1) when the \
-              run is not eligible.  Results are bit-identical across \
+              run is not eligible.  Under --fabric it picks every \
+              switch's loop.  Results are bit-identical across \
               variants.")
 
 let no_compile_arg =

@@ -289,8 +289,9 @@ type sim = {
      Same discipline as the telemetry above: [None] costs one branch
      per exit/drop and the hooks never touch simulated state, so
      results are bit-identical with hooks attached or not.  Only the
-     node API below sets them; the fast loop variants never run with
-     hooks because nodes step through the generic phases directly. *)
+     node API below sets them.  Both loop variants fire [on_exit]; the
+     fast gate rules out every drop, so [on_drop] has generic sites
+     only. *)
   mutable on_exit : (seq:int -> latency:int -> headers:int array -> unit) option;
   mutable on_drop : (seq:int -> unit) option;
 }
@@ -1631,7 +1632,8 @@ let fast_arrival sim fs source now =
 (* Build the fused cycle body.  Must run *after* a resume has decoded
    the snapshot ([r_queue] replaces the FIFO objects); under the fast
    gate nothing ever replaces them afterwards (only the fault paths do),
-   so the unwrapped matrix stays valid for the whole leg. *)
+   so the unwrapped matrix stays valid for the whole leg.  The [on_exit]
+   hook is captured here too, so a node sets it before building. *)
 let make_fast_state sim ~chunked ~consumed =
   let k = sim.p.k and n_stages = sim.n_stages in
   let cols =
@@ -1674,6 +1676,7 @@ let make_fast_state sim ~chunked ~consumed =
   let claimed = sim.claimed in
   let stateless_priority = sim.p.stateless_priority in
   let collect = sim.collect in
+  let on_exit = sim.on_exit in
   let n_user = sim.config.Config.n_user_fields in
   (* Ping-pong shadows for the transfer buffers: movement(s) fills
      the shadow of stage s+1 while apply(s+1) — later in the same
@@ -1822,6 +1825,10 @@ let make_fast_state sim ~chunked ~consumed =
             if Array.unsafe_get ecns pkt <> 0 then sim.marked <- sim.marked + 1;
             if sim.first_exit < 0 then sim.first_exit <- now;
             sim.last_exit <- now;
+            (match on_exit with
+            | Some f ->
+                f ~seq ~latency:(now - time_in) ~headers:(Array.sub fields fb n_user)
+            | None -> ());
             if collect then begin
               Int_vec.push sim.exit_seqs seq;
               Vec.push sim.exit_headers (Array.sub fields fb n_user);
@@ -2386,9 +2393,8 @@ let encode sim st source =
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
 
-(* One unprofiled generic cycle at [t]: the instrumented phase sequence
-   behind [drive]'s generic arm and [node_step].  [drive]'s profiled arm
-   runs the same sequence with a span around each phase. *)
+(* One unprofiled generic cycle at [t]: the instrumented phase
+   sequence. *)
 let generic_cycle sim t source st observer =
   (match sim.mon with
   | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
@@ -2404,6 +2410,78 @@ let generic_cycle sim t source st observer =
   exec_phase sim t;
   movement_phase sim t
 
+(* [generic_cycle] with a span around each phase: the generic phase
+   structure is the only place the apply/pop/exec split exists.  (A
+   sampled profile on the generic loop runs this too — the spans are
+   per-cycle either way.) *)
+let generic_cycle_prof sim pf t source st observer =
+  (match sim.mon with
+  | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
+  | _ -> ());
+  (match sim.flt with
+  | Some f ->
+      if Fault.next_edge f <= t then Prof.instant pf Prof.Fault;
+      fault_edges sim f t
+  | None -> ());
+  (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
+  let t0 = Prof.now () in
+  deliver_phantoms sim t;
+  Prof.record pf Prof.Deliver ~t0;
+  let t0 = Prof.now () in
+  apply_transfers sim t;
+  Prof.record pf Prof.Apply ~t0;
+  let t0 = Prof.now () in
+  arrival_phase sim t source st;
+  Prof.record pf Prof.Source ~t0;
+  let t0 = Prof.now () in
+  pop_phase sim t;
+  Prof.record pf Prof.Pop ~t0;
+  (match sim.ms with
+  | Some m ->
+      let t0 = Prof.now () in
+      metrics_sweep sim m;
+      Prof.record pf Prof.Sweep ~t0
+  | None -> ());
+  observe sim t observer;
+  let t0 = Prof.now () in
+  exec_phase sim t;
+  Prof.record pf Prof.Exec ~t0;
+  let t0 = Prof.now () in
+  movement_phase sim t;
+  Prof.record pf Prof.Movement ~t0
+
+(* The one variant-selection point, shared by [drive] and the node API:
+   apply [select_loop] to what is attached to [sim] and return the leg's
+   cycle — fast, fast with sampled spans, generic, or generic with
+   spans — as a function of the cycle number, plus the fast state when
+   the fast loop was chosen.  The cycle runs everything but the remap
+   boundary, which the caller owns.  [`Fast] is the bare loop
+   (select_loop's gate guarantees nothing is attached that could drop a
+   packet or observe mid-cycle state).  Call it after a resume has
+   decoded the machine and after the node hooks are set, since
+   [make_fast_state] captures both. *)
+let select_cycle ~loop ~chunked ~observer sim source st =
+  match
+    select_loop ~loop ~metrics:(Option.is_some sim.ms) ~events:(Option.is_some sim.tr)
+      ~fault:(Option.is_some sim.flt) ~monitor:(Option.is_some sim.mon)
+      ~observer:(Option.is_some observer) ~prof:(Option.map Prof.mode sim.pf) sim.p
+  with
+  | `Fast ->
+      let fs = make_fast_state sim ~chunked ~consumed:(Psource.consumed source) in
+      let cycle =
+        match sim.pf with
+        | None -> fun t -> fast_cycle sim fs t source st
+        | Some pf -> fun t -> fast_cycle_prof sim pf fs t source st
+      in
+      (Some fs, cycle)
+  | `Generic ->
+      let cycle =
+        match sim.pf with
+        | None -> fun t -> generic_cycle sim t source st observer
+        | Some pf -> fun t -> generic_cycle_prof sim pf t source st observer
+      in
+      (None, cycle)
+
 (* Remap boundaries fall every [remap_period] cycles after the first
    arrival, in every loop variant and on every fabric node. *)
 let remap_due sim st t =
@@ -2413,23 +2491,10 @@ let remap_due sim st t =
 let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoint
     ~cycle_budget ~heartbeat ~stop =
   let params = sim.p in
-  (* Variant selection, once per leg.  [`Fast] is the bare loop
-     (select_loop's gate guarantees nothing is attached that could drop
-     a packet or observe mid-cycle state). *)
-  let fstate =
-    match
-      select_loop ~loop ~metrics:(Option.is_some sim.ms) ~events:(Option.is_some sim.tr)
-        ~fault:(Option.is_some sim.flt) ~monitor:(Option.is_some sim.mon)
-        ~observer:(Option.is_some observer) ~prof:(Option.map Prof.mode sim.pf) params
-    with
-    | `Fast ->
-        (* Chunked admission only when this leg can never checkpoint:
-           [track_src] is armed exactly when it can ([checkpoint_every]
-           or [cycle_budget] on [run_source], always on [resume]). *)
-        Some
-          (make_fast_state sim ~chunked:(not st.track_src) ~consumed:(Psource.consumed source))
-    | `Generic -> None
-  in
+  (* Chunked admission only when this leg can never checkpoint:
+     [track_src] is armed exactly when it can ([checkpoint_every] or
+     [cycle_budget] on [run_source], always on [resume]). *)
+  let fstate, cycle = select_cycle ~loop ~chunked:(not st.track_src) ~observer sim source st in
   let has_next () =
     match fstate with
     | Some fs when fs.fs_chunked -> (
@@ -2467,54 +2532,7 @@ let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoin
     end
     else begin
         let t = st.now in
-        (match fstate with
-        | Some fs -> (
-            match sim.pf with
-            | None -> fast_cycle sim fs t source st
-            | Some pf -> fast_cycle_prof sim pf fs t source st)
-        | None -> (
-            match sim.pf with
-            | None -> generic_cycle sim t source st observer
-            | Some pf ->
-                (* Full-span arm: the generic phase structure is the only
-                   place the apply/pop/exec split exists, so each phase
-                   call gets its own span.  (A sampled profile on the
-                   generic loop takes this arm too — the spans are
-                   per-cycle either way.) *)
-                (match sim.mon with
-                | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
-                | _ -> ());
-                (match sim.flt with
-                | Some f ->
-                    if Fault.next_edge f <= t then Prof.instant pf Prof.Fault;
-                    fault_edges sim f t
-                | None -> ());
-                (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-                let t0 = Prof.now () in
-                deliver_phantoms sim t;
-                Prof.record pf Prof.Deliver ~t0;
-                let t0 = Prof.now () in
-                apply_transfers sim t;
-                Prof.record pf Prof.Apply ~t0;
-                let t0 = Prof.now () in
-                arrival_phase sim t source st;
-                Prof.record pf Prof.Source ~t0;
-                let t0 = Prof.now () in
-                pop_phase sim t;
-                Prof.record pf Prof.Pop ~t0;
-                (match sim.ms with
-                | Some m ->
-                    let t0 = Prof.now () in
-                    metrics_sweep sim m;
-                    Prof.record pf Prof.Sweep ~t0
-                | None -> ());
-                observe sim t observer;
-                let t0 = Prof.now () in
-                exec_phase sim t;
-                Prof.record pf Prof.Exec ~t0;
-                let t0 = Prof.now () in
-                movement_phase sim t;
-                Prof.record pf Prof.Movement ~t0));
+        cycle t;
         if remap_due sim st t then begin
           (match sim.pf with
           | None -> remap_phase sim t
@@ -3089,24 +3107,33 @@ let summary_equal (a : summary) (b : summary) =
    by the fabric driver.  The driver owns everything [drive] normally
    owns — idle fast-forward, the progress guard, checkpoint cadence —
    because those are fabric-global decisions (a switch idles only when
-   the whole fabric is quiet).  [node_step] runs [generic_cycle] and
-   the remap boundary, so a one-switch fabric fed the same packets at
-   the same cycles is bit-identical to [Sim.run]. *)
+   the whole fabric is quiet).  [node_step] runs the cycle
+   [select_cycle] chose for the node, then the remap boundary, so a
+   one-switch fabric fed the same packets at the same cycles is
+   bit-identical to [Sim.run] under either loop.  Nodes never chunk
+   admission: [node_inject] derives the local seq from the source
+   cursor and [node_pending] reads its lookahead. *)
 type node = {
   nd_sim : sim;
   nd_st : loop_state;
   nd_q : Machine.input Queue.t;
   nd_src : Psource.t;
+  nd_cycle : int -> unit;
 }
 
-let node_create ?(compiled = true) ~anchor ~on_exit ~on_drop params prog =
-  let sim = create ~compiled ~collect:false params prog in
+(* Attach the hooks, then choose the cycle ([make_fast_state] captures
+   [on_exit]). *)
+let make_node ~loop ~on_exit ~on_drop sim st q src =
   sim.on_exit <- Some on_exit;
   sim.on_drop <- Some on_drop;
+  let _, cycle = select_cycle ~loop ~chunked:false ~observer:None sim src st in
+  { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = cycle }
+
+let node_create ?(loop = Auto) ?(compiled = true) ~anchor ~on_exit ~on_drop params prog =
+  let sim = create ~compiled ~collect:false params prog in
   let q = Queue.create () in
   let src = Psource.of_queue q in
-  let st = fresh_loop_state ~start:anchor ~track_src:false in
-  { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src }
+  make_node ~loop ~on_exit ~on_drop sim (fresh_loop_state ~start:anchor ~track_src:false) q src
 
 (* Sequence numbers are assigned in admission order, which for a queue
    source is push order, so the local seq of a pushed packet is known at
@@ -3117,7 +3144,7 @@ let node_inject node input =
 
 let node_step node ~now =
   let sim = node.nd_sim and st = node.nd_st in
-  generic_cycle sim now node.nd_src st None;
+  node.nd_cycle now;
   if remap_due sim st now then remap_phase sim now;
   st.now <- now + 1;
   st.visited <- st.visited + 1
@@ -3147,7 +3174,9 @@ let node_encode w node =
   Binio.w_framed w ~magic:snap_magic (fun w ->
       encode_into w node.nd_sim node.nd_st node.nd_src)
 
-let node_restore ?(compiled = true) ~on_exit ~on_drop r prog =
+(* The cycle is chosen after [decode_machine]: [r_queue] replaces the
+   FIFO objects the fast state captures. *)
+let node_restore ?(loop = Auto) ?(compiled = true) ~on_exit ~on_drop r prog =
   match decode_machine ~compiled prog (Binio.r_framed r ~magic:snap_magic) with
   | exception Resume_mismatch msg -> Error (Mismatch msg)
   | exception Binio.Corrupt { pos; reason } ->
@@ -3155,8 +3184,6 @@ let node_restore ?(compiled = true) ~on_exit ~on_drop r prog =
   | exception Failure msg -> Error (Corrupt msg)
   | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
   | sim, st, consumed ->
-      sim.on_exit <- Some on_exit;
-      sim.on_drop <- Some on_drop;
       let q = Queue.create () in
       let src = Psource.of_queue ~consumed q in
-      Ok { nd_sim = sim; nd_st = { st with track_src = false }; nd_q = q; nd_src = src }
+      Ok (make_node ~loop ~on_exit ~on_drop sim { st with track_src = false } q src)

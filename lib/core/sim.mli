@@ -358,9 +358,12 @@ val summary_equal : summary -> summary -> bool
 
     One switch inside a multi-switch fabric ([lib/fabric]): a streaming
     sim fed by a live queue source, advanced one lock-step cycle at a
-    time by the fabric driver.  A node runs the exact generic sequential
-    cycle — a one-switch fabric fed the same packets at the same cycles
-    is bit-identical to {!run} — but owns none of the loop policy:
+    time by the fabric driver.  A node steps on the cycle variant
+    {!select_loop} picks for it, exactly as {!run} does — fast when the
+    machine parameters are eligible, since nodes carry no
+    instrumentation — and a one-switch fabric fed the same packets at
+    the same cycles is bit-identical to {!run} under either variant.  A
+    node owns none of the loop policy:
     idle fast-forward, deadlock guards, and checkpoint cadence are the
     driver's, because a switch may only idle when the whole fabric is
     quiet.  The [on_exit]/[on_drop] hooks are pure observers fired at
@@ -371,6 +374,7 @@ val summary_equal : summary -> summary -> bool
 type node
 
 val node_create :
+  ?loop:loop ->
   ?compiled:bool ->
   anchor:int ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
@@ -383,7 +387,11 @@ val node_create :
     plain {!run} over the same trace.  [on_exit] receives each exiting
     packet's local seq, pipeline latency, and a fresh copy of its user
     header fields; [on_drop] receives the local seq of each packet the
-    machine drops. *)
+    machine drops.  [loop] (default [Auto]) picks the cycle variant as
+    for {!run}; the node never chunks admission and never skips idle
+    remap boundaries, whichever variant runs.
+    @raise Invalid_argument for [~loop:Fast] on ineligible [params]
+    (finite FIFOs, starvation guard, or [Ideal] mode). *)
 
 val node_inject : node -> Mp5_banzai.Machine.input -> int
 (** Queue one packet for admission and return the local sequence number
@@ -393,9 +401,12 @@ val node_inject : node -> Mp5_banzai.Machine.input -> int
     next cycle to be stepped, or admission stalls. *)
 
 val node_step : node -> now:int -> unit
-(** Run one full machine cycle at cycle [now].  The driver must call
-    this with strictly increasing [now] and must itself visit every
-    remap boundary (nodes never skip cycles on their own). *)
+(** Run one full machine cycle at cycle [now] on the node's cycle
+    variant, then the remap boundary if one falls at [now].  Exits fire
+    [on_exit] in the same order under either variant.  The driver must
+    call this with strictly increasing [now] and must itself visit every
+    remap boundary (nodes never skip cycles on their own, and the fast
+    loop's clean-boundary skip belongs to {!run}'s driver). *)
 
 val node_in_flight : node -> int
 (** Packets inside the machine (admitted, not yet exited or dropped). *)
@@ -433,6 +444,7 @@ val node_encode : Mp5_util.Binio.writer -> node -> unit
     since it owns their metadata. *)
 
 val node_restore :
+  ?loop:loop ->
   ?compiled:bool ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
@@ -445,4 +457,7 @@ val node_restore :
     positioned at the snapshot's admission cursor; the caller re-injects
     any pending packets it recorded.  Error cases are those of
     {!resume}; [Corrupt] positions are absolute offsets in the caller's
-    file. *)
+    file.  [loop] is as for {!node_create}: snapshots record no loop
+    variant, so a node may resume on either.
+    @raise Invalid_argument for [~loop:Fast] when the snapshot's
+    parameters are not fast-eligible. *)

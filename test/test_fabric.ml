@@ -3,16 +3,18 @@
    The anchor is the degenerate differential: a one-switch fabric with
    zero-delay host links is the plain simulator wearing a topology — on
    a slice of the 220-program corpus its exit and access digests must
-   equal [Sim.run_source]'s exactly, packet for packet.  The fabric
-   driver may add routing, links and lock-step stepping, but it may not
-   change a single observable bit of the machine it wraps.
+   equal [Sim.run_source]'s exactly, packet for packet, with the nodes
+   on either cycle loop.  The fabric driver may add routing, links and
+   lock-step stepping, but it may not change a single observable bit of
+   the machine it wraps.
 
    On top of that, a 100-seed property quantifies over random topologies
    (2-8 switches, random trunk delays, random host placement):
    fabric-wide packet conservation holds at every monitor epoch, and the
-   result is bit-identical across the kernel/interpreter engines —
-   including under a seeded link-down fault plan.  Topology validation,
-   forwarding-miss accounting and the zero-delay corner get direct unit
+   result is bit-identical across the kernel/interpreter engines and
+   across fast and generic nodes — including under a seeded link-down
+   fault plan.  Topology validation, forwarding-miss accounting, the
+   zero-delay corner and the forced-fast contract get direct unit
    tests. *)
 
 module Sim = Mp5_core.Sim
@@ -59,15 +61,16 @@ let completed seed = function
    admission order.  All packets route to host 0, whose single
    zero-delay downlink delivers in exit order, so the fabric's exit
    digest folds the same (seq, latency, headers) triples in the same
-   order as the machine's streaming digest. *)
-let run_degenerate seed =
+   order as the machine's streaming digest.  Default parameters are
+   fast-eligible, so [loop] forces each variant on both sides. *)
+let run_degenerate ~loop seed =
   let src, prog = prog_for seed in
   let k = 2 + (seed mod 3) in
   let n_packets = 100 in
   let trace = Progen.trace ~seed ~k ~n:n_packets in
   let params = Sim.default_params ~k in
   let plain =
-    match Sim.run_source params prog (Psource.of_array trace) with
+    match Sim.run_source ~loop params prog (Psource.of_array trace) with
     | Sim.Completed s -> s
     | Sim.Suspended _ -> Alcotest.failf "seed %d: plain run suspended without a budget" seed
   in
@@ -76,7 +79,7 @@ let run_degenerate seed =
   let mon = Monitor.create ~epoch:16 () in
   let r =
     completed seed
-      (Fabric.run ~monitor:mon ~compiled:(seed mod 2 = 0) ~dst:(fun _ -> 0) fp prog
+      (Fabric.run ~monitor:mon ~loop ~compiled:(seed mod 2 = 0) ~dst:(fun _ -> 0) fp prog
          (Psource.of_array trace))
   in
   if not (Monitor.ok mon) then
@@ -101,14 +104,14 @@ let run_degenerate seed =
       seed r.Fabric.fr_delivered r.Fabric.fr_node_dropped n_packets
 
 let test_degenerate () =
-  (* Every 10th corpus seed: 22 programs across k in {2,3,4} and both
-     execution engines. *)
+  (* Every 10th corpus seed: 22 programs across k in {2,3,4}, both
+     execution engines and both cycle loops. *)
   let seeds = List.init 22 (fun i -> i * 10) in
-  List.iter run_degenerate seeds;
+  List.iter (fun loop -> List.iter (run_degenerate ~loop) seeds) [ Sim.Generic; Sim.Fast ];
   Alcotest.(check int) "slice size" 22 (List.length seeds)
 
 (* ------------------------------------------------------------------ *)
-(* 100-seed property: conservation + jobs/engine identity.             *)
+(* 100-seed property: conservation + engine/loop identity.             *)
 (* ------------------------------------------------------------------ *)
 
 (* Random connected topology: a random spanning tree over 2-8 switches
@@ -176,12 +179,12 @@ let prop_fabric_conservation =
         else Linkplan.empty
       in
       let fp = params_for topo ~k:2 plan in
-      let one ~compiled =
+      let one ?loop ~compiled () =
         let mon = Monitor.create ~epoch:16 () in
         let r =
           try
             completed seed
-              (Fabric.run ~monitor:mon ~compiled ~dst fp prog (Psource.of_array trace))
+              (Fabric.run ~monitor:mon ?loop ~compiled ~dst fp prog (Psource.of_array trace))
           with Monitor.Violation diag ->
             QCheck.Test.fail_reportf "seed %d: conservation violated:\n%s\n%s" seed diag src
         in
@@ -191,7 +194,7 @@ let prop_fabric_conservation =
           QCheck.Test.fail_reportf "seed %d: run finished with zero conservation checks" seed;
         r
       in
-      let base = one ~compiled:true in
+      let base = one ~compiled:true () in
       (* Every packet is accounted for at the end, too. *)
       if
         base.Fabric.fr_delivered + base.Fabric.fr_node_dropped + base.Fabric.fr_miss_dropped
@@ -201,9 +204,15 @@ let prop_fabric_conservation =
         QCheck.Test.fail_reportf "seed %d: final accounting leaks: %d+%d+%d+%d <> %d" seed
           base.Fabric.fr_delivered base.Fabric.fr_node_dropped base.Fabric.fr_miss_dropped
           base.Fabric.fr_link_dropped base.Fabric.fr_injected;
-      if not (Fabric.results_equal base (one ~compiled:false)) then
+      if not (Fabric.results_equal base (one ~compiled:false ())) then
         QCheck.Test.fail_reportf "seed %d: interpreter engine diverges from kernels on:\n%s"
           seed src;
+      (* [base] stepped its nodes on the fast loop (default parameters
+         are eligible); generic nodes must agree on every counter,
+         digest, per-node max queue and histogram. *)
+      if not (Fabric.results_equal base (one ~loop:Sim.Generic ~compiled:true ())) then
+        QCheck.Test.fail_reportf "seed %d: generic nodes diverge from fast nodes on:\n%s" seed
+          src;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -342,6 +351,39 @@ let test_link_faults () =
     (r.Fabric.fr_delivered + r.Fabric.fr_node_dropped + r.Fabric.fr_miss_dropped
    + r.Fabric.fr_link_dropped)
 
+(* A forced fast loop on ineligible machine parameters is a contract
+   violation, as for [Sim.run]: [Ideal] mode raises on a fresh run and
+   on a resume, and Auto quietly steps the same fabric on the generic
+   loop. *)
+let test_forced_fast () =
+  let _, prog = prog_for 3 in
+  let topo = Topology.line ~switches:2 ~hosts_per_sw:1 ~delay:1 in
+  let trace = gen_trace (Rng.create 5) ~n_hosts:2 ~n:40 in
+  let fp = params_for topo ~k:2 Linkplan.empty in
+  let ideal = { fp with Fabric.fp_sim = { fp.Fabric.fp_sim with Sim.mode = Sim.Ideal } } in
+  let dst (i : Machine.input) = 1 - i.Machine.port in
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: forced Fast on Ideal params did not raise" what
+  in
+  raises "run" (fun () ->
+      Fabric.run ~loop:Sim.Fast ~dst ideal prog (Psource.of_array trace));
+  let snap =
+    match Fabric.run ~cycle_budget:5 ~dst ideal prog (Psource.of_array trace) with
+    | Fabric.Suspended snap -> snap
+    | Fabric.Completed _ -> Alcotest.fail "budget 5 did not suspend the Ideal fabric"
+  in
+  raises "resume" (fun () ->
+      Fabric.resume ~loop:Sim.Fast ~dst ~snapshot:snap ideal prog (Psource.of_array trace));
+  let auto = completed 3 (Fabric.run ~dst ideal prog (Psource.of_array trace)) in
+  let generic =
+    completed 3 (Fabric.run ~loop:Sim.Generic ~dst ideal prog (Psource.of_array trace))
+  in
+  Alcotest.(check bool) "Auto = Generic on Ideal" true (Fabric.results_equal auto generic);
+  (* Eligible parameters accept the forced variant. *)
+  ignore (completed 3 (Fabric.run ~loop:Sim.Fast ~dst fp prog (Psource.of_array trace)))
+
 let () =
   Alcotest.run "fabric"
     [
@@ -358,5 +400,10 @@ let () =
           Alcotest.test_case "zero-delay links" `Quick test_zero_delay;
           Alcotest.test_case "forwarding miss is a counted drop" `Quick test_forwarding_miss;
           Alcotest.test_case "link-down / link-delay windows" `Quick test_link_faults;
+        ] );
+      ( "loops",
+        [
+          Alcotest.test_case "forced Fast on Ideal fabric params raises" `Quick
+            test_forced_fast;
         ] );
     ]

@@ -416,6 +416,43 @@ let test_fabric_resume () =
   if not (Fabric.results_equal straight chunked) then
     Alcotest.fail "chunked fabric run diverges from the uninterrupted run"
 
+(* Snapshots record no loop variant and stay in the generic
+   representation: a drain whose legs alternate generic and default
+   (fast) nodes writes, at every suspension, the bytes an all-generic
+   drain writes, and finishes equal to the straight run. *)
+let test_fabric_alternating_loops () =
+  let prog, trace, dst, fp = fabric_fixture () in
+  let straight = fabric_completed (Fabric.run ~dst fp prog (Psource.of_array trace)) in
+  let leg_loop n = if n mod 2 = 0 then Some Sim.Generic else None in
+  let rec chunks n ~alt ~generic =
+    match (alt, generic) with
+    | Fabric.Completed a, Fabric.Completed g ->
+        if not (Fabric.results_equal a g) then
+          Alcotest.fail "alternating-loop drain diverges from the all-generic drain";
+        (n, a)
+    | Fabric.Suspended sa, Fabric.Suspended sg ->
+        if n > 50 then Alcotest.fail "fabric resume chain does not terminate";
+        if sa <> sg then Alcotest.failf "leg %d: snapshot bytes depend on the loop variant" n;
+        let resume ?loop snap =
+          match
+            Fabric.resume ?loop ~cycle_budget:30 ~dst ~snapshot:snap fp prog
+              (Psource.of_array trace)
+          with
+          | Ok o -> o
+          | Error (Sim.Corrupt m) -> Alcotest.failf "leg %d: corrupt: %s" n m
+          | Error (Sim.Mismatch m) -> Alcotest.failf "leg %d: mismatch: %s" n m
+        in
+        chunks (n + 1)
+          ~alt:(resume ?loop:(leg_loop (n + 1)) sa)
+          ~generic:(resume ~loop:Sim.Generic sg)
+    | _ -> Alcotest.failf "leg %d: the drains suspend at different points" n
+  in
+  let first loop = Fabric.run ?loop ~cycle_budget:12 ~dst fp prog (Psource.of_array trace) in
+  let n, chunked = chunks 0 ~alt:(first (leg_loop 0)) ~generic:(first (Some Sim.Generic)) in
+  if n < 2 then Alcotest.failf "expected several suspensions, got %d" n;
+  if not (Fabric.results_equal straight chunked) then
+    Alcotest.fail "alternating-loop fabric drain diverges from the straight run"
+
 let test_fabric_rejects () =
   let prog, trace, dst, fp, snap = fabric_snapshot () in
   let err ?(fp = fp) ?(prog = prog) snap =
@@ -703,6 +740,8 @@ let () =
         [
           Alcotest.test_case "mid-flight fabric snapshot/resume is invisible" `Quick
             test_fabric_resume;
+          Alcotest.test_case "legs alternating generic and fast nodes resume bit-identical"
+            `Quick test_fabric_alternating_loops;
           Alcotest.test_case "damaged or mismatched fabric snapshots are rejected" `Quick
             test_fabric_rejects;
                   Alcotest.test_case "node errors carry absolute file offsets" `Quick
