@@ -10,8 +10,8 @@ test:
 
 # Tiny CI-sized subset: two domains exercise the parallel runner, the
 # smoke scale keeps it under a minute on one core.  sim-micro times the
-# compiled-kernel vs AST-interpreter engines on the same traces and
-# exits non-zero if their results ever differ.
+# closure kernels on a heavy-hitter trace and counts the minor words
+# allocated per packet.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke --jobs 2 --json BENCH_results.json \
 	  --metrics-dir BENCH_metrics \
@@ -84,9 +84,8 @@ fabric-smoke:
 	dune build @fabric
 	dune exec bench/main.exe -- --smoke fabric --json BENCH_fabric.json
 
-# Engine parity + performance gate: sim-micro times compiled kernels vs
-# the AST interpreter on the same trace, exits non-zero the moment their
-# outputs differ, and writes its row to BENCH_results.json.
+# Performance gate: sim-micro times the closure kernels on a
+# heavy-hitter trace and writes its row to BENCH_results.json.
 # scripts/perf_gate.sh then compares two fresh keys against the baseline
 # committed in git HEAD: heavy-hitter-2k/kernel_ns (wall clock, +/-25%
 # band: above fails as a regression, well below warns that the baseline

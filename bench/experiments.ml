@@ -29,13 +29,6 @@ let full = { n_packets = 60_000; runs = 10 }
    nested): the per-run arrays, or the per-point sweeps whose inner
    [averaged] stays sequential. *)
 
-(* Execution engine for every simulator invocation below: compiled
-   closure kernels (default) or the AST interpreter (--no-compile).
-   Both produce bit-identical results — see [sim_micro], which enforces
-   it — so the choice only affects wall-clock. *)
-let compiled = ref true
-let set_compiled b = compiled := b
-
 (* Cycle-loop variant for every simulator invocation below: Auto
    (default) takes the specialized fast loop on bare runs and the
    instrumented generic loop otherwise; --loop generic/fast pins the
@@ -131,8 +124,7 @@ let eligible_params (params : Sim.params) =
 
 let throughput ?mode ?shard_init ?finite_fifos setup sw trace =
   let params = sim_params ?mode ?shard_init ?finite_fifos setup in
-  (Sim.run ~loop:(loop_for ~eligible:(eligible_params params))
-     ~compiled:!compiled params sw.Switch.prog trace)
+  (Sim.run ~loop:(loop_for ~eligible:(eligible_params params)) params sw.Switch.prog trace)
     .Sim.normalized_throughput
 
 (* Streamed run of one generated workload; the cycle loop is the same as
@@ -143,8 +135,7 @@ let summary_source ?mode ?shard_init ?finite_fifos ?remap_period ?remap_noise_ga
     sim_params ?mode ?shard_init ?finite_fifos ?remap_period ?remap_noise_gate setup
   in
   match
-    Sim.run_source ~loop:(loop_for ~eligible:(eligible_params params))
-      ~compiled:!compiled params sw.Switch.prog
+    Sim.run_source ~loop:(loop_for ~eligible:(eligible_params params)) params sw.Switch.prog
       (source_for setup ~n ~seed)
   with
   | Sim.Completed s -> s
@@ -266,8 +257,7 @@ let d4 scale =
             mode = m; fifo_capacity = 16; adaptive_fifos = false }
         in
         let r =
-          Sim.run ~loop:(loop_for ~eligible:false) ~compiled:!compiled params
-            sw.Switch.prog trace
+          Sim.run ~loop:(loop_for ~eligible:false) params sw.Switch.prog trace
         in
         violations r.Sim.access_seqs r.Sim.headers_out r.Sim.store r.Sim.exit_order
     | `Recirc ->
@@ -334,9 +324,7 @@ let fig8_one scale name =
               Tracegen.flows ~seed:(800 + i) ~n_packets:scale.n_packets ~k ~concurrency:128 ()
             in
             let trace = Traces.trace_for name pkts in
-            let r, rep =
-              Switch.verify ~loop:!loop ~compiled:!compiled ~k sw trace
-            in
+            let r, rep = Switch.verify ~loop:!loop ~k sw trace in
             let lats = Array.of_list (List.map (fun (_, l) -> float_of_int l) r.Sim.latencies) in
             ( r.Sim.normalized_throughput,
               r.Sim.max_queue,
@@ -383,9 +371,7 @@ let ablate_priority scale =
           }
       in
       let stats params =
-        let r =
-          Sim.run ~loop:!loop ~compiled:!compiled params sw.Switch.prog trace
-        in
+        let r = Sim.run ~loop:!loop params sw.Switch.prog trace in
         let lats = Array.of_list (List.map (fun (_, l) -> float_of_int l) r.Sim.latencies) in
         (r.Sim.normalized_throughput, Stats.percentile lats 50.0)
       in
@@ -432,8 +418,7 @@ let ablate_fifo scale =
       in
       let s =
         match
-          Sim.run_source ~loop:(loop_for ~eligible:false)
-            ~compiled:!compiled params sw.Switch.prog
+          Sim.run_source ~loop:(loop_for ~eligible:false) params sw.Switch.prog
             (source_for setup ~n:scale.n_packets ~seed:1200)
         with
         | Sim.Completed s -> s
@@ -467,8 +452,8 @@ let degraded scale =
       let run ?(mode = Sim.Mp5) ?fault ?monitor () =
         let params = Sim.default_params ~k:setup.k in
         let eligible = fault = None && monitor = None in
-        (Sim.run ~loop:(loop_for ~eligible) ~compiled:!compiled ?fault
-           ?monitor { params with mode } sw.Switch.prog trace)
+        (Sim.run ~loop:(loop_for ~eligible) ?fault ?monitor { params with mode } sw.Switch.prog
+           trace)
           .Sim.normalized_throughput
       in
       let healthy = run () in
@@ -599,7 +584,7 @@ let probe_target scale name =
 (* Run a probe target once with the given instruments attached. *)
 let probe_run ?metrics ?prof pt =
   ignore
-    (Sim.run ~loop:(loop_for ~eligible:false) ~compiled:!compiled ?metrics ?prof
+    (Sim.run ~loop:(loop_for ~eligible:false) ?metrics ?prof
        ?fault:pt.pt_fault pt.pt_params pt.pt_sw.Switch.prog pt.pt_trace)
 
 let metrics_probe scale name =
@@ -625,23 +610,19 @@ let profile_probe scale name =
       pf)
     (probe_target scale name)
 
-(* --- kernel vs interpreter micro-benchmark ---
+(* --- closure-kernel micro-benchmark ---
 
-   A heavy-hitter workload (2000 packets, k = 4), run back-to-back on both
-   execution engines.  Interleaved min-of-N timing cancels machine drift;
-   the bit-identical check is a hard failure (CI gates on it), not a
-   statistic. *)
+   A heavy-hitter workload (2000 packets, k = 4) run back-to-back on the
+   closure kernels: min-of-N wall clock, plus the minor words allocated
+   per packet, a deterministic counter. *)
 
 type micro = {
   mi_reps : int;
-  mi_interp_ns : float;  (** min wall-clock per [Sim.run], AST interpreter *)
-  mi_kernel_ns : float;  (** min wall-clock per [Sim.run], closure kernels *)
+  mi_kernel_ns : float;  (** min wall-clock per [Sim.run] *)
   mi_kernel_words : float;
-      (** minor-heap words allocated per packet by one closure-kernel
-          [Sim.run]: a deterministic counter, unlike the wall clock *)
+      (** minor-heap words allocated per packet by one [Sim.run]: a
+          deterministic counter, unlike the wall clock *)
 }
-
-let micro_speedup m = m.mi_interp_ns /. m.mi_kernel_ns
 
 let sim_micro scale =
   let sw = Switch.create_exn Sources.heavy_hitter in
@@ -660,52 +641,23 @@ let sim_micro scale =
       }
   in
   let params = Sim.default_params ~k:4 in
-  let run ~compiled () = Sim.run ~loop:!loop ~compiled params sw.Switch.prog trace in
-  (* Correctness first: the two engines must agree on every observable
-     field before either number means anything. *)
-  let ref_kernel = run ~compiled:true () in
-  if not (Sim.results_equal (run ~compiled:false ()) ref_kernel) then
-    failwith "sim-micro: compiled kernels diverge from the AST interpreter";
+  let run () = ignore (Sim.run ~loop:!loop params sw.Switch.prog trace : Sim.result) in
+  (* Warm-up: the counted run below must not pay one-time setup. *)
+  run ();
   let kernel_words =
     let before = Gc.minor_words () in
-    ignore (run ~compiled:true () : Sim.result);
+    run ();
     (Gc.minor_words () -. before) /. float_of_int (Array.length trace)
   in
   let reps = max 5 scale.runs in
-  let time f =
+  let kernel_ns = ref infinity in
+  for _ = 1 to reps do
+    Gc.minor ();
     let t0 = Unix.gettimeofday () in
-    let r = f () in
-    ((Unix.gettimeofday () -. t0) *. 1e9, r)
-  in
-  let interp_ns = ref infinity and kernel_ns = ref infinity in
-  for rep = 1 to reps do
-    (* Alternate which engine runs first: a [Sim.run] inherits the heap
-       the previous one grew, which systematically taxes whichever engine
-       always went second. *)
-    let measure ~compiled =
-      Gc.minor ();
-      let t, r = time (run ~compiled) in
-      let slot = if compiled then kernel_ns else interp_ns in
-      slot := Float.min !slot t;
-      r
-    in
-    let ri, rk =
-      if rep land 1 = 0 then
-        let ri = measure ~compiled:false in
-        (ri, measure ~compiled:true)
-      else
-        let rk = measure ~compiled:true in
-        (measure ~compiled:false, rk)
-    in
-    if not (Sim.results_equal ri rk) then
-      failwith "sim-micro: compiled kernels diverge from the AST interpreter"
+    run ();
+    kernel_ns := Float.min !kernel_ns ((Unix.gettimeofday () -. t0) *. 1e9)
   done;
-  {
-    mi_reps = reps;
-    mi_interp_ns = !interp_ns;
-    mi_kernel_ns = !kernel_ns;
-    mi_kernel_words = kernel_words;
-  }
+  { mi_reps = reps; mi_kernel_ns = !kernel_ns; mi_kernel_words = kernel_words }
 
 (* --- longrun: multi-megapacket streamed run with chunked resume ---
 
@@ -759,8 +711,7 @@ let longrun scale =
     | Sim.Suspended snap -> (
         incr chunks;
         match
-          Sim.resume ~loop:!loop ~compiled:!compiled
-            ~cycle_budget:chunk_cycles ~snapshot:snap sw.Switch.prog source
+          Sim.resume ~loop:!loop ~cycle_budget:chunk_cycles ~snapshot:snap sw.Switch.prog source
         with
         | Ok o -> go o
         | Error (Sim.Corrupt m) -> failwith ("longrun: corrupt snapshot: " ^ m)
@@ -768,8 +719,7 @@ let longrun scale =
   in
   let s =
     go
-      (Sim.run_source ~loop:!loop ~compiled:!compiled
-         ~cycle_budget:chunk_cycles params sw.Switch.prog source)
+      (Sim.run_source ~loop:!loop ~cycle_budget:chunk_cycles params sw.Switch.prog source)
   in
   let seconds = Unix.gettimeofday () -. t0 in
   let top_heap_mb =
@@ -782,7 +732,7 @@ let longrun scale =
     else
       let straight =
         match
-          Sim.run_source ~loop:!loop ~compiled:!compiled params sw.Switch.prog
+          Sim.run_source ~loop:!loop params sw.Switch.prog
             (source_for setup ~n ~seed)
         with
         | Sim.Completed s -> s
@@ -895,8 +845,7 @@ let fabric scale =
   let t0 = Unix.gettimeofday () in
   let r =
     match
-      Fb.run ~monitor:mon ~compiled:!compiled
-        ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Switch.prog
+      Fb.run ~monitor:mon ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Switch.prog
         (Mp5_fabric.Traffic.source spec)
     with
     | Fb.Completed r -> r

@@ -193,18 +193,13 @@ let run_degraded scale =
 
 let run_sim_micro scale =
   let m = Experiments.sim_micro scale in
-  let speedup = Experiments.micro_speedup m in
   Format.printf "@.sim-micro: heavy-hitter, 2000-packet trace, k=4 (min over %d reps)@."
     m.Experiments.mi_reps;
-  Format.printf "  AST interpreter: %12.0f ns/run@." m.Experiments.mi_interp_ns;
   Format.printf "  closure kernels: %12.0f ns/run@." m.Experiments.mi_kernel_ns;
-  Format.printf "  speedup: %.2fx (outputs bit-identical)@." speedup;
   Format.printf "  closure kernels allocate %.1f minor words/packet@."
     m.Experiments.mi_kernel_words;
   [
-    ("heavy-hitter-2k/interp_ns", m.Experiments.mi_interp_ns);
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
-    ("heavy-hitter-2k/speedup", speedup);
     ("heavy-hitter-2k/words_per_pkt", m.Experiments.mi_kernel_words);
   ]
 
@@ -382,9 +377,6 @@ let () =
         parse acc rest
     | "--chaos-dir" :: dir :: rest ->
         chaos_dir := Some dir;
-        parse acc rest
-    | "--no-compile" :: rest ->
-        Experiments.set_compiled false;
         parse acc rest
     | "--loop" :: l :: rest -> (
         match l with

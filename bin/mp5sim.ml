@@ -27,32 +27,43 @@ let mode_conv =
 
 let apps () = List.map fst Mp5_apps.Sources.all_named
 
+(* A usage error: the message on stderr, exit 1. *)
+let usage fmt = Format.kasprintf (fun msg -> Format.eprintf "mp5sim: %s@." msg; exit 1) fmt
+
 let with_out path f =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
 
 let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_file jobs runs
-    no_compile loop metrics_file metrics_prom trace_out trace_packets trace_cap report
+    loop metrics_file metrics_prom trace_out trace_packets trace_cap report
     profile profile_out trace_perfetto fault_plan monitor monitor_epoch monitor_dump stream
     checkpoint_every snapshot_path resume_file keep_snapshots supervise heartbeat_file
     heartbeat_every max_restarts hang_timeout backoff stop_at chaos_kill_at fabric fab_print
     fab_plan fab_rate fab_sabotage =
-  let compiled = not no_compile in
   let pkt_bytes_set = pkt_bytes <> None in
   let pkt_bytes = Option.value pkt_bytes ~default:64 in
   if list_apps then begin
     List.iter print_endline (apps ());
     exit 0
   end;
-  if jobs < 1 then begin
-    Format.eprintf "mp5sim: --jobs expects a positive integer@.";
-    exit 1
-  end;
+  (* Numeric flags are range-checked up front, so a bad value is a usage
+     error rather than an exception from deep inside a run. *)
+  List.iter
+    (fun (bad, msg) -> if bad then usage "%s" msg)
+    [
+      (jobs < 1, "--jobs expects a positive integer");
+      (runs < 1, "--runs expects a positive integer");
+      (n_packets < 1, "--packets expects a positive count");
+      (k < 1 || k > 64, "-k expects a pipeline count with 1 <= K <= 64");
+      (monitor_epoch < 1, "--monitor-epoch expects a positive cycle count");
+      (trace_cap < 1, "--trace-cap expects a positive event count");
+      (keep_snapshots < 1, "--keep-snapshots expects a positive count");
+      (Option.value checkpoint_every ~default:1 < 1,
+       "--checkpoint-every expects a positive cycle count");
+      (Option.value fab_rate ~default:1 < 1, "--fab-rate expects a positive packets/cycle count");
+    ];
   if fabric = None && (fab_print || fab_plan <> None || fab_rate <> None || fab_sabotage)
-  then begin
-    Format.eprintf "mp5sim: --fab-* flags require --fabric SPEC@.";
-    exit 1
-  end;
+  then usage "--fab-* flags require --fabric SPEC";
   (* --fabric: compose per-switch simulators over a topology.  The spec
      parses before any program is required, so --fab-print works bare. *)
   let fabric_topo =
@@ -88,7 +99,16 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
         Format.eprintf "pass --app NAME or --file FILE@.";
         exit 1
   in
-  let sw = Mp5_core.Switch.create_exn src in
+  let sw =
+    match Mp5_core.Switch.create src with
+    | Ok sw -> sw
+    | Error msg ->
+        (* A program that does not compile is an input error, like an
+           unknown app; the message carries the source position. *)
+        let name = match app with Some n -> n | None -> Option.value file ~default:"" in
+        Format.eprintf "%s: %s@." name msg;
+        exit 2
+  in
   let config = Mp5_core.Switch.config sw in
   (match fabric_topo with
   | None -> ()
@@ -97,17 +117,12 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
          that conflict with the fabric driver are usage errors. *)
       if runs > 1 || recirc || stream || supervise || checkpoint_every <> None
          || resume_file <> None || trace_file <> None || fault_plan <> None
-      then begin
-        Format.eprintf
-          "mp5sim: --fabric is a single generated-traffic run (drop --runs/--recirc/\
-           streaming flags/--trace-file; link faults go through --fab-plan)@.";
-        exit 1
-      end;
-      if jobs > 1 then begin
-        Format.eprintf
-          "mp5sim: --fabric steps its switches sequentially (--jobs spreads --runs only)@.";
-        exit 1
-      end;
+      then
+        usage
+          "--fabric is a single generated-traffic run (drop --runs/--recirc/streaming \
+           flags/--trace-file; link faults go through --fab-plan)";
+      if jobs > 1 then
+        usage "--fabric steps its switches sequentially (--jobs spreads --runs only)";
       (* Per-switch instruments, snapshot/supervision files and the
          synthetic-trace shape have no fabric counterpart: naming the
          flag beats silently ignoring it. *)
@@ -132,14 +147,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
            ]
        with
       | [] -> ()
-      | flags ->
-          Format.eprintf "mp5sim: --fabric does not support %s@." (String.concat ", " flags);
-          exit 1);
-      (match fab_rate with
-      | Some r when r <= 0 ->
-          Format.eprintf "mp5sim: --fab-rate expects a positive packets/cycle count@.";
-          exit 1
-      | _ -> ());
+      | flags -> usage "--fabric does not support %s" (String.concat ", " flags));
       let lplan =
         match fab_plan with
         | None -> Mp5_fault.Linkplan.empty
@@ -185,7 +193,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       let mon = Mp5_fault.Monitor.create ~epoch:monitor_epoch () in
       let outcome =
         try
-          Mp5_fabric.Fabric.run ~monitor:mon ~loop ~compiled
+          Mp5_fabric.Fabric.run ~monitor:mon ~loop
             ~sabotage:(if fab_sabotage then 1 else 0)
             ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Mp5_core.Switch.prog
             (Mp5_fabric.Traffic.source spec)
@@ -193,9 +201,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
         | Mp5_fault.Monitor.Violation diag ->
             Format.eprintf "%s@." diag;
             exit 3
-        | Invalid_argument msg ->
-            Format.eprintf "mp5sim: %s@." msg;
-            exit 1
+        | Invalid_argument msg -> usage "%s" msg
       in
       (match outcome with
       | Mp5_fabric.Fabric.Suspended _ -> assert false (* no cycle budget attached *)
@@ -219,53 +225,26 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
             Format.eprintf "mp5sim: bad fault plan: %s@." e;
             exit 2)
   in
-  if Option.is_some plan && runs > 1 then begin
-    Format.eprintf "mp5sim: --fault-plan applies to single runs only (drop --runs)@.";
-    exit 1
-  end;
-  if Option.is_some plan && recirc then begin
-    Format.eprintf "mp5sim: --fault-plan is not supported by the --recirc baseline@.";
-    exit 1
-  end;
+  if Option.is_some plan && runs > 1 then
+    usage "--fault-plan applies to single runs only (drop --runs)";
+  if Option.is_some plan && recirc then
+    usage "--fault-plan is not supported by the --recirc baseline";
   (* Streaming mode: drive the run from a pull-based packet source
      instead of a materialized array — constant memory at any packet
      count, with optional periodic checkpoints and snapshot resume. *)
   let streaming = stream || supervise || checkpoint_every <> None || resume_file <> None in
   if streaming then begin
-    if recirc then begin
-      Format.eprintf "mp5sim: streaming runs do not support --recirc@.";
-      exit 1
-    end;
-    if runs > 1 then begin
-      Format.eprintf "mp5sim: streaming runs are single runs (drop --runs)@.";
-      exit 1
-    end;
-    if keep_snapshots < 1 then begin
-      Format.eprintf "mp5sim: --keep-snapshots expects a positive count@.";
-      exit 1
-    end;
-    (match checkpoint_every with
-    | Some n when n <= 0 ->
-        Format.eprintf "mp5sim: --checkpoint-every expects a positive cycle count@.";
-        exit 1
-    | Some _ when snapshot_path = None ->
-        Format.eprintf "mp5sim: --checkpoint-every requires --snapshot FILE@.";
-        exit 1
-    | _ -> ());
-    if resume_file <> None && Option.is_some plan then begin
-      Format.eprintf "mp5sim: --resume takes its fault plan from the snapshot (drop --fault-plan)@.";
-      exit 1
-    end;
+    if recirc then usage "streaming runs do not support --recirc";
+    if runs > 1 then usage "streaming runs are single runs (drop --runs)";
+    if checkpoint_every <> None && snapshot_path = None then
+      usage "--checkpoint-every requires --snapshot FILE";
+    if resume_file <> None && Option.is_some plan then
+      usage "--resume takes its fault plan from the snapshot (drop --fault-plan)";
     if supervise then begin
-      if checkpoint_every = None || snapshot_path = None then begin
-        Format.eprintf "mp5sim: --supervise requires --checkpoint-every and --snapshot@.";
-        exit 1
-      end;
-      if resume_file <> None then begin
-        Format.eprintf
-          "mp5sim: --supervise resumes from the snapshot rotation chain (drop --resume)@.";
-        exit 1
-      end
+      if checkpoint_every = None || snapshot_path = None then
+        usage "--supervise requires --checkpoint-every and --snapshot";
+      if resume_file <> None then
+        usage "--supervise resumes from the snapshot rotation chain (drop --resume)"
     end
   end;
   let trace_for_seed seed =
@@ -297,7 +276,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
     let one i =
       let trace = trace_for_seed (seed + i) in
       let params = { (Mp5_core.Sim.default_params ~k) with mode } in
-      let r, rep = Mp5_core.Switch.verify ~compiled ~loop ~params ~k sw trace in
+      let r, rep = Mp5_core.Switch.verify ~loop ~params ~k sw trace in
       (seed + i, r.Mp5_core.Sim.normalized_throughput, r.Mp5_core.Sim.dropped,
        Mp5_core.Equiv.equivalent rep)
     in
@@ -389,6 +368,19 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
             output_char oc '\n')
     | _ -> ()
   in
+  let write_trace () =
+    match (events, trace_out) with
+    | Some tr, Some path -> with_out path (fun oc -> Mp5_obs.Trace.write_jsonl tr oc)
+    | _ -> ()
+  in
+  (* A monitor violation aborts the run: the diagnostic goes to stderr
+     and the verdict and event trace are still written. *)
+  let violation diag =
+    Format.eprintf "%s@." diag;
+    dump_monitor ();
+    write_trace ();
+    exit 3
+  in
   let emit_instruments () =
     (match mon with
     | Some m -> Format.printf "%s@." (Mp5_fault.Monitor.summary m)
@@ -434,9 +426,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           trace_perfetto;
         if report || (profile_out = None && trace_perfetto = None) then
           Format.printf "%a" Mp5_obs.Prof.pp pf);
-    match (events, trace_out) with
-    | Some tr, Some path -> with_out path (fun oc -> Mp5_obs.Trace.write_jsonl tr oc)
-    | _ -> ()
+    write_trace ()
   in
   if streaming then begin
     let source () =
@@ -517,8 +507,8 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           | Some snap -> (
               match
                 Mp5_core.Switch.resume ~loop ?metrics ?events ?monitor:mon ?prof
-                  ~compiled ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat
-                  ~stop ?cycle_budget:stop_at ~snapshot:snap sw (source ())
+                  ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat ~stop
+                  ?cycle_budget:stop_at ~snapshot:snap sw (source ())
               with
               | Ok o -> o
               | Error (Mp5_core.Sim.Corrupt msg) ->
@@ -529,21 +519,12 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
                   exit 3)
           | None ->
               Mp5_core.Switch.run_source ~loop ~params ?metrics ?events ?fault:plan
-                ?monitor:mon ?prof ~compiled ?checkpoint_every ?on_checkpoint
+                ?monitor:mon ?prof ?checkpoint_every ?on_checkpoint
                 ~heartbeat_every ?on_heartbeat ~stop ?cycle_budget:stop_at ~k sw
                 (source ())
         with
-        | Invalid_argument msg ->
-            (* --loop fast on a run that attaches instrumentation. *)
-            Format.eprintf "mp5sim: %s@." msg;
-            exit 1
-        | Mp5_fault.Monitor.Violation diag ->
-            Format.eprintf "%s@." diag;
-            dump_monitor ();
-            (match (events, trace_out) with
-            | Some tr, Some path -> with_out path (fun oc -> Mp5_obs.Trace.write_jsonl tr oc)
-            | _ -> ());
-            exit 3
+        | Invalid_argument msg -> usage "%s" msg (* --loop fast on an instrumented run *)
+        | Mp5_fault.Monitor.Violation diag -> violation diag
         | Mp5_workload.Packet_source.Error msg ->
             Format.eprintf "%s@." msg;
             exit 2
@@ -620,20 +601,11 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
   let trace = Lazy.force trace in
   let r, rep =
     try
-      Mp5_core.Switch.verify ~compiled ~loop ~params ?metrics ?events ?fault:plan
+      Mp5_core.Switch.verify ~loop ~params ?metrics ?events ?fault:plan
         ?monitor:mon ?prof ~k sw trace
     with
-    | Invalid_argument msg ->
-        (* --loop fast on a run that attaches instrumentation. *)
-        Format.eprintf "mp5sim: %s@." msg;
-        exit 1
-    | Mp5_fault.Monitor.Violation diag ->
-      Format.eprintf "%s@." diag;
-      dump_monitor ();
-      (match (events, trace_out) with
-      | Some tr, Some path -> with_out path (fun oc -> Mp5_obs.Trace.write_jsonl tr oc)
-      | _ -> ());
-      exit 3
+    | Invalid_argument msg -> usage "%s" msg (* --loop fast on an instrumented run *)
+    | Mp5_fault.Monitor.Violation diag -> violation diag
   in
   Format.printf
     "%d pipelines, %d packets: throughput %.3f, max queue %d, dropped %d@.%a@." k
@@ -654,7 +626,8 @@ let app_arg =
 let file_arg =
   Arg.(value & opt (some non_dir_file) None & info [ "file" ] ~docv:"FILE" ~doc:"Domino source file.")
 
-let k_arg = Arg.(value & opt int 4 & info [ "k"; "pipelines" ] ~docv:"K" ~doc:"Number of pipelines.")
+let k_arg =
+  Arg.(value & opt int 4 & info [ "k"; "pipelines" ] ~docv:"K" ~doc:"Number of pipelines, 1 to 64.")
 
 let mode_arg =
   Arg.(value & opt mode_conv Mp5_core.Sim.Mp5
@@ -717,13 +690,6 @@ let loop_arg =
               run is not eligible.  Under --fabric it picks every \
               switch's loop.  Results are bit-identical across \
               variants.")
-
-let no_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compile" ]
-        ~doc:"Execute stages with the AST interpreter instead of the \
-              compiled closure kernels (slower; bit-identical results).")
 
 let metrics_arg =
   Arg.(
@@ -1020,7 +986,9 @@ let cmd =
       Cmd.Exit.info 0 ~doc:"on success.";
       Cmd.Exit.info 1 ~doc:"on usage errors (missing program, bad flag combinations).";
       Cmd.Exit.info 2
-        ~doc:"on input errors (unknown app, malformed trace file or fault plan).";
+        ~doc:
+          "on input errors (unknown app, a program that does not compile, malformed \
+           trace file or fault plan).";
       Cmd.Exit.info 3
         ~doc:
           "on validation failures (functional non-equivalence, metrics or \
@@ -1039,9 +1007,8 @@ let cmd =
     (Cmd.info "mp5sim" ~doc ~exits)
     Term.(
       const run $ app_arg $ file_arg $ k_arg $ mode_arg $ n_arg $ bytes_arg $ skew_arg
-      $ seed_arg $ recirc_arg $ list_arg $ trace_arg $ jobs_arg $ runs_arg $ no_compile_arg
-      $ loop_arg $ metrics_arg $ metrics_prom_arg $ trace_out_arg $ trace_packets_arg
-      $ trace_cap_arg
+      $ seed_arg $ recirc_arg $ list_arg $ trace_arg $ jobs_arg $ runs_arg $ loop_arg
+      $ metrics_arg $ metrics_prom_arg $ trace_out_arg $ trace_packets_arg $ trace_cap_arg
       $ report_arg $ profile_arg $ profile_out_arg $ trace_perfetto_arg
       $ fault_plan_arg $ monitor_arg $ monitor_epoch_arg $ monitor_dump_arg
       $ stream_arg $ checkpoint_every_arg $ snapshot_arg $ resume_arg

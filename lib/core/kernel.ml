@@ -15,9 +15,9 @@ type t = {
 
 let nop (_ : Expr.frame) = ()
 
-(* Bridge for the interpreter fallback, which walks ASTs over a plain
+(* Bridge for the interpreter arm, which walks ASTs over a plain
    [int array]: materialise the frame's window (no copy when the frame
-   covers a whole array, the [--no-compile] steady state) ... *)
+   covers a whole array) ... *)
 let frame_fields (f : Expr.frame) =
   if f.Expr.off = 0 && f.Expr.len = Array.length f.Expr.base then f.Expr.base
   else Array.sub f.Expr.base f.Expr.off f.Expr.len
@@ -37,9 +37,10 @@ let fuse = function
           (Array.unsafe_get fs i) fields
         done
 
-(* Interpreter fallback for the [~compiled:false] escape hatch: the same
-   closure signatures, but each call walks the expression ASTs via
-   [eval_raw]/[exec_*] exactly as the pre-kernel simulator did. *)
+(* Interpreter arm ([~compiled:false]): the same closure signatures, but
+   each call walks the expression ASTs via [eval_raw]/[exec_*] exactly as
+   the pre-kernel simulator did.  It exists as the reference that
+   test_kernel holds the compiled arm to, program by program. *)
 let interp_stateless tables ops =
   let rec go fields = function
     | [] -> ()

@@ -10,9 +10,9 @@
     nothing per packet.
 
     [create ~compiled:false] produces the same closure signatures backed
-    by the AST interpreter ([Expr.eval_raw]/[Atom.exec_*]) — the escape
-    hatch that differential tests hold bit-identical to the compiled
-    path. *)
+    by the AST interpreter ([Expr.eval_raw]/[Atom.exec_*]).  The simulator
+    always runs the compiled arm; the interpreter arm is the reference
+    the kernel tests hold it bit-identical to, program by program. *)
 
 type guard =
   | G_true                               (** [Transform.G_always] *)

@@ -194,7 +194,7 @@ type sim = {
   p : params;
   prog : Transform.t;
   config : Config.t;
-  kernel : Kernel.t;                       (* compiled (or interpreter-backed) stage kernels *)
+  kernel : Kernel.t;                       (* closure stage kernels, built once *)
   (* scratch frame retargeted at a packet's header fields before each
      kernel call: kernels read flat memory through the frame window, so
      no per-packet array is passed around (see {!Expr.frame}) *)
@@ -316,8 +316,7 @@ let cell_fifo sim pc cell =
       Hashtbl.add pc.pc_cells cell f;
       f
 
-let create ?(compiled = true) ?(collect = true) ?metrics ?events ?fault ?monitor ?prof params
-    prog =
+let create ?(collect = true) ?metrics ?events ?fault ?monitor ?prof params prog =
   let config = prog.Transform.config in
   let n_stages = Array.length config.Config.stages in
   let fplan =
@@ -378,7 +377,7 @@ let create ?(compiled = true) ?(collect = true) ?metrics ?events ?fault ?monitor
       p = params;
       prog;
       config;
-      kernel = Kernel.create ~compiled prog;
+      kernel = Kernel.create ~compiled:true prog;
       frame = Expr.frame_of_array [||];
       n_stages;
       accesses;
@@ -1191,9 +1190,9 @@ let access_digest sim =
 (* A plain indexed loop: no closure allocation, and the kernels
    themselves (closures built once at [create]) walk no AST and allocate
    nothing.  The cell resolved at arrival is handed to the kernel so a
-   resolvable index is hashed once per packet, not twice; the
-   interpreter-backed kernel recomputes it and the assert cross-checks
-   the two derivations. *)
+   resolvable index is hashed once per packet, not twice.  The asserts
+   pin the returned cell to the arrival-time resolution and the
+   packet's pipeline. *)
 let run_accs sim pkt pipeline accs =
   let frame = aim sim pkt in
   let sl = sim.sl in
@@ -2670,11 +2669,10 @@ let fresh_loop_state ~start ~track_src =
     track_src;
   }
 
-let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?(compiled = true)
-    params prog trace =
+let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace =
   if Array.length trace = 0 then invalid_arg "Sim.run: empty trace";
   let source = Psource.of_array trace in
-  let sim = create ~compiled ~collect:true ?metrics ?events ?fault ?monitor ?prof params prog in
+  let sim = create ~collect:true ?metrics ?events ?fault ?monitor ?prof params prog in
   (match sim.flt with
   | Some _ ->
       sim.dup_base <- Array.length trace;
@@ -2735,9 +2733,10 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?(compiled = true
     latencies;
   }
 
-(* Exact equality of two results, for the kernel-vs-interpreter
-   differential harnesses.  Hashtables are compared by sorted contents,
-   not structurally (bucket layout is an implementation detail). *)
+(* Exact equality of two results, for the differential harnesses that
+   hold loop variants, instrumentation and resumed runs to one another.
+   Hashtables are compared by sorted contents, not structurally (bucket
+   layout is an implementation detail). *)
 let results_equal (a : result) (b : result) =
   let tbl_sorted t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare in
   a.delivered = b.delivered && a.dropped = b.dropped
@@ -2779,8 +2778,8 @@ let finish_summary sim st source =
   }
 
 let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
-    ?(compiled = true) ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat
-    ?stop ?cycle_budget params prog source =
+    ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget
+    params prog source =
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Sim.run_source: checkpoint_every must be positive"
   | _ -> ());
@@ -2794,7 +2793,7 @@ let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
   in
   if Psource.consumed source > 0 then
     invalid_arg "Sim.run_source: source already partially consumed";
-  let sim = create ~compiled ~collect:false ?metrics ?events ?fault ?monitor ?prof params prog in
+  let sim = create ~collect:false ?metrics ?events ?fault ?monitor ?prof params prog in
   (match sim.flt with
   | Some _ ->
       (* Ghost seqs must not collide with trace seqs; with the total
@@ -2821,7 +2820,7 @@ exception Resume_mismatch of string
    Source positioning is the caller's business: [resume] replays or
    re-attaches a full source, a fabric node restore attaches a fresh
    live queue pre-positioned at the cursor. *)
-let decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r =
+let decode_machine ?metrics ?events ?monitor ?prof prog r =
   Binio.r_tag r ~expect:1 ~what:"params section";
   let params = r_params r in
   Binio.r_tag r ~expect:2 ~what:"program section";
@@ -2874,8 +2873,8 @@ let decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r =
   | Some d, Some m -> Metrics.restore_into m d
   | None, None -> ());
   let sim =
-    create ~compiled ~collect:false ?metrics ?events
-      ?fault:(Option.map fst fault_state) ?monitor ?prof params prog
+    create ~collect:false ?metrics ?events ?fault:(Option.map fst fault_state) ?monitor ?prof
+      params prog
   in
   (match (fault_state, sim.flt) with
   | Some (plan, saved), Some _ ->
@@ -2989,9 +2988,8 @@ let decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r =
   in
   (sim, st, consumed)
 
-let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?(compiled = true)
-    ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop
-    ?cycle_budget ~snapshot prog source =
+let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on_checkpoint
+    ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget ~snapshot prog source =
   if heartbeat_every <= 0 then invalid_arg "Sim.resume: heartbeat_every must be positive";
   let heartbeat = Option.map (fun f -> (heartbeat_every, f)) on_heartbeat in
   (* A resume boundary is a cold point by definition, and chunked
@@ -3006,9 +3004,7 @@ let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?(compiled = true)
   | Error msg -> Error (Corrupt msg)
   | Ok r -> (
       let decode () =
-        let sim, st, consumed =
-          decode_machine ?metrics ?events ?monitor ?prof ~compiled prog r
-        in
+        let sim, st, consumed = decode_machine ?metrics ?events ?monitor ?prof prog r in
         (* Position the source.  A source already at the checkpoint's
            cursor (in-process chunked resume) is used as-is; a fresh
            source replays the consumed prefix under the digest, proving
@@ -3129,8 +3125,8 @@ let make_node ~loop ~on_exit ~on_drop sim st q src =
   let _, cycle = select_cycle ~loop ~chunked:false ~observer:None sim src st in
   { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = cycle }
 
-let node_create ?(loop = Auto) ?(compiled = true) ~anchor ~on_exit ~on_drop params prog =
-  let sim = create ~compiled ~collect:false params prog in
+let node_create ?(loop = Auto) ~anchor ~on_exit ~on_drop params prog =
+  let sim = create ~collect:false params prog in
   let q = Queue.create () in
   let src = Psource.of_queue q in
   make_node ~loop ~on_exit ~on_drop sim (fresh_loop_state ~start:anchor ~track_src:false) q src
@@ -3176,8 +3172,8 @@ let node_encode w node =
 
 (* The cycle is chosen after [decode_machine]: [r_queue] replaces the
    FIFO objects the fast state captures. *)
-let node_restore ?(loop = Auto) ?(compiled = true) ~on_exit ~on_drop r prog =
-  match decode_machine ~compiled prog (Binio.r_framed r ~magic:snap_magic) with
+let node_restore ?(loop = Auto) ~on_exit ~on_drop r prog =
+  match decode_machine prog (Binio.r_framed r ~magic:snap_magic) with
   | exception Resume_mismatch msg -> Error (Mismatch msg)
   | exception Binio.Corrupt { pos; reason } ->
       Error (Corrupt (Binio.corrupt_message ~pos ~reason))

@@ -138,7 +138,6 @@ val run :
   ?fault:Mp5_fault.Fault.plan ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   params ->
   Transform.t ->
   Mp5_banzai.Machine.input array ->
@@ -187,18 +186,18 @@ val run :
     raising {!Mp5_fault.Monitor.Violation} with a diagnostic snapshot
     when one fails (or counting silently for a non-fail-fast monitor).
 
-    [compiled] (default [true]) selects the execution engine: the stage
-    programs are lowered to closed closure kernels at construction time
-    (see {!Kernel}), so the per-cycle path walks no expression ASTs and
-    — together with the packet arena — allocates nothing in steady
-    state.  [~compiled:false] is the AST-interpreter escape hatch; both
-    engines produce bit-identical results (enforced by differential
-    tests). *)
+    The stage programs are lowered to closed closure kernels once, at
+    construction time (see {!Kernel}), so the per-cycle path walks no
+    expression ASTs and — together with the packet arena — allocates
+    nothing in steady state.  The kernels are held to the AST
+    interpreter at the {!Kernel} boundary, and every run to the golden
+    Banzai machine, by the test suite. *)
 
 val results_equal : result -> result -> bool
 (** Exact equality of every observable field of two results — stores,
     headers, access sequences, exit order, latencies, and all counters.
-    The check behind the kernel-vs-interpreter bit-identical guarantee. *)
+    The check behind the loop-variant, instrumentation and resume
+    bit-identical guarantees. *)
 
 (** {2 Streaming runs}
 
@@ -260,7 +259,6 @@ val run_source :
   ?fault:Mp5_fault.Fault.plan ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(cycle:int -> string -> unit) ->
   ?heartbeat_every:int ->
@@ -309,7 +307,6 @@ val resume :
   ?events:Mp5_obs.Trace.t ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(cycle:int -> string -> unit) ->
   ?heartbeat_every:int ->
@@ -375,7 +372,6 @@ type node
 
 val node_create :
   ?loop:loop ->
-  ?compiled:bool ->
   anchor:int ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
@@ -445,7 +441,6 @@ val node_encode : Mp5_util.Binio.writer -> node -> unit
 
 val node_restore :
   ?loop:loop ->
-  ?compiled:bool ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
   Mp5_util.Binio.reader ->

@@ -50,14 +50,13 @@ val run :
   ?fault:Mp5_fault.Fault.plan ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   k:int ->
   t ->
   Mp5_banzai.Machine.input array ->
   Sim.result
 (** Run the MP5 simulator ([params] defaults to {!Sim.default_params};
-    [loop], [metrics], [events], [fault], [monitor], [prof] and
-    [compiled] as in {!Sim.run}). *)
+    [loop], [metrics], [events], [fault], [monitor] and [prof] as in
+    {!Sim.run}). *)
 
 val run_source :
   ?loop:Sim.loop ->
@@ -67,7 +66,6 @@ val run_source :
   ?fault:Mp5_fault.Fault.plan ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(cycle:int -> string -> unit) ->
   ?heartbeat_every:int ->
@@ -89,7 +87,6 @@ val resume :
   ?events:Mp5_obs.Trace.t ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(cycle:int -> string -> unit) ->
   ?heartbeat_every:int ->
@@ -111,7 +108,6 @@ val verify :
   ?fault:Mp5_fault.Fault.plan ->
   ?monitor:Mp5_fault.Monitor.t ->
   ?prof:Mp5_obs.Prof.t ->
-  ?compiled:bool ->
   k:int ->
   ?flow_of:(int -> int) ->
   t ->

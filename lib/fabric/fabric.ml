@@ -15,7 +15,7 @@ let digest_mask = 0x3FFF_FFFF_FFFF_FFFF
 
    Log2-bucketed, constant size, integer-only: two fabrics that ran the
    same packets produce structurally equal histograms, so identity
-   checks (engines, snapshot/resume) can compare them exactly while the
+   checks (loop variants, snapshot/resume) can compare them exactly while the
    bench layer reads approximate percentiles off the buckets. *)
 
 module Hist = struct
@@ -323,13 +323,13 @@ let blank ?monitor ~dst ~anchor p prog =
     hops_hist = Hist.create ();
   }
 
-let create ?monitor ?loop ~compiled ~dst ~anchor p prog =
+let create ?monitor ?loop ~dst ~anchor p prog =
   (match Linkplan.validate p.fp_plan ~n_links:(Topology.n_links p.fp_topo) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fabric.create: " ^ msg));
   let fab = blank ?monitor ~dst ~anchor p prog in
   make_nodes fab (fun _ ~on_exit ~on_drop ->
-      Sim.node_create ?loop ~compiled ~anchor ~on_exit ~on_drop p.fp_sim prog);
+      Sim.node_create ?loop ~anchor ~on_exit ~on_drop p.fp_sim prog);
   fab
 
 (* Fabric-wide packet conservation: everything injected is in a switch,
@@ -465,7 +465,7 @@ let encode fab =
 
 exception Restore_mismatch of string
 
-let decode_fabric ?monitor ?loop ~compiled ~dst p prog r =
+let decode_fabric ?monitor ?loop ~dst p prog r =
   Binio.r_tag r ~expect:1 ~what:"fabric header";
   let topo_dig = Binio.r_int r in
   if topo_dig <> Topology.digest p.fp_topo then
@@ -521,7 +521,7 @@ let decode_fabric ?monitor ?loop ~compiled ~dst p prog r =
     raise (Restore_mismatch "snapshot node count does not match the topology");
   make_nodes fab (fun i ~on_exit ~on_drop ->
       let nd =
-        match Sim.node_restore ?loop ~compiled ~on_exit ~on_drop r prog with
+        match Sim.node_restore ?loop ~on_exit ~on_drop r prog with
         | Ok nd -> nd
         | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
         | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
@@ -681,7 +681,7 @@ let drive fab source ~cycle_budget ~sabotage =
       if sabotage <> 0 then fab.injected <- fab.injected + sabotage;
       Completed (finish fab)
 
-let run ?monitor ?cycle_budget ?loop ?(compiled = true) ?(sabotage = 0) ~dst p prog source =
+let run ?monitor ?cycle_budget ?loop ?(sabotage = 0) ~dst p prog source =
   let anchor =
     match Psource.peek source with
     | Some i -> i.Machine.time
@@ -689,14 +689,14 @@ let run ?monitor ?cycle_budget ?loop ?(compiled = true) ?(sabotage = 0) ~dst p p
   in
   if Psource.consumed source > 0 then
     invalid_arg "Fabric.run: source already partially consumed";
-  let fab = create ?monitor ?loop ~compiled ~dst ~anchor p prog in
+  let fab = create ?monitor ?loop ~dst ~anchor p prog in
   drive fab source ~cycle_budget ~sabotage
 
-let resume ?monitor ?cycle_budget ?loop ?(compiled = true) ~dst ~snapshot p prog source =
+let resume ?monitor ?cycle_budget ?loop ~dst ~snapshot p prog source =
   match Binio.of_string ~magic:snap_magic snapshot with
   | Error msg -> Error (Sim.Corrupt msg)
   | Ok r -> (
-      match decode_fabric ?monitor ?loop ~compiled ~dst p prog r with
+      match decode_fabric ?monitor ?loop ~dst p prog r with
       | exception Restore_mismatch msg -> Error (Sim.Mismatch msg)
       | exception Binio.Corrupt { pos; reason } ->
           Error (Sim.Corrupt (Binio.corrupt_message ~pos ~reason))

@@ -93,7 +93,6 @@ val run :
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
   ?loop:Mp5_core.Sim.loop ->
-  ?compiled:bool ->
   ?sabotage:int ->
   dst:(Mp5_banzai.Machine.input -> int) ->
   params ->
@@ -121,7 +120,6 @@ val resume :
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
   ?loop:Mp5_core.Sim.loop ->
-  ?compiled:bool ->
   dst:(Mp5_banzai.Machine.input -> int) ->
   snapshot:string ->
   params ->
@@ -142,8 +140,8 @@ val resume :
     {!run}, and a resumed leg may step on either variant. *)
 
 val results_equal : result -> result -> bool
-(** Exact equality on every field, histograms included — the engine and
-    snapshot/resume identity checks. *)
+(** Exact equality on every field, histograms included — the loop-variant
+    and snapshot/resume identity checks. *)
 
 val throughput : result -> float
 (** Delivered packets per fabric cycle. *)

@@ -11,9 +11,8 @@
    On top of that, a 100-seed property quantifies over random topologies
    (2-8 switches, random trunk delays, random host placement):
    fabric-wide packet conservation holds at every monitor epoch, and the
-   result is bit-identical across the kernel/interpreter engines and
-   across fast and generic nodes — including under a seeded link-down
-   fault plan.  Topology validation, forwarding-miss accounting, the
+   result is bit-identical across fast and generic nodes — including
+   under a seeded link-down fault plan.  Topology validation, forwarding-miss accounting, the
    zero-delay corner and the forced-fast contract get direct unit
    tests. *)
 
@@ -79,8 +78,7 @@ let run_degenerate ~loop seed =
   let mon = Monitor.create ~epoch:16 () in
   let r =
     completed seed
-      (Fabric.run ~monitor:mon ~loop ~compiled:(seed mod 2 = 0) ~dst:(fun _ -> 0) fp prog
-         (Psource.of_array trace))
+      (Fabric.run ~monitor:mon ~loop ~dst:(fun _ -> 0) fp prog (Psource.of_array trace))
   in
   if not (Monitor.ok mon) then
     Alcotest.failf "seed %d: conservation violated on the degenerate fabric:\n%s\n%s" seed src
@@ -104,14 +102,14 @@ let run_degenerate ~loop seed =
       seed r.Fabric.fr_delivered r.Fabric.fr_node_dropped n_packets
 
 let test_degenerate () =
-  (* Every 10th corpus seed: 22 programs across k in {2,3,4}, both
-     execution engines and both cycle loops. *)
+  (* Every 10th corpus seed: 22 programs across k in {2,3,4} and both
+     cycle loops. *)
   let seeds = List.init 22 (fun i -> i * 10) in
   List.iter (fun loop -> List.iter (run_degenerate ~loop) seeds) [ Sim.Generic; Sim.Fast ];
   Alcotest.(check int) "slice size" 22 (List.length seeds)
 
 (* ------------------------------------------------------------------ *)
-(* 100-seed property: conservation + engine/loop identity.             *)
+(* 100-seed property: conservation + loop-variant identity.           *)
 (* ------------------------------------------------------------------ *)
 
 (* Random connected topology: a random spanning tree over 2-8 switches
@@ -179,12 +177,12 @@ let prop_fabric_conservation =
         else Linkplan.empty
       in
       let fp = params_for topo ~k:2 plan in
-      let one ?loop ~compiled () =
+      let one ?loop () =
         let mon = Monitor.create ~epoch:16 () in
         let r =
           try
             completed seed
-              (Fabric.run ~monitor:mon ?loop ~compiled ~dst fp prog (Psource.of_array trace))
+              (Fabric.run ~monitor:mon ?loop ~dst fp prog (Psource.of_array trace))
           with Monitor.Violation diag ->
             QCheck.Test.fail_reportf "seed %d: conservation violated:\n%s\n%s" seed diag src
         in
@@ -194,7 +192,7 @@ let prop_fabric_conservation =
           QCheck.Test.fail_reportf "seed %d: run finished with zero conservation checks" seed;
         r
       in
-      let base = one ~compiled:true () in
+      let base = one () in
       (* Every packet is accounted for at the end, too. *)
       if
         base.Fabric.fr_delivered + base.Fabric.fr_node_dropped + base.Fabric.fr_miss_dropped
@@ -204,13 +202,10 @@ let prop_fabric_conservation =
         QCheck.Test.fail_reportf "seed %d: final accounting leaks: %d+%d+%d+%d <> %d" seed
           base.Fabric.fr_delivered base.Fabric.fr_node_dropped base.Fabric.fr_miss_dropped
           base.Fabric.fr_link_dropped base.Fabric.fr_injected;
-      if not (Fabric.results_equal base (one ~compiled:false ())) then
-        QCheck.Test.fail_reportf "seed %d: interpreter engine diverges from kernels on:\n%s"
-          seed src;
       (* [base] stepped its nodes on the fast loop (default parameters
          are eligible); generic nodes must agree on every counter,
          digest, per-node max queue and histogram. *)
-      if not (Fabric.results_equal base (one ~loop:Sim.Generic ~compiled:true ())) then
+      if not (Fabric.results_equal base (one ~loop:Sim.Generic ())) then
         QCheck.Test.fail_reportf "seed %d: generic nodes diverge from fast nodes on:\n%s" seed
           src;
       true)

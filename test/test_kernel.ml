@@ -4,8 +4,10 @@
    values, same side effects, and the same [Invalid_argument] exceptions
    with the same messages, raised lazily at call time.
 
-   The random sweeps here are intra-module (expression/atom granularity);
-   whole-simulator equivalence over generated programs lives in
+   The random sweeps are intra-module (expression/atom granularity),
+   plus one whole-program check of [Kernel.create]'s wiring: both arms
+   of [~compiled] over every app and a slice of generated programs.
+   Whole-simulator equivalence over generated programs lives in
    test_differential.ml. *)
 
 module Expr = Mp5_banzai.Expr
@@ -28,8 +30,8 @@ let tables =
   let t1 = Table.add_exact t1 ~key:[ 1; 2 ] ~action:12 () in
   [| t0; t1 |]
 
-let random_fields rng =
-  Array.init n_fields (fun _ ->
+let random_fields ?(n = n_fields) rng =
+  Array.init n (fun _ ->
       match Rng.int rng 5 with
       | 0 -> 0
       | 1 -> Rng.int rng 8
@@ -259,6 +261,82 @@ let test_stateful_cell_hint () =
     check "registers identical" true (ra = rb)
   done
 
+(* --- whole-program wiring ------------------------------------------ *)
+
+module Kernel = Mp5_core.Kernel
+module Transform = Mp5_core.Transform
+module Config = Mp5_banzai.Config
+module Progen = Mp5_fuzz.Progen
+
+(* [Kernel.create]'s per-program wiring — stateless fusion, guard and
+   index selection, the index clamp and the cell hint — on both arms of
+   [~compiled].  Packets flow as in the simulator: guard and index at
+   arrival, then per stage the stateless kernel and the stage's
+   accesses in id order.  The compiled exec gets the arrival cell as its
+   hint and the interpreter recomputes it (-1).  Odd packets sit at an
+   offset inside a larger array, as slab frames do, so the sentinel
+   words around the window must survive too.  Returns the number of
+   accesses that touched a register. *)
+let check_wiring name (prog : Transform.t) =
+  let config = prog.Transform.config in
+  let kc = Kernel.create ~compiled:true prog and ki = Kernel.create ~compiled:false prog in
+  let regs () = Array.map (fun (r : Config.reg) -> Array.copy r.Config.init) config.Config.regs in
+  let rc = regs () and ri = regs () in
+  let nf = Array.length config.Config.fields and nu = config.Config.n_user_fields in
+  let rng = Rng.create (Hashtbl.hash name) in
+  let accessed = ref 0 in
+  for pkt = 0 to 63 do
+    let fail what i = Alcotest.failf "%s, packet %d: %s %d" name pkt what i in
+    let off = 3 * (pkt land 1) in
+    let base = Array.make (nf + (2 * off)) (-77) in
+    Array.fill base off nf 0;
+    Array.blit (random_fields ~n:nu rng) 0 base off nu;
+    let fc = { Expr.base = Array.copy base; off; len = nf } in
+    let fi = { Expr.base = Array.copy base; off; len = nf } in
+    let hint i (a : Transform.access) =
+      (match (kc.Kernel.guard.(i), ki.Kernel.guard.(i), a.Transform.guard) with
+      | G_true, G_true, G_always | G_unknown, G_unknown, G_unresolved -> ()
+      | G_pred pc, G_pred pi, G_resolved _ -> if pc fc <> pi fi then fail "guard of access" i
+      | _ -> fail "guard shape of access" i);
+      match (kc.Kernel.index.(i), ki.Kernel.index.(i), a.Transform.index) with
+      | I_none, I_none, I_unresolved -> -1
+      | I_cell c, I_cell ii, I_resolved _ ->
+          let cell = c fc in
+          if cell <> ii fi then fail "index of access" i;
+          cell
+      | _ -> fail "index shape of access" i
+    in
+    let hints = Array.mapi hint prog.Transform.accesses in
+    for stage = 1 to Array.length config.Config.stages - 1 do
+      kc.Kernel.stateless.(stage) fc;
+      ki.Kernel.stateless.(stage) fi;
+      if fc.Expr.base <> fi.Expr.base then fail "stateless fields of stage" stage;
+      Array.iter
+        (fun { Transform.acc_id = i; reg; stage = s; _ } ->
+          if s = stage then begin
+            let cc = kc.Kernel.exec.(i) fc rc.(reg) hints.(i) in
+            if cc <> ki.Kernel.exec.(i) fi ri.(reg) (-1) then fail "cell of access" i;
+            if fc.Expr.base <> fi.Expr.base then fail "fields after access" i;
+            if rc.(reg) <> ri.(reg) then fail "registers after access" i;
+            if cc >= 0 then incr accessed
+          end)
+        prog.Transform.accesses
+    done
+  done;
+  !accessed
+
+let test_program_wiring () =
+  let app (name, src) = check_wiring name (Mp5_core.Switch.create_exn src).Mp5_core.Switch.prog in
+  let accessed = List.fold_left (fun n a -> n + app a) 0 Mp5_apps.Sources.all_named in
+  if accessed < 1000 then Alcotest.failf "only %d register accesses ran over the apps" accessed;
+  for i = 0 to 43 do
+    match Mp5_domino.Compile.compile ~limits:Progen.limits (Progen.generate (5 * i)) with
+    | Ok t ->
+        let prog = Transform.transform ~limits:Progen.limits t.Mp5_domino.Compile.config in
+        ignore (check_wiring (Printf.sprintf "progen seed %d" (5 * i)) prog : int)
+    | Error _ -> Alcotest.failf "progen seed %d does not compile" (5 * i)
+  done
+
 let () =
   Alcotest.run "kernel"
     [
@@ -278,4 +356,5 @@ let () =
           Alcotest.test_case "stateful parity" `Quick test_stateful_parity;
           Alcotest.test_case "cell hint" `Quick test_stateful_cell_hint;
         ] );
+      ("create", [ Alcotest.test_case "program wiring, both arms" `Quick test_program_wiring ]);
     ]
