@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-e2e-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf-smoke clean
+.PHONY: all build test bench bench-smoke bench-e2e-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf-smoke loc clean
 
 all: build
 
@@ -109,6 +109,16 @@ bench-e2e-smoke:
 	    *) echo "bench-e2e-smoke: $$w did not pass its oracle" >&2; exit 1 ;; \
 	  esac; \
 	done
+
+# Size ledger: the .ml/.mli/.t line total under lib bin bench test, and
+# lib/core/sim.ml alone -- the numbers a size claim in ROADMAP or
+# CHANGES cites.
+loc:
+	@printf 'lib bin bench test (.ml .mli .t): '
+	@find lib bin bench test -type f \( -name '*.ml' -o -name '*.mli' -o -name '*.t' \) \
+	  -exec cat {} + | wc -l
+	@printf 'lib/core/sim.ml: '
+	@wc -l < lib/core/sim.ml
 
 bench:
 	dune exec bench/main.exe

@@ -48,6 +48,8 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
   end;
   (* Numeric flags are range-checked up front, so a bad value is a usage
      error rather than an exception from deep inside a run. *)
+  let fails ok = Option.fold ~none:false ~some:(fun x -> not (ok x)) in
+  let pos n = n > 0 in
   List.iter
     (fun (bad, msg) -> if bad then usage "%s" msg)
     [
@@ -57,11 +59,38 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       (k < 1 || k > 64, "-k expects a pipeline count with 1 <= K <= 64");
       (monitor_epoch < 1, "--monitor-epoch expects a positive cycle count");
       (trace_cap < 1, "--trace-cap expects a positive event count");
-      (keep_snapshots < 1, "--keep-snapshots expects a positive count");
-      (Option.value checkpoint_every ~default:1 < 1,
-       "--checkpoint-every expects a positive cycle count");
-      (Option.value fab_rate ~default:1 < 1, "--fab-rate expects a positive packets/cycle count");
+      (fails pos keep_snapshots, "--keep-snapshots expects a positive count");
+      (fails pos checkpoint_every, "--checkpoint-every expects a positive cycle count");
+      (fails pos fab_rate, "--fab-rate expects a positive packets/cycle count");
+      (fails pos stop_at, "--stop-at expects a positive cycle count");
+      (fails pos heartbeat_every, "--heartbeat-every expects a positive cycle count");
+      (fails (fun n -> n >= 0) max_restarts, "--max-restarts expects a non-negative count");
+      (fails (fun x -> x > 0.) hang_timeout, "--hang-timeout expects a positive number of seconds");
+      (fails (fun x -> x >= 0.) backoff, "--backoff expects a non-negative number of seconds");
     ];
+  (* A flag that only some kind of run reads is named, not ignored. *)
+  let named flags = List.filter_map (fun (set, flag) -> if set then Some flag else None) flags in
+  let require ok what flags =
+    match named flags with
+    | _ :: _ as fl when not ok -> usage "%s is required by %s" what (String.concat ", " fl)
+    | _ -> ()
+  in
+  require supervise "--supervise"
+    [
+      (max_restarts <> None, "--max-restarts");
+      (hang_timeout <> None, "--hang-timeout");
+      (backoff <> None, "--backoff");
+    ];
+  let streaming_only =
+    [
+      (heartbeat_file <> None, "--heartbeat");
+      (heartbeat_every <> None, "--heartbeat-every");
+      (snapshot_path <> None, "--snapshot");
+      (keep_snapshots <> None, "--keep-snapshots");
+      (stop_at <> None, "--stop-at");
+      (chaos_kill_at <> [], "--chaos-kill-at");
+    ]
+  in
   if fabric = None && (fab_print || fab_plan <> None || fab_rate <> None || fab_sabotage)
   then usage "--fab-* flags require --fabric SPEC";
   (* --fabric: compose per-switch simulators over a topology.  The spec
@@ -127,9 +156,8 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
          synthetic-trace shape have no fabric counterpart: naming the
          flag beats silently ignoring it. *)
       (match
-         List.filter_map
-           (fun (set, flag) -> if set then Some flag else None)
-           [
+         named
+           ([
              (metrics_file <> None, "--metrics");
              (metrics_prom <> None, "--metrics-prom");
              (profile <> None, "--profile");
@@ -139,12 +167,9 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
              (trace_packets <> [], "--trace-packets");
              (report, "--report");
              (monitor_dump <> None, "--monitor-dump");
-             (heartbeat_file <> None, "--heartbeat");
-             (snapshot_path <> None, "--snapshot");
-             (stop_at <> None, "--stop-at");
-             (skewed, "--skewed");
-             (pkt_bytes_set, "--pkt-bytes");
-           ]
+            ]
+           @ streaming_only
+           @ [ (skewed, "--skewed"); (pkt_bytes_set, "--pkt-bytes") ])
        with
       | [] -> ()
       | flags -> usage "--fabric does not support %s" (String.concat ", " flags));
@@ -233,6 +258,10 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
      instead of a materialized array — constant memory at any packet
      count, with optional periodic checkpoints and snapshot resume. *)
   let streaming = stream || supervise || checkpoint_every <> None || resume_file <> None in
+  require streaming "a streaming run (--stream, --checkpoint-every, --resume or --supervise)"
+    streaming_only;
+  let keep_snapshots = Option.value keep_snapshots ~default:2 in
+  let heartbeat_every = Option.value heartbeat_every ~default:1000 in
   if streaming then begin
     if recirc then usage "streaming runs do not support --recirc";
     if runs > 1 then usage "streaming runs are single runs (drop --runs)";
@@ -506,9 +535,9 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           match resume_snap with
           | Some snap -> (
               match
-                Mp5_core.Switch.resume ~loop ?metrics ?events ?monitor:mon ?prof
+                Mp5_core.Sim.resume ~loop ?metrics ?events ?monitor:mon ?prof
                   ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat ~stop
-                  ?cycle_budget:stop_at ~snapshot:snap sw (source ())
+                  ?cycle_budget:stop_at ~snapshot:snap sw.prog (source ())
               with
               | Ok o -> o
               | Error (Mp5_core.Sim.Corrupt msg) ->
@@ -518,10 +547,9 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
                   Format.eprintf "mp5sim: snapshot mismatch: %s@." msg;
                   exit 3)
           | None ->
-              Mp5_core.Switch.run_source ~loop ~params ?metrics ?events ?fault:plan
-                ?monitor:mon ?prof ?checkpoint_every ?on_checkpoint
-                ~heartbeat_every ?on_heartbeat ~stop ?cycle_budget:stop_at ~k sw
-                (source ())
+              Mp5_core.Sim.run_source ~loop ?metrics ?events ?fault:plan ?monitor:mon ?prof
+                ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat ~stop
+                ?cycle_budget:stop_at params sw.prog (source ())
         with
         | Invalid_argument msg -> usage "%s" msg (* --loop fast on an instrumented run *)
         | Mp5_fault.Monitor.Violation diag -> violation diag
@@ -558,14 +586,15 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       let ignore_sig = Sys.Signal_handle (fun _ -> ()) in
       Sys.set_signal Sys.sigint ignore_sig;
       Sys.set_signal Sys.sigterm ignore_sig;
+      let d = Mp5_robust.Supervisor.default ~snapshot_path:(Option.get snapshot_path) in
       let cfg =
         {
-          (Mp5_robust.Supervisor.default ~snapshot_path:(Option.get snapshot_path)) with
+          d with
           Mp5_robust.Supervisor.heartbeat_path = Option.get heartbeat_path;
           keep_snapshots;
-          hang_timeout;
-          max_restarts;
-          backoff_base = backoff;
+          hang_timeout = Option.value hang_timeout ~default:d.hang_timeout;
+          max_restarts = Option.value max_restarts ~default:d.max_restarts;
+          backoff_base = Option.value backoff ~default:d.backoff_base;
           log = (fun line -> Format.eprintf "%s@." line);
         }
       in
@@ -856,11 +885,11 @@ let resume_arg =
 
 let keep_snapshots_arg =
   Arg.(
-    value & opt int 2
+    value & opt (some int) None
     & info [ "keep-snapshots" ] ~docv:"N"
         ~doc:"Rotation depth for --snapshot: keep the last N snapshots as \
               FILE, FILE.1, ...  --resume falls back down the chain when \
-              a newer snapshot fails validation.")
+              a newer snapshot fails validation (default 2).")
 
 let supervise_arg =
   Arg.(
@@ -887,29 +916,29 @@ let heartbeat_arg =
 
 let heartbeat_every_arg =
   Arg.(
-    value & opt int 1000
+    value & opt (some int) None
     & info [ "heartbeat-every" ] ~docv:"CYCLES"
-        ~doc:"Cycles between heartbeats.")
+        ~doc:"Cycles between heartbeats (default 1000).")
 
 let max_restarts_arg =
   Arg.(
-    value & opt int 5
+    value & opt (some int) None
     & info [ "max-restarts" ] ~docv:"N"
-        ~doc:"Restart budget for --supervise.")
+        ~doc:"Restart budget for --supervise (default 5).")
 
 let hang_timeout_arg =
   Arg.(
-    value & opt float 5.0
+    value & opt (some float) None
     & info [ "hang-timeout" ] ~docv:"SECS"
         ~doc:"Seconds without a heartbeat before the --supervise watchdog \
-              SIGKILLs the leg.")
+              SIGKILLs the leg (default 5).")
 
 let backoff_arg =
   Arg.(
-    value & opt float 0.1
+    value & opt (some float) None
     & info [ "backoff" ] ~docv:"SECS"
         ~doc:"Base restart delay for --supervise; doubles per restart, \
-              capped at 2s.")
+              capped at 2s (default 0.1).")
 
 let stop_at_arg =
   Arg.(

@@ -122,18 +122,17 @@ type loop = Auto | Generic | Fast
    fast-forward below would change results.  Every other mode resets
    the counters at each boundary, and [Sharding.remap_step] provably
    returns no move when all counters are zero — which is what makes
-   skipping clean idle boundaries safe. *)
-(* A profiler is a pure observer like metrics, but its *sampled* mode
-   hooks only at cycle edges the fast loop already exposes (deliver,
-   arrival, the fused sweep, remap/checkpoint in the shared suffix), so
-   it does not close the fast gate.  *Full* mode wants the per-phase
-   spans (apply/pop/exec split out) that only the generic loop's phase
-   structure can time, so it routes Auto to Generic and makes a forced
-   Fast a contract violation. *)
-let select_loop ~loop ~metrics ~events ~fault ~monitor ~observer ~prof (p : params) =
+   skipping clean idle boundaries safe.
+
+   [attached] is computed in one place, [select_cycle], from what the
+   machine carries: metrics, event trace, fault plan, monitor, observer,
+   or a *full* profiler, whose per-phase spans (apply/pop/exec split
+   out) only the generic phase structure can time.  A *sampled*
+   profiler is not an attachment: both cycle functions carry their own
+   spans, and the fast loop's sit at the edges it already has. *)
+let select_loop ~loop ~attached (p : params) =
   let fast_ok =
-    (not metrics) && (not events) && (not fault) && (not monitor) && (not observer)
-    && prof <> Some Prof.Full
+    (not attached)
     && p.adaptive_fifos
     && p.starvation_threshold = None
     && p.mode <> Ideal
@@ -294,6 +293,10 @@ type sim = {
      only. *)
   mutable on_exit : (seq:int -> latency:int -> headers:int array -> unit) option;
   mutable on_drop : (seq:int -> unit) option;
+  (* per-cycle occupancy observer (the {!Timeline} renderer's feed),
+     called once per generic cycle after the pops; attaching one closes
+     the fast gate *)
+  observer : (occupancy -> unit) option;
 }
 
 let make_queue sim =
@@ -302,6 +305,28 @@ let make_queue sim =
   | _ ->
       Logical
         (Fifo.create ~k:sim.p.k ~capacity:sim.p.fifo_capacity ~adaptive:sim.p.adaptive_fifos)
+
+(* Profiler spans for both cycle loops.  Detached, [span_start] returns
+   0 and no clock is read, so each site costs one branch.  [lap] closes
+   the span opened at [t0] and returns the next span's start: adjacent
+   spans share one boundary timestamp, one clock read per phase.
+   [mark] closes a span and adds an instant (remap, checkpoint). *)
+let[@inline] span_start sim = match sim.pf with None -> 0 | Some _ -> Prof.now ()
+
+let[@inline] lap sim phase t0 =
+  match sim.pf with
+  | None -> 0
+  | Some pf ->
+      let t1 = Prof.now () in
+      Prof.add pf phase ~ts:t0 ~dur:(t1 - t0);
+      t1
+
+let mark sim phase t0 =
+  match sim.pf with
+  | None -> ()
+  | Some pf ->
+      Prof.record pf phase ~t0;
+      Prof.instant pf phase
 
 (* Per-cell FIFOs are created and retired per cell, and each holds one
    cell's few queued accesses: one-slot rings keep them small. *)
@@ -316,7 +341,7 @@ let cell_fifo sim pc cell =
       Hashtbl.add pc.pc_cells cell f;
       f
 
-let create ?(collect = true) ?metrics ?events ?fault ?monitor ?prof params prog =
+let create ?(collect = true) ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
   let config = prog.Transform.config in
   let n_stages = Array.length config.Config.stages in
   let fplan =
@@ -428,6 +453,7 @@ let create ?(collect = true) ?metrics ?events ?fault ?monitor ?prof params prog 
       dup_next = max_int;
       on_exit = None;
       on_drop = None;
+      observer;
     }
   in
   Array.iteri
@@ -819,44 +845,39 @@ let resolve sim now entry_pipeline pkt =
 
 let deliver_phantoms sim now =
   Channel.drain sim.channel ~now (fun ~seq ~stage ~dest ~ring ~cell ->
-      if Int_table.mem sim.doomed seq then begin
-        (* Suppressed: the packet was dropped upstream. *)
-        (match sim.ms with Some m -> Metrics.phantom_doomed m | None -> ());
-        match sim.tr with
-        | Some tr ->
-            Etrace.emit tr ~kind:Etrace.Phantom_deliver ~cycle:now ~seq ~stage ~pipe:dest
-              ~aux:1
-        | None -> ()
-      end
-      else if
-        match sim.flt with Some f -> Fault.is_down f dest | None -> false
-      then begin
-        (* Destination pipeline is down: the phantom is lost with it.
-           Its data packet, if it survives elsewhere, is dropped on
-           transfer; accounting stays conserved via phantom_dropped. *)
-        (match sim.ms with Some m -> Metrics.phantom_dropped m | None -> ());
-        match sim.tr with
-        | Some tr ->
-            Etrace.emit tr ~kind:Etrace.Phantom_deliver ~cycle:now ~seq ~stage ~pipe:dest
-              ~aux:2
-        | None -> ()
-      end
-      else begin
-        let f =
-          match sim.fifos.(stage).(dest) with
-          | Some (Logical f) -> f
-          | Some (Per_cell pc) -> cell_fifo sim pc cell
-          | None -> invalid_arg "phantom destined to a stateless stage"
-        in
-        (match Fifo.push_phantom f ~ring ~ts:seq ~key:seq with
-        | `Ok -> ( match sim.ms with Some m -> Metrics.phantom_delivered m | None -> ())
-        | `Dropped -> ( match sim.ms with Some m -> Metrics.phantom_dropped m | None -> ()));
-        match sim.tr with
-        | Some tr ->
-            Etrace.emit tr ~kind:Etrace.Phantom_deliver ~cycle:now ~seq ~stage ~pipe:dest
-              ~aux:0
-        | None -> ()
-      end)
+      (* [aux] in the trace: 0 = delivered, 1 = suppressed (doomed),
+         2 = lost with a downed pipeline. *)
+      let aux =
+        if Int_table.mem sim.doomed seq then begin
+          (* Suppressed: the packet was dropped upstream. *)
+          (match sim.ms with Some m -> Metrics.phantom_doomed m | None -> ());
+          1
+        end
+        else if match sim.flt with Some f -> Fault.is_down f dest | None -> false then begin
+          (* Destination pipeline is down: the phantom is lost with it.
+             Its data packet, if it survives elsewhere, is dropped on
+             transfer; accounting stays conserved via phantom_dropped. *)
+          (match sim.ms with Some m -> Metrics.phantom_dropped m | None -> ());
+          2
+        end
+        else begin
+          let f =
+            match sim.fifos.(stage).(dest) with
+            | Some (Logical f) -> f
+            | Some (Per_cell pc) -> cell_fifo sim pc cell
+            | None -> invalid_arg "phantom destined to a stateless stage"
+          in
+          (match (Fifo.push_phantom f ~ring ~ts:seq ~key:seq, sim.ms) with
+          | `Ok, Some m -> Metrics.phantom_delivered m
+          | `Dropped, Some m -> Metrics.phantom_dropped m
+          | _, None -> ());
+          0
+        end
+      in
+      match sim.tr with
+      | Some tr ->
+          Etrace.emit tr ~kind:Etrace.Phantom_deliver ~cycle:now ~seq ~stage ~pipe:dest ~aux
+      | None -> ())
 
 (* Age of the blocked/queued head of a logical FIFO, for the starvation
    guard.  Updated once per cycle from the pop phase.  The watch is only
@@ -1024,6 +1045,16 @@ let ready_cell pc =
     candidates;
   !best
 
+(* A data packet popped into its stage slot: a busy slot-cycle. *)
+let popped sim now stage p pkt =
+  sim.slots.(stage).(p) <- pkt;
+  (match sim.ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ());
+  match sim.tr with
+  | Some tr ->
+      Etrace.emit tr ~kind:Etrace.Stage_entry ~cycle:now ~seq:sim.sl.Slab.seq.(pkt) ~stage
+        ~pipe:p ~aux:0
+  | None -> ()
+
 let pop_phase sim now =
   for stage = 0 to sim.n_stages - 1 do
     if sim.stateful_stage.(stage) then
@@ -1057,14 +1088,7 @@ let pop_phase sim now =
                  phantom in front = blocked, nothing queued = idle. *)
               let code = Fifo.take f in
               if code >= 0 then begin
-                let pkt = code in
-                sim.slots.(stage).(p) <- pkt;
-                (match sim.ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ());
-                (match sim.tr with
-                | Some tr ->
-                    Etrace.emit tr ~kind:Etrace.Stage_entry ~cycle:now
-                      ~seq:sim.sl.Slab.seq.(pkt) ~stage ~pipe:p ~aux:0
-                | None -> ());
+                popped sim now stage p code;
                 update_head_watch sim now stage p
               end
               else if code = Fifo.empty then begin
@@ -1088,14 +1112,7 @@ let pop_phase sim now =
           | Some (Per_cell pc) ->
                (match ready_cell pc with
                | Some (_, f, cell) ->
-                   let pkt = Fifo.pop_data f in
-                   sim.slots.(stage).(p) <- pkt;
-                   (match sim.ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ());
-                   (match sim.tr with
-                   | Some tr ->
-                       Etrace.emit tr ~kind:Etrace.Stage_entry ~cycle:now
-                         ~seq:sim.sl.Slab.seq.(pkt) ~stage ~pipe:p ~aux:0
-                   | None -> ());
+                   popped sim now stage p (Fifo.pop_data f);
                    (* The next entry of this cell may already be data. *)
                    Hashtbl.replace pc.pc_ready cell ()
                | None -> (
@@ -1220,15 +1237,53 @@ let process_stage sim pkt stage pipeline =
   if sim.sl.Slab.seq.(pkt) < sim.dup_base then
     run_accs sim pkt pipeline sim.accs_by_stage.(stage)
 
-let exec_phase sim now =
+let exec_phase sim =
   (* stage 0 is address resolution, performed on arrival *)
   for stage = 1 to sim.n_stages - 1 do
     for p = 0 to sim.p.k - 1 do
       let pkt = sim.slots.(stage).(p) in
       if pkt <> no_pkt then process_stage sim pkt stage p
     done
-  done;
-  ignore now
+  done
+
+(* A packet leaves the last stage: the delivery counters, the
+   instruments, the fabric exit hook, and the exit record (kept whole
+   on a collecting run, folded into the exit digest on a streamed one).
+   Both cycle loops exit through here; the user headers are copied out
+   before the slab slot is recycled. *)
+let exit_packet sim now pkt stage p =
+  let sl = sim.sl in
+  let seq = sl.Slab.seq.(pkt) in
+  let latency = now - sl.Slab.time_in.(pkt) in
+  let ecn = sl.Slab.ecn.(pkt) <> 0 in
+  let fb = pkt * sl.Slab.nf in
+  let n_user = sim.config.Config.n_user_fields in
+  sim.delivered <- sim.delivered + 1;
+  sim.in_flight <- sim.in_flight - 1;
+  if ecn then sim.marked <- sim.marked + 1;
+  (match sim.ms with Some m -> Metrics.delivered m ~latency ~ecn | None -> ());
+  (match sim.tr with
+  | Some tr -> Etrace.emit tr ~kind:Etrace.Deliver ~cycle:now ~seq ~stage ~pipe:p ~aux:latency
+  | None -> ());
+  if sim.first_exit < 0 then sim.first_exit <- now;
+  sim.last_exit <- now;
+  (match sim.on_exit with
+  | Some f -> f ~seq ~latency ~headers:(Array.sub sl.Slab.fields fb n_user)
+  | None -> ());
+  if sim.collect then begin
+    Int_vec.push sim.exit_seqs seq;
+    Vec.push sim.exit_headers (Array.sub sl.Slab.fields fb n_user);
+    Int_vec.push sim.exit_lats latency
+  end
+  else begin
+    let ed = sim.ed in
+    Hashing.feed ed seq;
+    Hashing.feed ed latency;
+    for f = 0 to n_user - 1 do
+      Hashing.feed ed sl.Slab.fields.(fb + f)
+    done
+  end;
+  Slab.release sl pkt
 
 let movement_phase sim now =
   (* Claims for stateless movers entering each stage next cycle; the
@@ -1259,50 +1314,7 @@ let movement_phase sim now =
       if pkt <> no_pkt then begin
           sim.slots.(stage).(p) <- no_pkt;
           let next = stage + 1 in
-          if next = sim.n_stages then begin
-            (* Exit the pipeline. *)
-            let sl = sim.sl in
-            let seq = sl.Slab.seq.(pkt) in
-            let time_in = sl.Slab.time_in.(pkt) in
-            let ecn = sl.Slab.ecn.(pkt) <> 0 in
-            let fb = pkt * sl.Slab.nf in
-            sim.delivered <- sim.delivered + 1;
-            sim.in_flight <- sim.in_flight - 1;
-            if ecn then sim.marked <- sim.marked + 1;
-            (match sim.ms with
-            | Some m -> Metrics.delivered m ~latency:(now - time_in) ~ecn
-            | None -> ());
-            (match sim.tr with
-            | Some tr ->
-                Etrace.emit tr ~kind:Etrace.Deliver ~cycle:now ~seq ~stage ~pipe:p
-                  ~aux:(now - time_in)
-            | None -> ());
-            if sim.first_exit < 0 then sim.first_exit <- now;
-            sim.last_exit <- now;
-            (match sim.on_exit with
-            | Some f ->
-                f ~seq ~latency:(now - time_in)
-                  ~headers:(Array.sub sl.Slab.fields fb sim.config.Config.n_user_fields)
-            | None -> ());
-            if sim.collect then begin
-              Int_vec.push sim.exit_seqs seq;
-              Vec.push sim.exit_headers
-                (Array.sub sl.Slab.fields fb sim.config.Config.n_user_fields);
-              Int_vec.push sim.exit_lats (now - time_in)
-            end
-            else begin
-              (* Streaming: fold the exit record into the running digest
-                 instead of keeping it. *)
-              Hashing.feed sim.ed seq;
-              Hashing.feed sim.ed (now - time_in);
-              for f = 0 to sim.config.Config.n_user_fields - 1 do
-                Hashing.feed sim.ed sl.Slab.fields.(fb + f)
-              done
-            end;
-            (* The user headers are copied out above; the slot itself is
-               free to be recycled. *)
-            Slab.release sl pkt
-          end
+          if next = sim.n_stages then exit_packet sim now pkt stage p
           else begin
             let acc_id = queued_acc sim pkt next in
             if acc_id >= 0 then begin
@@ -1500,8 +1512,8 @@ let max_queue_depth sim =
     sim.fifos;
   !m
 
-let observe sim now observer =
-  match observer with
+let observe sim now =
+  match sim.observer with
   | None -> ()
   | Some f ->
       let occ_slots =
@@ -1529,7 +1541,9 @@ let observe sim now observer =
    that gate the cycle body collapses:
 
    - every [match sim.ms / sim.tr / sim.flt / sim.mon with ...] site is
-     statically absent instead of a branch per site;
+     statically absent instead of a branch per site, except in the exit
+     path both loops share ([exit_packet]: two [None] branches per
+     exit);
    - all queues are [Logical] (Ideal is excluded), so the FIFO matrix is
      unwrapped once into [int Fifo.t option array array] and the
      per-event [queue] match disappears;
@@ -1631,8 +1645,7 @@ let fast_arrival sim fs source now =
 (* Build the fused cycle body.  Must run *after* a resume has decoded
    the snapshot ([r_queue] replaces the FIFO objects); under the fast
    gate nothing ever replaces them afterwards (only the fault paths do),
-   so the unwrapped matrix stays valid for the whole leg.  The [on_exit]
-   hook is captured here too, so a node sets it before building. *)
+   so the unwrapped matrix stays valid for the whole leg. *)
 let make_fast_state sim ~chunked ~consumed =
   let k = sim.p.k and n_stages = sim.n_stages in
   let cols =
@@ -1674,9 +1687,6 @@ let make_fast_state sim ~chunked ~consumed =
   let frame = sim.frame in
   let claimed = sim.claimed in
   let stateless_priority = sim.p.stateless_priority in
-  let collect = sim.collect in
-  let on_exit = sim.on_exit in
-  let n_user = sim.config.Config.n_user_fields in
   (* Ping-pong shadows for the transfer buffers: movement(s) fills
      the shadow of stage s+1 while apply(s+1) — later in the same
      sweep — consumes the live buffer; the end-of-sweep swap makes
@@ -1697,7 +1707,7 @@ let make_fast_state sim ~chunked ~consumed =
     let seqs = sl.Slab.seq and gks = sl.Slab.gk in
     let dests = sl.Slab.dest and cells = sl.Slab.cell in
     let dones = sl.Slab.done_ and counted = sl.Slab.counted in
-    let times = sl.Slab.time_in and ecns = sl.Slab.ecn in
+    let ecns = sl.Slab.ecn in
     frame.Expr.base <- fields;
     frame.Expr.len <- nf;
     (* The crossbar claim matrix resets once per cycle; the
@@ -1816,34 +1826,7 @@ let make_fast_state sim ~chunked ~consumed =
           let pkt = Array.unsafe_get srow p in
           if pkt <> no_pkt then begin
             Array.unsafe_set srow p no_pkt;
-            let seq = Array.unsafe_get seqs pkt in
-            let time_in = Array.unsafe_get times pkt in
-            let fb = pkt * nf in
-            sim.delivered <- sim.delivered + 1;
-            sim.in_flight <- sim.in_flight - 1;
-            if Array.unsafe_get ecns pkt <> 0 then sim.marked <- sim.marked + 1;
-            if sim.first_exit < 0 then sim.first_exit <- now;
-            sim.last_exit <- now;
-            (match on_exit with
-            | Some f ->
-                f ~seq ~latency:(now - time_in) ~headers:(Array.sub fields fb n_user)
-            | None -> ());
-            if collect then begin
-              Int_vec.push sim.exit_seqs seq;
-              Vec.push sim.exit_headers (Array.sub fields fb n_user);
-              Int_vec.push sim.exit_lats (now - time_in)
-            end
-            else begin
-              (* Streaming: fold the exit record into the running
-                 digest — same feed order as the generic exit. *)
-              let ed = sim.ed in
-              Hashing.feed ed seq;
-              Hashing.feed ed (now - time_in);
-              for f = 0 to n_user - 1 do
-                Hashing.feed ed (Array.unsafe_get fields (fb + f))
-              done
-            end;
-            Slab.release sl pkt
+            exit_packet sim now pkt stage p
           end
         done
       else begin
@@ -1927,37 +1910,19 @@ let make_fast_state sim ~chunked ~consumed =
 (* One fast cycle: drain the calendar, admit arrivals (the only slab
    allocation — the arrays may move, so the body re-reads [sim.sl] after
    it), run the fused sweep, movement included; remap stays in
-   [drive]'s shared suffix. *)
+   [drive]'s shared suffix.  A profiler gets three spans per cycle at
+   those edges, never per packet or per stage. *)
 let fast_cycle sim fs now source st =
+  let t0 = span_start sim in
   fs.fs_deliver now;
+  let t0 = lap sim Prof.Deliver t0 in
   let before = sim.in_flight in
   if fs.fs_chunked then fast_arrival sim fs source now
   else arrival_phase sim now source st;
   if sim.in_flight > before then fs.fs_dirty <- true;
-  fs.fs_body now
-
-(* The sampled-profiling twin of [fast_cycle]: three spans per cycle at
-   the edges the fast loop already has — calendar drain, admission, and
-   the fused sweep — never per packet or per stage.  A separate
-   function so the unprofiled loop body carries no profiler branch. *)
-(* Adjacent spans share their boundary timestamp (4 clock reads per
-   cycle, not 6) — the clock stub dominates sampled-mode overhead on
-   this loop. *)
-let fast_cycle_prof sim pf fs now source st =
-  let t0 = Prof.now () in
-  fs.fs_deliver now;
-  let t1 = Prof.now () in
-  Prof.add pf Prof.Deliver ~ts:t0 ~dur:(t1 - t0);
-  let before = sim.in_flight in
-  if fs.fs_chunked then fast_arrival sim fs source now
-  else arrival_phase sim now source st;
-  if sim.in_flight > before then fs.fs_dirty <- true;
-  let t2 = Prof.now () in
-  Prof.add pf Prof.Source ~ts:t1 ~dur:(t2 - t1);
+  let t0 = lap sim Prof.Source t0 in
   fs.fs_body now;
-  let t3 = Prof.now () in
-  Prof.add pf Prof.Sweep ~ts:t2 ~dur:(t3 - t2)
-
+  ignore (lap sim Prof.Sweep t0 : int)
 
 (* --- snapshots (mp5-snap/1) --- *)
 
@@ -2392,94 +2357,61 @@ let encode sim st source =
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
 
-(* One unprofiled generic cycle at [t]: the instrumented phase
-   sequence. *)
-let generic_cycle sim t source st observer =
-  (match sim.mon with
-  | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
-  | _ -> ());
-  (match sim.flt with Some f -> fault_edges sim f t | None -> ());
-  (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-  deliver_phantoms sim t;
-  apply_transfers sim t;
-  arrival_phase sim t source st;
-  pop_phase sim t;
-  (match sim.ms with Some m -> metrics_sweep sim m | None -> ());
-  observe sim t observer;
-  exec_phase sim t;
-  movement_phase sim t
-
-(* [generic_cycle] with a span around each phase: the generic phase
-   structure is the only place the apply/pop/exec split exists.  (A
-   sampled profile on the generic loop runs this too — the spans are
-   per-cycle either way.) *)
-let generic_cycle_prof sim pf t source st observer =
+(* One generic cycle at [t]: the instrumented phase sequence, with a
+   profiler span around each phase — the only place the apply/pop/exec
+   split exists.  The observer runs inside the exec span. *)
+let generic_cycle sim t source st =
   (match sim.mon with
   | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
   | _ -> ());
   (match sim.flt with
   | Some f ->
-      if Fault.next_edge f <= t then Prof.instant pf Prof.Fault;
+      (match sim.pf with
+      | Some pf when Fault.next_edge f <= t -> Prof.instant pf Prof.Fault
+      | _ -> ());
       fault_edges sim f t
   | None -> ());
   (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-  let t0 = Prof.now () in
+  let t0 = span_start sim in
   deliver_phantoms sim t;
-  Prof.record pf Prof.Deliver ~t0;
-  let t0 = Prof.now () in
+  let t0 = lap sim Prof.Deliver t0 in
   apply_transfers sim t;
-  Prof.record pf Prof.Apply ~t0;
-  let t0 = Prof.now () in
+  let t0 = lap sim Prof.Apply t0 in
   arrival_phase sim t source st;
-  Prof.record pf Prof.Source ~t0;
-  let t0 = Prof.now () in
+  let t0 = lap sim Prof.Source t0 in
   pop_phase sim t;
-  Prof.record pf Prof.Pop ~t0;
-  (match sim.ms with
-  | Some m ->
-      let t0 = Prof.now () in
-      metrics_sweep sim m;
-      Prof.record pf Prof.Sweep ~t0
-  | None -> ());
-  observe sim t observer;
-  let t0 = Prof.now () in
-  exec_phase sim t;
-  Prof.record pf Prof.Exec ~t0;
-  let t0 = Prof.now () in
+  let t0 = lap sim Prof.Pop t0 in
+  let t0 =
+    match sim.ms with
+    | Some m ->
+        metrics_sweep sim m;
+        lap sim Prof.Sweep t0
+    | None -> t0
+  in
+  observe sim t;
+  exec_phase sim;
+  let t0 = lap sim Prof.Exec t0 in
   movement_phase sim t;
-  Prof.record pf Prof.Movement ~t0
+  ignore (lap sim Prof.Movement t0 : int)
 
-(* The one variant-selection point, shared by [drive] and the node API:
-   apply [select_loop] to what is attached to [sim] and return the leg's
-   cycle — fast, fast with sampled spans, generic, or generic with
-   spans — as a function of the cycle number, plus the fast state when
-   the fast loop was chosen.  The cycle runs everything but the remap
-   boundary, which the caller owns.  [`Fast] is the bare loop
-   (select_loop's gate guarantees nothing is attached that could drop a
-   packet or observe mid-cycle state).  Call it after a resume has
-   decoded the machine and after the node hooks are set, since
-   [make_fast_state] captures both. *)
-let select_cycle ~loop ~chunked ~observer sim source st =
-  match
-    select_loop ~loop ~metrics:(Option.is_some sim.ms) ~events:(Option.is_some sim.tr)
-      ~fault:(Option.is_some sim.flt) ~monitor:(Option.is_some sim.mon)
-      ~observer:(Option.is_some observer) ~prof:(Option.map Prof.mode sim.pf) sim.p
-  with
+(* The one variant-selection point, shared by [drive] and the node API,
+   and the only place [attached] is computed: apply [select_loop] to
+   what is attached to [sim] and return the leg's cycle as a function of
+   the cycle number, plus the fast state when the fast loop was chosen.
+   The cycle runs everything but the remap boundary, which the caller
+   owns.  Call it after a resume has decoded the machine, since
+   [make_fast_state] captures its FIFOs. *)
+let select_cycle ~loop ~chunked sim source st =
+  let attached =
+    Option.is_some sim.ms || Option.is_some sim.tr || Option.is_some sim.flt
+    || Option.is_some sim.mon || Option.is_some sim.observer
+    || match sim.pf with Some pf -> Prof.mode pf = Prof.Full | None -> false
+  in
+  match select_loop ~loop ~attached sim.p with
   | `Fast ->
       let fs = make_fast_state sim ~chunked ~consumed:(Psource.consumed source) in
-      let cycle =
-        match sim.pf with
-        | None -> fun t -> fast_cycle sim fs t source st
-        | Some pf -> fun t -> fast_cycle_prof sim pf fs t source st
-      in
-      (Some fs, cycle)
-  | `Generic ->
-      let cycle =
-        match sim.pf with
-        | None -> fun t -> generic_cycle sim t source st observer
-        | Some pf -> fun t -> generic_cycle_prof sim pf t source st observer
-      in
-      (None, cycle)
+      (Some fs, fun t -> fast_cycle sim fs t source st)
+  | `Generic -> (None, fun t -> generic_cycle sim t source st)
 
 (* Remap boundaries fall every [remap_period] cycles after the first
    arrival, in every loop variant and on every fabric node. *)
@@ -2487,29 +2419,22 @@ let remap_due sim st t =
   sim.p.remap_period > 0 && t > st.first_arrival
   && (t - st.first_arrival) mod sim.p.remap_period = 0
 
-let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoint
-    ~cycle_budget ~heartbeat ~stop =
+let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget
+    ~heartbeat ~stop =
   let params = sim.p in
   (* Chunked admission only when this leg can never checkpoint:
      [track_src] is armed exactly when it can ([checkpoint_every] or
      [cycle_budget] on [run_source], always on [resume]). *)
-  let fstate, cycle = select_cycle ~loop ~chunked:(not st.track_src) ~observer sim source st in
-  let has_next () =
+  let fstate, cycle = select_cycle ~loop ~chunked:(not st.track_src) sim source st in
+  let peek () =
     match fstate with
-    | Some fs when fs.fs_chunked -> (
-        match fast_peek fs source with Some _ -> true | None -> false)
-    | _ -> ( match Psource.peek source with Some _ -> true | None -> false)
-  in
-  let next_arrival_time () =
-    match fstate with
-    | Some fs when fs.fs_chunked -> (
-        match fast_peek fs source with Some i -> i.Machine.time | None -> assert false)
-    | _ -> ( match Psource.peek source with Some i -> i.Machine.time | None -> assert false)
+    | Some fs when fs.fs_chunked -> fast_peek fs source
+    | _ -> Psource.peek source
   in
   let suspended = ref None in
   let running = ref true in
   (match sim.pf with Some pf -> Prof.enter pf | None -> ());
-  while !running && (sim.in_flight > 0 || has_next ()) do
+  while !running && (sim.in_flight > 0 || Option.is_some (peek ())) do
     let pause =
       (match cycle_budget with Some budget -> st.visited >= budget | None -> false)
       || (match stop with Some r -> !r | None -> false)
@@ -2520,29 +2445,21 @@ let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoin
          flag — set by the CLI's SIGINT/SIGTERM handler — lands here
          too: a graceful shutdown is an externally requested
          suspension, flushed by the caller as one final snapshot. *)
-      (match sim.pf with
-      | None -> suspended := Some (encode sim st source)
-      | Some pf ->
-          let t0 = Prof.now () in
-          suspended := Some (encode sim st source);
-          Prof.record pf Prof.Checkpoint ~t0;
-          Prof.instant pf Prof.Checkpoint);
+      let t0 = span_start sim in
+      suspended := Some (encode sim st source);
+      mark sim Prof.Checkpoint t0;
       running := false
     end
     else begin
         let t = st.now in
         cycle t;
         if remap_due sim st t then begin
-          (match sim.pf with
-          | None -> remap_phase sim t
-          | Some pf ->
-              let t0 = Prof.now () in
-              remap_phase sim t;
-              Prof.record pf Prof.Remap ~t0;
-              Prof.instant pf Prof.Remap;
-              (* remap boundaries are the profiler's epoch marks: GC
-                 counters are sampled here, never per cycle *)
-              Prof.gc_sample pf);
+          let t0 = span_start sim in
+          remap_phase sim t;
+          mark sim Prof.Remap t0;
+          (* remap boundaries are the profiler's epoch marks: GC
+             counters are sampled here, never per cycle *)
+          (match sim.pf with Some pf -> Prof.gc_sample pf | None -> ());
           (* The boundary reset every (non-Ideal) counter; until the
              next admission, idle boundaries are provably no-ops. *)
           match fstate with Some fs -> fs.fs_dirty <- false | None -> ()
@@ -2582,41 +2499,36 @@ let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoin
            in-flight 0 (nothing drops, so every pending delivery belongs
            to a live packet), but the bound is two reads per idle jump
            and keeps a violated assumption bit-visible. *)
-        (if sim.in_flight > 0 || not (has_next ()) then st.now <- t + 1
-         else begin
-           let arrival = next_arrival_time () in
-           let next = ref (max (t + 1) arrival) in
-           (match Channel.next_due sim.channel with
-           | Some d -> next := min !next (max (t + 1) d)
-           | None -> ());
-           let skip_boundaries =
-             match fstate with Some fs -> not fs.fs_dirty | None -> false
-           in
-           if params.remap_period > 0 && not skip_boundaries then begin
-             let period = params.remap_period in
-             let boundary = t + period - ((t - st.first_arrival) mod period) in
-             next := min !next boundary
-           end;
-           (* Fault edges change machine state even while idle (a pipeline
-              coming back up, a window opening), so they bound the jump. *)
-           (match sim.flt with
-           | Some f ->
-               let e = Fault.next_edge f in
-               if e < max_int then next := min !next (max (t + 1) e)
-           | None -> ());
-           st.now <- !next
-         end);
+        (match if sim.in_flight > 0 then None else peek () with
+         | None -> st.now <- t + 1
+         | Some input ->
+             let next = ref (max (t + 1) input.Machine.time) in
+             (match Channel.next_due sim.channel with
+             | Some d -> next := min !next (max (t + 1) d)
+             | None -> ());
+             let skip_boundaries =
+               match fstate with Some fs -> not fs.fs_dirty | None -> false
+             in
+             if params.remap_period > 0 && not skip_boundaries then begin
+               let period = params.remap_period in
+               let boundary = t + period - ((t - st.first_arrival) mod period) in
+               next := min !next boundary
+             end;
+             (* Fault edges change machine state even while idle (a pipeline
+                coming back up, a window opening), so they bound the jump. *)
+             (match sim.flt with
+             | Some f ->
+                 let e = Fault.next_edge f in
+                 if e < max_int then next := min !next (max (t + 1) e)
+             | None -> ());
+             st.now <- !next);
         st.visited <- st.visited + 1;
         (match (checkpoint_every, on_checkpoint) with
-        | Some n, Some emit when st.visited mod n = 0 -> (
-            match sim.pf with
-            | None -> emit ~cycle:st.now (encode sim st source)
-            | Some pf ->
-                let t0 = Prof.now () in
-                let snap = encode sim st source in
-                Prof.record pf Prof.Checkpoint ~t0;
-                Prof.instant pf Prof.Checkpoint;
-                emit ~cycle:st.now snap)
+        | Some n, Some emit when st.visited mod n = 0 ->
+            let t0 = span_start sim in
+            let snap = encode sim st source in
+            mark sim Prof.Checkpoint t0;
+            emit ~cycle:st.now snap
         | _ -> ());
         (* Liveness beat for an external watchdog: called every
            [every] visited cycles, after the checkpoint emit so a beat
@@ -2658,6 +2570,30 @@ let drive ?(loop = Auto) sim st source ~observer ~checkpoint_every ~on_checkpoin
       (match sim.mon with Some mon -> monitor_phase sim mon st.now | None -> ());
       `Done
 
+(* Ghost packets (crossbar duplicates, fault plans only) take seqs from
+   the source length up, so they never collide with trace seqs; with the
+   length unknown they are reserved far above any realistic stream. *)
+let start_ghosts sim source =
+  if Option.is_some sim.flt then begin
+    let base = Option.value (Psource.total_hint source) ~default:(1 lsl 40) in
+    sim.dup_base <- base;
+    sim.dup_next <- base
+  end
+
+(* Input span (first to last arrival) and output rate over input rate,
+   capped at 1, of a drained source. *)
+let throughput sim st source =
+  let input_span = Psource.last_time source - st.first_arrival + 1 in
+  let output_span = if sim.first_exit < 0 then 1 else sim.last_exit - sim.first_exit + 1 in
+  let ratio =
+    if sim.delivered = 0 then 0.0
+    else
+      min 1.0
+        (float_of_int sim.delivered *. float_of_int input_span
+        /. (float_of_int (Psource.consumed source) *. float_of_int output_span))
+  in
+  (input_span, ratio)
+
 let fresh_loop_state ~start ~track_src =
   {
     now = start;
@@ -2672,31 +2608,16 @@ let fresh_loop_state ~start ~track_src =
 let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace =
   if Array.length trace = 0 then invalid_arg "Sim.run: empty trace";
   let source = Psource.of_array trace in
-  let sim = create ~collect:true ?metrics ?events ?fault ?monitor ?prof params prog in
-  (match sim.flt with
-  | Some _ ->
-      sim.dup_base <- Array.length trace;
-      sim.dup_next <- Array.length trace
-  | None -> ());
+  let sim = create ~collect:true ?observer ?metrics ?events ?fault ?monitor ?prof params prog in
+  start_ghosts sim source;
   let st = fresh_loop_state ~start:trace.(0).Machine.time ~track_src:false in
   (match
-     drive ?loop sim st source ~observer ~checkpoint_every:None ~on_checkpoint:None
-       ~cycle_budget:None ~heartbeat:None ~stop:None
+     drive ?loop sim st source ~checkpoint_every:None ~on_checkpoint:None ~cycle_budget:None
+       ~heartbeat:None ~stop:None
    with
   | `Suspended _ -> assert false
   | `Done -> ());
-  let first_arrival = st.first_arrival in
-  let last_arrival = trace.(Array.length trace - 1).Machine.time in
-  let input_span = last_arrival - first_arrival + 1 in
-  let n = Array.length trace in
-  let output_span = if sim.first_exit < 0 then 1 else sim.last_exit - sim.first_exit + 1 in
-  let normalized_throughput =
-    if sim.delivered = 0 then 0.0
-    else
-      min 1.0
-        (float_of_int sim.delivered *. float_of_int input_span
-        /. (float_of_int n *. float_of_int output_span))
-  in
+  let input_span, normalized_throughput = throughput sim st source in
   (* Unpack the int-keyed Vec access log into the result's
      (reg, cell) -> seq list table; Vec push order is chronological, so
      no reversal is needed. *)
@@ -2722,7 +2643,7 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace
     dropped = sim.dropped;
     dropped_stateless = sim.dropped_stateless;
     marked = sim.marked;
-    cycles = sim.last_exit - first_arrival + 1;
+    cycles = sim.last_exit - st.first_arrival + 1;
     input_span;
     normalized_throughput;
     max_queue = max_queue_depth sim;
@@ -2752,16 +2673,7 @@ let results_equal (a : result) (b : result) =
 (* --- streaming entry points --- *)
 
 let finish_summary sim st source =
-  let consumed = Psource.consumed source in
-  let input_span = Psource.last_time source - st.first_arrival + 1 in
-  let output_span = if sim.first_exit < 0 then 1 else sim.last_exit - sim.first_exit + 1 in
-  let normalized_throughput =
-    if sim.delivered = 0 then 0.0
-    else
-      min 1.0
-        (float_of_int sim.delivered *. float_of_int input_span
-        /. (float_of_int consumed *. float_of_int output_span))
-  in
+  let input_span, normalized_throughput = throughput sim st source in
   {
     s_delivered = sim.delivered;
     s_dropped = sim.dropped;
@@ -2771,7 +2683,7 @@ let finish_summary sim st source =
     s_input_span = input_span;
     s_normalized_throughput = normalized_throughput;
     s_max_queue = max_queue_depth sim;
-    s_packets = consumed;
+    s_packets = Psource.consumed source;
     s_store = merge_stores sim;
     s_digests =
       { dg_exits = Hashing.value sim.ed; dg_access = access_digest sim };
@@ -2793,22 +2705,14 @@ let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
   in
   if Psource.consumed source > 0 then
     invalid_arg "Sim.run_source: source already partially consumed";
-  let sim = create ~collect:false ?metrics ?events ?fault ?monitor ?prof params prog in
-  (match sim.flt with
-  | Some _ ->
-      (* Ghost seqs must not collide with trace seqs; with the total
-         unknown, reserve them far above any realistic stream. *)
-      let base = match Psource.total_hint source with Some n -> n | None -> 1 lsl 40 in
-      sim.dup_base <- base;
-      sim.dup_next <- base
-  | None -> ());
+  let sim = create ~collect:false ?observer ?metrics ?events ?fault ?monitor ?prof params prog in
+  start_ghosts sim source;
   let st =
     fresh_loop_state ~start:start_time
       ~track_src:(checkpoint_every <> None || cycle_budget <> None || stop <> None)
   in
   match
-    drive ?loop sim st source ~observer ~checkpoint_every ~on_checkpoint ~cycle_budget
-      ~heartbeat ~stop
+    drive ?loop sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget ~heartbeat ~stop
   with
   | `Suspended snap -> Suspended snap
   | `Done -> Completed (finish_summary sim st source)
@@ -2820,7 +2724,7 @@ exception Resume_mismatch of string
    Source positioning is the caller's business: [resume] replays or
    re-attaches a full source, a fabric node restore attaches a fresh
    live queue pre-positioned at the cursor. *)
-let decode_machine ?metrics ?events ?monitor ?prof prog r =
+let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
   Binio.r_tag r ~expect:1 ~what:"params section";
   let params = r_params r in
   Binio.r_tag r ~expect:2 ~what:"program section";
@@ -2873,8 +2777,8 @@ let decode_machine ?metrics ?events ?monitor ?prof prog r =
   | Some d, Some m -> Metrics.restore_into m d
   | None, None -> ());
   let sim =
-    create ~collect:false ?metrics ?events ?fault:(Option.map fst fault_state) ?monitor ?prof
-      params prog
+    create ~collect:false ?observer ?metrics ?events ?fault:(Option.map fst fault_state)
+      ?monitor ?prof params prog
   in
   (match (fault_state, sim.flt) with
   | Some (plan, saved), Some _ ->
@@ -2988,6 +2892,16 @@ let decode_machine ?metrics ?events ?monitor ?prof prog r =
   in
   (sim, st, consumed)
 
+(* Run a snapshot decoder, mapping what it can raise to a
+   [resume_error]. *)
+let decoding f =
+  match f () with
+  | v -> Ok v
+  | exception Resume_mismatch msg -> Error (Mismatch msg)
+  | exception Binio.Corrupt { pos; reason } -> Error (Corrupt (Binio.corrupt_message ~pos ~reason))
+  | exception Failure msg -> Error (Corrupt msg)
+  | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
+
 let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on_checkpoint
     ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget ~snapshot prog source =
   if heartbeat_every <= 0 then invalid_arg "Sim.resume: heartbeat_every must be positive";
@@ -3002,9 +2916,11 @@ let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on
   Gc.full_major ();
   match Binio.of_string ~magic:snap_magic snapshot with
   | Error msg -> Error (Corrupt msg)
-  | Ok r -> (
+  | Ok r ->
       let decode () =
-        let sim, st, consumed = decode_machine ?metrics ?events ?monitor ?prof prog r in
+        let sim, st, consumed =
+          decode_machine ?observer ?metrics ?events ?monitor ?prof prog r
+        in
         (* Position the source.  A source already at the checkpoint's
            cursor (in-process chunked resume) is used as-is; a fresh
            source replays the consumed prefix under the digest, proving
@@ -3033,19 +2949,17 @@ let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on
                     c consumed)));
         (sim, st)
       in
-      match decode () with
-      | exception Resume_mismatch msg -> Error (Mismatch msg)
-      | exception Binio.Corrupt { pos; reason } ->
-          Error (Corrupt (Binio.corrupt_message ~pos ~reason))
-      | exception Failure msg -> Error (Corrupt msg)
-      | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
-      | sim, st -> (
+      (* The leg runs outside [decoding]: its own exceptions (a forced
+         fast loop on an instrumented resume) are not snapshot errors. *)
+      Result.map
+        (fun (sim, st) ->
           match
-            drive ?loop sim st source ~observer ~checkpoint_every ~on_checkpoint
-              ~cycle_budget ~heartbeat ~stop
+            drive ?loop sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget
+              ~heartbeat ~stop
           with
-          | `Suspended snap -> Ok (Suspended snap)
-          | `Done -> Ok (Completed (finish_summary sim st source))))
+          | `Suspended snap -> Suspended snap
+          | `Done -> Completed (finish_summary sim st source))
+        (decoding decode)
 
 (* --- summary parity with collected results (the differential pin) --- *)
 
@@ -3117,12 +3031,10 @@ type node = {
   nd_cycle : int -> unit;
 }
 
-(* Attach the hooks, then choose the cycle ([make_fast_state] captures
-   [on_exit]). *)
 let make_node ~loop ~on_exit ~on_drop sim st q src =
   sim.on_exit <- Some on_exit;
   sim.on_drop <- Some on_drop;
-  let _, cycle = select_cycle ~loop ~chunked:false ~observer:None sim src st in
+  let _, cycle = select_cycle ~loop ~chunked:false sim src st in
   { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = cycle }
 
 let node_create ?(loop = Auto) ~anchor ~on_exit ~on_drop params prog =
@@ -3173,13 +3085,8 @@ let node_encode w node =
 (* The cycle is chosen after [decode_machine]: [r_queue] replaces the
    FIFO objects the fast state captures. *)
 let node_restore ?(loop = Auto) ~on_exit ~on_drop r prog =
-  match decode_machine prog (Binio.r_framed r ~magic:snap_magic) with
-  | exception Resume_mismatch msg -> Error (Mismatch msg)
-  | exception Binio.Corrupt { pos; reason } ->
-      Error (Corrupt (Binio.corrupt_message ~pos ~reason))
-  | exception Failure msg -> Error (Corrupt msg)
-  | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
-  | sim, st, consumed ->
-      let q = Queue.create () in
-      let src = Psource.of_queue ~consumed q in
-      Ok (make_node ~loop ~on_exit ~on_drop sim { st with track_src = false } q src)
+  decoding (fun () -> decode_machine prog (Binio.r_framed r ~magic:snap_magic))
+  |> Result.map (fun (sim, st, consumed) ->
+         let q = Queue.create () in
+         let src = Psource.of_queue ~consumed q in
+         make_node ~loop ~on_exit ~on_drop sim { st with track_src = false } q src)

@@ -96,6 +96,12 @@ type result = {
       counters are provably no-ops and are skipped outright), and
       chunked source admission on runs that never checkpoint.
 
+    Each variant is one cycle function.  A profiler ({!Mp5_obs.Prof})
+    is timed on that same function: the generic loop records one span
+    per phase, the fast loop three per cycle (calendar drain, admission,
+    fused sweep), and a detached profiler costs one branch per span
+    site.  Both loops leave the pipeline through one exit path.
+
     Results are bit-identical between the variants (enforced across the
     differential corpus); only wall-clock and the number of {e visited}
     cycles differ — a budgeted or checkpointed run may suspend at
@@ -108,27 +114,17 @@ type loop =
   | Fast     (** force the bare loop;
                  @raise Invalid_argument when the run is not eligible *)
 
-val select_loop :
-  loop:loop ->
-  metrics:bool ->
-  events:bool ->
-  fault:bool ->
-  monitor:bool ->
-  observer:bool ->
-  prof:Mp5_obs.Prof.mode option ->
-  params ->
-  [ `Fast | `Generic ]
-(** The (pure) variant-selection function {!run}/{!run_source}/{!resume}
-    apply to their own arguments.  Fast eligibility: no metrics, events,
-    fault plan, monitor or observer attached, no full-mode profiler,
-    adaptive FIFOs, no starvation guard, and a mode other than [Ideal]
-    (whose LPT packer reads cumulative access counters, making idle
-    remap boundaries observable).  A {e sampled} profiler keeps fast
-    eligibility: its hooks fire only at cycle edges the fast loop
-    already exposes, never per packet; a {e full} profiler needs the
-    generic loop's phase structure, so it routes Auto to [`Generic].
-    @raise Invalid_argument for [~loop:Fast] on an ineligible run
-    (full-mode profiling included). *)
+val select_loop : loop:loop -> attached:bool -> params -> [ `Fast | `Generic ]
+(** The (pure) variant-selection function every run and fabric node
+    applies.  [attached] is true when anything the fast loop cannot
+    host is attached to the machine: metrics, an event trace, a
+    non-empty fault plan, a monitor, an observer, or a full-mode
+    profiler (a sampled one is not an attachment — its spans sit at
+    cycle edges the fast loop has too).  Fast eligibility: nothing
+    attached, adaptive FIFOs, no starvation guard, and a mode other
+    than [Ideal] (whose LPT packer reads cumulative access counters,
+    making idle remap boundaries observable).
+    @raise Invalid_argument for [~loop:Fast] on an ineligible run. *)
 
 val run :
   ?loop:loop ->
@@ -144,9 +140,11 @@ val run :
   result
 (** [run params program trace] simulates the (sorted) trace to completion:
     all packets either delivered or dropped.  [observer] is called once
-    per cycle after FIFO pops, with the stage occupancy.  [loop] picks
-    the cycle-loop variant (see {!select_loop}); the result does not
-    depend on it.
+    per visited cycle after the FIFO pops, with the stage occupancy; it
+    is the feed of {!Timeline}.  Like the instruments below it is an
+    attachment, so it runs the generic loop.  [loop] picks the
+    cycle-loop variant (see {!select_loop}); the result does not depend
+    on it.
 
     [metrics] accumulates per-cycle counters (utilization, stall
     attribution, crossbar traffic, phantom accounting, latency and

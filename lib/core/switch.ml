@@ -37,20 +37,6 @@ let run ?loop ?params ?metrics ?events ?fault ?monitor ?prof ~k t trace =
   let params = match params with Some p -> p | None -> Sim.default_params ~k in
   Sim.run ?loop ?metrics ?events ?fault ?monitor ?prof params t.prog trace
 
-let run_source ?loop ?params ?metrics ?events ?fault ?monitor ?prof
-    ?checkpoint_every ?on_checkpoint ?heartbeat_every ?on_heartbeat ?stop ?cycle_budget ~k t
-    source =
-  let params = match params with Some p -> p | None -> Sim.default_params ~k in
-  Sim.run_source ?loop ?metrics ?events ?fault ?monitor ?prof
-    ?checkpoint_every ?on_checkpoint ?heartbeat_every ?on_heartbeat ?stop ?cycle_budget
-    params t.prog source
-
-let resume ?loop ?metrics ?events ?monitor ?prof ?checkpoint_every
-    ?on_checkpoint ?heartbeat_every ?on_heartbeat ?stop ?cycle_budget ~snapshot t source =
-  Sim.resume ?loop ?metrics ?events ?monitor ?prof ?checkpoint_every
-    ?on_checkpoint ?heartbeat_every ?on_heartbeat ?stop ?cycle_budget ~snapshot t.prog
-    source
-
 let verify ?loop ?params ?metrics ?events ?fault ?monitor ?prof ~k ?flow_of
     t trace =
   let golden_result = golden t trace in

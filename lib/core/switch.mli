@@ -58,48 +58,6 @@ val run :
     [loop], [metrics], [events], [fault], [monitor] and [prof] as in
     {!Sim.run}). *)
 
-val run_source :
-  ?loop:Sim.loop ->
-  ?params:Sim.params ->
-  ?metrics:Mp5_obs.Metrics.t ->
-  ?events:Mp5_obs.Trace.t ->
-  ?fault:Mp5_fault.Fault.plan ->
-  ?monitor:Mp5_fault.Monitor.t ->
-  ?prof:Mp5_obs.Prof.t ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(cycle:int -> string -> unit) ->
-  ?heartbeat_every:int ->
-  ?on_heartbeat:(cycle:int -> unit) ->
-  ?stop:bool ref ->
-  ?cycle_budget:int ->
-  k:int ->
-  t ->
-  Mp5_workload.Packet_source.t ->
-  Sim.outcome
-(** Streaming counterpart of {!run}: pull packets from a
-    {!Mp5_workload.Packet_source.t} in constant memory, with optional
-    periodic checkpoints, watchdog heartbeats, a graceful-stop flag and
-    a cycle budget (see {!Sim.run_source}). *)
-
-val resume :
-  ?loop:Sim.loop ->
-  ?metrics:Mp5_obs.Metrics.t ->
-  ?events:Mp5_obs.Trace.t ->
-  ?monitor:Mp5_fault.Monitor.t ->
-  ?prof:Mp5_obs.Prof.t ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(cycle:int -> string -> unit) ->
-  ?heartbeat_every:int ->
-  ?on_heartbeat:(cycle:int -> unit) ->
-  ?stop:bool ref ->
-  ?cycle_budget:int ->
-  snapshot:string ->
-  t ->
-  Mp5_workload.Packet_source.t ->
-  (Sim.outcome, Sim.resume_error) result
-(** Restore from a {!run_source} checkpoint and continue (see
-    {!Sim.resume}; params and fault plan come from the snapshot). *)
-
 val verify :
   ?loop:Sim.loop ->
   ?params:Sim.params ->

@@ -12,14 +12,14 @@
     measures host wall time, not simulated cycles, so none of its
     counters are deterministic — only its {e shape} is pinned by tests.
 
-    {b Modes.}  [Sampled] hooks fire only at cycle edges — deliver,
-    source pull, the fused sweep, remap and checkpoint boundaries —
-    never per packet or per phase inside the fused sweep, so a sampled
-    profile keeps a run eligible for the fast cycle loop.  [Full]
-    additionally wants per-phase spans (apply/pop/exec split out),
-    which only the generic loop can provide: [Sim.select_loop] routes
-    Auto to the generic loop under a full profile and rejects a forced
-    fast loop. *)
+    {b Modes.}  Spans are recorded by the cycle function that runs,
+    whichever mode is set: the fast loop times its cycle edges
+    (deliver, source pull, the fused sweep), the generic loop each
+    phase, and both the remap and checkpoint boundaries.  The mode only
+    decides the loop: [Sampled] leaves a run eligible for the fast
+    loop; [Full] asks for the per-phase split (apply/pop/exec), so it
+    closes the fast gate — Auto runs the generic loop and a forced fast
+    loop is rejected. *)
 
 type mode = Sampled | Full
 

@@ -326,12 +326,12 @@ let run_case_real ~dir ~log case =
   (try Sys.remove result_path with Sys_error _ -> ());
   let src_text = Progen.generate case.cs_seed in
   let sw = Switch.create_exn ~limits:Progen.limits src_text in
-  let config = sw.Switch.prog.Transform.config in
+  let prog = sw.Switch.prog in
+  let config = prog.Transform.config in
+  let params = Sim.default_params ~k:case.cs_k in
   let trace = Progen.trace ~seed:case.cs_seed ~k:case.cs_k ~n:case.cs_packets in
   let expected =
-    match
-      Switch.run_source ~fault:case.cs_plan ~k:case.cs_k sw (Packet_source.of_array trace)
-    with
+    match Sim.run_source ~fault:case.cs_plan params prog (Packet_source.of_array trace) with
     | Sim.Completed s -> s
     | Sim.Suspended _ -> assert false
   in
@@ -384,16 +384,15 @@ let run_case_real ~dir ~log case =
     match resume with
     | None -> (
         match
-          Switch.run_source ~fault:case.cs_plan
-            ~checkpoint_every:case.cs_checkpoint_every ~on_checkpoint ~heartbeat_every:1
-            ~on_heartbeat ~k:case.cs_k sw source
+          Sim.run_source ~fault:case.cs_plan ~checkpoint_every:case.cs_checkpoint_every
+            ~on_checkpoint ~heartbeat_every:1 ~on_heartbeat params prog source
         with
         | Sim.Completed s -> finish s
         | Sim.Suspended _ -> 3)
     | Some (_slot, snapshot) -> (
         match
-          Switch.resume ~checkpoint_every:case.cs_checkpoint_every ~on_checkpoint
-            ~heartbeat_every:1 ~on_heartbeat ~snapshot sw source
+          Sim.resume ~checkpoint_every:case.cs_checkpoint_every ~on_checkpoint
+            ~heartbeat_every:1 ~on_heartbeat ~snapshot prog source
         with
         | Ok (Sim.Completed s) -> finish s
         | Ok (Sim.Suspended _) -> 3

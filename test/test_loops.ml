@@ -1,18 +1,21 @@
 (* Cycle-loop variant selection and fast-loop-specific behaviour.
 
    [Sim.select_loop] is the single decision point for which cycle-loop
-   variant a leg runs under; the matrix below pins its whole truth
-   table, so a future instrumentation hook that forgets to close the
-   fast gate fails here rather than as a silent divergence.  The
-   behavioural cases exercise what the differential corpus cannot: a
-   forced [~loop:Fast] on an ineligible run must be rejected loudly,
-   and the fast loop's whole-machine quiescence jump (which skips idle
-   remap boundaries outright) must stay bit-identical to the generic
-   loop on a trace with a long arrival gap spanning many boundaries. *)
+   variant a leg runs under; the matrix below pins its truth table over
+   the parameters, the forcing rows and one [attached] flag.  Which
+   attachments set that flag is pinned end to end: every instrument
+   that forgets to close the fast gate fails the attachment rows (a
+   forced [~loop:Fast] must be rejected loudly, Auto must run the
+   generic loop).  The quiescence case exercises what the differential
+   corpus cannot: the fast loop's whole-machine quiescence jump (which
+   skips idle remap boundaries outright) must stay bit-identical to the
+   generic loop on a trace with a long arrival gap spanning many
+   boundaries. *)
 
 module Sim = Mp5_core.Sim
 module Machine = Mp5_banzai.Machine
 module Progen = Mp5_fuzz.Progen
+module Prof = Mp5_obs.Prof
 open Mp5_domino
 
 let limits = Progen.limits
@@ -23,21 +26,21 @@ let variant =
       Format.pp_print_string fmt (match v with `Fast -> "Fast" | `Generic -> "Generic"))
     ( = )
 
-let select ?(loop = Sim.Auto) ?(metrics = false) ?(events = false) ?(fault = false)
-    ?(monitor = false) ?(observer = false) ?prof params =
-  Sim.select_loop ~loop ~metrics ~events ~fault ~monitor ~observer ~prof params
+let select ?(loop = Sim.Auto) ?(attached = false) params =
+  Sim.select_loop ~loop ~attached params
+
+let not_eligible =
+  Invalid_argument
+    "Sim: ~loop:Fast requested, but the run is not fast-eligible (instrumentation \
+     attached, finite FIFOs, starvation guard, or Ideal mode)"
 
 let test_selection_matrix () =
   let p = Sim.default_params ~k:4 in
   let check msg want got = Alcotest.check variant msg want got in
-  (* Bare runs take the fast path. *)
+  (* Bare runs take the fast path; any attachment closes the gate (which
+     attachments count is pinned end to end below). *)
   check "bare" `Fast (select p);
-  (* Every instrumentation hook closes the fast gate on its own. *)
-  check "metrics" `Generic (select ~metrics:true p);
-  check "monitor" `Generic (select ~monitor:true p);
-  check "events" `Generic (select ~events:true p);
-  check "fault" `Generic (select ~fault:true p);
-  check "observer" `Generic (select ~observer:true p);
+  check "attached" `Generic (select ~attached:true p);
   (* Structural exclusions: bounded rings can drop, the starvation
      guard needs the generic bookkeeping, Ideal's per-cell queues are
      not representable in the unwrapped FIFO matrix. *)
@@ -47,68 +50,68 @@ let test_selection_matrix () =
   check "starvation guard" `Generic (select starve);
   let ideal = { p with Sim.mode = Sim.Ideal } in
   check "ideal" `Generic (select ideal);
-  (* Profiling: a sampled profiler hooks only at cycle edges the fast
-     loop already exposes, so it keeps the fast gate open; a full
-     profiler needs the generic loop's phase structure, so Auto routes
-     to Generic. *)
-  check "sampled prof" `Fast (select ~prof:Mp5_obs.Prof.Sampled p);
-  check "full prof" `Generic (select ~prof:Mp5_obs.Prof.Full p);
-  check "sampled prof + metrics" `Generic (select ~metrics:true ~prof:Mp5_obs.Prof.Sampled p);
   (* Forcing the generic loop always honours the request. *)
   check "forced generic" `Generic (select ~loop:Sim.Generic p);
+  check "forced generic + attached" `Generic (select ~loop:Sim.Generic ~attached:true p);
   (* Forcing the fast loop on an eligible run honours the request;
      forcing it on an ineligible one is a loud contract violation. *)
   check "forced fast" `Fast (select ~loop:Sim.Fast p);
-  check "forced fast + sampled prof" `Fast (select ~loop:Sim.Fast ~prof:Mp5_obs.Prof.Sampled p);
   List.iter
-    (fun (name, f) ->
-      Alcotest.check_raises name
-        (Invalid_argument
-           "Sim: ~loop:Fast requested, but the run is not fast-eligible (instrumentation \
-            attached, finite FIFOs, starvation guard, or Ideal mode)")
-        (fun () -> ignore (f ())))
+    (fun (name, f) -> Alcotest.check_raises name not_eligible (fun () -> ignore (f ())))
     [
-      ("forced fast + metrics", fun () -> select ~loop:Sim.Fast ~metrics:true p);
-      ("forced fast + events", fun () -> select ~loop:Sim.Fast ~events:true p);
-      ("forced fast + fault", fun () -> select ~loop:Sim.Fast ~fault:true p);
-      ("forced fast + monitor", fun () -> select ~loop:Sim.Fast ~monitor:true p);
-      ("forced fast + observer", fun () -> select ~loop:Sim.Fast ~observer:true p);
-      ( "forced fast + full prof",
-        fun () -> select ~loop:Sim.Fast ~prof:Mp5_obs.Prof.Full p );
+      ("forced fast + attached", fun () -> select ~loop:Sim.Fast ~attached:true p);
       ("forced fast + finite fifos", fun () -> select ~loop:Sim.Fast finite);
       ("forced fast + starvation", fun () -> select ~loop:Sim.Fast starve);
       ("forced fast + ideal", fun () -> select ~loop:Sim.Fast ideal);
     ]
 
-(* A forced fast run must also be rejected end-to-end, not only at the
-   selector. *)
-let test_forced_fast_rejected () =
-  let src = Progen.generate 11 in
-  let t =
-    match Compile.compile ~limits src with
-    | Ok t -> t
-    | Error _ -> Alcotest.fail "progen seed 11 failed to compile"
-  in
-  let prog = Mp5_core.Transform.transform ~limits t.Compile.config in
+let compiled_seed seed =
+  match Compile.compile ~limits (Progen.generate seed) with
+  | Ok t -> Mp5_core.Transform.transform ~limits t.Compile.config
+  | Error _ -> Alcotest.failf "progen seed %d failed to compile" seed
+
+(* Every attachment closes the fast gate end to end: a forced fast run
+   raises, and under Auto the run takes the generic loop.  The witness
+   is a sampled profiler riding along — it keeps the fast gate open on
+   its own, and only the generic loop records per-phase exec spans.
+   The full profiler is its own witness. *)
+let test_attachments_close_gate () =
+  let prog = compiled_seed 11 in
   let k = 4 in
   let trace = Progen.trace ~seed:11 ~k ~n:40 in
   let params = Sim.default_params ~k in
   let stages = Array.length prog.Mp5_core.Transform.config.Mp5_banzai.Config.stages in
-  let m = Mp5_obs.Metrics.create ~stages ~k in
-  (match Sim.run ~loop:Sim.Fast ~metrics:m params prog trace with
-  | _ -> Alcotest.fail "forced fast run with metrics attached was not rejected"
-  | exception Invalid_argument _ -> ());
-  let pf = Mp5_obs.Prof.create ~mode:Mp5_obs.Prof.Full () in
-  (match Sim.run ~loop:Sim.Fast ~prof:pf params prog trace with
-  | _ -> Alcotest.fail "forced fast run with a full profiler was not rejected"
-  | exception Invalid_argument _ -> ());
-  (* ... while a sampled profiler must be admitted under a forced fast
-     loop and still produce the bit-identical result. *)
-  let ps = Mp5_obs.Prof.create () in
-  let profiled = Sim.run ~loop:Sim.Fast ~prof:ps params prog trace in
-  let bare = Sim.run ~loop:Sim.Fast params prog trace in
-  if not (Sim.results_equal profiled bare) then
-    Alcotest.fail "sampled profiling changed a forced-fast result"
+  let plan = Result.get_ok (Mp5_fault.Fault.parse "seed 1; xbar-drop @1000000..1000001 p=0.5") in
+  let run ~loop ~prof ?metrics ?events ?fault ?monitor ?observer () =
+    Sim.run ~loop ~prof ?metrics ?events ?fault ?monitor ?observer params prog trace
+  in
+  List.iter
+    (fun (name, mode, go) ->
+      Alcotest.check_raises ("forced fast + " ^ name) not_eligible (fun () ->
+          ignore (go Sim.Fast (Prof.create ~mode ())));
+      let pf = Prof.create ~mode () in
+      ignore (go Sim.Auto pf);
+      if Prof.count pf Prof.Exec = 0 then Alcotest.failf "%s: Auto kept the fast loop" name)
+    [
+      ( "metrics",
+        Prof.Sampled,
+        fun loop prof -> run ~loop ~prof ~metrics:(Mp5_obs.Metrics.create ~stages ~k) () );
+      ( "events",
+        Prof.Sampled,
+        fun loop prof -> run ~loop ~prof ~events:(Mp5_obs.Trace.create ()) () );
+      ("fault plan", Prof.Sampled, fun loop prof -> run ~loop ~prof ~fault:plan ());
+      ( "monitor",
+        Prof.Sampled,
+        fun loop prof -> run ~loop ~prof ~monitor:(Mp5_fault.Monitor.create ()) () );
+      ("observer", Prof.Sampled, fun loop prof -> run ~loop ~prof ~observer:ignore ());
+      ("full prof", Prof.Full, fun loop prof -> run ~loop ~prof ());
+    ];
+  (* The witness itself: a sampled profiler alone is admitted under a
+     forced fast loop, whose fused sweep records no exec spans (its
+     results are held to the bare run by the differential corpus). *)
+  let ps = Prof.create () in
+  ignore (run ~loop:Sim.Fast ~prof:ps ());
+  Alcotest.(check int) "sampled prof: no exec spans" 0 (Prof.count ps Prof.Exec)
 
 (* Quiescence fast-forward: a long arrival gap with everything drained
    crosses hundreds of remap boundaries.  The generic loop visits each
@@ -151,7 +154,7 @@ let () =
         [
           Alcotest.test_case "variant matrix" `Quick test_selection_matrix;
           Alcotest.test_case "forced fast rejected end-to-end" `Quick
-            test_forced_fast_rejected;
+            test_attachments_close_gate;
         ] );
       ( "quiescence",
         [ Alcotest.test_case "idle-gap remap skip is bit-identical" `Quick test_quiescence_gap ]

@@ -1,8 +1,9 @@
 (* Span-profiler invariants (lib/obs/prof).
 
    Wall-clock measurements are host-dependent, so nothing here pins
-   absolute numbers — only accounting shape: phase spans are disjoint
-   within a leg, so their sum cannot exceed wall time (modulo clock
+   absolute numbers — only accounting shape: each loop records a fixed
+   set of spans per visited cycle; phase spans are disjoint within a
+   leg, so their sum cannot exceed wall time (modulo clock
    granularity); snapshots round-trip through their own validator; and
    the Chrome trace export parses and carries its spans on a named
    track. *)
@@ -54,26 +55,51 @@ let within_wall ~label pf phases =
   if sum > wall + (wall / 10) + 50_000 then
     Alcotest.failf "%s: phase spans (%d ns) exceed wall time (%d ns)" label sum wall
 
-let test_full_seq_accounting () =
-  let _, pf = profiled ~mode:Prof.Full ~k:4 ~n:4000 ~seed:41 () in
+(* Exact span counts: the profile is taken on the cycle function the
+   run executes, so every visited cycle (a heartbeat each) records the
+   loop's fixed set of spans and no other cycle-phase span — fast loop:
+   Deliver, Source, Sweep; generic loop: Deliver, Apply, Source, Pop,
+   Exec, Movement, plus Sweep with metrics attached.  Checkpoint spans
+   follow the snapshots taken. *)
+let counted ~mode ?metrics per_cycle =
+  let sw = Switch.create_exn Mp5_apps.Sources.heavy_hitter in
+  let pf = Prof.create ~mode () in
+  let beats = ref 0 and ckpts = ref 0 in
+  (match
+     Sim.run_source ~prof:pf ?metrics ~heartbeat_every:1
+       ~on_heartbeat:(fun ~cycle:_ -> incr beats)
+       ~checkpoint_every:97
+       ~on_checkpoint:(fun ~cycle:_ _ -> incr ckpts)
+       (Sim.default_params ~k:4) sw.Switch.prog
+       (Mp5_workload.Packet_source.of_array (trace_of ~k:4 ~n:3000 ~seed:46))
+   with
+  | Sim.Completed _ -> ()
+  | Sim.Suspended _ -> Alcotest.fail "unbudgeted run suspended");
   (match Prof.validate pf with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "full profile failed validation: %s" e);
-  check "generic loop recorded exec spans" true (Prof.count pf Prof.Exec > 0);
-  check "generic loop recorded deliver spans" true (Prof.count pf Prof.Deliver > 0);
-  check "movement sweep recorded" true (Prof.count pf Prof.Movement > 0);
-  within_wall ~label:"full seq" pf all_phases
+  | Error e -> Alcotest.failf "profile failed validation: %s" e);
+  within_wall ~label:"seq" pf all_phases;
+  check "cycles visited and checkpoints taken" true (!beats > 0 && !ckpts > 0);
+  List.iter
+    (fun phase ->
+      let want = if List.mem phase per_cycle then !beats else 0 in
+      Alcotest.(check int) (Prof.phase_name phase ^ " spans") want (Prof.count pf phase))
+    Prof.[ Deliver; Apply; Pop; Exec; Movement; Sweep; Source ];
+  Alcotest.(check int) "checkpoint spans" !ckpts (Prof.count pf Prof.Checkpoint);
+  pf
+
+let test_full_seq_accounting () =
+  let generic = Prof.[ Deliver; Apply; Source; Pop; Exec; Movement ] in
+  ignore (counted ~mode:Prof.Full generic : Prof.t);
+  let sw = Switch.create_exn Mp5_apps.Sources.heavy_hitter in
+  let stages = Array.length sw.Switch.prog.Mp5_core.Transform.config.Mp5_banzai.Config.stages in
+  let m = Mp5_obs.Metrics.create ~stages ~k:4 in
+  let pf = counted ~mode:Prof.Full ~metrics:m (Prof.Sweep :: generic) in
+  check "remap boundaries visited" true (m.Mp5_obs.Metrics.m_remap_periods > 0);
+  Alcotest.(check int) "remap spans" m.Mp5_obs.Metrics.m_remap_periods (Prof.count pf Prof.Remap)
 
 let test_sampled_seq_accounting () =
-  let _, pf = profiled ~mode:Prof.Sampled ~k:4 ~n:4000 ~seed:42 () in
-  (match Prof.validate pf with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "sampled profile failed validation: %s" e);
-  (* The fast loop samples exactly three phases per cycle; the split
-     generic-only phases must stay silent. *)
-  check "sweep spans recorded" true (Prof.count pf Prof.Sweep > 0);
-  check "no per-phase exec spans under sampling" true (Prof.count pf Prof.Exec = 0);
-  within_wall ~label:"sampled seq" pf all_phases
+  ignore (counted ~mode:Prof.Sampled Prof.[ Deliver; Source; Sweep ] : Prof.t)
 
 let test_json_roundtrip () =
   let _, pf = profiled ~mode:Prof.Full ~k:4 ~n:2000 ~seed:44 () in

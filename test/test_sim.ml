@@ -313,6 +313,60 @@ let test_observer_contract () =
   check_int "observer called once per visited cycle" m.Mp5_obs.Metrics.m_cycles !calls;
   check "observer and metrics do not perturb the result" true (Sim.results_equal observed bare)
 
+(* The paper's Figure 3 example (examples/figure3_timeline.ml): A..H
+   contend on reg1[1] before reg3[2]; I reads reg2[2] on the other
+   pipeline.  With phantoms (Table III) reg3[2] sees A..I in arrival
+   order; without D4 (Table II) I overtakes F, G, H.  The timelines are
+   the observer's only consumer, so this pins the observer end to end.
+   Lines are trimmed and blank ones dropped; column widths are kept. *)
+let figure3_trace =
+  let mk h1 h2 h3 mux time port = { Machine.time; port; headers = [| h1; h2; h3; 0; mux |] } in
+  Array.append
+    (Array.init 8 (fun i -> mk 1 1 2 1 (i / 2) ((i mod 2) + 1)))
+    [| mk 1 2 2 0 4 1 |]
+
+let figure3_mp5 =
+  [
+    "t=0     t=1     t=2     t=3     t=4     t=5     t=6     t=7     t=8     t=9     t=10    t=11    t=12";
+    "P0/S1                                           I";
+    "P0/S2                   A[b]    B[cd]   C[def]  D[efgh] E[fghI] F[ghI]  G[hI]   H[I]    I";
+    "P0/S3                           A       B       C       D       E       F       G       H       I";
+    "P0/S4                                   A       B       C       D       E       F       G       H       I";
+    "P1/S1           A[B]    B[CD]   C[DEF]  D[EFGH] E[FGH]  F[GH]   G[H]    H";
+    "P1/S2";
+    "P1/S3";
+    "P1/S4";
+  ]
+
+let figure3_no_d4 =
+  [
+    "t=0     t=1     t=2     t=3     t=4     t=5     t=6     t=7     t=8     t=9     t=10    t=11    t=12";
+    "P0/S1                                           I";
+    "P0/S2                   A       B       C       D       E[I]    I[F]    F[G]    G[H]    H";
+    "P0/S3                           A       B       C       D       E       I       F       G       H";
+    "P0/S4                                   A       B       C       D       E       I       F       G       H";
+    "P1/S1           A[B]    B[CD]   C[DEF]  D[EFGH] E[FGH]  F[GH]   G[H]    H";
+    "P1/S2";
+    "P1/S3";
+    "P1/S4";
+  ]
+
+let test_figure3_timeline () =
+  let sw = Switch.create_exn Mp5_apps.Sources.figure3 in
+  let show mode =
+    let params = { (Sim.default_params ~k:2) with Sim.mode } in
+    let tl, r = Mp5_core.Timeline.capture ~max_cycles:14 params sw.Switch.prog figure3_trace in
+    let lines = String.split_on_char '\n' (Mp5_core.Timeline.render tl) |> List.map String.trim in
+    let order = Hashtbl.find r.Sim.access_seqs (2, 2) |> List.map Mp5_core.Timeline.letter in
+    (List.filter (( <> ) "") lines, String.concat "," order)
+  in
+  let lines, order = show Sim.Mp5 in
+  Alcotest.(check (list string)) "Table III timeline" figure3_mp5 lines;
+  Alcotest.(check string) "Table III reg3[2] order" "A,B,C,D,E,F,G,H,I" order;
+  let lines, order = show Sim.No_d4 in
+  Alcotest.(check (list string)) "Table II timeline" figure3_no_d4 lines;
+  Alcotest.(check string) "Table II reg3[2] order" "A,B,C,D,E,I,F,G,H" order
+
 let () =
   Alcotest.run "sim"
     [
@@ -351,5 +405,6 @@ let () =
           Alcotest.test_case "remap period 0" `Quick test_remap_period_zero_ok;
           Alcotest.test_case "empty trace" `Quick test_empty_trace_rejected;
           Alcotest.test_case "observer contract" `Quick test_observer_contract;
+          Alcotest.test_case "figure 3 timelines" `Quick test_figure3_timeline;
         ] );
     ]
