@@ -614,7 +614,10 @@ let profile_probe scale name =
 
    A heavy-hitter workload (2000 packets, k = 4) run back-to-back on the
    closure kernels: min-of-N wall clock, plus the minor words allocated
-   per packet, a deterministic counter. *)
+   per packet, a deterministic counter.  Two counters of the oracle path
+   ride along: the golden machine on a 2000-packet sequencer trace (one
+   hot cell per group, the access pattern that made per-access
+   bookkeeping quadratic) and the trace reader on that trace's text. *)
 
 type micro = {
   mi_reps : int;
@@ -622,7 +625,24 @@ type micro = {
   mi_kernel_words : float;
       (** minor-heap words allocated per packet by one [Sim.run]: a
           deterministic counter, unlike the wall clock *)
+  mi_golden_words : float;  (** words allocated per packet by [Switch.golden] *)
+  mi_trace_words : float;  (** words allocated per input byte by [Trace_io.of_string] *)
 }
+
+(* Words allocated by the second of two [f ()] calls: minor plus
+   direct-major allocations (a large array skips the minor heap), so the
+   count does not depend on when minor collections happen to promote.
+   The minor part comes from [Gc.minor_words]: on OCaml 5.1 the minor
+   count in [Gc.counters] misses part of the current minor heap. *)
+let alloc_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  ignore (f ());
+  let before = words () in
+  ignore (f ());
+  words () -. before
 
 let sim_micro scale =
   let sw = Switch.create_exn Sources.heavy_hitter in
@@ -657,7 +677,22 @@ let sim_micro scale =
     run ();
     kernel_ns := Float.min !kernel_ns ((Unix.gettimeofday () -. t0) *. 1e9)
   done;
-  { mi_reps = reps; mi_kernel_ns = !kernel_ns; mi_kernel_words = kernel_words }
+  let seq = Switch.create_exn Sources.sequencer in
+  let seq_trace =
+    Traces.trace_for "sequencer"
+      (Tracegen.flows ~seed:3 ~n_packets:2000 ~k:4 ~concurrency:128 ())
+  in
+  let text = Mp5_workload.Trace_io.to_string seq_trace in
+  {
+    mi_reps = reps;
+    mi_kernel_ns = !kernel_ns;
+    mi_kernel_words = kernel_words;
+    mi_golden_words =
+      alloc_words (fun () -> Switch.golden seq seq_trace) /. float_of_int (Array.length seq_trace);
+    mi_trace_words =
+      alloc_words (fun () -> Mp5_workload.Trace_io.of_string text)
+      /. float_of_int (String.length text);
+  }
 
 (* --- longrun: multi-megapacket streamed run with chunked resume ---
 

@@ -31,7 +31,12 @@ type result = {
 }
 
 val run : Config.t -> input array -> result
-(** [run config trace] processes the (already sorted) trace. *)
+(** [run config trace] processes the (already sorted) trace.  Per-access
+    bookkeeping is O(1) amortised: each cell keeps an access counter, so
+    [order] is a counter read and a hot cell costs linear, not quadratic,
+    time over the trace.  The machine interprets the configuration's
+    expression trees ([Atom.exec_*], [Expr.eval_raw]) and never calls the
+    compiled kernels, so it stays independent of the code it checks. *)
 
 val run_packet :
   Config.t -> Store.t -> fields:int array ->

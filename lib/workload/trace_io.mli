@@ -7,7 +7,17 @@
     with [#]-comments and blank lines ignored.  All packets must carry the
     same number of fields.  This lets externally captured or hand-written
     traces drive [mp5sim --trace-file], and experiment traces be archived
-    for exact replay. *)
+    for exact replay.
+
+    The grammar, for both readers: lines end at ['\n']; each line is
+    trimmed of the whitespace [String.trim] removes; an empty trimmed
+    line, or one starting with [#], is skipped; any other line is split
+    on single spaces, empty tokens are dropped, and every token must be
+    accepted by [int_of_string] (so [+5], [0x1f] and [1_000] are
+    integers, and a tab between tokens is not a separator).  The readers
+    scan plain decimals ([-] and up to 18 digits) in place and hand any
+    other line to that [int_of_string] pipeline; the fast path is only an
+    optimisation of this grammar and changes no result or error. *)
 
 val to_string : Mp5_banzai.Machine.input array -> string
 

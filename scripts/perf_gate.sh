@@ -3,7 +3,7 @@
 #
 # Reads the committed BENCH_results.json baseline (the copy in git HEAD
 # — the working-tree file is overwritten by every bench run), runs the
-# sim-micro smoke, and compares two fresh keys against the baseline.
+# sim-micro smoke, and compares fresh keys against the baseline.
 #
 # heavy-hitter-2k/kernel_ns, wall clock:
 #
@@ -11,9 +11,14 @@
 #   new < 0.75 x baseline  ->  warn: the loop got faster, refresh and
 #                              commit the baseline so the gate tightens
 #
-# heavy-hitter-2k/words_per_pkt, minor words allocated per packet: a
-# deterministic counter that moves only when code changes, so it is
-# gated tight, at 1.02 x baseline, and needs no retries.
+# Allocation counters, deterministic: they move only when code changes,
+# so each is gated tight, at 1.02 x baseline, and needs no retries.
+#
+#   heavy-hitter-2k/words_per_pkt  minor words per packet, closure kernels
+#   golden/words_per_pkt           words per packet, golden machine
+#                                  (sequencer, 2000 packets)
+#   trace_io/words_per_byte        words per input byte, Trace_io.of_string
+#                                  of that trace's text
 #
 # The harness already takes the min over 5 interleaved repetitions,
 # but shared runners also swing between whole invocations (observed
@@ -30,7 +35,7 @@ set -eu
 
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
-WORDS_KEY='heavy-hitter-2k/words_per_pkt'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt golden/words_per_pkt trace_io/words_per_byte'
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;
@@ -47,7 +52,6 @@ extract() {
 }
 
 baseline=$(git show "HEAD:$RESULTS" 2>/dev/null | extract || true)
-baseline_words=$(git show "HEAD:$RESULTS" 2>/dev/null | extract "$WORDS_KEY" || true)
 
 dune build bench/main.exe
 
@@ -64,19 +68,22 @@ while [ "$attempt" -le 3 ]; do
     exit 1
   fi
   if [ "$attempt" -eq 1 ]; then
-    words=$(extract "$WORDS_KEY" < "$RESULTS")
-    if [ -z "$words" ]; then
-      echo "perf-gate: FAIL: $WORDS_KEY missing from fresh $RESULTS" >&2
-      exit 1
-    fi
-    if [ -z "$baseline_words" ]; then
-      echo "perf-gate: no committed baseline for $WORDS_KEY; skipping its comparison" >&2
-    elif awk -v new="$words" -v base="$baseline_words" 'BEGIN { exit !(new <= 1.02 * base) }'; then
-      echo "perf-gate: $WORDS_KEY: baseline $baseline_words, measured $words"
-    else
-      echo "perf-gate: FAIL: $WORDS_KEY: $words words/packet vs baseline $baseline_words (bound 1.02x)" >&2
-      exit 1
-    fi
+    for words_key in $WORDS_KEYS; do
+      words=$(extract "$words_key" < "$RESULTS")
+      if [ -z "$words" ]; then
+        echo "perf-gate: FAIL: $words_key missing from fresh $RESULTS" >&2
+        exit 1
+      fi
+      baseline_words=$(git show "HEAD:$RESULTS" 2>/dev/null | extract "$words_key" || true)
+      if [ -z "$baseline_words" ]; then
+        echo "perf-gate: no committed baseline for $words_key; skipping its comparison" >&2
+      elif awk -v new="$words" -v base="$baseline_words" 'BEGIN { exit !(new <= 1.02 * base) }'; then
+        echo "perf-gate: $words_key: baseline $baseline_words, measured $words"
+      else
+        echo "perf-gate: FAIL: $words_key: $words vs baseline $baseline_words (bound 1.02x)" >&2
+        exit 1
+      fi
+    done
   fi
   if [ -z "$best" ] || awk -v a="$new" -v b="$best" 'BEGIN { exit !(a < b) }'; then
     best=$new

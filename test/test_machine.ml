@@ -115,6 +115,69 @@ let test_run_packet_shared_store () =
   check_int "two accesses" 2 !hits;
   check_int "state persisted" 2 (Store.get store ~reg:0 ~idx:0)
 
+(* The golden machine's bookkeeping as it was first written: one
+   polymorphic table of per-cell sequences, [order] recomputed as the
+   length of the cell's history on every access.  Quadratic in a hot
+   cell's access count, but obviously right — the reference the
+   counter-based [Machine.run] is held to. *)
+let reference_run (config : Mp5_banzai.Config.t) trace =
+  let store = Store.create config in
+  let n = Array.length trace in
+  let headers_out = Array.make n [||] in
+  let access_seqs : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let packet_accesses = Array.make n [] in
+  Array.iteri
+    (fun pkt_id (input : Machine.input) ->
+      let fields = Array.make (Array.length config.fields) 0 in
+      Array.blit input.headers 0 fields 0 (min (Array.length input.headers) config.n_user_fields);
+      let accesses = ref [] in
+      let on_access ~reg ~cell =
+        let key = (reg, cell) in
+        let seq = try Hashtbl.find access_seqs key with Not_found -> [] in
+        let order = List.length seq in
+        Hashtbl.replace access_seqs key (pkt_id :: seq);
+        accesses := { Machine.reg; cell; order } :: !accesses
+      in
+      Machine.run_packet config store ~fields ~on_access;
+      packet_accesses.(pkt_id) <- List.rev !accesses;
+      headers_out.(pkt_id) <- Array.sub fields 0 config.n_user_fields)
+    trace;
+  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) access_seqs [] in
+  List.iter (fun k -> Hashtbl.replace access_seqs k (List.rev (Hashtbl.find access_seqs k))) keys;
+  { Machine.store; headers_out; access_seqs; packet_accesses }
+
+(* Bindings in iteration order: equal lists mean equal contents *and* an
+   unchanged [Hashtbl.iter] order for every consumer of the table. *)
+let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+
+let test_hot_cell_bookkeeping () =
+  let n = 4_000 in
+  let trace = Array.init n (fun i -> { Machine.time = i; port = 0; headers = [| 0 |] }) in
+  let r = Machine.run (counter_config ()) trace in
+  Alcotest.(check (list int)) "access_seqs (0, 0)" (List.init n Fun.id)
+    (Hashtbl.find r.Machine.access_seqs (0, 0));
+  check_int "one cell" 1 (Hashtbl.length r.Machine.access_seqs);
+  Array.iteri
+    (fun i accs ->
+      if accs <> [ { Machine.reg = 0; cell = 0; order = i } ] then
+        Alcotest.failf "packet %d: expected the single access with order %d" i i)
+    r.Machine.packet_accesses
+
+let test_matches_reference_on_apps () =
+  let pkts = Mp5_workload.Tracegen.flows ~seed:41 ~n_packets:1_500 ~k:4 ~concurrency:64 () in
+  List.iter
+    (fun (name, src) ->
+      let config = compile src in
+      let trace = Mp5_apps.Traces.trace_for name pkts in
+      let want = reference_run config trace and got = Machine.run config trace in
+      check (name ^ " store") true (Store.equal want.Machine.store got.Machine.store);
+      check (name ^ " headers_out") true (want.Machine.headers_out = got.Machine.headers_out);
+      check (name ^ " access_seqs") true
+        (bindings want.Machine.access_seqs = bindings got.Machine.access_seqs);
+      check (name ^ " packet_accesses") true
+        (want.Machine.packet_accesses = got.Machine.packet_accesses))
+    Mp5_apps.Sources.all_named
+
 let () =
   Alcotest.run "machine"
     [
@@ -128,5 +191,11 @@ let () =
           Alcotest.test_case "headers out are user fields" `Quick test_headers_out_user_fields_only;
           Alcotest.test_case "packet accesses recorded" `Quick test_packet_accesses_recorded;
           Alcotest.test_case "run_packet shares store" `Quick test_run_packet_shared_store;
+        ] );
+      ( "bookkeeping",
+        [
+          Alcotest.test_case "hot cell order is a counter" `Quick test_hot_cell_bookkeeping;
+          Alcotest.test_case "apps match the List.length reference" `Quick
+            test_matches_reference_on_apps;
         ] );
     ]

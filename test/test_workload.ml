@@ -212,6 +212,190 @@ let test_trace_io_parsing () =
   | Error e -> check "empty trace rejected" true (e = "no packets in trace")
   | Ok _ -> Alcotest.fail "expected empty-trace error"
 
+(* --- scanner equivalence ---
+
+   The trace readers as they were before the in-place scanner: every
+   line through [String.trim], [split_on_char], [List.filter] and
+   [int_of_string].  That pipeline *is* the grammar, so the scanner is
+   held to it on generated and mutated input: same packets, and errors
+   byte for byte. *)
+
+let ref_tokens line =
+  String.split_on_char ' ' line |> List.filter (fun t -> t <> "") |> List.map int_of_string
+
+let ref_of_string s =
+  let len = String.length s in
+  let packets = ref [] in
+  let arity = ref (-1) in
+  let error = ref None in
+  let pos = ref 0 in
+  let lineno = ref 0 in
+  while !error = None && !pos < len do
+    incr lineno;
+    let start = !pos in
+    let nl = match String.index_from_opt s start '\n' with Some i -> i | None -> len in
+    pos := nl + 1;
+    let line = String.trim (String.sub s start (nl - start)) in
+    if line <> "" && line.[0] <> '#' then begin
+      let err fmt =
+        Printf.ksprintf
+          (fun msg -> error := Some (Printf.sprintf "byte %d (line %d): %s" start !lineno msg))
+          fmt
+      in
+      match ref_tokens line with
+      | exception Failure _ -> err "not an integer"
+      | time :: port :: fields ->
+          let n = List.length fields in
+          if !arity = -1 then arity := n;
+          if n <> !arity then err "%d fields, expected %d (truncated line?)" n !arity
+          else packets := { Machine.time; port; headers = Array.of_list fields } :: !packets
+      | _ -> err "need at least time and port"
+    end
+  done;
+  match !error with
+  | Some e -> Error e
+  | None ->
+      if !packets = [] then Error "no packets in trace"
+      else Ok (Array.of_list (List.rev !packets))
+
+(* Drains the reference stream: the packets pulled before the first
+   error, and that error. *)
+let ref_stream ~path =
+  let ic = open_in_bin path in
+  let prefix = path ^ ": " in
+  let pos = ref 0 and lineno = ref 0 and arity = ref (-1) and last_time = ref min_int in
+  let packets = ref [] and error = ref None in
+  let fail at fmt =
+    Printf.ksprintf
+      (fun msg -> error := Some (Printf.sprintf "%sbyte %d (line %d): %s" prefix at !lineno msg))
+      fmt
+  in
+  (try
+     while !error = None do
+       let raw = input_line ic in
+       incr lineno;
+       let start = !pos in
+       pos := !pos + String.length raw + 1;
+       let line = String.trim raw in
+       if line <> "" && line.[0] <> '#' then
+         match ref_tokens line with
+         | exception Failure _ -> fail start "not an integer"
+         | time :: port :: fields ->
+             let n = List.length fields in
+             if !arity = -1 then arity := n;
+             if n <> !arity then fail start "%d fields, expected %d (truncated line?)" n !arity
+             else if time < !last_time then
+               fail start
+                 "arrival time %d before previous packet's %d (streamed traces must be time-sorted)"
+                 time !last_time
+             else begin
+               last_time := time;
+               packets := { Machine.time; port; headers = Array.of_list fields } :: !packets
+             end
+         | _ -> fail start "need at least time and port"
+     done
+   with End_of_file -> ());
+  close_in ic;
+  (List.rev !packets, !error)
+
+let new_stream ~path =
+  match Mp5_workload.Trace_io.stream ~path with
+  | Error e -> Alcotest.failf "open %s: %s" path e
+  | Ok src ->
+      let packets = ref [] and error = ref None in
+      (try
+         let rec drain () =
+           match Mp5_workload.Packet_source.next src with
+           | Some p ->
+               packets := p :: !packets;
+               drain ()
+           | None -> ()
+         in
+         drain ()
+       with Mp5_workload.Packet_source.Error e -> error := Some e);
+      (List.rev !packets, !error)
+
+let scanner_specials =
+  [|
+    "+5"; "0x1f"; "0b1"; "0o7"; "1_000"; "-0"; "-"; "--1"; "007"; "0u7"; "1e3"; "x"; "#";
+    "999999999999999999"; "-999999999999999999"; "1000000000000000000"; "-1000000000000000000";
+    string_of_int max_int; string_of_int min_int; "4611686018427387904"; "-4611686018427387905";
+    "99999999999999999999999";
+  |]
+
+let scanner_blanks = [| " "; "  "; "\t"; "\r"; "\012" |]
+
+(* A few lines of mostly well-formed trace (times rising, one arity),
+   salted with special tokens, odd separators and blanks, short or long
+   lines, comments after leading blanks, and blank lines. *)
+let gen_trace st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let arity = Random.State.int st 4 in
+  let line i =
+    match Random.State.int st 12 with
+    | 0 -> ""
+    | 1 -> pick scanner_blanks
+    | 2 -> pick scanner_blanks ^ "# comment " ^ string_of_int i
+    | _ ->
+        let n = if Random.State.int st 8 = 0 then Random.State.int st 5 else arity + 2 in
+        let tok j =
+          if Random.State.int st 15 = 0 then pick scanner_specials
+          else if j = 0 then string_of_int (i - Random.State.int st 2)
+          else string_of_int (Random.State.int st 3000 - 1000)
+        in
+        let sep () = if Random.State.int st 10 = 0 then pick scanner_blanks else " " in
+        let edge () = if Random.State.int st 4 = 0 then pick scanner_blanks else "" in
+        edge () ^ String.concat "" (List.init n (fun j -> (if j > 0 then sep () else "") ^ tok j))
+        ^ edge ()
+  in
+  let lines = List.init (1 + Random.State.int st 8) line in
+  String.concat "\n" lines ^ if Random.State.bool st then "\n" else ""
+
+(* Byte flips and truncations of one valid trace file. *)
+let mutate st valid =
+  let b = Bytes.of_string valid in
+  if Random.State.bool st then String.sub valid 0 (Random.State.int st (String.length valid + 1))
+  else begin
+    for _ = 0 to Random.State.int st 3 do
+      Bytes.set b (Random.State.int st (Bytes.length b)) (Char.chr (Random.State.int st 256))
+    done;
+    Bytes.to_string b
+  end
+
+let test_scanner_equivalence () =
+  let st = Random.State.make [| 2022 |] in
+  let valid =
+    let pkts = Tracegen.flows ~seed:5 ~n_packets:60 ~k:2 ~concurrency:8 () in
+    Mp5_workload.Trace_io.to_string
+      (Tracegen.headers_of_flows pkts ~fill:(fun p ->
+           [| p.Tracegen.src; p.Tracegen.bytes; -p.Tracegen.flow |]))
+  in
+  let path = Filename.temp_file "mp5-scan" ".trace" in
+  let fixed =
+    [ ""; "\n"; "0 1"; "0 1\n"; " \t\r\012"; "\r\n0 1 2\r\n1 1 3\r\n"; "  # c\n\t#d\n0 0";
+      "0 0 -\n"; "0\t0\n"; "0 0\012\n"; "5 0\n4 0\n" ]
+  in
+  let cases =
+    fixed
+    @ List.init 1_500 (fun _ -> gen_trace st)
+    @ List.init 500 (fun _ -> mutate st valid)
+  in
+  List.iteri
+    (fun i text ->
+      let got =
+        try Mp5_workload.Trace_io.of_string text
+        with e -> Alcotest.failf "case %d: of_string raised %s" i (Printexc.to_string e)
+      in
+      if got <> ref_of_string text then Alcotest.failf "case %d: of_string differs on %S" i text;
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let got =
+        try new_stream ~path
+        with e -> Alcotest.failf "case %d: stream raised %s" i (Printexc.to_string e)
+      in
+      if got <> ref_stream ~path then Alcotest.failf "case %d: stream differs on %S" i text)
+    cases;
+  Sys.remove path
+
 let () =
   Alcotest.run "workload"
     [
@@ -238,5 +422,6 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "parsing" `Quick test_trace_io_parsing;
+          Alcotest.test_case "scanner matches the split pipeline" `Quick test_scanner_equivalence;
         ] );
     ]
