@@ -29,21 +29,6 @@ let full = { n_packets = 60_000; runs = 10 }
    nested): the per-run arrays, or the per-point sweeps whose inner
    [averaged] stays sequential. *)
 
-(* Cycle-loop variant for every simulator invocation below: Auto
-   (default) takes the specialized fast loop on bare runs and the
-   instrumented generic loop otherwise; --loop generic/fast pins the
-   choice for differential timing.  Bit-identical either way (enforced
-   by test_differential and the parity checks below), so the variant
-   only affects wall-clock. *)
-let loop = ref Sim.Auto
-let set_loop l = loop := l
-
-(* [--loop fast] pins the loop only where the invocation is
-   fast-eligible; structurally ineligible runs (metrics or a fault plan
-   attached, finite FIFOs, ideal mode) fall back to Auto — i.e. the
-   generic loop — instead of aborting the whole suite. *)
-let loop_for ~eligible = match !loop with Sim.Fast when not eligible -> Sim.Auto | l -> l
-
 let pool : Pool.t option ref = ref None
 
 let set_jobs n =
@@ -119,13 +104,9 @@ let sim_params ?(mode = Sim.Mp5) ?(shard_init = `Round_robin) ?(finite_fifos = f
   | None -> params
   | Some g -> { params with Sim.remap_noise_gate = g }
 
-let eligible_params (params : Sim.params) =
-  params.Sim.adaptive_fifos && params.Sim.mode <> Sim.Ideal
-
 let throughput ?mode ?shard_init ?finite_fifos setup sw trace =
   let params = sim_params ?mode ?shard_init ?finite_fifos setup in
-  (Sim.run ~loop:(loop_for ~eligible:(eligible_params params)) params sw.Switch.prog trace)
-    .Sim.normalized_throughput
+  (Sim.run params sw.Switch.prog trace).Sim.normalized_throughput
 
 (* Streamed run of one generated workload; the cycle loop is the same as
    [Sim.run]'s, so the throughput matches the array path exactly. *)
@@ -135,8 +116,7 @@ let summary_source ?mode ?shard_init ?finite_fifos ?remap_period ?remap_noise_ga
     sim_params ?mode ?shard_init ?finite_fifos ?remap_period ?remap_noise_gate setup
   in
   match
-    Sim.run_source ~loop:(loop_for ~eligible:(eligible_params params)) params sw.Switch.prog
-      (source_for setup ~n ~seed)
+    Sim.run_source params sw.Switch.prog (source_for setup ~n ~seed)
   with
   | Sim.Completed s -> s
   | Sim.Suspended _ -> assert false (* no cycle budget *)
@@ -256,9 +236,7 @@ let d4 scale =
           { (Sim.default_params ~k:setup.k) with
             mode = m; fifo_capacity = 16; adaptive_fifos = false }
         in
-        let r =
-          Sim.run ~loop:(loop_for ~eligible:false) params sw.Switch.prog trace
-        in
+        let r = Sim.run params sw.Switch.prog trace in
         violations r.Sim.access_seqs r.Sim.headers_out r.Sim.store r.Sim.exit_order
     | `Recirc ->
         let r = Recirc.run ~k:setup.k ~shard_seed:(500 + i) ~sharding:`Cell sw.Switch.prog trace in
@@ -324,7 +302,7 @@ let fig8_one scale name =
               Tracegen.flows ~seed:(800 + i) ~n_packets:scale.n_packets ~k ~concurrency:128 ()
             in
             let trace = Traces.trace_for name pkts in
-            let r, rep = Switch.verify ~loop:!loop ~k sw trace in
+            let r, rep = Switch.verify ~k sw trace in
             let lats = Array.of_list (List.map (fun (_, l) -> float_of_int l) r.Sim.latencies) in
             ( r.Sim.normalized_throughput,
               r.Sim.max_queue,
@@ -371,7 +349,7 @@ let ablate_priority scale =
           }
       in
       let stats params =
-        let r = Sim.run ~loop:!loop params sw.Switch.prog trace in
+        let r = Sim.run params sw.Switch.prog trace in
         let lats = Array.of_list (List.map (fun (_, l) -> float_of_int l) r.Sim.latencies) in
         (r.Sim.normalized_throughput, Stats.percentile lats 50.0)
       in
@@ -418,8 +396,7 @@ let ablate_fifo scale =
       in
       let s =
         match
-          Sim.run_source ~loop:(loop_for ~eligible:false) params sw.Switch.prog
-            (source_for setup ~n:scale.n_packets ~seed:1200)
+          Sim.run_source params sw.Switch.prog (source_for setup ~n:scale.n_packets ~seed:1200)
         with
         | Sim.Completed s -> s
         | Sim.Suspended _ -> assert false
@@ -451,9 +428,7 @@ let degraded scale =
       in
       let run ?(mode = Sim.Mp5) ?fault ?monitor () =
         let params = Sim.default_params ~k:setup.k in
-        let eligible = fault = None && monitor = None in
-        (Sim.run ~loop:(loop_for ~eligible) ?fault ?monitor { params with mode } sw.Switch.prog
-           trace)
+        (Sim.run ?fault ?monitor { params with mode } sw.Switch.prog trace)
           .Sim.normalized_throughput
       in
       let healthy = run () in
@@ -584,8 +559,7 @@ let probe_target scale name =
 (* Run a probe target once with the given instruments attached. *)
 let probe_run ?metrics ?prof pt =
   ignore
-    (Sim.run ~loop:(loop_for ~eligible:false) ?metrics ?prof
-       ?fault:pt.pt_fault pt.pt_params pt.pt_sw.Switch.prog pt.pt_trace)
+    (Sim.run ?metrics ?prof ?fault:pt.pt_fault pt.pt_params pt.pt_sw.Switch.prog pt.pt_trace)
 
 let metrics_probe scale name =
   Option.map
@@ -661,7 +635,7 @@ let sim_micro scale =
       }
   in
   let params = Sim.default_params ~k:4 in
-  let run () = ignore (Sim.run ~loop:!loop params sw.Switch.prog trace : Sim.result) in
+  let run () = ignore (Sim.run params sw.Switch.prog trace : Sim.result) in
   (* Warm-up: the counted run below must not pay one-time setup. *)
   run ();
   let kernel_words =
@@ -746,16 +720,13 @@ let longrun scale =
     | Sim.Suspended snap -> (
         incr chunks;
         match
-          Sim.resume ~loop:!loop ~cycle_budget:chunk_cycles ~snapshot:snap sw.Switch.prog source
+          Sim.resume ~cycle_budget:chunk_cycles ~snapshot:snap sw.Switch.prog source
         with
         | Ok o -> go o
         | Error (Sim.Corrupt m) -> failwith ("longrun: corrupt snapshot: " ^ m)
         | Error (Sim.Mismatch m) -> failwith ("longrun: snapshot mismatch: " ^ m))
   in
-  let s =
-    go
-      (Sim.run_source ~loop:!loop ~cycle_budget:chunk_cycles params sw.Switch.prog source)
-  in
+  let s = go (Sim.run_source ~cycle_budget:chunk_cycles params sw.Switch.prog source) in
   let seconds = Unix.gettimeofday () -. t0 in
   let top_heap_mb =
     float_of_int (Gc.quick_stat ()).Gc.top_heap_words
@@ -767,8 +738,7 @@ let longrun scale =
     else
       let straight =
         match
-          Sim.run_source ~loop:!loop params sw.Switch.prog
-            (source_for setup ~n ~seed)
+          Sim.run_source params sw.Switch.prog (source_for setup ~n ~seed)
         with
         | Sim.Completed s -> s
         | Sim.Suspended _ -> assert false

@@ -384,20 +384,6 @@ let () =
     | "--chaos-dir" :: dir :: rest ->
         chaos_dir := Some dir;
         parse acc rest
-    | "--loop" :: l :: rest -> (
-        match l with
-        | "auto" ->
-            Experiments.set_loop Mp5_core.Sim.Auto;
-            parse acc rest
-        | "generic" ->
-            Experiments.set_loop Mp5_core.Sim.Generic;
-            parse acc rest
-        | "fast" ->
-            Experiments.set_loop Mp5_core.Sim.Fast;
-            parse acc rest
-        | _ ->
-            Format.eprintf "--loop expects auto, generic or fast, got %S@." l;
-            exit 1)
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in

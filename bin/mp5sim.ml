@@ -276,24 +276,27 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
         usage "--supervise resumes from the snapshot rotation chain (drop --resume)"
     end
   end;
+  (* The synthetic workload of a program without a named app trace,
+     generated whole ([trace_for_seed]) or streamed ([source] below). *)
+  let sensitivity_spec seed : Mp5_workload.Tracegen.sensitivity_spec =
+    {
+      n_packets;
+      k;
+      pkt_bytes;
+      n_fields = config.Mp5_banzai.Config.n_user_fields;
+      index_fields = List.init config.Mp5_banzai.Config.n_user_fields Fun.id;
+      reg_size = 512;
+      pattern = (if skewed then Mp5_workload.Tracegen.Skewed else Uniform);
+      n_ports = 64;
+      seed;
+    }
+  in
   let trace_for_seed seed =
     match app with
     | Some name when List.mem_assoc name Mp5_apps.Sources.all_named ->
         let pkts = Mp5_workload.Tracegen.flows ~seed ~n_packets ~k ~concurrency:64 () in
         Mp5_apps.Traces.trace_for name pkts
-    | _ ->
-        Mp5_workload.Tracegen.sensitivity
-          {
-            n_packets;
-            k;
-            pkt_bytes;
-            n_fields = config.Mp5_banzai.Config.n_user_fields;
-            index_fields = List.init config.Mp5_banzai.Config.n_user_fields Fun.id;
-            reg_size = 512;
-            pattern = (if skewed then Mp5_workload.Tracegen.Skewed else Uniform);
-            n_ports = 64;
-            seed;
-          }
+    | _ -> Mp5_workload.Tracegen.sensitivity (sensitivity_spec seed)
   in
   (* Multi-seed mode: [--runs R] repeats the whole experiment on R
      independently seeded traces (seed, seed+1, ...), spread over [--jobs]
@@ -472,19 +475,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           | Some name when List.mem_assoc name Mp5_apps.Sources.all_named ->
               Mp5_workload.Tracegen.flow_source ~seed ~n_packets ~k ~concurrency:64
                 ~fill:(Mp5_apps.Traces.fill name) ()
-          | _ ->
-              Mp5_workload.Tracegen.sensitivity_source
-                {
-                  n_packets;
-                  k;
-                  pkt_bytes;
-                  n_fields = config.Mp5_banzai.Config.n_user_fields;
-                  index_fields = List.init config.Mp5_banzai.Config.n_user_fields Fun.id;
-                  reg_size = 512;
-                  pattern = (if skewed then Mp5_workload.Tracegen.Skewed else Uniform);
-                  n_ports = 64;
-                  seed;
-                })
+          | _ -> Mp5_workload.Tracegen.sensitivity_source (sensitivity_spec seed))
     in
     (* Durable checkpoints: tmp file + fsync + atomic rename + directory
        fsync, rotating the previous [keep_snapshots] snapshots down the

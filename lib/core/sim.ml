@@ -115,14 +115,8 @@ type loop = Auto | Generic | Fast
    stage-major sweep.  The *generic* loop is the instrumented phase
    structure, kept as the differential oracle.
 
-   [Ideal] mode is excluded from the fast gate for two reasons: its
-   per-cell queues need the [Per_cell] machinery the fused sweep
-   unwraps away, and its LPT re-packer reads *cumulative* access counts,
-   so idle remap boundaries are observable and the quiescence
-   fast-forward below would change results.  Every other mode resets
-   the counters at each boundary, and [Sharding.remap_step] provably
-   returns no move when all counters are zero — which is what makes
-   skipping clean idle boundaries safe.
+   [Ideal] mode is excluded from the fast gate because its per-cell
+   queues need the [Per_cell] machinery the fused sweep unwraps away.
 
    [attached] is computed in one place, [select_cycle], from what the
    machine carries: metrics, event trace, fault plan, monitor, observer,
@@ -1385,17 +1379,15 @@ let arrival_phase sim now source st =
   (* Admit up to one packet per pipeline into the address-resolution
      stage; the Naive_single baseline funnels everything into pipeline
      0, and a downed pipeline admits nothing (degraded capacity is
-     (k - n_down)/k of ideal by construction). *)
+     (k - n_down)/k of ideal by construction).  Both loops admit here;
+     no closure captures [entry], so neither ref is boxed. *)
   let max_accept = match sim.p.mode with Naive_single -> 1 | _ -> sim.p.k in
   let entry = ref 0 in
-  let skip_down () =
-    match sim.flt with
-    | Some f -> while !entry < max_accept && Fault.is_down f !entry do incr entry done
-    | None -> ()
-  in
-  skip_down ();
   let admitting = ref true in
   while !admitting do
+    (match sim.flt with
+    | Some f -> while !entry < max_accept && Fault.is_down f !entry do incr entry done
+    | None -> ());
     if !entry >= max_accept then admitting := false
     else
       match Psource.peek source with
@@ -1414,8 +1406,7 @@ let arrival_phase sim now source st =
           resolve sim now pipeline pkt;
           sim.slots.(0).(pipeline) <- pkt;
           sim.in_flight <- sim.in_flight + 1;
-          incr entry;
-          skip_down ()
+          incr entry
       | _ -> admitting := false
   done
 
@@ -1576,77 +1567,11 @@ let observe sim now =
    row for stage s+1 is written and read only by movement(s) within a
    cycle ([spawn_dup], the only other reader, needs a fault plan). *)
 
-(* Arrivals prefetched in batches: [Psource.next] per admitted packet
-   becomes one buffer refill per [fast_chunk] packets.  Only legal when
-   the leg can never checkpoint ([track_src] off): the buffer runs the
-   source cursor ahead of the machine, which would break the snapshot's
-   consumed-count/input-digest contract. *)
-let fast_chunk = 64
-
-type fast_state = {
-  fs_deliver : int -> unit;
-      (* drain the phantom calendar for cycle [now] into the rings *)
-  fs_body : int -> unit;  (* the fused apply/pop/exec/movement sweep *)
-  mutable fs_dirty : bool;
-      (* some index map may hold nonzero access counters: remap
-         boundaries must be visited while idle.  Set on every admission,
-         cleared when a boundary's [remap_phase] has reset the counters;
-         initialized true because a resumed leg restores counters. *)
-  fs_chunked : bool;
-  fs_buf : Machine.input Vec.t;
-  mutable fs_cur : int;
-  mutable fs_eof : bool;
-  mutable fs_seq : int;               (* seq of the next admitted packet *)
-}
-
-let fast_refill fs source =
-  Vec.clear fs.fs_buf;
-  fs.fs_cur <- 0;
-  let n = ref 0 in
-  while (not fs.fs_eof) && !n < fast_chunk do
-    match Psource.next source with
-    | Some i ->
-        Vec.push fs.fs_buf i;
-        incr n
-    | None -> fs.fs_eof <- true
-  done
-
-let fast_peek fs source =
-  if fs.fs_cur < Vec.length fs.fs_buf then Some (Vec.get fs.fs_buf fs.fs_cur)
-  else if fs.fs_eof then None
-  else begin
-    fast_refill fs source;
-    if Vec.length fs.fs_buf = 0 then None else Some (Vec.get fs.fs_buf 0)
-  end
-
-(* [arrival_phase] against the prefetch buffer.  No fault plan under the
-   gate, so the downed-pipeline skip is gone; seqs come from the local
-   counter because the source cursor runs ahead of the machine. *)
-let fast_arrival sim fs source now =
-  let max_accept = match sim.p.mode with Naive_single -> 1 | _ -> sim.p.k in
-  let entry = ref 0 in
-  let admitting = ref true in
-  while !admitting do
-    if !entry >= max_accept then admitting := false
-    else
-      match fast_peek fs source with
-      | Some input when input.Machine.time <= now ->
-          fs.fs_cur <- fs.fs_cur + 1;
-          let seq = fs.fs_seq in
-          fs.fs_seq <- seq + 1;
-          let pkt = alloc_packet sim ~seq ~now input.Machine.headers in
-          resolve sim now !entry pkt;
-          sim.slots.(0).(!entry) <- pkt;
-          sim.in_flight <- sim.in_flight + 1;
-          incr entry
-      | _ -> admitting := false
-  done
-
-(* Build the fused cycle body.  Must run *after* a resume has decoded
-   the snapshot ([r_queue] replaces the FIFO objects); under the fast
-   gate nothing ever replaces them afterwards (only the fault paths do),
-   so the unwrapped matrix stays valid for the whole leg. *)
-let make_fast_state sim ~chunked ~consumed =
+(* Build the fast loop's cycle function.  Must run *after* a resume has
+   decoded the snapshot ([r_queue] replaces the FIFO objects); under the
+   fast gate nothing ever replaces them afterwards (only the fault paths
+   do), so the unwrapped matrix stays valid for the whole leg. *)
+let fast_cycle sim source st =
   let k = sim.p.k and n_stages = sim.n_stages in
   let cols =
     Array.init n_stages (fun s ->
@@ -1695,12 +1620,21 @@ let make_fast_state sim ~chunked ~consumed =
   let nx_pkts = Array.init n_stages (fun _ -> Int_vec.create ()) in
   let nx_descs = Array.init n_stages (fun _ -> Int_vec.create ()) in
   let maps = sim.maps in
-  let body now =
+  (* One cycle: drain the calendar, admit arrivals through the shared
+     [arrival_phase], run the fused sweep, movement included; remap
+     stays with the caller.  A profiler gets three spans per cycle at
+     those edges, never per packet or per stage. *)
+  fun now ->
+    let t0 = span_start sim in
+    Channel.drain sim.channel ~now deliver_one;
+    let t0 = lap sim Prof.Deliver t0 in
+    arrival_phase sim now source st;
+    let t0 = lap sim Prof.Source t0 in
     (* Hoist the slab columns once per cycle: the arrays move only
-       on slab growth, and the only allocation site (arrival) runs
-       before the body.  Field loads through [sim.sl] cannot be
-       CSE'd across the FIFO/kernel calls below, so this saves two
-       loads per array touch across the whole sweep. *)
+       on slab growth, and the only allocation site (arrival) has
+       just run.  Field loads through [sim.sl] cannot be CSE'd across
+       the FIFO/kernel calls below, so this saves two loads per array
+       touch across the whole sweep. *)
     let sl = sim.sl in
     let fields = sl.Slab.fields in
     let nf = sl.Slab.nf and na = sl.Slab.na in
@@ -1894,35 +1828,8 @@ let make_fast_state sim ~chunked ~consumed =
       let td = t_descs.(s) in
       t_descs.(s) <- nx_descs.(s);
       nx_descs.(s) <- td
-    done
-  in
-  {
-    fs_deliver = (fun now -> Channel.drain sim.channel ~now deliver_one);
-    fs_body = body;
-    fs_dirty = true;
-    fs_chunked = chunked;
-    fs_buf = Vec.create ();
-    fs_cur = 0;
-    fs_eof = false;
-    fs_seq = consumed;
-  }
-
-(* One fast cycle: drain the calendar, admit arrivals (the only slab
-   allocation — the arrays may move, so the body re-reads [sim.sl] after
-   it), run the fused sweep, movement included; remap stays in
-   [drive]'s shared suffix.  A profiler gets three spans per cycle at
-   those edges, never per packet or per stage. *)
-let fast_cycle sim fs now source st =
-  let t0 = span_start sim in
-  fs.fs_deliver now;
-  let t0 = lap sim Prof.Deliver t0 in
-  let before = sim.in_flight in
-  if fs.fs_chunked then fast_arrival sim fs source now
-  else arrival_phase sim now source st;
-  if sim.in_flight > before then fs.fs_dirty <- true;
-  let t0 = lap sim Prof.Source t0 in
-  fs.fs_body now;
-  ignore (lap sim Prof.Sweep t0 : int)
+    done;
+    ignore (lap sim Prof.Sweep t0 : int)
 
 (* --- snapshots (mp5-snap/1) --- *)
 
@@ -2397,21 +2304,18 @@ let generic_cycle sim t source st =
 (* The one variant-selection point, shared by [drive] and the node API,
    and the only place [attached] is computed: apply [select_loop] to
    what is attached to [sim] and return the leg's cycle as a function of
-   the cycle number, plus the fast state when the fast loop was chosen.
-   The cycle runs everything but the remap boundary, which the caller
-   owns.  Call it after a resume has decoded the machine, since
-   [make_fast_state] captures its FIFOs. *)
-let select_cycle ~loop ~chunked sim source st =
+   the cycle number.  The cycle runs everything but the remap boundary,
+   which the caller owns.  Call it after a resume has decoded the
+   machine, since [fast_cycle] captures its FIFOs. *)
+let select_cycle ~loop sim source st =
   let attached =
     Option.is_some sim.ms || Option.is_some sim.tr || Option.is_some sim.flt
     || Option.is_some sim.mon || Option.is_some sim.observer
     || match sim.pf with Some pf -> Prof.mode pf = Prof.Full | None -> false
   in
   match select_loop ~loop ~attached sim.p with
-  | `Fast ->
-      let fs = make_fast_state sim ~chunked ~consumed:(Psource.consumed source) in
-      (Some fs, fun t -> fast_cycle sim fs t source st)
-  | `Generic -> (None, fun t -> generic_cycle sim t source st)
+  | `Fast -> fast_cycle sim source st
+  | `Generic -> fun t -> generic_cycle sim t source st
 
 (* Remap boundaries fall every [remap_period] cycles after the first
    arrival, in every loop variant and on every fabric node. *)
@@ -2422,19 +2326,11 @@ let remap_due sim st t =
 let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget
     ~heartbeat ~stop =
   let params = sim.p in
-  (* Chunked admission only when this leg can never checkpoint:
-     [track_src] is armed exactly when it can ([checkpoint_every] or
-     [cycle_budget] on [run_source], always on [resume]). *)
-  let fstate, cycle = select_cycle ~loop ~chunked:(not st.track_src) sim source st in
-  let peek () =
-    match fstate with
-    | Some fs when fs.fs_chunked -> fast_peek fs source
-    | _ -> Psource.peek source
-  in
+  let cycle = select_cycle ~loop sim source st in
   let suspended = ref None in
   let running = ref true in
   (match sim.pf with Some pf -> Prof.enter pf | None -> ());
-  while !running && (sim.in_flight > 0 || Option.is_some (peek ())) do
+  while !running && (sim.in_flight > 0 || Option.is_some (Psource.peek source)) do
     let pause =
       (match cycle_budget with Some budget -> st.visited >= budget | None -> false)
       || (match stop with Some r -> !r | None -> false)
@@ -2459,20 +2355,10 @@ let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_b
           mark sim Prof.Remap t0;
           (* remap boundaries are the profiler's epoch marks: GC
              counters are sampled here, never per cycle *)
-          (match sim.pf with Some pf -> Prof.gc_sample pf | None -> ());
-          (* The boundary reset every (non-Ideal) counter; until the
-             next admission, idle boundaries are provably no-ops. *)
-          match fstate with Some fs -> fs.fs_dirty <- false | None -> ()
+          match sim.pf with Some pf -> Prof.gc_sample pf | None -> ()
         end;
-        (* Progress guard against simulator deadlock bugs.  Chunked
-           admission runs the source cursor ahead of the machine, so
-           count admitted packets instead of consumed ones there. *)
-        let admitted =
-          match fstate with
-          | Some fs when fs.fs_chunked -> fs.fs_seq
-          | _ -> Psource.consumed source
-        in
-        let score = sim.delivered + sim.dropped + admitted in
+        (* Progress guard against simulator deadlock bugs. *)
+        let score = sim.delivered + sim.dropped + Psource.consumed source in
         if score > st.last_score then begin
           st.last_score <- score;
           st.last_progress_t <- t
@@ -2484,32 +2370,18 @@ let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_b
            delivery (deliveries of doomed packets, drained as no-ops), or
            the next remap boundary (a remap can move cells even while
            idle, so boundaries must still be visited to keep results
-           bit-identical with the cycle-by-cycle loop).
-
-           The fast variant generalizes this to a whole-machine
-           quiescence jump: with the access counters known clean
-           ([fs_dirty] off — no admission since the last boundary reset
-           them), an idle remap boundary is provably a no-op
-           ([Sharding.remap_step] moves nothing when every counter is
-           zero, and [Index_map.reset_counts] on zeros is the identity;
-           Ideal, whose packer reads cumulative counts, is excluded from
-           the gate), so the jump goes straight to the next arrival.
-           The phantom-calendar bound still applies in both variants —
-           under the fast gate the calendar is provably empty at
-           in-flight 0 (nothing drops, so every pending delivery belongs
-           to a live packet), but the bound is two reads per idle jump
-           and keeps a violated assumption bit-visible. *)
-        (match if sim.in_flight > 0 then None else peek () with
+           bit-identical with the cycle-by-cycle loop).  The policy is
+           the same under both loops, so visited cycles, checkpoint and
+           heartbeat cadence, and budget suspension points do not
+           depend on the variant. *)
+        (match if sim.in_flight > 0 then None else Psource.peek source with
          | None -> st.now <- t + 1
          | Some input ->
              let next = ref (max (t + 1) input.Machine.time) in
              (match Channel.next_due sim.channel with
              | Some d -> next := min !next (max (t + 1) d)
              | None -> ());
-             let skip_boundaries =
-               match fstate with Some fs -> not fs.fs_dirty | None -> false
-             in
-             if params.remap_period > 0 && not skip_boundaries then begin
+             if params.remap_period > 0 then begin
                let period = params.remap_period in
                let boundary = t + period - ((t - st.first_arrival) mod period) in
                next := min !next boundary
@@ -3020,9 +2892,9 @@ let summary_equal (a : summary) (b : summary) =
    the whole fabric is quiet).  [node_step] runs the cycle
    [select_cycle] chose for the node, then the remap boundary, so a
    one-switch fabric fed the same packets at the same cycles is
-   bit-identical to [Sim.run] under either loop.  Nodes never chunk
-   admission: [node_inject] derives the local seq from the source
-   cursor and [node_pending] reads its lookahead. *)
+   bit-identical to [Sim.run] under either loop.  [node_inject] derives
+   the local seq from the source cursor and [node_pending] reads its
+   lookahead. *)
 type node = {
   nd_sim : sim;
   nd_st : loop_state;
@@ -3034,7 +2906,7 @@ type node = {
 let make_node ~loop ~on_exit ~on_drop sim st q src =
   sim.on_exit <- Some on_exit;
   sim.on_drop <- Some on_drop;
-  let _, cycle = select_cycle ~loop ~chunked:false sim src st in
+  let cycle = select_cycle ~loop sim src st in
   { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = cycle }
 
 let node_create ?(loop = Auto) ~anchor ~on_exit ~on_drop params prog =

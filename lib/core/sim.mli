@@ -92,9 +92,11 @@ type result = {
       instrumentation branch statically absent, the
       deliver/apply/pop/exec/movement phases fused into one stage-major
       sweep over pre-resolved FIFO columns, register arrays and kernel
-      tables, a whole-machine quiescence fast-forward (idle remap boundaries with clean access
-      counters are provably no-ops and are skipped outright), and
-      chunked source admission on runs that never checkpoint.
+      tables.
+
+    Nothing else differs: both loops admit packets through the same
+    arrival phase and share one idle fast-forward, which visits every
+    remap boundary.
 
     Each variant is one cycle function.  A profiler ({!Mp5_obs.Prof})
     is timed on that same function: the generic loop records one span
@@ -103,10 +105,9 @@ type result = {
     site.  Both loops leave the pipeline through one exit path.
 
     Results are bit-identical between the variants (enforced across the
-    differential corpus); only wall-clock and the number of {e visited}
-    cycles differ — a budgeted or checkpointed run may suspend at
-    different machine cycles under each variant, but lands on the same
-    final summary. *)
+    differential corpus), and so are the visited cycles, checkpoint and
+    heartbeat cadence, [cycle_budget] suspension points and snapshot
+    bytes; only wall-clock differs. *)
 
 type loop =
   | Auto     (** fast when eligible, generic otherwise (the default) *)
@@ -122,8 +123,8 @@ val select_loop : loop:loop -> attached:bool -> params -> [ `Fast | `Generic ]
     profiler (a sampled one is not an attachment — its spans sit at
     cycle edges the fast loop has too).  Fast eligibility: nothing
     attached, adaptive FIFOs, no starvation guard, and a mode other
-    than [Ideal] (whose LPT packer reads cumulative access counters,
-    making idle remap boundaries observable).
+    than [Ideal] (whose per-cell queues the fused sweep does not
+    host).
     @raise Invalid_argument for [~loop:Fast] on an ineligible run. *)
 
 val run :
@@ -382,8 +383,7 @@ val node_create :
     packet's local seq, pipeline latency, and a fresh copy of its user
     header fields; [on_drop] receives the local seq of each packet the
     machine drops.  [loop] (default [Auto]) picks the cycle variant as
-    for {!run}; the node never chunks admission and never skips idle
-    remap boundaries, whichever variant runs.
+    for {!run}.
     @raise Invalid_argument for [~loop:Fast] on ineligible [params]
     (finite FIFOs, starvation guard, or [Ideal] mode). *)
 
@@ -399,8 +399,7 @@ val node_step : node -> now:int -> unit
     variant, then the remap boundary if one falls at [now].  Exits fire
     [on_exit] in the same order under either variant.  The driver must
     call this with strictly increasing [now] and must itself visit every
-    remap boundary (nodes never skip cycles on their own, and the fast
-    loop's clean-boundary skip belongs to {!run}'s driver). *)
+    remap boundary (nodes never skip cycles on their own). *)
 
 val node_in_flight : node -> int
 (** Packets inside the machine (admitted, not yet exited or dropped). *)

@@ -126,9 +126,8 @@ let run_seed seed =
   let want = Sim.summary_of_result ~packets:(Array.length trace) base in
   if not (Sim.summary_equal want (stream ())) then
     Alcotest.failf "seed %d: streamed source diverges from the array run:\n%s" seed src;
-  (* Streamed fast loop: exercises chunked source admission (no
-     checkpointing armed, so the prefetch buffer is live) and the
-     streaming exit/access digests under the fused sweep. *)
+  (* Streamed fast loop: the streaming exit/access digests under the
+     fused sweep. *)
   if not (Sim.summary_equal want (stream ~loop:Sim.Fast ())) then
     Alcotest.failf "seed %d: streamed fast loop diverges from the array run:\n%s" seed src;
   (* Snapshots record no loop-variant choice: on a corpus slice, a leg

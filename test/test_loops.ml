@@ -6,14 +6,15 @@
    attachments set that flag is pinned end to end: every instrument
    that forgets to close the fast gate fails the attachment rows (a
    forced [~loop:Fast] must be rejected loudly, Auto must run the
-   generic loop).  The quiescence case exercises what the differential
-   corpus cannot: the fast loop's whole-machine quiescence jump (which
-   skips idle remap boundaries outright) must stay bit-identical to the
-   generic loop on a trace with a long arrival gap spanning many
-   boundaries. *)
+   generic loop).  The quiescence cases exercise what the differential
+   corpus cannot: on a trace with a long arrival gap spanning many
+   remap boundaries, both loops must agree bit for bit, not only in
+   results but in the cycles they visit — the same checkpoint sequence
+   and the same budget suspension snapshot. *)
 
 module Sim = Mp5_core.Sim
 module Machine = Mp5_banzai.Machine
+module Psource = Mp5_workload.Packet_source
 module Progen = Mp5_fuzz.Progen
 module Prof = Mp5_obs.Prof
 open Mp5_domino
@@ -113,12 +114,11 @@ let test_attachments_close_gate () =
   ignore (run ~loop:Sim.Fast ~prof:ps ());
   Alcotest.(check int) "sampled prof: no exec spans" 0 (Prof.count ps Prof.Exec)
 
-(* Quiescence fast-forward: a long arrival gap with everything drained
-   crosses hundreds of remap boundaries.  The generic loop visits each
-   one; the fast loop jumps straight to the next arrival once the
-   access counters are provably clean ([fs_dirty] off).  The results —
-   including the remapped store layout and the access log — must be
-   bit-identical, or the skip is unsound. *)
+(* Idle fast-forward: a long arrival gap with everything drained
+   crosses hundreds of remap boundaries, and both loops share [drive]'s
+   jump, which visits every one (a remap can move cells while idle).
+   The results — including the remapped store layout and the access
+   log — must be bit-identical. *)
 let test_quiescence_gap () =
   let run_gap seed =
     let src = Progen.generate seed in
@@ -147,6 +147,56 @@ let test_quiescence_gap () =
   in
   List.iter run_gap [ 1; 2; 3; 5; 8 ]
 
+(* The loops differ only in the fused sweep, so they visit the same
+   cycles: on the gapped traces above, a checkpointed run emits the same
+   (cycle, snapshot bytes) sequence under either, and a budget that
+   expires mid-run suspends both at the same cycle with the same
+   bytes. *)
+let test_checkpoint_sequence () =
+  List.iter
+    (fun seed ->
+      let prog = compiled_seed seed in
+      let base = Progen.trace ~seed ~k:4 ~n:80 in
+      let n = Array.length base in
+      let gapped =
+        Array.mapi
+          (fun i (i0 : Machine.input) ->
+            if i < n / 2 then i0 else { i0 with Machine.time = i0.Machine.time + 50_000 })
+          base
+      in
+      let params = Sim.default_params ~k:4 in
+      let checkpoints loop =
+        let acc = ref [] in
+        (match
+           Sim.run_source ~loop ~checkpoint_every:5
+             ~on_checkpoint:(fun ~cycle snap -> acc := (cycle, snap) :: !acc)
+             params prog (Psource.of_array gapped)
+         with
+        | Sim.Completed _ -> ()
+        | Sim.Suspended _ -> Alcotest.failf "seed %d: suspended without a budget" seed);
+        List.rev !acc
+      in
+      let fast = checkpoints Sim.Fast and generic = checkpoints Sim.Generic in
+      let nf = List.length fast and ng = List.length generic in
+      if nf <> ng then Alcotest.failf "seed %d: %d fast checkpoints, %d generic" seed nf ng;
+      List.iteri
+        (fun i ((cf, sf), (cg, sg)) ->
+          if cf <> cg || not (String.equal sf sg) then
+            Alcotest.failf "seed %d: checkpoint %d differs (fast cycle %d, generic cycle %d)"
+              seed i cf cg)
+        (List.combine fast generic);
+      let suspend loop =
+        match
+          Sim.run_source ~loop ~cycle_budget:(5 * (ng / 2) + 3) params prog
+            (Psource.of_array gapped)
+        with
+        | Sim.Suspended snap -> snap
+        | Sim.Completed _ -> Alcotest.failf "seed %d: budget did not suspend the run" seed
+      in
+      if not (String.equal (suspend Sim.Fast) (suspend Sim.Generic)) then
+        Alcotest.failf "seed %d: budget suspension snapshots differ" seed)
+    [ 1; 2; 3; 5; 8 ]
+
 let () =
   Alcotest.run "loops"
     [
@@ -157,6 +207,9 @@ let () =
             test_attachments_close_gate;
         ] );
       ( "quiescence",
-        [ Alcotest.test_case "idle-gap remap skip is bit-identical" `Quick test_quiescence_gap ]
-      );
+        [
+          Alcotest.test_case "idle-gap remap skip is bit-identical" `Quick test_quiescence_gap;
+          Alcotest.test_case "checkpoint sequence matches across loops" `Quick
+            test_checkpoint_sequence;
+        ] );
     ]
