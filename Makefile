@@ -86,13 +86,14 @@ fabric-smoke:
 
 # Performance gate: sim-micro times the closure kernels on a
 # heavy-hitter trace and writes its row to BENCH_results.json.
-# scripts/perf_gate.sh then compares four fresh keys against the baseline
+# scripts/perf_gate.sh then compares five fresh keys against the baseline
 # committed in git HEAD: heavy-hitter-2k/kernel_ns (wall clock, +/-25%
 # band: above fails as a regression, well below warns that the baseline
-# should be refreshed), and three deterministic allocation counters that
+# should be refreshed), and four deterministic allocation counters that
 # fail above 1.02x: heavy-hitter-2k/words_per_pkt (minor words per
-# packet), golden/words_per_pkt and trace_io/words_per_byte.  No
-# committed baseline skips a comparison with a warning.
+# packet), generic/words_per_pkt (the same on the generic loop),
+# golden/words_per_pkt and trace_io/words_per_byte.  No committed
+# baseline skips a comparison with a warning.
 perf-smoke:
 	sh scripts/perf_gate.sh
 

@@ -52,6 +52,20 @@ type occupancy = {
   occ_queues : (int * bool) list array array;  (* [stage][pipeline] -> (packet, is_data) *)
 }
 
+(* The per-packet observables, condensed online by every run: the
+   machine folds each exit and each register access into these as it
+   happens, whether or not anything else records them. *)
+type digests = {
+  dg_exits : int;
+      (* FNV-1a over (seq, latency, user headers) of every exit, in exit
+         order *)
+  dg_access : int;
+      (* per-(reg, cell) FNV-1a over the access sequence (seeded with the
+         packed key), the finished per-cell digests combined with
+         [Hashing.combine] — commutative, so the value is independent of
+         first-touch order and survives checkpoint legs *)
+}
+
 type result = {
   delivered : int;
   dropped : int;
@@ -62,6 +76,7 @@ type result = {
   normalized_throughput : float;
   max_queue : int;
   store : Store.t;
+  digests : digests;
   headers_out : (int * int array) list;
   access_seqs : (int * int, int list) Hashtbl.t;
   exit_order : int list;
@@ -69,20 +84,6 @@ type result = {
 }
 
 (* --- streaming summaries (the bounded-memory counterpart of [result]) --- *)
-
-(* 62 bits so digest sums stay within the OCaml int range on 64-bit. *)
-let digest_mask = 0x3FFF_FFFF_FFFF_FFFF
-
-type digests = {
-  dg_exits : int;
-      (* FNV-1a over (seq, latency, user headers) of every exit, in exit
-         order *)
-  dg_access : int;
-      (* per-(reg, cell) FNV-1a over the access sequence (seeded with the
-         packed key), the finished per-cell digests combined by masked
-         sum — commutative, so the value is independent of first-touch
-         order and survives checkpoint legs *)
-}
 
 type summary = {
   s_delivered : int;
@@ -227,31 +228,21 @@ type sim = {
   mutable in_flight : int;
   mutable first_exit : int;
   mutable last_exit : int;
-  (* access log keyed by [reg lsl 32 lor cell] (no tuple allocation per
-     lookup), accumulated into an Int_vec per key; the open-addressing table
-     maps each key to its slot in the parallel key/vec vectors.
-     Converted to the result's (reg, cell) -> seq list table in [run]'s
-     epilogue *)
+  (* The per-packet observables as constant-size FNV digest state, the
+     only form the machine keeps: [ed] folds every exit; per touched
+     (reg, cell), keyed by [reg lsl 32 lor cell] (no tuple allocation
+     per lookup), [access_log] maps the key to its slot in the parallel
+     [log_keys]/[dig_hi]/[dig_lo] vectors, fed through the scratch
+     state [dig].  Memory is proportional to the register file, not to
+     the packet count, and every fabric node keeps its own digests.
+     Per-packet lists exist only where a caller records them through
+     [on_exit]/[on_access] ([run]'s collectors). *)
   access_log : Int_table.t;
   log_keys : Int_vec.t;
-  log_vecs : Int_vec.t Vec.t;
-  (* [collect] selects what accumulates per exit/access: the array path
-     keeps full per-packet records (the vectors above and below), the
-     streaming path folds everything into constant-size FNV digest
-     state — [ed] for exits, [dig_hi]/[dig_lo] (parallel to [log_keys])
-     for per-cell access sequences, fed through the scratch state
-     [dig].  Both states are per machine, so every fabric node keeps
-     its own digests. *)
-  collect : bool;
   ed : Hashing.state;
   dig_hi : Int_vec.t;
   dig_lo : Int_vec.t;
   dig : Hashing.state;
-  (* exit records as three parallel vectors in exit order: rebuilding the
-     result's lists walks contiguous arrays instead of a cons chain *)
-  exit_seqs : Int_vec.t;
-  exit_headers : int array Vec.t;
-  exit_lats : Int_vec.t;
   (* telemetry (lib/obs): [None] when disabled, so every instrumentation
      site below costs one immediate-branch and the instrumented state
      lives entirely outside the simulated machine — results are
@@ -277,15 +268,17 @@ type sim = {
      executing stateful accesses is always-true on the no-fault path *)
   mutable dup_base : int;
   mutable dup_next : int;
-  (* fabric node hooks (lib/fabric): pure observers fired at the two
-     sites where a packet leaves the machine — pipeline exit and drop.
-     Same discipline as the telemetry above: [None] costs one branch
-     per exit/drop and the hooks never touch simulated state, so
-     results are bit-identical with hooks attached or not.  Only the
-     node API below sets them.  Both loop variants fire [on_exit]; the
-     fast gate rules out every drop, so [on_drop] has generic sites
-     only. *)
+  (* Per-packet hooks: pure observers fired where a packet leaves the
+     machine (exit, drop) and where it touches a register cell.  Same
+     discipline as the telemetry above: [None] costs one branch per
+     site and the hooks never touch simulated state, so results are
+     bit-identical with hooks attached or not.  [run]'s collectors set
+     [on_exit]/[on_access], the fabric node API [on_exit]/[on_drop].
+     Both loop variants fire [on_exit] and [on_access] (through the
+     shared [exit_packet]/[log_access]); the fast gate rules out every
+     drop, so [on_drop] has generic sites only. *)
   mutable on_exit : (seq:int -> latency:int -> headers:int array -> unit) option;
+  mutable on_access : (reg:int -> cell:int -> seq:int -> unit) option;
   mutable on_drop : (seq:int -> unit) option;
   (* per-cycle occupancy observer (the {!Timeline} renderer's feed),
      called once per generic cycle after the pops; attaching one closes
@@ -335,7 +328,7 @@ let cell_fifo sim pc cell =
       Hashtbl.add pc.pc_cells cell f;
       f
 
-let create ?(collect = true) ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
+let create ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
   let config = prog.Transform.config in
   let n_stages = Array.length config.Config.stages in
   let fplan =
@@ -428,15 +421,10 @@ let create ?(collect = true) ?observer ?metrics ?events ?fault ?monitor ?prof pa
       last_exit = 0;
       access_log = Int_table.create ();
       log_keys = Int_vec.create ();
-      log_vecs = Vec.create ();
-      collect;
       ed = Hashing.start ();
       dig_hi = Int_vec.create ();
       dig_lo = Int_vec.create ();
       dig = Hashing.start ();
-      exit_seqs = Int_vec.create ();
-      exit_headers = Vec.create ();
-      exit_lats = Int_vec.create ();
       ms = metrics;
       tr = events;
       pf = prof;
@@ -446,6 +434,7 @@ let create ?(collect = true) ?observer ?metrics ?events ?fault ?monitor ?prof pa
       dup_base = max_int;
       dup_next = max_int;
       on_exit = None;
+      on_access = None;
       on_drop = None;
       observer;
     }
@@ -475,19 +464,19 @@ let uses_phantoms sim = match sim.p.mode with No_d4 -> false | _ -> true
 
 (* First access that will queue the packet at [stage]: one whose guard is
    not known false.  Returns the acc id, or -1 when the packet passes the
-   stage statelessly — an int so the hot loop allocates no list. *)
+   stage statelessly — an int so the hot loop allocates no list, and a
+   [while] over locals so it allocates no closure either. *)
 let queued_acc sim pkt stage =
   let accs = sim.accs_by_stage.(stage) in
   let n = Array.length accs in
-  let sl = sim.sl in
-  let ab = pkt * sl.Slab.na in
-  let rec go i =
-    if i = n then -1
-    else
-      let id = Array.unsafe_get accs i in
-      if sl.Slab.gk.(ab + id) <> gk_false then id else go (i + 1)
-  in
-  go 0
+  let gk = sim.sl.Slab.gk in
+  let ab = pkt * sim.sl.Slab.na in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    let id = Array.unsafe_get accs !i in
+    if gk.(ab + id) <> gk_false then found := id else incr i
+  done;
+  !found
 
 (* Encoding of [Metrics.drop_cause] for trace [aux] fields. *)
 let cause_code = function
@@ -899,42 +888,43 @@ let update_head_watch sim now stage p =
 let head_age sim now stage p =
   if sim.hw_key.(stage).(p) < 0 then 0 else now - sim.hw_since.(stage).(p)
 
-(* The ring (and, in Ideal mode, the per-cell bookkeeping to refresh on a
-   successful push) behind a stateful stage input. *)
-let stage_queue sim stage ~dest ~cell =
-  match sim.fifos.(stage).(dest) with
-  | Some (Logical f) -> (f, None)
-  | Some (Per_cell pc) -> (cell_fifo sim pc cell, Some pc)
-  | None -> invalid_arg "stateful transfer to a stateless stage"
-
 let notify_ready pc cell =
   Hashtbl.replace pc.pc_ready cell ();
   let f = Hashtbl.find pc.pc_cells cell in
   pc.pc_high <- max pc.pc_high (Fifo.max_occupancy f)
 
+(* The ring behind stage input [q]: [cell]'s own ring in Ideal mode.
+   Callers match [q] again for the Ideal bookkeeping, so no tuple or
+   option is built per insert. *)
+let input_fifo sim q cell =
+  match q with
+  | Some (Logical f) -> f
+  | Some (Per_cell pc) -> cell_fifo sim pc cell
+  | None -> invalid_arg "stateful transfer to a stateless stage"
+
 let insert_stateful sim now stage pkt ~dest ~src ~cell =
   let seq = sim.sl.Slab.seq.(pkt) in
-  let push_or_insert f =
-    if uses_phantoms sim then Fifo.insert_data f ~key:seq pkt
+  let q = sim.fifos.(stage).(dest) in
+  let f = input_fifo sim q cell in
+  let pushed =
+    if uses_phantoms sim then
+      match Fifo.insert_data f ~key:seq pkt with `Ok -> true | `No_phantom -> false
     else
       match Fifo.push_data f ~ring:src ~ts:((now lsl 22) lor seq) ~key:seq pkt with
-      | `Ok -> `Ok
-      | `Dropped -> `No_phantom
+      | `Ok -> true
+      | `Dropped -> false
   in
-  let f, pc = stage_queue sim stage ~dest ~cell in
-  match push_or_insert f with
-  | `Ok -> (
-      (* A direct match: [Option.iter f] would allocate the closure
-         [fun pc -> ...] on every successful insert. *)
-      (match pc with Some pc -> notify_ready pc cell | None -> ());
-      match sim.p.ecn_threshold with
-      | Some thr when Fifo.data_length f > thr -> sim.sl.Slab.ecn.(pkt) <- 1
-      | _ -> ())
-  | `No_phantom ->
-      (* With phantoms, a miss means the phantom was dropped by a full
-         ring; without, the data push itself hit a full ring. *)
-      drop_packet sim now pkt (stage - 1)
-        (if uses_phantoms sim then Metrics.No_phantom else Metrics.Fifo_full)
+  if pushed then begin
+    (match q with Some (Per_cell pc) -> notify_ready pc cell | _ -> ());
+    match sim.p.ecn_threshold with
+    | Some thr when Fifo.data_length f > thr -> sim.sl.Slab.ecn.(pkt) <- 1
+    | _ -> ()
+  end
+  else
+    (* With phantoms, a miss means the phantom was dropped by a full
+       ring; without, the data push itself hit a full ring. *)
+    drop_packet sim now pkt (stage - 1)
+      (if uses_phantoms sim then Metrics.No_phantom else Metrics.Fifo_full)
 
 let apply_transfers sim now =
   for stage = 0 to sim.n_stages - 1 do
@@ -976,10 +966,11 @@ let apply_transfers sim now =
         | 1 (* stateful *) ->
             insert_stateful sim now stage pkt ~dest ~src ~cell:((desc lsr 14) - 1)
         | 2 (* queued *) -> (
-            let f, pc = stage_queue sim stage ~dest ~cell:(-1) in
+            let q = sim.fifos.(stage).(dest) in
+            let f = input_fifo sim q (-1) in
             let seq = sim.sl.Slab.seq.(pkt) in
             match Fifo.push_data f ~ring:src ~ts:seq ~key:seq pkt with
-            | `Ok -> ( match pc with Some pc -> notify_ready pc (-1) | None -> ())
+            | `Ok -> ( match q with Some (Per_cell pc) -> notify_ready pc (-1) | _ -> ())
             | `Dropped -> drop_packet sim now pkt (stage - 1) Metrics.Fifo_full)
         | _ (* stateless *) ->
             (* Starvation guard: sacrifice the stateless packet when the
@@ -1152,49 +1143,38 @@ let metrics_sweep sim m =
       done
   done
 
-(* The key packs (reg, cell) into one int so the per-access lookup
-   allocates no tuple; [Int_table.find]'s Not_found (an exception, not an
-   option) keeps the found path allocation-free too.  In streaming mode
-   ([collect = false]) the per-cell record is two ints of FNV state
-   instead of a growing seq vector, so memory stays proportional to the
-   register file, not to the packet count. *)
+(* Fold one access into its cell's digest.  The key packs (reg, cell)
+   into one int so the lookup allocates no tuple; [Int_table.find]'s
+   Not_found (an exception, not an option) keeps the found path
+   allocation-free too.  [on_access] fires after the digest update, so
+   both loops fire it in access-log order. *)
 let log_access sim reg cell seq =
   let key = (reg lsl 32) lor cell in
-  match Int_table.find sim.access_log key with
+  let d = sim.dig in
+  (match Int_table.find sim.access_log key with
   | i ->
-      if sim.collect then Int_vec.push (Vec.get sim.log_vecs i) seq
-      else begin
-        let d = sim.dig in
-        d.Hashing.hi <- Int_vec.get sim.dig_hi i;
-        d.Hashing.lo <- Int_vec.get sim.dig_lo i;
-        Hashing.feed d seq;
-        Int_vec.set sim.dig_hi i d.Hashing.hi;
-        Int_vec.set sim.dig_lo i d.Hashing.lo
-      end
+      d.Hashing.hi <- Int_vec.get sim.dig_hi i;
+      d.Hashing.lo <- Int_vec.get sim.dig_lo i;
+      Hashing.feed d seq;
+      Int_vec.set sim.dig_hi i d.Hashing.hi;
+      Int_vec.set sim.dig_lo i d.Hashing.lo
   | exception Not_found ->
       Int_table.replace sim.access_log key (Int_vec.length sim.log_keys);
       Int_vec.push sim.log_keys key;
-      if sim.collect then begin
-        let v = Int_vec.create () in
-        Int_vec.push v seq;
-        Vec.push sim.log_vecs v
-      end
-      else begin
-        let d = sim.dig in
-        Hashing.reset d;
-        Hashing.feed d key;
-        Hashing.feed d seq;
-        Int_vec.push sim.dig_hi d.Hashing.hi;
-        Int_vec.push sim.dig_lo d.Hashing.lo
-      end
+      Hashing.reset d;
+      Hashing.feed d key;
+      Hashing.feed d seq;
+      Int_vec.push sim.dig_hi d.Hashing.hi;
+      Int_vec.push sim.dig_lo d.Hashing.lo);
+  match sim.on_access with Some f -> f ~reg ~cell ~seq | None -> ()
 
-(* Masked commutative sum of the finished per-cell digests. *)
+(* Commutative combination of the finished per-cell digests. *)
 let access_digest sim =
   let acc = ref 0 and d = Hashing.start () in
   for i = 0 to Int_vec.length sim.log_keys - 1 do
     d.Hashing.hi <- Int_vec.get sim.dig_hi i;
     d.Hashing.lo <- Int_vec.get sim.dig_lo i;
-    acc := (!acc + Hashing.value d) land digest_mask
+    acc := Hashing.combine !acc (Hashing.value d)
   done;
   !acc
 
@@ -1241,9 +1221,8 @@ let exec_phase sim =
   done
 
 (* A packet leaves the last stage: the delivery counters, the
-   instruments, the fabric exit hook, and the exit record (kept whole
-   on a collecting run, folded into the exit digest on a streamed one).
-   Both cycle loops exit through here; the user headers are copied out
+   instruments, the exit digest and the [on_exit] hook.  Both cycle
+   loops exit through here; the hook's user headers are copied out
    before the slab slot is recycled. *)
 let exit_packet sim now pkt stage p =
   let sl = sim.sl in
@@ -1261,22 +1240,15 @@ let exit_packet sim now pkt stage p =
   | None -> ());
   if sim.first_exit < 0 then sim.first_exit <- now;
   sim.last_exit <- now;
+  let ed = sim.ed in
+  Hashing.feed ed seq;
+  Hashing.feed ed latency;
+  for f = 0 to n_user - 1 do
+    Hashing.feed ed sl.Slab.fields.(fb + f)
+  done;
   (match sim.on_exit with
   | Some f -> f ~seq ~latency ~headers:(Array.sub sl.Slab.fields fb n_user)
   | None -> ());
-  if sim.collect then begin
-    Int_vec.push sim.exit_seqs seq;
-    Vec.push sim.exit_headers (Array.sub sl.Slab.fields fb n_user);
-    Int_vec.push sim.exit_lats latency
-  end
-  else begin
-    let ed = sim.ed in
-    Hashing.feed ed seq;
-    Hashing.feed ed latency;
-    for f = 0 to n_user - 1 do
-      Hashing.feed ed sl.Slab.fields.(fb + f)
-    done
-  end;
   Slab.release sl pkt
 
 let movement_phase sim now =
@@ -1532,9 +1504,10 @@ let observe sim now =
    that gate the cycle body collapses:
 
    - every [match sim.ms / sim.tr / sim.flt / sim.mon with ...] site is
-     statically absent instead of a branch per site, except in the exit
-     path both loops share ([exit_packet]: two [None] branches per
-     exit);
+     statically absent instead of a branch per site, except at the two
+     per-packet sites both loops share ([exit_packet]: the instrument
+     and [on_exit] branches per exit; [log_access]: the [on_access]
+     branch per access);
    - all queues are [Logical] (Ideal is excluded), so the FIFO matrix is
      unwrapped once into [int Fifo.t option array array] and the
      per-event [queue] match disappears;
@@ -1562,7 +1535,7 @@ let observe sim now =
    must consume only the previous cycle's entries.  Order is otherwise
    preserved: each transfer buffer t.(s+1) receives pushes from exactly
    one source stage (s), in pipe-ascending order under both loops;
-   exits happen only at stage n-1, so the exit digest / collect order
+   exits happen only at stage n-1, so the exit digest / [on_exit] order
    and the slab freelist order are sweep-invariant; the crossbar claim
    row for stage s+1 is written and read only by movement(s) within a
    cycle ([spawn_dup], the only other reader, needs a fault plan). *)
@@ -2442,30 +2415,6 @@ let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_b
       (match sim.mon with Some mon -> monitor_phase sim mon st.now | None -> ());
       `Done
 
-(* Ghost packets (crossbar duplicates, fault plans only) take seqs from
-   the source length up, so they never collide with trace seqs; with the
-   length unknown they are reserved far above any realistic stream. *)
-let start_ghosts sim source =
-  if Option.is_some sim.flt then begin
-    let base = Option.value (Psource.total_hint source) ~default:(1 lsl 40) in
-    sim.dup_base <- base;
-    sim.dup_next <- base
-  end
-
-(* Input span (first to last arrival) and output rate over input rate,
-   capped at 1, of a drained source. *)
-let throughput sim st source =
-  let input_span = Psource.last_time source - st.first_arrival + 1 in
-  let output_span = if sim.first_exit < 0 then 1 else sim.last_exit - sim.first_exit + 1 in
-  let ratio =
-    if sim.delivered = 0 then 0.0
-    else
-      min 1.0
-        (float_of_int sim.delivered *. float_of_int input_span
-        /. (float_of_int (Psource.consumed source) *. float_of_int output_span))
-  in
-  (input_span, ratio)
-
 let fresh_loop_state ~start ~track_src =
   {
     now = start;
@@ -2477,92 +2426,41 @@ let fresh_loop_state ~start ~track_src =
     track_src;
   }
 
-let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace =
-  if Array.length trace = 0 then invalid_arg "Sim.run: empty trace";
-  let source = Psource.of_array trace in
-  let sim = create ~collect:true ?observer ?metrics ?events ?fault ?monitor ?prof params prog in
-  start_ghosts sim source;
-  let st = fresh_loop_state ~start:trace.(0).Machine.time ~track_src:false in
-  (match
-     drive ?loop sim st source ~checkpoint_every:None ~on_checkpoint:None ~cycle_budget:None
-       ~heartbeat:None ~stop:None
-   with
-  | `Suspended _ -> assert false
-  | `Done -> ());
-  let input_span, normalized_throughput = throughput sim st source in
-  (* Unpack the int-keyed Vec access log into the result's
-     (reg, cell) -> seq list table; Vec push order is chronological, so
-     no reversal is needed. *)
-  let access_seqs = Hashtbl.create (Int_vec.length sim.log_keys) in
-  for i = 0 to Int_vec.length sim.log_keys - 1 do
-    let key = Int_vec.get sim.log_keys i in
-    Hashtbl.replace access_seqs
-      (key lsr 32, key land 0xFFFFFFFF)
-      (Int_vec.to_list (Vec.get sim.log_vecs i))
-  done;
-  (* The exit vectors are in exit order; one backward walk over the
-     contiguous arrays rebuilds all three exit-ordered lists. *)
-  let headers_out = ref [] and exit_order = ref [] and latencies = ref [] in
-  for i = Int_vec.length sim.exit_seqs - 1 downto 0 do
-    let seq = Int_vec.get sim.exit_seqs i in
-    headers_out := (seq, Vec.get sim.exit_headers i) :: !headers_out;
-    exit_order := seq :: !exit_order;
-    latencies := (seq, Int_vec.get sim.exit_lats i) :: !latencies
-  done;
-  let headers_out = !headers_out and exit_order = !exit_order and latencies = !latencies in
-  {
-    delivered = sim.delivered;
-    dropped = sim.dropped;
-    dropped_stateless = sim.dropped_stateless;
-    marked = sim.marked;
-    cycles = sim.last_exit - st.first_arrival + 1;
-    input_span;
-    normalized_throughput;
-    max_queue = max_queue_depth sim;
-    store = merge_stores sim;
-    headers_out;
-    access_seqs;
-    exit_order;
-    latencies;
-  }
-
-(* Exact equality of two results, for the differential harnesses that
-   hold loop variants, instrumentation and resumed runs to one another.
-   Hashtables are compared by sorted contents, not structurally (bucket
-   layout is an implementation detail). *)
-let results_equal (a : result) (b : result) =
-  let tbl_sorted t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare in
-  a.delivered = b.delivered && a.dropped = b.dropped
-  && a.dropped_stateless = b.dropped_stateless
-  && a.marked = b.marked && a.cycles = b.cycles && a.input_span = b.input_span
-  && a.normalized_throughput = b.normalized_throughput
-  && a.max_queue = b.max_queue
-  && Store.equal a.store b.store
-  && a.headers_out = b.headers_out && a.exit_order = b.exit_order
-  && a.latencies = b.latencies
-  && tbl_sorted a.access_seqs = tbl_sorted b.access_seqs
-
-(* --- streaming entry points --- *)
-
+(* A drained leg's counters, store and digests.  The throughput is the
+   output rate over the input rate (first to last arrival), capped at 1.
+   A run in which no packet exits has no exit span: it reports 0
+   cycles. *)
 let finish_summary sim st source =
-  let input_span, normalized_throughput = throughput sim st source in
+  let input_span = Psource.last_time source - st.first_arrival + 1 in
+  let output_span = if sim.first_exit < 0 then 1 else sim.last_exit - sim.first_exit + 1 in
+  let normalized_throughput =
+    if sim.delivered = 0 then 0.0
+    else
+      min 1.0
+        (float_of_int sim.delivered *. float_of_int input_span
+        /. (float_of_int (Psource.consumed source) *. float_of_int output_span))
+  in
   {
     s_delivered = sim.delivered;
     s_dropped = sim.dropped;
     s_dropped_stateless = sim.dropped_stateless;
     s_marked = sim.marked;
-    s_cycles = sim.last_exit - st.first_arrival + 1;
+    s_cycles = (if sim.first_exit < 0 then 0 else sim.last_exit - st.first_arrival + 1);
     s_input_span = input_span;
     s_normalized_throughput = normalized_throughput;
     s_max_queue = max_queue_depth sim;
     s_packets = Psource.consumed source;
     s_store = merge_stores sim;
-    s_digests =
-      { dg_exits = Hashing.value sim.ed; dg_access = access_digest sim };
+    s_digests = { dg_exits = Hashing.value sim.ed; dg_access = access_digest sim };
   }
 
-let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
-    ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget
+(* --- entry points --- *)
+
+(* The one path from a fresh source to [drive], shared by [run_source]
+   and [run]: validate, build the machine, attach the per-packet hooks,
+   drain. *)
+let stream ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?checkpoint_every
+    ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget ~on_exit ~on_access
     params prog source =
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Sim.run_source: checkpoint_every must be positive"
@@ -2577,8 +2475,18 @@ let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
   in
   if Psource.consumed source > 0 then
     invalid_arg "Sim.run_source: source already partially consumed";
-  let sim = create ~collect:false ?observer ?metrics ?events ?fault ?monitor ?prof params prog in
-  start_ghosts sim source;
+  let sim = create ?observer ?metrics ?events ?fault ?monitor ?prof params prog in
+  sim.on_exit <- on_exit;
+  sim.on_access <- on_access;
+  (* Ghost packets (crossbar duplicates, fault plans only) take seqs
+     from the source length up, so they never collide with trace seqs;
+     with the length unknown they are reserved far above any realistic
+     stream. *)
+  if Option.is_some sim.flt then begin
+    let base = Option.value (Psource.total_hint source) ~default:(1 lsl 40) in
+    sim.dup_base <- base;
+    sim.dup_next <- base
+  end;
   let st =
     fresh_loop_state ~start:start_time
       ~track_src:(checkpoint_every <> None || cycle_budget <> None || stop <> None)
@@ -2588,6 +2496,103 @@ let run_source ?loop ?observer ?metrics ?events ?fault ?monitor ?prof
   with
   | `Suspended snap -> Suspended snap
   | `Done -> Completed (finish_summary sim st source)
+
+let run_source = stream ~on_exit:None ~on_access:None
+
+(* The (reg, cell) -> seq list table from the access collector's flat
+   (key, seq) log.  Keys enter the table in first-touch order and the
+   table is sized to the key count, as the machine's own access log
+   is. *)
+let access_table keys seqs =
+  let slot = Int_table.create () and order = Int_vec.create () in
+  (* Overwrite each key with its first-touch slot. *)
+  for i = 0 to Int_vec.length keys - 1 do
+    let key = Int_vec.get keys i in
+    match Int_table.find slot key with
+    | j -> Int_vec.set keys i j
+    | exception Not_found ->
+        let j = Int_vec.length order in
+        Int_table.replace slot key j;
+        Int_vec.push order key;
+        Int_vec.set keys i j
+  done;
+  let lists = Array.make (Int_vec.length order) [] in
+  for i = Int_vec.length keys - 1 downto 0 do
+    let j = Int_vec.get keys i in
+    lists.(j) <- Int_vec.get seqs i :: lists.(j)
+  done;
+  let tbl = Hashtbl.create (Array.length lists) in
+  Array.iteri
+    (fun j seqs ->
+      let key = Int_vec.get order j in
+      Hashtbl.replace tbl (key lsr 32, key land 0xFFFFFFFF) seqs)
+    lists;
+  tbl
+
+(* A streamed run over the array with two collectors on the per-packet
+   hooks.  They push into flat vectors, so beyond the exit's header copy
+   nothing is allocated per packet; the result's lists are built once,
+   after the run. *)
+let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace =
+  if Array.length trace = 0 then invalid_arg "Sim.run: empty trace";
+  let exit_seqs = Int_vec.create () and exit_lats = Int_vec.create () in
+  let exit_headers = Vec.create () in
+  let on_exit ~seq ~latency ~headers =
+    Int_vec.push exit_seqs seq;
+    Int_vec.push exit_lats latency;
+    Vec.push exit_headers headers
+  in
+  let acc_keys = Int_vec.create () and acc_seqs = Int_vec.create () in
+  let on_access ~reg ~cell ~seq =
+    Int_vec.push acc_keys ((reg lsl 32) lor cell);
+    Int_vec.push acc_seqs seq
+  in
+  match
+    stream ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ~on_exit:(Some on_exit)
+      ~on_access:(Some on_access) params prog (Psource.of_array trace)
+  with
+  | Suspended _ -> assert false
+  | Completed s ->
+      let headers_out = ref [] and exit_order = ref [] and latencies = ref [] in
+      for i = Int_vec.length exit_seqs - 1 downto 0 do
+        let seq = Int_vec.get exit_seqs i in
+        headers_out := (seq, Vec.get exit_headers i) :: !headers_out;
+        exit_order := seq :: !exit_order;
+        latencies := (seq, Int_vec.get exit_lats i) :: !latencies
+      done;
+      {
+        delivered = s.s_delivered;
+        dropped = s.s_dropped;
+        dropped_stateless = s.s_dropped_stateless;
+        marked = s.s_marked;
+        cycles = s.s_cycles;
+        input_span = s.s_input_span;
+        normalized_throughput = s.s_normalized_throughput;
+        max_queue = s.s_max_queue;
+        store = s.s_store;
+        digests = s.s_digests;
+        headers_out = !headers_out;
+        access_seqs = access_table acc_keys acc_seqs;
+        exit_order = !exit_order;
+        latencies = !latencies;
+      }
+
+(* Exact equality of two results, for the differential harnesses that
+   hold loop variants, instrumentation and resumed runs to one another.
+   Hashtables are compared by sorted contents, not structurally (bucket
+   layout is an implementation detail). *)
+let results_equal (a : result) (b : result) =
+  let tbl_sorted t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare in
+  a.delivered = b.delivered && a.dropped = b.dropped
+  && a.dropped_stateless = b.dropped_stateless
+  && a.marked = b.marked && a.cycles = b.cycles && a.input_span = b.input_span
+  && a.normalized_throughput = b.normalized_throughput
+  && a.max_queue = b.max_queue
+  && Store.equal a.store b.store
+  && a.digests = b.digests
+  && a.headers_out = b.headers_out && a.exit_order = b.exit_order
+  && a.latencies = b.latencies
+  && tbl_sorted a.access_seqs = tbl_sorted b.access_seqs
 
 exception Resume_mismatch of string
 
@@ -2649,8 +2654,8 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
   | Some d, Some m -> Metrics.restore_into m d
   | None, None -> ());
   let sim =
-    create ~collect:false ?observer ?metrics ?events ?fault:(Option.map fst fault_state)
-      ?monitor ?prof params prog
+    create ?observer ?metrics ?events ?fault:(Option.map fst fault_state) ?monitor ?prof params
+      prog
   in
   (match (fault_state, sim.flt) with
   | Some (plan, saved), Some _ ->
@@ -2833,30 +2838,8 @@ let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on
           | `Done -> Completed (finish_summary sim st source))
         (decoding decode)
 
-(* --- summary parity with collected results (the differential pin) --- *)
-
-let digests_of_result (r : result) =
-  let ed = Hashing.start () in
-  let feed = Hashing.feed ed in
-  List.iter2
-    (fun (seq, headers) (seq', lat) ->
-      assert (seq = seq');
-      feed seq;
-      feed lat;
-      Array.iter feed headers)
-    r.headers_out r.latencies;
-  let dg_exits = Hashing.value ed in
-  let dg_access =
-    Hashtbl.fold
-      (fun (reg, cell) seqs acc ->
-        let d = Hashing.start () in
-        Hashing.feed d ((reg lsl 32) lor cell);
-        List.iter (Hashing.feed d) seqs;
-        (acc + Hashing.value d) land digest_mask)
-      r.access_seqs 0
-  in
-  { dg_exits; dg_access }
-
+(* mp5bench compares array runs with streamed ones through this
+   projection. *)
 let summary_of_result ~packets (r : result) =
   {
     s_delivered = r.delivered;
@@ -2869,7 +2852,7 @@ let summary_of_result ~packets (r : result) =
     s_max_queue = r.max_queue;
     s_packets = packets;
     s_store = r.store;
-    s_digests = digests_of_result r;
+    s_digests = r.digests;
   }
 
 let summary_equal (a : summary) (b : summary) =
@@ -2884,8 +2867,8 @@ let summary_equal (a : summary) (b : summary) =
 
 (* --- fabric node stepping (lib/fabric) --- *)
 
-(* A node is one switch inside a multi-switch fabric: a [collect:false]
-   sim fed by a live queue source, stepped one lock-step cycle at a time
+(* A node is one switch inside a multi-switch fabric: a streaming sim
+   fed by a live queue source, stepped one lock-step cycle at a time
    by the fabric driver.  The driver owns everything [drive] normally
    owns — idle fast-forward, the progress guard, checkpoint cadence —
    because those are fabric-global decisions (a switch idles only when
@@ -2910,7 +2893,7 @@ let make_node ~loop ~on_exit ~on_drop sim st q src =
   { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = cycle }
 
 let node_create ?(loop = Auto) ~anchor ~on_exit ~on_drop params prog =
-  let sim = create ~collect:false params prog in
+  let sim = create params prog in
   let q = Queue.create () in
   let src = Psource.of_queue q in
   make_node ~loop ~on_exit ~on_drop sim (fresh_loop_state ~start:anchor ~track_src:false) q src

@@ -63,22 +63,39 @@ type occupancy = {
 }
 (** One cycle's snapshot for visualisation (see {!Timeline}). *)
 
+type digests = {
+  dg_exits : int;
+      (** folds (packet id, latency, user headers) in exit order *)
+  dg_access : int;
+      (** per-(reg, cell) access-order digests, combined commutatively
+          ({!Mp5_util.Hashing.combine}) *)
+}
+(** Order-sensitive FNV-1a condensation of the per-packet observables;
+    [dg_access] condenses the per-cell access order MP5 must preserve.
+    Every run computes them online.  Two runs with equal digests (and
+    equal stores and counters) are bit-identical as far as any
+    {!result}-level check can tell. *)
+
 type result = {
   delivered : int;
   dropped : int;
   dropped_stateless : int;          (** victims of the starvation guard *)
   marked : int;                     (** ECN-marked deliveries *)
-  cycles : int;                     (** first arrival to last exit *)
+  cycles : int;
+      (** first arrival to last exit; 0 when no packet exits *)
   input_span : int;
   normalized_throughput : float;    (** output rate / input rate, capped at 1 *)
   max_queue : int;                  (** max data packets queued in any stage *)
   store : Mp5_banzai.Store.t;       (** merged final register state *)
+  digests : digests;                (** the run's digests, as a streamed run reports them *)
   headers_out : (int * int array) list;  (** (packet id, user headers), exit order *)
   access_seqs : (int * int, int list) Hashtbl.t;
       (** (reg, cell) -> packet ids in actual access order *)
   exit_order : int list;            (** packet ids in exit order *)
   latencies : (int * int) list;     (** (packet id, cycles in switch), exit order *)
 }
+(** The {!summary} fields plus the per-packet lists that [digests]
+    condenses. *)
 
 (** {2 Cycle-loop variants}
 
@@ -147,6 +164,10 @@ val run :
     cycle-loop variant (see {!select_loop}); the result does not depend
     on it.
 
+    [run] is {!run_source} over the array plus two pure-observer
+    collectors on the per-packet exit and access hooks, which record
+    the result's lists.
+
     [metrics] accumulates per-cycle counters (utilization, stall
     attribution, crossbar traffic, phantom accounting, latency and
     occupancy histograms) into the caller's [Mp5_obs.Metrics.t], which
@@ -194,29 +215,19 @@ val run :
 
 val results_equal : result -> result -> bool
 (** Exact equality of every observable field of two results — stores,
-    headers, access sequences, exit order, latencies, and all counters.
-    The check behind the loop-variant, instrumentation and resume
-    bit-identical guarantees. *)
+    digests, headers, access sequences, exit order, latencies, and all
+    counters.  The check behind the loop-variant, instrumentation and
+    resume bit-identical guarantees. *)
 
 (** {2 Streaming runs}
 
-    {!run} holds the whole trace and full per-packet logs in memory; for
-    gigapacket workloads that is the bottleneck.  {!run_source} instead
-    pulls packets one at a time from a {!Mp5_workload.Packet_source.t}
-    and folds every per-packet observable into running FNV-1a digests,
-    so memory stays bounded by machine state, not run length. *)
-
-type digests = {
-  dg_exits : int;
-      (** folds (packet id, latency, user headers) in exit order *)
-  dg_access : int;
-      (** per-(reg, cell) access-order digests, combined commutatively *)
-}
-(** Order-sensitive condensation of the per-packet observables that
-    {!result} stores as lists.  Two runs with equal digests (and equal
-    stores/counters) are bit-identical as far as any {!result}-level
-    check can tell; {!digests_of_result} computes the same digests from
-    a collected result for differential pinning. *)
+    Every run is a streaming run: the machine pulls packets one at a
+    time from a {!Mp5_workload.Packet_source.t} and folds every
+    per-packet observable into running {!type-digests}, so its memory
+    stays bounded by machine state, not run length.  {!run_source}
+    returns just that.  {!run} is the same run over an array, with the
+    per-packet lists recorded alongside; their memory grows with the
+    trace, which makes [run] the wrong tool for gigapacket workloads. *)
 
 type summary = {
   s_delivered : int;
@@ -231,8 +242,9 @@ type summary = {
   s_store : Mp5_banzai.Store.t;
   s_digests : digests;
 }
-(** The streaming counterpart of {!result}: every aggregate field, plus
-    digests in place of the unbounded lists. *)
+(** What every run reports: the aggregate fields and the digests,
+    without the unbounded per-packet lists of {!result}.  [s_cycles] is
+    0 when no packet exits. *)
 
 type outcome =
   | Completed of summary
@@ -270,8 +282,8 @@ val run_source :
   outcome
 (** [run_source params program source] drains the source to completion
     (or until [cycle_budget] simulated cycles have run, yielding
-    [Suspended snapshot]).  The machine executes the exact same cycle
-    loop as {!run} — a streamed run and an array run over the same
+    [Suspended snapshot]).  {!run} is this function over the array
+    plus collectors, so a streamed run and an array run over the same
     packets produce equal counters, stores, and digests.  The same
     holds across checkpoints: a snapshot records no loop variant, so a
     run checkpointed under either variant resumes under either.
@@ -339,13 +351,10 @@ val resume :
     message; a well-formed snapshot for a different program, source, or
     instrumentation returns [Error (Mismatch msg)]. *)
 
-val digests_of_result : result -> digests
-(** Compute {!digests} from a collected {!result} — the bridge that lets
-    differential tests pin streamed runs against array runs. *)
-
 val summary_of_result : packets:int -> result -> summary
-(** Project a collected {!result} onto a {!summary} ([packets] is the
-    trace length, which [result] does not record). *)
+(** Project a {!result} onto a {!summary} ([packets] is the trace
+    length, which [result] does not record).  A field projection: the
+    digests are the ones the run computed, nothing is rehashed. *)
 
 val summary_equal : summary -> summary -> bool
 (** Exact equality, including stores and digests. *)

@@ -9,8 +9,6 @@ module Linkplan = Mp5_fault.Linkplan
 module Store = Mp5_banzai.Store
 module Config = Mp5_banzai.Config
 
-let digest_mask = 0x3FFF_FFFF_FFFF_FFFF
-
 (* --- latency histograms ---
 
    Log2-bucketed, constant size, integer-only: two fabrics that ran the
@@ -562,7 +560,7 @@ let finish fab =
   let n = Array.length fab.nodes in
   let node_dropped = Array.fold_left (fun acc nd -> acc + Sim.node_dropped nd) 0 fab.nodes in
   let access =
-    Array.fold_left (fun acc nd -> (acc + Sim.node_access_digest nd) land digest_mask) 0 fab.nodes
+    Array.fold_left (fun acc nd -> Hashing.combine acc (Sim.node_access_digest nd)) 0 fab.nodes
   in
   let store_digest =
     let st = Hashing.start () in

@@ -18,6 +18,8 @@ let[@inline] mix h x =
 
 let[@inline] finish64 h = Int64.to_int h land mask62
 
+let[@inline] combine a b = (a + b) land mask62
+
 let fnv1a_seeded ~seed xs =
   (* A [while] over locals: a [List.iter] closure would capture [h] and
      box the accumulator. *)

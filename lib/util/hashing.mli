@@ -21,6 +21,12 @@ val fnv1a_seeded : seed:int -> int list -> int
 (** Like {!fnv1a} but mixed with [seed] first; gives independent hash
     functions for multi-hash sketches. *)
 
+val combine : int -> int -> int
+(** [combine a b] adds two 62-bit digests modulo 2{^62}: commutative and
+    associative, so a fold of per-item digests with it does not depend
+    on the order the items are visited in.  The result stays a
+    non-negative 62-bit value. *)
+
 val crc32 : int list -> int
 (** CRC-32 (IEEE polynomial) over the same byte stream, as switch hardware
     commonly provides.  Result fits in 32 bits. *)

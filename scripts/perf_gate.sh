@@ -15,6 +15,8 @@
 # so each is gated tight, at 1.02 x baseline, and needs no retries.
 #
 #   heavy-hitter-2k/words_per_pkt  minor words per packet, closure kernels
+#   generic/words_per_pkt          the same run on the generic loop, which
+#                                  the instrumented runs use
 #   golden/words_per_pkt           words per packet, golden machine
 #                                  (sequencer, 2000 packets)
 #   trace_io/words_per_byte        words per input byte, Trace_io.of_string
@@ -35,7 +37,7 @@ set -eu
 
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
-WORDS_KEYS='heavy-hitter-2k/words_per_pkt golden/words_per_pkt trace_io/words_per_byte'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte'
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;

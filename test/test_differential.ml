@@ -9,7 +9,9 @@
    [~loop:Fast]), sampled and full profiling, an empty fault plan with
    the invariant monitor attached, streamed runs on both loops, and
    resumes that switch loop variants mid-run.  This is the enforcement
-   half of the bit-identical guarantees documented in Sim.run.
+   half of the bit-identical guarantees documented in Sim.run.  On
+   both loops, bare and instrumented, each array run's digests must
+   also equal the ones recomputed from its own per-packet lists.
 
    The instrumented run is also checked against the independent
    reference interpreter (lib/fuzz/interp), which executes the untyped
@@ -55,6 +57,39 @@ let check_oracle ~seed ~src (r : Sim.result)
           pid)
     r.Sim.headers_out
 
+(* The digests recomputed from a result's per-packet lists: the exit
+   digest folds (seq, latency, user headers) in exit order, and each
+   touched cell's access sequence, seeded with the packed (reg, cell)
+   key, is combined commutatively.  The machine folds the same bytes
+   online; [run]'s lists come from separate collectors on the exit and
+   access hooks, so agreement ties the two records of one run to each
+   other. *)
+let reference_digests (r : Sim.result) =
+  let ed = Mp5_util.Hashing.start () in
+  let feed = Mp5_util.Hashing.feed ed in
+  List.iter2
+    (fun (seq, headers) (seq', lat) ->
+      assert (seq = seq');
+      feed seq;
+      feed lat;
+      Array.iter feed headers)
+    r.Sim.headers_out r.Sim.latencies;
+  let dg_access =
+    Hashtbl.fold
+      (fun (reg, cell) seqs acc ->
+        let d = Mp5_util.Hashing.start () in
+        Mp5_util.Hashing.feed d ((reg lsl 32) lor cell);
+        List.iter (Mp5_util.Hashing.feed d) seqs;
+        Mp5_util.Hashing.combine acc (Mp5_util.Hashing.value d))
+      r.Sim.access_seqs 0
+  in
+  { Sim.dg_exits = Mp5_util.Hashing.value ed; dg_access }
+
+let check_digests ~seed ~src what (r : Sim.result) =
+  if r.Sim.digests <> reference_digests r then
+    Alcotest.failf "seed %d: %s: digests disagree with the per-packet lists on:\n%s" seed what
+      src
+
 let run_seed seed =
   let src, t = compile_gen seed in
   let prog = Mp5_core.Transform.transform ~limits t.Compile.config in
@@ -67,6 +102,11 @@ let run_seed seed =
   let mk = Mp5_obs.Metrics.create ~stages ~k in
   let tk = Mp5_obs.Trace.create () in
   let base = Sim.run ~metrics:mk ~events:tk params prog trace in
+  check_digests ~seed ~src "instrumented generic run" base;
+  let generic = Sim.run ~loop:Sim.Generic params prog trace in
+  check_digests ~seed ~src "bare generic run" generic;
+  if not (Sim.results_equal base generic) then
+    Alcotest.failf "seed %d: bare generic run diverges on:\n%s" seed src;
   (* Telemetry does not depend on the event trace riding along: a
      metrics-only run emits counter-for-counter the same telemetry. *)
   let mp = Mp5_obs.Metrics.create ~stages ~k in
@@ -87,6 +127,7 @@ let run_seed seed =
      generic runs above: telemetry is a pure observer, so stripping it —
      and fusing the cycle phases — may change nothing observable. *)
   let fast = Sim.run ~loop:Sim.Fast params prog trace in
+  check_digests ~seed ~src "fast run" fast;
   if not (Sim.results_equal base fast) then
     Alcotest.failf "seed %d: fast loop diverges on:\n%s" seed src;
   (* The span profiler is a pure observer on host wall time: sampled
@@ -98,6 +139,7 @@ let run_seed seed =
     Alcotest.failf "seed %d: sampled profiling changes the fast run on:\n%s" seed src;
   let prof_full = Mp5_obs.Prof.create ~mode:Mp5_obs.Prof.Full () in
   let proff = Sim.run ~prof:prof_full params prog trace in
+  check_digests ~seed ~src "fully profiled run" proff;
   if not (Sim.results_equal base proff) then
     Alcotest.failf "seed %d: full profiling changes the generic run on:\n%s" seed src;
   (* An empty fault plan plus an attached invariant monitor must be
@@ -115,9 +157,7 @@ let run_seed seed =
   | Error e -> Alcotest.failf "seed %d: telemetry invariant violated: %s\nprogram:\n%s" seed e src);
   (* Streaming parity: the same packets pulled from a source one at a
      time must be bit-identical to the array run — every counter, the
-     merged store, and the exit/access digests
-     ([Sim.digests_of_result] condenses the array run's per-packet lists
-     into the digests the streaming path maintains online). *)
+     merged store, and the exit/access digests. *)
   let stream ?loop () =
     match Sim.run_source ?loop params prog (Mp5_workload.Packet_source.of_array trace) with
     | Sim.Completed s -> s

@@ -193,6 +193,39 @@ let test_xbar_drop () =
   check "transfers were dropped" true (m.Metrics.m_drop_injected > 0);
   check "drops surface in the result" true (r.Sim.dropped > 0)
 
+(* Every transfer dropped: nothing exits, so there is no exit span and
+   both entry points report 0 cycles, not [0 - first_arrival + 1]. *)
+let test_xbar_drop_all () =
+  let sw = Switch.create_exn Sources.heavy_hitter in
+  let trace =
+    Tracegen.sensitivity
+      {
+        Tracegen.n_packets = 50;
+        k = 4;
+        pkt_bytes = 64;
+        n_fields = 2;
+        index_fields = [ 0 ];
+        reg_size = 512;
+        pattern = Tracegen.Uniform;
+        n_ports = 64;
+        seed = 3;
+      }
+    |> Array.map (fun (i : Machine.input) -> { i with Machine.time = i.Machine.time + 1000 })
+  in
+  let plan = parse_exn "xbar-drop @0..100000 p=1.0" in
+  let params = Sim.default_params ~k:4 in
+  let r = Sim.run ~fault:plan params sw.Switch.prog trace in
+  check_int "nothing delivered" 0 r.Sim.delivered;
+  check_int "every packet dropped" 50 r.Sim.dropped;
+  check_int "run: no exit span" 0 r.Sim.cycles;
+  match
+    Sim.run_source ~fault:plan params sw.Switch.prog (Mp5_workload.Packet_source.of_array trace)
+  with
+  | Sim.Completed s ->
+      check_int "run_source: every packet dropped" 50 s.Sim.s_dropped;
+      check_int "run_source: no exit span" 0 s.Sim.s_cycles
+  | Sim.Suspended _ -> Alcotest.fail "run_source suspended without a budget"
+
 let test_xbar_dup () =
   let sw = sens_switch () in
   let trace = sens_trace ~n:1_200 ~seed:35 () in
@@ -296,6 +329,7 @@ let () =
       ( "fault kinds",
         [
           Alcotest.test_case "crossbar drop" `Quick test_xbar_drop;
+          Alcotest.test_case "crossbar drops everything" `Quick test_xbar_drop_all;
           Alcotest.test_case "crossbar duplication" `Quick test_xbar_dup;
           Alcotest.test_case "stage stall" `Quick test_stall;
           Alcotest.test_case "fifo slot loss" `Quick test_fifo_loss;

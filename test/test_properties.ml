@@ -218,7 +218,7 @@ let prop_sim_deterministic =
       let trace = gen_trace ~seed ~k:3 ~n:300 in
       let run () = Sim.run (Sim.default_params ~k:3) prog trace in
       let a = run () and b = run () in
-      a.Sim.exit_order = b.Sim.exit_order && Store.equal a.Sim.store b.Sim.store)
+      a.Sim.digests = b.Sim.digests && Store.equal a.Sim.store b.Sim.store)
 
 let prop_pretty_roundtrip =
   (* print . parse is a projection: printing a parsed program and parsing
