@@ -24,7 +24,7 @@ metrics-smoke:
 
 # Profiler smoke: the cram test pins the --profile CLI surface (report
 # shape, snapshot/trace schema tags, exit codes), then a full-profiled
-# heavy-hitter-2k run on the generic loop writes the mp5-prof/1
+# heavy-hitter-2k run writes the mp5-prof/1
 # snapshot (validated before the write; a broken snapshot exits 3) and
 # the Perfetto trace CI uploads as an artifact.
 profile-smoke:
@@ -91,7 +91,8 @@ fabric-smoke:
 # band: above fails as a regression, well below warns that the baseline
 # should be refreshed), and four deterministic allocation counters that
 # fail above 1.02x: heavy-hitter-2k/words_per_pkt (minor words per
-# packet), generic/words_per_pkt (the same on the generic loop),
+# packet), generic/words_per_pkt (the same count: there is one cycle
+# loop, and the key the oracle loop was gated by stays),
 # golden/words_per_pkt and trace_io/words_per_byte.  No committed
 # baseline skips a comparison with a warning.
 perf-smoke:

@@ -588,9 +588,8 @@ let profile_probe scale name =
 
    A heavy-hitter workload (2000 packets, k = 4) run back-to-back on the
    closure kernels: min-of-N wall clock, plus the minor words allocated
-   per packet, a deterministic counter, on the default loop and on the
-   generic oracle loop.  Two more counters of the oracle path ride
-   along: the golden machine on a 2000-packet sequencer trace (one
+   per packet, a deterministic counter.  Two more counters of the oracle
+   path ride along: the golden machine on a 2000-packet sequencer trace (one
    hot cell per group, the access pattern that made per-access
    bookkeeping quadratic) and the trace reader on that trace's text. *)
 
@@ -600,8 +599,6 @@ type micro = {
   mi_kernel_words : float;
       (** minor-heap words allocated per packet by one [Sim.run]: a
           deterministic counter, unlike the wall clock *)
-  mi_generic_words : float;
-      (** the same count for [Sim.run ~loop:Generic], the oracle loop *)
   mi_golden_words : float;  (** words allocated per packet by [Switch.golden] *)
   mi_trace_words : float;  (** words allocated per input byte by [Trace_io.of_string] *)
 }
@@ -638,17 +635,15 @@ let sim_micro scale =
       }
   in
   let params = Sim.default_params ~k:4 in
-  let run ?loop () = ignore (Sim.run ?loop params sw.Switch.prog trace : Sim.result) in
+  let run () = ignore (Sim.run params sw.Switch.prog trace : Sim.result) in
   (* Minor words per packet of the second of two runs: the counted run
      must not pay one-time setup. *)
-  let words_per_pkt ?loop () =
-    run ?loop ();
+  let kernel_words =
+    run ();
     let before = Gc.minor_words () in
-    run ?loop ();
+    run ();
     (Gc.minor_words () -. before) /. float_of_int (Array.length trace)
   in
-  let kernel_words = words_per_pkt () in
-  let generic_words = words_per_pkt ~loop:Sim.Generic () in
   let reps = max 5 scale.runs in
   let kernel_ns = ref infinity in
   for _ = 1 to reps do
@@ -667,7 +662,6 @@ let sim_micro scale =
     mi_reps = reps;
     mi_kernel_ns = !kernel_ns;
     mi_kernel_words = kernel_words;
-    mi_generic_words = generic_words;
     mi_golden_words =
       alloc_words (fun () -> Switch.golden seq seq_trace) /. float_of_int (Array.length seq_trace);
     mi_trace_words =

@@ -35,7 +35,7 @@ let with_out path f =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
 
 let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_file jobs runs
-    loop metrics_file metrics_prom trace_out trace_packets trace_cap report
+    _loop metrics_file metrics_prom trace_out trace_packets trace_cap report
     profile profile_out trace_perfetto fault_plan monitor monitor_epoch monitor_dump stream
     checkpoint_every snapshot_path resume_file keep_snapshots supervise heartbeat_file
     heartbeat_every max_restarts hang_timeout backoff stop_at chaos_kill_at fabric fab_print
@@ -218,7 +218,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       let mon = Mp5_fault.Monitor.create ~epoch:monitor_epoch () in
       let outcome =
         try
-          Mp5_fabric.Fabric.run ~monitor:mon ~loop
+          Mp5_fabric.Fabric.run ~monitor:mon
             ~sabotage:(if fab_sabotage then 1 else 0)
             ~dst:(Mp5_fabric.Traffic.dst_of_input spec) fparams sw.Mp5_core.Switch.prog
             (Mp5_fabric.Traffic.source spec)
@@ -308,7 +308,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
     let one i =
       let trace = trace_for_seed (seed + i) in
       let params = { (Mp5_core.Sim.default_params ~k) with mode } in
-      let r, rep = Mp5_core.Switch.verify ~loop ~params ~k sw trace in
+      let r, rep = Mp5_core.Switch.verify ~params ~k sw trace in
       (seed + i, r.Mp5_core.Sim.normalized_throughput, r.Mp5_core.Sim.dropped,
        Mp5_core.Equiv.equivalent rep)
     in
@@ -381,9 +381,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
       Some (Mp5_fault.Monitor.create ~epoch:monitor_epoch ?events ())
     else None
   in
-  (* --profile-out / --trace-perfetto imply --profile (sampled), the
-     mode that keeps fast-loop eligibility; --profile=full asks for the
-     per-phase split and routes Auto to the generic loop. *)
+  (* --profile-out / --trace-perfetto imply --profile (sampled). *)
   let prof_mode =
     match profile with
     | Some _ as m -> m
@@ -526,7 +524,7 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
           match resume_snap with
           | Some snap -> (
               match
-                Mp5_core.Sim.resume ~loop ?metrics ?events ?monitor:mon ?prof
+                Mp5_core.Sim.resume ?metrics ?events ?monitor:mon ?prof
                   ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat ~stop
                   ?cycle_budget:stop_at ~snapshot:snap sw.prog (source ())
               with
@@ -538,11 +536,11 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
                   Format.eprintf "mp5sim: snapshot mismatch: %s@." msg;
                   exit 3)
           | None ->
-              Mp5_core.Sim.run_source ~loop ?metrics ?events ?fault:plan ?monitor:mon ?prof
+              Mp5_core.Sim.run_source ?metrics ?events ?fault:plan ?monitor:mon ?prof
                 ?checkpoint_every ?on_checkpoint ~heartbeat_every ?on_heartbeat ~stop
                 ?cycle_budget:stop_at params sw.prog (source ())
         with
-        | Invalid_argument msg -> usage "%s" msg (* --loop fast on an instrumented run *)
+        | Invalid_argument msg -> usage "%s" msg
         | Mp5_fault.Monitor.Violation diag -> violation diag
         | Mp5_workload.Packet_source.Error msg ->
             Format.eprintf "%s@." msg;
@@ -621,10 +619,10 @@ let run app file k mode n_packets pkt_bytes skewed seed recirc list_apps trace_f
   let trace = Lazy.force trace in
   let r, rep =
     try
-      Mp5_core.Switch.verify ~loop ~params ?metrics ?events ?fault:plan
+      Mp5_core.Switch.verify ~params ?metrics ?events ?fault:plan
         ?monitor:mon ?prof ~k sw trace
     with
-    | Invalid_argument msg -> usage "%s" msg (* --loop fast on an instrumented run *)
+    | Invalid_argument msg -> usage "%s" msg
     | Mp5_fault.Monitor.Violation diag -> violation diag
   in
   Format.printf
@@ -701,15 +699,9 @@ let loop_arg =
            ])
         Mp5_core.Sim.Auto
     & info [ "loop" ] ~docv:"LOOP"
-        ~doc:"Cycle-loop variant: 'auto' (default) picks the specialized \
-              fast loop when the run is bare (no metrics, trace, fault \
-              plan, monitor, finite FIFOs, starvation guard, or ideal \
-              mode) and the instrumented generic loop otherwise; \
-              'generic' pins the oracle loop for differential runs; \
-              'fast' forces the fast loop and fails (exit 1) when the \
-              run is not eligible.  Under --fabric it picks every \
-              switch's loop.  Results are bit-identical across \
-              variants.")
+        ~doc:"Accepted for compatibility; no effect.  There is one \
+              cycle loop, so 'auto', 'generic' and 'fast' run the same \
+              code.")
 
 let metrics_arg =
   Arg.(
@@ -767,13 +759,12 @@ let profile_arg =
     value
     & opt ~vopt:(Some Mp5_obs.Prof.Sampled) (some prof_mode_conv) None
     & info [ "profile" ] ~docv:"MODE"
-        ~doc:"Attach the wall-clock span profiler.  'sampled' (the \
-              default) hooks only at cycle edges, so the run stays \
-              eligible for the fast cycle loops; 'full' splits the \
-              per-phase spans (apply/pop/exec) and routes the run to \
-              the generic loop (--loop fast then exits 1).  Results \
-              are bit-identical with profiling on or off.  Prints a \
-              one-screen phase report unless an output file is given.")
+        ~doc:"Attach the wall-clock span profiler: one span per cycle \
+              phase.  The mode, 'sampled' (the default) or 'full', is \
+              a label recorded in the profile; both record the same \
+              spans.  Results are bit-identical with profiling on or \
+              off.  Prints a one-screen phase report unless an output \
+              file is given.")
 
 let profile_out_arg =
   Arg.(

@@ -5,7 +5,7 @@ let create (config : Config.t) =
 
 let get t ~reg ~idx = t.(reg).(idx)
 let set t ~reg ~idx v = t.(reg).(idx) <- v
-let array t ~reg = t.(reg)
+let[@inline] array t ~reg = t.(reg)
 
 let copy t = Array.map Array.copy t
 

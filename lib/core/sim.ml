@@ -103,43 +103,9 @@ type outcome = Completed of summary | Suspended of string
 
 type resume_error = Corrupt of string | Mismatch of string
 
-(* --- cycle-loop variants --- *)
-
+(* Accepted, no effect: there is one cycle loop.  The constructors
+   remain so callers that name a variant keep compiling. *)
 type loop = Auto | Generic | Fast
-
-(* Two variants, selected once per run (not per cycle).  The *fast*
-   loop is compiled for the bare configuration: every instrumentation
-   site (metrics, event trace, fault hooks, monitor, observer) is
-   statically absent from the loop body, FIFOs are known adaptive
-   (pushes cannot drop), the starvation guard is known off, and the
-   deliver/apply/pop/exec/movement phases are fused into one
-   stage-major sweep.  The *generic* loop is the instrumented phase
-   structure, kept as the differential oracle.
-
-   [Ideal] mode is excluded from the fast gate because its per-cell
-   queues need the [Per_cell] machinery the fused sweep unwraps away.
-
-   [attached] is computed in one place, [select_cycle], from what the
-   machine carries: metrics, event trace, fault plan, monitor, observer,
-   or a *full* profiler, whose per-phase spans (apply/pop/exec split
-   out) only the generic phase structure can time.  A *sampled*
-   profiler is not an attachment: both cycle functions carry their own
-   spans, and the fast loop's sit at the edges it already has. *)
-let select_loop ~loop ~attached (p : params) =
-  let fast_ok =
-    (not attached)
-    && p.adaptive_fifos
-    && p.starvation_threshold = None
-    && p.mode <> Ideal
-  in
-  match loop with
-  | Fast when not fast_ok ->
-      invalid_arg
-        "Sim: ~loop:Fast requested, but the run is not fast-eligible (instrumentation \
-         attached, finite FIFOs, starvation guard, or Ideal mode)"
-  | Fast -> `Fast
-  | Generic -> `Generic
-  | Auto -> if fast_ok then `Fast else `Generic
 
 (* --- runtime packet state --- *)
 
@@ -181,7 +147,7 @@ let t_stateless = 0
 and t_stateful = 1
 and t_queued = 2
 
-let pack_transfer ~tag ~dest ~src ~cell =
+let[@inline] pack_transfer ~tag ~dest ~src ~cell =
   tag lor (dest lsl 2) lor (src lsl 8) lor ((cell + 1) lsl 14)
 
 type sim = {
@@ -263,8 +229,8 @@ type sim = {
   fplan : Fault.plan option;
   mon : Monitor.t option;
   (* ghost packets from crossbar duplication get fresh seqs starting at
-     the trace length; [max_int] (never reached) when no plan is
-     attached, so the one hot-loop compare that guards ghosts from
+     the trace length; [max_int] (never reached) without a fault
+     plan, so the one hot-loop compare that guards ghosts from
      executing stateful accesses is always-true on the no-fault path *)
   mutable dup_base : int;
   mutable dup_next : int;
@@ -272,17 +238,14 @@ type sim = {
      machine (exit, drop) and where it touches a register cell.  Same
      discipline as the telemetry above: [None] costs one branch per
      site and the hooks never touch simulated state, so results are
-     bit-identical with hooks attached or not.  [run]'s collectors set
-     [on_exit]/[on_access], the fabric node API [on_exit]/[on_drop].
-     Both loop variants fire [on_exit] and [on_access] (through the
-     shared [exit_packet]/[log_access]); the fast gate rules out every
-     drop, so [on_drop] has generic sites only. *)
+     bit-identical with hooks set or not.  [run]'s collectors set
+     [on_exit]/[on_access], the fabric node API [on_exit]/[on_drop];
+     they fire in [exit_packet], [log_access] and [drop_packet]. *)
   mutable on_exit : (seq:int -> latency:int -> headers:int array -> unit) option;
   mutable on_access : (reg:int -> cell:int -> seq:int -> unit) option;
   mutable on_drop : (seq:int -> unit) option;
   (* per-cycle occupancy observer (the {!Timeline} renderer's feed),
-     called once per generic cycle after the pops; attaching one closes
-     the fast gate *)
+     called once per cycle after the pops *)
   observer : (occupancy -> unit) option;
 }
 
@@ -293,7 +256,7 @@ let make_queue sim =
       Logical
         (Fifo.create ~k:sim.p.k ~capacity:sim.p.fifo_capacity ~adaptive:sim.p.adaptive_fifos)
 
-(* Profiler spans for both cycle loops.  Detached, [span_start] returns
+(* Profiler spans for the cycle loop.  Detached, [span_start] returns
    0 and no clock is read, so each site costs one branch.  [lap] closes
    the span opened at [t0] and returns the next span's start: adjacent
    spans share one boundary timestamp, one clock read per phase.
@@ -462,21 +425,21 @@ let release_inflight sim pkt acc_id =
 
 let uses_phantoms sim = match sim.p.mode with No_d4 -> false | _ -> true
 
-(* First access that will queue the packet at [stage]: one whose guard is
-   not known false.  Returns the acc id, or -1 when the packet passes the
-   stage statelessly — an int so the hot loop allocates no list, and a
-   [while] over locals so it allocates no closure either. *)
-let queued_acc sim pkt stage =
-  let accs = sim.accs_by_stage.(stage) in
-  let n = Array.length accs in
-  let gk = sim.sl.Slab.gk in
-  let ab = pkt * sim.sl.Slab.na in
+(* First access in [accs] that will queue a packet: one whose guard is
+   not known false in the [gk] column, the packet's access state
+   starting at [ab].  Returns the acc id, or -1 when the packet passes
+   the stage statelessly — an int so no list is allocated, and a
+   [while] over locals so no closure is either. *)
+let[@inline] first_queued accs gk ab =
   let found = ref (-1) and i = ref 0 in
-  while !found < 0 && !i < n do
+  while !found < 0 && !i < Array.length accs do
     let id = Array.unsafe_get accs !i in
     if gk.(ab + id) <> gk_false then found := id else incr i
   done;
   !found
+
+let queued_acc sim pkt stage =
+  first_queued sim.accs_by_stage.(stage) sim.sl.Slab.gk (pkt * sim.sl.Slab.na)
 
 (* Encoding of [Metrics.drop_cause] for trace [aux] fields. *)
 let cause_code = function
@@ -566,7 +529,7 @@ let misrouted sim pkt stage dest =
    with guards known false, so it travels the remaining stages
    statelessly and exits as a visible duplicate without touching state
    or scheduling phantoms.  Ghost seqs start at the trace length
-   ([dup_base]); [process_stage] skips [run_accs] for them via one
+   ([dup_base]); [exec_phase] skips their accesses via one
    always-predictable [seq < dup_base] compare. *)
 let spawn_dup sim now src_pkt stage =
   (* A free, unclaimed slot at [stage] on a live pipeline, smallest
@@ -826,64 +789,78 @@ let resolve sim now entry_pipeline pkt =
 
 (* --- per-cycle phases --- *)
 
-let deliver_phantoms sim now =
-  Channel.drain sim.channel ~now (fun ~seq ~stage ~dest ~ring ~cell ->
-      (* [aux] in the trace: 0 = delivered, 1 = suppressed (doomed),
-         2 = lost with a downed pipeline. *)
-      let aux =
-        if Int_table.mem sim.doomed seq then begin
-          (* Suppressed: the packet was dropped upstream. *)
-          (match sim.ms with Some m -> Metrics.phantom_doomed m | None -> ());
-          1
-        end
-        else if match sim.flt with Some f -> Fault.is_down f dest | None -> false then begin
-          (* Destination pipeline is down: the phantom is lost with it.
-             Its data packet, if it survives elsewhere, is dropped on
-             transfer; accounting stays conserved via phantom_dropped. *)
-          (match sim.ms with Some m -> Metrics.phantom_dropped m | None -> ());
-          2
-        end
-        else begin
-          let f =
-            match sim.fifos.(stage).(dest) with
-            | Some (Logical f) -> f
-            | Some (Per_cell pc) -> cell_fifo sim pc cell
-            | None -> invalid_arg "phantom destined to a stateless stage"
-          in
-          (match (Fifo.push_phantom f ~ring ~ts:seq ~key:seq, sim.ms) with
-          | `Ok, Some m -> Metrics.phantom_delivered m
-          | `Dropped, Some m -> Metrics.phantom_dropped m
-          | _, None -> ());
-          0
-        end
-      in
-      match sim.tr with
-      | Some tr ->
-          Etrace.emit tr ~kind:Etrace.Phantom_deliver ~cycle:now ~seq ~stage ~pipe:dest ~aux
-      | None -> ())
+(* Each phase reads what it needs from [sim] once — the instruments,
+   the fault runtime, the slab columns, each stage's slot and FIFO
+   rows — instead of at every packet.  Two things bound how long a
+   read stays valid.  Slab columns are replaced when the slab grows,
+   which only [alloc_packet] does (from [arrival_phase] and from
+   [spawn_dup], inside [apply_transfers]): no column is carried across
+   either.  [spill_pipeline] (from the fault edges at the top of a
+   cycle) and [decode_machine] replace FIFO objects in their rows: each
+   phase reads the rows afresh, and no FIFO object outlives a phase. *)
+
+(* The phantom-calendar drain's per-delivery callback.  [make_cycle]
+   builds it once per leg, since a closure built per drain would
+   allocate every cycle, and sets [clock] to the cycle being drained.
+   The instruments and the fault runtime are read at build time:
+   [decode_machine] installs a restored fault runtime before any leg
+   starts. *)
+let phantom_deliverer sim clock =
+  let ms = sim.ms and tr = sim.tr and flt = sim.flt in
+  let doomed = sim.doomed and fifos = sim.fifos in
+  fun ~seq ~stage ~dest ~ring ~cell ->
+    (* [aux] in the trace: 0 = delivered, 1 = suppressed (doomed),
+       2 = lost with a downed pipeline. *)
+    let aux =
+      if Int_table.mem doomed seq then begin
+        (* Suppressed: the packet was dropped upstream. *)
+        (match ms with Some m -> Metrics.phantom_doomed m | None -> ());
+        1
+      end
+      else if match flt with Some f -> Fault.is_down f dest | None -> false then begin
+        (* Destination pipeline is down: the phantom is lost with it.
+           Its data packet, if it survives elsewhere, is dropped on
+           transfer; accounting stays conserved via phantom_dropped. *)
+        (match ms with Some m -> Metrics.phantom_dropped m | None -> ());
+        2
+      end
+      else begin
+        let f =
+          match fifos.(stage).(dest) with
+          | Some (Logical f) -> f
+          | Some (Per_cell pc) -> cell_fifo sim pc cell
+          | None -> invalid_arg "phantom destined to a stateless stage"
+        in
+        (match (Fifo.push_phantom f ~ring ~ts:seq ~key:seq, ms) with
+        | `Ok, Some m -> Metrics.phantom_delivered m
+        | `Dropped, Some m -> Metrics.phantom_dropped m
+        | _, None -> ());
+        0
+      end
+    in
+    match tr with
+    | Some tr ->
+        Etrace.emit tr ~kind:Etrace.Phantom_deliver ~cycle:!clock ~seq ~stage ~pipe:dest ~aux
+    | None -> ()
 
 (* Age of the blocked/queued head of a logical FIFO, for the starvation
-   guard.  Updated once per cycle from the pop phase.  The watch is only
-   ever read through [head_age] when [starvation_threshold] is set, so
-   with the guard disabled (the default) both maintainers are no-ops —
-   in particular [update_head_watch] then skips a whole [Fifo.head]
-   ring scan per stateful (stage, pipeline) per cycle. *)
+   guard.  Updated once per cycle from the pop phase, and only when
+   [starvation_threshold] is set ([watch_heads]): the pop phase skips
+   both maintainers otherwise, and with them a whole [Fifo.head] ring
+   scan per stateful (stage, pipeline) per cycle. *)
 let watch_key sim now stage p key =
-  if sim.watch_heads then begin
-    if key = -1 then begin
-      if sim.hw_key.(stage).(p) <> -1 then sim.hw_key.(stage).(p) <- -1
-    end
-    else if key <> sim.hw_key.(stage).(p) then begin
-      sim.hw_key.(stage).(p) <- key;
-      sim.hw_since.(stage).(p) <- now
-    end
+  if key = -1 then begin
+    if sim.hw_key.(stage).(p) <> -1 then sim.hw_key.(stage).(p) <- -1
+  end
+  else if key <> sim.hw_key.(stage).(p) then begin
+    sim.hw_key.(stage).(p) <- key;
+    sim.hw_since.(stage).(p) <- now
   end
 
 let update_head_watch sim now stage p =
-  if sim.watch_heads then
-    match sim.fifos.(stage).(p) with
-    | Some (Logical f) -> watch_key sim now stage p (Fifo.head_key f)
-    | _ -> ()
+  match sim.fifos.(stage).(p) with
+  | Some (Logical f) -> watch_key sim now stage p (Fifo.head_key f)
+  | _ -> ()
 
 let head_age sim now stage p =
   if sim.hw_key.(stage).(p) < 0 then 0 else now - sim.hw_since.(stage).(p)
@@ -896,44 +873,28 @@ let notify_ready pc cell =
 (* The ring behind stage input [q]: [cell]'s own ring in Ideal mode.
    Callers match [q] again for the Ideal bookkeeping, so no tuple or
    option is built per insert. *)
-let input_fifo sim q cell =
+let[@inline] input_fifo sim q cell =
   match q with
   | Some (Logical f) -> f
   | Some (Per_cell pc) -> cell_fifo sim pc cell
   | None -> invalid_arg "stateful transfer to a stateless stage"
 
-let insert_stateful sim now stage pkt ~dest ~src ~cell =
-  let seq = sim.sl.Slab.seq.(pkt) in
-  let q = sim.fifos.(stage).(dest) in
-  let f = input_fifo sim q cell in
-  let pushed =
-    if uses_phantoms sim then
-      match Fifo.insert_data f ~key:seq pkt with `Ok -> true | `No_phantom -> false
-    else
-      match Fifo.push_data f ~ring:src ~ts:((now lsl 22) lor seq) ~key:seq pkt with
-      | `Ok -> true
-      | `Dropped -> false
-  in
-  if pushed then begin
-    (match q with Some (Per_cell pc) -> notify_ready pc cell | _ -> ());
-    match sim.p.ecn_threshold with
-    | Some thr when Fifo.data_length f > thr -> sim.sl.Slab.ecn.(pkt) <- 1
-    | _ -> ()
-  end
-  else
-    (* With phantoms, a miss means the phantom was dropped by a full
-       ring; without, the data push itself hit a full ring. *)
-    drop_packet sim now pkt (stage - 1)
-      (if uses_phantoms sim then Metrics.No_phantom else Metrics.Fifo_full)
-
 let apply_transfers sim now =
+  let ms = sim.ms and tr = sim.tr and flt = sim.flt in
+  let phantoms = uses_phantoms sim in
+  let ecn_threshold = match sim.p.ecn_threshold with Some t -> t | None -> max_int in
+  let starvation = sim.p.starvation_threshold in
+  let sl = sim.sl in
+  (* Re-read after every [spawn_dup], which may grow the slab. *)
+  let seqs = ref sl.Slab.seq in
   for stage = 0 to sim.n_stages - 1 do
     let pkts = sim.t_pkts.(stage) and descs = sim.t_descs.(stage) in
+    let srow = sim.slots.(stage) and frow = sim.fifos.(stage) in
     (* Reverse order reproduces the consing order of the transfer lists
        this buffer replaced, keeping replays bit-identical. *)
     for i = Int_vec.length pkts - 1 downto 0 do
-      let pkt = Int_vec.get pkts i in
-      let desc = Int_vec.get descs i in
+      let pkt = Int_vec.unsafe_get pkts i in
+      let desc = Int_vec.unsafe_get descs i in
       let dest = (desc lsr 2) land 63 in
       let src = (desc lsr 8) land 63 in
       (* Fault gate: 0 = deliver, 1 = drop (downed destination or the
@@ -942,7 +903,7 @@ let apply_transfers sim now =
          draw — the order is part of the deterministic replay — and
          duplication only applies to stateless transfers. *)
       let fate =
-        match sim.flt with
+        match flt with
         | None -> 0
         | Some f ->
             if Fault.is_down f dest then 1
@@ -954,21 +915,42 @@ let apply_transfers sim now =
       if fate = 1 then drop_packet sim now pkt (stage - 1) Metrics.Pipeline_down
       else if fate = 2 then drop_packet sim now pkt (stage - 1) Metrics.Injected
       else begin
-        (match sim.ms with
+        (match ms with
         | Some m -> Metrics.transfer m ~stage ~cross:(dest <> src)
         | None -> ());
-        (match sim.tr with
+        (match tr with
         | Some tr ->
-            Etrace.emit tr ~kind:Etrace.Crossbar ~cycle:now ~seq:sim.sl.Slab.seq.(pkt) ~stage
-              ~pipe:dest ~aux:src
+            Etrace.emit tr ~kind:Etrace.Crossbar ~cycle:now ~seq:!seqs.(pkt) ~stage ~pipe:dest
+              ~aux:src
         | None -> ());
-        (match desc land 3 with
+        match desc land 3 with
         | 1 (* stateful *) ->
-            insert_stateful sim now stage pkt ~dest ~src ~cell:((desc lsr 14) - 1)
+            let seq = !seqs.(pkt) in
+            let cell = (desc lsr 14) - 1 in
+            let q = frow.(dest) in
+            let f = input_fifo sim q cell in
+            let pushed =
+              if phantoms then
+                match Fifo.insert_data f ~key:seq pkt with `Ok -> true | `No_phantom -> false
+              else
+                match Fifo.push_data f ~ring:src ~ts:((now lsl 22) lor seq) ~key:seq pkt with
+                | `Ok -> true
+                | `Dropped -> false
+            in
+            if pushed then begin
+              (match q with Some (Per_cell pc) -> notify_ready pc cell | _ -> ());
+              if Fifo.data_length f > ecn_threshold then sl.Slab.ecn.(pkt) <- 1
+            end
+            else
+              (* With phantoms, a miss means the phantom was dropped by a
+                 full ring; without, the data push itself hit a full
+                 ring. *)
+              drop_packet sim now pkt (stage - 1)
+                (if phantoms then Metrics.No_phantom else Metrics.Fifo_full)
         | 2 (* queued *) -> (
-            let q = sim.fifos.(stage).(dest) in
+            let seq = !seqs.(pkt) in
+            let q = frow.(dest) in
             let f = input_fifo sim q (-1) in
-            let seq = sim.sl.Slab.seq.(pkt) in
             match Fifo.push_data f ~ring:src ~ts:seq ~key:seq pkt with
             | `Ok -> ( match q with Some (Per_cell pc) -> notify_ready pc (-1) | _ -> ())
             | `Dropped -> drop_packet sim now pkt (stage - 1) Metrics.Fifo_full)
@@ -976,9 +958,8 @@ let apply_transfers sim now =
             (* Starvation guard: sacrifice the stateless packet when the
                queued head has waited too long (§3.4). *)
             let starve =
-              match sim.p.starvation_threshold with
-              | Some thr ->
-                  sim.stateful_stage.(stage) && head_age sim now stage dest > thr
+              match starvation with
+              | Some thr -> sim.stateful_stage.(stage) && head_age sim now stage dest > thr
               | None -> false
             in
             if starve then begin
@@ -986,17 +967,20 @@ let apply_transfers sim now =
               drop_packet sim now pkt (stage - 1) Metrics.Starved
             end
             else begin
-              assert (sim.slots.(stage).(dest) = no_pkt);
-              sim.slots.(stage).(dest) <- pkt;
-              (match sim.tr with
+              assert (srow.(dest) = no_pkt);
+              srow.(dest) <- pkt;
+              (match tr with
               | Some tr ->
-                  Etrace.emit tr ~kind:Etrace.Stage_entry ~cycle:now
-                    ~seq:sim.sl.Slab.seq.(pkt) ~stage ~pipe:dest ~aux:1
+                  Etrace.emit tr ~kind:Etrace.Stage_entry ~cycle:now ~seq:!seqs.(pkt) ~stage
+                    ~pipe:dest ~aux:1
               | None -> ());
               (* Duplicate only a packet that actually went through —
                  a starved one just recycled its frame. *)
-              if fate = 3 then spawn_dup sim now pkt stage
-            end)
+              if fate = 3 then begin
+                spawn_dup sim now pkt stage;
+                seqs := sl.Slab.seq
+              end
+            end
       end
     done;
     Int_vec.clear pkts;
@@ -1031,89 +1015,94 @@ let ready_cell pc =
   !best
 
 (* A data packet popped into its stage slot: a busy slot-cycle. *)
-let popped sim now stage p pkt =
-  sim.slots.(stage).(p) <- pkt;
-  (match sim.ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ());
-  match sim.tr with
+let[@inline] popped sim ms tr srow now stage p pkt =
+  srow.(p) <- pkt;
+  (match ms with Some m -> Metrics.busy m ~stage ~pipe:p | None -> ());
+  match tr with
   | Some tr ->
       Etrace.emit tr ~kind:Etrace.Stage_entry ~cycle:now ~seq:sim.sl.Slab.seq.(pkt) ~stage
         ~pipe:p ~aux:0
   | None -> ()
 
 let pop_phase sim now =
+  let ms = sim.ms and tr = sim.tr and flt = sim.flt in
+  let watch = sim.watch_heads in
   for stage = 0 to sim.n_stages - 1 do
-    if sim.stateful_stage.(stage) then
+    if sim.stateful_stage.(stage) then begin
+      let srow = sim.slots.(stage) and frow = sim.fifos.(stage) in
       for p = 0 to sim.p.k - 1 do
-        if sim.slots.(stage).(p) <> no_pkt then begin
+        if srow.(p) <> no_pkt then begin
           (* Occupied before the pop: a stateless-priority packet claimed
              the slot (Invariant 2) — busy, attributed to the claim. *)
-          (match sim.ms with Some m -> Metrics.claimed m ~stage ~pipe:p | None -> ());
-          update_head_watch sim now stage p
+          (match ms with Some m -> Metrics.claimed m ~stage ~pipe:p | None -> ());
+          if watch then update_head_watch sim now stage p
         end
         else
-            let fault_blocked =
-              match sim.flt with
-              | None -> false
-              | Some f -> Fault.is_down f p || Fault.is_stalled f ~stage ~pipe:p
-            in
-            if fault_blocked then (
-              (* Downed or stalled pipeline: no pops this cycle.  The
-                 slot-cycle is classified blocked so the cycle totals
-                 stay exact. *)
-              match sim.ms with
-              | Some m -> Metrics.fault_stall m ~stage ~pipe:p
-              | None -> ())
-            else (
-          match sim.fifos.(stage).(p) with
-          | Some (Logical f) -> (
-              (* One [Fifo.take] both decides and performs the pop; its
-                 answer feeds the starvation watch, which only needs a
-                 fresh [head] after a pop invalidated it.  The same answer
-                 classifies the slot's cycle for free: data popped = busy,
-                 phantom in front = blocked, nothing queued = idle. *)
-              let code = Fifo.take f in
-              if code >= 0 then begin
-                popped sim now stage p code;
-                update_head_watch sim now stage p
-              end
-              else if code = Fifo.empty then begin
-                (match sim.ms with
-                | Some m -> Metrics.stall_empty m ~stage ~pipe:p
-                | None -> ());
-                watch_key sim now stage p (-1)
-              end
-              else begin
-                let key = Fifo.blocked_key code in
-                (match sim.ms with
-                | Some m -> Metrics.stall_phantom m ~stage ~pipe:p
-                | None -> ());
-                (match sim.tr with
-                | Some tr ->
-                    Etrace.emit tr ~kind:Etrace.Phantom_block ~cycle:now ~seq:key ~stage
-                      ~pipe:p ~aux:0
-                | None -> ());
-                watch_key sim now stage p key
-              end)
-          | Some (Per_cell pc) ->
-               (match ready_cell pc with
-               | Some (_, f, cell) ->
-                   popped sim now stage p (Fifo.pop_data f);
-                   (* The next entry of this cell may already be data. *)
-                   Hashtbl.replace pc.pc_ready cell ()
-               | None -> (
-                   (* Metrics-only walk: anything still queued in any cell
-                      means the stall is head-of-line blocking, not an
-                      empty queue. *)
-                   match sim.ms with
-                   | Some m ->
-                       let queued =
-                         Hashtbl.fold (fun _ f acc -> acc || Fifo.length f > 0) pc.pc_cells false
-                       in
-                       if queued then Metrics.stall_phantom m ~stage ~pipe:p
-                       else Metrics.stall_empty m ~stage ~pipe:p
-                   | None -> ()))
-          | None -> ())
+          let fault_blocked =
+            match flt with
+            | None -> false
+            | Some f -> Fault.is_down f p || Fault.is_stalled f ~stage ~pipe:p
+          in
+          if fault_blocked then (
+            (* Downed or stalled pipeline: no pops this cycle.  The
+               slot-cycle is classified blocked so the cycle totals
+               stay exact. *)
+            match ms with
+            | Some m -> Metrics.fault_stall m ~stage ~pipe:p
+            | None -> ())
+          else
+            match frow.(p) with
+            | Some (Logical f) ->
+                (* One [Fifo.take] both decides and performs the pop; its
+                   answer feeds the starvation watch, which only needs a
+                   fresh [head] after a pop invalidated it.  The same
+                   answer classifies the slot's cycle for free: data
+                   popped = busy, phantom in front = blocked, nothing
+                   queued = idle. *)
+                let code = Fifo.take f in
+                if code >= 0 then begin
+                  popped sim ms tr srow now stage p code;
+                  if watch then update_head_watch sim now stage p
+                end
+                else if code = Fifo.empty then begin
+                  (match ms with
+                  | Some m -> Metrics.stall_empty m ~stage ~pipe:p
+                  | None -> ());
+                  if watch then watch_key sim now stage p (-1)
+                end
+                else begin
+                  let key = Fifo.blocked_key code in
+                  (match ms with
+                  | Some m -> Metrics.stall_phantom m ~stage ~pipe:p
+                  | None -> ());
+                  (match tr with
+                  | Some tr ->
+                      Etrace.emit tr ~kind:Etrace.Phantom_block ~cycle:now ~seq:key ~stage
+                        ~pipe:p ~aux:0
+                  | None -> ());
+                  if watch then watch_key sim now stage p key
+                end
+            | Some (Per_cell pc) -> (
+                match ready_cell pc with
+                | Some (_, f, cell) ->
+                    popped sim ms tr srow now stage p (Fifo.pop_data f);
+                    (* The next entry of this cell may already be data. *)
+                    Hashtbl.replace pc.pc_ready cell ()
+                | None -> (
+                    (* Metrics-only walk: anything still queued in any cell
+                       means the stall is head-of-line blocking, not an
+                       empty queue. *)
+                    match ms with
+                    | Some m ->
+                        let queued =
+                          Hashtbl.fold (fun _ f acc -> acc || Fifo.length f > 0) pc.pc_cells false
+                        in
+                        if queued then Metrics.stall_phantom m ~stage ~pipe:p
+                        else Metrics.stall_empty m ~stage ~pipe:p
+                    | None -> ()))
+            | None -> ()
       done
+    end
   done
 
 (* Completes the cycle classification the pop phase started (metrics-on
@@ -1146,8 +1135,8 @@ let metrics_sweep sim m =
 (* Fold one access into its cell's digest.  The key packs (reg, cell)
    into one int so the lookup allocates no tuple; [Int_table.find]'s
    Not_found (an exception, not an option) keeps the found path
-   allocation-free too.  [on_access] fires after the digest update, so
-   both loops fire it in access-log order. *)
+   allocation-free too.  [on_access] fires after the digest update, in
+   access-log order. *)
 let log_access sim reg cell seq =
   let key = (reg lsl 32) lor cell in
   let d = sim.dig in
@@ -1178,52 +1167,67 @@ let access_digest sim =
   done;
   !acc
 
-(* A plain indexed loop: no closure allocation, and the kernels
-   themselves (closures built once at [create]) walk no AST and allocate
-   nothing.  The cell resolved at arrival is handed to the kernel so a
-   resolvable index is hashed once per packet, not twice.  The asserts
-   pin the returned cell to the arrival-time resolution and the
-   packet's pipeline. *)
-let run_accs sim pkt pipeline accs =
-  let frame = aim sim pkt in
-  let sl = sim.sl in
-  let ab = pkt * sl.Slab.na in
-  let seq = sl.Slab.seq.(pkt) in
-  for i = 0 to Array.length accs - 1 do
-    let acc_id = Array.unsafe_get accs i in
-    let reg = sim.accesses.(acc_id).Transform.reg in
-    let reg_array = Store.array sim.stores.(pipeline) ~reg in
-    let cell = sim.kernel.Kernel.exec.(acc_id) frame reg_array sl.Slab.cell.(ab + acc_id) in
-    if cell >= 0 then begin
-      assert (sl.Slab.cell.(ab + acc_id) < 0 || sl.Slab.cell.(ab + acc_id) = cell);
-      assert (sl.Slab.dest.(ab + acc_id) = pipeline);
-      log_access sim reg cell seq
-    end;
-    sl.Slab.done_.(ab + acc_id) <- 1;
-    release_inflight sim pkt acc_id
-  done
-
-let process_stage sim pkt stage pipeline =
-  sim.kernel.Kernel.stateless.(stage) (aim sim pkt);
-  (* Ghost packets (crossbar duplicates, seqs >= dup_base) never touch
-     state; [dup_base] is [max_int] on the no-fault path, so the
-     compare is always-true there. *)
-  if sim.sl.Slab.seq.(pkt) < sim.dup_base then
-    run_accs sim pkt pipeline sim.accs_by_stage.(stage)
-
+(* Stage execution.  The frame is aimed once per packet and each access
+   runs its kernel against [Store.array]: no closure is allocated, and
+   the kernels themselves (closures built once at [create]) walk no AST
+   and allocate nothing.  The cell resolved at arrival is handed to the
+   kernel so a resolvable index is hashed once per packet, not twice.
+   The asserts pin the returned cell to the arrival-time resolution and
+   the packet's pipeline.  Ghost packets (crossbar duplicates, seqs >=
+   [dup_base]) never touch state; [dup_base] is [max_int] on the
+   no-fault path, so that compare is always-true there. *)
 let exec_phase sim =
+  let sl = sim.sl in
+  let seqs = sl.Slab.seq and cells = sl.Slab.cell and dests = sl.Slab.dest in
+  let dones = sl.Slab.done_ and counted = sl.Slab.counted in
+  let nf = sl.Slab.nf and na = sl.Slab.na in
+  let frame = sim.frame in
+  frame.Expr.base <- sl.Slab.fields;
+  frame.Expr.len <- nf;
+  let exec = sim.kernel.Kernel.exec and stateless = sim.kernel.Kernel.stateless in
+  let accesses = sim.accesses and maps = sim.maps and stores = sim.stores in
+  let dup_base = sim.dup_base in
   (* stage 0 is address resolution, performed on arrival *)
   for stage = 1 to sim.n_stages - 1 do
+    let srow = sim.slots.(stage) in
+    let accs = sim.accs_by_stage.(stage) in
+    let n_acc = Array.length accs in
+    let st_fn = stateless.(stage) in
     for p = 0 to sim.p.k - 1 do
-      let pkt = sim.slots.(stage).(p) in
-      if pkt <> no_pkt then process_stage sim pkt stage p
+      let pkt = srow.(p) in
+      if pkt <> no_pkt then begin
+        frame.Expr.off <- pkt * nf;
+        st_fn frame;
+        let seq = if n_acc > 0 then Array.unsafe_get seqs pkt else dup_base in
+        if seq < dup_base then begin
+          let store = stores.(p) in
+          let ab = pkt * na in
+          for i = 0 to n_acc - 1 do
+            let acc_id = Array.unsafe_get accs i in
+            let reg = accesses.(acc_id).Transform.reg in
+            let ai = ab + acc_id in
+            let resolved = Array.unsafe_get cells ai in
+            let cell = exec.(acc_id) frame (Store.array store ~reg) resolved in
+            if cell >= 0 then begin
+              assert (resolved < 0 || resolved = cell);
+              assert (Array.unsafe_get dests ai = p);
+              log_access sim reg cell seq
+            end;
+            Array.unsafe_set dones ai 1;
+            (* release the in-flight pin, as [release_inflight] does *)
+            if Array.unsafe_get counted ai <> 0 then begin
+              Array.unsafe_set counted ai 0;
+              Index_map.decr_inflight maps.(reg) resolved
+            end
+          done
+        end
+      end
     done
   done
 
 (* A packet leaves the last stage: the delivery counters, the
-   instruments, the exit digest and the [on_exit] hook.  Both cycle
-   loops exit through here; the hook's user headers are copied out
-   before the slab slot is recycled. *)
+   instruments, the exit digest and the [on_exit] hook.  The hook's
+   user headers are copied out before the slab slot is recycled. *)
 let exit_packet sim now pkt stage p =
   let sl = sim.sl in
   let seq = sl.Slab.seq.(pkt) in
@@ -1260,6 +1264,7 @@ let movement_phase sim now =
     Array.iter (fun row -> Array.fill row 0 (Array.length row) false) claimed;
     sim.claims_dirty <- false
   end;
+  let k = sim.p.k in
   (* Downed pipelines take no stateless traffic: pre-claim their slots
      so the crossbar steers around them.  Slots on downed pipelines are
      always empty (spilled on the down edge, nothing admitted since),
@@ -1268,57 +1273,69 @@ let movement_phase sim now =
   (match sim.flt with
   | Some f when Fault.any_down f ->
       for s = 0 to sim.n_stages - 1 do
-        for p = 0 to sim.p.k - 1 do
+        for p = 0 to k - 1 do
           if Fault.is_down f p then claimed.(s).(p) <- true
         done
       done;
       sim.claims_dirty <- true
   | _ -> ());
-  for stage = sim.n_stages - 1 downto 0 do
-    for p = 0 to sim.p.k - 1 do
-      let pkt = sim.slots.(stage).(p) in
+  let sl = sim.sl in
+  let gks = sl.Slab.gk and dests = sl.Slab.dest and cells = sl.Slab.cell in
+  let na = sl.Slab.na in
+  let last = sim.n_stages - 1 in
+  (let srow = sim.slots.(last) in
+   for p = 0 to k - 1 do
+     let pkt = srow.(p) in
+     if pkt <> no_pkt then begin
+       srow.(p) <- no_pkt;
+       exit_packet sim now pkt last p
+     end
+   done);
+  for stage = last - 1 downto 0 do
+    let srow = sim.slots.(stage) in
+    let next = stage + 1 in
+    let npkts = sim.t_pkts.(next) and ndescs = sim.t_descs.(next) in
+    let accs = sim.accs_by_stage.(next) in
+    let crow = claimed.(next) in
+    let queue_stateless = sim.stateful_stage.(next) && not sim.p.stateless_priority in
+    for p = 0 to k - 1 do
+      let pkt = srow.(p) in
       if pkt <> no_pkt then begin
-          sim.slots.(stage).(p) <- no_pkt;
-          let next = stage + 1 in
-          if next = sim.n_stages then exit_packet sim now pkt stage p
-          else begin
-            let acc_id = queued_acc sim pkt next in
-            if acc_id >= 0 then begin
-              let sl = sim.sl in
-              let ai = (pkt * sl.Slab.na) + acc_id in
-              Int_vec.push sim.t_pkts.(next) pkt;
-              Int_vec.push sim.t_descs.(next)
-                (pack_transfer ~tag:t_stateful ~dest:sl.Slab.dest.(ai) ~src:p
-                   ~cell:sl.Slab.cell.(ai))
-            end
-            else if sim.stateful_stage.(next) && not sim.p.stateless_priority then begin
-              (* Invariant 2 disabled: stateless packets take their place
-                 in the queue like everybody else. *)
-              Int_vec.push sim.t_pkts.(next) pkt;
-              Int_vec.push sim.t_descs.(next)
-                (pack_transfer ~tag:t_queued ~dest:p ~src:p ~cell:(-1))
-            end
+        srow.(p) <- no_pkt;
+        let ab = pkt * na in
+        let acc_id = first_queued accs gks ab in
+        if acc_id >= 0 then begin
+          let ai = ab + acc_id in
+          Int_vec.push npkts pkt;
+          Int_vec.push ndescs
+            (pack_transfer ~tag:t_stateful ~dest:(Array.unsafe_get dests ai) ~src:p
+               ~cell:(Array.unsafe_get cells ai))
+        end
+        else if queue_stateless then begin
+          (* Invariant 2 disabled: stateless packets take their place
+             in the queue like everybody else. *)
+          Int_vec.push npkts pkt;
+          Int_vec.push ndescs (pack_transfer ~tag:t_queued ~dest:p ~src:p ~cell:(-1))
+        end
+        else begin
+          (* Stateless at [next]: the crossbar steers it to a free
+             pipeline, preferring the current one. *)
+          let dest =
+            if not crow.(p) then p
             else begin
-              (* Stateless at [next]: the crossbar steers it to a free
-                 pipeline, preferring the current one. *)
-              let dest =
-                if not claimed.(next).(p) then p
-                else begin
-                  let d = ref (-1) in
-                  for q = sim.p.k - 1 downto 0 do
-                    if not claimed.(next).(q) then d := q
-                  done;
-                  !d
-                end
-              in
-              assert (dest >= 0);
-              claimed.(next).(dest) <- true;
-              sim.claims_dirty <- true;
-              Int_vec.push sim.t_pkts.(next) pkt;
-              Int_vec.push sim.t_descs.(next)
-                (pack_transfer ~tag:t_stateless ~dest ~src:p ~cell:(-1))
+              let d = ref (-1) in
+              for q = k - 1 downto 0 do
+                if not crow.(q) then d := q
+              done;
+              !d
             end
-          end
+          in
+          assert (dest >= 0);
+          crow.(dest) <- true;
+          sim.claims_dirty <- true;
+          Int_vec.push npkts pkt;
+          Int_vec.push ndescs (pack_transfer ~tag:t_stateless ~dest ~src:p ~cell:(-1))
+        end
       end
     done
   done
@@ -1495,314 +1512,6 @@ let observe sim now =
           sim.fifos
       in
       f { occ_cycle = now; occ_slots; occ_queues }
-
-(* --- specialized fast cycle loop (the bare variant) ---
-
-   Selected by [select_loop] when nothing is attached to the run:
-   no metrics, no event trace, no fault plan, no monitor, no observer,
-   adaptive FIFOs, no starvation guard, and a non-Ideal mode.  Under
-   that gate the cycle body collapses:
-
-   - every [match sim.ms / sim.tr / sim.flt / sim.mon with ...] site is
-     statically absent instead of a branch per site, except at the two
-     per-packet sites both loops share ([exit_packet]: the instrument
-     and [on_exit] branches per exit; [log_access]: the [on_access]
-     branch per access);
-   - all queues are [Logical] (Ideal is excluded), so the FIFO matrix is
-     unwrapped once into [int Fifo.t option array array] and the
-     per-event [queue] match disappears;
-   - adaptive rings never drop a push and Invariant 1 holds fault-free,
-     so every drop path is an [assert false], [doomed] stays empty and
-     [dup_base] stays [max_int] — ghosts cannot exist, so the per-access
-     ghost compare is gone too;
-   - the deliver/apply/pop/exec/movement phases are fused into a single
-     stage sweep over pre-resolved structures: the unwrapped FIFO
-     matrix, each store's backing arrays ([Store.array] is stable:
-     remaps move values between arrays, never replace them), each
-     access's register id, and the kernel's closure tables.
-
-   The sweep is stage-major — apply(s), pop(s), exec(s), movement(s)
-   for s ascending — with [log_access] called directly, so its
-   access-log order is the generic [exec_phase] order by construction:
-   apply(s)/pop(s)/exec(s) touch only stage-s structures, and exec at
-   stage s runs after pop at stage s exactly as the generic
-   pop-all-stages-then-exec-all-stages does within one cycle.  Fusing
-   movement needs ping-pong transfer buffers: movement(s) writes the
-   next cycle's transfers into a shadow buffer for stage s+1 (swapped
-   into [sim.t_pkts]/[t_descs] at the end of the sweep, so snapshots
-   and variant switches see the generic representation), because
-   apply(s+1) — which runs *after* movement(s) in the fused order —
-   must consume only the previous cycle's entries.  Order is otherwise
-   preserved: each transfer buffer t.(s+1) receives pushes from exactly
-   one source stage (s), in pipe-ascending order under both loops;
-   exits happen only at stage n-1, so the exit digest / [on_exit] order
-   and the slab freelist order are sweep-invariant; the crossbar claim
-   row for stage s+1 is written and read only by movement(s) within a
-   cycle ([spawn_dup], the only other reader, needs a fault plan). *)
-
-(* Build the fast loop's cycle function.  Must run *after* a resume has
-   decoded the snapshot ([r_queue] replaces the FIFO objects); under the
-   fast gate nothing ever replaces them afterwards (only the fault paths
-   do), so the unwrapped matrix stays valid for the whole leg. *)
-let fast_cycle sim source st =
-  let k = sim.p.k and n_stages = sim.n_stages in
-  let cols =
-    Array.init n_stages (fun s ->
-        Array.init k (fun p ->
-            match sim.fifos.(s).(p) with
-            | Some (Logical f) -> Some f
-            | None -> None
-            | Some (Per_cell _) -> assert false (* Ideal excluded by the gate *)))
-  in
-  (* [Store.array] returns the stable backing array: sharding moves cell
-     values between arrays, never replaces the arrays. *)
-  let n_regs = Array.length sim.config.Config.regs in
-  let regs =
-    Array.init k (fun p -> Array.init n_regs (fun reg -> Store.array sim.stores.(p) ~reg))
-  in
-  let acc_reg = Array.map (fun (a : Transform.access) -> a.Transform.reg) sim.accesses in
-  let slots = sim.slots in
-  let t_pkts = sim.t_pkts and t_descs = sim.t_descs in
-  let doomed = sim.doomed in
-  let accs_by_stage = sim.accs_by_stage in
-  let stateful = sim.stateful_stage in
-  let phantoms = uses_phantoms sim in
-  let ecn = match sim.p.ecn_threshold with Some t -> t | None -> max_int in
-  (* Deliveries go straight into the rings in calendar (drain) order —
-     the generic [deliver_phantoms] order.  [doomed] is provably empty
-     under the gate (nothing can drop), but the membership test is kept:
-     it is one int-table probe per delivery, and it turns a violated
-     assumption into a visible differential failure instead of silent
-     state corruption. *)
-  let deliver_one ~seq ~stage ~dest ~ring ~cell:_ =
-    if not (Int_table.mem doomed seq) then
-      match cols.(stage).(dest) with
-      | Some f -> ignore (Fifo.push_phantom f ~ring ~ts:seq ~key:seq : [ `Ok | `Dropped ])
-      | None -> invalid_arg "phantom destined to a stateless stage"
-  in
-  let kernel = sim.kernel in
-  let exec = kernel.Kernel.exec and stateless = kernel.Kernel.stateless in
-  let frame = sim.frame in
-  let claimed = sim.claimed in
-  let stateless_priority = sim.p.stateless_priority in
-  (* Ping-pong shadows for the transfer buffers: movement(s) fills
-     the shadow of stage s+1 while apply(s+1) — later in the same
-     sweep — consumes the live buffer; the end-of-sweep swap makes
-     the shadows live, so snapshots taken at the cycle boundary
-     see the generic representation. *)
-  let nx_pkts = Array.init n_stages (fun _ -> Int_vec.create ()) in
-  let nx_descs = Array.init n_stages (fun _ -> Int_vec.create ()) in
-  let maps = sim.maps in
-  (* One cycle: drain the calendar, admit arrivals through the shared
-     [arrival_phase], run the fused sweep, movement included; remap
-     stays with the caller.  A profiler gets three spans per cycle at
-     those edges, never per packet or per stage. *)
-  fun now ->
-    let t0 = span_start sim in
-    Channel.drain sim.channel ~now deliver_one;
-    let t0 = lap sim Prof.Deliver t0 in
-    arrival_phase sim now source st;
-    let t0 = lap sim Prof.Source t0 in
-    (* Hoist the slab columns once per cycle: the arrays move only
-       on slab growth, and the only allocation site (arrival) has
-       just run.  Field loads through [sim.sl] cannot be CSE'd across
-       the FIFO/kernel calls below, so this saves two loads per array
-       touch across the whole sweep. *)
-    let sl = sim.sl in
-    let fields = sl.Slab.fields in
-    let nf = sl.Slab.nf and na = sl.Slab.na in
-    let seqs = sl.Slab.seq and gks = sl.Slab.gk in
-    let dests = sl.Slab.dest and cells = sl.Slab.cell in
-    let dones = sl.Slab.done_ and counted = sl.Slab.counted in
-    let ecns = sl.Slab.ecn in
-    frame.Expr.base <- fields;
-    frame.Expr.len <- nf;
-    (* The crossbar claim matrix resets once per cycle; the
-       generic loop does it at the top of [movement_phase], but
-       under the gate nothing reads claims between the phases
-       ([spawn_dup] needs a fault plan), so resetting at sweep
-       start is unobservable. *)
-    if sim.claims_dirty then begin
-      Array.iter (fun row -> Array.fill row 0 (Array.length row) false) claimed;
-      sim.claims_dirty <- false
-    end;
-    for stage = 0 to n_stages - 1 do
-      let colrow = cols.(stage) in
-      let srow = slots.(stage) in
-      (* apply(stage): one reverse scan (the generic order),
-         dispatching by destination directly. *)
-      (let pkts = t_pkts.(stage) and descs = t_descs.(stage) in
-       let n = Int_vec.length pkts in
-       if n > 0 then begin
-         for i = n - 1 downto 0 do
-           let pkt = Int_vec.unsafe_get pkts i in
-           let desc = Int_vec.unsafe_get descs i in
-           let dest = (desc lsr 2) land 63 in
-           match desc land 3 with
-           | 1 (* stateful *) -> (
-               let f =
-                 match colrow.(dest) with Some f -> f | None -> assert false
-               in
-               let seq = Array.unsafe_get seqs pkt in
-               let pushed =
-                 if phantoms then Fifo.insert_data f ~key:seq pkt
-                 else
-                   match
-                     Fifo.push_data f
-                       ~ring:((desc lsr 8) land 63)
-                       ~ts:((now lsl 22) lor seq)
-                       ~key:seq pkt
-                   with
-                   | `Ok -> `Ok
-                   | `Dropped -> `No_phantom
-               in
-               match pushed with
-               | `Ok ->
-                   if Fifo.data_length f > ecn then Array.unsafe_set ecns pkt 1
-               | `No_phantom -> assert false (* adaptive + Invariant 1 *))
-           | 2 (* queued *) -> (
-               let f =
-                 match colrow.(dest) with Some f -> f | None -> assert false
-               in
-               let seq = Array.unsafe_get seqs pkt in
-               match
-                 Fifo.push_data f ~ring:((desc lsr 8) land 63) ~ts:seq ~key:seq pkt
-               with
-               | `Ok -> ()
-               | `Dropped -> assert false (* adaptive rings never drop *))
-           | _ (* stateless *) -> Array.unsafe_set srow dest pkt
-         done;
-         Int_vec.clear pkts;
-         Int_vec.clear descs
-       end);
-      (* pop(stage): only stateful stages have ring columns *)
-      if Array.unsafe_get stateful stage then
-        for p = 0 to k - 1 do
-          if Array.unsafe_get srow p = no_pkt then
-            match colrow.(p) with
-            | Some f ->
-                let pkt = Fifo.take f in
-                if pkt >= 0 then Array.unsafe_set srow p pkt
-            | None -> ()
-        done;
-      (* exec(stage): stage 0 is address resolution, done on
-         arrival.  No [dup_base] compare: ghosts need a fault
-         plan. *)
-      if stage > 0 then begin
-        let accs = accs_by_stage.(stage) in
-        let n_acc = Array.length accs in
-        let st_fn = stateless.(stage) in
-        for p = 0 to k - 1 do
-          let pkt = Array.unsafe_get srow p in
-          if pkt <> no_pkt then begin
-            frame.Expr.off <- pkt * nf;
-            st_fn frame;
-            if n_acc > 0 then begin
-              let regs_p = regs.(p) in
-              let ab = pkt * na in
-              let seq = Array.unsafe_get seqs pkt in
-              for i = 0 to n_acc - 1 do
-                let acc_id = Array.unsafe_get accs i in
-                let reg = Array.unsafe_get acc_reg acc_id in
-                let ai = ab + acc_id in
-                let cell =
-                  exec.(acc_id) frame regs_p.(reg) (Array.unsafe_get cells ai)
-                in
-                if cell >= 0 then log_access sim reg cell seq;
-                Array.unsafe_set dones ai 1;
-                (* [release_inflight] inlined against the
-                   captures *)
-                if Array.unsafe_get counted ai <> 0 then begin
-                  Array.unsafe_set counted ai 0;
-                  Index_map.decr_inflight maps.(reg) (Array.unsafe_get cells ai)
-                end
-              done
-            end
-          end
-        done
-      end;
-      (* movement(stage): vacate every occupied slot — into the
-         shadow buffer of stage+1 or out of the pipeline.  The
-         moving packet's own slab state is final (its exec just
-         ran; later stages touch other packets), so reading the
-         guards here matches the generic all-exec-then-move
-         order. *)
-      let next = stage + 1 in
-      if next = n_stages then
-        for p = 0 to k - 1 do
-          let pkt = Array.unsafe_get srow p in
-          if pkt <> no_pkt then begin
-            Array.unsafe_set srow p no_pkt;
-            exit_packet sim now pkt stage p
-          end
-        done
-      else begin
-        let npk = nx_pkts.(next) and nds = nx_descs.(next) in
-        let accs = accs_by_stage.(next) in
-        let n_qa = Array.length accs in
-        let crow = claimed.(next) in
-        let next_stateful = Array.unsafe_get stateful next in
-        for p = 0 to k - 1 do
-          let pkt = Array.unsafe_get srow p in
-          if pkt <> no_pkt then begin
-            Array.unsafe_set srow p no_pkt;
-            (* [queued_acc] inlined against the captures: first
-               access at [next] whose guard is not known false. *)
-            let ab = pkt * na in
-            let acc_id = ref (-1) in
-            (let i = ref 0 in
-             while !acc_id < 0 && !i < n_qa do
-               let id = Array.unsafe_get accs !i in
-               if Array.unsafe_get gks (ab + id) <> gk_false then acc_id := id
-               else incr i
-             done);
-            let a = !acc_id in
-            if a >= 0 then begin
-              let ai = ab + a in
-              Int_vec.push npk pkt;
-              Int_vec.push nds
-                (pack_transfer ~tag:t_stateful
-                   ~dest:(Array.unsafe_get dests ai)
-                   ~src:p
-                   ~cell:(Array.unsafe_get cells ai))
-            end
-            else if next_stateful && not stateless_priority then begin
-              Int_vec.push npk pkt;
-              Int_vec.push nds (pack_transfer ~tag:t_queued ~dest:p ~src:p ~cell:(-1))
-            end
-            else begin
-              let dest =
-                if not (Array.unsafe_get crow p) then p
-                else begin
-                  let d = ref (-1) in
-                  for q = k - 1 downto 0 do
-                    if not (Array.unsafe_get crow q) then d := q
-                  done;
-                  !d
-                end
-              in
-              assert (dest >= 0);
-              crow.(dest) <- true;
-              sim.claims_dirty <- true;
-              Int_vec.push npk pkt;
-              Int_vec.push nds (pack_transfer ~tag:t_stateless ~dest ~src:p ~cell:(-1))
-            end
-          end
-        done
-      end
-    done;
-    (* Swap: the shadows become the live transfer buffers (the
-       consumed live ones, already cleared by apply, become next
-       cycle's shadows). *)
-    for s = 0 to n_stages - 1 do
-      let tp = t_pkts.(s) in
-      t_pkts.(s) <- nx_pkts.(s);
-      nx_pkts.(s) <- tp;
-      let td = t_descs.(s) in
-      t_descs.(s) <- nx_descs.(s);
-      nx_descs.(s) <- td
-    done;
-    ignore (lap sim Prof.Sweep t0 : int)
 
 (* --- snapshots (mp5-snap/1) --- *)
 
@@ -2237,69 +1946,59 @@ let encode sim st source =
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
 
-(* One generic cycle at [t]: the instrumented phase sequence, with a
-   profiler span around each phase — the only place the apply/pop/exec
-   split exists.  The observer runs inside the exec span. *)
-let generic_cycle sim t source st =
-  (match sim.mon with
-  | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
-  | _ -> ());
-  (match sim.flt with
-  | Some f ->
-      (match sim.pf with
-      | Some pf when Fault.next_edge f <= t -> Prof.instant pf Prof.Fault
-      | _ -> ());
-      fault_edges sim f t
-  | None -> ());
-  (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
-  let t0 = span_start sim in
-  deliver_phantoms sim t;
-  let t0 = lap sim Prof.Deliver t0 in
-  apply_transfers sim t;
-  let t0 = lap sim Prof.Apply t0 in
-  arrival_phase sim t source st;
-  let t0 = lap sim Prof.Source t0 in
-  pop_phase sim t;
-  let t0 = lap sim Prof.Pop t0 in
-  let t0 =
-    match sim.ms with
-    | Some m ->
-        metrics_sweep sim m;
-        lap sim Prof.Sweep t0
-    | None -> t0
-  in
-  observe sim t;
-  exec_phase sim;
-  let t0 = lap sim Prof.Exec t0 in
-  movement_phase sim t;
-  ignore (lap sim Prof.Movement t0 : int)
-
-(* The one variant-selection point, shared by [drive] and the node API,
-   and the only place [attached] is computed: apply [select_loop] to
-   what is attached to [sim] and return the leg's cycle as a function of
-   the cycle number.  The cycle runs everything but the remap boundary,
-   which the caller owns.  Call it after a resume has decoded the
-   machine, since [fast_cycle] captures its FIFOs. *)
-let select_cycle ~loop sim source st =
-  let attached =
-    Option.is_some sim.ms || Option.is_some sim.tr || Option.is_some sim.flt
-    || Option.is_some sim.mon || Option.is_some sim.observer
-    || match sim.pf with Some pf -> Prof.mode pf = Prof.Full | None -> false
-  in
-  match select_loop ~loop ~attached sim.p with
-  | `Fast -> fast_cycle sim source st
-  | `Generic -> fun t -> generic_cycle sim t source st
+(* The leg's cycle as a function of the cycle number: the phase
+   sequence of §3, with a profiler span around each phase.  It runs
+   everything but the remap boundary, which the caller owns.  The
+   observer runs inside the exec span.  Built once per leg, after a
+   resume has decoded the machine; the phantom deliverer is built with
+   it. *)
+let make_cycle sim source st =
+  let clock = ref 0 in
+  let deliver = phantom_deliverer sim clock in
+  fun t ->
+    (match sim.mon with
+    | Some mon when Monitor.due mon ~now:t -> monitor_phase sim mon t
+    | _ -> ());
+    (match sim.flt with
+    | Some f ->
+        (match sim.pf with
+        | Some pf when Fault.next_edge f <= t -> Prof.instant pf Prof.Fault
+        | _ -> ());
+        fault_edges sim f t
+    | None -> ());
+    (match sim.ms with Some m -> Metrics.on_cycle m | None -> ());
+    let t0 = span_start sim in
+    clock := t;
+    Channel.drain sim.channel ~now:t deliver;
+    let t0 = lap sim Prof.Deliver t0 in
+    apply_transfers sim t;
+    let t0 = lap sim Prof.Apply t0 in
+    arrival_phase sim t source st;
+    let t0 = lap sim Prof.Source t0 in
+    pop_phase sim t;
+    let t0 = lap sim Prof.Pop t0 in
+    let t0 =
+      match sim.ms with
+      | Some m ->
+          metrics_sweep sim m;
+          lap sim Prof.Sweep t0
+      | None -> t0
+    in
+    observe sim t;
+    exec_phase sim;
+    let t0 = lap sim Prof.Exec t0 in
+    movement_phase sim t;
+    ignore (lap sim Prof.Movement t0 : int)
 
 (* Remap boundaries fall every [remap_period] cycles after the first
-   arrival, in every loop variant and on every fabric node. *)
+   arrival, in every run and on every fabric node. *)
 let remap_due sim st t =
   sim.p.remap_period > 0 && t > st.first_arrival
   && (t - st.first_arrival) mod sim.p.remap_period = 0
 
-let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget
-    ~heartbeat ~stop =
+let drive sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget ~heartbeat ~stop =
   let params = sim.p in
-  let cycle = select_cycle ~loop sim source st in
+  let cycle = make_cycle sim source st in
   let suspended = ref None in
   let running = ref true in
   (match sim.pf with Some pf -> Prof.enter pf | None -> ());
@@ -2343,10 +2042,7 @@ let drive ?(loop = Auto) sim st source ~checkpoint_every ~on_checkpoint ~cycle_b
            delivery (deliveries of doomed packets, drained as no-ops), or
            the next remap boundary (a remap can move cells even while
            idle, so boundaries must still be visited to keep results
-           bit-identical with the cycle-by-cycle loop).  The policy is
-           the same under both loops, so visited cycles, checkpoint and
-           heartbeat cadence, and budget suspension points do not
-           depend on the variant. *)
+           bit-identical with the cycle-by-cycle loop). *)
         (match if sim.in_flight > 0 then None else Psource.peek source with
          | None -> st.now <- t + 1
          | Some input ->
@@ -2458,10 +2154,10 @@ let finish_summary sim st source =
 
 (* The one path from a fresh source to [drive], shared by [run_source]
    and [run]: validate, build the machine, attach the per-packet hooks,
-   drain. *)
-let stream ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?checkpoint_every
-    ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget ~on_exit ~on_access
-    params prog source =
+   drain.  [loop] is accepted and has no effect. *)
+let stream ?loop:(_ : loop option) ?observer ?metrics ?events ?fault ?monitor ?prof
+    ?checkpoint_every ?on_checkpoint ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget
+    ~on_exit ~on_access params prog source =
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Sim.run_source: checkpoint_every must be positive"
   | _ -> ());
@@ -2492,7 +2188,7 @@ let stream ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ?checkpoint_ev
       ~track_src:(checkpoint_every <> None || cycle_budget <> None || stop <> None)
   in
   match
-    drive ?loop sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget ~heartbeat ~stop
+    drive sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget ~heartbeat ~stop
   with
   | `Suspended snap -> Suspended snap
   | `Done -> Completed (finish_summary sim st source)
@@ -2578,7 +2274,7 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace
       }
 
 (* Exact equality of two results, for the differential harnesses that
-   hold loop variants, instrumentation and resumed runs to one another.
+   hold instrumented, bare and resumed runs to one another.
    Hashtables are compared by sorted contents, not structurally (bucket
    layout is an implementation detail). *)
 let results_equal (a : result) (b : result) =
@@ -2779,7 +2475,7 @@ let decoding f =
   | exception Failure msg -> Error (Corrupt msg)
   | exception Invalid_argument msg -> Error (Corrupt ("snapshot: " ^ msg))
 
-let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on_checkpoint
+let resume ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on_checkpoint
     ?(heartbeat_every = 1) ?on_heartbeat ?stop ?cycle_budget ~snapshot prog source =
   if heartbeat_every <= 0 then invalid_arg "Sim.resume: heartbeat_every must be positive";
   let heartbeat = Option.map (fun f -> (heartbeat_every, f)) on_heartbeat in
@@ -2826,13 +2522,13 @@ let resume ?loop ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on
                     c consumed)));
         (sim, st)
       in
-      (* The leg runs outside [decoding]: its own exceptions (a forced
-         fast loop on an instrumented resume) are not snapshot errors. *)
+      (* The leg runs outside [decoding]: its own exceptions (a monitor
+         violation, the deadlock guard) are not snapshot errors. *)
       Result.map
         (fun (sim, st) ->
           match
-            drive ?loop sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget
-              ~heartbeat ~stop
+            drive sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget ~heartbeat
+              ~stop
           with
           | `Suspended snap -> Suspended snap
           | `Done -> Completed (finish_summary sim st source))
@@ -2872,10 +2568,9 @@ let summary_equal (a : summary) (b : summary) =
    by the fabric driver.  The driver owns everything [drive] normally
    owns — idle fast-forward, the progress guard, checkpoint cadence —
    because those are fabric-global decisions (a switch idles only when
-   the whole fabric is quiet).  [node_step] runs the cycle
-   [select_cycle] chose for the node, then the remap boundary, so a
-   one-switch fabric fed the same packets at the same cycles is
-   bit-identical to [Sim.run] under either loop.  [node_inject] derives
+   the whole fabric is quiet).  [node_step] runs the node's cycle, then
+   the remap boundary, so a one-switch fabric fed the same packets at
+   the same cycles is bit-identical to [Sim.run].  [node_inject] derives
    the local seq from the source cursor and [node_pending] reads its
    lookahead. *)
 type node = {
@@ -2886,17 +2581,16 @@ type node = {
   nd_cycle : int -> unit;
 }
 
-let make_node ~loop ~on_exit ~on_drop sim st q src =
+let make_node ~on_exit ~on_drop sim st q src =
   sim.on_exit <- Some on_exit;
   sim.on_drop <- Some on_drop;
-  let cycle = select_cycle ~loop sim src st in
-  { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = cycle }
+  { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = make_cycle sim src st }
 
-let node_create ?(loop = Auto) ~anchor ~on_exit ~on_drop params prog =
+let node_create ~anchor ~on_exit ~on_drop params prog =
   let sim = create params prog in
   let q = Queue.create () in
   let src = Psource.of_queue q in
-  make_node ~loop ~on_exit ~on_drop sim (fresh_loop_state ~start:anchor ~track_src:false) q src
+  make_node ~on_exit ~on_drop sim (fresh_loop_state ~start:anchor ~track_src:false) q src
 
 (* Sequence numbers are assigned in admission order, which for a queue
    source is push order, so the local seq of a pushed packet is known at
@@ -2937,11 +2631,9 @@ let node_encode w node =
   Binio.w_framed w ~magic:snap_magic (fun w ->
       encode_into w node.nd_sim node.nd_st node.nd_src)
 
-(* The cycle is chosen after [decode_machine]: [r_queue] replaces the
-   FIFO objects the fast state captures. *)
-let node_restore ?(loop = Auto) ~on_exit ~on_drop r prog =
+let node_restore ~on_exit ~on_drop r prog =
   decoding (fun () -> decode_machine prog (Binio.r_framed r ~magic:snap_magic))
   |> Result.map (fun (sim, st, consumed) ->
          let q = Queue.create () in
          let src = Psource.of_queue ~consumed q in
-         make_node ~loop ~on_exit ~on_drop sim { st with track_src = false } q src)
+         make_node ~on_exit ~on_drop sim { st with track_src = false } q src)

@@ -97,52 +97,25 @@ type result = {
 (** The {!summary} fields plus the per-packet lists that [digests]
     condenses. *)
 
-(** {2 Cycle-loop variants}
+(** {2 The cycle loop}
 
-    The simulator carries two implementations of its cycle loop,
-    selected once per run:
+    One cycle function runs every cycle of every run, fabric nodes
+    included: phantom delivery, crossbar transfer, admission, FIFO pop,
+    stage execution and movement, as separate phases.  That phase
+    split makes it the differential oracle the tests hold everything
+    else to.  Each phase reads what it needs once instead of per
+    packet, and every instrument, fault and starvation-guard site costs
+    one branch when detached.
 
-    - the {e generic} loop — the instrumented code path, one branch per
-      metrics/trace/fault/monitor/observer site, kept as the
-      differential oracle;
-    - the {e fast} loop — compiled for the bare configuration: every
-      instrumentation branch statically absent, the
-      deliver/apply/pop/exec/movement phases fused into one stage-major
-      sweep over pre-resolved FIFO columns, register arrays and kernel
-      tables.
-
-    Nothing else differs: both loops admit packets through the same
-    arrival phase and share one idle fast-forward, which visits every
-    remap boundary.
-
-    Each variant is one cycle function.  A profiler ({!Mp5_obs.Prof})
-    is timed on that same function: the generic loop records one span
-    per phase, the fast loop three per cycle (calendar drain, admission,
-    fused sweep), and a detached profiler costs one branch per span
-    site.  Both loops leave the pipeline through one exit path.
-
-    Results are bit-identical between the variants (enforced across the
-    differential corpus), and so are the visited cycles, checkpoint and
-    heartbeat cadence, [cycle_budget] suspension points and snapshot
-    bytes; only wall-clock differs. *)
+    A profiler ({!Mp5_obs.Prof}) records one span per phase; a
+    detached one costs one branch per span site. *)
 
 type loop =
-  | Auto     (** fast when eligible, generic otherwise (the default) *)
-  | Generic  (** force the oracle loop *)
-  | Fast     (** force the bare loop;
-                 @raise Invalid_argument when the run is not eligible *)
-
-val select_loop : loop:loop -> attached:bool -> params -> [ `Fast | `Generic ]
-(** The (pure) variant-selection function every run and fabric node
-    applies.  [attached] is true when anything the fast loop cannot
-    host is attached to the machine: metrics, an event trace, a
-    non-empty fault plan, a monitor, an observer, or a full-mode
-    profiler (a sampled one is not an attachment — its spans sit at
-    cycle edges the fast loop has too).  Fast eligibility: nothing
-    attached, adaptive FIFOs, no starvation guard, and a mode other
-    than [Ideal] (whose per-cell queues the fused sweep does not
-    host).
-    @raise Invalid_argument for [~loop:Fast] on an ineligible run. *)
+  | Auto
+  | Generic
+  | Fast
+(** Accepted, no effect: there is one cycle loop.  The constructors
+    remain so callers that name a variant keep compiling. *)
 
 val run :
   ?loop:loop ->
@@ -159,10 +132,7 @@ val run :
 (** [run params program trace] simulates the (sorted) trace to completion:
     all packets either delivered or dropped.  [observer] is called once
     per visited cycle after the FIFO pops, with the stage occupancy; it
-    is the feed of {!Timeline}.  Like the instruments below it is an
-    attachment, so it runs the generic loop.  [loop] picks the
-    cycle-loop variant (see {!select_loop}); the result does not depend
-    on it.
+    is the feed of {!Timeline}.  [loop] is accepted, no effect.
 
     [run] is {!run_source} over the array plus two pure-observer
     collectors on the per-packet exit and access hooks, which record
@@ -192,9 +162,8 @@ val run :
     [prof] attaches the wall-clock span profiler ({!Mp5_obs.Prof}):
     monotonic-clock spans per cycle phase, accumulated entirely outside the simulated machine — the
     same pure-observer discipline as [metrics], so results are
-    bit-identical with profiling off, sampled, or full.  A sampled
-    profiler keeps the run fast-eligible; a full one routes Auto to the
-    generic loop (see {!select_loop}).  Unlike [metrics], snapshots do
+    bit-identical with profiling off, sampled, or full.  Unlike
+    [metrics], snapshots do
     not carry profiler state (wall time is host-specific), so a
     resumed leg simply continues accumulating into the caller's
     profiler.
@@ -202,7 +171,7 @@ val run :
     [monitor] re-derives runtime invariants from live machine state
     every [Monitor.epoch] cycles — packet conservation, D2 flow
     affinity, FIFO occupancy bounds, and (when [metrics] is also
-    attached) phantom conservation and the cycle-classification total —
+    passed) phantom conservation and the cycle-classification total —
     raising {!Mp5_fault.Monitor.Violation} with a diagnostic snapshot
     when one fails (or counting silently for a non-fail-fast monitor).
 
@@ -216,8 +185,8 @@ val run :
 val results_equal : result -> result -> bool
 (** Exact equality of every observable field of two results — stores,
     digests, headers, access sequences, exit order, latencies, and all
-    counters.  The check behind the loop-variant, instrumentation and
-    resume bit-identical guarantees. *)
+    counters.  The check behind the instrumentation and resume
+    bit-identical guarantees. *)
 
 (** {2 Streaming runs}
 
@@ -284,9 +253,8 @@ val run_source :
     (or until [cycle_budget] simulated cycles have run, yielding
     [Suspended snapshot]).  {!run} is this function over the array
     plus collectors, so a streamed run and an array run over the same
-    packets produce equal counters, stores, and digests.  The same
-    holds across checkpoints: a snapshot records no loop variant, so a
-    run checkpointed under either variant resumes under either.
+    packets produce equal counters, stores, and digests.  [loop] is
+    accepted, no effect.
 
     [checkpoint_every] (positive; @raise Invalid_argument otherwise)
     calls [on_checkpoint ~cycle snapshot] every N visited cycles with a
@@ -312,7 +280,6 @@ val run_source :
     @raise Invalid_argument otherwise) and non-empty. *)
 
 val resume :
-  ?loop:loop ->
   ?observer:(occupancy -> unit) ->
   ?metrics:Mp5_obs.Metrics.t ->
   ?events:Mp5_obs.Trace.t ->
@@ -331,13 +298,11 @@ val resume :
 (** [resume ~snapshot program source] restores the machine from a
     snapshot produced by {!run_source}/{!resume} and continues the run;
     the continuation is bit-identical to the uninterrupted run — same
-    final store, counters, and digests.  Snapshots record no loop
-    variant, so a checkpoint taken under [Fast] resumes under [Generic]
-    and vice versa.
+    final store, counters, and digests.
 
     The snapshot embeds its fault plan, so there is no [?fault]
     parameter.  [?metrics] must be passed iff the snapshot was taken
-    with metrics attached ([Error (Mismatch _)] otherwise); restored
+    with metrics ([Error (Mismatch _)] otherwise); restored
     counters continue accumulating in the caller's [Metrics.t].
 
     The source must either be positioned exactly at the snapshot's
@@ -363,12 +328,10 @@ val summary_equal : summary -> summary -> bool
 
     One switch inside a multi-switch fabric ([lib/fabric]): a streaming
     sim fed by a live queue source, advanced one lock-step cycle at a
-    time by the fabric driver.  A node steps on the cycle variant
-    {!select_loop} picks for it, exactly as {!run} does — fast when the
-    machine parameters are eligible, since nodes carry no
-    instrumentation — and a one-switch fabric fed the same packets at
-    the same cycles is bit-identical to {!run} under either variant.  A
-    node owns none of the loop policy:
+    time by the fabric driver.  A node steps on the same cycle function
+    as {!run}, and a one-switch fabric fed the same packets at the same
+    cycles is bit-identical to {!run}.  A node owns none of the loop
+    policy:
     idle fast-forward, deadlock guards, and checkpoint cadence are the
     driver's, because a switch may only idle when the whole fabric is
     quiet.  The [on_exit]/[on_drop] hooks are pure observers fired at
@@ -379,7 +342,6 @@ val summary_equal : summary -> summary -> bool
 type node
 
 val node_create :
-  ?loop:loop ->
   anchor:int ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
@@ -391,10 +353,7 @@ val node_create :
     plain {!run} over the same trace.  [on_exit] receives each exiting
     packet's local seq, pipeline latency, and a fresh copy of its user
     header fields; [on_drop] receives the local seq of each packet the
-    machine drops.  [loop] (default [Auto]) picks the cycle variant as
-    for {!run}.
-    @raise Invalid_argument for [~loop:Fast] on ineligible [params]
-    (finite FIFOs, starvation guard, or [Ideal] mode). *)
+    machine drops. *)
 
 val node_inject : node -> Mp5_banzai.Machine.input -> int
 (** Queue one packet for admission and return the local sequence number
@@ -404,9 +363,8 @@ val node_inject : node -> Mp5_banzai.Machine.input -> int
     next cycle to be stepped, or admission stalls. *)
 
 val node_step : node -> now:int -> unit
-(** Run one full machine cycle at cycle [now] on the node's cycle
-    variant, then the remap boundary if one falls at [now].  Exits fire
-    [on_exit] in the same order under either variant.  The driver must
+(** Run one full machine cycle at cycle [now], then the remap boundary
+    if one falls at [now].  The driver must
     call this with strictly increasing [now] and must itself visit every
     remap boundary (nodes never skip cycles on their own). *)
 
@@ -436,7 +394,7 @@ val node_next_due : node -> int option
 (** Next pending phantom delivery, bounding fabric idle fast-forward. *)
 
 val node_fault_edge : node -> int
-(** Next fault-plan edge ([max_int] when no plan is attached). *)
+(** Next fault-plan edge ([max_int] without a fault plan). *)
 
 val node_encode : Mp5_util.Binio.writer -> node -> unit
 (** Append the node machine to a caller's writer as one nested
@@ -446,7 +404,6 @@ val node_encode : Mp5_util.Binio.writer -> node -> unit
     since it owns their metadata. *)
 
 val node_restore :
-  ?loop:loop ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
   Mp5_util.Binio.reader ->
@@ -458,7 +415,4 @@ val node_restore :
     positioned at the snapshot's admission cursor; the caller re-injects
     any pending packets it recorded.  Error cases are those of
     {!resume}; [Corrupt] positions are absolute offsets in the caller's
-    file.  [loop] is as for {!node_create}: snapshots record no loop
-    variant, so a node may resume on either.
-    @raise Invalid_argument for [~loop:Fast] when the snapshot's
-    parameters are not fast-eligible. *)
+    file. *)

@@ -37,12 +37,9 @@ let run ?loop ?params ?metrics ?events ?fault ?monitor ?prof ~k t trace =
   let params = match params with Some p -> p | None -> Sim.default_params ~k in
   Sim.run ?loop ?metrics ?events ?fault ?monitor ?prof params t.prog trace
 
-let verify ?loop ?params ?metrics ?events ?fault ?monitor ?prof ~k ?flow_of
-    t trace =
+let verify ?params ?metrics ?events ?fault ?monitor ?prof ~k ?flow_of t trace =
   let golden_result = golden t trace in
-  let r =
-    run ?loop ?params ?metrics ?events ?fault ?monitor ?prof ~k t trace
-  in
+  let r = run ?params ?metrics ?events ?fault ?monitor ?prof ~k t trace in
   let report =
     Equiv.compare ~golden:golden_result ~n_packets:(Array.length trace) ~store:r.Sim.store
       ~headers_out:r.Sim.headers_out ~access_seqs:r.Sim.access_seqs ?flow_of

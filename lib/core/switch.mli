@@ -55,11 +55,10 @@ val run :
   Mp5_banzai.Machine.input array ->
   Sim.result
 (** Run the MP5 simulator ([params] defaults to {!Sim.default_params};
-    [loop], [metrics], [events], [fault], [monitor] and [prof] as in
-    {!Sim.run}). *)
+    [loop] (no effect), [metrics], [events], [fault], [monitor] and
+    [prof] as in {!Sim.run}). *)
 
 val verify :
-  ?loop:Sim.loop ->
   ?params:Sim.params ->
   ?metrics:Mp5_obs.Metrics.t ->
   ?events:Mp5_obs.Trace.t ->

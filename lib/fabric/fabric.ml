@@ -13,8 +13,8 @@ module Config = Mp5_banzai.Config
 
    Log2-bucketed, constant size, integer-only: two fabrics that ran the
    same packets produce structurally equal histograms, so identity
-   checks (loop variants, snapshot/resume) can compare them exactly while the
-   bench layer reads approximate percentiles off the buckets. *)
+   checks (snapshot/resume) can compare them exactly while the bench
+   layer reads approximate percentiles off the buckets. *)
 
 module Hist = struct
   type t = { mutable count : int; mutable sum : int; mutable max : int; buckets : int array }
@@ -321,13 +321,13 @@ let blank ?monitor ~dst ~anchor p prog =
     hops_hist = Hist.create ();
   }
 
-let create ?monitor ?loop ~dst ~anchor p prog =
+let create ?monitor ~dst ~anchor p prog =
   (match Linkplan.validate p.fp_plan ~n_links:(Topology.n_links p.fp_topo) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fabric.create: " ^ msg));
   let fab = blank ?monitor ~dst ~anchor p prog in
   make_nodes fab (fun _ ~on_exit ~on_drop ->
-      Sim.node_create ?loop ~anchor ~on_exit ~on_drop p.fp_sim prog);
+      Sim.node_create ~anchor ~on_exit ~on_drop p.fp_sim prog);
   fab
 
 (* Fabric-wide packet conservation: everything injected is in a switch,
@@ -463,7 +463,7 @@ let encode fab =
 
 exception Restore_mismatch of string
 
-let decode_fabric ?monitor ?loop ~dst p prog r =
+let decode_fabric ?monitor ~dst p prog r =
   Binio.r_tag r ~expect:1 ~what:"fabric header";
   let topo_dig = Binio.r_int r in
   if topo_dig <> Topology.digest p.fp_topo then
@@ -519,7 +519,7 @@ let decode_fabric ?monitor ?loop ~dst p prog r =
     raise (Restore_mismatch "snapshot node count does not match the topology");
   make_nodes fab (fun i ~on_exit ~on_drop ->
       let nd =
-        match Sim.node_restore ?loop ~on_exit ~on_drop r prog with
+        match Sim.node_restore ~on_exit ~on_drop r prog with
         | Ok nd -> nd
         | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
         | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
@@ -616,9 +616,8 @@ let drive fab source ~cycle_budget ~sabotage =
       inject_phase fab t source;
       delivery_phase fab t;
       (* Lock-step: every switch advances one machine cycle, in node
-         order, on the loop variant chosen when it was built (fast or
-         generic, exits in the same order either way); its [on_exit]
-         hook routes exits onward as they happen. *)
+         order; its [on_exit] hook routes exits onward as they
+         happen. *)
       Array.iter (fun nd -> Sim.node_step nd ~now:t) fab.nodes;
       (* Progress guard against driver deadlock bugs. *)
       let node_dropped = Array.fold_left (fun acc nd -> acc + Sim.node_dropped nd) 0 fab.nodes in
@@ -634,11 +633,8 @@ let drive fab source ~cycle_budget ~sabotage =
       (* Idle fast-forward: with every switch empty, jump to the next
          event — arrival, link delivery, phantom delivery, remap
          boundary (remaps move cells even while idle), or a link-plan
-         edge.  Mirrors the single-switch generic loop's discipline so
-         a fabric visits exactly the boundaries a plain generic run
-         does, whichever variant its nodes step on: the fast loop's
-         clean-boundary skip stays single-switch, which keeps [visited],
-         budget suspension points and snapshot bytes loop-independent. *)
+         edge.  Mirrors the single-switch loop's discipline, so a
+         fabric visits exactly the boundaries a plain run does. *)
       (if any_node_work fab then fab.now <- t + 1
        else begin
          let next = ref max_int in
@@ -679,7 +675,7 @@ let drive fab source ~cycle_budget ~sabotage =
       if sabotage <> 0 then fab.injected <- fab.injected + sabotage;
       Completed (finish fab)
 
-let run ?monitor ?cycle_budget ?loop ?(sabotage = 0) ~dst p prog source =
+let run ?monitor ?cycle_budget ?(sabotage = 0) ~dst p prog source =
   let anchor =
     match Psource.peek source with
     | Some i -> i.Machine.time
@@ -687,14 +683,14 @@ let run ?monitor ?cycle_budget ?loop ?(sabotage = 0) ~dst p prog source =
   in
   if Psource.consumed source > 0 then
     invalid_arg "Fabric.run: source already partially consumed";
-  let fab = create ?monitor ?loop ~dst ~anchor p prog in
+  let fab = create ?monitor ~dst ~anchor p prog in
   drive fab source ~cycle_budget ~sabotage
 
-let resume ?monitor ?cycle_budget ?loop ~dst ~snapshot p prog source =
+let resume ?monitor ?cycle_budget ~dst ~snapshot p prog source =
   match Binio.of_string ~magic:snap_magic snapshot with
   | Error msg -> Error (Sim.Corrupt msg)
   | Ok r -> (
-      match decode_fabric ?monitor ?loop ~dst p prog r with
+      match decode_fabric ?monitor ~dst p prog r with
       | exception Restore_mismatch msg -> Error (Sim.Mismatch msg)
       | exception Binio.Corrupt { pos; reason } ->
           Error (Sim.Corrupt (Binio.corrupt_message ~pos ~reason))

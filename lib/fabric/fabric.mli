@@ -11,8 +11,7 @@
       destination switch's ingress queue (ascending link id, FIFO within
       a link) or, on a host-bound link, leave the fabric;
     + {b step} — every switch advances one machine cycle, in node
-      order, on the fast or generic cycle loop; each packet that exits a
-      switch consults the forwarding table ({!Routing.compile}) and
+      order; each packet that exits a switch consults the forwarding table ({!Routing.compile}) and
       enters its next link as it exits.
 
     The driver is sequential: deliveries are ordered by (link id, FIFO
@@ -92,7 +91,6 @@ val snapshot_magic : string
 val run :
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
-  ?loop:Mp5_core.Sim.loop ->
   ?sabotage:int ->
   dst:(Mp5_banzai.Machine.input -> int) ->
   params ->
@@ -105,21 +103,14 @@ val run :
     a packet (out-of-range means an ingress forwarding miss, counted).
     [sabotage] (testing hook, default 0) skews the injected counter before the
     final conservation check so the violation path can be demonstrated.
-    [loop] (default [Auto]) picks every switch's cycle variant as
-    {!Mp5_core.Sim.run} does; nodes carry no instrumentation, so [Auto]
-    is the fast loop whenever the machine parameters allow it.  Results,
-    the cycles visited and snapshot bytes are identical across variants.
 
-    @raise Invalid_argument on an empty or already-consumed source, a
-    link plan naming links outside the topology, or [~loop:Fast] on
-    machine parameters that are not fast-eligible (finite FIFOs,
-    starvation guard, [Ideal] mode).
+    @raise Invalid_argument on an empty or already-consumed source, or a
+    link plan naming links outside the topology.
     @raise Conservation (no monitor) on an accounting violation. *)
 
 val resume :
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
-  ?loop:Mp5_core.Sim.loop ->
   dst:(Mp5_banzai.Machine.input -> int) ->
   snapshot:string ->
   params ->
@@ -136,12 +127,11 @@ val resume :
     snapshot does not carry monitor state) but conservation holds at
     every epoch of the resumed run.  Forged metadata, such as a packet
     destination outside the topology's hosts, is a positioned
-    [Corrupt].  Snapshots record no loop variant: [loop] is as for
-    {!run}, and a resumed leg may step on either variant. *)
+    [Corrupt]. *)
 
 val results_equal : result -> result -> bool
-(** Exact equality on every field, histograms included — the loop-variant
-    and snapshot/resume identity checks. *)
+(** Exact equality on every field, histograms included — the
+    snapshot/resume identity checks. *)
 
 val throughput : result -> float
 (** Delivered packets per fabric cycle. *)

@@ -127,7 +127,7 @@ let make ~n_switches ~n_hosts edges =
             let sw_peers = Array.map (fun l -> Array.of_list (List.rev l)) peers in
             (* All hosts mutually reachable: one BFS over the switch
                graph from the first host's switch must reach every
-               switch that has a host attached. *)
+               switch that has a host on it. *)
             let reach = Array.make n_switches false in
             let q = Queue.create () in
             reach.(host_sw.(0)) <- true;

@@ -11,7 +11,7 @@
     same faults.
 
     Like [lib/obs], the subsystem is a pure add-on: with no plan
-    attached the simulator takes one [option] branch per site and the
+    given the simulator takes one [option] branch per site and the
     results are bit-identical to an uninstrumented build.
 
     {2 Plan text format}

@@ -1,6 +1,6 @@
 (** Runtime invariant monitor.
 
-    An optional companion to a simulation run (attached like a
+    An optional companion to a simulation run (passed like a
     [Metrics.t]) that re-derives the architecture's invariants from the
     live machine state every [epoch] cycles and fails fast — with a
     diagnostic snapshot instead of silently corrupted results — when one

@@ -108,8 +108,6 @@ let create ?(mode = Sampled) ?(max_events = 262_144) () =
     last_promoted = q.Gc.promoted_words;
   }
 
-let mode t = t.p_mode
-
 let gc_sample t =
   let q = Gc.quick_stat () in
   t.gc_samples <- t.gc_samples + 1;

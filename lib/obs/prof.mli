@@ -12,24 +12,20 @@
     measures host wall time, not simulated cycles, so none of its
     counters are deterministic — only its {e shape} is pinned by tests.
 
-    {b Modes.}  Spans are recorded by the cycle function that runs,
-    whichever mode is set: the fast loop times its cycle edges
-    (deliver, source pull, the fused sweep), the generic loop each
-    phase, and both the remap and checkpoint boundaries.  The mode only
-    decides the loop: [Sampled] leaves a run eligible for the fast
-    loop; [Full] asks for the per-phase split (apply/pop/exec), so it
-    closes the fast gate — Auto runs the generic loop and a forced fast
-    loop is rejected. *)
+    {b Modes.}  The mode is a label: it is recorded in the profile
+    (the [mp5-prof/1] [mode] field and the report header) and changes
+    nothing else.  [Sampled] and [Full] record the same spans — one
+    per cycle phase, plus the remap and checkpoint boundaries. *)
 
 type mode = Sampled | Full
 
 type phase =
   | Deliver     (** phantom-calendar drain into the rings *)
-  | Apply       (** crossbar transfer application (generic loop) *)
-  | Pop         (** FIFO pops into stage slots (generic loop) *)
-  | Exec        (** stage execution (generic loop) *)
+  | Apply       (** crossbar transfer application *)
+  | Pop         (** FIFO pops into stage slots *)
+  | Exec        (** stage execution *)
   | Movement    (** crossbar steering sweep *)
-  | Sweep       (** the fused fast-loop cycle body *)
+  | Sweep       (** the metrics classification sweep (metrics only) *)
   | Source      (** arrival admission / source pull *)
   | Checkpoint  (** snapshot encoding *)
   | Remap       (** sharding remap at a period boundary *)
@@ -49,8 +45,6 @@ val create : ?mode:mode -> ?max_events:int -> unit -> t
     (default 262144) caps the raw-event buffer backing the Chrome
     trace; spans beyond the cap still accumulate into the totals and
     histograms but record no event. *)
-
-val mode : t -> mode
 
 val now : unit -> int
 (** Monotonic nanoseconds ([CLOCK_MONOTONIC] via a noalloc C stub). *)

@@ -8,7 +8,7 @@ let grow t n =
   Array.blit t.data 0 data 0 t.len;
   t.data <- data
 
-let push t x =
+let[@inline] push t x =
   if t.len = Array.length t.data then grow t (t.len + 1);
   Array.unsafe_set t.data t.len x;
   t.len <- t.len + 1

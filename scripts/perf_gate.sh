@@ -15,8 +15,8 @@
 # so each is gated tight, at 1.02 x baseline, and needs no retries.
 #
 #   heavy-hitter-2k/words_per_pkt  minor words per packet, closure kernels
-#   generic/words_per_pkt          the same run on the generic loop, which
-#                                  the instrumented runs use
+#   generic/words_per_pkt          the same count (one cycle loop; the key
+#                                  the oracle loop was gated by stays)
 #   golden/words_per_pkt           words per packet, golden machine
 #                                  (sequencer, 2000 packets)
 #   trace_io/words_per_byte        words per input byte, Trace_io.of_string

@@ -1,17 +1,16 @@
 (* Differential fuzzing of the simulator's run configurations.
 
    For a few hundred random Domino programs (lib/fuzz/progen), the MP5
-   simulator runs the same trace instrumented on the generic cycle loop
-   (metrics and event trace attached), and every other configuration
-   must agree with it on every observable field ([Sim.results_equal]:
-   stores, headers, access sequences, exit order, latencies, counters):
-   metrics-only and events-only runs, the bare fast loop (forced with
-   [~loop:Fast]), sampled and full profiling, an empty fault plan with
-   the invariant monitor attached, streamed runs on both loops, and
-   resumes that switch loop variants mid-run.  This is the enforcement
-   half of the bit-identical guarantees documented in Sim.run.  On
-   both loops, bare and instrumented, each array run's digests must
-   also equal the ones recomputed from its own per-packet lists.
+   simulator runs the same trace instrumented (metrics and event trace
+   attached), and every other configuration must agree with it on every
+   observable field ([Sim.results_equal]: stores, headers, access
+   sequences, exit order, latencies, counters): the bare run,
+   metrics-only and events-only runs, sampled and full profiling, an
+   empty fault plan with the invariant monitor attached, a streamed
+   run, and a run suspended mid-way and resumed.  This is the
+   enforcement half of the bit-identical guarantees documented in
+   Sim.run.  Bare and instrumented, each array run's digests must also
+   equal the ones recomputed from its own per-packet lists.
 
    The instrumented run is also checked against the independent
    reference interpreter (lib/fuzz/interp), which executes the untyped
@@ -102,11 +101,13 @@ let run_seed seed =
   let mk = Mp5_obs.Metrics.create ~stages ~k in
   let tk = Mp5_obs.Trace.create () in
   let base = Sim.run ~metrics:mk ~events:tk params prog trace in
-  check_digests ~seed ~src "instrumented generic run" base;
-  let generic = Sim.run ~loop:Sim.Generic params prog trace in
-  check_digests ~seed ~src "bare generic run" generic;
-  if not (Sim.results_equal base generic) then
-    Alcotest.failf "seed %d: bare generic run diverges on:\n%s" seed src;
+  check_digests ~seed ~src "instrumented run" base;
+  (* Telemetry is a pure observer, so stripping it may change nothing
+     observable. *)
+  let bare = Sim.run params prog trace in
+  check_digests ~seed ~src "bare run" bare;
+  if not (Sim.results_equal base bare) then
+    Alcotest.failf "seed %d: bare run diverges on:\n%s" seed src;
   (* Telemetry does not depend on the event trace riding along: a
      metrics-only run emits counter-for-counter the same telemetry. *)
   let mp = Mp5_obs.Metrics.create ~stages ~k in
@@ -123,25 +124,17 @@ let run_seed seed =
     Alcotest.failf "seed %d: events-only run diverges on:\n%s" seed src;
   if Mp5_obs.Trace.to_jsonl tk <> Mp5_obs.Trace.to_jsonl te then
     Alcotest.failf "seed %d: events-only event trace diverges on:\n%s" seed src;
-  (* The bare fast loop must be bit-identical to the instrumented
-     generic runs above: telemetry is a pure observer, so stripping it —
-     and fusing the cycle phases — may change nothing observable. *)
-  let fast = Sim.run ~loop:Sim.Fast params prog trace in
-  check_digests ~seed ~src "fast run" fast;
-  if not (Sim.results_equal base fast) then
-    Alcotest.failf "seed %d: fast loop diverges on:\n%s" seed src;
-  (* The span profiler is a pure observer on host wall time: sampled
-     profiling keeps the fast loop and full profiling routes to the
-     generic loop, and neither may perturb a single observable bit. *)
+  (* The span profiler is a pure observer on host wall time: in either
+     mode it may not perturb a single observable bit. *)
   let prof_sampled = Mp5_obs.Prof.create () in
-  let profs = Sim.run ~loop:Sim.Fast ~prof:prof_sampled params prog trace in
+  let profs = Sim.run ~prof:prof_sampled params prog trace in
   if not (Sim.results_equal base profs) then
-    Alcotest.failf "seed %d: sampled profiling changes the fast run on:\n%s" seed src;
+    Alcotest.failf "seed %d: sampled profiling changes the run on:\n%s" seed src;
   let prof_full = Mp5_obs.Prof.create ~mode:Mp5_obs.Prof.Full () in
   let proff = Sim.run ~prof:prof_full params prog trace in
   check_digests ~seed ~src "fully profiled run" proff;
   if not (Sim.results_equal base proff) then
-    Alcotest.failf "seed %d: full profiling changes the generic run on:\n%s" seed src;
+    Alcotest.failf "seed %d: full profiling changes the run on:\n%s" seed src;
   (* An empty fault plan plus an attached invariant monitor must be
      invisible: the fault hooks' no-plan path is bit-identical to an
      unfaulted build, and the monitor is a pure observer. *)
@@ -158,41 +151,31 @@ let run_seed seed =
   (* Streaming parity: the same packets pulled from a source one at a
      time must be bit-identical to the array run — every counter, the
      merged store, and the exit/access digests. *)
-  let stream ?loop () =
-    match Sim.run_source ?loop params prog (Mp5_workload.Packet_source.of_array trace) with
+  let streamed =
+    match Sim.run_source params prog (Mp5_workload.Packet_source.of_array trace) with
     | Sim.Completed s -> s
     | Sim.Suspended _ -> Alcotest.failf "seed %d: streamed run suspended without a budget" seed
   in
   let want = Sim.summary_of_result ~packets:(Array.length trace) base in
-  if not (Sim.summary_equal want (stream ())) then
+  if not (Sim.summary_equal want streamed) then
     Alcotest.failf "seed %d: streamed source diverges from the array run:\n%s" seed src;
-  (* Streamed fast loop: the streaming exit/access digests under the
-     fused sweep. *)
-  if not (Sim.summary_equal want (stream ~loop:Sim.Fast ())) then
-    Alcotest.failf "seed %d: streamed fast loop diverges from the array run:\n%s" seed src;
-  (* Snapshots record no loop-variant choice: on a corpus slice, a leg
-     suspended under one cycle-loop variant must resume under the other
-     and land on the uninterrupted summary. *)
+  (* On a corpus slice, a leg suspended mid-run must resume onto the
+     uninterrupted summary. *)
   if seed mod 23 = 0 then begin
-    let cross l1 l2 =
+    let resumed =
       match
-        Sim.run_source ~loop:l1 ~cycle_budget:25 params prog
-          (Mp5_workload.Packet_source.of_array trace)
+        Sim.run_source ~cycle_budget:25 params prog (Mp5_workload.Packet_source.of_array trace)
       with
-      | Sim.Completed s -> s (* finished inside the budget; nothing to cross *)
+      | Sim.Completed s -> s (* finished inside the budget; nothing to resume *)
       | Sim.Suspended snap -> (
-          match
-            Sim.resume ~loop:l2 ~snapshot:snap prog (Mp5_workload.Packet_source.of_array trace)
-          with
+          match Sim.resume ~snapshot:snap prog (Mp5_workload.Packet_source.of_array trace) with
           | Ok (Sim.Completed s) -> s
           | Ok (Sim.Suspended _) ->
               Alcotest.failf "seed %d: resume suspended without a budget" seed
-          | Error _ -> Alcotest.failf "seed %d: cross-variant resume rejected" seed)
+          | Error _ -> Alcotest.failf "seed %d: resume rejected" seed)
     in
-    if not (Sim.summary_equal want (cross Sim.Fast Sim.Generic)) then
-      Alcotest.failf "seed %d: fast checkpoint -> generic resume diverges:\n%s" seed src;
-    if not (Sim.summary_equal want (cross Sim.Generic Sim.Fast)) then
-      Alcotest.failf "seed %d: generic checkpoint -> fast resume diverges:\n%s" seed src
+    if not (Sim.summary_equal want resumed) then
+      Alcotest.failf "seed %d: checkpoint -> resume diverges:\n%s" seed src
   end;
   if base.Sim.dropped = 0 then begin
     (* the oracle has no drop model, so only compare complete deliveries *)

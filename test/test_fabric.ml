@@ -3,18 +3,18 @@
    The anchor is the degenerate differential: a one-switch fabric with
    zero-delay host links is the plain simulator wearing a topology — on
    a slice of the 220-program corpus its exit and access digests must
-   equal [Sim.run_source]'s exactly, packet for packet, with the nodes
-   on either cycle loop.  The fabric driver may add routing, links and
+   equal [Sim.run_source]'s exactly, packet for packet.  The fabric
+   driver may add routing, links and
    lock-step stepping, but it may not change a single observable bit of
    the machine it wraps.
 
    On top of that, a 100-seed property quantifies over random topologies
    (2-8 switches, random trunk delays, random host placement):
-   fabric-wide packet conservation holds at every monitor epoch, and the
-   result is bit-identical across fast and generic nodes — including
-   under a seeded link-down fault plan.  Topology validation, forwarding-miss accounting, the
-   zero-delay corner and the forced-fast contract get direct unit
-   tests. *)
+   fabric-wide packet conservation holds at every monitor epoch, and a
+   run suspended mid-way and resumed is bit-identical to the straight
+   run — including under a seeded link-down fault plan.  Topology
+   validation, forwarding-miss accounting and the zero-delay corner get
+   direct unit tests. *)
 
 module Sim = Mp5_core.Sim
 module Machine = Mp5_banzai.Machine
@@ -60,16 +60,15 @@ let completed seed = function
    admission order.  All packets route to host 0, whose single
    zero-delay downlink delivers in exit order, so the fabric's exit
    digest folds the same (seq, latency, headers) triples in the same
-   order as the machine's streaming digest.  Default parameters are
-   fast-eligible, so [loop] forces each variant on both sides. *)
-let run_degenerate ~loop seed =
+   order as the machine's streaming digest. *)
+let run_degenerate seed =
   let src, prog = prog_for seed in
   let k = 2 + (seed mod 3) in
   let n_packets = 100 in
   let trace = Progen.trace ~seed ~k ~n:n_packets in
   let params = Sim.default_params ~k in
   let plain =
-    match Sim.run_source ~loop params prog (Psource.of_array trace) with
+    match Sim.run_source params prog (Psource.of_array trace) with
     | Sim.Completed s -> s
     | Sim.Suspended _ -> Alcotest.failf "seed %d: plain run suspended without a budget" seed
   in
@@ -78,7 +77,7 @@ let run_degenerate ~loop seed =
   let mon = Monitor.create ~epoch:16 () in
   let r =
     completed seed
-      (Fabric.run ~monitor:mon ~loop ~dst:(fun _ -> 0) fp prog (Psource.of_array trace))
+      (Fabric.run ~monitor:mon ~dst:(fun _ -> 0) fp prog (Psource.of_array trace))
   in
   if not (Monitor.ok mon) then
     Alcotest.failf "seed %d: conservation violated on the degenerate fabric:\n%s\n%s" seed src
@@ -102,14 +101,13 @@ let run_degenerate ~loop seed =
       seed r.Fabric.fr_delivered r.Fabric.fr_node_dropped n_packets
 
 let test_degenerate () =
-  (* Every 10th corpus seed: 22 programs across k in {2,3,4} and both
-     cycle loops. *)
+  (* Every 10th corpus seed: 22 programs across k in {2,3,4}. *)
   let seeds = List.init 22 (fun i -> i * 10) in
-  List.iter (fun loop -> List.iter (run_degenerate ~loop) seeds) [ Sim.Generic; Sim.Fast ];
+  List.iter run_degenerate seeds;
   Alcotest.(check int) "slice size" 22 (List.length seeds)
 
 (* ------------------------------------------------------------------ *)
-(* 100-seed property: conservation + loop-variant identity.           *)
+(* 100-seed property: conservation + resume identity.                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Random connected topology: a random spanning tree over 2-8 switches
@@ -177,12 +175,23 @@ let prop_fabric_conservation =
         else Linkplan.empty
       in
       let fp = params_for topo ~k:2 plan in
-      let one ?loop () =
+      (* A run, straight or suspended at [cycle_budget] and resumed
+         through its snapshot under the same monitor. *)
+      let one ?cycle_budget () =
         let mon = Monitor.create ~epoch:16 () in
         let r =
           try
-            completed seed
-              (Fabric.run ~monitor:mon ?loop ~dst fp prog (Psource.of_array trace))
+            match
+              Fabric.run ~monitor:mon ?cycle_budget ~dst fp prog (Psource.of_array trace)
+            with
+            | Fabric.Completed r -> r
+            | Fabric.Suspended snap -> (
+                match
+                  Fabric.resume ~monitor:mon ~dst ~snapshot:snap fp prog
+                    (Psource.of_array trace)
+                with
+                | Ok o -> completed seed o
+                | Error _ -> QCheck.Test.fail_reportf "seed %d: fabric snapshot rejected" seed)
           with Monitor.Violation diag ->
             QCheck.Test.fail_reportf "seed %d: conservation violated:\n%s\n%s" seed diag src
         in
@@ -202,12 +211,12 @@ let prop_fabric_conservation =
         QCheck.Test.fail_reportf "seed %d: final accounting leaks: %d+%d+%d+%d <> %d" seed
           base.Fabric.fr_delivered base.Fabric.fr_node_dropped base.Fabric.fr_miss_dropped
           base.Fabric.fr_link_dropped base.Fabric.fr_injected;
-      (* [base] stepped its nodes on the fast loop (default parameters
-         are eligible); generic nodes must agree on every counter,
-         digest, per-node max queue and histogram. *)
-      if not (Fabric.results_equal base (one ~loop:Sim.Generic ())) then
-        QCheck.Test.fail_reportf "seed %d: generic nodes diverge from fast nodes on:\n%s" seed
-          src;
+      (* Suspended half-way and resumed, the run must agree with [base]
+         on every counter, digest, per-node max queue and histogram. *)
+      let resumed = one ~cycle_budget:(max 1 (base.Fabric.fr_cycles / 2)) () in
+      if not (Fabric.results_equal base resumed) then
+        QCheck.Test.fail_reportf "seed %d: resumed fabric diverges from the straight run on:\n%s"
+          seed src;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -346,39 +355,6 @@ let test_link_faults () =
     (r.Fabric.fr_delivered + r.Fabric.fr_node_dropped + r.Fabric.fr_miss_dropped
    + r.Fabric.fr_link_dropped)
 
-(* A forced fast loop on ineligible machine parameters is a contract
-   violation, as for [Sim.run]: [Ideal] mode raises on a fresh run and
-   on a resume, and Auto quietly steps the same fabric on the generic
-   loop. *)
-let test_forced_fast () =
-  let _, prog = prog_for 3 in
-  let topo = Topology.line ~switches:2 ~hosts_per_sw:1 ~delay:1 in
-  let trace = gen_trace (Rng.create 5) ~n_hosts:2 ~n:40 in
-  let fp = params_for topo ~k:2 Linkplan.empty in
-  let ideal = { fp with Fabric.fp_sim = { fp.Fabric.fp_sim with Sim.mode = Sim.Ideal } } in
-  let dst (i : Machine.input) = 1 - i.Machine.port in
-  let raises what f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: forced Fast on Ideal params did not raise" what
-  in
-  raises "run" (fun () ->
-      Fabric.run ~loop:Sim.Fast ~dst ideal prog (Psource.of_array trace));
-  let snap =
-    match Fabric.run ~cycle_budget:5 ~dst ideal prog (Psource.of_array trace) with
-    | Fabric.Suspended snap -> snap
-    | Fabric.Completed _ -> Alcotest.fail "budget 5 did not suspend the Ideal fabric"
-  in
-  raises "resume" (fun () ->
-      Fabric.resume ~loop:Sim.Fast ~dst ~snapshot:snap ideal prog (Psource.of_array trace));
-  let auto = completed 3 (Fabric.run ~dst ideal prog (Psource.of_array trace)) in
-  let generic =
-    completed 3 (Fabric.run ~loop:Sim.Generic ~dst ideal prog (Psource.of_array trace))
-  in
-  Alcotest.(check bool) "Auto = Generic on Ideal" true (Fabric.results_equal auto generic);
-  (* Eligible parameters accept the forced variant. *)
-  ignore (completed 3 (Fabric.run ~loop:Sim.Fast ~dst fp prog (Psource.of_array trace)))
-
 let () =
   Alcotest.run "fabric"
     [
@@ -395,10 +371,5 @@ let () =
           Alcotest.test_case "zero-delay links" `Quick test_zero_delay;
           Alcotest.test_case "forwarding miss is a counted drop" `Quick test_forwarding_miss;
           Alcotest.test_case "link-down / link-delay windows" `Quick test_link_faults;
-        ] );
-      ( "loops",
-        [
-          Alcotest.test_case "forced Fast on Ideal fabric params raises" `Quick
-            test_forced_fast;
         ] );
     ]

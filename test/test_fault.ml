@@ -236,6 +236,46 @@ let test_xbar_dup () =
   check "ghost packets spawned" true (m.Metrics.m_dup_packets > 0);
   check "ghosts are delivered" true (r.Sim.delivered > Array.length trace - r.Sim.dropped)
 
+(* Crossbar duplication allocates its ghost packets inside the apply
+   phase.  On 32 stages at one arrival per cycle, a dup-heavy plan
+   fills the empty slots with ghosts until a ghost, not an arrival,
+   grows the packet slab past 64 packets — mid-phase — and ECN marking
+   (threshold 0) writes a slab column after that growth.  The bare run,
+   the run with metrics and an event trace, and a run suspended and
+   resumed every few dozen cycles (each resume rebuilds the slab at its
+   live size, so it grows at other cycles) must all agree. *)
+let test_xbar_dup_slab_growth () =
+  let sw =
+    Switch.create_exn ~pad_to_stages:32 (Sources.sensitivity_program ~stateful:4 ~reg_size:512)
+  in
+  let trace =
+    Array.mapi
+      (fun i (x : Machine.input) -> { x with Machine.time = i })
+      (sens_trace ~n:1_200 ~seed:40 ())
+  in
+  let plan = parse_exn "seed 16; xbar-dup @0..100000 p=0.9" in
+  let params = { (Sim.default_params ~k:4) with Sim.ecn_threshold = Some 0 } in
+  let prog = sw.Switch.prog in
+  let bare = Sim.run ~fault:plan params prog trace in
+  let m = Metrics.create ~stages:(stages_of sw) ~k:4 in
+  let instrumented =
+    Sim.run ~fault:plan ~metrics:m ~events:(Mp5_obs.Trace.create ()) params prog trace
+  in
+  check "ghost packets spawned" true (m.Metrics.m_dup_packets > 0);
+  check "packets ECN-marked" true (bare.Sim.marked > 0);
+  check "instrumented run = bare run" true (Sim.results_equal bare instrumented);
+  let source () = Mp5_workload.Packet_source.of_array trace in
+  let rec drain = function
+    | Sim.Completed s -> s
+    | Sim.Suspended snap -> (
+        match Sim.resume ~cycle_budget:97 ~snapshot:snap prog (source ()) with
+        | Ok o -> drain o
+        | Error _ -> Alcotest.fail "fresh snapshot rejected")
+  in
+  let chunked = drain (Sim.run_source ~fault:plan ~cycle_budget:41 params prog (source ())) in
+  check "chunked run = bare run" true
+    (Sim.summary_equal (Sim.summary_of_result ~packets:(Array.length trace) bare) chunked)
+
 let test_stall () =
   let sw = sens_switch () in
   let trace = sens_trace ~n:1_200 ~seed:36 () in
@@ -331,6 +371,7 @@ let () =
           Alcotest.test_case "crossbar drop" `Quick test_xbar_drop;
           Alcotest.test_case "crossbar drops everything" `Quick test_xbar_drop_all;
           Alcotest.test_case "crossbar duplication" `Quick test_xbar_dup;
+          Alcotest.test_case "duplication growing the slab" `Quick test_xbar_dup_slab_growth;
           Alcotest.test_case "stage stall" `Quick test_stall;
           Alcotest.test_case "fifo slot loss" `Quick test_fifo_loss;
           Alcotest.test_case "phantom delay" `Quick test_phantom_delay;
