@@ -601,6 +601,9 @@ type micro = {
           deterministic counter, unlike the wall clock *)
   mi_golden_words : float;  (** words allocated per packet by [Switch.golden] *)
   mi_trace_words : float;  (** words allocated per input byte by [Trace_io.of_string] *)
+  mi_boundary_words : float;
+      (** words allocated by one fabric checkpoint boundary: decode and
+          re-encode of a fixed mid-drain snapshot *)
 }
 
 (* Words allocated by the second of two [f ()] calls: minor plus
@@ -617,6 +620,59 @@ let alloc_words f =
   let before = words () in
   ignore (f ());
   words () -. before
+
+(* One checkpoint boundary of a fabric drain: [Fabric.resume] with a
+   zero cycle budget decodes the snapshot and encodes it again.  The
+   snapshot is fixed: a 2x2 leaf-spine running the §4.3 machine (four
+   stateful stages of 512 cells, padded to 16 stages, k = 4), 2000
+   packets of seeded all-to-all traffic, suspended half-way through the
+   drain. *)
+let fabric_boundary_words () =
+  let module Fb = Mp5_fabric.Fabric in
+  let reg_size = 512 in
+  let topo = Mp5_fabric.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~delay:1 in
+  let sw =
+    Switch.create_exn ~pad_to_stages:16 (Sources.sensitivity_program ~stateful:4 ~reg_size)
+  in
+  let prog = sw.Switch.prog in
+  let n_fields = (Switch.config sw).Mp5_banzai.Config.n_user_fields in
+  let spec =
+    {
+      (Mp5_fabric.Traffic.default_spec topo) with
+      Mp5_fabric.Traffic.n_packets = 2000;
+      n_fields;
+      index_fields = List.init n_fields Fun.id;
+      reg_size;
+      seed = 1;
+    }
+  in
+  let fp =
+    {
+      Fb.fp_sim = Sim.default_params ~k:4;
+      fp_topo = topo;
+      fp_policy = Mp5_fabric.Routing.shortest_paths topo;
+      fp_plan = Mp5_fault.Linkplan.empty;
+    }
+  in
+  let dst = Mp5_fabric.Traffic.dst_of_input spec in
+  let cycles =
+    match Fb.run ~dst fp prog (Mp5_fabric.Traffic.source spec) with
+    | Fb.Completed r -> r.Fb.fr_cycles
+    | Fb.Suspended _ -> assert false (* no cycle budget *)
+  in
+  (* A zero-budget resume reads nothing from a source positioned at the
+     snapshot's cursor, so one source serves every call. *)
+  let source = Mp5_fabric.Traffic.source spec in
+  let snap =
+    match Fb.run ~cycle_budget:(cycles / 2) ~dst fp prog source with
+    | Fb.Suspended snap -> snap
+    | Fb.Completed _ -> failwith "fabric-boundary: half the drain did not suspend"
+  in
+  alloc_words (fun () ->
+      match Fb.resume ~cycle_budget:0 ~dst ~snapshot:snap fp prog source with
+      | Ok (Fb.Suspended _) -> ()
+      | Ok (Fb.Completed _) -> failwith "fabric-boundary: zero-budget resume completed"
+      | Error (Sim.Corrupt m | Sim.Mismatch m) -> failwith ("fabric-boundary: " ^ m))
 
 let sim_micro scale =
   let sw = Switch.create_exn Sources.heavy_hitter in
@@ -667,6 +723,7 @@ let sim_micro scale =
     mi_trace_words =
       alloc_words (fun () -> Mp5_workload.Trace_io.of_string text)
       /. float_of_int (String.length text);
+    mi_boundary_words = fabric_boundary_words ();
   }
 
 (* --- longrun: multi-megapacket streamed run with chunked resume ---

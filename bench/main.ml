@@ -202,6 +202,8 @@ let run_sim_micro scale =
     m.Experiments.mi_golden_words;
   Format.printf "  trace reader (same trace as text) allocates %.2f words/byte@."
     m.Experiments.mi_trace_words;
+  Format.printf "  fabric checkpoint boundary (2x2 leaf-spine, mid-drain) allocates %.0f words@."
+    m.Experiments.mi_boundary_words;
   [
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
     ("heavy-hitter-2k/words_per_pkt", m.Experiments.mi_kernel_words);
@@ -210,6 +212,7 @@ let run_sim_micro scale =
     ("generic/words_per_pkt", m.Experiments.mi_kernel_words);
     ("golden/words_per_pkt", m.Experiments.mi_golden_words);
     ("trace_io/words_per_byte", m.Experiments.mi_trace_words);
+    ("fabric-boundary/words", m.Experiments.mi_boundary_words);
   ]
 
 let run_longrun scale =

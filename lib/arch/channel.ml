@@ -92,37 +92,25 @@ let drain t ~now f =
 
 let pending t = t.count
 
-type delivery = { at : int; seq : int; stage : int; dest : int; ring : int; cell : int }
-
-(* Pending deliveries, cycles ascending from [base], per-cycle in
-   scheduling order.  Replaying [schedule] over this list rebuilds an
-   observationally identical channel: [drain] returns per-cycle
-   deliveries in push order, and that order is preserved. *)
-let dump t =
-  if t.count = 0 then []
-  else begin
+(* Cycles ascending from [base], per-cycle in scheduling order.
+   Replaying [schedule] in this order rebuilds an observationally
+   identical channel: [drain] returns per-cycle deliveries in push
+   order, and that order is preserved. *)
+let iter t f =
+  if t.count > 0 then begin
     let mask = Array.length t.buckets - 1 in
-    let out = ref [] in
-    for d = Array.length t.buckets - 1 downto 0 do
+    for d = 0 to Array.length t.buckets - 1 do
       let at = t.base + d in
       let b = t.buckets.(at land mask) in
-      let j = ref (t.fill.(at land mask) - 3) in
-      while !j >= 0 do
+      let n = t.fill.(at land mask) in
+      let j = ref 0 in
+      while !j < n do
         let packed = b.(!j + 1) in
-        out :=
-          {
-            at;
-            seq = b.(!j);
-            stage = packed lsr 12;
-            dest = (packed lsr 6) land 63;
-            ring = packed land 63;
-            cell = b.(!j + 2);
-          }
-          :: !out;
-        j := !j - 3
+        f ~at ~seq:b.(!j) ~stage:(packed lsr 12) ~dest:((packed lsr 6) land 63)
+          ~ring:(packed land 63) ~cell:b.(!j + 2);
+        j := !j + 3
       done
-    done;
-    !out
+    done
   end
 
 let next_due t =

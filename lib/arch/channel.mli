@@ -31,13 +31,13 @@ val drain :
 val pending : t -> int
 (** Number of in-flight deliveries. *)
 
-type delivery = { at : int; seq : int; stage : int; dest : int; ring : int; cell : int }
-
-val dump : t -> delivery list
-(** All pending deliveries, cycles ascending, same-cycle deliveries in
-    scheduling order.  Replaying {!schedule} over the list into a fresh
-    channel reproduces the observable state exactly — this is how
-    simulator checkpoints serialize the phantom channel. *)
+val iter :
+  t -> (at:int -> seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> unit) -> unit
+(** Every pending delivery, cycles ascending, same-cycle deliveries in
+    scheduling order, without removing any.  Replaying {!schedule} in
+    this order into a fresh channel reproduces the observable state
+    exactly — this is how simulator checkpoints serialize the phantom
+    channel.  The callback must not [schedule]. *)
 
 val next_due : t -> int option
 (** Earliest cycle with a scheduled delivery, if any.  Lets the simulator

@@ -269,73 +269,51 @@ let snapshot t =
 
 (* --- snapshot support ---
 
-   A dump captures everything observable about the queue: per-ring
+   A checkpoint records everything observable about the queue: per-ring
    contents head-to-tail (with stable head sequence numbers, which the
    directory packing depends on), logical capacities (adaptive rings
    may have grown), and the high-water mark.  Physical storage size is
-   not observable and not dumped.  The directory itself is not dumped
-   either: it is a cache over the rings — any entry it has that the
-   rings don't is stale and [locate] treats it as absent — so
-   rebuilding it from the live entries is observationally equivalent. *)
+   not observable and not recorded.  The directory itself is not
+   recorded either: it is a cache over the rings — any entry it has
+   that the rings don't is stale and [locate] treats it as absent — so
+   rebuilding it from the live entries is observationally equivalent.
+   Both directions walk the rings in place: nothing is copied out. *)
 
-type ring_dump = {
-  rd_capacity : int;
-  rd_head_seq : int;
-  rd_entries : (int * int * bool * int option) list;  (* ts, key, cancelled, data *)
-}
+let rings t = Array.length t.rings
+let ring_capacity t ~ring = t.rings.(ring).capacity
+let ring_head_seq t ~ring = t.rings.(ring).head_seq
+let ring_length t ~ring = t.rings.(ring).len
 
-type dump = { d_rings : ring_dump array; d_high_water : int }
+let iter_ring_entries t ~ring f =
+  iter_ring
+    (fun ts key state v ->
+      f ~ts ~key ~cancelled:(state land cancelled <> 0)
+        ~data:(if state land has_data <> 0 then v else -1))
+    t.rings.(ring)
 
-let dump t =
-  let dump_ring r =
-    let entries = ref [] in
-    iter_ring
-      (fun ts key state v ->
-        let data = if state land has_data <> 0 then Some v else None in
-        entries := (ts, key, state land cancelled <> 0, data) :: !entries)
-      r;
-    { rd_capacity = r.capacity; rd_head_seq = r.head_seq; rd_entries = List.rev !entries }
-  in
-  { d_rings = Array.map dump_ring t.rings; d_high_water = t.high_water }
+let restore_ring t ~ring ~capacity ~head_seq ~entries =
+  let r = t.rings.(ring) in
+  if r.len <> 0 then invalid_arg "Fifo.restore_ring: ring not empty";
+  if capacity <= 0 then invalid_arg "Fifo: ring capacity must be positive";
+  if entries < 0 || entries > capacity then
+    invalid_arg "Fifo.restore_ring: more entries than capacity";
+  (* storage grown to the entries about to be restored, never to the
+     recorded capacity: a forged capacity must not size memory *)
+  if entries > r.mask + 1 then begin
+    let slots = pow2_at_least entries in
+    r.cells <- Array.make (4 * slots) 0;
+    r.mask <- slots - 1
+  end;
+  r.head <- 0;
+  r.head_seq <- head_seq;
+  r.capacity <- capacity
 
-let restore ~adaptive d =
-  let restore_ring rd =
-    let n = List.length rd.rd_entries in
-    if n > rd.rd_capacity then invalid_arg "Fifo.restore: more entries than capacity";
-    (* storage sized by the entries actually restored, never by the
-       recorded capacity: a forged capacity must not size memory *)
-    make_ring ~capacity:rd.rd_capacity ~slots:n
-  in
-  let t =
-    {
-      rings = Array.map restore_ring d.d_rings;
-      directory = Int_table.create ();
-      adaptive;
-      data_count = 0;
-      high_water = d.d_high_water;
-      cancelled_count = 0;
-    }
-  in
-  Array.iteri
-    (fun ring rd ->
-      let r = t.rings.(ring) in
-      r.head_seq <- rd.rd_head_seq;
-      List.iter
-        (fun (ts, key, is_cancelled, data) ->
-          if key < 0 then invalid_arg "Fifo.restore: negative key";
-          let o = off r r.len in
-          let state =
-            (match data with Some _ -> has_data | None -> 0)
-            lor if is_cancelled then cancelled else 0
-          in
-          r.cells.(o) <- ts;
-          r.cells.(o + o_key) <- key;
-          r.cells.(o + o_data) <- (match data with Some v -> v | None -> 0);
-          r.cells.(o + o_state) <- state;
-          Int_table.replace t.directory key (((r.head_seq + r.len) lsl 6) lor ring);
-          r.len <- r.len + 1;
-          if data <> None then t.data_count <- t.data_count + 1;
-          if is_cancelled then t.cancelled_count <- t.cancelled_count + 1)
-        rd.rd_entries)
-    d.d_rings;
-  t
+let restore_entry t ~ring ~ts ~key ~cancelled:is_cancelled ~data =
+  let state = (if data >= 0 then has_data else 0) lor if is_cancelled then cancelled else 0 in
+  match push_entry t ~ring ~ts ~key ~data:(max data 0) ~state with
+  | `Dropped -> invalid_arg "Fifo.restore_entry: more entries than capacity"
+  | `Ok ->
+      if data >= 0 then t.data_count <- t.data_count + 1;
+      if is_cancelled then t.cancelled_count <- t.cancelled_count + 1
+
+let restore_high_water t hw = t.high_water <- hw

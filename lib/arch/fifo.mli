@@ -115,26 +115,47 @@ val snapshot : t -> (int * bool) list
 
 (** {2 Checkpointing}
 
-    {!dump} captures the complete observable queue state — per-ring
-    contents with stable sequence numbers, logical capacities, high-water
-    mark — and {!restore} rebuilds a FIFO that behaves identically (the
-    key directory is reconstructed from the entries; stale cache entries
-    of the original are semantically absent either way). *)
+    A checkpoint records the complete observable queue state — per-ring
+    contents with stable sequence numbers, logical capacities, the
+    high-water mark ({!max_occupancy}) — read in place through the
+    accessors below, and rebuilds it into a FIFO from {!create} (or
+    {!create_small}) of the same [k]: {!restore_ring} per ring, then
+    its entries head to tail with {!restore_entry}.  The key directory
+    is reconstructed from the entries; stale cache entries of the
+    original are semantically absent either way.  Neither direction
+    allocates beyond ring storage for the restored entries. *)
 
-type ring_dump = {
-  rd_capacity : int;  (** logical capacity *)
-  rd_head_seq : int;
-  rd_entries : (int * int * bool * int option) list;
-      (** (ts, key, cancelled, data), head to tail *)
-}
+val rings : t -> int
+(** [k], the number of rings. *)
 
-type dump = { d_rings : ring_dump array; d_high_water : int }
+val ring_capacity : t -> ring:int -> int
+(** Logical capacity of a ring (an adaptive ring's grows). *)
 
-val dump : t -> dump
+val ring_head_seq : t -> ring:int -> int
+(** Stable sequence number of the ring's head entry. *)
 
-val restore : adaptive:bool -> dump -> t
-(** [adaptive] is configuration, not state, so the caller re-supplies it
-    (the simulator knows it from the run parameters).  Storage is sized
-    by the restored entries, not by the recorded capacity.
-    @raise Invalid_argument on a non-positive capacity, more entries
-    than the capacity, or a negative key. *)
+val ring_length : t -> ring:int -> int
+(** Entries queued in the ring, phantoms and cancelled ones included. *)
+
+val iter_ring_entries :
+  t -> ring:int -> (ts:int -> key:int -> cancelled:bool -> data:int -> unit) -> unit
+(** Every entry of the ring, head to tail; [data] is the payload, or
+    [-1] for a phantom. *)
+
+val restore_ring : t -> ring:int -> capacity:int -> head_seq:int -> entries:int -> unit
+(** Set an empty ring's logical capacity and head sequence number, with
+    storage for [entries] entries.  Storage is sized by [entries], never
+    by [capacity].
+    @raise Invalid_argument if the ring is not empty, on a non-positive
+    capacity, or on more entries than the capacity. *)
+
+val restore_entry : t -> ring:int -> ts:int -> key:int -> cancelled:bool -> data:int -> unit
+(** Append one entry at the ring's tail, [data = -1] for a phantom.  A
+    push in all but its counters: on a full ring an adaptive FIFO
+    doubles the capacity, so restore at most the entries
+    {!restore_ring} was given.
+    @raise Invalid_argument on a negative key or a full non-adaptive
+    ring. *)
+
+val restore_high_water : t -> int -> unit
+(** Set the {!max_occupancy} a checkpoint recorded. *)

@@ -71,7 +71,20 @@ let w_state w t =
 
 let r_state r t =
   let mismatch = "snapshot: index map size does not match the program" in
+  let first = Mp5_util.Binio.position r + 8 in
   Mp5_util.Binio.r_int_array_into r t.pipelines ~mismatch;
+  (* A cell's pipeline indexes [loads] here and every per-pipeline row
+     of the resumed run: an out-of-range one fails now, positioned. *)
+  Array.iteri
+    (fun cell p ->
+      if p < 0 || p >= t.k then
+        raise
+          (Mp5_util.Binio.Corrupt
+             {
+               pos = first + (8 * cell);
+               reason = Printf.sprintf "index map pipeline %d out of range [0, %d)" p t.k;
+             }))
+    t.pipelines;
   Mp5_util.Binio.r_int_array_into r t.counts ~mismatch;
   Mp5_util.Binio.r_int_array_into r t.inflights ~mismatch;
   (* [loads] is the per-pipeline aggregation of [counts]; recompute it

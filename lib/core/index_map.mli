@@ -64,4 +64,5 @@ val r_state : Mp5_util.Binio.reader -> t -> unit
 (** Overwrite the map's mutable state from {!w_state} output, read in
     place; the per-pipeline load aggregates are recomputed from the
     counters rather than deserialized.  Raises [Failure] when an array's
-    length is not {!size}. *)
+    length is not {!size}, and {!Mp5_util.Binio.Corrupt}, positioned at
+    the entry, when a cell's pipeline is outside [\[0, k)]. *)

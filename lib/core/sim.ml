@@ -1646,52 +1646,45 @@ let r_packet r sim =
   pkt
 
 let w_fifo b sim f =
-  let d = Fifo.dump f in
-  Binio.w_int b d.Fifo.d_high_water;
-  Binio.w_int b (Array.length d.Fifo.d_rings);
-  Array.iter
-    (fun (rd : Fifo.ring_dump) ->
-      Binio.w_int b rd.Fifo.rd_capacity;
-      Binio.w_int b rd.Fifo.rd_head_seq;
-      Binio.w_int b (List.length rd.Fifo.rd_entries);
-      List.iter
-        (fun (ts, key, cancelled, data) ->
-          Binio.w_int b ts;
-          Binio.w_int b key;
-          Binio.w_bool b cancelled;
-          match data with
-          | None -> Binio.w_bool b false
-          | Some pkt ->
-              Binio.w_bool b true;
-              w_packet b sim pkt)
-        rd.Fifo.rd_entries)
-    d.Fifo.d_rings
-
-let r_fifo r sim =
-  let d_high_water = Binio.r_int r in
-  let n = Binio.r_int r in
-  if n <> sim.p.k then failwith "snapshot: FIFO ring count does not match k";
-  let read_ring () =
-    let rd_capacity = Binio.r_int r in
-    let rd_head_seq = Binio.r_int r in
-    let n_entries = Binio.r_int r in
-    let rec entries n acc =
-      if n = 0 then List.rev acc
-      else begin
-        let ts = Binio.r_int r in
-        let key = Binio.r_int r in
-        let cancelled = Binio.r_bool r in
-        let data = if Binio.r_bool r then Some (r_packet r sim) else None in
-        entries (n - 1) ((ts, key, cancelled, data) :: acc)
-      end
-    in
-    { Fifo.rd_capacity; rd_head_seq; rd_entries = entries n_entries [] }
+  Binio.w_int b (Fifo.max_occupancy f);
+  Binio.w_int b (Fifo.rings f);
+  let entry ~ts ~key ~cancelled ~data =
+    Binio.w_int b ts;
+    Binio.w_int b key;
+    Binio.w_bool b cancelled;
+    if data < 0 then Binio.w_bool b false
+    else begin
+      Binio.w_bool b true;
+      w_packet b sim data
+    end
   in
-  let d_rings = Array.make n (read_ring ()) in
-  for i = 1 to n - 1 do
-    d_rings.(i) <- read_ring ()
+  for ring = 0 to Fifo.rings f - 1 do
+    Binio.w_int b (Fifo.ring_capacity f ~ring);
+    Binio.w_int b (Fifo.ring_head_seq f ~ring);
+    Binio.w_int b (Fifo.ring_length f ~ring);
+    Fifo.iter_ring_entries f ~ring entry
+  done
+
+(* Restore into [f], a FIFO fresh from [create]: the snapshot's rings
+   and entries go straight into its storage. *)
+let r_fifo_into r sim f =
+  let high_water = Binio.r_int r in
+  if Binio.r_int r <> sim.p.k then failwith "snapshot: FIFO ring count does not match k";
+  for ring = 0 to sim.p.k - 1 do
+    let capacity = Binio.r_int r in
+    let head_seq = Binio.r_int r in
+    (* an entry is at least ts, key and two flag bytes *)
+    let entries = Binio.r_count r ~min_bytes:18 ~what:"FIFO ring length" in
+    Fifo.restore_ring f ~ring ~capacity ~head_seq ~entries;
+    for _ = 1 to entries do
+      let ts = Binio.r_int r in
+      let key = Binio.r_int r in
+      let cancelled = Binio.r_bool r in
+      let data = if Binio.r_bool r then r_packet r sim else -1 in
+      Fifo.restore_entry f ~ring ~ts ~key ~cancelled ~data
+    done
   done;
-  Fifo.restore ~adaptive:sim.p.adaptive_fifos { Fifo.d_rings; d_high_water }
+  Fifo.restore_high_water f high_water
 
 let w_queue b sim q =
   match q with
@@ -1721,15 +1714,16 @@ let r_queue r sim stage pipe =
   let kind = Binio.r_int r in
   match (kind, sim.fifos.(stage).(pipe)) with
   | 0, None -> ()
-  | 1, Some (Logical _) -> sim.fifos.(stage).(pipe) <- Some (Logical (r_fifo r sim))
+  | 1, Some (Logical f) -> r_fifo_into r sim f
   | 2, Some (Per_cell _) ->
-      let n = Binio.r_int r in
+      (* a cell is its index plus a FIFO of at least two ints *)
+      let n = Binio.r_count r ~min_bytes:24 ~what:"per-cell queue count" in
       let pc =
         { pc_cells = Hashtbl.create (max 8 n); pc_ready = Hashtbl.create (max 8 n); pc_high = 0 }
       in
       for _ = 1 to n do
         let c = Binio.r_int r in
-        Hashtbl.replace pc.pc_cells c (r_fifo r sim)
+        r_fifo_into r sim (cell_fifo sim pc c)
       done;
       Array.iter (fun c -> Hashtbl.replace pc.pc_ready c ()) (Binio.r_int_array r);
       pc.pc_high <- Binio.r_int r;
@@ -1894,29 +1888,23 @@ let encode_into b sim st source =
     done
   done;
   Binio.w_tag b 11;
-  let pending = Channel.dump sim.channel in
-  Binio.w_int b (List.length pending);
-  List.iter
-    (fun (d : Channel.delivery) ->
-      Binio.w_int b d.at;
-      Binio.w_int b d.seq;
-      Binio.w_int b d.stage;
-      Binio.w_int b d.dest;
-      Binio.w_int b d.ring;
-      Binio.w_int b d.cell)
-    pending;
+  Binio.w_int b (Channel.pending sim.channel);
+  Channel.iter sim.channel (fun ~at ~seq ~stage ~dest ~ring ~cell ->
+      Binio.w_int b at;
+      Binio.w_int b seq;
+      Binio.w_int b stage;
+      Binio.w_int b dest;
+      Binio.w_int b ring;
+      Binio.w_int b cell);
   Binio.w_tag b 12;
   (* Doomed seqs matter only while a pending delivery can still look one
      up, so the set is pruned to the channel's contents — this is also
      what keeps a multi-leg run's memory bounded: each leg restarts with
      only the live residue of the table. *)
-  let doomed =
-    List.filter_map
-      (fun (d : Channel.delivery) -> if Int_table.mem sim.doomed d.seq then Some d.seq else None)
-      pending
-    |> List.sort_uniq compare
-  in
-  Binio.w_int_array b (Array.of_list doomed);
+  let doomed = ref [] in
+  Channel.iter sim.channel (fun ~at:_ ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ ->
+      if Int_table.mem sim.doomed seq then doomed := seq :: !doomed);
+  Binio.w_int_array b (Array.of_list (List.sort_uniq compare !doomed));
   Binio.w_tag b 13;
   Array.iter (fun row -> Binio.w_int_array b row) sim.hw_key;
   Array.iter (fun row -> Binio.w_int_array b row) sim.hw_since;
@@ -1940,9 +1928,7 @@ let encode_into b sim st source =
   Binio.w_tag b 15
 
 let encode sim st source =
-  let b = Binio.writer () in
-  encode_into b sim st source;
-  Binio.to_string ~magic:snap_magic b
+  Binio.to_string ~magic:snap_magic (fun b -> encode_into b sim st source)
 
 (* --- the cycle loop, shared by [run], [run_source] and [resume] --- *)
 
@@ -2292,6 +2278,29 @@ let results_equal (a : result) (b : result) =
 
 exception Resume_mismatch of string
 
+(* A forged transfer descriptor must fail at decode, positioned at the
+   descriptor, not as an index error when the resumed run applies it:
+   the movement phase only ever queues a known tag, between existing
+   pipelines, into a stage past the first, with a queued or stateful
+   packet only into a stage that has input queues and at most one
+   stateless packet per destination slot. *)
+let check_transfer sim ~pos ~stage ~slot_taken desc =
+  let bad fmt = Printf.ksprintf (fun reason -> raise (Binio.Corrupt { pos; reason })) fmt in
+  let k = sim.p.k in
+  let tag = desc land 3 and dest = (desc lsr 2) land 63 and src = (desc lsr 8) land 63 in
+  if desc < 0 || tag > t_queued then bad "transfer descriptor %d: unknown tag" desc;
+  if stage = 0 then bad "transfer into stage 0";
+  if dest >= k then bad "transfer destination pipeline %d out of range [0, %d)" dest k;
+  if src >= k then bad "transfer source pipeline %d out of range [0, %d)" src k;
+  if tag = t_stateless then begin
+    if slot_taken.(dest) then bad "second stateless transfer into stage %d pipe %d" stage dest;
+    slot_taken.(dest) <- true
+  end
+  else if sim.fifos.(stage).(dest) = None then
+    bad "%s transfer into stateless stage %d"
+      (if tag = t_stateful then "stateful" else "queued")
+      stage
+
 (* Decode a machine snapshot into a rebuilt [(sim, loop_state)] plus the
    source cursor it expects, shared by [resume] and [node_restore] below.
    Source positioning is the caller's business: [resume] replays or
@@ -2374,10 +2383,14 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
     done
   done;
   Binio.r_tag r ~expect:10 ~what:"transfer section";
+  let slot_taken = Array.make params.k false in
   for s = 0 to sim.n_stages - 1 do
     let n = Binio.r_int r in
+    Array.fill slot_taken 0 params.k false;
     for _ = 1 to n do
+      let desc_at = Binio.position r in
       let desc = Binio.r_int r in
+      check_transfer sim ~pos:desc_at ~stage:s ~slot_taken desc;
       let pkt = r_packet r sim in
       Int_vec.push sim.t_descs.(s) desc;
       Int_vec.push sim.t_pkts.(s) pkt
@@ -2571,8 +2584,8 @@ let summary_equal (a : summary) (b : summary) =
    the whole fabric is quiet).  [node_step] runs the node's cycle, then
    the remap boundary, so a one-switch fabric fed the same packets at
    the same cycles is bit-identical to [Sim.run].  [node_inject] derives
-   the local seq from the source cursor and [node_pending] reads its
-   lookahead. *)
+   the local seq from the source cursor and [node_iter_pending] reads
+   its lookahead. *)
 type node = {
   nd_sim : sim;
   nd_st : loop_state;
@@ -2612,9 +2625,9 @@ let node_backlog node = Queue.length node.nd_q + Psource.buffered node.nd_src
 (* Injected-but-unadmitted packets in admission order: the lookahead
    slot first, then the ingress queue.  What a fabric snapshot records
    so a restored node can be re-injected the exact backlog. *)
-let node_pending node =
-  let q = Queue.fold (fun acc x -> x :: acc) [] node.nd_q |> List.rev in
-  match Psource.lookahead node.nd_src with Some x -> x :: q | None -> q
+let node_iter_pending node f =
+  (match Psource.lookahead node.nd_src with Some x -> f x | None -> ());
+  Queue.iter f node.nd_q
 
 let node_delivered node = node.nd_sim.delivered
 let node_dropped node = node.nd_sim.dropped

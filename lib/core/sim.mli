@@ -374,10 +374,10 @@ val node_in_flight : node -> int
 val node_backlog : node -> int
 (** Packets injected but not yet admitted (ingress queue + lookahead). *)
 
-val node_pending : node -> Mp5_banzai.Machine.input list
-(** Injected-but-unadmitted packets in admission order — what a fabric
-    snapshot serializes alongside {!node_encode} (which excludes the
-    ingress queue). *)
+val node_iter_pending : node -> (Mp5_banzai.Machine.input -> unit) -> unit
+(** The {!node_backlog} injected-but-unadmitted packets, in admission
+    order — what a fabric snapshot serializes alongside {!node_encode}
+    (which excludes the ingress queue). *)
 
 val node_delivered : node -> int
 val node_dropped : node -> int

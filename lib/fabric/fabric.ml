@@ -400,8 +400,7 @@ let r_meta ~n_hosts r =
   let m_hops = Binio.r_int r in
   { m_fseq; m_dst; m_inject; m_hops }
 
-let encode fab =
-  let w = Binio.writer () in
+let encode_into fab w =
   Binio.w_tag w 1;
   Binio.w_int w (Topology.digest fab.p.fp_topo);
   Binio.w_int w (Routing.digest fab.p.fp_policy);
@@ -428,21 +427,25 @@ let encode fab =
   Array.iteri
     (fun i nd ->
       Sim.node_encode w nd;
-      let pending = Sim.node_pending nd in
-      Binio.w_int w (List.length pending);
-      List.iter (fun input -> w_input w input) pending;
+      Binio.w_int w (Sim.node_backlog nd);
+      Sim.node_iter_pending nd (w_input w);
       (* All live metadata for this node (pending + in-machine), sorted
          by local seq so the byte stream is canonical. *)
-      let entries =
-        Hashtbl.fold (fun k m acc -> (k, m) :: acc) fab.metas.(i) []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Binio.w_int w (List.length entries);
-      List.iter
-        (fun (k, m) ->
-          Binio.w_int w k;
-          w_meta w m)
-        entries)
+      let metas = fab.metas.(i) in
+      let n = Hashtbl.length metas in
+      let keys = Array.make n 0 in
+      let j = ref 0 in
+      Hashtbl.iter
+        (fun k _ ->
+          keys.(!j) <- k;
+          incr j)
+        metas;
+      Array.sort Int.compare keys;
+      Binio.w_int w n;
+      for j = 0 to n - 1 do
+        Binio.w_int w keys.(j);
+        w_meta w (Hashtbl.find metas keys.(j))
+      done)
     fab.nodes;
   Binio.w_tag w 4;
   Binio.w_int w (Array.length fab.links);
@@ -458,8 +461,9 @@ let encode fab =
           w_meta w fl.f_meta)
         ls.ls_q)
     fab.links;
-  Binio.w_tag w 5;
-  Binio.to_string ~magic:snap_magic w
+  Binio.w_tag w 5
+
+let encode fab = Binio.to_string ~magic:snap_magic (encode_into fab)
 
 exception Restore_mismatch of string
 
@@ -686,16 +690,28 @@ let run ?monitor ?cycle_budget ?(sabotage = 0) ~dst p prog source =
   let fab = create ?monitor ~dst ~anchor p prog in
   drive fab source ~cycle_budget ~sabotage
 
+(* The payload checksum is checked in lockstep with the node frames'
+   (see {!Binio.of_string_deferred}) and completed before anything is
+   reported: a decode error, even a mismatch, is only believed once
+   the bytes it was read from have passed their checksum.  The host
+   source is touched only after that. *)
 let resume ?monitor ?cycle_budget ~dst ~snapshot p prog source =
-  match Binio.of_string ~magic:snap_magic snapshot with
+  match Binio.of_string_deferred ~magic:snap_magic snapshot with
   | Error msg -> Error (Sim.Corrupt msg)
   | Ok r -> (
-      match decode_fabric ?monitor ~dst p prog r with
-      | exception Restore_mismatch msg -> Error (Sim.Mismatch msg)
-      | exception Binio.Corrupt { pos; reason } ->
+      let decoded =
+        match decode_fabric ?monitor ~dst p prog r with
+        | fab -> Ok fab
+        | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      match (Binio.verify r, decoded) with
+      | Error msg, _ -> Error (Sim.Corrupt msg)
+      | Ok (), Error (Restore_mismatch msg, _) -> Error (Sim.Mismatch msg)
+      | Ok (), Error (Binio.Corrupt { pos; reason }, _) ->
           Error (Sim.Corrupt (Binio.corrupt_message ~pos ~reason))
-      | exception Failure msg -> Error (Sim.Corrupt msg)
-      | fab -> (
+      | Ok (), Error (Failure msg, _) -> Error (Sim.Corrupt msg)
+      | Ok (), Error (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Ok (), Ok fab -> (
           (* Position the host source exactly as [Sim.resume] does: a
              source at the snapshot's cursor is used as-is, a fresh one
              replays the injected prefix under the digest. *)

@@ -127,7 +127,15 @@ val resume :
     snapshot does not carry monitor state) but conservation holds at
     every epoch of the resumed run.  Forged metadata, such as a packet
     destination outside the topology's hosts, is a positioned
-    [Corrupt]. *)
+    [Corrupt].
+
+    Errors, in precedence order: bad framing (magic, lengths); a
+    payload that fails its checksum, reported as
+    ["byte 10: checksum mismatch (corrupt snapshot)"] whatever else is
+    wrong with it; then the first decode error (a node frame's own
+    checksum at that frame's offset, a [Mismatch], a forged field); then
+    a source that does not match.  The source is read only after every
+    checksum has passed, so a snapshot error leaves it untouched. *)
 
 val results_equal : result -> result -> bool
 (** Exact equality on every field, histograms included — the

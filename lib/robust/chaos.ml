@@ -376,9 +376,7 @@ let run_case_real ~dir ~log case =
     in
     let source = Packet_source.of_array trace in
     let finish (s : Sim.summary) =
-      let b = Binio.writer () in
-      summary_write b ~config s;
-      Binio.to_file ~magic:result_magic ~path:result_path b;
+      Binio.to_file ~magic:result_magic ~path:result_path (fun b -> summary_write b ~config s);
       0
     in
     match resume with

@@ -13,29 +13,122 @@ exception Corrupt of { pos : int; reason : string }
 
 let corrupt_message ~pos ~reason = Printf.sprintf "byte %d: %s" pos reason
 
+(* --- checksums ---
+
+   FNV-1a-64 is a serial chain: each byte is xored in and multiplied by
+   the prime, so one chain runs at the multiply latency whatever the
+   loop looks like.  Two independent chains can overlap, and a
+   checkpoint always has two: a frame's own sum and the chain of the
+   payload that contains the frame.  [fnv2] advances both in one loop
+   that loads one 8-byte word per lane per iteration and steps each lane
+   over its eight bytes.  On a 2-vCPU x86-64 host it hashes 2 x 300 KB
+   in about 0.5 ms, where one chain takes 0.85 ms over 600 KB and a
+   two-chain loop loading one byte per step 0.7 ms.  The hashes are
+   still plain FNV-1a-64 over the same bytes in the same order. *)
+
+let fnv_basis = 0xCBF29CE484222325L
+let fnv_prime = 0x100000001B3L
+
+(* The two chains [fnv2] advances; its result lands here. *)
+type lanes = { mutable ha : int64; mutable hb : int64 }
+
+(* One FNV-1a step, over byte [shift / 8] of little-endian word [w]. *)
+let[@inline] step h w shift =
+  Int64.mul (Int64.logxor h (Int64.logand (Int64.shift_right_logical w shift) 0xFFL)) fnv_prime
+
+(* The eight steps over the bytes of [w], in order. *)
+let[@inline] word h w =
+  step (step (step (step (step (step (step (step h w 0) w 8) w 16) w 24) w 32) w 40) w 48) w 56
+
+(* One lane over [s.[off] .. s.[off + len - 1]], from [h]. *)
+let fnv1 h s off len =
+  let h = ref h in
+  let i = ref off in
+  let words_end = off + (len land lnot 7) in
+  while !i < words_end do
+    h := word !h (String.get_int64_le s !i);
+    i := !i + 8
+  done;
+  for j = words_end to off + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s j)))) fnv_prime
+  done;
+  !h
+
+(* Lane A over [s.[ao] .. s.[ao + al - 1]] from [l.ha], lane B over
+   [s.[bo] .. s.[bo + bl - 1]] from [l.hb], results back in [l].  The
+   lanes step together over their common word count; each then finishes
+   alone. *)
+let fnv2 l s ~a_off:ao ~a_len:al ~b_off:bo ~b_len:bl =
+  if ao < 0 || al < 0 || ao > String.length s - al || bo < 0 || bl < 0
+     || bo > String.length s - bl
+  then invalid_arg "Binio.fnv2";
+  let a = ref l.ha and b = ref l.hb in
+  let common = min al bl land lnot 7 in
+  let i = ref 0 in
+  while !i < common do
+    (* the two chains' steps alternate, so their multiplies overlap *)
+    let wa = String.get_int64_le s (ao + !i) and wb = String.get_int64_le s (bo + !i) in
+    a := step !a wa 0;
+    b := step !b wb 0;
+    a := step !a wa 8;
+    b := step !b wb 8;
+    a := step !a wa 16;
+    b := step !b wb 16;
+    a := step !a wa 24;
+    b := step !b wb 24;
+    a := step !a wa 32;
+    b := step !b wb 32;
+    a := step !a wa 40;
+    b := step !b wb 40;
+    a := step !a wa 48;
+    b := step !b wb 48;
+    a := step !a wa 56;
+    b := step !b wb 56;
+    i := !i + 8
+  done;
+  l.ha <- fnv1 !a s (ao + common) (al - common);
+  l.hb <- fnv1 !b s (bo + common) (bl - common)
+
+let checksum s = fnv1 fnv_basis s 0 (String.length s)
+
 (* --- writing ---
 
-   One growable [Bytes] buffer.  Nested frames ({!w_framed}) reserve
-   their length fields in place and patch them when the body is done,
-   so a fabric snapshot's node frames are written once, straight into
-   the fabric's buffer; {!to_string} copies the finished payload out
-   exactly once, behind its header. *)
+   A snapshot is written twice.  The sizing pass runs the encoder over a
+   small scratch buffer that wraps around, counting bytes and keeping
+   none; the writing pass runs it again straight into the returned
+   string, allocated at its exact size with the header in front.  An
+   encode therefore allocates the snapshot and nothing else, and
+   nothing outlives it.  Nested frames ({!w_framed}) are written in
+   place: their length fields are patched when the body is done, and
+   their checksums are deferred to {!to_string}, which seals every frame
+   in the same walk that hashes the payload. *)
 
-type writer = { mutable buf : Bytes.t; mutable len : int }
+type writer = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  sizing : bool;
+  mutable dropped : int;  (* sizing: bytes counted and no longer in [buf] *)
+  (* Deferred frame checksums, in the order the frames closed (a nested
+     frame closes before the frame around it): per frame its checksum
+     slot, its body length (the body starts right after the slot) and
+     the slot of its outermost enclosing frame, itself when it is
+     outermost.  The sizing pass only counts them. *)
+  mutable frames : int array;
+  mutable n_frames : int;
+  mutable top : int;  (* slot of the outermost open frame; -1 outside frames *)
+}
 
-let writer () = { buf = Bytes.create 4096; len = 0 }
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create 4096)
 
+(* Room for [n <= 8] more bytes.  The sizing pass wraps its scratch;
+   the writing pass never grows, since the sizing pass sized it. *)
 let reserve w n =
-  let need = w.len + n in
-  if need > Bytes.length w.buf then begin
-    let cap = ref (2 * Bytes.length w.buf) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let buf = Bytes.create !cap in
-    Bytes.blit w.buf 0 buf 0 w.len;
-    w.buf <- buf
-  end
+  if w.len + n > Bytes.length w.buf then
+    if w.sizing then begin
+      w.dropped <- w.dropped + w.len;
+      w.len <- 0
+    end
+    else invalid_arg "Binio.to_string: the encoder wrote more than when it was sized"
 
 let w_i64 w x =
   reserve w 8;
@@ -60,11 +153,21 @@ let w_tag w t =
   if t < 0 || t > 255 then invalid_arg "Binio.w_tag: tag out of range";
   w_byte w (Char.unsafe_chr t)
 
+(* Bulk writes: counted, not copied, when sizing. *)
+let skip w n = w.dropped <- w.dropped + n
+
+let room w n =
+  if w.len + n > Bytes.length w.buf then
+    invalid_arg "Binio.to_string: the encoder wrote more than when it was sized"
+
 let w_raw w s =
   let n = String.length s in
-  reserve w n;
-  Bytes.blit_string s 0 w.buf w.len n;
-  w.len <- w.len + n
+  if w.sizing then skip w n
+  else begin
+    room w n;
+    Bytes.blit_string s 0 w.buf w.len n;
+    w.len <- w.len + n
+  end
 
 let w_string w s =
   w_int w (String.length s);
@@ -74,12 +177,15 @@ let w_int_sub w a ~pos ~len =
   if pos < 0 || len < 0 || pos > Array.length a - len then
     invalid_arg "Binio.w_int_sub";
   w_int w len;
-  reserve w (8 * len);
-  let at = w.len in
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le w.buf (at + (8 * i)) (Int64.of_int (Array.unsafe_get a (pos + i)))
-  done;
-  w.len <- at + (8 * len)
+  if w.sizing then skip w (8 * len)
+  else begin
+    room w (8 * len);
+    let at = w.len in
+    for i = 0 to len - 1 do
+      Bytes.set_int64_le w.buf (at + (8 * i)) (Int64.of_int (Array.unsafe_get a (pos + i)))
+    done;
+    w.len <- at + (8 * len)
+  end
 
 let w_int_array w a = w_int_sub w a ~pos:0 ~len:(Array.length a)
 
@@ -89,36 +195,65 @@ let w_opt_int w = function
       w_bool w true;
       w_int w v
 
-(* FNV-1a-64 over [s.[off] .. s.[off + len - 1]].  Every checkpoint leg
-   hashes each byte twice per frame level (encode and verify), so this
-   is a plain loop over a local [Int64] ref, which the native compiler
-   keeps unboxed: no closure, no allocation per byte. *)
-let checksum_sub s off len =
-  let h = ref 0xCBF29CE484222325L in
-  for i = off to off + len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        0x100000001B3L
+(* Fill every deferred frame checksum and return the checksum of the
+   payload [w.buf.[from] ..].  Frames are sealed in the order they
+   closed, so each body is final when it is hashed.  Lane B hashes
+   frame [f]'s body while lane A advances the payload chain up to the
+   checksum slot of [f]'s outermost frame: every slot before that one
+   is already sealed, and lane A never reaches a slot still unwritten. *)
+let seal w ~from =
+  let s = Bytes.unsafe_to_string w.buf in
+  let l = { ha = fnv_basis; hb = fnv_basis } in
+  let at = ref from in
+  for f = 0 to w.n_frames - 1 do
+    let slot = w.frames.(3 * f) and n = w.frames.((3 * f) + 1) and stop = w.frames.((3 * f) + 2) in
+    l.hb <- fnv_basis;
+    fnv2 l s ~a_off:!at ~a_len:(stop - !at) ~b_off:(slot + 8) ~b_len:n;
+    at := stop;
+    Bytes.set_int64_le w.buf slot l.hb
   done;
-  !h
+  fnv1 l.ha s !at (w.len - !at)
 
-let checksum s = checksum_sub s 0 (String.length s)
-
-let to_string ~magic w =
+let to_string ~magic body =
+  let sizer =
+    {
+      buf = Domain.DLS.get scratch;
+      len = 0;
+      sizing = true;
+      dropped = 0;
+      frames = [||];
+      n_frames = 0;
+      top = -1;
+    }
+  in
+  body sizer;
   let hdr = String.length magic + 17 in
-  let out = Bytes.create (hdr + w.len) in
+  let n = sizer.dropped + sizer.len in
+  let out = Bytes.create (hdr + n) in
   Bytes.blit_string magic 0 out 0 (String.length magic);
   Bytes.set out (String.length magic) '\n';
-  Bytes.set_int64_le out (hdr - 16) (Int64.of_int w.len);
-  Bytes.set_int64_le out (hdr - 8) (checksum_sub (Bytes.unsafe_to_string w.buf) 0 w.len);
-  Bytes.blit w.buf 0 out hdr w.len;
+  Bytes.set_int64_le out (hdr - 16) (Int64.of_int n);
+  let w =
+    {
+      buf = out;
+      len = hdr;
+      sizing = false;
+      dropped = 0;
+      frames = Array.make (3 * sizer.n_frames) 0;
+      n_frames = 0;
+      top = -1;
+    }
+  in
+  body w;
+  if w.len <> hdr + n || w.n_frames <> sizer.n_frames then
+    invalid_arg "Binio.to_string: the encoder wrote differently when it was sized";
+  Bytes.set_int64_le out (hdr - 8) (seal w ~from:hdr);
   Bytes.unsafe_to_string out
 
-(* Byte-identical to [w_string w (to_string ~magic inner)] for a writer
-   [inner] that received what [body] writes: the string length prefix
-   and the frame's own length and checksum are reserved, then patched
-   once the body has been written in place. *)
+(* Byte-identical to [w_string w (to_string ~magic body)]: the string
+   length prefix and the frame's own length are reserved, then patched
+   once the body has been written in place; the checksum is sealed by
+   {!to_string}. *)
 let w_framed w ~magic body =
   let prefix_at = w.len in
   w_int w 0;
@@ -127,13 +262,27 @@ let w_framed w ~magic body =
   let len_at = w.len in
   w_i64 w 0L;
   w_i64 w 0L;
-  let body_at = w.len in
-  body w;
-  let n = w.len - body_at in
-  Bytes.set_int64_le w.buf prefix_at (Int64.of_int (w.len - prefix_at - 8));
-  Bytes.set_int64_le w.buf len_at (Int64.of_int n);
-  Bytes.set_int64_le w.buf (len_at + 8)
-    (checksum_sub (Bytes.unsafe_to_string w.buf) body_at n)
+  if w.sizing then begin
+    body w;
+    w.n_frames <- w.n_frames + 1
+  end
+  else begin
+    let slot = len_at + 8 in
+    let outermost = w.top < 0 in
+    if outermost then w.top <- slot;
+    let stop = w.top in
+    let body_at = w.len in
+    body w;
+    if outermost then w.top <- -1;
+    let n = w.len - body_at in
+    Bytes.set_int64_le w.buf prefix_at (Int64.of_int (w.len - prefix_at - 8));
+    Bytes.set_int64_le w.buf len_at (Int64.of_int n);
+    let i = 3 * w.n_frames in
+    w.frames.(i) <- slot;
+    w.frames.(i + 1) <- n;
+    w.frames.(i + 2) <- stop;
+    w.n_frames <- w.n_frames + 1
+  end
 
 (* --- durable file writes and snapshot rotation ---
 
@@ -197,7 +346,7 @@ let remove_slots ~path ~keep =
   let tmp = path ^ ".tmp" in
   if Sys.file_exists tmp then Sys.remove tmp
 
-let to_file ~magic ~path (b : writer) = write_file_durable ~path (to_string ~magic b)
+let to_file ~magic ~path body = write_file_durable ~path (to_string ~magic body)
 
 (* --- reading ---
 
@@ -207,7 +356,13 @@ let to_file ~magic ~path (b : writer) = write_file_durable ~path (to_string ~mag
    bounds and plausibility check runs against the window's own
    [limit], so a damaged frame can never read into its neighbour. *)
 
-type reader = { data : string; mutable pos : int; limit : int }
+(* A deferred payload check ({!of_string_deferred}): the payload chain
+   has hashed the payload up to offset [at] into [h], and must reach
+   [sum] at the window's end; a mismatch is reported at [hdr], the
+   frame's length field. *)
+type deferred = { mutable at : int; mutable h : int64; sum : int64; hdr : int }
+
+type reader = { data : string; mutable pos : int; limit : int; outer : deferred option }
 
 let fail r reason = raise (Corrupt { pos = r.pos; reason })
 
@@ -308,12 +463,13 @@ let matches_at s at magic =
   in
   at + n <= String.length s && go 0
 
-(* Validate the frame occupying [\[start, limit)] of [s]: magic line,
-   payload length, checksum, no trailing bytes.  Returns a reader
-   windowed on the payload, or the positioned error.  [nested] frames
-   sit inside a parent's length prefix, so a payload length that
-   overruns it is a forged length field (positioned there), not a
-   truncated file. *)
+(* Validate the framing of the frame occupying [\[start, limit)] of [s]:
+   magic line, payload length, no trailing bytes.  Returns the offset of
+   its length field (the checksum follows, then the payload), or the
+   positioned error; the checksum is the caller's.  [nested] frames sit
+   inside a parent's length prefix, so a payload length that overruns
+   it is a forged length field (positioned there), not a truncated
+   file. *)
 let frame ~magic ~nested s ~start ~limit =
   let err pos reason = Error (pos, reason) in
   let mlen = String.length magic in
@@ -338,30 +494,63 @@ let frame ~magic ~nested s ~start ~limit =
     if limit - hdr < 16 then err limit "unexpected end of snapshot"
     else begin
       let len = Int64.to_int (String.get_int64_le s hdr) in
-      let sum = String.get_int64_le s (hdr + 8) in
       let body_at = hdr + 16 in
       if len < 0 || limit - body_at < len then
         if nested then err hdr (Printf.sprintf "frame length %d overruns its enclosing frame" len)
         else err limit "truncated payload"
       else if limit - body_at > len then err (body_at + len) "trailing bytes after payload"
-      else if checksum_sub s body_at len <> sum then
-        err hdr "checksum mismatch (corrupt snapshot)"
-      else Ok { data = s; pos = body_at; limit }
+      else Ok hdr
     end
   end
 
-let of_string ~magic s =
-  match frame ~magic ~nested:false s ~start:0 ~limit:(String.length s) with
-  | Ok r -> Ok r
-  | Error (pos, reason) -> Error (corrupt_message ~pos ~reason)
+let checksum_mismatch = "checksum mismatch (corrupt snapshot)"
+let stored_sum s hdr = String.get_int64_le s (hdr + 8)
 
+let of_string_deferred ~magic s =
+  let limit = String.length s in
+  match frame ~magic ~nested:false s ~start:0 ~limit with
+  | Error (pos, reason) -> Error (corrupt_message ~pos ~reason)
+  | Ok hdr ->
+      let outer = { at = hdr + 16; h = fnv_basis; sum = stored_sum s hdr; hdr } in
+      Ok { data = s; pos = hdr + 16; limit; outer = Some outer }
+
+let verify r =
+  match r.outer with
+  | None -> Ok ()
+  | Some o ->
+      o.h <- fnv1 o.h r.data o.at (r.limit - o.at);
+      o.at <- r.limit;
+      if o.h = o.sum then Ok () else Error (corrupt_message ~pos:o.hdr ~reason:checksum_mismatch)
+
+let of_string ~magic s =
+  Result.bind (of_string_deferred ~magic s) (fun r ->
+      Result.map (fun () -> { r with outer = None }) (verify r))
+
+(* A frame's own check.  Under a deferred payload check the payload
+   chain advances to the frame's end in the same loop (lane A) that
+   hashes the frame's body (lane B): the payload costs no pass of its
+   own. *)
 let r_framed r ~magic =
   let n = r_len r ~what:"frame" in
   let start = r.pos in
-  r.pos <- start + n;
-  match frame ~magic ~nested:true r.data ~start ~limit:(start + n) with
-  | Ok sub -> sub
+  let limit = start + n in
+  r.pos <- limit;
+  match frame ~magic ~nested:true r.data ~start ~limit with
   | Error (pos, reason) -> raise (Corrupt { pos; reason })
+  | Ok hdr ->
+      let body_at = hdr + 16 in
+      let sum =
+        match r.outer with
+        | None -> fnv1 fnv_basis r.data body_at (limit - body_at)
+        | Some o ->
+            let l = { ha = o.h; hb = fnv_basis } in
+            fnv2 l r.data ~a_off:o.at ~a_len:(limit - o.at) ~b_off:body_at ~b_len:(limit - body_at);
+            o.at <- limit;
+            o.h <- l.ha;
+            l.hb
+      in
+      if sum <> stored_sum r.data hdr then raise (Corrupt { pos = hdr; reason = checksum_mismatch });
+      { data = r.data; pos = body_at; limit; outer = None }
 
 let of_file ~magic ~path =
   match open_in_bin path with

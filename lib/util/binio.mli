@@ -16,9 +16,8 @@ val corrupt_message : pos:int -> reason:string -> string
 (** {2 Writing} *)
 
 type writer
-(** A single growable byte buffer. *)
+(** Where an encoder writes: see {!to_string}. *)
 
-val writer : unit -> writer
 val w_int : writer -> int -> unit
 val w_i64 : writer -> int64 -> unit
 val w_bool : writer -> bool -> unit
@@ -36,15 +35,60 @@ val w_int_sub : writer -> int array -> pos:int -> len:int -> unit
 
 val w_opt_int : writer -> int option -> unit
 
+(** {3 Checksums}
+
+    Every checksum in a snapshot — the payload's and each nested
+    frame's — is standard 64-bit FNV-1a (offset basis
+    [0xcbf29ce484222325], prime [0x100000001b3]) over every byte of the
+    payload it guards, in order.  The paths differ only in when each
+    is computed:
+
+    - {b Writing.}  A nested frame's checksum is not computed when the
+      frame closes.  {!to_string} seals every frame, inner frames before
+      the frames around them, while it hashes the payload: one
+      {!fnv2} loop hashes a frame's body and advances the payload chain
+      up to that frame's checksum field.
+    - {b Reading.}  {!of_string} and {!r_framed} check eagerly: a
+      reader exists only for a window whose checksum has passed.
+      {!of_string_deferred} checks the framing eagerly and defers the
+      payload checksum: each {!r_framed} on it advances the payload
+      chain to the end of the frame it checks, in the same loop, and
+      {!verify} completes it.
+
+    Error precedence under a deferred check: a caller decodes, then
+    calls {!verify} whatever the decode did, and reports a failed
+    {!verify} ahead of any decode error, since a payload that fails its
+    checksum makes every later complaint about it moot.  The error is
+    the one {!of_string} gives, positioned at the length field. *)
+
 val checksum : string -> int64
-(** The payload checksum: standard 64-bit FNV-1a (offset basis
-    [0xcbf29ce484222325], prime [0x100000001b3]) over every byte. *)
+(** FNV-1a-64 of a whole string. *)
 
-val to_string : magic:string -> writer -> string
-(** The complete framed snapshot (magic line + length + checksum +
-    payload), copied out of the writer once. *)
+val fnv_basis : int64
+(** The FNV-1a-64 offset basis, the state of an empty chain. *)
 
-val to_file : magic:string -> path:string -> writer -> unit
+type lanes = { mutable ha : int64; mutable hb : int64 }
+(** Two FNV-1a-64 chain states. *)
+
+val fnv2 : lanes -> string -> a_off:int -> a_len:int -> b_off:int -> b_len:int -> unit
+(** Advance chain [ha] over the [a_len] bytes at [a_off] and chain [hb]
+    over the [b_len] bytes at [b_off], in one loop that steps both
+    chains eight bytes per iteration.  The ranges may differ in length
+    and may overlap.  From {!fnv_basis}, each lane ends at the
+    {!checksum} of its range.
+    @raise Invalid_argument when a range is not inside the string. *)
+
+val to_string : magic:string -> (writer -> unit) -> string
+(** [to_string ~magic body] is the complete framed snapshot (magic line
+    + length + checksum + payload) of what [body] writes, every nested
+    frame sealed.  [body] runs twice: once to size the snapshot, then
+    into the returned string, allocated at its exact size; beyond what
+    [body] itself allocates, that string and three ints per nested
+    frame are all an encode allocates.  [body] must write the same
+    bytes both times.
+    @raise Invalid_argument when it does not. *)
+
+val to_file : magic:string -> path:string -> (writer -> unit) -> unit
 (** {!write_file_durable} of {!to_string}. *)
 
 (** {3 Nested frames}
@@ -57,8 +101,9 @@ val to_file : magic:string -> path:string -> writer -> unit
 
 val w_framed : writer -> magic:string -> (writer -> unit) -> unit
 (** [w_framed w ~magic body] runs [body w] and frames what it wrote in
-    place.  The bytes equal [w_string w (to_string ~magic inner)] where
-    [inner] received the same writes.  [body] must only append to [w]. *)
+    place: the bytes equal [w_string w (to_string ~magic body)].  The
+    frame's checksum is filled in when {!to_string} seals the snapshot.
+    [body] must only append to [w]. *)
 
 (** {2 Durable writes and snapshot rotation}
 
@@ -151,13 +196,29 @@ val of_string : magic:string -> string -> (reader, string) result
     reader windowed on the payload, in place.  All errors — including a
     recognisable-but-wrong schema version — are positioned strings. *)
 
+val of_string_deferred : magic:string -> string -> (reader, string) result
+(** {!of_string} with the payload checksum deferred: magic, version,
+    length and trailing bytes are checked now, the checksum by the
+    {!r_framed} calls on the reader and a final {!verify}.  The payload
+    is not verified until {!verify} returns [Ok]. *)
+
+val verify : reader -> (unit, string) result
+(** Complete a deferred payload check: [Error] is
+    ["byte N: checksum mismatch (corrupt snapshot)"], exactly the error
+    {!of_string} gives for the same bytes.  [Ok] for a reader without a
+    deferred check; calling it again repeats the verdict. *)
+
 val r_framed : reader -> magic:string -> reader
 (** Read one {!w_framed} frame: its length prefix must fit the parent
     window, and its magic, payload length (which must fill the prefix
     exactly) and checksum must validate.  Returns a sub-reader windowed
-    on the frame's payload and moves the parent past the frame.
+    on the frame's payload and moves the parent past the frame.  On a
+    reader of {!of_string_deferred} the payload chain advances to the
+    end of the frame in the same loop as the frame's check, even when
+    the frame's own checksum then fails.
     @raise Corrupt positioned inside the frame — a forged payload length
-    is reported at its own length field. *)
+    is reported at its own length field, a checksum mismatch at the
+    frame's. *)
 
 val of_file : magic:string -> path:string -> (reader, string) result
 (** {!of_string} on a file's contents; errors are prefixed with the

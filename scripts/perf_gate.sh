@@ -21,6 +21,10 @@
 #                                  (sequencer, 2000 packets)
 #   trace_io/words_per_byte        words per input byte, Trace_io.of_string
 #                                  of that trace's text
+#   fabric-boundary/words          words per fabric checkpoint boundary:
+#                                  Fabric.resume ~cycle_budget:0 (decode +
+#                                  encode) of a fixed mid-drain 2x2
+#                                  leaf-spine snapshot
 #
 # The harness already takes the min over 5 interleaved repetitions,
 # but shared runners also swing between whole invocations (observed
@@ -37,7 +41,7 @@ set -eu
 
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
-WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte fabric-boundary/words'
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;

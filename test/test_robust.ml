@@ -79,9 +79,7 @@ let magic = Mp5_core.Sim.snapshot_magic
 
 (* A minimal well-framed snapshot the rotation chain will validate. *)
 let snapshot_bytes tag =
-  let w = Binio.writer () in
-  Binio.w_string w tag;
-  Binio.to_string ~magic w
+  Binio.to_string ~magic (fun w -> Binio.w_string w tag)
 
 let test_completed_clean () =
   let dir = fresh_dir () in

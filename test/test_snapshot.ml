@@ -538,6 +538,131 @@ let prop_checksum_oracle =
     QCheck.(string_gen_of_size Gen.(0 -- 2000) Gen.char)
     (fun s -> Binio.checksum s = checksum_oracle s)
 
+(* The two-lane kernel: each lane equals the oracle over its own range,
+   for unaligned offsets, short lengths (0-17 cover every tail length
+   on both sides of a word) and lanes of unequal length. *)
+let prop_fnv2_oracle =
+  let gen =
+    QCheck.Gen.(
+      let len = oneof [ int_range 0 17; int_range 0 300 ] in
+      string_size ~gen:char (int_range 0 400) >>= fun s ->
+      let n = String.length s in
+      let range =
+        len >>= fun l ->
+        let l = min l n in
+        int_range 0 (n - l) >|= fun off -> (off, l)
+      in
+      pair range range >|= fun (a, b) -> (s, a, b))
+  in
+  QCheck.Test.make ~name:"fnv2 lanes = String.iter FNV-1a oracle" ~count:1000
+    (QCheck.make gen)
+    (fun (s, (ao, al), (bo, bl)) ->
+      let l = { Binio.ha = Binio.fnv_basis; hb = Binio.fnv_basis } in
+      Binio.fnv2 l s ~a_off:ao ~a_len:al ~b_off:bo ~b_len:bl;
+      l.Binio.ha = checksum_oracle (String.sub s ao al)
+      && l.Binio.hb = checksum_oracle (String.sub s bo bl))
+
+(* Frames nested two deep (and siblings around them) are sealed when the
+   outer payload is: the bytes equal a build from separate writers, in
+   which every frame is a [to_string] embedded with [w_string].  Each
+   frame's body is [n] ints so lengths vary across word boundaries; the
+   result must also read back, eagerly and under a deferred check. *)
+let test_nested_sealing () =
+  let ints w n seed = for i = 1 to n do Binio.w_int w ((seed * 1000003) + i) done in
+  let tail w = Binio.w_bool w true; Binio.w_tag w 7 in
+  (* shape: a0 [F1: b1 [F2: c2 [F3: d3] e2] f1] g0 [F4: h4] i0 *)
+  let deferred sizes =
+    Binio.to_string ~magic:"outer/1" (fun w ->
+        ints w sizes.(0) 0;
+        Binio.w_framed w ~magic:"frame-one" (fun w ->
+            ints w sizes.(1) 1;
+            Binio.w_framed w ~magic:"frame-two" (fun w ->
+                ints w sizes.(2) 2;
+                Binio.w_framed w ~magic:"frame-three" (fun w -> ints w sizes.(3) 3; tail w);
+                ints w sizes.(4) 4);
+            tail w);
+        ints w sizes.(5) 5;
+        Binio.w_framed w ~magic:"frame-four" (fun w -> ints w sizes.(6) 6);
+        tail w)
+  in
+  let eager sizes =
+    let framed ~magic body w = Binio.w_string w (Binio.to_string ~magic body) in
+    Binio.to_string ~magic:"outer/1" (fun w ->
+        ints w sizes.(0) 0;
+        framed ~magic:"frame-one"
+          (fun w ->
+            ints w sizes.(1) 1;
+            framed ~magic:"frame-two"
+              (fun w ->
+                ints w sizes.(2) 2;
+                framed ~magic:"frame-three" (fun w -> ints w sizes.(3) 3; tail w) w;
+                ints w sizes.(4) 4)
+              w;
+            tail w)
+          w;
+        ints w sizes.(5) 5;
+        framed ~magic:"frame-four" (fun w -> ints w sizes.(6) 6) w;
+        tail w)
+  in
+  let read_back sizes r =
+    let skip r n = for _ = 1 to n do ignore (Binio.r_int r) done in
+    let read_tail r =
+      ignore (Binio.r_bool r);
+      Binio.r_tag r ~expect:7 ~what:"tail";
+      Alcotest.(check int) "window consumed" 0 (Binio.remaining r)
+    in
+    skip r sizes.(0);
+    let f1 = Binio.r_framed r ~magic:"frame-one" in
+    skip f1 sizes.(1);
+    let f2 = Binio.r_framed f1 ~magic:"frame-two" in
+    skip f2 sizes.(2);
+    let f3 = Binio.r_framed f2 ~magic:"frame-three" in
+    skip f3 sizes.(3);
+    read_tail f3;
+    skip f2 sizes.(4);
+    Alcotest.(check int) "frame two consumed" 0 (Binio.remaining f2);
+    read_tail f1;
+    skip r sizes.(5);
+    let f4 = Binio.r_framed r ~magic:"frame-four" in
+    skip f4 sizes.(6);
+    read_tail r
+  in
+  List.iter
+    (fun sizes ->
+      let d = deferred sizes and e = eager sizes in
+      Alcotest.(check string)
+        (Printf.sprintf "sizes %s" (String.concat "," (Array.to_list (Array.map string_of_int sizes))))
+        (Digest.to_hex (Digest.string e)) (Digest.to_hex (Digest.string d));
+      let ok = function Ok r -> r | Error e -> Alcotest.failf "read back: %s" e in
+      read_back sizes (ok (Binio.of_string ~magic:"outer/1" d));
+      let r = ok (Binio.of_string_deferred ~magic:"outer/1" d) in
+      read_back sizes r;
+      Alcotest.(check (result unit string)) "deferred check passes" (Ok ()) (Binio.verify r))
+    [ [| 0; 0; 0; 0; 0; 0; 0 |]; [| 1; 2; 3; 5; 8; 13; 21 |]; [| 3; 0; 700; 1; 0; 2; 9000 |] ]
+
+(* [to_string] runs its encoder twice, sizing and then writing; an
+   encoder that does not write the same bytes both times is refused
+   rather than leaving a short or overrun snapshot. *)
+let test_unstable_encoder () =
+  let unstable extra =
+    let pass = ref 0 in
+    fun w ->
+      incr pass;
+      Binio.w_int w 1;
+      if !pass = 2 then extra w
+  in
+  List.iter
+    (fun (what, extra) ->
+      match Binio.to_string ~magic:"outer/1" (unstable extra) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("one more int", fun w -> Binio.w_int w 2);
+      ("one more byte", fun w -> Binio.w_bool w true);
+      ("one more array", fun w -> Binio.w_int_array w [| 1; 2 |]);
+      ("a frame", fun w -> Binio.w_framed w ~magic:"f" (fun _ -> ()));
+    ]
+
 (* --- nested node frames inside mp5-fab/1 ---
 
    A node frame is [length:8 "mp5-snap/1\n" payload_len:8 checksum:8
@@ -608,6 +733,57 @@ let test_node_error_absolute () =
   let pos, msg = fabric_corrupt_pos "node 1 tag" (prog, trace, dst, fp) (Bytes.to_string b) in
   if not (contains msg "bad section tag 99") then Alcotest.failf "node 1 tag: %s" msg;
   Alcotest.(check int) "absolute offset of the damaged tag" nf.nf_body pos
+
+(* Which error a damaged fabric snapshot reports, when several apply:
+   an unsealed change anywhere is the payload checksum at byte 10, even
+   where decoding it would also fail (a topology digest that no longer
+   matches, a node frame whose own checksum no longer matches); a node
+   body resealed at the outer level only is that node frame's checksum,
+   at the frame's length field.  No rejected resume reads its source. *)
+let test_fabric_error_precedence () =
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
+  let hdr = String.index snap '\n' + 1 in
+  let payload = hdr + 16 in
+  let resume_fresh what damaged =
+    let src = Psource.of_array trace in
+    let r = Fabric.resume ~dst ~snapshot:damaged fp prog src in
+    Alcotest.(check int) (what ^ ": source untouched") 0 (Psource.consumed src);
+    match r with
+    | Error (Sim.Corrupt msg) -> msg
+    | Error (Sim.Mismatch msg) -> Alcotest.failf "%s: mismatch, want corrupt: %s" what msg
+    | Ok _ -> Alcotest.failf "%s: damaged fabric snapshot accepted" what
+  in
+  let flip b at = Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x01)) in
+  let outer = "byte 10: checksum mismatch (corrupt snapshot)" in
+  Alcotest.(check int) "fabric length field" 10 hdr;
+  (* the topology digest follows the header tag *)
+  (let b = Bytes.of_string snap in
+   flip b (payload + 1);
+   Alcotest.(check string) "unsealed topology digest" outer
+     (resume_fresh "topology digest" (Bytes.to_string b)));
+  let nf2 = List.nth (node_frames snap) 2 in
+  (let b = Bytes.of_string snap in
+   flip b ((nf2.nf_body + nf2.nf_end) / 2);
+   Alcotest.(check string) "unsealed node 2 body" outer
+     (resume_fresh "node 2 body" (Bytes.to_string b)));
+  (let b = Bytes.of_string snap in
+   flip b ((nf2.nf_body + nf2.nf_end) / 2);
+   reseal_fabric b;
+   let msg = resume_fresh "node 2 body, outer resealed" (Bytes.to_string b) in
+   if not (contains msg "checksum mismatch") then Alcotest.failf "node 2 resealed: %s" msg;
+   Alcotest.(check (option int)) "node 2's own checksum, at its length field"
+     (Some nf2.nf_len_at) (byte_pos msg));
+  (* and a mismatch that passes every checksum leaves the source alone too *)
+  let other_topo = Topology.line ~switches:4 ~hosts_per_sw:1 ~delay:2 in
+  let src = Psource.of_array trace in
+  (match
+     Fabric.resume ~dst ~snapshot:snap
+       { fp with Fabric.fp_topo = other_topo; fp_policy = Routing.shortest_paths other_topo }
+       prog src
+   with
+  | Error (Sim.Mismatch _) -> ()
+  | _ -> Alcotest.fail "other topology: want mismatch");
+  Alcotest.(check int) "mismatch: source untouched" 0 (Psource.consumed src)
 
 (* Bytes allocated so far.  On OCaml 5.1 [Gc.allocated_bytes] misses
    part of the current minor heap (up to its whole size, ~2 MB), so the
@@ -729,6 +905,152 @@ let test_rejects_forged_delivery () =
       forge ~what:"forged delivery to a stateless stage" ~field:2 s
         (Printf.sprintf "phantom delivery to stateless stage %d" s)
 
+(* Re-seal a machine snapshot's payload checksum after forging a field. *)
+let reseal_snap b =
+  let hdr = String.length Sim.snapshot_magic + 17 in
+  Bytes.set_int64_le b (hdr - 8) (Binio.checksum (Bytes.sub_string b hdr (Bytes.length b - hdr)))
+
+(* Forge the int at [at], re-seal, and require a [Corrupt] positioned at
+   that int whose message holds [needle]. *)
+let check_forged_int ~what snap prog trace ~at v needle =
+  let b = Bytes.of_string snap in
+  Bytes.set_int64_le b at (Int64.of_int v);
+  reseal_snap b;
+  let forged = Bytes.to_string b in
+  check_corrupt what forged prog trace needle;
+  match resume_err forged prog trace with
+  | Some (Sim.Corrupt msg) ->
+      let prefix = Printf.sprintf "byte %d:" at in
+      Alcotest.(check string) (what ^ ": positioned at the field") prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  | _ -> Alcotest.failf "%s: forged snapshot accepted" what
+
+(* Heavy-hitter at line rate on k = 4, suspended after 20 cycles: packets
+   sit in the transfer buffers between stages. *)
+let transfer_fixture () =
+  let sw = Mp5_core.Switch.create_exn Mp5_apps.Sources.heavy_hitter in
+  let prog = sw.Mp5_core.Switch.prog in
+  let trace =
+    Mp5_workload.Tracegen.sensitivity
+      {
+        Mp5_workload.Tracegen.n_packets = 400;
+        k = 4;
+        pkt_bytes = 64;
+        n_fields = 2;
+        index_fields = [ 0 ];
+        reg_size = 512;
+        pattern = Mp5_workload.Tracegen.Uniform;
+        n_ports = 64;
+        seed = 3;
+      }
+  in
+  match Sim.run_source ~cycle_budget:20 (Sim.default_params ~k:4) prog (Psource.of_array trace) with
+  | Sim.Suspended snap -> (prog, trace, snap)
+  | Sim.Completed _ -> Alcotest.fail "transfer fixture completed inside a 20-cycle budget"
+
+let int_at snap p = Int64.to_int (String.get_int64_le snap p)
+
+(* The transfer section, found structurally: tag 10, then per stage a
+   count n and n (descriptor, packet) pairs, then the channel section's
+   tag 11.  A packet is seq, arrival time, ECN byte, its field array,
+   and per access three ints and two flag bytes.  Returns every
+   descriptor as (stage, offset). *)
+let transfer_descriptors prog snap =
+  let config = prog.Mp5_core.Transform.config in
+  let nf = Array.length config.Mp5_banzai.Config.fields in
+  let na = Array.length prog.Mp5_core.Transform.accesses in
+  let n_stages = Array.length config.Mp5_banzai.Config.stages in
+  let entry = 8 + (25 + (8 * nf) + (26 * na)) in
+  let len = String.length snap in
+  let walk p =
+    let rec go s q acc =
+      if q + 8 > len then None
+      else if s = n_stages then if snap.[q] = '\011' then Some (List.rev acc) else None
+      else
+        let n = int_at snap q in
+        if n < 0 || n > 64 then None
+        else
+          go (s + 1) (q + 8 + (n * entry))
+            (List.rev_append (List.init n (fun i -> (s, q + 8 + (i * entry)))) acc)
+    in
+    if snap.[p] = '\010' then go 0 (p + 1) [] else None
+  in
+  let hdr = String.length Sim.snapshot_magic + 17 in
+  match List.filter_map walk (List.init (len - hdr - 1) (fun i -> hdr + i)) with
+  | [ descs ] -> descs
+  | found -> Alcotest.failf "expected one transfer section, found %d" (List.length found)
+
+let test_rejects_forged_transfer () =
+  let prog, trace, snap = transfer_fixture () in
+  let descs = transfer_descriptors prog snap in
+  if descs = [] then Alcotest.fail "transfer fixture holds no transfers";
+  let _, at = List.hd descs in
+  let desc = int_at snap at in
+  let with_field ~shift v = desc land lnot (63 lsl shift) lor (v lsl shift) in
+  check_forged_int ~what:"transfer destination 60" snap prog trace ~at (with_field ~shift:2 60)
+    "transfer destination pipeline 60 out of range";
+  check_forged_int ~what:"transfer source 60" snap prog trace ~at (with_field ~shift:8 60)
+    "transfer source pipeline 60 out of range";
+  check_forged_int ~what:"transfer tag 3" snap prog trace ~at (desc lor 3) "unknown tag";
+  (* two stateless transfers into one slot *)
+  let stateless = List.filter (fun (_, at) -> int_at snap at land 3 = 0) descs in
+  (match
+     List.find_map
+       (fun (s, a) ->
+         List.find_map (fun (s', b) -> if s' = s && b > a then Some (s, a, b) else None) stateless)
+       stateless
+   with
+  | None -> Alcotest.fail "transfer fixture has no stage with two stateless transfers"
+  | Some (s, a, b) ->
+      let dest = (int_at snap a lsr 2) land 63 in
+      let desc = int_at snap b in
+      check_forged_int ~what:"two stateless transfers into one slot" snap prog trace ~at:b
+        (desc land lnot (63 lsl 2) lor (dest lsl 2))
+        (Printf.sprintf "second stateless transfer into stage %d pipe %d" s dest));
+  (* a stateful transfer into a stage without input queues *)
+  let stateful s =
+    Array.exists (fun (a : Mp5_core.Transform.access) -> a.stage = s) prog.Mp5_core.Transform.accesses
+  in
+  match List.find_opt (fun (s, _) -> not (stateful s)) descs with
+  | None -> Alcotest.fail "transfer fixture has no transfer into a stateless stage"
+  | Some (s, at) ->
+      let desc = int_at snap at in
+      check_forged_int ~what:"stateful transfer into a stateless stage" snap prog trace ~at
+        (desc land lnot 3 lor 1)
+        (Printf.sprintf "stateful transfer into stateless stage %d" s)
+
+(* An index map's per-cell pipeline indexes per-pipeline rows: a forged
+   one is rejected at decode, positioned at the entry.  The section is
+   tag 8, then per register three int arrays of its size, then tag 9. *)
+let test_rejects_forged_index_map () =
+  let prog, trace, snap = transfer_fixture () in
+  let sizes =
+    Array.map (fun (r : Mp5_banzai.Config.reg) -> r.Mp5_banzai.Config.size)
+      prog.Mp5_core.Transform.config.Mp5_banzai.Config.regs
+  in
+  let len = String.length snap in
+  let is_section p =
+    snap.[p] = '\008'
+    &&
+    let q = ref (p + 1) and ok = ref true in
+    Array.iter
+      (fun size ->
+        for _ = 1 to 3 do
+          if !ok && !q + 8 <= len && int_at snap !q = size then q := !q + 8 + (8 * size)
+          else ok := false
+        done)
+      sizes;
+    !ok && !q < len && snap.[!q] = '\009'
+  in
+  let hdr = String.length Sim.snapshot_magic + 17 in
+  match List.filter is_section (List.init (len - hdr - 1) (fun i -> hdr + i)) with
+  | [ p ] ->
+      check_forged_int ~what:"index map pipeline 4" snap prog trace ~at:(p + 9 + 16) 4
+        "index map pipeline 4 out of range";
+      check_forged_int ~what:"index map pipeline -1" snap prog trace ~at:(p + 9) (-1)
+        "index map pipeline -1 out of range"
+  | found -> Alcotest.failf "expected one index map section, found %d" (List.length found)
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -744,6 +1066,10 @@ let () =
           Alcotest.test_case "mismatched snapshots are rejected" `Quick test_rejects_mismatch;
           Alcotest.test_case "a forged phantom delivery is rejected at decode" `Quick
             test_rejects_forged_delivery;
+          Alcotest.test_case "a forged transfer descriptor is rejected at decode" `Quick
+            test_rejects_forged_transfer;
+          Alcotest.test_case "a forged index map pipeline is rejected at decode" `Quick
+            test_rejects_forged_index_map;
         ] );
       ( "rotation",
         [
@@ -761,6 +1087,8 @@ let () =
             test_fabric_rejects;
           Alcotest.test_case "node errors carry absolute file offsets" `Quick
             test_node_error_absolute;
+          Alcotest.test_case "a corrupt payload is reported before any decode error" `Quick
+            test_fabric_error_precedence;
           Alcotest.test_case "a forged node frame length stays inside its frame" `Quick
             test_nested_frame_bounded;
           Alcotest.test_case "a forged metadata destination is rejected at decode" `Quick
@@ -772,5 +1100,9 @@ let () =
             test_format_pinned;
           Alcotest.test_case "checksum is FNV-1a-64" `Quick test_checksum_vectors;
           QCheck_alcotest.to_alcotest prop_checksum_oracle;
+          QCheck_alcotest.to_alcotest prop_fnv2_oracle;
+          Alcotest.test_case "nested frames seal byte-identically" `Quick test_nested_sealing;
+          Alcotest.test_case "an encoder must write the same bytes twice" `Quick
+            test_unstable_encoder;
         ] );
     ]

@@ -172,7 +172,7 @@ let test_rb_grow () =
   ignore (rb_push rb 1);
   let addr = rb_push_slot rb in
   check "push beyond capacity grows" true (rb_push rb 3);
-  check_int "capacity doubled" 4 (Fifo.dump rb.f).Fifo.d_rings.(0).Fifo.rd_capacity;
+  check_int "capacity doubled" 4 (Fifo.ring_capacity rb.f ~ring:0);
   check_int "contents preserved" 3 (Fifo.length rb.f);
   check "stable address survives grow" true (Fifo.insert_data rb.f ~key:addr 2 = `Ok);
   check_int "order preserved" 1 (Option.get (rb_pop rb));
