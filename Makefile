@@ -86,16 +86,19 @@ fabric-smoke:
 
 # Performance gate: sim-micro times the closure kernels on a
 # heavy-hitter trace and writes its row to BENCH_results.json.
-# scripts/perf_gate.sh then compares six fresh keys against the baseline
+# scripts/perf_gate.sh then compares seven fresh keys against the baseline
 # committed in git HEAD: heavy-hitter-2k/kernel_ns (wall clock, +/-25%
 # band: above fails as a regression, well below warns that the baseline
-# should be refreshed), and five deterministic allocation counters that
+# should be refreshed), and six deterministic allocation counters that
 # fail above 1.02x: heavy-hitter-2k/words_per_pkt (minor words per
 # packet), generic/words_per_pkt (the same count: there is one cycle
 # loop, and the key the oracle loop was gated by stays),
-# golden/words_per_pkt, trace_io/words_per_byte and
-# fabric-boundary/words (one fabric checkpoint decode + encode).  No
-# committed baseline skips a comparison with a warning.
+# golden/words_per_pkt, trace_io/words_per_byte,
+# fabric-boundary/words (one fabric checkpoint decode + encode, into
+# new machines) and fabric-legs/words_per_pkt (an in-process fabric
+# drain in 500-cycle legs, each resume decoding into the machines the
+# previous leg suspended).  No committed baseline skips a comparison
+# with a warning.
 perf-smoke:
 	sh scripts/perf_gate.sh
 

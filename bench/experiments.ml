@@ -604,6 +604,9 @@ type micro = {
   mi_boundary_words : float;
       (** words allocated by one fabric checkpoint boundary: decode and
           re-encode of a fixed mid-drain snapshot *)
+  mi_legs_words : float;
+      (** words allocated per packet by an in-process drain of the same
+          fabric in 500-cycle legs *)
 }
 
 (* Words allocated by the second of two [f ()] calls: minor plus
@@ -621,14 +624,12 @@ let alloc_words f =
   ignore (f ());
   words () -. before
 
-(* One checkpoint boundary of a fabric drain: [Fabric.resume] with a
-   zero cycle budget decodes the snapshot and encodes it again.  The
-   snapshot is fixed: a 2x2 leaf-spine running the §4.3 machine (four
-   stateful stages of 512 cells, padded to 16 stages, k = 4), 2000
-   packets of seeded all-to-all traffic, suspended half-way through the
-   drain. *)
-let fabric_boundary_words () =
-  let module Fb = Mp5_fabric.Fabric in
+module Fb = Mp5_fabric.Fabric
+
+(* The checkpointed fabric: a 2x2 leaf-spine running the §4.3 machine
+   (four stateful stages of 512 cells, padded to 16 stages, k = 4), 2000
+   packets of seeded all-to-all traffic. *)
+let fabric_fixture () =
   let reg_size = 512 in
   let topo = Mp5_fabric.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~delay:1 in
   let sw =
@@ -654,7 +655,16 @@ let fabric_boundary_words () =
       fp_plan = Mp5_fault.Linkplan.empty;
     }
   in
-  let dst = Mp5_fabric.Traffic.dst_of_input spec in
+  (fp, prog, spec, Mp5_fabric.Traffic.dst_of_input spec)
+
+(* One checkpoint boundary of a fabric drain: [Fabric.resume] with a
+   zero cycle budget decodes the snapshot and encodes it again.  The
+   snapshot is fixed: the fixture suspended half-way through its drain.
+   Both calls resume the one string, so the second finds nothing parked
+   (the first parked its own suspension) and counts the cross-process
+   path: a fresh fabric built and decoded. *)
+let fabric_boundary_words () =
+  let fp, prog, spec, dst = fabric_fixture () in
   let cycles =
     match Fb.run ~dst fp prog (Mp5_fabric.Traffic.source spec) with
     | Fb.Completed r -> r.Fb.fr_cycles
@@ -673,6 +683,26 @@ let fabric_boundary_words () =
       | Ok (Fb.Suspended _) -> ()
       | Ok (Fb.Completed _) -> failwith "fabric-boundary: zero-budget resume completed"
       | Error (Sim.Corrupt m | Sim.Mismatch m) -> failwith ("fabric-boundary: " ^ m))
+
+(* The fixture drained in-process in 500-cycle legs (run, resume,
+   resume), each resume handed the string the previous leg returned:
+   the path on which a resume decodes into the suspended fabric's
+   machines.  Words per packet of the second of two drains. *)
+let fabric_legs_words () =
+  let fp, prog, spec, dst = fabric_fixture () in
+  let budget = 500 in
+  let drain () =
+    let source = Mp5_fabric.Traffic.source spec in
+    let rec go = function
+      | Fb.Completed _ -> ()
+      | Fb.Suspended snap -> (
+          match Fb.resume ~cycle_budget:budget ~dst ~snapshot:snap fp prog source with
+          | Ok o -> go o
+          | Error (Sim.Corrupt m | Sim.Mismatch m) -> failwith ("fabric-legs: " ^ m))
+    in
+    go (Fb.run ~cycle_budget:budget ~dst fp prog source)
+  in
+  alloc_words drain /. float_of_int spec.Mp5_fabric.Traffic.n_packets
 
 let sim_micro scale =
   let sw = Switch.create_exn Sources.heavy_hitter in
@@ -724,6 +754,7 @@ let sim_micro scale =
       alloc_words (fun () -> Mp5_workload.Trace_io.of_string text)
       /. float_of_int (String.length text);
     mi_boundary_words = fabric_boundary_words ();
+    mi_legs_words = fabric_legs_words ();
   }
 
 (* --- longrun: multi-megapacket streamed run with chunked resume ---

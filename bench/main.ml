@@ -204,6 +204,8 @@ let run_sim_micro scale =
     m.Experiments.mi_trace_words;
   Format.printf "  fabric checkpoint boundary (2x2 leaf-spine, mid-drain) allocates %.0f words@."
     m.Experiments.mi_boundary_words;
+  Format.printf "  fabric drained in-process in 500-cycle legs allocates %.1f words/packet@."
+    m.Experiments.mi_legs_words;
   [
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
     ("heavy-hitter-2k/words_per_pkt", m.Experiments.mi_kernel_words);
@@ -213,6 +215,7 @@ let run_sim_micro scale =
     ("golden/words_per_pkt", m.Experiments.mi_golden_words);
     ("trace_io/words_per_byte", m.Experiments.mi_trace_words);
     ("fabric-boundary/words", m.Experiments.mi_boundary_words);
+    ("fabric-legs/words_per_pkt", m.Experiments.mi_legs_words);
   ]
 
 let run_longrun scale =

@@ -92,6 +92,11 @@ let drain t ~now f =
 
 let pending t = t.count
 
+let clear t =
+  Array.fill t.fill 0 (Array.length t.fill) 0;
+  t.base <- 0;
+  t.count <- 0
+
 (* Cycles ascending from [base], per-cycle in scheduling order.
    Replaying [schedule] in this order rebuilds an observationally
    identical channel: [drain] returns per-cycle deliveries in push

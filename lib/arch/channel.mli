@@ -31,6 +31,10 @@ val drain :
 val pending : t -> int
 (** Number of in-flight deliveries. *)
 
+val clear : t -> unit
+(** Drop every pending delivery, keeping the calendar's buckets:
+    allocates nothing, and the channel then behaves as a fresh one. *)
+
 val iter :
   t -> (at:int -> seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> unit) -> unit
 (** Every pending delivery, cycles ascending, same-cycle deliveries in

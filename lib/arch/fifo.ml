@@ -291,6 +291,18 @@ let iter_ring_entries t ~ring f =
         ~data:(if state land has_data <> 0 then v else -1))
     t.rings.(ring)
 
+let clear t =
+  Array.iter
+    (fun r ->
+      r.head <- 0;
+      r.len <- 0;
+      r.head_seq <- 0)
+    t.rings;
+  Int_table.clear t.directory;
+  t.data_count <- 0;
+  t.high_water <- 0;
+  t.cancelled_count <- 0
+
 let restore_ring t ~ring ~capacity ~head_seq ~entries =
   let r = t.rings.(ring) in
   if r.len <> 0 then invalid_arg "Fifo.restore_ring: ring not empty";

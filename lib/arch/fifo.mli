@@ -142,6 +142,12 @@ val iter_ring_entries :
 (** Every entry of the ring, head to tail; [data] is the payload, or
     [-1] for a phantom. *)
 
+val clear : t -> unit
+(** Empty every ring and the key directory and forget the high-water
+    mark, keeping the storage: a FIFO to {!restore_ring} into again
+    without allocating.  Logical capacities are left as they were;
+    {!restore_ring} sets each ring's. *)
+
 val restore_ring : t -> ring:int -> capacity:int -> head_seq:int -> entries:int -> unit
 (** Set an empty ring's logical capacity and head sequence number, with
     storage for [entries] entries.  Storage is sized by [entries], never

@@ -291,12 +291,15 @@ let cell_fifo sim pc cell =
       Hashtbl.add pc.pc_cells cell f;
       f
 
+(* The fault plan a machine keeps: an empty plan is no plan. *)
+let active_plan = function
+  | Some plan when not (Fault.is_empty plan) -> Some plan
+  | _ -> None
+
 let create ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
   let config = prog.Transform.config in
   let n_stages = Array.length config.Config.stages in
-  let fplan =
-    match fault with Some plan when not (Fault.is_empty plan) -> Some plan | _ -> None
-  in
+  let fplan = active_plan fault in
   let flt =
     match fplan with
     | Some plan -> Some (Fault.start plan ~k:params.k ~stages:n_stages)
@@ -1715,7 +1718,7 @@ let r_queue r sim stage pipe =
   match (kind, sim.fifos.(stage).(pipe)) with
   | 0, None -> ()
   | 1, Some (Logical f) -> r_fifo_into r sim f
-  | 2, Some (Per_cell _) ->
+  | 2, Some (Per_cell old) ->
       (* a cell is its index plus a FIFO of at least two ints *)
       let n = Binio.r_count r ~min_bytes:24 ~what:"per-cell queue count" in
       let pc =
@@ -1723,6 +1726,13 @@ let r_queue r sim stage pipe =
       in
       for _ = 1 to n do
         let c = Binio.r_int r in
+        (* A recycled machine's queue still holds the cell FIFOs it
+           encoded: restore into those rather than new ones. *)
+        (match Hashtbl.find_opt old.pc_cells c with
+        | Some f when not (Hashtbl.mem pc.pc_cells c) ->
+            Fifo.clear f;
+            Hashtbl.add pc.pc_cells c f
+        | _ -> ());
         r_fifo_into r sim (cell_fifo sim pc c)
       done;
       Array.iter (fun c -> Hashtbl.replace pc.pc_ready c ()) (Binio.r_int_array r);
@@ -2301,12 +2311,47 @@ let check_transfer sim ~pos ~stage ~slot_taken desc =
       (if tag = t_stateful then "stateful" else "queued")
       stage
 
+(* [into], a retired fabric node's machine (nodes carry no instruments),
+   when it can stand in for [create params prog] in [decode_machine]:
+   the same program (physically, so the kernels are the ones [create]
+   would build) and the snapshot's params and fault plan.  It is reset
+   to what [create] leaves in every part the decode does not overwrite
+   whole, keeping the storage: FIFO rings and directories, the channel
+   calendar, slab columns, transfer vectors, the doomed set and the
+   access log; its hooks are unset.  Stores, index maps, head watches,
+   claims and every counter are overwritten by their sections; per-cell
+   queues are rebuilt by [r_queue] around their old cell FIFOs. *)
+let recycle into ~params ~fplan prog =
+  match into with
+  | Some sim when sim.prog == prog && sim.p = params && sim.fplan = fplan ->
+      Slab.clear sim.sl;
+      Array.iter
+        (Array.iter (function Some (Logical f) -> Fifo.clear f | Some (Per_cell _) | None -> ()))
+        sim.fifos;
+      Array.iter (fun row -> Array.fill row 0 (Array.length row) no_pkt) sim.slots;
+      Channel.clear sim.channel;
+      Int_table.clear sim.doomed;
+      Array.iter Int_vec.clear sim.t_pkts;
+      Array.iter Int_vec.clear sim.t_descs;
+      Int_table.clear sim.access_log;
+      Int_vec.clear sim.log_keys;
+      Int_vec.clear sim.dig_hi;
+      Int_vec.clear sim.dig_lo;
+      sim.on_exit <- None;
+      sim.on_access <- None;
+      sim.on_drop <- None;
+      Some sim
+  | _ -> None
+
 (* Decode a machine snapshot into a rebuilt [(sim, loop_state)] plus the
-   source cursor it expects, shared by [resume] and [node_restore] below.
+   source cursor and last arrival time it expects, shared by [resume]
+   and [node_restore] below.  The machine is [into] when {!recycle}
+   accepts it, else a fresh one; either way it is decoded the same.
+   Only [node_restore] passes [into], and no instruments with it.
    Source positioning is the caller's business: [resume] replays or
    re-attaches a full source, a fabric node restore attaches a fresh
    live queue pre-positioned at the cursor. *)
-let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
+let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src prog r =
   Binio.r_tag r ~expect:1 ~what:"params section";
   let params = r_params r in
   Binio.r_tag r ~expect:2 ~what:"program section";
@@ -2329,7 +2374,7 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
   let dup_next = Binio.r_int r in
   Binio.r_tag r ~expect:4 ~what:"source section";
   let consumed = Binio.r_int r in
-  let _src_last_time = Binio.r_int r in
+  let src_last_time = Binio.r_int r in
   let sd_hi = Binio.r_int r in
   let sd_lo = Binio.r_int r in
   let sd = { Hashing.hi = sd_hi; lo = sd_lo } in
@@ -2358,9 +2403,11 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
   | None, Some _ -> raise (Resume_mismatch "snapshot has no metrics, but ~metrics was passed")
   | Some d, Some m -> Metrics.restore_into m d
   | None, None -> ());
+  let fault = Option.map fst fault_state in
   let sim =
-    create ?observer ?metrics ?events ?fault:(Option.map fst fault_state) ?monitor ?prof params
-      prog
+    match recycle into ~params ~fplan:(active_plan fault) prog with
+    | Some sim -> sim
+    | None -> create ?observer ?metrics ?events ?fault ?monitor ?prof params prog
   in
   (match (fault_state, sim.flt) with
   | Some (plan, saved), Some _ ->
@@ -2473,10 +2520,10 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof prog r =
       last_progress_t;
       visited = 0;
       sd;
-      track_src = true;
+      track_src;
     }
   in
-  (sim, st, consumed)
+  (sim, st, consumed, src_last_time)
 
 (* Run a snapshot decoder, mapping what it can raise to a
    [resume_error]. *)
@@ -2504,8 +2551,8 @@ let resume ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on_check
   | Error msg -> Error (Corrupt msg)
   | Ok r ->
       let decode () =
-        let sim, st, consumed =
-          decode_machine ?observer ?metrics ?events ?monitor ?prof prog r
+        let sim, st, consumed, _ =
+          decode_machine ?observer ?metrics ?events ?monitor ?prof ~track_src:true prog r
         in
         (* Position the source.  A source already at the checkpoint's
            cursor (in-process chunked resume) is used as-is; a fresh
@@ -2644,9 +2691,13 @@ let node_encode w node =
   Binio.w_framed w ~magic:snap_magic (fun w ->
       encode_into w node.nd_sim node.nd_st node.nd_src)
 
-let node_restore ~on_exit ~on_drop r prog =
-  decoding (fun () -> decode_machine prog (Binio.r_framed r ~magic:snap_magic))
-  |> Result.map (fun (sim, st, consumed) ->
-         let q = Queue.create () in
-         let src = Psource.of_queue ~consumed q in
-         make_node ~on_exit ~on_drop sim { st with track_src = false } q src)
+let node_restore ?into ~on_exit ~on_drop r prog =
+  let into = match into with Some nd -> Some nd.nd_sim | None -> None in
+  match
+    decoding (fun () ->
+        decode_machine ?into ~track_src:false prog (Binio.r_framed r ~magic:snap_magic))
+  with
+  | Error e -> Error e
+  | Ok (sim, st, consumed, last_time) ->
+      let q = Queue.create () in
+      Ok (make_node ~on_exit ~on_drop sim st q (Psource.of_queue ~consumed ~last_time q))

@@ -404,6 +404,7 @@ val node_encode : Mp5_util.Binio.writer -> node -> unit
     since it owns their metadata. *)
 
 val node_restore :
+  ?into:node ->
   on_exit:(seq:int -> latency:int -> headers:int array -> unit) ->
   on_drop:(seq:int -> unit) ->
   Mp5_util.Binio.reader ->
@@ -412,7 +413,16 @@ val node_restore :
 (** Read one {!node_encode} frame from the caller's reader (through a
     bounded sub-reader, in place; the frame's magic, length and checksum
     are verified) and rebuild the node with a fresh, empty ingress queue
-    positioned at the snapshot's admission cursor; the caller re-injects
-    any pending packets it recorded.  Error cases are those of
-    {!resume}; [Corrupt] positions are absolute offsets in the caller's
-    file. *)
+    positioned at the snapshot's admission cursor and last arrival time;
+    the caller re-injects any pending packets it recorded.  Re-encoding
+    the restored node writes the frame it was read from.  Error cases
+    are those of {!resume}; [Corrupt] positions are absolute offsets in
+    the caller's file.
+
+    [into] is a retired node whose machine is decoded into instead of a
+    new one, when it runs the same program (physically equal) with the
+    snapshot's params and fault plan: its FIFOs, channel, slab, transfer vectors and
+    access log are reset, keeping their storage, and the decode then
+    runs exactly as on a fresh machine.  Any other [into] is ignored.
+    [into] must not be stepped again whatever the outcome: an error may
+    leave its machine half decoded. *)

@@ -64,4 +64,8 @@ let alloc t =
 
 let release t slot = Vec.push t.free slot
 
+let clear t =
+  Vec.clear t.free;
+  t.next <- 0
+
 let live t = t.next - Vec.length t.free

@@ -291,19 +291,31 @@ let make_nodes fab node =
         node i ~on_exit:(route_exit fab i) ~on_drop)
 
 (* A fabric at [anchor] with no switches yet, empty links and zeroed
-   counters. *)
-let blank ?monitor ~dst ~anchor p prog =
+   counters.  [into], a retired fabric of the same topology and routing
+   policy, lends its forwarding table and its metadata tables and link
+   queues, emptied. *)
+let blank ?monitor ?into ~dst ~anchor p prog =
+  let fwd, metas, links =
+    match into with
+    | Some old ->
+        Array.iter Hashtbl.clear old.metas;
+        Array.iter (fun ls -> Queue.clear ls.ls_q) old.links;
+        (old.fwd, old.metas, old.links)
+    | None ->
+        ( Routing.compile p.fp_policy p.fp_topo,
+          Array.init (Topology.n_switches p.fp_topo) (fun _ -> Hashtbl.create 64),
+          Array.init (Topology.n_links p.fp_topo) (fun _ ->
+              { ls_q = Queue.create (); ls_last_due = 0 }) )
+  in
   {
     p;
     prog;
-    fwd = Routing.compile p.fp_policy p.fp_topo;
+    fwd;
     mon = monitor;
     dst_of = dst;
     nodes = [||];
-    metas = Array.init (Topology.n_switches p.fp_topo) (fun _ -> Hashtbl.create 64);
-    links =
-      Array.init (Topology.n_links p.fp_topo) (fun _ ->
-          { ls_q = Queue.create (); ls_last_due = 0 });
+    metas;
+    links;
     anchor;
     now = anchor;
     visited = 0;
@@ -467,7 +479,36 @@ let encode fab = Binio.to_string ~magic:snap_magic (encode_into fab)
 
 exception Restore_mismatch of string
 
-let decode_fabric ?monitor ~dst p prog r =
+(* --- in-process resume: the suspended fabric, parked ---
+
+   A leg that suspends leaves its fabric dead: the next leg decodes the
+   same state from the snapshot.  When that leg runs in the same domain
+   and is handed the very string the suspension returned, it decodes
+   into the dead fabric's machines instead of building new ones.  The
+   slot holds one fabric per domain, in an ephemeron keyed by the
+   snapshot string, so the parked machines die with the string.  Every
+   resume empties the slot before it looks, with nothing between the
+   read and the write that could switch threads, so a fabric is reused
+   at most once, and a resume that fails leaves nothing parked. *)
+let parked : (string, t) Ephemeron.K1.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let park snapshot fab = Domain.DLS.get parked := Some (Ephemeron.K1.make snapshot fab)
+
+let take snapshot =
+  let slot = Domain.DLS.get parked in
+  let eph = !slot in
+  slot := None;
+  match eph with Some eph -> Ephemeron.K1.query eph snapshot | None -> None
+
+(* A parked fabric is decoded into only under the topology, routing
+   policy and program (all physically) it ran: its forwarding table,
+   node count and kernels are theirs.  The node machines make their own
+   check of the snapshot's params ({!Sim.node_restore}). *)
+let fits old p prog =
+  old.p.fp_topo == p.fp_topo && old.p.fp_policy == p.fp_policy && old.prog == prog
+
+let decode_fabric ?monitor ?into ~dst p prog r =
   Binio.r_tag r ~expect:1 ~what:"fabric header";
   let topo_dig = Binio.r_int r in
   if topo_dig <> Topology.digest p.fp_topo then
@@ -501,7 +542,7 @@ let decode_fabric ?monitor ~dst p prog r =
   let hops_hist = Hist.decode r in
   let fab =
     {
-      (blank ?monitor ~dst ~anchor p prog) with
+      (blank ?monitor ?into ~dst ~anchor p prog) with
       now;
       injected;
       delivered;
@@ -522,8 +563,9 @@ let decode_fabric ?monitor ~dst p prog r =
   if Binio.r_int r <> Topology.n_switches p.fp_topo then
     raise (Restore_mismatch "snapshot node count does not match the topology");
   make_nodes fab (fun i ~on_exit ~on_drop ->
+      let into = match into with Some old -> Some old.nodes.(i) | None -> None in
       let nd =
-        match Sim.node_restore ~on_exit ~on_drop r prog with
+        match Sim.node_restore ?into ~on_exit ~on_drop r prog with
         | Ok nd -> nd
         | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
         | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
@@ -609,7 +651,9 @@ let drive fab source ~cycle_budget ~sabotage =
   do
     let pause = match cycle_budget with Some b -> fab.visited >= b | None -> false in
     if pause then begin
-      suspended := Some (encode fab);
+      let snap = encode fab in
+      park snap fab;
+      suspended := Some snap;
       running := false
     end
     else begin
@@ -700,7 +744,10 @@ let resume ?monitor ?cycle_budget ~dst ~snapshot p prog source =
   | Error msg -> Error (Sim.Corrupt msg)
   | Ok r -> (
       let decoded =
-        match decode_fabric ?monitor ~dst p prog r with
+        let into =
+          match take snapshot with Some old when fits old p prog -> Some old | _ -> None
+        in
+        match decode_fabric ?monitor ?into ~dst p prog r with
         | fab -> Ok fab
         | exception e -> Error (e, Printexc.get_raw_backtrace ())
       in

@@ -135,7 +135,24 @@ val resume :
     wrong with it; then the first decode error (a node frame's own
     checksum at that frame's offset, a [Mismatch], a forged field); then
     a source that does not match.  The source is read only after every
-    checksum has passed, so a snapshot error leaves it untouched. *)
+    checksum has passed, so a snapshot error leaves it untouched.
+
+    In-process resume.  A run or resume that suspends parks its fabric
+    in a per-domain slot, keyed by the returned snapshot string through
+    an ephemeron: the parked machines live exactly as long as that
+    string does, and a later suspension in the same domain replaces
+    them.  A [resume] whose [snapshot] is physically that string, under
+    the same topology, routing policy and program (all physically
+    equal), decodes into the parked node machines, forwarding table,
+    metadata tables and link queues instead of building new ones.  The
+    bytes are still verified and decoded in full, so the result is the
+    one a fresh decode gives.  The next resume in the domain empties
+    the slot, whatever string it is handed, so the parked fabric is
+    taken at most once: a second resume of the same string, a resume of
+    an equal copy, and a resume in another process or domain take the
+    fresh path.  A resume that fails parks nothing.  A fabric snapshot is a fixed point
+    of resume: a zero-budget resume re-encodes the same bytes, on either
+    path. *)
 
 val results_equal : result -> result -> bool
 (** Exact equality on every field, histograms included — the

@@ -69,6 +69,10 @@ and resize t cap =
     if k <> empty then replace t k ovals.(i)
   done
 
+let clear t =
+  Array.fill t.keys 0 (Array.length t.keys) empty;
+  t.len <- 0
+
 (* The load-factor bound [replace] grows at: [4 * len <= 3 * slots]. *)
 let reserve t n =
   let cap = ref (Array.length t.keys) in

@@ -22,6 +22,9 @@ val replace : t -> int -> int -> unit
 (** Insert or overwrite.
     @raise Invalid_argument on the reserved key [min_int]. *)
 
+val clear : t -> unit
+(** Remove every binding, keeping the slot arrays: allocates nothing. *)
+
 val reserve : t -> int -> unit
 (** [reserve t n] sizes the table so that [n] bindings in total fit
     without growing again. *)

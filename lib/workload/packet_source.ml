@@ -33,13 +33,13 @@ let of_array a =
         Some p
       end)
 
-let of_queue ?(consumed = 0) q =
+let of_queue ?(consumed = 0) ?(last_time = 0) q =
   {
     pull = (fun () -> Queue.take_opt q);
     cached = None;
     eof = false;
     consumed;
-    last_time = 0;
+    last_time;
     total = None;
     live = true;
   }

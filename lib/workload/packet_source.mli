@@ -27,14 +27,15 @@ val of_pull : ?total:int -> (unit -> Mp5_banzai.Machine.input option) -> t
     simulator reserve duplicate-ghost sequence numbers exactly as the
     array path does. *)
 
-val of_queue : ?consumed:int -> Mp5_banzai.Machine.input Queue.t -> t
+val of_queue : ?consumed:int -> ?last_time:int -> Mp5_banzai.Machine.input Queue.t -> t
 (** A live source over a refillable queue: an empty queue means "nothing
     this cycle", never end-of-stream, so [peek] does not latch
     exhaustion.  The fabric driver pushes each switch's inter-switch
-    deliveries into its queue between lock-step cycles.  [consumed]
-    (default 0) pre-positions the cursor when rebuilding a node from a
-    snapshot, so sequence numbers continue where the checkpointed run
-    stopped. *)
+    deliveries into its queue between lock-step cycles.  [consumed] and
+    [last_time] (both default 0) pre-position the cursor and the
+    {!last_time} reading when rebuilding a node from a snapshot, so
+    sequence numbers continue where the checkpointed run stopped and the
+    node re-encodes the arrival time it was checkpointed with. *)
 
 val peek : t -> Mp5_banzai.Machine.input option
 (** Next packet without consuming it. *)

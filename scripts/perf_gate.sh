@@ -24,7 +24,11 @@
 #   fabric-boundary/words          words per fabric checkpoint boundary:
 #                                  Fabric.resume ~cycle_budget:0 (decode +
 #                                  encode) of a fixed mid-drain 2x2
-#                                  leaf-spine snapshot
+#                                  leaf-spine snapshot, into new machines
+#   fabric-legs/words_per_pkt      words per packet of an in-process drain
+#                                  of that fabric in 500-cycle legs, each
+#                                  resume decoding into the machines the
+#                                  previous leg suspended
 #
 # The harness already takes the min over 5 interleaved repetitions,
 # but shared runners also swing between whole invocations (observed
@@ -41,7 +45,7 @@ set -eu
 
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
-WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte fabric-boundary/words'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte fabric-boundary/words fabric-legs/words_per_pkt'
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;

@@ -355,6 +355,104 @@ let test_link_faults () =
     (r.Fabric.fr_delivered + r.Fabric.fr_node_dropped + r.Fabric.fr_miss_dropped
    + r.Fabric.fr_link_dropped)
 
+(* ------------------------------------------------------------------ *)
+(* Resuming into the suspended fabric's machines.                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A resume handed the very string a suspension returned decodes into
+   that fabric's machines; a copy of the string decodes into new ones.
+   Both must write the same snapshot at every later suspension and end
+   on the same result as the straight run.  The corpus crosses a slice
+   of generated programs and the §4.3 program on a hot 4-cell register
+   file with four machine configurations: MP5 defaults, Ideal (per-cell
+   queues), tight non-adaptive FIFOs (full-FIFO drops, which cancel the
+   dropped packets' parked phantoms) and the starvation and ECN
+   guards; each is suspended every 1, 7, 50 and 500 cycles. *)
+
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+(* Drain in legs of [budget] cycles against one positioned source; each
+   resume gets the previous leg's string itself or, with [~fresh], a
+   copy.  Returns every suspension's snapshot and the final result. *)
+let drain_legs ~fresh ~budget ~dst fp prog trace =
+  let source = Psource.of_array trace in
+  let rec go n snaps = function
+    | Fabric.Completed r -> (List.rev snaps, r)
+    | Fabric.Suspended snap -> (
+        if n > 5000 then Alcotest.fail "fabric leg chain does not terminate";
+        let handed = if fresh then copy snap else snap in
+        match Fabric.resume ~cycle_budget:budget ~dst ~snapshot:handed fp prog source with
+        | Ok o -> go (n + 1) (snap :: snaps) o
+        | Error (Sim.Corrupt m | Sim.Mismatch m) -> Alcotest.failf "leg %d rejected: %s" n m)
+  in
+  go 0 [] (Fabric.run ~cycle_budget:budget ~dst fp prog source)
+
+let machine_variants ~k =
+  let d = Sim.default_params ~k in
+  [
+    ("mp5", d);
+    ("ideal", { d with Sim.mode = Sim.Ideal });
+    ("tight-fifo", { d with Sim.fifo_capacity = 1; adaptive_fifos = false });
+    ("guards", { d with Sim.starvation_threshold = Some 1; ecn_threshold = Some 1 });
+  ]
+
+let test_recycled_legs () =
+  let topo = Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~delay:1 in
+  let n_hosts = Topology.n_hosts topo in
+  let dst (input : Machine.input) =
+    (input.Machine.port + abs input.Machine.headers.(0)) mod n_hosts
+  in
+  let progen =
+    List.map
+      (fun seed ->
+        let _, prog = prog_for seed in
+        (Printf.sprintf "progen %d" seed, prog, 2 + (seed mod 3)))
+      [ 4; 13; 58; 91 ]
+  in
+  let hot =
+    let sw =
+      Mp5_core.Switch.create_exn (Mp5_apps.Sources.sensitivity_program ~stateful:4 ~reg_size:4)
+    in
+    ("sensitivity 4x4", sw.Mp5_core.Switch.prog, 4)
+  in
+  let drops = Hashtbl.create 4 in
+  List.iter
+    (fun (name, prog, k) ->
+      let trace = gen_trace (Rng.create (Hashtbl.hash name)) ~n_hosts ~n:160 in
+      List.iter
+        (fun (variant, sim) ->
+          let fp = { (params_for topo ~k Linkplan.empty) with Fabric.fp_sim = sim } in
+          let straight =
+            completed 0 (Fabric.run ~dst fp prog (Psource.of_array trace))
+          in
+          let prev = try Hashtbl.find drops variant with Not_found -> 0 in
+          Hashtbl.replace drops variant (prev + straight.Fabric.fr_node_dropped);
+          List.iter
+            (fun budget ->
+              let case = Printf.sprintf "%s, %s, budget %d" name variant budget in
+              let snaps_r, recycled = drain_legs ~fresh:false ~budget ~dst fp prog trace in
+              let snaps_f, fresh = drain_legs ~fresh:true ~budget ~dst fp prog trace in
+              if List.length snaps_r <> List.length snaps_f then
+                Alcotest.failf "%s: %d recycled legs, %d fresh" case (List.length snaps_r)
+                  (List.length snaps_f);
+              List.iteri
+                (fun i (a, b) ->
+                  if a <> b then Alcotest.failf "%s: suspension %d writes different bytes" case i)
+                (List.combine snaps_r snaps_f);
+              if not (Fabric.results_equal recycled fresh) then
+                Alcotest.failf "%s: recycled drain diverges from the fresh drain" case;
+              if not (Fabric.results_equal straight recycled) then
+                Alcotest.failf "%s: legged drain diverges from the straight run" case)
+            [ 1; 7; 50; 500 ])
+        (machine_variants ~k))
+    (hot :: progen);
+  (* The drop-producing configurations did drop. *)
+  List.iter
+    (fun variant ->
+      if Hashtbl.find drops variant = 0 then
+        Alcotest.failf "%s: no run of the corpus dropped a packet" variant)
+    [ "tight-fifo"; "guards" ]
+
 let () =
   Alcotest.run "fabric"
     [
@@ -371,5 +469,10 @@ let () =
           Alcotest.test_case "zero-delay links" `Quick test_zero_delay;
           Alcotest.test_case "forwarding miss is a counted drop" `Quick test_forwarding_miss;
           Alcotest.test_case "link-down / link-delay windows" `Quick test_link_faults;
+        ] );
+      ( "resume",
+        [
+          Alcotest.test_case "a resume into the suspended machines = a fresh resume" `Quick
+            test_recycled_legs;
         ] );
     ]

@@ -387,34 +387,225 @@ let fabric_completed = function
   | Fabric.Completed r -> r
   | Fabric.Suspended _ -> Alcotest.fail "fabric run suspended without a budget"
 
+(* A copy of a snapshot string: equal bytes, another string, so a
+   resume of it never finds the suspended fabric parked. *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+let expect_resumed what = function
+  | Ok o -> o
+  | Error (Sim.Corrupt m) -> Alcotest.failf "%s: corrupt: %s" what m
+  | Error (Sim.Mismatch m) -> Alcotest.failf "%s: mismatch: %s" what m
+
+(* Drain a suspended fabric to completion in [budget]-cycle legs, each
+   resumed from the previous leg's string (or, with [~copy_snaps:true],
+   a copy of it) against a fresh source (replayed-prefix path).  Returns
+   the number of legs and the result. *)
+let fabric_chain ?(copy_snaps = false) ?(budget = 30) (prog, trace, dst, fp) outcome =
+  let rec chunks n = function
+    | Fabric.Completed r -> (n, r)
+    | Fabric.Suspended snap ->
+        if n > 50 then Alcotest.fail "fabric resume chain does not terminate";
+        let snapshot = if copy_snaps then copy snap else snap in
+        chunks (n + 1)
+          (expect_resumed (Printf.sprintf "chunk %d" n)
+             (Fabric.resume ~cycle_budget:budget ~dst ~snapshot fp prog
+                (Psource.of_array trace)))
+  in
+  chunks 0 outcome
+
 let test_fabric_resume () =
   let prog, trace, dst, fp = fabric_fixture () in
   let straight =
     fabric_completed (Fabric.run ~dst fp prog (Psource.of_array trace))
   in
-  (* Chunk the run through suspensions; each leg resumes from the
-     previous snapshot against a fresh source (replayed-prefix path). *)
-  let rec chunks n outcome =
-    match outcome with
-    | Fabric.Completed r -> (n, r)
-    | Fabric.Suspended snap -> (
-        if n > 50 then Alcotest.fail "fabric resume chain does not terminate";
-        match
-          Fabric.resume ~cycle_budget:30 ~dst ~snapshot:snap fp prog
-            (Psource.of_array trace)
-        with
-        | Ok o -> chunks (n + 1) o
-        | Error (Sim.Corrupt m) -> Alcotest.failf "chunk %d: corrupt: %s" n m
-        | Error (Sim.Mismatch m) -> Alcotest.failf "chunk %d: mismatch: %s" n m)
+  (* Chunk the run through suspensions, once resuming each leg from the
+     string the previous one returned (into its parked machines) and
+     once from a copy (into new ones). *)
+  List.iter
+    (fun copy_snaps ->
+      let first = Fabric.run ~cycle_budget:12 ~dst fp prog (Psource.of_array trace) in
+      (match first with
+      | Fabric.Suspended _ -> ()
+      | Fabric.Completed _ -> Alcotest.fail "budget 12 did not suspend the fabric run");
+      let n, chunked = fabric_chain ~copy_snaps (prog, trace, dst, fp) first in
+      if n < 2 then Alcotest.failf "expected several suspensions, got %d" n;
+      if not (Fabric.results_equal straight chunked) then
+        Alcotest.failf "chunked fabric run diverges from the uninterrupted run (%s strings)"
+          (if copy_snaps then "copied" else "recycled"))
+    [ false; true ]
+
+(* [Sim.node_restore ~into]: a node frame decoded into a retired node,
+   whatever state that node was left in, gives the node a fresh decode
+   gives.  One node of the §4.3 program on 16-cell register files is
+   checkpointed at cycle 8, before it has touched every cell, and run
+   on to cycle 120; the checkpoint is then restored fresh and into that
+   node, and both are run to cycle 220 on the same inputs: the same
+   exits, and the same bytes at every checkpoint.  Per-cell queues
+   (Ideal) and full-FIFO drops included. *)
+let test_node_restore_into () =
+  let prog =
+    (Mp5_core.Switch.create_exn (Mp5_apps.Sources.sensitivity_program ~stateful:4 ~reg_size:16))
+      .Mp5_core.Switch.prog
   in
-  let first = Fabric.run ~cycle_budget:12 ~dst fp prog (Psource.of_array trace) in
-  (match first with
-  | Fabric.Suspended _ -> ()
-  | Fabric.Completed _ -> Alcotest.fail "budget 12 did not suspend the fabric run");
-  let n, chunked = chunks 0 first in
-  if n < 2 then Alcotest.failf "expected several suspensions, got %d" n;
-  if not (Fabric.results_equal straight chunked) then
-    Alcotest.fail "chunked fabric run diverges from the uninterrupted run"
+  let rng = Mp5_util.Rng.create 5 in
+  let trace =
+    Array.init 600 (fun i ->
+        {
+          Mp5_banzai.Machine.time = i / 3;
+          port = Mp5_util.Rng.int rng 4;
+          headers = Array.init 4 (fun _ -> Mp5_util.Rng.int rng 16);
+        })
+  in
+  let encode nd = Binio.to_string ~magic:"node-test" (fun w -> Sim.node_encode w nd) in
+  let restore ?into snap exits =
+    let on_exit ~seq ~latency ~headers:_ = exits := (seq, latency) :: !exits in
+    match Binio.of_string ~magic:"node-test" snap with
+    | Error e -> Alcotest.failf "reframe: %s" e
+    | Ok r -> (
+        match Sim.node_restore ?into ~on_exit ~on_drop:(fun ~seq:_ -> ()) r prog with
+        | Ok nd -> nd
+        | Error (Sim.Corrupt m | Sim.Mismatch m) -> Alcotest.failf "node restore: %s" m)
+  in
+  (* Step cycles [from, until), each cycle's arrivals injected first. *)
+  let run nd ~from ~until =
+    for t = from to until - 1 do
+      Array.iter
+        (fun (i : Mp5_banzai.Machine.input) ->
+          if i.Mp5_banzai.Machine.time = t then ignore (Sim.node_inject nd i : int))
+        trace;
+      Sim.node_step nd ~now:t
+    done
+  in
+  let d = Sim.default_params ~k:4 in
+  List.iter
+    (fun (what, params) ->
+      let exits = ref [] in
+      let on_exit ~seq ~latency ~headers:_ = exits := (seq, latency) :: !exits in
+      let nd = Sim.node_create ~anchor:0 ~on_exit ~on_drop:(fun ~seq:_ -> ()) params prog in
+      run nd ~from:0 ~until:8;
+      let snap = encode nd in
+      let pending = ref [] in
+      Sim.node_iter_pending nd (fun i -> pending := i :: !pending);
+      run nd ~from:8 ~until:120;
+      if Sim.node_dropped nd = 0 && what = "tight-fifo" then
+        Alcotest.failf "%s: the retired node dropped nothing" what;
+      let resumed ?into () =
+        let exits = ref [] in
+        let nd = restore ?into snap exits in
+        if encode nd <> snap then Alcotest.failf "%s: a restored node re-encodes differently" what;
+        List.iter (fun i -> ignore (Sim.node_inject nd i : int)) (List.rev !pending);
+        let snaps =
+          List.map
+            (fun (from, until) ->
+              run nd ~from ~until;
+              encode nd)
+            [ (8, 9); (9, 100); (100, 220) ]
+        in
+        (snaps, List.rev !exits)
+      in
+      let fresh = resumed () in
+      let recycled = resumed ~into:nd () in
+      if fst fresh <> fst recycled then
+        Alcotest.failf "%s: the node restored into a retired one writes different bytes" what;
+      if snd fresh <> snd recycled then
+        Alcotest.failf "%s: the node restored into a retired one exits differently" what)
+    [
+      ("mp5", d);
+      ("ideal", { d with Sim.mode = Sim.Ideal });
+      ("tight-fifo", { d with Sim.fifo_capacity = 1; adaptive_fifos = false });
+    ]
+
+(* A fabric snapshot is a fixed point of resume: a zero-budget resume
+   decodes it and suspends at once, writing the same bytes, whether it
+   decodes into the suspended fabric's machines (the string itself) or
+   into new ones (a copy).  Every node frame carries its source's last
+   arrival time, which a restored node must keep. *)
+let test_fabric_fixed_point () =
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
+  let again what snapshot =
+    match
+      expect_resumed what
+        (Fabric.resume ~cycle_budget:0 ~dst ~snapshot fp prog (Psource.of_array trace))
+    with
+    | Fabric.Suspended s -> s
+    | Fabric.Completed _ -> Alcotest.failf "%s: a zero-budget resume completed" what
+  in
+  let recycled = again "recycled" snap in
+  if recycled <> snap then Alcotest.fail "recycled resume re-encodes different bytes";
+  let fresh = again "fresh" (copy snap) in
+  if fresh <> snap then Alcotest.fail "fresh resume re-encodes different bytes";
+  (* and the re-encoded string resumes the same way in turn *)
+  if again "second recycled" fresh <> snap then
+    Alcotest.fail "second recycled resume re-encodes different bytes"
+
+(* The suspended fabric is taken at most once: a string resumed twice
+   drains to the straight result both times, the second time into new
+   machines. *)
+let test_fabric_take_once () =
+  let prog, trace, dst, fp, snap = fabric_snapshot () in
+  let fx = (prog, trace, dst, fp) in
+  let straight = fabric_completed (Fabric.run ~dst fp prog (Psource.of_array trace)) in
+  let resume_all what =
+    let _, r =
+      fabric_chain fx
+        (expect_resumed what
+           (Fabric.resume ~cycle_budget:30 ~dst ~snapshot:snap fp prog
+              (Psource.of_array trace)))
+    in
+    if not (Fabric.results_equal straight r) then
+      Alcotest.failf "%s resume of one string diverges from the straight run" what
+  in
+  resume_all "first";
+  resume_all "second"
+
+(* A resume that fails parks nothing: after each rejected resume, one of
+   the good string drains to the straight result.  A corrupt copy and
+   another program or topology release the parked fabric unused; a
+   source that does not replay the snapshot's prefix is only found
+   after every node was decoded into the parked machines. *)
+let test_fabric_failed_resume () =
+  let prog, trace, dst, fp = fabric_fixture () in
+  let fx = (prog, trace, dst, fp) in
+  let straight = fabric_completed (Fabric.run ~dst fp prog (Psource.of_array trace)) in
+  let _, other_prog = prog_for 14 in
+  let other_topo = Topology.line ~switches:4 ~hosts_per_sw:1 ~delay:2 in
+  let other_trace = Array.map (fun i -> { i with Mp5_banzai.Machine.port = 1 }) trace in
+  let flipped snap =
+    let b = Bytes.of_string snap in
+    let mid = String.length snap / 2 in
+    Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff));
+    Bytes.to_string b
+  in
+  let on_topo topo = { fp with Fabric.fp_topo = topo; fp_policy = Routing.shortest_paths topo } in
+  let resume ?(fp = fp) ?(prog = prog) ?(trace = trace) snap =
+    Fabric.resume ~dst ~snapshot:snap fp prog (Psource.of_array trace)
+  in
+  let failing =
+    [
+      ("corrupt copy", fun snap -> resume (flipped snap));
+      ("other program", fun snap -> resume ~prog:other_prog snap);
+      ("other topology", fun snap -> resume ~fp:(on_topo other_topo) snap);
+      (* the digests match, the parked fabric is not decoded into *)
+      ( "an equal topology built again, and another source",
+        fun snap ->
+          resume
+            ~fp:(on_topo (Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:1 ~delay:2))
+            ~trace:other_trace snap );
+      ("other source", fun snap -> resume ~trace:other_trace snap);
+    ]
+  in
+  List.iter
+    (fun (what, bad) ->
+      match Fabric.run ~cycle_budget:12 ~dst fp prog (Psource.of_array trace) with
+      | Fabric.Completed _ -> Alcotest.fail "budget 12 did not suspend the fabric run"
+      | Fabric.Suspended snap ->
+          (match bad snap with
+          | Ok _ -> Alcotest.failf "%s: resume accepted" what
+          | Error _ -> ());
+          let _, r = fabric_chain fx (expect_resumed what (resume snap)) in
+          if not (Fabric.results_equal straight r) then
+            Alcotest.failf "%s: the good string's drain diverges from the straight run" what)
+    failing
 
 (* Snapshots carry no monitor state, and the monitor is a pure
    observer.  The test's name dates from two cycle loops, when fabric
@@ -1081,6 +1272,14 @@ let () =
         [
           Alcotest.test_case "mid-flight fabric snapshot/resume is invisible" `Quick
             test_fabric_resume;
+          Alcotest.test_case "a fabric snapshot is a fixed point of resume" `Quick
+            test_fabric_fixed_point;
+          Alcotest.test_case "a node restored into a retired node = a fresh restore" `Quick
+            test_node_restore_into;
+          Alcotest.test_case "a suspended fabric is resumed into at most once" `Quick
+            test_fabric_take_once;
+          Alcotest.test_case "a failed resume leaves no machines behind" `Quick
+            test_fabric_failed_resume;
           Alcotest.test_case "legs alternating generic and fast nodes resume bit-identical"
             `Quick test_fabric_alternating_loops;
           Alcotest.test_case "damaged or mismatched fabric snapshots are rejected" `Quick
