@@ -86,11 +86,13 @@ fabric-smoke:
 
 # Performance gate: sim-micro times the closure kernels on a
 # heavy-hitter trace and writes its row to BENCH_results.json.
-# scripts/perf_gate.sh then compares seven fresh keys against the baseline
-# committed in git HEAD: heavy-hitter-2k/kernel_ns (wall clock, +/-25%
-# band: above fails as a regression, well below warns that the baseline
-# should be refreshed), and six deterministic allocation counters that
-# fail above 1.02x: heavy-hitter-2k/words_per_pkt (minor words per
+# scripts/perf_gate.sh then compares fresh keys against the baseline
+# committed in git HEAD: heavy-hitter-2k/kernel_ns divided by
+# host/calib_ns, a fixed host-calibration loop timed in the same run
+# (+/-25% band on the ratio: above fails as a regression, well below
+# warns that the baseline should be refreshed), and six deterministic
+# allocation counters that fail above 1.02x:
+# heavy-hitter-2k/words_per_pkt (minor words per
 # packet), generic/words_per_pkt (the same count: there is one cycle
 # loop, and the key the oracle loop was gated by stays),
 # golden/words_per_pkt, trace_io/words_per_byte,

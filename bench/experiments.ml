@@ -596,6 +596,9 @@ let profile_probe scale name =
 type micro = {
   mi_reps : int;
   mi_kernel_ns : float;  (** min wall-clock per [Sim.run] *)
+  mi_calib_ns : float;
+      (** min wall-clock of the host-calibration loop, timed alongside:
+          [mi_kernel_ns / mi_calib_ns] is the host-independent figure *)
   mi_kernel_words : float;
       (** minor-heap words allocated per packet by one [Sim.run]: a
           deterministic counter, unlike the wall clock *)
@@ -704,6 +707,26 @@ let fabric_legs_words () =
   in
   alloc_words drain /. float_of_int spec.Mp5_fabric.Traffic.n_packets
 
+(* Host-speed reference: a fixed loop shaped like the cycle loop —
+   indirect calls through an array of closures, read-modify-writes on a
+   cache-resident int array, a short-lived block every 16 iterations —
+   that no change to the program touches.  Of the loops tried (random
+   writes over an 8 MB table, a 1 MB table, an FNV hash chain, this
+   one), this one's time tracked the kernels' best across slow and fast
+   periods of a shared host: the kernels' min over 10 runs moved 1.8x
+   while their ratio to this loop moved 1.1x. *)
+let calib_fns = Array.init 64 (fun i x -> (x * (i + 3)) lxor (x lsr 7))
+
+let calibrate () =
+  let acc = ref 1 and cells = Array.make 4096 0 in
+  for i = 1 to 400_000 do
+    acc := (Array.unsafe_get calib_fns (i land 63)) !acc + i;
+    let j = !acc land 4095 in
+    Array.unsafe_set cells j (Array.unsafe_get cells j + 1);
+    if i land 15 = 0 then ignore (Sys.opaque_identity (ref !acc))
+  done;
+  ignore (Sys.opaque_identity cells)
+
 let sim_micro scale =
   let sw = Switch.create_exn Sources.heavy_hitter in
   let trace =
@@ -730,13 +753,19 @@ let sim_micro scale =
     run ();
     (Gc.minor_words () -. before) /. float_of_int (Array.length trace)
   in
-  let reps = max 5 scale.runs in
-  let kernel_ns = ref infinity in
-  for _ = 1 to reps do
+  let reps = max 10 scale.runs in
+  (* The calibration loop runs next to each timed run, so a slow phase
+     of the host slows both and cancels out of their ratio. *)
+  let kernel_ns = ref infinity and calib_ns = ref infinity in
+  let time_min r f =
     Gc.minor ();
     let t0 = Unix.gettimeofday () in
-    run ();
-    kernel_ns := Float.min !kernel_ns ((Unix.gettimeofday () -. t0) *. 1e9)
+    f ();
+    r := Float.min !r ((Unix.gettimeofday () -. t0) *. 1e9)
+  in
+  for _ = 1 to reps do
+    time_min calib_ns calibrate;
+    time_min kernel_ns run
   done;
   let seq = Switch.create_exn Sources.sequencer in
   let seq_trace =
@@ -747,6 +776,7 @@ let sim_micro scale =
   {
     mi_reps = reps;
     mi_kernel_ns = !kernel_ns;
+    mi_calib_ns = !calib_ns;
     mi_kernel_words = kernel_words;
     mi_golden_words =
       alloc_words (fun () -> Switch.golden seq seq_trace) /. float_of_int (Array.length seq_trace);

@@ -196,6 +196,9 @@ let run_sim_micro scale =
   Format.printf "@.sim-micro: heavy-hitter, 2000-packet trace, k=4 (min over %d reps)@."
     m.Experiments.mi_reps;
   Format.printf "  closure kernels: %12.0f ns/run@." m.Experiments.mi_kernel_ns;
+  Format.printf "  host calibration: %11.0f ns/loop (kernels / calibration = %.3f)@."
+    m.Experiments.mi_calib_ns
+    (m.Experiments.mi_kernel_ns /. m.Experiments.mi_calib_ns);
   Format.printf "  closure kernels allocate %.1f minor words/packet@."
     m.Experiments.mi_kernel_words;
   Format.printf "  golden machine (sequencer, 2000 packets) allocates %.1f words/packet@."
@@ -208,6 +211,8 @@ let run_sim_micro scale =
     m.Experiments.mi_legs_words;
   [
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
+    (* The host-speed reference the gate divides [kernel_ns] by. *)
+    ("host/calib_ns", m.Experiments.mi_calib_ns);
     ("heavy-hitter-2k/words_per_pkt", m.Experiments.mi_kernel_words);
     (* One cycle loop: the oracle-loop key gated since the allocation
        fix now counts the same run. *)

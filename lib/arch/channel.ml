@@ -3,12 +3,12 @@
    pending cycle is bounded by the pipeline depth (a phantom travels at
    most [n_stages] cycles), so the bucket window stays small; it doubles
    if a delivery ever lands beyond the current horizon.  Each bucket is
-   a flat int array of (seq, stage/dest/ring, cell) triples, so
+   a flat int array of (seq, stage/dest/ring, cell, slot) quadruples, so
    [schedule] and [drain] are int stores and loads: no delivery record
    is allocated, and a drained bucket keeps nothing reachable. *)
 type t = {
   mutable buckets : int array array;  (* power-of-two length; cycle c at c land (len-1) *)
-  mutable fill : int array;           (* ints used per bucket: 3 per delivery *)
+  mutable fill : int array;           (* ints used per bucket: 4 per delivery *)
   mutable base : int;                 (* lower bound on pending cycles *)
   mutable count : int;
 }
@@ -37,7 +37,7 @@ let grow t ~until =
 (* stage/dest/ring in one int; dest and ring are pipelines (< 64) *)
 let pack ~stage ~dest ~ring = (stage lsl 12) lor (dest lsl 6) lor ring
 
-let schedule t ~at ~seq ~stage ~dest ~ring ~cell =
+let schedule t ~at ~seq ~stage ~dest ~ring ~cell ~slot =
   if stage < 0 || (dest lor ring) lsr 6 <> 0 then
     invalid_arg "Channel.schedule: stage, dest or ring out of range";
   if t.count = 0 then t.base <- at
@@ -52,9 +52,9 @@ let schedule t ~at ~seq ~stage ~dest ~ring ~cell =
   let n = t.fill.(i) in
   let b = t.buckets.(i) in
   let b =
-    if n + 3 <= Array.length b then b
+    if n + 4 <= Array.length b then b
     else begin
-      let nb = Array.make (max 24 (2 * Array.length b)) 0 in
+      let nb = Array.make (max 32 (2 * Array.length b)) 0 in
       Array.blit b 0 nb 0 n;
       t.buckets.(i) <- nb;
       nb
@@ -63,7 +63,8 @@ let schedule t ~at ~seq ~stage ~dest ~ring ~cell =
   b.(n) <- seq;
   b.(n + 1) <- pack ~stage ~dest ~ring;
   b.(n + 2) <- cell;
-  t.fill.(i) <- n + 3;
+  b.(n + 3) <- slot;
+  t.fill.(i) <- n + 4;
   t.count <- t.count + 1
 
 let drain t ~now f =
@@ -72,14 +73,14 @@ let drain t ~now f =
     let n = t.fill.(i) in
     if n > 0 then begin
       let b = t.buckets.(i) in
-      t.count <- t.count - (n / 3);
+      t.count <- t.count - (n / 4);
       t.fill.(i) <- 0;
       let j = ref 0 in
       while !j < n do
         let packed = b.(!j + 1) in
         f ~seq:b.(!j) ~stage:(packed lsr 12) ~dest:((packed lsr 6) land 63) ~ring:(packed land 63)
-          ~cell:b.(!j + 2);
-        j := !j + 3
+          ~cell:b.(!j + 2) ~slot:b.(!j + 3);
+        j := !j + 4
       done
     end;
     (* Nothing is pending at or before [now] any more: keep the window
@@ -112,8 +113,22 @@ let iter t f =
       while !j < n do
         let packed = b.(!j + 1) in
         f ~at ~seq:b.(!j) ~stage:(packed lsr 12) ~dest:((packed lsr 6) land 63)
-          ~ring:(packed land 63) ~cell:b.(!j + 2);
-        j := !j + 3
+          ~ring:(packed land 63) ~cell:b.(!j + 2) ~slot:b.(!j + 3);
+        j := !j + 4
+      done
+    done
+  end
+
+let set_slots t f =
+  if t.count > 0 then begin
+    let mask = Array.length t.buckets - 1 in
+    for d = 0 to Array.length t.buckets - 1 do
+      let i = (t.base + d) land mask in
+      let b = t.buckets.(i) in
+      let j = ref 0 in
+      while !j < t.fill.(i) do
+        b.(!j + 3) <- f ~seq:b.(!j) ~stage:(b.(!j + 1) lsr 12) ~slot:b.(!j + 3);
+        j := !j + 4
       done
     done
   end

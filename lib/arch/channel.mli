@@ -7,23 +7,30 @@
     at cycle [t + j].  Deliveries for the same cycle are returned in
     scheduling order, which preserves generation order.
 
-    A delivery is five ints: the packet's [seq], the destination [stage]
-    and pipeline [dest], the [ring] (source pipeline) it queues in, and
-    the resolved [cell].  The calendar stores them flat, so scheduling
-    and draining allocate nothing. *)
+    A delivery is six ints: the packet's [seq], the destination [stage]
+    and pipeline [dest], the [ring] (source pipeline) it queues in, the
+    resolved [cell], and the [slot] the packet's owner keeps it under —
+    the simulator's slab access index, where the delivered phantom's
+    position is recorded and through which a dropped packet's delivery
+    is recognised.  The channel never interprets [slot].  The calendar
+    stores four ints per delivery, flat, so scheduling and draining
+    allocate nothing. *)
 
 type t
 
 val create : unit -> t
 
 val schedule :
-  t -> at:int -> seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> unit
+  t -> at:int -> seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> slot:int -> unit
 (** Schedule a delivery at cycle [at].
     @raise Invalid_argument unless [stage >= 0] and [dest] and [ring]
     lie in [\[0, 64)] (pipelines are limited to 64, as in {!Fifo}). *)
 
 val drain :
-  t -> now:int -> (seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> unit) -> unit
+  t ->
+  now:int ->
+  (seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> slot:int -> unit) ->
+  unit
 (** Apply the function to each delivery scheduled for cycle [now], in
     scheduling order, removing them.  The callback must not [schedule]
     back into cycle [now]; it may schedule into any later cycle. *)
@@ -36,12 +43,20 @@ val clear : t -> unit
     allocates nothing, and the channel then behaves as a fresh one. *)
 
 val iter :
-  t -> (at:int -> seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> unit) -> unit
+  t ->
+  (at:int -> seq:int -> stage:int -> dest:int -> ring:int -> cell:int -> slot:int -> unit) ->
+  unit
 (** Every pending delivery, cycles ascending, same-cycle deliveries in
     scheduling order, without removing any.  Replaying {!schedule} in
     this order into a fresh channel reproduces the observable state
     exactly — this is how simulator checkpoints serialize the phantom
-    channel.  The callback must not [schedule]. *)
+    channel (all but [slot], which names a slab slot of the running
+    machine).  The callback must not [schedule]. *)
+
+val set_slots : t -> (seq:int -> stage:int -> slot:int -> int) -> unit
+(** Replace every pending delivery's [slot] by the function's answer,
+    in {!iter} order; nothing else changes.  How a restored machine
+    gives the deliveries it decoded their new slab slots. *)
 
 val next_due : t -> int option
 (** Earliest cycle with a scheduled delivery, if any.  Lets the simulator

@@ -1,5 +1,3 @@
-module Int_table = Mp5_util.Int_table
-
 (* A ring is one int array of 4-int physical slots — timestamp, key,
    data, state word — over a power-of-two slot count, so an index wraps
    with a mask and a queued entry is never a heap block: pushes and pops
@@ -21,11 +19,11 @@ type ring = {
   mutable capacity : int;   (* logical capacity: what "full" means *)
 }
 
+(* An entry's position is [(stable seq lsl 6) lor ring]: one immediate
+   int the caller keeps (the simulator, in its packet slab) and hands
+   back to [insert_data] and [cancel], which go straight to the entry. *)
 type t = {
   rings : ring array;
-  (* key -> (stable seq lsl 6) lor ring: packing the location into one
-     immediate int keeps directory updates free of tuple allocation *)
-  directory : Int_table.t;
   adaptive : bool;
   mutable data_count : int;
   mutable high_water : int;
@@ -74,7 +72,6 @@ let make ~k ~capacity ~adaptive ~slots =
   if capacity <= 0 then invalid_arg "Fifo.create: capacity must be positive";
   {
     rings = Array.init k (fun _ -> make_ring ~capacity ~slots);
-    directory = Int_table.create ();
     adaptive;
     data_count = 0;
     high_water = 0;
@@ -91,11 +88,12 @@ let create ~k ~capacity ~adaptive =
    in numbers, touches few of its [k] rings. *)
 let create_small ~k ~capacity ~adaptive = make ~k ~capacity ~adaptive ~slots:1
 
+(* The new entry's position, or -1 when the ring is full. *)
 let push_entry t ~ring ~ts ~key ~data ~state =
   if key < 0 then invalid_arg "Fifo: keys must be non-negative";
   let r = t.rings.(ring) in
   if r.len = r.capacity && t.adaptive then r.capacity <- 2 * r.capacity;
-  if r.len = r.capacity then `Dropped
+  if r.len = r.capacity then -1
   else begin
     if r.len > r.mask then grow_storage r;
     let o = off r r.len in
@@ -104,9 +102,9 @@ let push_entry t ~ring ~ts ~key ~data ~state =
     c.(o + o_key) <- key;
     c.(o + o_data) <- data;
     c.(o + o_state) <- state;
-    Int_table.replace t.directory key (((r.head_seq + r.len) lsl 6) lor ring);
+    let pos = ((r.head_seq + r.len) lsl 6) lor ring in
     r.len <- r.len + 1;
-    `Ok
+    pos
   end
 
 let bump_data t =
@@ -117,32 +115,32 @@ let push_phantom t ~ring ~ts ~key = push_entry t ~ring ~ts ~key ~data:0 ~state:0
 
 let push_data t ~ring ~ts ~key v =
   if v < 0 then invalid_arg "Fifo.push_data: payloads must be non-negative";
-  match push_entry t ~ring ~ts ~key ~data:v ~state:has_data with
-  | `Ok ->
-      bump_data t;
-      `Ok
-  | `Dropped -> `Dropped
+  if push_entry t ~ring ~ts ~key ~data:v ~state:has_data < 0 then `Dropped
+  else begin
+    bump_data t;
+    `Ok
+  end
 
-(* [(cell offset lsl 6) lor ring] of [key]'s entry, or -1 when [key] is
-   not (or no longer) queued; a stale directory entry (phantom already
-   popped) is removed on the way out. *)
-let locate t key =
-  match Int_table.find t.directory key with
-  | exception Not_found -> -1
-  | packed ->
-      let ring = packed land 63 in
-      let r = t.rings.(ring) in
-      let i = (packed lsr 6) - r.head_seq in
-      let o = if i >= 0 && i < r.len then off r i else -1 in
-      if o >= 0 && r.cells.(o + o_key) = key then (o lsl 6) lor ring
-      else begin
-        Int_table.remove t.directory key;
-        -1
-      end
+(* [(cell offset lsl 6) lor ring] of the entry at position [pos] when
+   it still holds [key], else -1: a position whose entry was popped or
+   purged falls outside the ring's live range, and one that names
+   another ring, or a slot since reused, fails the key check. *)
+let locate t ~pos ~key =
+  if pos < 0 then -1
+  else
+    let ring = pos land 63 in
+    if ring >= Array.length t.rings then -1
+    else
+      let r = Array.unsafe_get t.rings ring in
+      let i = (pos lsr 6) - r.head_seq in
+      if i < 0 || i >= r.len then -1
+      else
+        let o = off r i in
+        if r.cells.(o + o_key) = key then (o lsl 6) lor ring else -1
 
-let insert_data t ~key v =
+let insert_data t ~pos ~key v =
   if v < 0 then invalid_arg "Fifo.insert_data: payloads must be non-negative";
-  let loc = locate t key in
+  let loc = locate t ~pos ~key in
   if loc < 0 then `No_phantom
   else
     let c = t.rings.(loc land 63).cells and o = loc lsr 6 in
@@ -154,8 +152,8 @@ let insert_data t ~key v =
       `Ok
     end
 
-let cancel t ~key =
-  let loc = locate t key in
+let cancel t ~pos ~key =
+  let loc = locate t ~pos ~key in
   if loc >= 0 then begin
     let c = t.rings.(loc land 63).cells and o = loc lsr 6 in
     let s = c.(o + o_state) in
@@ -170,7 +168,6 @@ let cancel t ~key =
 let purge_ring t r =
   while r.len > 0 && r.cells.((r.head lsl 2) + o_state) land cancelled <> 0 do
     let o = r.head lsl 2 in
-    Int_table.remove t.directory r.cells.(o + o_key);
     t.cancelled_count <- t.cancelled_count - 1;
     if r.cells.(o + o_state) land has_data <> 0 then t.data_count <- t.data_count - 1;
     pop_head r
@@ -223,12 +220,10 @@ let take t =
   else
     let r = t.rings.(b) in
     let o = r.head lsl 2 in
-    let key = r.cells.(o + o_key) in
-    if r.cells.(o + o_state) land has_data = 0 then -2 - key
+    if r.cells.(o + o_state) land has_data = 0 then -2 - r.cells.(o + o_key)
     else begin
       let v = r.cells.(o + o_data) in
       pop_head r;
-      Int_table.remove t.directory key;
       t.data_count <- t.data_count - 1;
       v
     end
@@ -270,14 +265,12 @@ let snapshot t =
 (* --- snapshot support ---
 
    A checkpoint records everything observable about the queue: per-ring
-   contents head-to-tail (with stable head sequence numbers, which the
-   directory packing depends on), logical capacities (adaptive rings
-   may have grown), and the high-water mark.  Physical storage size is
-   not observable and not recorded.  The directory itself is not
-   recorded either: it is a cache over the rings — any entry it has
-   that the rings don't is stale and [locate] treats it as absent — so
-   rebuilding it from the live entries is observationally equivalent.
-   Both directions walk the rings in place: nothing is copied out. *)
+   contents head-to-tail (with stable head sequence numbers, which
+   positions are built from), logical capacities (adaptive rings may
+   have grown), and the high-water mark.  Physical storage size is not
+   observable and not recorded.  Positions are the caller's: a restored
+   entry's position is [restore_entry]'s answer.  Both directions walk
+   the rings in place: nothing is copied out. *)
 
 let rings t = Array.length t.rings
 let ring_capacity t ~ring = t.rings.(ring).capacity
@@ -298,7 +291,6 @@ let clear t =
       r.len <- 0;
       r.head_seq <- 0)
     t.rings;
-  Int_table.clear t.directory;
   t.data_count <- 0;
   t.high_water <- 0;
   t.cancelled_count <- 0
@@ -322,10 +314,10 @@ let restore_ring t ~ring ~capacity ~head_seq ~entries =
 
 let restore_entry t ~ring ~ts ~key ~cancelled:is_cancelled ~data =
   let state = (if data >= 0 then has_data else 0) lor if is_cancelled then cancelled else 0 in
-  match push_entry t ~ring ~ts ~key ~data:(max data 0) ~state with
-  | `Dropped -> invalid_arg "Fifo.restore_entry: more entries than capacity"
-  | `Ok ->
-      if data >= 0 then t.data_count <- t.data_count + 1;
-      if is_cancelled then t.cancelled_count <- t.cancelled_count + 1
+  let pos = push_entry t ~ring ~ts ~key ~data:(max data 0) ~state in
+  if pos < 0 then invalid_arg "Fifo.restore_entry: more entries than capacity";
+  if data >= 0 then t.data_count <- t.data_count + 1;
+  if is_cancelled then t.cancelled_count <- t.cancelled_count + 1;
+  pos
 
 let restore_high_water t hw = t.high_water <- hw

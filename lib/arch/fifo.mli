@@ -7,11 +7,12 @@
 
     - [push]: append a phantom (or, in baselines without phantoms, a data
       packet) to the ring of its source pipeline, timestamped; a full ring
-      drops the packet.  Phantom positions are recorded in a directory
-      keyed by packet id.
-    - [insert]: replace a queued phantom by its data packet, in place,
-      found via the directory; a miss (the phantom was dropped) drops the
-      data packet.
+      drops the packet.  A phantom push answers with the entry's
+      {e position}, which the caller keeps with the packet.
+    - [insert]: replace a queued phantom by its data packet, in place, at
+      the position its push returned — no key is hashed or searched, as
+      in the hardware; a miss (the phantom was dropped) drops the data
+      packet.
     - [pop]: consider the heads of all [k] rings and choose the smallest
       timestamp.  A data head is dequeued and processed; a phantom head
       blocks the whole logical FIFO — that is how arrival order is
@@ -50,20 +51,34 @@ val create_small : k:int -> capacity:int -> adaptive:bool -> t
     that hold a few entries each, such as the ideal baseline's per-cell
     FIFOs. *)
 
-val push_phantom : t -> ring:int -> ts:int -> key:int -> [ `Ok | `Dropped ]
-(** Enqueue a placeholder for packet [key] ([key] is unique per FIFO:
-    one access per packet per stage). *)
+(** {2 Positions}
+
+    An entry's position is [(stable sequence number lsl 6) lor ring]: a
+    non-negative immediate int that names the entry for as long as it is
+    queued.  Storage growth does not move it (sequence numbers are
+    logical).  A {e stale} position — its entry popped, or a cancelled
+    entry purged — no longer lies in its ring's live range; one whose
+    slot now holds another key fails the key check.  Either way
+    {!insert_data} answers [`No_phantom] and {!cancel} does nothing,
+    exactly as for a position that was never valid, such as [-1]. *)
+
+val push_phantom : t -> ring:int -> ts:int -> key:int -> int
+(** Enqueue a placeholder for packet [key] and return its position, or
+    [-1] when the ring is full and the phantom is dropped. *)
 
 val push_data : t -> ring:int -> ts:int -> key:int -> int -> [ `Ok | `Dropped ]
 (** Enqueue a data packet directly (baselines without phantom ordering). *)
 
-val insert_data : t -> key:int -> int -> [ `Ok | `No_phantom ]
-(** MP5's [insert]: the data packet takes its phantom's place. *)
+val insert_data : t -> pos:int -> key:int -> int -> [ `Ok | `No_phantom ]
+(** MP5's [insert]: the data packet takes its phantom's place, the live
+    phantom at [pos] whose key is [key].  [`No_phantom] when [pos] is
+    stale or invalid, or its entry is data already or cancelled. *)
 
-val cancel : t -> key:int -> unit
-(** Mark packet [key]'s phantom as cancelled (e.g. its data packet was
-    dropped at an earlier stage); cancelled entries are discarded for free
-    when they reach a ring head.  No-op if [key] is not queued. *)
+val cancel : t -> pos:int -> key:int -> unit
+(** Mark the phantom at [pos] as cancelled (e.g. its data packet was
+    dropped at an earlier stage) when it still holds [key]; cancelled
+    entries are discarded for free when they reach a ring head.  No-op
+    on a stale or invalid position. *)
 
 (** {2 Popping}
 
@@ -120,10 +135,9 @@ val snapshot : t -> (int * bool) list
     high-water mark ({!max_occupancy}) — read in place through the
     accessors below, and rebuilds it into a FIFO from {!create} (or
     {!create_small}) of the same [k]: {!restore_ring} per ring, then
-    its entries head to tail with {!restore_entry}.  The key directory
-    is reconstructed from the entries; stale cache entries of the
-    original are semantically absent either way.  Neither direction
-    allocates beyond ring storage for the restored entries. *)
+    its entries head to tail with {!restore_entry}, which answers with
+    each entry's position as a push would.  Neither direction allocates
+    beyond ring storage for the restored entries. *)
 
 val rings : t -> int
 (** [k], the number of rings. *)
@@ -143,10 +157,10 @@ val iter_ring_entries :
     [-1] for a phantom. *)
 
 val clear : t -> unit
-(** Empty every ring and the key directory and forget the high-water
-    mark, keeping the storage: a FIFO to {!restore_ring} into again
-    without allocating.  Logical capacities are left as they were;
-    {!restore_ring} sets each ring's. *)
+(** Empty every ring and forget the high-water mark, keeping the
+    storage: a FIFO to {!restore_ring} into again without allocating.
+    Logical capacities are left as they were; {!restore_ring} sets each
+    ring's. *)
 
 val restore_ring : t -> ring:int -> capacity:int -> head_seq:int -> entries:int -> unit
 (** Set an empty ring's logical capacity and head sequence number, with
@@ -155,9 +169,10 @@ val restore_ring : t -> ring:int -> capacity:int -> head_seq:int -> entries:int 
     @raise Invalid_argument if the ring is not empty, on a non-positive
     capacity, or on more entries than the capacity. *)
 
-val restore_entry : t -> ring:int -> ts:int -> key:int -> cancelled:bool -> data:int -> unit
-(** Append one entry at the ring's tail, [data = -1] for a phantom.  A
-    push in all but its counters: on a full ring an adaptive FIFO
+val restore_entry : t -> ring:int -> ts:int -> key:int -> cancelled:bool -> data:int -> int
+(** Append one entry at the ring's tail, [data = -1] for a phantom, and
+    return its position.  A push in all but its counters: on a full
+    ring an adaptive FIFO
     doubles the capacity, so restore at most the entries
     {!restore_ring} was given.
     @raise Invalid_argument on a negative key or a full non-adaptive

@@ -168,8 +168,11 @@ type sim = {
   sl : Slab.t;                             (* struct-of-arrays packet state *)
   fifos : queue option array array;        (* [stage][pipeline] *)
   slots : int array array;                 (* [stage][pipeline]; slab slot or [no_pkt] *)
+  (* Each delivery carries the slab access index it was scheduled
+     from ([ab + acc_id]): the deliverer records the phantom's FIFO
+     position there, and a delivery whose slot no longer holds its seq
+     ([Slab.release] poisons it) belongs to a dropped packet. *)
   channel : Channel.t;
-  doomed : Int_table.t;                    (* seqs of dropped packets (value unused) *)
   (* starvation guard: watched head key (-1 = none) and the cycle it was
      first seen, [stage][pipeline]; two int matrices so the per-cycle
      refresh allocates nothing *)
@@ -196,19 +199,25 @@ type sim = {
   mutable last_exit : int;
   (* The per-packet observables as constant-size FNV digest state, the
      only form the machine keeps: [ed] folds every exit; per touched
-     (reg, cell), keyed by [reg lsl 32 lor cell] (no tuple allocation
-     per lookup), [access_log] maps the key to its slot in the parallel
-     [log_keys]/[dig_hi]/[dig_lo] vectors, fed through the scratch
-     state [dig].  Memory is proportional to the register file, not to
-     the packet count, and every fabric node keeps its own digests.
-     Per-packet lists exist only where a caller records them through
-     [on_exit]/[on_access] ([run]'s collectors). *)
-  access_log : Int_table.t;
+     (reg, cell), [log_slot.(reg).(cell)] is its slot in the parallel
+     [log_keys]/[dig_hi]/[dig_lo] vectors (-1 until first touched),
+     [log_keys] holds [reg lsl 32 lor cell] in first-touch order, and
+     the digests are fed through the scratch state [dig].  Memory is
+     proportional to the register file, not to the packet count, and
+     every fabric node keeps its own digests.  Per-packet lists exist
+     only where a caller records them through [on_exit]/[on_access]
+     ([run]'s collectors). *)
+  log_slot : int array array;
   log_keys : Int_vec.t;
   ed : Hashing.state;
   dig_hi : Int_vec.t;
   dig_lo : Int_vec.t;
   dig : Hashing.state;
+  (* Decode scratch, kept so a recycled machine decodes without growing
+     it: the seq -> slab slot index of the restored packets, and one
+     (seq, stage, position) triple per queued live phantom. *)
+  dec_slots : Int_table.t;
+  dec_phantoms : Int_vec.t;
   (* telemetry (lib/obs): [None] when disabled, so every instrumentation
      site below costs one immediate-branch and the instrumented state
      lives entirely outside the simulated machine — results are
@@ -240,9 +249,10 @@ type sim = {
      site and the hooks never touch simulated state, so results are
      bit-identical with hooks set or not.  [run]'s collectors set
      [on_exit]/[on_access], the fabric node API [on_exit]/[on_drop];
-     they fire in [exit_packet], [log_access] and [drop_packet]. *)
+     they fire in [exit_packet], [log_access] and [drop_packet].
+     [on_access] gets the cell's access-log slot with it. *)
   mutable on_exit : (seq:int -> latency:int -> headers:int array -> unit) option;
-  mutable on_access : (reg:int -> cell:int -> seq:int -> unit) option;
+  mutable on_access : (slot:int -> reg:int -> cell:int -> seq:int -> unit) option;
   mutable on_drop : (seq:int -> unit) option;
   (* per-cycle occupancy observer (the {!Timeline} renderer's feed),
      called once per cycle after the pops *)
@@ -370,7 +380,6 @@ let create ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
       fifos = Array.make_matrix n_stages params.k None;
       slots = Array.make_matrix n_stages params.k no_pkt;
       channel = Channel.create ();
-      doomed = Int_table.create ();
       hw_key = Array.make_matrix n_stages params.k (-1);
       hw_since = Array.make_matrix n_stages params.k 0;
       watch_heads = params.starvation_threshold <> None;
@@ -385,12 +394,15 @@ let create ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
       in_flight = 0;
       first_exit = -1;
       last_exit = 0;
-      access_log = Int_table.create ();
+      log_slot =
+        Array.map (fun (reg : Config.reg) -> Array.make reg.Config.size (-1)) config.Config.regs;
       log_keys = Int_vec.create ();
       ed = Hashing.start ();
       dig_hi = Int_vec.create ();
       dig_lo = Int_vec.create ();
       dig = Hashing.start ();
+      dec_slots = Int_table.create ();
+      dec_phantoms = Int_vec.create ();
       ms = metrics;
       tr = events;
       pf = prof;
@@ -444,6 +456,13 @@ let[@inline] first_queued accs gk ab =
 let queued_acc sim pkt stage =
   first_queued sim.accs_by_stage.(stage) sim.sl.Slab.gk (pkt * sim.sl.Slab.na)
 
+(* The slab access index through which packet [pkt] queues at [stage]:
+   the access a delivery there was scheduled from, and the one the
+   stateful insert reads the position of.  -1 when it queues none. *)
+let queued_index sim pkt stage =
+  let a = queued_acc sim pkt stage in
+  if a < 0 then -1 else (pkt * sim.sl.Slab.na) + a
+
 (* Encoding of [Metrics.drop_cause] for trace [aux] fields. *)
 let cause_code = function
   | Metrics.Fifo_full -> 0
@@ -464,23 +483,24 @@ let drop_packet sim now pkt at_stage cause =
         ~aux:(cause_code cause)
   | None -> ());
   (match sim.on_drop with Some f -> f ~seq | None -> ());
-  Int_table.replace sim.doomed seq 0;
   let ab = pkt * sl.Slab.na in
   for i = 0 to sl.Slab.na - 1 do
     if sl.Slab.done_.(ab + i) = 0 then begin
       sl.Slab.done_.(ab + i) <- 1;
       release_inflight sim pkt i;
-      (* Cancel phantoms parked at later stages (already-delivered ones;
-         undelivered ones are filtered by the doomed set on delivery). *)
+      (* Cancel phantoms parked at later stages, at the positions their
+         deliveries recorded.  An undelivered one has position -1, a
+         no-op here; its delivery finds the slot released. *)
       let plan = sim.accesses.(i) in
       if plan.Transform.stage > at_stage && sl.Slab.gk.(ab + i) <> gk_false then
+        let pos = sl.Slab.pos.(ab + i) in
         match sim.fifos.(plan.Transform.stage).(sl.Slab.dest.(ab + i)) with
-        | Some (Logical f) -> Fifo.cancel f ~key:seq
+        | Some (Logical f) -> Fifo.cancel f ~pos ~key:seq
         | Some (Per_cell pc) -> (
             let cell = sl.Slab.cell.(ab + i) in
             match Hashtbl.find_opt pc.pc_cells cell with
             | Some f ->
-                Fifo.cancel f ~key:seq;
+                Fifo.cancel f ~pos ~key:seq;
                 (* Purging the cancelled phantom may expose ready data. *)
                 Hashtbl.replace pc.pc_ready cell ()
             | None -> ())
@@ -508,7 +528,8 @@ let alloc_packet sim ~seq ~now headers =
     sl.Slab.cell.(ab + i) <- -1;
     sl.Slab.dest.(ab + i) <- 0;
     sl.Slab.done_.(ab + i) <- 0;
-    sl.Slab.counted.(ab + i) <- 0
+    sl.Slab.counted.(ab + i) <- 0;
+    sl.Slab.pos.(ab + i) <- -1
   done;
   pkt
 
@@ -785,7 +806,7 @@ let resolve sim now entry_pipeline pkt =
         Channel.schedule sim.channel
           ~at:(now + plan.Transform.stage + extra)
           ~seq ~stage:plan.Transform.stage ~dest:sl.Slab.dest.(ab + i) ~ring:entry_pipeline
-          ~cell
+          ~cell ~slot:(ab + i)
       end
     end
   done
@@ -802,20 +823,26 @@ let resolve sim now entry_pipeline pkt =
    cycle) and [decode_machine] replace FIFO objects in their rows: each
    phase reads the rows afresh, and no FIFO object outlives a phase. *)
 
+(* A delivery scheduled from slab access index [slot] (-1 when decoded
+   for a dropped packet) is doomed once the slot's packet is not the
+   one with [seq]: released slots hold seq -1, reused ones another
+   packet's. *)
+let[@inline] delivery_doomed sl ~na ~seq ~slot = slot < 0 || sl.Slab.seq.(slot / na) <> seq
+
 (* The phantom-calendar drain's per-delivery callback.  [make_cycle]
    builds it once per leg, since a closure built per drain would
    allocate every cycle, and sets [clock] to the cycle being drained.
    The instruments and the fault runtime are read at build time:
    [decode_machine] installs a restored fault runtime before any leg
-   starts. *)
+   starts.  The slab is read per delivery: arrivals may grow it. *)
 let phantom_deliverer sim clock =
   let ms = sim.ms and tr = sim.tr and flt = sim.flt in
-  let doomed = sim.doomed and fifos = sim.fifos in
-  fun ~seq ~stage ~dest ~ring ~cell ->
+  let fifos = sim.fifos and na = sim.sl.Slab.na in
+  fun ~seq ~stage ~dest ~ring ~cell ~slot ->
     (* [aux] in the trace: 0 = delivered, 1 = suppressed (doomed),
        2 = lost with a downed pipeline. *)
     let aux =
-      if Int_table.mem doomed seq then begin
+      if delivery_doomed sim.sl ~na ~seq ~slot then begin
         (* Suppressed: the packet was dropped upstream. *)
         (match ms with Some m -> Metrics.phantom_doomed m | None -> ());
         1
@@ -834,10 +861,11 @@ let phantom_deliverer sim clock =
           | Some (Per_cell pc) -> cell_fifo sim pc cell
           | None -> invalid_arg "phantom destined to a stateless stage"
         in
-        (match (Fifo.push_phantom f ~ring ~ts:seq ~key:seq, ms) with
-        | `Ok, Some m -> Metrics.phantom_delivered m
-        | `Dropped, Some m -> Metrics.phantom_dropped m
-        | _, None -> ());
+        let pos = Fifo.push_phantom f ~ring ~ts:seq ~key:seq in
+        sim.sl.Slab.pos.(slot) <- pos;
+        (match ms with
+        | Some m -> if pos >= 0 then Metrics.phantom_delivered m else Metrics.phantom_dropped m
+        | None -> ());
         0
       end
     in
@@ -934,7 +962,11 @@ let apply_transfers sim now =
             let f = input_fifo sim q cell in
             let pushed =
               if phantoms then
-                match Fifo.insert_data f ~key:seq pkt with `Ok -> true | `No_phantom -> false
+                let ai = queued_index sim pkt stage in
+                let pos = if ai < 0 then -1 else sl.Slab.pos.(ai) in
+                match Fifo.insert_data f ~pos ~key:seq pkt with
+                | `Ok -> true
+                | `No_phantom -> false
               else
                 match Fifo.push_data f ~ring:src ~ts:((now lsl 22) lor seq) ~key:seq pkt with
                 | `Ok -> true
@@ -1135,30 +1167,37 @@ let metrics_sweep sim m =
       done
   done
 
-(* Fold one access into its cell's digest.  The key packs (reg, cell)
-   into one int so the lookup allocates no tuple; [Int_table.find]'s
-   Not_found (an exception, not an option) keeps the found path
-   allocation-free too.  [on_access] fires after the digest update, in
-   access-log order. *)
+(* Fold one access into its cell's digest, found by indexing the
+   register's log row with the cell.  A first touch appends the cell's
+   key, [reg lsl 32 lor cell], which seeds its digest.  [on_access]
+   fires after the digest update, in access-log order. *)
 let log_access sim reg cell seq =
-  let key = (reg lsl 32) lor cell in
+  let row = sim.log_slot.(reg) in
   let d = sim.dig in
-  (match Int_table.find sim.access_log key with
-  | i ->
+  let i = row.(cell) in
+  let i =
+    if i >= 0 then begin
       d.Hashing.hi <- Int_vec.get sim.dig_hi i;
       d.Hashing.lo <- Int_vec.get sim.dig_lo i;
       Hashing.feed d seq;
       Int_vec.set sim.dig_hi i d.Hashing.hi;
-      Int_vec.set sim.dig_lo i d.Hashing.lo
-  | exception Not_found ->
-      Int_table.replace sim.access_log key (Int_vec.length sim.log_keys);
+      Int_vec.set sim.dig_lo i d.Hashing.lo;
+      i
+    end
+    else begin
+      let i = Int_vec.length sim.log_keys in
+      let key = (reg lsl 32) lor cell in
+      row.(cell) <- i;
       Int_vec.push sim.log_keys key;
       Hashing.reset d;
       Hashing.feed d key;
       Hashing.feed d seq;
       Int_vec.push sim.dig_hi d.Hashing.hi;
-      Int_vec.push sim.dig_lo d.Hashing.lo);
-  match sim.on_access with Some f -> f ~reg ~cell ~seq | None -> ()
+      Int_vec.push sim.dig_lo d.Hashing.lo;
+      i
+    end
+  in
+  match sim.on_access with Some f -> f ~slot:i ~reg ~cell ~seq | None -> ()
 
 (* Commutative combination of the finished per-cell digests. *)
 let access_digest sim =
@@ -1623,6 +1662,7 @@ let w_packet b sim pkt =
     Binio.w_bool b (sl.Slab.counted.(ab + i) <> 0)
   done
 
+(* Each restored packet enters the decode's seq -> slot index. *)
 let r_packet r sim =
   let seq = Binio.r_int r in
   let time_in = Binio.r_int r in
@@ -1644,8 +1684,10 @@ let r_packet r sim =
     sl.Slab.cell.(ab + i) <- Binio.r_int r;
     sl.Slab.dest.(ab + i) <- Binio.r_int r;
     sl.Slab.done_.(ab + i) <- (if Binio.r_bool r then 1 else 0);
-    sl.Slab.counted.(ab + i) <- (if Binio.r_bool r then 1 else 0)
+    sl.Slab.counted.(ab + i) <- (if Binio.r_bool r then 1 else 0);
+    sl.Slab.pos.(ab + i) <- -1
   done;
+  Int_table.replace sim.dec_slots seq pkt;
   pkt
 
 let w_fifo b sim f =
@@ -1669,8 +1711,10 @@ let w_fifo b sim f =
   done
 
 (* Restore into [f], a FIFO fresh from [create]: the snapshot's rings
-   and entries go straight into its storage. *)
-let r_fifo_into r sim f =
+   and entries go straight into its storage.  Each live phantom's
+   (seq, stage, position) is noted for [position_phantoms]: its packet
+   may be restored later in the decode. *)
+let r_fifo_into r sim ~stage f =
   let high_water = Binio.r_int r in
   if Binio.r_int r <> sim.p.k then failwith "snapshot: FIFO ring count does not match k";
   for ring = 0 to sim.p.k - 1 do
@@ -1684,7 +1728,12 @@ let r_fifo_into r sim f =
       let key = Binio.r_int r in
       let cancelled = Binio.r_bool r in
       let data = if Binio.r_bool r then r_packet r sim else -1 in
-      Fifo.restore_entry f ~ring ~ts ~key ~cancelled ~data
+      let pos = Fifo.restore_entry f ~ring ~ts ~key ~cancelled ~data in
+      if data < 0 && not cancelled then begin
+        Int_vec.push sim.dec_phantoms key;
+        Int_vec.push sim.dec_phantoms stage;
+        Int_vec.push sim.dec_phantoms pos
+      end
     done
   done;
   Fifo.restore_high_water f high_water
@@ -1717,7 +1766,7 @@ let r_queue r sim stage pipe =
   let kind = Binio.r_int r in
   match (kind, sim.fifos.(stage).(pipe)) with
   | 0, None -> ()
-  | 1, Some (Logical f) -> r_fifo_into r sim f
+  | 1, Some (Logical f) -> r_fifo_into r sim ~stage f
   | 2, Some (Per_cell old) ->
       (* a cell is its index plus a FIFO of at least two ints *)
       let n = Binio.r_count r ~min_bytes:24 ~what:"per-cell queue count" in
@@ -1733,7 +1782,7 @@ let r_queue r sim stage pipe =
             Fifo.clear f;
             Hashtbl.add pc.pc_cells c f
         | _ -> ());
-        r_fifo_into r sim (cell_fifo sim pc c)
+        r_fifo_into r sim ~stage (cell_fifo sim pc c)
       done;
       Array.iter (fun c -> Hashtbl.replace pc.pc_ready c ()) (Binio.r_int_array r);
       pc.pc_high <- Binio.r_int r;
@@ -1899,7 +1948,7 @@ let encode_into b sim st source =
   done;
   Binio.w_tag b 11;
   Binio.w_int b (Channel.pending sim.channel);
-  Channel.iter sim.channel (fun ~at ~seq ~stage ~dest ~ring ~cell ->
+  Channel.iter sim.channel (fun ~at ~seq ~stage ~dest ~ring ~cell ~slot:_ ->
       Binio.w_int b at;
       Binio.w_int b seq;
       Binio.w_int b stage;
@@ -1907,13 +1956,12 @@ let encode_into b sim st source =
       Binio.w_int b ring;
       Binio.w_int b cell);
   Binio.w_tag b 12;
-  (* Doomed seqs matter only while a pending delivery can still look one
-     up, so the set is pruned to the channel's contents — this is also
-     what keeps a multi-leg run's memory bounded: each leg restarts with
-     only the live residue of the table. *)
-  let doomed = ref [] in
-  Channel.iter sim.channel (fun ~at:_ ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ ->
-      if Int_table.mem sim.doomed seq then doomed := seq :: !doomed);
+  (* The seqs of pending deliveries whose packet was dropped: the
+     deliverer's own test, so a resumed machine suppresses exactly the
+     deliveries this one would. *)
+  let doomed = ref [] and na = sim.sl.Slab.na in
+  Channel.iter sim.channel (fun ~at:_ ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ ~slot ->
+      if delivery_doomed sim.sl ~na ~seq ~slot then doomed := seq :: !doomed);
   Binio.w_int_array b (Array.of_list (List.sort_uniq compare !doomed));
   Binio.w_tag b 13;
   Array.iter (fun row -> Binio.w_int_array b row) sim.hw_key;
@@ -2092,7 +2140,8 @@ let drive sim st source ~checkpoint_every ~on_checkpoint ~cycle_budget ~heartbea
             match Channel.next_due sim.channel with
             | None -> ()
             | Some at ->
-                Channel.drain sim.channel ~now:at (fun ~seq ~stage ~dest ~ring:_ ~cell:_ ->
+                Channel.drain sim.channel ~now:at
+                  (fun ~seq ~stage ~dest ~ring:_ ~cell:_ ~slot:_ ->
                     (match sim.ms with Some m -> Metrics.phantom_doomed m | None -> ());
                     match sim.tr with
                     | Some tr ->
@@ -2192,25 +2241,13 @@ let stream ?loop:(_ : loop option) ?observer ?metrics ?events ?fault ?monitor ?p
 let run_source = stream ~on_exit:None ~on_access:None
 
 (* The (reg, cell) -> seq list table from the access collector's flat
-   (key, seq) log.  Keys enter the table in first-touch order and the
-   table is sized to the key count, as the machine's own access log
-   is. *)
-let access_table keys seqs =
-  let slot = Int_table.create () and order = Int_vec.create () in
-  (* Overwrite each key with its first-touch slot. *)
-  for i = 0 to Int_vec.length keys - 1 do
-    let key = Int_vec.get keys i in
-    match Int_table.find slot key with
-    | j -> Int_vec.set keys i j
-    | exception Not_found ->
-        let j = Int_vec.length order in
-        Int_table.replace slot key j;
-        Int_vec.push order key;
-        Int_vec.set keys i j
-  done;
+   (access-log slot, seq) log and the machine's first-touch order of
+   (reg, cell) keys, indexed by slot; the table is sized to the key
+   count, as the machine's own access log is. *)
+let access_table order slots seqs =
   let lists = Array.make (Int_vec.length order) [] in
-  for i = Int_vec.length keys - 1 downto 0 do
-    let j = Int_vec.get keys i in
+  for i = Int_vec.length slots - 1 downto 0 do
+    let j = Int_vec.get slots i in
     lists.(j) <- Int_vec.get seqs i :: lists.(j)
   done;
   let tbl = Hashtbl.create (Array.length lists) in
@@ -2234,9 +2271,14 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace
     Int_vec.push exit_lats latency;
     Vec.push exit_headers headers
   in
-  let acc_keys = Int_vec.create () and acc_seqs = Int_vec.create () in
-  let on_access ~reg ~cell ~seq =
-    Int_vec.push acc_keys ((reg lsl 32) lor cell);
+  (* The machine is fresh, so its access-log slots count up from 0 and
+     the collector sees each first touch: a slot one past the keys
+     recorded so far is a new cell. *)
+  let acc_order = Int_vec.create () in
+  let acc_slots = Int_vec.create () and acc_seqs = Int_vec.create () in
+  let on_access ~slot ~reg ~cell ~seq =
+    if slot = Int_vec.length acc_order then Int_vec.push acc_order ((reg lsl 32) lor cell);
+    Int_vec.push acc_slots slot;
     Int_vec.push acc_seqs seq
   in
   match
@@ -2264,7 +2306,7 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace
         store = s.s_store;
         digests = s.s_digests;
         headers_out = !headers_out;
-        access_seqs = access_table acc_keys acc_seqs;
+        access_seqs = access_table acc_order acc_slots acc_seqs;
         exit_order = !exit_order;
         latencies = !latencies;
       }
@@ -2311,16 +2353,52 @@ let check_transfer sim ~pos ~stage ~slot_taken desc =
       (if tag = t_stateful then "stateful" else "queued")
       stage
 
+(* After the packet sections: record each queued live phantom's
+   position in its packet's slab column, as its delivery did.  A
+   phantom whose packet is not in flight keeps no position; nothing
+   will look for it. *)
+let position_phantoms sim =
+  let ph = sim.dec_phantoms in
+  let j = ref 0 in
+  while !j < Int_vec.length ph do
+    (match Int_table.find sim.dec_slots (Int_vec.get ph !j) with
+    | pkt ->
+        let ai = queued_index sim pkt (Int_vec.get ph (!j + 1)) in
+        if ai >= 0 then sim.sl.Slab.pos.(ai) <- Int_vec.get ph (!j + 2)
+    | exception Not_found -> ());
+    j := !j + 3
+  done
+
+(* Give each pending delivery its packet's slab access index, or -1
+   when its seq is doomed.  The decoder scheduled each with its byte
+   position as the slot, so a delivery for a seq neither in flight nor
+   doomed — one that would wedge its queue — is reported there. *)
+let slot_deliveries sim doomed =
+  Array.iter (fun seq -> Int_table.replace sim.dec_slots seq (-1)) doomed;
+  let bad pos fmt = Printf.ksprintf (fun reason -> raise (Binio.Corrupt { pos; reason })) fmt in
+  Channel.set_slots sim.channel (fun ~seq ~stage ~slot:pos ->
+      match Int_table.find sim.dec_slots seq with
+      | -1 -> -1
+      | pkt ->
+          let ai = queued_index sim pkt stage in
+          if ai < 0 then
+            bad pos "phantom delivery for seq %d at stage %d, where it queues no access" seq stage;
+          ai
+      | exception Not_found ->
+          bad pos "phantom delivery for seq %d, which is neither in flight nor dropped" seq)
+
 (* [into], a retired fabric node's machine (nodes carry no instruments),
    when it can stand in for [create params prog] in [decode_machine]:
    the same program (physically, so the kernels are the ones [create]
    would build) and the snapshot's params and fault plan.  It is reset
    to what [create] leaves in every part the decode does not overwrite
-   whole, keeping the storage: FIFO rings and directories, the channel
-   calendar, slab columns, transfer vectors, the doomed set and the
-   access log; its hooks are unset.  Stores, index maps, head watches,
-   claims and every counter are overwritten by their sections; per-cell
-   queues are rebuilt by [r_queue] around their old cell FIFOs. *)
+   whole, keeping the storage: FIFO rings, the channel calendar, slab
+   columns, transfer vectors and the access log (only the touched cells
+   of its rows are reset); its hooks are unset.  Stores, index maps,
+   head watches, claims and every counter are overwritten by their
+   sections, the decode scratch is emptied where the decode uses it,
+   and per-cell queues are rebuilt by [r_queue] around their old cell
+   FIFOs. *)
 let recycle into ~params ~fplan prog =
   match into with
   | Some sim when sim.prog == prog && sim.p = params && sim.fplan = fplan ->
@@ -2330,10 +2408,12 @@ let recycle into ~params ~fplan prog =
         sim.fifos;
       Array.iter (fun row -> Array.fill row 0 (Array.length row) no_pkt) sim.slots;
       Channel.clear sim.channel;
-      Int_table.clear sim.doomed;
       Array.iter Int_vec.clear sim.t_pkts;
       Array.iter Int_vec.clear sim.t_descs;
-      Int_table.clear sim.access_log;
+      for i = 0 to Int_vec.length sim.log_keys - 1 do
+        let key = Int_vec.get sim.log_keys i in
+        sim.log_slot.(key lsr 32).(key land 0xFFFFFFFF) <- -1
+      done;
       Int_vec.clear sim.log_keys;
       Int_vec.clear sim.dig_hi;
       Int_vec.clear sim.dig_lo;
@@ -2424,6 +2504,8 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src pr
   Binio.r_tag r ~expect:8 ~what:"index map section";
   Array.iter (Index_map.r_state r) sim.maps;
   Binio.r_tag r ~expect:9 ~what:"queue section";
+  Int_table.clear sim.dec_slots;
+  Int_vec.clear sim.dec_phantoms;
   for s = 0 to sim.n_stages - 1 do
     for p = 0 to params.k - 1 do
       r_queue r sim s p
@@ -2447,6 +2529,7 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src pr
   let n_pending = Binio.r_count r ~min_bytes:48 ~what:"pending delivery count" in
   for _ = 1 to n_pending do
     let at = Binio.r_int r in
+    let seq_at = Binio.position r in
     let seq = Binio.r_int r in
     (* A forged delivery must fail here, positioned, not as an index
        error when the resumed run drains it: the destination must be a
@@ -2463,10 +2546,12 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src pr
              pos = stage_at;
              reason = Printf.sprintf "phantom delivery to stateless stage %d" stage;
            });
-    Channel.schedule sim.channel ~at ~seq ~stage ~dest ~ring ~cell
+    Channel.schedule sim.channel ~at ~seq ~stage ~dest ~ring ~cell ~slot:seq_at
   done;
   Binio.r_tag r ~expect:12 ~what:"doomed section";
-  Array.iter (fun seq -> Int_table.replace sim.doomed seq 0) (Binio.r_int_array r);
+  let doomed = Binio.r_int_array r in
+  position_phantoms sim;
+  slot_deliveries sim doomed;
   Binio.r_tag r ~expect:13 ~what:"watch section";
   let mismatch = "snapshot: head watch row size mismatch" in
   Array.iter (fun row -> Binio.r_int_array_into r row ~mismatch) sim.hw_key;
@@ -2484,13 +2569,21 @@ let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src pr
   sim.ed.Hashing.hi <- Binio.r_int r;
   sim.ed.Hashing.lo <- Binio.r_int r;
   let n_keys = Binio.r_count r ~min_bytes:24 ~what:"access log length" in
-  Int_table.reserve sim.access_log n_keys;
   Int_vec.reserve sim.log_keys n_keys;
   Int_vec.reserve sim.dig_hi n_keys;
   Int_vec.reserve sim.dig_lo n_keys;
   for i = 0 to n_keys - 1 do
+    let key_at = Binio.position r in
     let key = Binio.r_int r in
-    Int_table.replace sim.access_log key i;
+    let reg = key lsr 32 and cell = key land 0xFFFFFFFF in
+    if reg >= Array.length sim.log_slot || cell >= Array.length sim.log_slot.(reg) then
+      raise
+        (Binio.Corrupt
+           {
+             pos = key_at;
+             reason = Printf.sprintf "access log key %d outside the register file" key;
+           });
+    sim.log_slot.(reg).(cell) <- i;
     Int_vec.push sim.log_keys key;
     Int_vec.push sim.dig_hi (Binio.r_int r);
     Int_vec.push sim.dig_lo (Binio.r_int r)

@@ -421,8 +421,8 @@ val node_restore :
 
     [into] is a retired node whose machine is decoded into instead of a
     new one, when it runs the same program (physically equal) with the
-    snapshot's params and fault plan: its FIFOs, channel, slab, transfer vectors and
-    access log are reset, keeping their storage, and the decode then
+    snapshot's params and fault plan: its FIFOs, channel, slab, transfer
+    vectors and access log are reset, keeping their storage, and the decode then
     runs exactly as on a fresh machine.  Any other [into] is ignored.
     [into] must not be stepped again whatever the outcome: an error may
     leave its machine half decoded. *)

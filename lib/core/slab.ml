@@ -13,6 +13,7 @@ type t = {
   mutable dest : int array;
   mutable done_ : int array;
   mutable counted : int array;
+  mutable pos : int array;
   free : int Vec.t;
   mutable next : int;
 }
@@ -31,6 +32,7 @@ let create ~nf ~na =
     dest = [||];
     done_ = [||];
     counted = [||];
+    pos = [||];
     free = Vec.create ();
     next = 0;
   }
@@ -51,6 +53,7 @@ let grow t =
   t.dest <- grow_arr t.dest (t.cap * t.na) (cap * t.na);
   t.done_ <- grow_arr t.done_ (t.cap * t.na) (cap * t.na);
   t.counted <- grow_arr t.counted (t.cap * t.na) (cap * t.na);
+  t.pos <- grow_arr t.pos (t.cap * t.na) (cap * t.na);
   t.cap <- cap
 
 let alloc t =
@@ -62,7 +65,11 @@ let alloc t =
   end
   else Vec.pop t.free
 
-let release t slot = Vec.push t.free slot
+(* A released slot's seq is poisoned: no packet has seq -1, so a
+   delivery naming the slot no longer matches it. *)
+let release t slot =
+  t.seq.(slot) <- -1;
+  Vec.push t.free slot
 
 let clear t =
   Vec.clear t.free;

@@ -12,7 +12,7 @@
     - per slot: [seq], [time_in], [ecn] (0/1)
     - per slot x field: [fields], stride [nf]
     - per slot x access: [gk], [cell], [dest], [done_], [counted],
-      stride [na]
+      [pos], stride [na]
 
     A packet in flight {e is} its slot number; FIFOs, stage slots and
     transfer buffers carry ints.  Kernels read and write the header
@@ -41,6 +41,11 @@ type t = {
   mutable dest : int array;  (** stride [na] *)
   mutable done_ : int array;  (** stride [na]; 0/1 *)
   mutable counted : int array;  (** stride [na]; 0/1, holds an in-flight pin *)
+  mutable pos : int array;
+      (** stride [na]; the {!Mp5_arch.Fifo} position of the access's
+          delivered phantom, -1 while none has been delivered.  The
+          stateful insert and a drop's phantom cancellation go to the
+          entry through it, so no FIFO keeps a key directory. *)
   free : int Mp5_util.Vec.t;  (** recycled slots, LIFO *)
   mutable next : int;  (** bump allocator high-water *)
 }
@@ -54,9 +59,12 @@ val alloc : t -> int
     resets every component it uses. *)
 
 val release : t -> int -> unit
-(** Return a slot to the free list.  No ownership checking: releasing a
-    live slot corrupts the simulation, exactly like double-freeing the
-    old arena's packet records did. *)
+(** Return a slot to the free list and set its [seq] to [-1], a value
+    no packet has: a phantom delivery that names the slot and its
+    packet's seq sees the mismatch and knows the packet is gone (the
+    slot's next packet has another seq too).  No ownership checking:
+    releasing a live slot corrupts the simulation, exactly like
+    double-freeing the old arena's packet records did. *)
 
 val clear : t -> unit
 (** Release every slot at once, keeping the arrays: slots then come out

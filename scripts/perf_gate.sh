@@ -5,11 +5,17 @@
 # — the working-tree file is overwritten by every bench run), runs the
 # sim-micro smoke, and compares fresh keys against the baseline.
 #
-# heavy-hitter-2k/kernel_ns, wall clock:
+# heavy-hitter-2k/kernel_ns, wall clock, divided by host/calib_ns: the
+# min time of a fixed host-calibration loop (memory-bound and
+# allocating, no program code) timed in the same run, interleaved with
+# the kernel runs.  Raw wall clock on a shared host moves 1.5-2x
+# between periods with the code unchanged; the ratio moves far less,
+# so the gate compares the ratio with the committed one:
 #
-#   new > 1.25 x baseline  ->  hard fail (regression)
-#   new < 0.75 x baseline  ->  warn: the loop got faster, refresh and
-#                              commit the baseline so the gate tightens
+#   ratio > 1.25 x baseline ratio  ->  hard fail (regression)
+#   ratio < 0.75 x baseline ratio  ->  warn: the loop got faster,
+#                                      refresh and commit the baseline
+#                                      so the gate tightens
 #
 # Allocation counters, deterministic: they move only when code changes,
 # so each is gated tight, at 1.02 x baseline, and needs no retries.
@@ -45,6 +51,7 @@ set -eu
 
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
+CALIB='host/calib_ns'
 WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte fabric-boundary/words fabric-legs/words_per_pkt'
 
 extract() {
@@ -61,7 +68,18 @@ extract() {
     }'
 }
 
-baseline=$(git show "HEAD:$RESULTS" 2>/dev/null | extract || true)
+# kernel_ns / calib_ns from a results file on stdin; empty when either
+# key is missing.
+ratio() {
+  results=$(cat)
+  kernel=$(printf '%s\n' "$results" | extract "$KEY")
+  calib=$(printf '%s\n' "$results" | extract "$CALIB")
+  if [ -n "$kernel" ] && [ -n "$calib" ]; then
+    awk -v k="$kernel" -v c="$calib" 'BEGIN { printf "%.6f\n", k / c }'
+  fi
+}
+
+baseline=$(git show "HEAD:$RESULTS" 2>/dev/null | ratio || true)
 
 dune build bench/main.exe
 
@@ -72,9 +90,9 @@ while [ "$attempt" -le 3 ]; do
   # mp5-prof/1 snapshots) next to the results, so a gate failure comes
   # with the "where did the time go" answer attached.
   ./_build/default/bench/main.exe --smoke sim-micro --json "$RESULTS" --profile-dir BENCH_prof
-  new=$(extract < "$RESULTS")
+  new=$(ratio < "$RESULTS")
   if [ -z "$new" ]; then
-    echo "perf-gate: FAIL: $KEY missing from fresh $RESULTS" >&2
+    echo "perf-gate: FAIL: $KEY or $CALIB missing from fresh $RESULTS" >&2
     exit 1
   fi
   if [ "$attempt" -eq 1 ]; then
@@ -99,21 +117,21 @@ while [ "$attempt" -le 3 ]; do
     best=$new
   fi
   if [ -z "$baseline" ]; then
-    echo "perf-gate: no committed baseline ($RESULTS not in HEAD or key absent); skipping comparison" >&2
-    echo "perf-gate: measured $KEY = $new ns (commit $RESULTS to arm the gate)"
+    echo "perf-gate: no committed baseline ($RESULTS not in HEAD or a key absent); skipping comparison" >&2
+    echo "perf-gate: measured $KEY / $CALIB = $new (commit $RESULTS to arm the gate)"
     exit 0
   fi
   if awk -v new="$best" -v base="$baseline" 'BEGIN { exit !(new <= 1.25 * base) }'; then
     break
   fi
-  echo "perf-gate: attempt $attempt: $new ns vs baseline $baseline ns is outside the band; retrying" >&2
+  echo "perf-gate: attempt $attempt: ratio $new vs baseline $baseline is outside the band; retrying" >&2
   attempt=$((attempt + 1))
 done
 
 awk -v new="$best" -v base="$baseline" 'BEGIN {
   ratio = new / base
-  printf "perf-gate: %s: baseline %.0f ns, best of attempts %.0f ns (%.2fx)\n", \
-         "'"$KEY"'", base, new, ratio
+  printf "perf-gate: %s / %s: baseline %.3f, best of attempts %.3f (%.2fx)\n", \
+         "'"$KEY"'", "'"$CALIB"'", base, new, ratio
   if (ratio > 1.25) {
     printf "perf-gate: FAIL: regression beyond the 1.25x band\n" > "/dev/stderr"
     exit 1

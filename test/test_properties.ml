@@ -317,6 +317,100 @@ let prop_one_ring_fifo_model =
             | Some b -> code = b)
         (List.mapi (fun i op -> (i, op)) ops))
 
+(* Positional insert and cancel agree with a FIFO that finds entries by
+   key: a reference of per-ring entry lists searched with [List.assoc],
+   the way a key directory found them.  Operations pick their position
+   from every one ever issued, so stale ones (popped, purged, or a
+   dropped push's -1) are exercised as much as live ones; adaptive
+   FIFOs grow storage while positions are held.  A quarter of them pair
+   one issued position with another's key: a live entry under another
+   key is a miss, and the model finds nothing to touch. *)
+let prop_fifo_positions_keyed_model =
+  QCheck.Test.make ~name:"FIFO positions = keyed model" ~count:300 QCheck.small_nat (fun seed ->
+      let module Fifo = Mp5_arch.Fifo in
+      let rng = Rng.create (seed + 4242) in
+      let k = 1 + Rng.int rng 3 and capacity = 1 + Rng.int rng 3 in
+      let adaptive = Rng.int rng 2 = 0 in
+      let f = Fifo.create_small ~k ~capacity ~adaptive in
+      (* model: per ring, head first, (key, (ts, data or -1, cancelled)) *)
+      let rings = Array.make k [] in
+      let caps = Array.make k capacity in
+      let issued = ref [||] and next = ref 0 and ok = ref true in
+      let expect b = if not b then ok := false in
+      let live key =
+        Array.exists (fun r -> match List.assoc_opt key r with Some _ -> true | None -> false) rings
+      in
+      let update key g =
+        Array.iteri
+          (fun i r ->
+            rings.(i) <- List.map (fun (k', e) -> if k' = key then (k', g e) else (k', e)) r)
+          rings
+      in
+      let find key = Array.find_map (fun r -> List.assoc_opt key r) rings in
+      (* an issued position with its own key, or with another's; the
+         model's key is -1 (no entry) for a mismatched pair *)
+      let pick () =
+        let n = Array.length !issued in
+        let key, pos = !issued.(Rng.int rng n) in
+        if Rng.int rng 4 > 0 then (key, pos, key)
+        else
+          let other, _ = !issued.(Rng.int rng n) in
+          (other, pos, if other = key then key else -1)
+      in
+      for _ = 1 to 60 do
+        match Rng.int rng 5 with
+        | 0 | 1 ->
+            let ring = Rng.int rng k and key = !next in
+            incr next;
+            let pos = Fifo.push_phantom f ~ring ~ts:key ~key in
+            if List.length rings.(ring) = caps.(ring) && adaptive then
+              caps.(ring) <- 2 * caps.(ring);
+            let accepted = List.length rings.(ring) < caps.(ring) in
+            expect (accepted = (pos >= 0));
+            if accepted then rings.(ring) <- rings.(ring) @ [ (key, (key, -1, false)) ];
+            issued := Array.append !issued [| (key, pos) |]
+        | 2 when !issued <> [||] ->
+            let key, pos, mkey = pick () in
+            let v = Rng.int rng 1000 in
+            let hit = match find mkey with Some (_, -1, false) -> true | _ -> false in
+            expect ((Fifo.insert_data f ~pos ~key v = `Ok) = hit);
+            if hit then update mkey (fun (ts, _, c) -> (ts, v, c))
+        | 3 when !issued <> [||] ->
+            let key, pos, mkey = pick () in
+            Fifo.cancel f ~pos ~key;
+            if live mkey then update mkey (fun (ts, d, _) -> (ts, d, true))
+        | _ ->
+            (* purge cancelled heads, then the smallest head timestamp *)
+            Array.iteri
+              (fun i r ->
+                let rec purge = function (_, (_, _, true)) :: tl -> purge tl | r -> r in
+                rings.(i) <- purge r)
+              rings;
+            let best = ref (-1) in
+            Array.iteri
+              (fun i r ->
+                match (r, !best) with
+                | [], _ -> ()
+                | _, -1 -> best := i
+                | (_, (ts, _, _)) :: _, b -> (
+                    match rings.(b) with
+                    | (_, (bts, _, _)) :: _ when bts <= ts -> ()
+                    | _ -> best := i))
+              rings;
+            let code = Fifo.take f in
+            if !best < 0 then expect (code = Fifo.empty)
+            else begin
+              match rings.(!best) with
+              | (key, (_, -1, _)) :: _ -> expect (code = -2 - key)
+              | (_, (_, d, _)) :: tl ->
+                  expect (code = d);
+                  rings.(!best) <- tl
+              | [] -> assert false
+            end
+      done;
+      expect (Fifo.length f = Array.fold_left (fun a r -> a + List.length r) 0 rings);
+      !ok)
+
 let prop_int_table_model =
   (* Open addressing with backward-shift deletion behaves like Hashtbl;
      a small key range forces probe-chain collisions and deletions in
@@ -415,7 +509,7 @@ let () =
       ("pretty", q [ prop_pretty_roundtrip ]);
       ("simplify", q [ prop_simplify_preserves_eval; prop_simplify_never_grows ]);
       ( "structures",
-        q [ prop_one_ring_fifo_model; prop_int_table_model; prop_sort_trace_sorted;
+        q [ prop_one_ring_fifo_model; prop_fifo_positions_keyed_model; prop_int_table_model; prop_sort_trace_sorted;
             prop_expr_eval_in_range;
             prop_dist_in_support ] );
     ]

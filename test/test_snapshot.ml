@@ -1038,8 +1038,7 @@ let test_rejects_forged_meta_dst () =
    section is found structurally: tag 11, a count n, n six-int entries
    (cycle, seq, stage, dest, ring, cell), then the doomed section's tag
    12 and int array, then tag 13. *)
-let test_rejects_forged_delivery () =
-  let prog, trace, _params, snap = snapshot_fixture () in
+let channel_section snap =
   let hdr = String.length Sim.snapshot_magic + 17 in
   let int_at p = Int64.to_int (String.get_int64_le snap p) in
   let fits p = p >= 0 && p < String.length snap in
@@ -1059,12 +1058,16 @@ let test_rejects_forged_delivery () =
     fits watch && snap.[watch] = '\013'
   in
   let sites = List.filter is_channel (List.init (String.length snap - hdr) (fun i -> hdr + i)) in
-  let p =
-    match sites with
-    | [ p ] -> p
-    | _ -> Alcotest.failf "expected one channel section with pending deliveries, found %d"
-             (List.length sites)
-  in
+  match sites with
+  | [ p ] -> p
+  | _ ->
+      Alcotest.failf "expected one channel section with pending deliveries, found %d"
+        (List.length sites)
+
+let test_rejects_forged_delivery () =
+  let prog, trace, _params, snap = snapshot_fixture () in
+  let hdr = String.length Sim.snapshot_magic + 17 in
+  let p = channel_section snap in
   (* Overwrite one field of the first pending delivery (at, seq, stage,
      dest, ring, cell) and re-seal the checksum: the resume must fail
      with a [Corrupt] positioned at that field. *)
@@ -1242,6 +1245,45 @@ let test_rejects_forged_index_map () =
         "index map pipeline -1 out of range"
   | found -> Alcotest.failf "expected one index map section, found %d" (List.length found)
 
+(* A pending delivery names its packet by seq; a restored machine finds
+   the packet's slab slot through it.  A seq that is neither a packet in
+   flight nor a dropped one's would park a phantom nobody inserts into,
+   wedging its queue: the decode rejects it, positioned at the seq. *)
+let test_rejects_orphan_delivery () =
+  let prog, trace, _params, snap = snapshot_fixture () in
+  let at = channel_section snap + 9 + 8 in
+  check_forged_int ~what:"delivery for an unknown seq" snap prog trace ~at (1 lsl 40)
+    (Printf.sprintf "phantom delivery for seq %d, which is neither in flight nor dropped"
+       (1 lsl 40))
+
+(* The access log indexes one row per register by cell: a key outside
+   the register file is rejected at decode, positioned at the key.  The
+   digest section ends the snapshot: tag 14, the exit digest (two
+   ints), a count n and n (key, hi, lo) triples, then tag 15. *)
+let test_rejects_forged_access_key () =
+  let prog, trace, snap = transfer_fixture () in
+  let len = String.length snap in
+  let section n = len - 1 - (25 + (24 * n)) in
+  let n =
+    match
+      List.find_opt
+        (fun n -> section n > 0 && snap.[section n] = '\014' && int_at snap (section n + 17) = n)
+        (List.init 4096 (fun n -> n + 1))
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "fixture snapshot has no access-log entries"
+  in
+  let regs = prog.Mp5_core.Transform.config.Mp5_banzai.Config.regs in
+  let size0 = regs.(0).Mp5_banzai.Config.size in
+  let at = section n + 25 + (24 * (n - 1)) in
+  let key = (Array.length regs lsl 32) lor 1 in
+  check_forged_int ~what:"access log register past the file" snap prog trace ~at key
+    (Printf.sprintf "access log key %d outside the register file" key);
+  check_forged_int ~what:"access log cell past its register" snap prog trace ~at size0
+    (Printf.sprintf "access log key %d outside the register file" size0);
+  check_forged_int ~what:"negative access log key" snap prog trace ~at (-1)
+    "access log key -1 outside the register file"
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -1261,6 +1303,10 @@ let () =
             test_rejects_forged_transfer;
           Alcotest.test_case "a forged index map pipeline is rejected at decode" `Quick
             test_rejects_forged_index_map;
+          Alcotest.test_case "a delivery for a packet neither in flight nor dropped is rejected"
+            `Quick test_rejects_orphan_delivery;
+          Alcotest.test_case "an access log key outside the register file is rejected" `Quick
+            test_rejects_forged_access_key;
         ] );
       ( "rotation",
         [

@@ -88,7 +88,8 @@ let test_rng_pick () =
 
    A one-ring FIFO ([k = 1]) is a single ring buffer: data pushes are
    its push, [take] its pop, and [insert_data] on a queued phantom its
-   in-place [set] by stable address. *)
+   in-place [set] by stable address: the position the phantom's push
+   returned, with its key. *)
 
 module Fifo = Mp5_arch.Fifo
 
@@ -106,11 +107,15 @@ let rb_push rb x =
   let key = fresh_key rb in
   Fifo.push_data rb.f ~ring:0 ~ts:key ~key x = `Ok
 
-(* A placeholder whose value is set later; returns its key (address). *)
+(* A placeholder whose value is set later; returns its address, the
+   (key, position) pair. *)
 let rb_push_slot rb =
   let key = fresh_key rb in
-  check "slot pushed" true (Fifo.push_phantom rb.f ~ring:0 ~ts:key ~key = `Ok);
-  key
+  let pos = Fifo.push_phantom rb.f ~ring:0 ~ts:key ~key in
+  check "slot pushed" true (pos >= 0);
+  (key, pos)
+
+let rb_set rb (key, pos) v = Fifo.insert_data rb.f ~pos ~key v
 
 let rb_pop rb =
   let code = Fifo.take rb.f in
@@ -150,12 +155,13 @@ let test_rb_get_set () =
   let a = rb_push_slot rb in
   let b = rb_push_slot rb in
   let c = rb_push_slot rb in
-  check "set 0" true (Fifo.insert_data rb.f ~key:a 10 = `Ok);
-  check "set 2" true (Fifo.insert_data rb.f ~key:c 30 = `Ok);
+  check "set 0" true (rb_set rb a 10 = `Ok);
+  check "set 2" true (rb_set rb c 30 = `Ok);
   Alcotest.(check (list int)) "positions 0 and 2 set" [ 10; 30 ] (rb_contents rb);
-  check "set 1" true (Fifo.insert_data rb.f ~key:b 99 = `Ok);
+  check "set 1" true (rb_set rb b 99 = `Ok);
   Alcotest.(check (list int)) "set visible in place" [ 10; 99; 30 ] (rb_contents rb);
-  check "set out of range misses" true (Fifo.insert_data rb.f ~key:3 0 = `No_phantom)
+  (* Position 3 is the next push's: nothing is queued there yet. *)
+  check "set out of range misses" true (rb_set rb (3, 3 lsl 6) 0 = `No_phantom)
 
 let test_rb_stable_addresses () =
   let rb = rb_create 4 in
@@ -163,9 +169,9 @@ let test_rb_stable_addresses () =
   let addr = rb_push_slot rb in
   ignore (rb_pop rb);
   (* [addr] still addresses the second element after the head moved. *)
-  check "set after pop" true (Fifo.insert_data rb.f ~key:addr 25 = `Ok);
+  check "set after pop" true (rb_set rb addr 25 = `Ok);
   check_int "set visible" 25 (Option.get (rb_pop rb));
-  check "stale address" true (Fifo.insert_data rb.f ~key:addr 26 = `No_phantom)
+  check "stale address" true (rb_set rb addr 26 = `No_phantom)
 
 let test_rb_grow () =
   let rb = rb_create ~adaptive:true 2 in
@@ -174,7 +180,7 @@ let test_rb_grow () =
   check "push beyond capacity grows" true (rb_push rb 3);
   check_int "capacity doubled" 4 (Fifo.ring_capacity rb.f ~ring:0);
   check_int "contents preserved" 3 (Fifo.length rb.f);
-  check "stable address survives grow" true (Fifo.insert_data rb.f ~key:addr 2 = `Ok);
+  check "stable address survives grow" true (rb_set rb addr 2 = `Ok);
   check_int "order preserved" 1 (Option.get (rb_pop rb));
   check_int "order preserved 2" 2 (Option.get (rb_pop rb));
   check_int "order preserved 3" 3 (Option.get (rb_pop rb))
@@ -459,14 +465,15 @@ let test_packet_path_allocates_nothing () =
   let f = Fifo.create ~k:4 ~capacity:16 ~adaptive:false in
   expect_free "Fifo.push_phantom/insert_data/take"
     (words_per_call n (fun i ->
-         ignore (Fifo.push_phantom f ~ring:(i land 3) ~ts:i ~key:i);
-         ignore (Fifo.insert_data f ~key:i i);
+         let pos = Fifo.push_phantom f ~ring:(i land 3) ~ts:i ~key:i in
+         ignore (Fifo.insert_data f ~pos ~key:i i);
          sum := !sum + Fifo.take f));
   let ch = Mp5_arch.Channel.create () in
-  let deliver ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ = sum := !sum + seq in
+  let deliver ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ ~slot:_ = sum := !sum + seq in
   expect_free "Channel.schedule/drain"
     (words_per_call n (fun i ->
-         Mp5_arch.Channel.schedule ch ~at:(i + 3) ~seq:i ~stage:2 ~dest:1 ~ring:0 ~cell:i;
+         Mp5_arch.Channel.schedule ch ~at:(i + 3) ~seq:i ~stage:2 ~dest:1 ~ring:0 ~cell:i
+           ~slot:i;
          Mp5_arch.Channel.drain ch ~now:i deliver));
   ignore (Sys.opaque_identity !sum)
 
