@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-e2e-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf-smoke loc clean
+.PHONY: all build test bench bench-smoke bench-e2e-smoke cli-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf-smoke loc clean
 
 all: build
 
@@ -17,8 +17,15 @@ bench-smoke:
 	  --metrics-dir BENCH_metrics \
 	  d2 d3 fig7a ablate-fifo ablate-gate sim-micro
 
-# Cram test of the mp5sim telemetry surface (--metrics / --metrics-prom /
-# --trace / --report): exact CLI output, schema tags, event counts.
+# The command-line contract on its own: the 0-5 exit codes of mp5sim,
+# mp5c and the bench driver (every subcommand rejects the flags of the
+# others), mp5sim's subcommands end to end, and mp5c's dumps and errors.
+cli-smoke:
+	dune build @exit_codes @mp5sim @mp5c
+
+# Cram test of the mp5sim telemetry surface (`mp5sim run` with --metrics
+# / --metrics-prom / --trace / --report): exact CLI output, schema tags,
+# event counts.
 metrics-smoke:
 	dune build @metrics
 
@@ -29,7 +36,7 @@ metrics-smoke:
 # the Perfetto trace CI uploads as an artifact.
 profile-smoke:
 	dune build @profile
-	dune exec bin/mp5sim.exe -- --app heavy_hitter --pipelines 4 --packets 2000 --seed 3 \
+	dune exec bin/mp5sim.exe -- run --app heavy_hitter --pipelines 4 --packets 2000 --seed 3 \
 	  --profile=full \
 	  --profile-out PROFILE_snapshot.json --trace-perfetto PROFILE_trace.json
 
@@ -38,7 +45,7 @@ profile-smoke:
 # MONITOR_verdict.txt for CI to upload), then the degraded bench
 # experiment measures the recovery against static sharding.
 fault-smoke:
-	dune exec bin/mp5sim.exe -- --app flowlet --pipelines 4 --packets 3000 --seed 3 \
+	dune exec bin/mp5sim.exe -- run --app flowlet --pipelines 4 --packets 3000 --seed 3 \
 	  --fault-plan 'seed 7; down @300 pipe=1; up @2400 pipe=1' \
 	  --monitor --monitor-dump MONITOR_verdict.txt --report
 	dune exec bench/main.exe -- --smoke degraded --json BENCH_degraded.json
@@ -49,16 +56,17 @@ fault-smoke:
 # 512 MB address-space ceiling to pin the constant-memory claim (the
 # OCaml 5 runtime reserves large virtual areas up front, so the ceiling
 # cannot go much lower — what matters is that it does not move with the
-# packet count).  The CLI round-trip then snapshots a run mid-flight and
-# resumes it, leaving the snapshot as a CI artifact.
+# packet count).  The CLI round-trip then checkpoints a streamed run
+# (`mp5sim stream`) and resumes from its last snapshot (`mp5sim resume`),
+# leaving the snapshot as a CI artifact.
 longrun-smoke:
 	dune build bench/main.exe bin/mp5sim.exe
 	bash -c 'ulimit -v 524288; \
 	  ./_build/default/bench/main.exe --smoke longrun --json BENCH_longrun.json'
-	dune exec bin/mp5sim.exe -- --app flowlet --pipelines 4 --packets 3000 --seed 3 \
+	dune exec bin/mp5sim.exe -- stream --app flowlet --pipelines 4 --packets 3000 --seed 3 \
 	  --checkpoint-every 150 --snapshot LONGRUN_snapshot.bin
-	dune exec bin/mp5sim.exe -- --app flowlet --pipelines 4 --packets 3000 --seed 3 \
-	  --resume LONGRUN_snapshot.bin
+	dune exec bin/mp5sim.exe -- resume LONGRUN_snapshot.bin --app flowlet --pipelines 4 \
+	  --packets 3000 --seed 3
 
 # Crash-tolerance soak: the supervise cram test pins the watchdog /
 # auto-resume CLI surface (restart transcripts, exit codes 4 and 5,
@@ -73,9 +81,9 @@ chaos-smoke:
 	dune exec bench/main.exe -- --smoke chaos --json BENCH_chaos.json \
 	  --chaos-dir CHAOS_repro
 
-# Multi-switch fabric smoke: the cram test pins the --fabric CLI
+# Multi-switch fabric smoke: the cram test pins the `mp5sim fabric` CLI
 # surface (topology and forwarding-table pretty-print, the run's
-# digests, the 0/1/2/3 exit-code contract including the --fab-sabotage
+# digests, the 0/1/2/3 exit-code contract including the --sabotage
 # conservation violation), then the fabric bench experiment runs a 2x2
 # leaf-spine under the conservation monitor and writes its per-hop
 # latency percentiles and throughput row to BENCH_fabric.json for CI

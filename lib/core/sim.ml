@@ -346,7 +346,8 @@ let create ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
           match params.mode with
           | Naive_single -> 0
           | _ -> (
-              (* Arrays sharing a pinned stage must share a pipeline. *)
+              (* An unsharded array sits on its stage's pipeline, so
+                 the arrays of one stage share a pipeline. *)
               match Config.stage_of_reg config r with
               | Some s -> s mod params.k
               | None -> 0)

@@ -7,11 +7,9 @@ let create ?limits ?pad_to_stages ?flow_order src =
   match Mp5_domino.Compile.compile ?limits src with
   | Error e -> Error (Format.asprintf "%a" Mp5_domino.Compile.pp_error e)
   | Ok compiled ->
-      Ok
-        {
-          compiled;
-          prog = Transform.transform ?limits ?pad_to_stages ?flow_order compiled.config;
-        }
+      Result.map
+        (fun prog -> { compiled; prog })
+        (Transform.create ?limits ?pad_to_stages ?flow_order compiled.config)
 
 let create_exn ?limits ?pad_to_stages ?flow_order src =
   match create ?limits ?pad_to_stages ?flow_order src with

@@ -17,7 +17,8 @@ val create :
 (** Compile Domino source and run the PVSM-to-PVSM transformer.
     [pad_to_stages] models a machine physically longer than the program;
     [flow_order] enables §3.4's per-flow exit-order enforcement (see
-    {!Transform.transform}). *)
+    {!Transform.create}).  A compile error, or a program whose
+    serialized form exceeds [limits.max_stages], is [Error]. *)
 
 val create_exn :
   ?limits:Mp5_banzai.Capability.limits ->

@@ -20,7 +20,6 @@ type t = {
   config : Config.t;
   accesses : access array;
   sharded : bool array;
-  pinned_stage : bool array;
 }
 
 (* Fields written by any stateful atom: expressions depending on them
@@ -70,8 +69,10 @@ let mutually_exclusive taint (atoms : Atom.stateful list) =
 
 (* Serialize multi-array stages so a packet accesses at most one array
    per stage: stages with mutually exclusive guards already satisfy this;
-   others are split across consecutive stages while the machine's stage
-   budget allows, and kept intact but pinned to one pipeline otherwise. *)
+   others are split across consecutive stages.  A program whose split
+   form does not fit the machine's stage budget is rejected, naming the
+   first stage that needs splitting: running it unsplit would schedule
+   several phantoms per packet into one queue. *)
 let serialize (limits : Capability.limits) taint (config : Config.t) =
   let needs_split (s : Config.stage) =
     List.length s.atoms > 1 && not (mutually_exclusive taint s.atoms)
@@ -83,33 +84,34 @@ let serialize (limits : Capability.limits) taint (config : Config.t) =
       0 config.stages
   in
   (* +1 accounts for the address-resolution stage prepended below. *)
-  let budget = limits.max_stages - (Array.length config.stages + 1) in
-  let can_split = extra_needed <= budget in
-  let stages = ref [] in
-  let pinned = ref [] in
-  Array.iter
-    (fun (s : Config.stage) ->
-      if not (needs_split s) then begin
-        stages := s :: !stages;
-        pinned := false :: !pinned
-      end
-      else
-        match s.atoms with
-        | first :: rest when can_split ->
-            stages := { s with Config.atoms = [ first ] } :: !stages;
-            pinned := false :: !pinned;
-            List.iter
-              (fun a ->
-                stages := { Config.stateless = []; atoms = [ a ] } :: !stages;
-                pinned := false :: !pinned)
-              rest
-        | _ ->
-            stages := s :: !stages;
-            pinned := true :: !pinned)
-    config.stages;
-  (Array.of_list (List.rev !stages), Array.of_list (List.rev !pinned))
+  let needed = Array.length config.stages + 1 + extra_needed in
+  match Array.find_index needs_split config.stages with
+  | Some si when needed > limits.max_stages ->
+      let arrays =
+        List.map
+          (fun (a : Atom.stateful) -> config.regs.(a.reg).Config.reg_name)
+          config.stages.(si).atoms
+      in
+      Error
+        (Printf.sprintf
+           "serialization error: stage %d accesses arrays %s, which one packet may touch \
+            together, so it must be split; the split program needs %d stages (with address \
+            resolution), max_stages is %d"
+           si (String.concat ", " arrays) needed limits.max_stages)
+  | _ ->
+      Ok
+        (Array.to_list config.stages
+        |> List.concat_map (fun (s : Config.stage) ->
+               match s.atoms with
+               | first :: rest when needs_split s ->
+                   { s with Config.atoms = [ first ] }
+                   :: List.map (fun a -> { Config.stateless = []; atoms = [ a ] }) rest
+               | _ -> [ s ])
+        |> Array.of_list)
 
-let transform ?(limits = Capability.default) ?(pad_to_stages = 0) ?flow_order
+let ( let+ ) r f = Result.map f r
+
+let create ?(limits = Capability.default) ?(pad_to_stages = 0) ?flow_order
     (config : Config.t) =
   (* §3.4's packet-reordering fix: a "dummy" read-only register in the
      final stage, indexed by flow id, forces a phantom per packet so
@@ -131,12 +133,10 @@ let transform ?(limits = Capability.default) ?(pad_to_stages = 0) ?flow_order
         }
   in
   let taint = stateful_taint config in
-  let stages, pinned = serialize limits taint config in
+  let+ stages = serialize limits taint config in
   let stages = Array.append [| Config.empty_stage |] stages in
-  let pinned_stage = Array.append [| false |] pinned in
   let pad = max 0 (pad_to_stages - Array.length stages) in
   let stages = Array.append stages (Array.make pad Config.empty_stage) in
-  let pinned_stage = Array.append pinned_stage (Array.make pad false) in
   let config' = { config with Config.stages } in
   (match Config.validate config' with
   | Ok () -> ()
@@ -154,9 +154,7 @@ let transform ?(limits = Capability.default) ?(pad_to_stages = 0) ?flow_order
             | Some _ -> G_unresolved
           in
           let index =
-            if pinned_stage.(si) then I_unresolved
-            else if is_resolvable taint a.index then I_resolved a.index
-            else I_unresolved
+            if is_resolvable taint a.index then I_resolved a.index else I_unresolved
           in
           let acc = { acc_id = !next; reg = a.reg; stage = si; atom = a; guard; index } in
           incr next;
@@ -173,7 +171,12 @@ let transform ?(limits = Capability.default) ?(pad_to_stages = 0) ?flow_order
     (fun r _ ->
       if not (Array.exists (fun acc -> acc.reg = r) accesses) then sharded.(r) <- false)
     config.regs;
-  { config = config'; accesses; sharded; pinned_stage }
+  { config = config'; accesses; sharded }
+
+let transform ?limits ?pad_to_stages ?flow_order config =
+  match create ?limits ?pad_to_stages ?flow_order config with
+  | Ok t -> t
+  | Error msg -> invalid_arg msg
 
 let accesses_by_stage t =
   let by_stage = Array.make (Array.length t.config.Config.stages) [] in

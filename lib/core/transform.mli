@@ -12,8 +12,9 @@
       header fields");
     - {b serializes} stages that access more than one register array so a
       packet accesses at most one array per stage (required for the
-      arrays to be sharded independently), when enough stages remain;
-      otherwise it conservatively marks the stage's arrays unsharded;
+      arrays to be sharded independently); a program whose serialized
+      form exceeds the machine's stage budget is rejected, never run
+      unsplit;
     - classifies every access:
       {ul
       {- a {e resolvable} index lets the array be sharded across pipelines
@@ -51,17 +52,14 @@ type t = {
           stages are the original program's, possibly serialized *)
   accesses : access array;
   sharded : bool array;      (** per register array *)
-  pinned_stage : bool array; (** per stage of [config]: stage whose arrays
-                                  were pinned because serialization ran out
-                                  of stages *)
 }
 
-val transform :
+val create :
   ?limits:Mp5_banzai.Capability.limits ->
   ?pad_to_stages:int ->
   ?flow_order:Mp5_banzai.Expr.t * int ->
   Mp5_banzai.Config.t ->
-  t
+  (t, string) result
 (** [limits] bounds the serialization stage budget (default
     {!Mp5_banzai.Capability.default}).  [pad_to_stages] appends empty
     stages so the pipeline has the physical length of the modelled
@@ -74,7 +72,21 @@ val transform :
     indexed by [index_expr] (typically a flow hash over arrival-stable
     header fields).  Its phantoms force the packets of each flow to leave
     the pipeline in arrival order even when prioritised stateless packets
-    would otherwise overtake queued stateful ones. *)
+    would otherwise overtake queued stateful ones.
+
+    [Error msg] when a stage that accesses several arrays under guards
+    that are not mutually exclusive cannot be split within
+    [limits.max_stages]: [msg] names the stage, its arrays, the stages
+    the split program needs and [max_stages]. *)
+
+val transform :
+  ?limits:Mp5_banzai.Capability.limits ->
+  ?pad_to_stages:int ->
+  ?flow_order:Mp5_banzai.Expr.t * int ->
+  Mp5_banzai.Config.t ->
+  t
+(** {!create}, raising [Invalid_argument msg] where it returns
+    [Error msg]. *)
 
 val accesses_by_stage : t -> access list array
 (** Index [stage] of the transformed config -> accesses there. *)

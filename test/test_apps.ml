@@ -17,6 +17,39 @@ let test_all_compile () =
       | Error m -> Alcotest.failf "%s does not compile: %s" name m)
     Mp5_apps.Sources.all_named
 
+(* Every program at the smallest stage budget it compiles at: MP5 must
+   match the golden switch with no C1 violation, and one stage fewer is
+   a compile error (a serialization error where the program has a stage
+   to split), never an approximation. *)
+let test_smallest_stage_budget () =
+  let create max_stages src =
+    Switch.create ~limits:{ Mp5_banzai.Capability.default with max_stages } src
+  in
+  let pkts = Tracegen.flows ~seed:5 ~n_packets:400 ~k:4 ~concurrency:64 () in
+  List.iter
+    (fun (name, src) ->
+      let rec smallest m =
+        if m > Mp5_banzai.Capability.default.max_stages then
+          Alcotest.failf "%s compiles at no stage budget" name
+        else match create m src with Ok sw -> (m, sw) | Error _ -> smallest (m + 1)
+      in
+      let m, sw = smallest 1 in
+      let _, rep = Switch.verify ~k:4 sw (Mp5_apps.Traces.trace_for name pkts) in
+      check (Printf.sprintf "%s equivalent at max_stages %d" name m) true
+        (Mp5_core.Equiv.equivalent rep);
+      check_int (name ^ " C1 violations") 0 rep.Mp5_core.Equiv.c1_violations;
+      let split =
+        Array.length sw.prog.Mp5_core.Transform.config.Mp5_banzai.Config.stages
+        > Array.length (Switch.config sw).Mp5_banzai.Config.stages + 1
+      in
+      let phase = if split then "serialization error" else "code generation error" in
+      match create (m - 1) src with
+      | Ok _ -> Alcotest.failf "%s compiled below its smallest budget" name
+      | Error e ->
+          check (Printf.sprintf "%s below budget: %s" name e) true
+            (String.starts_with ~prefix:phase e))
+    Mp5_apps.Sources.all_named
+
 let test_adapters_match_layouts () =
   let pkts = Tracegen.flows ~seed:1 ~n_packets:50 ~k:2 ~concurrency:8 () in
   List.iter
@@ -228,5 +261,6 @@ let () =
           Alcotest.test_case "dns guard" `Quick test_dns_guard_behaviour;
           Alcotest.test_case "sensitivity generator" `Quick test_sensitivity_program_generator;
           Alcotest.test_case "figure 3 exact" `Quick test_figure3_program_table1_semantics;
+          Alcotest.test_case "smallest stage budget" `Quick test_smallest_stage_budget;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for the PVSM-to-PVSM transformer: resolution classification,
-   serialization, pinning, stage padding. *)
+   serialization and its stage budget, pinning, stage padding. *)
 
 module Config = Mp5_banzai.Config
 module Capability = Mp5_banzai.Capability
@@ -78,15 +78,23 @@ let test_serialization_splits_multi_array_stage () =
     prog.Transform.config.Config.stages;
   check "both sharded" true (Array.for_all Fun.id prog.Transform.sharded)
 
-let test_no_budget_pins_stage () =
-  (* With a 3-stage machine there is no room to serialize (2 atom stages
-     + resolution); the arrays must be pinned instead. *)
+let test_no_budget_rejected () =
+  (* With a 2-stage machine there is no room to serialize (2 atom stages
+     + resolution): the program is rejected, never run unsplit. *)
   let limits = { Capability.default with Capability.max_stages = 2 } in
-  let prog, _ =
-    transform ~limits (wrap "r[p.x % 8] = r[p.x % 8] + 1; s[p.y % 8] = s[p.y % 8] + 1;")
+  let t =
+    Compile.compile_exn ~limits (wrap "r[p.x % 8] = r[p.x % 8] + 1; s[p.y % 8] = s[p.y % 8] + 1;")
   in
-  check "arrays pinned" true (Array.for_all not prog.Transform.sharded);
-  check "some stage flagged pinned" true (Array.exists Fun.id prog.Transform.pinned_stage)
+  let msg =
+    "serialization error: stage 0 accesses arrays r, s, which one packet may touch together, \
+     so it must be split; the split program needs 3 stages (with address resolution), \
+     max_stages is 2"
+  in
+  (match Transform.create ~limits t.Compile.config with
+  | Ok _ -> Alcotest.fail "expected a serialization error"
+  | Error m -> Alcotest.(check string) "error" msg m);
+  Alcotest.check_raises "transform raises" (Invalid_argument msg) (fun () ->
+      ignore (Transform.transform ~limits t.Compile.config))
 
 let test_figure3_exclusive_stage () =
   let prog, t = transform Mp5_apps.Sources.figure3 in
@@ -99,7 +107,6 @@ let test_figure3_exclusive_stage () =
     |> List.filter (fun (st : Config.stage) -> List.length (Config.regs_of_stage st) = 2)
   in
   check_int "reg1/reg2 share one stage" 1 (List.length multi);
-  check "not pinned" true (Array.for_all (fun p -> not p) prog.Transform.pinned_stage);
   check "all sharded" true (Array.for_all Fun.id prog.Transform.sharded);
   check_int "three accesses" 3 (Array.length prog.Transform.accesses)
 
@@ -152,7 +159,7 @@ let () =
           Alcotest.test_case "unresolvable guard" `Quick test_unresolvable_guard;
           Alcotest.test_case "unresolvable index pins" `Quick test_unresolvable_index_pins_array;
           Alcotest.test_case "serialization" `Quick test_serialization_splits_multi_array_stage;
-          Alcotest.test_case "budget exhausted pins" `Quick test_no_budget_pins_stage;
+          Alcotest.test_case "budget exhausted rejected" `Quick test_no_budget_rejected;
           Alcotest.test_case "figure 3 exclusive stage" `Quick test_figure3_exclusive_stage;
           Alcotest.test_case "accesses_by_stage" `Quick test_accesses_by_stage;
           Alcotest.test_case "pad_to_stages" `Quick test_pad_to_stages;
