@@ -98,13 +98,14 @@ fabric-smoke:
 # committed in git HEAD: heavy-hitter-2k/kernel_ns divided by
 # host/calib_ns, a fixed host-calibration loop timed in the same run
 # (+/-25% band on the ratio: above fails as a regression, well below
-# warns that the baseline should be refreshed), and six deterministic
+# warns that the baseline should be refreshed), and seven deterministic
 # allocation counters that fail above 1.02x:
 # heavy-hitter-2k/words_per_pkt (minor words per
 # packet), generic/words_per_pkt (the same count: there is one cycle
 # loop, and the key the oracle loop was gated by stays),
 # golden/words_per_pkt, trace_io/words_per_byte,
-# fabric-boundary/words (one fabric checkpoint decode + encode, into
+# verify/words_per_pkt (one Switch.verify of flowlet: golden machine,
+# Sim.run with its collectors, Equiv), fabric-boundary/words (one fabric checkpoint decode + encode, into
 # new machines) and fabric-legs/words_per_pkt (an in-process fabric
 # drain in 500-cycle legs, each resume decoding into the machines the
 # previous leg suspended).  No committed baseline skips a comparison

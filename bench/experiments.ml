@@ -604,6 +604,9 @@ type micro = {
           deterministic counter, unlike the wall clock *)
   mi_golden_words : float;  (** words allocated per packet by [Switch.golden] *)
   mi_trace_words : float;  (** words allocated per input byte by [Trace_io.of_string] *)
+  mi_verify_words : float;
+      (** words allocated per packet by one [Switch.verify] (golden
+          machine, [Sim.run] and its collectors, [Equiv.compare]) *)
   mi_boundary_words : float;
       (** words allocated by one fabric checkpoint boundary: decode and
           re-encode of a fixed mid-drain snapshot *)
@@ -773,6 +776,10 @@ let sim_micro scale =
       (Tracegen.flows ~seed:3 ~n_packets:2000 ~k:4 ~concurrency:128 ())
   in
   let text = Mp5_workload.Trace_io.to_string seq_trace in
+  let flowlet = Switch.create_exn Sources.flowlet in
+  let flows = Tracegen.flows ~seed:3 ~n_packets:2000 ~k:4 ~concurrency:128 () in
+  let flowlet_trace = Traces.trace_for "flowlet" flows in
+  let flow_of = Traces.flow_of flows in
   {
     mi_reps = reps;
     mi_kernel_ns = !kernel_ns;
@@ -783,6 +790,9 @@ let sim_micro scale =
     mi_trace_words =
       alloc_words (fun () -> Mp5_workload.Trace_io.of_string text)
       /. float_of_int (String.length text);
+    mi_verify_words =
+      alloc_words (fun () -> Switch.verify ~k:4 ~flow_of flowlet flowlet_trace)
+      /. float_of_int (Array.length flowlet_trace);
     mi_boundary_words = fabric_boundary_words ();
     mi_legs_words = fabric_legs_words ();
   }

@@ -205,6 +205,8 @@ let run_sim_micro scale =
     m.Experiments.mi_golden_words;
   Format.printf "  trace reader (same trace as text) allocates %.2f words/byte@."
     m.Experiments.mi_trace_words;
+  Format.printf "  Switch.verify (flowlet, 2000 flow packets) allocates %.1f words/packet@."
+    m.Experiments.mi_verify_words;
   Format.printf "  fabric checkpoint boundary (2x2 leaf-spine, mid-drain) allocates %.0f words@."
     m.Experiments.mi_boundary_words;
   Format.printf "  fabric drained in-process in 500-cycle legs allocates %.1f words/packet@."
@@ -219,6 +221,7 @@ let run_sim_micro scale =
     ("generic/words_per_pkt", m.Experiments.mi_kernel_words);
     ("golden/words_per_pkt", m.Experiments.mi_golden_words);
     ("trace_io/words_per_byte", m.Experiments.mi_trace_words);
+    ("verify/words_per_pkt", m.Experiments.mi_verify_words);
     ("fabric-boundary/words", m.Experiments.mi_boundary_words);
     ("fabric-legs/words_per_pkt", m.Experiments.mi_legs_words);
   ]

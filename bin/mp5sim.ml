@@ -103,21 +103,61 @@ let k_arg =
     & opt (int_in (fun k -> k >= 1 && k <= 64) "a pipeline count from 1 to 64") 4
     & info [ "k"; "pipelines" ] ~docv:"K" ~doc:"Number of pipelines, 1 to 64.")
 
-let packets_arg =
-  Arg.(value & opt pos_int 20000 & info [ "n"; "packets" ] ~docv:"N" ~doc:"Packets to simulate.")
+let packets_info = Arg.info [ "n"; "packets" ] ~docv:"N" ~doc:"Packets to simulate."
+let seed_info = Arg.info [ "seed" ] ~docv:"S" ~doc:"Random seed."
+let default_packets = 20000 and default_seed = 1 and default_pkt_bytes = 64
+let packets_arg = Arg.(value & opt pos_int default_packets packets_info)
+let seed_arg = Arg.(value & opt int default_seed seed_info)
 
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
-
-let workload =
+(* The generation flags as given: [None] (or [false]) when absent, so a
+   flag the workload would not read can be refused. *)
+let workload_flags =
   Term.(
-    const (fun k packets seed pkt_bytes skewed -> { k; packets; seed; pkt_bytes; skewed })
-    $ k_arg $ packets_arg $ seed_arg
+    const (fun k packets seed pkt_bytes skewed -> (k, packets, seed, pkt_bytes, skewed))
+    $ k_arg
+    $ Arg.(value & opt (some ~none:(string_of_int default_packets) pos_int) None packets_info)
+    $ Arg.(value & opt (some ~none:(string_of_int default_seed) int) None seed_info)
     $ Arg.(
-        value & opt pos_int 64
+        value
+        & opt (some ~none:(string_of_int default_pkt_bytes) pos_int) None
         & info [ "pkt-bytes" ] ~docv:"B" ~doc:"Packet size of the synthetic trace of a --file program.")
     $ Arg.(
         value & flag
         & info [ "skewed" ] ~doc:"Skewed state access pattern in the synthetic trace of a --file program."))
+
+(* The program, its workload and the trace to replay, if any.  Each
+   generation flag shapes only some traces: [--skewed] and [--pkt-bytes]
+   the synthetic trace of a --file program (an --app gets flow traffic),
+   and none of [--seed], [--packets], [--skewed], [--pkt-bytes] a
+   replayed --trace-file.  Passing one where it would be dropped is a
+   usage error. *)
+let inputs trace_file =
+  let check prog (k, packets, seed, pkt_bytes, skewed) trace_file =
+    let synthetic = skewed || Option.is_some pkt_bytes in
+    match (prog, trace_file) with
+    | _, Some _ when synthetic || Option.is_some packets || Option.is_some seed ->
+        `Error
+          ( true,
+            "--seed, --packets, --skewed and --pkt-bytes shape a generated trace, not a \
+             --trace-file" )
+    | App _, _ when synthetic ->
+        `Error
+          ( true,
+            "--skewed and --pkt-bytes shape the synthetic trace of a --file program, not an \
+             --app's flow traffic" )
+    | _ ->
+        let w =
+          {
+            k;
+            packets = Option.value packets ~default:default_packets;
+            seed = Option.value seed ~default:default_seed;
+            pkt_bytes = Option.value pkt_bytes ~default:default_pkt_bytes;
+            skewed;
+          }
+        in
+        `Ok (prog, w, trace_file)
+  in
+  Term.(ret (const check $ program $ workload_flags $ trace_file))
 
 let mode =
   Arg.(
@@ -539,7 +579,7 @@ let stream_leg l w trace_file i ck ?kill_at start =
 
 (* --- Subcommands. --- *)
 
-let run prog w mode trace_file i fault =
+let run (prog, w, trace_file) mode i fault =
   let l = load prog in
   let plan = fault_plan fault in
   let trace = array_trace l w trace_file in
@@ -560,7 +600,7 @@ let run prog w mode trace_file i fault =
    [jobs] domains.  Compiled switches are immutable at runtime and each
    run builds its own state; the pool's order-preserving map keeps the
    report identical at any job count. *)
-let sweep prog w mode runs jobs =
+let sweep (prog, w, _) mode runs jobs =
   let l = load prog in
   let pool = if jobs > 1 then Some (Mp5_util.Pool.create ~jobs) else None in
   let one i =
@@ -583,7 +623,7 @@ let sweep prog w mode runs jobs =
   let all_equiv = Array.for_all (fun (_, _, _, e) -> e) results in
   exit (if all_equiv || mode <> Sim.Mp5 then 0 else 3)
 
-let recirc prog w trace_file =
+let recirc (prog, w, trace_file) =
   let l = load prog in
   let trace = array_trace l w trace_file in
   let golden = Switch.golden l.sw trace in
@@ -596,7 +636,7 @@ let recirc prog w trace_file =
     r.normalized_throughput r.avg_recirculations Mp5_core.Equiv.pp rep;
   exit 0
 
-let stream prog w mode trace_file i fault ck =
+let stream (prog, w, trace_file) mode i fault ck =
   let l = load prog in
   let plan = fault_plan fault in
   stream_leg l w trace_file i ck (Fresh (params w mode, plan))
@@ -606,7 +646,7 @@ let stream prog w mode trace_file i fault ck =
    replayed and checked against the snapshot's input digest.  The
    rotation chain is walked newest-first, so a torn newest snapshot
    falls back to the previous slot. *)
-let resume prog w trace_file i ck path =
+let resume (prog, w, trace_file) i ck path =
   let l = load prog in
   match Mp5_util.Binio.load_latest_valid ~magic:Sim.snapshot_magic ~path ~keep:ck.keep with
   | Ok (slot, contents) ->
@@ -614,7 +654,7 @@ let resume prog w trace_file i ck path =
       stream_leg l w trace_file i ck (From contents)
   | Error msg -> fail 2 "mp5sim: cannot read snapshot: %s" msg
 
-let supervise prog w mode trace_file i fault ck (max_restarts, hang_timeout, backoff, kills) =
+let supervise (prog, w, trace_file) mode i fault ck (max_restarts, hang_timeout, backoff, kills) =
   let l = load prog in
   let plan = fault_plan fault in
   let snapshot_path = Option.get ck.snapshot in
@@ -785,11 +825,10 @@ let commands =
     cmd "run" ~exit_codes:4
       ~doc:"one run on a materialized trace, verified against the golden switch"
       Term.(
-        const run $ program $ workload $ mode $ trace_file ~doc:replay_doc $ instruments
-        $ fault_plan_arg);
+        const run $ inputs (trace_file ~doc:replay_doc) $ mode $ instruments $ fault_plan_arg);
     cmd "sweep" ~exit_codes:4 ~doc:"verified runs on several seeds, spread over domains"
       Term.(
-        const sweep $ program $ workload $ mode
+        const sweep $ inputs (const None) $ mode
         $ Arg.(
             value & opt pos_int 1
             & info [ "runs" ] ~docv:"R"
@@ -802,17 +841,16 @@ let commands =
                 ~doc:"Domains that spread the seeds; results are independent of N."));
     cmd "recirc" ~exit_codes:3
       ~doc:"the re-circulation baseline (D3), reported against the golden switch"
-      Term.(const recirc $ program $ workload $ trace_file ~doc:replay_doc);
+      Term.(const recirc $ inputs (trace_file ~doc:replay_doc));
     cmd "stream" ~exit_codes:5 ~doc:stream_doc
       Term.(
-        const stream $ program $ workload $ mode $ stream_trace $ instruments $ fault_plan_arg
-        $ checkpoint);
+        const stream $ inputs stream_trace $ mode $ instruments $ fault_plan_arg $ checkpoint);
     cmd "resume" ~exit_codes:5
       ~doc:
         "continue a streaming run from a snapshot; the result is bit-identical to the \
          uninterrupted run"
       Term.(
-        const resume $ program $ workload $ stream_trace $ instruments $ checkpoint
+        const resume $ inputs stream_trace $ instruments $ checkpoint
         $ Arg.(
             required
             & pos 0 (some string) None
@@ -827,7 +865,7 @@ let commands =
          leg, and a leg that dies by signal or hang restarts from the newest valid snapshot \
          with exponential backoff"
       Term.(
-        const supervise $ program $ workload $ mode $ stream_trace $ instruments $ fault_plan_arg
+        const supervise $ inputs stream_trace $ mode $ instruments $ fault_plan_arg
         $ supervised_checkpoint $ supervisor_knobs);
     cmd "fabric" ~exit_codes:4
       ~doc:

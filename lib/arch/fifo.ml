@@ -253,6 +253,12 @@ let iter_data t f =
          if state = has_data (* live, not cancelled *) then f ~key v))
     t.rings
 
+let ring_data t ~ring i =
+  let r = t.rings.(ring) in
+  if i < 0 || i >= r.len then invalid_arg "Fifo.ring_data: index out of range";
+  let o = off r i in
+  if r.cells.(o + o_state) = has_data then r.cells.(o + o_data) else -1
+
 let snapshot t =
   let entries = ref [] in
   Array.iter

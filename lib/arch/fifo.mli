@@ -124,6 +124,13 @@ val iter_data : t -> (key:int -> int -> unit) -> unit
     For whole-queue sweeps: fault-injection spills and the runtime
     invariant monitor's conservation/affinity census. *)
 
+val ring_data : t -> ring:int -> int -> int
+(** [ring_data t ~ring i] is the payload of the ring's [i]th entry from
+    its head when that entry is live (non-cancelled) data, else [-1]:
+    {!iter_data}'s walk for [i] from 0 to [ring_length t ~ring - 1], without
+    a closure, so a census that reads it allocates nothing.
+    @raise Invalid_argument when [i] is not below {!ring_length}. *)
+
 val snapshot : t -> (int * bool) list
 (** Queued entries in logical (timestamp) order as [(key, is_data)],
     cancelled entries skipped — for visualisation and debugging. *)

@@ -48,7 +48,9 @@ let rec write_outputs fields old_value new_value = function
       fields.(dst) <- (match src with Old_value -> old_value | New_value -> new_value);
       write_outputs fields old_value new_value tl
 
-let exec_stateful ~tables ~fields ~reg_array atom =
+(* The record-free core: the accessed cell, or -1 when the guard is
+   falsy. *)
+let exec_cell ~tables ~fields ~reg_array atom =
   let size = Array.length reg_array in
   let cell = resolve_index ~tables ~fields ~size atom in
   let accessed =
@@ -56,18 +58,26 @@ let exec_stateful ~tables ~fields ~reg_array atom =
     | None -> true
     | Some g -> Expr.truthy (Expr.eval_raw tables fields None g)
   in
-  if not accessed then { accessed = false; cell; old_value = reg_array.(cell); new_value = reg_array.(cell) }
+  if not accessed then -1
   else begin
     let old_value = reg_array.(cell) in
     let new_value =
       match atom.update with
       | None -> old_value
-      | Some u -> Expr.eval_raw tables fields (Some old_value) u
+      | Some u -> Expr.eval_update tables fields old_value u
     in
     reg_array.(cell) <- new_value;
     write_outputs fields old_value new_value atom.outputs;
-    { accessed = true; cell; old_value; new_value }
+    cell
   end
+
+(* The index expression is pure, so resolving it again here finds the
+   cell [exec_cell] is about to touch. *)
+let exec_stateful ~tables ~fields ~reg_array atom =
+  let cell = resolve_index ~tables ~fields ~size:(Array.length reg_array) atom in
+  let old_value = reg_array.(cell) in
+  let accessed = exec_cell ~tables ~fields ~reg_array atom >= 0 in
+  { accessed; cell; old_value; new_value = reg_array.(cell) }
 
 (* --- kernel compilation ---
 

@@ -53,6 +53,12 @@ val exec_stateful :
     modulo the array size (hardware wraps the address bus), so every access
     is in range. *)
 
+val exec_cell :
+  tables:Table.t array -> fields:int array -> reg_array:int array -> stateful -> int
+(** {!exec_stateful} without the result record: the accessed cell, or
+    [-1] when the guard evaluated falsy (nothing was written).  What the
+    golden machine and the interpreted kernels run per packet. *)
+
 val resolve_index : tables:Table.t array -> fields:int array -> size:int -> stateful -> int
 (** The cell the atom would touch for this header — the computation MP5's
     address-resolution stage performs preemptively. *)

@@ -44,49 +44,67 @@ let eval_binop op a b =
   | Log_and -> of_bool (truthy a && truthy b)
   | Log_or -> of_bool (truthy a || truthy b)
 
-(* The evaluator runs for every access of every packet in the cycle-level
-   simulator, so the recursion passes plain arguments — re-supplying the
-   optional [?tables] per node would box a [Some] at every step. *)
-let rec eval_loop tables fields state e =
+(* The evaluator runs for every access of every packet in the golden
+   machine, so the recursion passes plain arguments — re-supplying the
+   optional [?tables] per node would box a [Some] at every step, and the
+   cell value travels unboxed as [has_state]/[state]. *)
+let rec eval_loop tables fields has_state state e =
   match e with
   | Const c -> norm32 c
   | Field i ->
       if i < 0 || i >= Array.length fields then
         invalid_arg (Printf.sprintf "Expr.eval: field %d out of range" i);
       fields.(i)
-  | State_val -> (
-      match state with
-      | Some v -> v
-      | None -> invalid_arg "Expr.eval: State_val outside a stateful atom")
+  | State_val ->
+      if has_state then state else invalid_arg "Expr.eval: State_val outside a stateful atom"
   | Binop (Log_and, a, b) ->
       (* Short-circuit, like the C semantics Domino inherits. *)
-      if truthy (eval_loop tables fields state a) then
-        of_bool (truthy (eval_loop tables fields state b))
+      if truthy (eval_loop tables fields has_state state a) then
+        of_bool (truthy (eval_loop tables fields has_state state b))
       else 0
   | Binop (Log_or, a, b) ->
-      if truthy (eval_loop tables fields state a) then 1
-      else of_bool (truthy (eval_loop tables fields state b))
+      if truthy (eval_loop tables fields has_state state a) then 1
+      else of_bool (truthy (eval_loop tables fields has_state state b))
   | Binop (op, a, b) ->
-      eval_binop op (eval_loop tables fields state a) (eval_loop tables fields state b)
-  | Unop (Neg, a) -> norm32 (-eval_loop tables fields state a)
-  | Unop (Log_not, a) -> of_bool (not (truthy (eval_loop tables fields state a)))
-  | Unop (Bit_not, a) -> norm32 (lnot (eval_loop tables fields state a))
+      eval_binop op
+        (eval_loop tables fields has_state state a)
+        (eval_loop tables fields has_state state b)
+  | Unop (Neg, a) -> norm32 (-eval_loop tables fields has_state state a)
+  | Unop (Log_not, a) -> of_bool (not (truthy (eval_loop tables fields has_state state a)))
+  | Unop (Bit_not, a) -> norm32 (lnot (eval_loop tables fields has_state state a))
   | Ternary (c, a, b) ->
-      if truthy (eval_loop tables fields state c) then eval_loop tables fields state a
-      else eval_loop tables fields state b
+      if truthy (eval_loop tables fields has_state state c) then
+        eval_loop tables fields has_state state a
+      else eval_loop tables fields has_state state b
   | Hash [ a ] ->
       (* Single-key hashes (the common case) skip the argument list. *)
-      Mp5_util.Hashing.fnv1a1 (eval_loop tables fields state a) land 0x7FFFFFFF
+      Mp5_util.Hashing.fnv1a1 (eval_loop tables fields has_state state a) land 0x7FFFFFFF
   | Hash args ->
-      let vs = List.map (eval_loop tables fields state) args in
-      Mp5_util.Hashing.fnv1a vs land 0x7FFFFFFF
+      (* [fnv1a vs] is a fresh fold fed the seed 0, then each value: the
+         arguments feed it left to right as they are evaluated, with no
+         list of values in between. *)
+      let st = Mp5_util.Hashing.start () in
+      Mp5_util.Hashing.feed st 0;
+      hash_args tables fields has_state state st args;
+      Mp5_util.Hashing.value st land 0x7FFFFFFF
   | Lookup (id, keys) ->
       if id < 0 || id >= Array.length tables then
         invalid_arg (Printf.sprintf "Expr.eval: table %d out of range" id);
-      norm32 (Table.lookup tables.(id) (List.map (eval_loop tables fields state) keys))
+      norm32 (Table.lookup tables.(id) (List.map (eval_loop tables fields has_state state) keys))
 
-let eval ?(tables = [||]) ~fields ~state e = eval_loop tables fields state e
-let eval_raw = eval_loop
+and hash_args tables fields has_state state st = function
+  | [] -> ()
+  | a :: tl ->
+      Mp5_util.Hashing.feed st (eval_loop tables fields has_state state a);
+      hash_args tables fields has_state state st tl
+
+let eval_raw tables fields state e =
+  match state with
+  | None -> eval_loop tables fields false 0 e
+  | Some v -> eval_loop tables fields true v e
+
+let eval ?(tables = [||]) ~fields ~state e = eval_raw tables fields state e
+let eval_update tables fields old e = eval_loop tables fields true old e
 
 (* --- closure compilation ---
 

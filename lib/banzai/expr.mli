@@ -47,6 +47,11 @@ val eval_raw : Table.t array -> int array -> int option -> t -> int
     arguments: no optional-argument boxing per call, for evaluation in
     simulator hot loops. *)
 
+val eval_update : Table.t array -> int array -> int -> t -> int
+(** [eval_update tables fields old e] is [eval_raw tables fields (Some old) e]
+    without allocating the option: a stateful atom's update, per access
+    of the golden machine. *)
+
 type frame = { mutable base : int array; mutable off : int; mutable len : int }
 (** A window into flat memory: the packet's header fields live at
     [base.(off) .. base.(off + len - 1)].  Compiled closures read and

@@ -1,3 +1,5 @@
+module Int_vec = Mp5_util.Int_vec
+
 type input = { time : int; port : int; headers : int array }
 
 let sort_trace trace =
@@ -13,13 +15,10 @@ let sort_trace trace =
     decorated;
   Array.map snd decorated
 
-type access = { reg : int; cell : int; order : int }
-
 type result = {
   store : Store.t;
   headers_out : int array array;
   access_seqs : (int * int, int list) Hashtbl.t;
-  packet_accesses : access list array;
 }
 
 (* Top-level recursions over a stage's lists: [List.iter] closures would
@@ -34,8 +33,8 @@ let rec exec_atoms tables store fields on_access = function
   | [] -> ()
   | (atom : Atom.stateful) :: tl ->
       let reg_array = Store.array store ~reg:atom.reg in
-      let r = Atom.exec_stateful ~tables ~fields ~reg_array atom in
-      if r.accessed then on_access ~reg:atom.reg ~cell:r.cell;
+      let cell = Atom.exec_cell ~tables ~fields ~reg_array atom in
+      if cell >= 0 then on_access ~reg:atom.reg ~cell;
       exec_atoms tables store fields on_access tl
 
 let run_packet (config : Config.t) store ~fields ~on_access =
@@ -46,87 +45,66 @@ let run_packet (config : Config.t) store ~fields ~on_access =
     exec_atoms tables store fields on_access stage.Config.atoms
   done
 
-let widen_headers (config : Config.t) headers =
-  let fields = Array.make (Array.length config.fields) 0 in
-  Array.blit headers 0 fields 0 (min (Array.length headers) config.n_user_fields);
-  fields
-
-(* Per-cell access bookkeeping for [run].  [slot] maps the packed key
-   [(reg lsl 32) lor cell] (a cell index is an in-memory array index, so
-   below 2^32) to a dense slot, numbered in first-access order; slot [i]
-   holds the cell's key, its packet ids newest first, and its access
-   count.  An access's [order] is thus a counter read, not a walk of the
-   cell's whole history. *)
-type cells = {
-  slot : Mp5_util.Int_table.t;
-  mutable keys : int array;
-  mutable seqs : int list array;
-  mutable counts : int array;
-  mutable used : int;
-}
-
-let grow a fill =
-  let b = Array.make (2 * Array.length a) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let add_cell c key =
-  let i = c.used in
-  if i = Array.length c.keys then begin
-    c.keys <- grow c.keys 0;
-    c.seqs <- grow c.seqs [];
-    c.counts <- grow c.counts 0
-  end;
-  c.keys.(i) <- key;
-  c.used <- i + 1;
-  Mp5_util.Int_table.replace c.slot key i;
-  i
-
-(* Appends [pkt_id] to the cell's sequence; returns its position there. *)
-let record c ~reg ~cell pkt_id =
-  let key = (reg lsl 32) lor cell in
-  let i =
-    match Mp5_util.Int_table.find c.slot key with i -> i | exception Not_found -> add_cell c key
-  in
-  let order = c.counts.(i) in
-  c.counts.(i) <- order + 1;
-  c.seqs.(i) <- pkt_id :: c.seqs.(i);
-  order
+let access_table ~size keys log =
+  let lists = Array.make (Int_vec.length keys) [] in
+  let i = ref (Int_vec.length log - 2) in
+  while !i >= 0 do
+    let j = Int_vec.get log !i in
+    lists.(j) <- Int_vec.get log (!i + 1) :: lists.(j);
+    i := !i - 2
+  done;
+  let tbl = Hashtbl.create size in
+  Array.iteri
+    (fun j ids ->
+      let key = Int_vec.get keys j in
+      Hashtbl.replace tbl (key lsr 32, key land 0xFFFF_FFFF) ids)
+    lists;
+  tbl
 
 let run (config : Config.t) trace =
   let store = Store.create config in
   let n = Array.length trace in
   let headers_out = Array.make n [||] in
-  let packet_accesses = Array.make n [] in
-  let cells =
-    {
-      slot = Mp5_util.Int_table.create ();
-      keys = Array.make 64 0;
-      seqs = Array.make 64 [];
-      counts = Array.make 64 0;
-      used = 0;
-    }
+  (* Per-cell bookkeeping: [slot] maps the packed key
+     [(reg lsl 32) lor cell] (a cell index is an in-memory array index,
+     so below 2^32) to a dense slot numbered in first-access order,
+     [keys] holds the keys by slot, and [log] every access as a
+     (slot, packet id) pair, reserved for the most a trace can make:
+     each atom at most once per packet. *)
+  let slot = Mp5_util.Int_table.create () and keys = Int_vec.create () in
+  let log = Int_vec.create () in
+  let atoms =
+    Array.fold_left (fun acc st -> acc + List.length st.Config.atoms) 0 config.Config.stages
   in
+  Int_vec.reserve log (2 * atoms * n);
   (* One access callback for the whole run, reading the current packet
-     from these refs. *)
-  let pkt = ref 0 and accesses = ref [] in
+     from this ref. *)
+  let pkt = ref 0 in
   let on_access ~reg ~cell =
-    let order = record cells ~reg ~cell !pkt in
-    accesses := { reg; cell; order } :: !accesses
+    let key = (reg lsl 32) lor cell in
+    let i =
+      match Mp5_util.Int_table.find slot key with
+      | i -> i
+      | exception Not_found ->
+          let i = Int_vec.length keys in
+          Int_vec.push keys key;
+          Mp5_util.Int_table.replace slot key i;
+          i
+    in
+    Int_vec.push log i;
+    Int_vec.push log !pkt
   in
+  let n_user = config.Config.n_user_fields in
+  let fields = Array.make (Array.length config.Config.fields) 0 in
   for pkt_id = 0 to n - 1 do
-    let fields = widen_headers config trace.(pkt_id).headers in
+    let headers = trace.(pkt_id).headers in
+    Array.fill fields 0 (Array.length fields) 0;
+    Array.blit headers 0 fields 0 (min (Array.length headers) n_user);
     pkt := pkt_id;
-    accesses := [];
     run_packet config store ~fields ~on_access;
-    packet_accesses.(pkt_id) <- (match !accesses with ([] | [ _ ]) as l -> l | l -> List.rev l);
-    headers_out.(pkt_id) <- Array.sub fields 0 config.n_user_fields
+    headers_out.(pkt_id) <- Array.sub fields 0 n_user
   done;
-  (* Filled in first-access order, as a table updated access by access
-     would be: consumers that iterate it see the cells in that order. *)
-  let access_seqs = Hashtbl.create 64 in
-  for i = 0 to cells.used - 1 do
-    let key = cells.keys.(i) in
-    Hashtbl.replace access_seqs (key lsr 32, key land 0xFFFF_FFFF) (List.rev cells.seqs.(i))
-  done;
-  { store; headers_out; access_seqs; packet_accesses }
+  (* Filled in first-access order, into a table of the size a table
+     updated access by access would start at: consumers that iterate it
+     see the cells in that order. *)
+  { store; headers_out; access_seqs = access_table ~size:64 keys log }

@@ -81,9 +81,9 @@ let create ~compiled (prog : Transform.t) =
              assert in the simulator's exec step cross-checks the two. *)
           fun frame reg_array (_cell_hint : int) ->
             let fields = frame_fields frame in
-            let r = Atom.exec_stateful ~tables ~fields ~reg_array atom in
+            let cell = Atom.exec_cell ~tables ~fields ~reg_array atom in
             frame_writeback frame fields;
-            if r.Atom.accessed then r.Atom.cell else -1)
+            cell)
       prog.Transform.accesses
   in
   let guard =

@@ -161,8 +161,8 @@ let run ~k ?(shard_seed = 1) ?(sharding = `Array) ?(port_buffer = 1024) (prog : 
                 let atom = pending.acc.Transform.atom in
                 let reg_array = Store.array stores.(p) ~reg:atom.Atom.reg in
                 if guard_passes pkt.fields pending.acc then begin
-                  let r = Atom.exec_stateful ~tables ~fields:pkt.fields ~reg_array atom in
-                  if r.Atom.accessed then log_access atom.Atom.reg r.Atom.cell pkt.seq
+                  let cell = Atom.exec_cell ~tables ~fields:pkt.fields ~reg_array atom in
+                  if cell >= 0 then log_access atom.Atom.reg cell pkt.seq
                 end;
                 pkt.todo <- rest
             | _ -> ());

@@ -5,7 +5,6 @@ module Store = Mp5_banzai.Store
 module Machine = Mp5_banzai.Machine
 module Fifo = Mp5_arch.Fifo
 module Channel = Mp5_arch.Channel
-module Vec = Mp5_util.Vec
 module Int_vec = Mp5_util.Int_vec
 module Int_table = Mp5_util.Int_table
 module Metrics = Mp5_obs.Metrics
@@ -250,8 +249,11 @@ type sim = {
      bit-identical with hooks set or not.  [run]'s collectors set
      [on_exit]/[on_access], the fabric node API [on_exit]/[on_drop];
      they fire in [exit_packet], [log_access] and [drop_packet].
-     [on_access] gets the cell's access-log slot with it. *)
-  mutable on_exit : (seq:int -> latency:int -> headers:int array -> unit) option;
+     [on_exit] reads the packet's user headers in place, [fields.(off)]
+     on, before the slab slot is recycled: a hook copies them out only
+     if it keeps them.  [on_access] gets the cell's access-log slot with
+     it. *)
+  mutable on_exit : (seq:int -> latency:int -> fields:int array -> off:int -> unit) option;
   mutable on_access : (slot:int -> reg:int -> cell:int -> seq:int -> unit) option;
   mutable on_drop : (seq:int -> unit) option;
   (* per-cycle occupancy observer (the {!Timeline} renderer's feed),
@@ -659,6 +661,43 @@ let fault_edges sim f t =
 
 (* --- runtime invariant monitor (lib/fault) --- *)
 
+(* A queued data packet must sit at the pipeline its queued access
+   resolved to, and that pipeline must still hold its cell's state
+   (D2 flow affinity) — remaps are pinned off cells with packets in
+   flight, so a mismatch means sharding routed state and packet apart.
+   The monitor's checks build their diagnostic only when one fails, so
+   a clean check allocates nothing. *)
+let check_affinity sim mon now stage p pkt =
+  let a = queued_acc sim pkt stage in
+  if a >= 0 then begin
+    let sl = sim.sl in
+    let ai = (pkt * sl.Slab.na) + a in
+    let seq = sl.Slab.seq.(pkt) in
+    let dest = sl.Slab.dest.(ai) and cell = sl.Slab.cell.(ai) in
+    if dest <> p then
+      Monitor.report mon ~cycle:now
+        (Printf.sprintf "flow affinity: packet %d queued at stage %d pipe %d but resolved to pipe %d"
+           seq stage p dest);
+    if cell >= 0 then begin
+      let home = Index_map.pipeline_of sim.maps.(sim.accesses.(a).Transform.reg) cell in
+      if home <> p then
+        Monitor.report mon ~cycle:now
+          (Printf.sprintf
+             "flow affinity: packet %d queued at stage %d pipe %d but cell %d lives on pipe %d" seq
+             stage p cell home)
+    end
+  end
+
+(* Every data entry of one FIFO checked for affinity; its data count. *)
+let census_fifo sim mon now stage p f =
+  for ring = 0 to Fifo.rings f - 1 do
+    for i = 0 to Fifo.ring_length f ~ring - 1 do
+      let pkt = Fifo.ring_data f ~ring i in
+      if pkt >= 0 then check_affinity sim mon now stage p pkt
+    done
+  done;
+  Fifo.data_length f
+
 (* Re-derive the architecture's invariants from live machine state.
    Runs at the top of the cycle loop (and once after it), where the
    movement phase has emptied every slot into the transfer buffers, so
@@ -666,50 +705,24 @@ let fault_edges sim f t =
    anyway so the check also holds for a mid-cycle caller). *)
 let monitor_phase sim mon now =
   Monitor.mark mon ~now;
-  let fail fmt = Printf.ksprintf (fun s -> Monitor.report mon ~cycle:now s) fmt in
   let counted = ref 0 in
-  (* A queued data packet must sit at the pipeline its queued access
-     resolved to, and that pipeline must still hold its cell's state
-     (D2 flow affinity) — remaps are pinned off cells with packets in
-     flight, so a mismatch means sharding routed state and packet
-     apart. *)
-  let check_affinity stage p ~key:_ pkt =
-    let a = queued_acc sim pkt stage in
-    if a >= 0 then begin
-      let sl = sim.sl in
-      let ai = (pkt * sl.Slab.na) + a in
-      let seq = sl.Slab.seq.(pkt) in
-      let dest = sl.Slab.dest.(ai) and cell = sl.Slab.cell.(ai) in
-      if dest <> p then
-        fail "flow affinity: packet %d queued at stage %d pipe %d but resolved to pipe %d"
-          seq stage p dest;
-      if cell >= 0 then begin
-        let home = Index_map.pipeline_of sim.maps.(sim.accesses.(a).Transform.reg) cell in
-        if home <> p then
-          fail "flow affinity: packet %d queued at stage %d pipe %d but cell %d lives on pipe %d"
-            seq stage p cell home
-      end
-    end
-  in
   for stage = 0 to sim.n_stages - 1 do
     for p = 0 to sim.p.k - 1 do
       if sim.slots.(stage).(p) <> no_pkt then incr counted;
       match sim.fifos.(stage).(p) with
       | None -> ()
       | Some (Logical f) ->
-          counted := !counted + Fifo.data_length f;
-          if (not sim.p.adaptive_fifos) && Fifo.length f > sim.p.k * sim.p.fifo_capacity
-          then
-            fail "FIFO occupancy: stage %d pipe %d holds %d entries, bound %d" stage p
-              (Fifo.length f)
-              (sim.p.k * sim.p.fifo_capacity);
-          Fifo.iter_data f (check_affinity stage p)
+          let bound = sim.p.k * sim.p.fifo_capacity in
+          if (not sim.p.adaptive_fifos) && Fifo.length f > bound then
+            Monitor.report mon ~cycle:now
+              (Printf.sprintf "FIFO occupancy: stage %d pipe %d holds %d entries, bound %d" stage
+                 p (Fifo.length f) bound);
+          counted := !counted + census_fifo sim mon now stage p f
       | Some (Per_cell pc) ->
-          Hashtbl.iter
-            (fun _ f ->
-              counted := !counted + Fifo.data_length f;
-              Fifo.iter_data f (check_affinity stage p))
-            pc.pc_cells
+          counted :=
+            Hashtbl.fold
+              (fun _ f acc -> acc + census_fifo sim mon now stage p f)
+              pc.pc_cells !counted
     done
   done;
   for stage = 0 to sim.n_stages - 1 do
@@ -729,14 +742,17 @@ let monitor_phase sim mon now =
             let pkt = Int_vec.get pkts i in
             let dest = (desc lsr 2) land 63 in
             if misrouted sim pkt stage dest then
-              fail "flow affinity: packet %d in transfer to stage %d pipe %d, cell moved away"
-                sim.sl.Slab.seq.(pkt) stage dest
+              Monitor.report mon ~cycle:now
+                (Printf.sprintf
+                   "flow affinity: packet %d in transfer to stage %d pipe %d, cell moved away"
+                   sim.sl.Slab.seq.(pkt) stage dest)
           end
         done
   done;
   if !counted <> sim.in_flight then
-    fail "conservation: %d packets found in slots/FIFOs/transfers, %d in flight" !counted
-      sim.in_flight;
+    Monitor.report mon ~cycle:now
+      (Printf.sprintf "conservation: %d packets found in slots/FIFOs/transfers, %d in flight"
+         !counted sim.in_flight);
   match sim.ms with
   | None -> ()
   | Some m ->
@@ -745,16 +761,19 @@ let monitor_phase sim mon now =
       and bl = Metrics.total m.Metrics.m_blocked in
       let expect = sim.n_stages * sim.p.k * m.Metrics.m_cycles in
       if b + i + bl <> expect then
-        fail "cycle classification: busy %d + idle %d + blocked %d <> stages*k*cycles %d" b i
-          bl expect;
+        Monitor.report mon ~cycle:now
+          (Printf.sprintf
+             "cycle classification: busy %d + idle %d + blocked %d <> stages*k*cycles %d" b i bl
+             expect);
       let sched = m.Metrics.m_phantom_scheduled in
       let accounted =
         m.Metrics.m_phantom_delivered + m.Metrics.m_phantom_doomed
         + m.Metrics.m_phantom_dropped + Channel.pending sim.channel
       in
       if sched <> accounted then
-        fail "phantom conservation: %d scheduled, %d delivered+doomed+dropped+pending" sched
-          accounted
+        Monitor.report mon ~cycle:now
+          (Printf.sprintf "phantom conservation: %d scheduled, %d delivered+doomed+dropped+pending"
+             sched accounted)
 
 (* --- address resolution (stage 0, performed on arrival; §3.3) --- *)
 
@@ -1269,8 +1288,8 @@ let exec_phase sim =
   done
 
 (* A packet leaves the last stage: the delivery counters, the
-   instruments, the exit digest and the [on_exit] hook.  The hook's
-   user headers are copied out before the slab slot is recycled. *)
+   instruments, the exit digest and the [on_exit] hook, which reads
+   the user headers in the slab before the slot is recycled. *)
 let exit_packet sim now pkt stage p =
   let sl = sim.sl in
   let seq = sl.Slab.seq.(pkt) in
@@ -1294,7 +1313,7 @@ let exit_packet sim now pkt stage p =
     Hashing.feed ed sl.Slab.fields.(fb + f)
   done;
   (match sim.on_exit with
-  | Some f -> f ~seq ~latency ~headers:(Array.sub sl.Slab.fields fb n_user)
+  | Some f -> f ~seq ~latency ~fields:sl.Slab.fields ~off:fb
   | None -> ());
   Slab.release sl pkt
 
@@ -2241,46 +2260,37 @@ let stream ?loop:(_ : loop option) ?observer ?metrics ?events ?fault ?monitor ?p
 
 let run_source = stream ~on_exit:None ~on_access:None
 
-(* The (reg, cell) -> seq list table from the access collector's flat
-   (access-log slot, seq) log and the machine's first-touch order of
-   (reg, cell) keys, indexed by slot; the table is sized to the key
-   count, as the machine's own access log is. *)
-let access_table order slots seqs =
-  let lists = Array.make (Int_vec.length order) [] in
-  for i = Int_vec.length slots - 1 downto 0 do
-    let j = Int_vec.get slots i in
-    lists.(j) <- Int_vec.get seqs i :: lists.(j)
-  done;
-  let tbl = Hashtbl.create (Array.length lists) in
-  Array.iteri
-    (fun j seqs ->
-      let key = Int_vec.get order j in
-      Hashtbl.replace tbl (key lsr 32, key land 0xFFFFFFFF) seqs)
-    lists;
-  tbl
-
 (* A streamed run over the array with two collectors on the per-packet
-   hooks.  They push into flat vectors, so beyond the exit's header copy
-   nothing is allocated per packet; the result's lists are built once,
-   after the run. *)
+   hooks.  They push into flat int vectors reserved up front: exits as
+   seqs, latencies and [n_user] header words each, accesses as
+   (access-log slot, seq) pairs, reserved for each access at most once
+   per packet.  Nothing is allocated per packet while the run lasts; the
+   result's lists are built once, after it. *)
 let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace =
-  if Array.length trace = 0 then invalid_arg "Sim.run: empty trace";
+  let n = Array.length trace in
+  if n = 0 then invalid_arg "Sim.run: empty trace";
+  let width = prog.Transform.config.Config.n_user_fields in
   let exit_seqs = Int_vec.create () and exit_lats = Int_vec.create () in
-  let exit_headers = Vec.create () in
-  let on_exit ~seq ~latency ~headers =
+  let exit_fields = Int_vec.create () in
+  Int_vec.reserve exit_seqs n;
+  Int_vec.reserve exit_lats n;
+  Int_vec.reserve exit_fields (n * width);
+  let on_exit ~seq ~latency ~fields ~off =
     Int_vec.push exit_seqs seq;
     Int_vec.push exit_lats latency;
-    Vec.push exit_headers headers
+    for f = off to off + width - 1 do
+      Int_vec.push exit_fields fields.(f)
+    done
   in
   (* The machine is fresh, so its access-log slots count up from 0 and
      the collector sees each first touch: a slot one past the keys
      recorded so far is a new cell. *)
-  let acc_order = Int_vec.create () in
-  let acc_slots = Int_vec.create () and acc_seqs = Int_vec.create () in
+  let acc_keys = Int_vec.create () and acc_log = Int_vec.create () in
+  Int_vec.reserve acc_log (2 * n * Array.length prog.Transform.accesses);
   let on_access ~slot ~reg ~cell ~seq =
-    if slot = Int_vec.length acc_order then Int_vec.push acc_order ((reg lsl 32) lor cell);
-    Int_vec.push acc_slots slot;
-    Int_vec.push acc_seqs seq
+    if slot = Int_vec.length acc_keys then Int_vec.push acc_keys ((reg lsl 32) lor cell);
+    Int_vec.push acc_log slot;
+    Int_vec.push acc_log seq
   in
   match
     stream ?loop ?observer ?metrics ?events ?fault ?monitor ?prof ~on_exit:(Some on_exit)
@@ -2291,7 +2301,7 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace
       let headers_out = ref [] and exit_order = ref [] and latencies = ref [] in
       for i = Int_vec.length exit_seqs - 1 downto 0 do
         let seq = Int_vec.get exit_seqs i in
-        headers_out := (seq, Vec.get exit_headers i) :: !headers_out;
+        headers_out := (seq, Int_vec.sub exit_fields (i * width) width) :: !headers_out;
         exit_order := seq :: !exit_order;
         latencies := (seq, Int_vec.get exit_lats i) :: !latencies
       done;
@@ -2307,7 +2317,7 @@ let run ?loop ?observer ?metrics ?events ?fault ?monitor ?prof params prog trace
         store = s.s_store;
         digests = s.s_digests;
         headers_out = !headers_out;
-        access_seqs = access_table acc_order acc_slots acc_seqs;
+        access_seqs = Machine.access_table ~size:(Int_vec.length acc_keys) acc_keys acc_log;
         exit_order = !exit_order;
         latencies = !latencies;
       }
@@ -2736,7 +2746,9 @@ type node = {
 }
 
 let make_node ~on_exit ~on_drop sim st q src =
-  sim.on_exit <- Some on_exit;
+  let n_user = sim.config.Config.n_user_fields in
+  sim.on_exit <-
+    Some (fun ~seq ~latency ~fields ~off -> on_exit ~seq ~latency ~headers:(Array.sub fields off n_user));
   sim.on_drop <- Some on_drop;
   { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = make_cycle sim src st }
 

@@ -136,7 +136,12 @@ val run :
 
     [run] is {!run_source} over the array plus two pure-observer
     collectors on the per-packet exit and access hooks, which record
-    the result's lists.
+    the result's lists.  The collectors push into flat int vectors
+    reserved up front (exits to the trace length, header words
+    included; accesses to each of the program's accesses once per
+    packet) and build the lists once, after the run, so the collectors
+    allocate nothing per packet while it lasts: no per-exit array is
+    kept alive, and promoted, across the run.
 
     [metrics] accumulates per-cycle counters (utilization, stall
     attribution, crossbar traffic, phantom accounting, latency and

@@ -25,6 +25,10 @@ let set t i x =
   if i < 0 || i >= t.len then invalid_arg "Int_vec.set: index out of range";
   Array.unsafe_set t.data i x
 
+let sub t off len =
+  if off < 0 || len < 0 || off + len > t.len then invalid_arg "Int_vec.sub: range out of bounds";
+  Array.sub t.data off len
+
 let clear t = t.len <- 0
 
 let to_list t =

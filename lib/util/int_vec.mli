@@ -26,6 +26,10 @@ val set : t -> int -> int -> unit
 (** Overwrite an existing element.
     @raise Invalid_argument when out of range. *)
 
+val sub : t -> int -> int -> int array
+(** [sub t off len] copies elements [off .. off+len-1] out.
+    @raise Invalid_argument when the range is not within the length. *)
+
 val clear : t -> unit
 (** Reset the length to zero, keeping the backing array. *)
 

@@ -101,10 +101,30 @@ let packet sc arity n =
   if fields <> !arity then bad "%d fields, expected %d (truncated line?)" fields !arity;
   { Machine.time = sc.buf.(0); port = sc.buf.(1); headers = Array.sub sc.buf 2 fields }
 
+(* The packet count of [s] if every line is well formed: its lines that
+   are not blank after trimming and do not start with [#], the lines
+   [scan] answers [blank] for. *)
+let count_packets s =
+  let len = String.length s and count = ref 0 and i = ref 0 in
+  while !i < len do
+    while !i < len && String.unsafe_get s !i <> '\n' && is_trim_space (String.unsafe_get s !i) do
+      incr i
+    done;
+    if !i < len && String.unsafe_get s !i <> '\n' && String.unsafe_get s !i <> '#' then incr count;
+    while !i < len && String.unsafe_get s !i <> '\n' do incr i done;
+    incr i
+  done;
+  !count
+
+let no_packet = { Machine.time = 0; port = 0; headers = [||] }
+
 let of_string s =
   let len = String.length s in
   let sc = scanner () in
-  let packets = ref [] in
+  (* Sized by a first pass, so each packet goes straight to its slot:
+     every counted line either fills one or stops the parse. *)
+  let packets = Array.make (count_packets s) no_packet in
+  let n = ref 0 in
   let arity = ref (-1) in
   let error = ref None in
   let pos = ref 0 in
@@ -118,18 +138,18 @@ let of_string s =
     let nl = ref start in
     while !nl < len && String.unsafe_get s !nl <> '\n' do incr nl done;
     pos := !nl + 1;
-    let n = scan sc s start !nl in
-    if n <> blank then
-      match packet sc arity n with
-      | p -> packets := p :: !packets
+    let k = scan sc s start !nl in
+    if k <> blank then
+      match packet sc arity k with
+      | p ->
+          packets.(!n) <- p;
+          incr n
       | exception Bad_line msg ->
           error := Some (Printf.sprintf "byte %d (line %d): %s" start !lineno msg)
   done;
   match !error with
   | Some e -> Error e
-  | None ->
-      if !packets = [] then Error "no packets in trace"
-      else Ok (Array.of_list (List.rev !packets))
+  | None -> if !n = 0 then Error "no packets in trace" else Ok packets
 
 (* Streaming reader: same grammar, scanner and error shape as
    [of_string], but one line in memory at a time.  Errors surface as

@@ -22,7 +22,9 @@
 val to_string : Mp5_banzai.Machine.input array -> string
 
 val of_string : string -> (Mp5_banzai.Machine.input array, string) result
-(** Malformed input — non-integer tokens, a line with fewer than two
+(** A first pass counts the lines that are neither blank nor comments,
+    so the packet array is allocated once, at its final size, and each
+    packet is stored straight into it.  Malformed input — non-integer tokens, a line with fewer than two
     tokens, a field-count mismatch (the usual shape of a truncated
     capture), or no packets at all — is rejected with a positioned
     error: [byte OFFSET (line N): reason]. *)

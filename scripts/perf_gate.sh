@@ -27,6 +27,10 @@
 #                                  (sequencer, 2000 packets)
 #   trace_io/words_per_byte        words per input byte, Trace_io.of_string
 #                                  of that trace's text
+#   verify/words_per_pkt           words per packet, one Switch.verify
+#                                  (golden machine, Sim.run and its
+#                                  collectors, Equiv) of flowlet on 2000
+#                                  flow packets
 #   fabric-boundary/words          words per fabric checkpoint boundary:
 #                                  Fabric.resume ~cycle_budget:0 (decode +
 #                                  encode) of a fixed mid-drain 2x2
@@ -52,7 +56,7 @@ set -eu
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
 CALIB='host/calib_ns'
-WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte fabric-boundary/words fabric-legs/words_per_pkt'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte verify/words_per_pkt fabric-boundary/words fabric-legs/words_per_pkt'
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;

@@ -287,6 +287,23 @@ let prop_simplify_preserves_eval =
           true)
         (List.init 25 Fun.id))
 
+let prop_hash_folds_fnv1a =
+  (* [hash(...)] with any number of keys is the list FNV-1a of the keys'
+     values, however the evaluator folds them; random arguments include
+     nested single-key hashes. *)
+  QCheck.Test.make ~name:"Expr hash = Hashing.fnv1a of its arguments" ~count:300
+    QCheck.(pair small_nat (int_range 0 6))
+    (fun (seed, n) ->
+      let rng = Rng.create (seed + 4242) in
+      let args = List.init n (fun _ -> gen_rand_expr rng 2) in
+      let fields = Array.init 4 (fun _ -> Rng.int rng 1_000_000 - 500_000) in
+      let vs = List.map (Expr.eval_raw [||] fields None) args in
+      let want = Mp5_util.Hashing.fnv1a vs land 0x7FFFFFFF in
+      let got = Expr.eval_raw [||] fields None (Expr.Hash args) in
+      if got <> want then
+        QCheck.Test.fail_reportf "hash of %d args: %d, fnv1a gives %d" n got want;
+      true)
+
 let prop_simplify_never_grows =
   QCheck.Test.make ~name:"simplification never grows expressions" ~count:300
     QCheck.(small_nat)
@@ -511,5 +528,5 @@ let () =
       ( "structures",
         q [ prop_one_ring_fifo_model; prop_fifo_positions_keyed_model; prop_int_table_model; prop_sort_trace_sorted;
             prop_expr_eval_in_range;
-            prop_dist_in_support ] );
+            prop_dist_in_support; prop_hash_folds_fnv1a ] );
     ]

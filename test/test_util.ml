@@ -477,6 +477,39 @@ let test_packet_path_allocates_nothing () =
          Mp5_arch.Channel.drain ch ~now:i deliver));
   ignore (Sys.opaque_identity !sum)
 
+(* A clean monitor check allocates nothing: a metered flowlet run with a
+   monitor checking every cycle (queued packets, pending transfers and
+   the metrics totals all walked) allocates less than one word per check
+   more than the same run without one. *)
+let test_monitor_check_allocates_nothing () =
+  let module Sim = Mp5_core.Sim in
+  let module Monitor = Mp5_fault.Monitor in
+  let sw = Mp5_core.Switch.create_exn (List.assoc "flowlet" Mp5_apps.Sources.all_named) in
+  let pkts = Mp5_workload.Tracegen.flows ~seed:3 ~n_packets:1_000 ~k:4 ~concurrency:32 () in
+  let trace = Mp5_apps.Traces.trace_for "flowlet" pkts in
+  let params = Sim.default_params ~k:4 in
+  let stages = Array.length sw.Mp5_core.Switch.prog.Mp5_core.Transform.config.Mp5_banzai.Config.stages in
+  let words ?monitor () =
+    let metrics = Mp5_obs.Metrics.create ~stages ~k:4 in
+    let before = Gc.minor_words () in
+    (match
+       Sim.run_source ~metrics ?monitor params sw.Mp5_core.Switch.prog
+         (Mp5_workload.Packet_source.of_array trace)
+     with
+    | Sim.Completed s -> ignore (Sys.opaque_identity s)
+    | Sim.Suspended _ -> Alcotest.fail "run suspended");
+    Gc.minor_words () -. before
+  in
+  let bare = words () in
+  let mon = Monitor.create ~epoch:1 () in
+  let monitored = words ~monitor:mon () in
+  check "monitor clean" true (Monitor.ok mon);
+  check "checks ran" true (Monitor.checks mon > 500);
+  let per_check = (monitored -. bare) /. float_of_int (Monitor.checks mon) in
+  if per_check >= 1. then
+    Alcotest.failf "a clean monitor check allocates %.2f words (%d checks)" per_check
+      (Monitor.checks mon)
+
 let () =
   Alcotest.run "util"
     [
@@ -537,5 +570,7 @@ let () =
         [
           Alcotest.test_case "packet-path utilities allocate nothing" `Quick
             test_packet_path_allocates_nothing;
+          Alcotest.test_case "clean monitor check allocates nothing" `Quick
+            test_monitor_check_allocates_nothing;
         ] );
     ]

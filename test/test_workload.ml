@@ -212,6 +212,19 @@ let test_trace_io_parsing () =
   | Error e -> check "empty trace rejected" true (e = "no packets in trace")
   | Ok _ -> Alcotest.fail "expected empty-trace error"
 
+(* The reader sizes its packet array from a first pass over the lines:
+   blank, whitespace-only and comment lines at the end (and between
+   packets, indented or not, with a final line lacking its newline)
+   must not leave slots behind. *)
+let test_trace_io_trailing_blank_lines () =
+  let text = "# header\n0 1 5\n  \t\n1 0 6\n   # indented comment\n2 2 7\n\n\r\n# tail\n  \n#" in
+  match Mp5_workload.Trace_io.of_string text with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      check_int "three packets" 3 (Array.length t);
+      check "last packet is the last data line" true
+        (t.(2).Machine.time = 2 && t.(2).Machine.headers = [| 7 |])
+
 (* --- scanner equivalence ---
 
    The trace readers as they were before the in-place scanner: every
@@ -423,5 +436,7 @@ let () =
           Alcotest.test_case "round trip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "parsing" `Quick test_trace_io_parsing;
           Alcotest.test_case "scanner matches the split pipeline" `Quick test_scanner_equivalence;
+          Alcotest.test_case "trailing blank and comment lines" `Quick
+            test_trace_io_trailing_blank_lines;
         ] );
     ]
