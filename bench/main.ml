@@ -199,8 +199,7 @@ let run_sim_micro scale =
   Format.printf "  host calibration: %11.0f ns/loop (kernels / calibration = %.3f)@."
     m.Experiments.mi_calib_ns
     (m.Experiments.mi_kernel_ns /. m.Experiments.mi_calib_ns);
-  Format.printf "  closure kernels allocate %.1f minor words/packet@."
-    m.Experiments.mi_kernel_words;
+  Format.printf "  closure kernels allocate %.1f words/packet@." m.Experiments.mi_kernel_words;
   Format.printf "  golden machine (sequencer, 2000 packets) allocates %.1f words/packet@."
     m.Experiments.mi_golden_words;
   Format.printf "  trace reader (same trace as text) allocates %.2f words/byte@."
@@ -211,6 +210,8 @@ let run_sim_micro scale =
     m.Experiments.mi_boundary_words;
   Format.printf "  fabric drained in-process in 500-cycle legs allocates %.1f words/packet@."
     m.Experiments.mi_legs_words;
+  Format.printf "  fabric drained straight allocates %.1f words/packet@."
+    m.Experiments.mi_drain_words;
   [
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
     (* The host-speed reference the gate divides [kernel_ns] by. *)
@@ -224,6 +225,7 @@ let run_sim_micro scale =
     ("verify/words_per_pkt", m.Experiments.mi_verify_words);
     ("fabric-boundary/words", m.Experiments.mi_boundary_words);
     ("fabric-legs/words_per_pkt", m.Experiments.mi_legs_words);
+    ("fabric-drain/words_per_pkt", m.Experiments.mi_drain_words);
   ]
 
 let run_longrun scale =

@@ -36,6 +36,7 @@ let source spec =
   if spec.dst_field < 0 || spec.dst_field >= spec.n_fields then
     invalid_arg "Traffic.source: dst_field out of range";
   let n_hosts = Topology.n_hosts spec.topo in
+  let is_index = Array.init spec.n_fields (fun f -> List.mem f spec.index_fields) in
   let rng = Rng.create spec.seed in
   let i = ref 0 in
   Psource.of_pull ~total:spec.n_packets (fun () ->
@@ -50,12 +51,14 @@ let source spec =
             if d >= src then d + 1 else d
           end
         in
-        let headers =
-          Array.init spec.n_fields (fun f ->
-              if f = spec.dst_field then dst
-              else if List.mem f spec.index_fields then Rng.int rng spec.reg_size
-              else Rng.int rng 1024)
-        in
+        (* Field order is draw order. *)
+        let headers = Array.make spec.n_fields 0 in
+        for f = 0 to spec.n_fields - 1 do
+          headers.(f) <-
+            (if f = spec.dst_field then dst
+             else if is_index.(f) then Rng.int rng spec.reg_size
+             else Rng.int rng 1024)
+        done;
         incr i;
         Some { Machine.time; port = src; headers }
       end)

@@ -4,7 +4,7 @@ type event = { from_ : int; until_ : int; link : int; kind : kind }
 type plan = { events : event list }
 
 let empty = { events = [] }
-let is_empty p = p.events = []
+let is_empty p = match p.events with [] -> true | _ :: _ -> false
 let down ~from_ ~until_ ~link = { from_; until_; link; kind = Link_down }
 let delay ~from_ ~until_ ~link ~extra = { from_; until_; link; kind = Link_delay extra }
 
@@ -152,26 +152,37 @@ let validate p ~n_links =
    latch), so the runtime is the plan itself and every query is a scan
    over the event list.  Plans are small (tens of events) and queries
    run once per send / once per idle jump, so the scan never shows up
-   next to a machine cycle. *)
+   next to a machine cycle.  The scans are plain recursions over the
+   list, comparing ints only: a query allocates nothing, and on an empty
+   plan it is one test. *)
 
-let active e ~now = e.from_ <= now && now <= e.until_
+let rec down_in events ~now ~link =
+  match events with
+  | [] -> false
+  | { from_; until_; link = l; kind = Link_down } :: rest ->
+      (l = link && from_ <= now && now <= until_) || down_in rest ~now ~link
+  | { kind = Link_delay _; _ } :: rest -> down_in rest ~now ~link
 
-let is_down p ~now ~link =
-  List.exists (fun e -> e.kind = Link_down && e.link = link && active e ~now) p.events
+let is_down p ~now ~link = down_in p.events ~now ~link
 
-let extra_delay p ~now ~link =
-  List.fold_left
-    (fun acc e ->
-      match e.kind with
-      | Link_delay extra when e.link = link && active e ~now -> acc + extra
-      | _ -> acc)
-    0 p.events
+let rec delay_in events ~now ~link acc =
+  match events with
+  | [] -> acc
+  | { from_; until_; link = l; kind = Link_delay extra } :: rest ->
+      let acc = if l = link && from_ <= now && now <= until_ then acc + extra else acc in
+      delay_in rest ~now ~link acc
+  | { kind = Link_down; _ } :: rest -> delay_in rest ~now ~link acc
+
+let extra_delay p ~now ~link = delay_in p.events ~now ~link 0
 
 (* Next cycle > now at which some event's activity changes: its opening
    edge [from_] or the first quiet cycle [until_ + 1]. *)
-let next_edge p ~now =
-  List.fold_left
-    (fun acc e ->
-      let acc = if e.from_ > now then min acc e.from_ else acc in
-      if e.until_ + 1 > now then min acc (e.until_ + 1) else acc)
-    max_int p.events
+let rec edge_in events ~now acc =
+  match events with
+  | [] -> acc
+  | e :: rest ->
+      let acc = if e.from_ > now && e.from_ < acc then e.from_ else acc in
+      let acc = if e.until_ + 1 > now && e.until_ + 1 < acc then e.until_ + 1 else acc in
+      edge_in rest ~now acc
+
+let next_edge p ~now = edge_in p.events ~now max_int

@@ -20,7 +20,8 @@
 # Allocation counters, deterministic: they move only when code changes,
 # so each is gated tight, at 1.02 x baseline, and needs no retries.
 #
-#   heavy-hitter-2k/words_per_pkt  minor words per packet, closure kernels
+#   heavy-hitter-2k/words_per_pkt  words per packet (minor plus direct
+#                                  major), closure kernels
 #   generic/words_per_pkt          the same count (one cycle loop; the key
 #                                  the oracle loop was gated by stays)
 #   golden/words_per_pkt           words per packet, golden machine
@@ -39,6 +40,9 @@
 #                                  of that fabric in 500-cycle legs, each
 #                                  resume decoding into the machines the
 #                                  previous leg suspended
+#   fabric-drain/words_per_pkt     words per packet of that fabric drained
+#                                  straight through, no checkpoints: the
+#                                  inter-switch packet path
 #
 # The harness already takes the min over 5 interleaved repetitions,
 # but shared runners also swing between whole invocations (observed
@@ -56,7 +60,7 @@ set -eu
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
 CALIB='host/calib_ns'
-WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte verify/words_per_pkt fabric-boundary/words fabric-legs/words_per_pkt'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte verify/words_per_pkt fabric-boundary/words fabric-legs/words_per_pkt fabric-drain/words_per_pkt'
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;

@@ -453,6 +453,202 @@ let test_recycled_legs () =
         Alcotest.failf "%s: no run of the corpus dropped a packet" variant)
     [ "tight-fifo"; "guards" ]
 
+(* --- flat hop storage against a Queue / Hashtbl reference ---
+
+   [Flat.Ring] is one link's FIFO of variable-length int entries and
+   [Flat.Table] one switch's metadata keyed by ascending local seq.
+   Random operation sequences drive each beside the boxed structure it
+   replaced, and every step compares everything observable.  The
+   checkers count the events the flat layout adds — an entry wrapping
+   past the end of the ring, a growth, a table window compacting over
+   freed seqs — so a fixed-seed case can insist that every one of them
+   was exercised. *)
+
+module Flat = Mp5_fabric.Flat
+module Ring = Flat.Ring
+module Table = Flat.Table
+
+type flat_stats = { mutable wraps : int; mutable grows : int; mutable compactions : int }
+
+let new_stats () = { wraps = 0; grows = 0; compactions = 0 }
+
+(* An op is three raw ints, read against the current state. *)
+let gen_ops =
+  QCheck.(list_of_size Gen.(int_range 50 400) (triple (int_bound 19) small_nat small_nat))
+
+let ring_entries ring =
+  let acc = ref [] in
+  Ring.iter ring (fun pos ->
+      acc := Array.init (Ring.header_base + Ring.get ring pos Ring.nh) (Ring.get ring pos) :: !acc);
+  List.rev !acc
+
+(* An entry straddles the end of the ring's storage. *)
+let ring_wrapped ring =
+  let cap = Ring.capacity ring and wrapped = ref false in
+  Ring.iter ring (fun pos ->
+      let len = Ring.header_base + Ring.get ring pos Ring.nh in
+      if (pos land (cap - 1)) + len > cap then wrapped := true);
+  !wrapped
+
+(* Ops 0-9 push an entry of [a mod 13] headers (even: [push] from the
+   middle of a larger array; odd: [reserve] + [set]), 10-17 pop, 18
+   clears one time in four.  [None] when the ring and the queue agree
+   after every op. *)
+let check_ring stats ops =
+  let ring = Ring.create () and model = Queue.create () in
+  let fail = ref None in
+  List.iteri
+    (fun step (kind, a, b) ->
+      if Option.is_none !fail then begin
+        let cap = Ring.capacity ring in
+        (if kind < 10 then begin
+           let nh = a mod 13 in
+           let e = Array.init (Ring.header_base + nh) (fun i -> (b * 31) + (i * 7) + step) in
+           e.(Ring.nh) <- nh;
+           if kind mod 2 = 0 then
+             Ring.push ring ~due:e.(Ring.due) ~aux:e.(Ring.aux) ~fseq:e.(Ring.fseq)
+               ~dst:e.(Ring.dst) ~inject:e.(Ring.inject) ~hops:e.(Ring.hops) ~time:e.(Ring.time)
+               ~port:e.(Ring.port)
+               (Array.append [| -1; -2 |] (Array.sub e Ring.header_base nh))
+               ~off:2 ~n:nh
+           else begin
+             let pos = Ring.reserve ring ~nh in
+             Array.iteri (fun k v -> if k <> Ring.nh then Ring.set ring pos k v) e
+           end;
+           Queue.push e model
+         end
+         else if kind < 18 then begin
+           match Queue.take_opt model with
+           | None -> ()
+           | Some e ->
+               let head = Ring.head ring in
+               let headers = Array.sub e Ring.header_base (Array.length e - Ring.header_base) in
+               if Ring.headers ring head <> headers then
+                 fail := Some (Printf.sprintf "step %d: head headers differ" step);
+               Ring.pop ring
+         end
+         else if b mod 4 = 0 then begin
+           Ring.clear ring;
+           Queue.clear model
+         end);
+        if Ring.capacity ring > cap then stats.grows <- stats.grows + 1;
+        if ring_wrapped ring then stats.wraps <- stats.wraps + 1;
+        if Ring.length ring <> Queue.length model || Ring.is_empty ring <> Queue.is_empty model
+        then
+          fail :=
+            Some
+              (Printf.sprintf "step %d: length %d, model %d" step (Ring.length ring)
+                 (Queue.length model))
+        else if ring_entries ring <> List.of_seq (Queue.to_seq model) then
+          fail := Some (Printf.sprintf "step %d: entries differ" step)
+      end)
+    ops;
+  !fail
+
+let table_entries tbl =
+  let acc = ref [] in
+  Table.iter tbl (fun seq slot ->
+      acc := (seq, Array.init 4 (fun k -> Table.get tbl slot k)) :: !acc);
+  List.rev !acc
+
+(* Ops 0-7 add the next seq after a gap of [a mod 4], 8-15 remove the
+   [a]-th live seq (mod the live count), 16-17 remove a seq that is not
+   live (a no-op), 18 clears one time in four.  A compaction is the
+   removal of the oldest live seq while the next live one sits past a
+   freed seq.  [None] when the table and the hashtable agree after every
+   op, on [iter], [length] and [find] of every seq up to the last one
+   added. *)
+let check_table stats ops =
+  let tbl = Table.create () and model = Hashtbl.create 16 in
+  let next = ref 0 and fail = ref None in
+  let sorted () = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []) in
+  List.iteri
+    (fun step (kind, a, b) ->
+      if Option.is_none !fail then begin
+        let cap = Table.capacity tbl in
+        (if kind < 8 then begin
+           let seq = !next + (a mod 4) in
+           let meta = [| b; b mod 7; step; a |] in
+           Table.add tbl seq ~fseq:meta.(Table.fseq) ~dst:meta.(Table.dst)
+             ~inject:meta.(Table.inject) ~hops:meta.(Table.hops);
+           Hashtbl.replace model seq meta;
+           next := seq + 1
+         end
+         else if kind < 16 then begin
+           match sorted () with
+           | [] -> ()
+           | live ->
+               let seq, _ = List.nth live (a mod List.length live) in
+               (match live with
+               | (oldest, _) :: (after, _) :: _ when oldest = seq && after > seq + 1 ->
+                   stats.compactions <- stats.compactions + 1
+               | _ -> ());
+               let slot = Table.find tbl seq in
+               if slot < 0 then
+                 fail := Some (Printf.sprintf "step %d: live seq %d not found" step seq)
+               else Table.remove_slot tbl slot;
+               Hashtbl.remove model seq
+         end
+         else if kind < 18 then begin
+           let seq = a mod (!next + 2) in
+           if not (Hashtbl.mem model seq) then Table.remove tbl seq
+         end
+         else if b mod 4 = 0 then begin
+           Table.clear tbl;
+           Hashtbl.reset model;
+           next := 0
+         end);
+        if Table.capacity tbl > cap then stats.grows <- stats.grows + 1;
+        if !next > Table.capacity tbl then stats.wraps <- stats.wraps + 1;
+        if Table.length tbl <> Hashtbl.length model then
+          fail :=
+            Some
+              (Printf.sprintf "step %d: length %d, model %d" step (Table.length tbl)
+                 (Hashtbl.length model))
+        else if table_entries tbl <> sorted () then
+          fail := Some (Printf.sprintf "step %d: entries differ" step)
+        else
+          for seq = 0 to !next do
+            if (Table.find tbl seq >= 0) <> Hashtbl.mem model seq then
+              fail := Some (Printf.sprintf "step %d: find %d disagrees" step seq)
+          done
+      end)
+    ops;
+  !fail
+
+let prop_flat_ring =
+  QCheck.Test.make ~name:"flat link ring = Queue reference" ~count:200 gen_ops (fun ops ->
+      match check_ring (new_stats ()) ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let prop_flat_table =
+  QCheck.Test.make ~name:"flat metadata table = Hashtbl reference" ~count:200 gen_ops (fun ops ->
+      match check_table (new_stats ()) ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* The same checkers over fixed-seed sequences must have wrapped, grown
+   and (for the table) compacted: the properties above are only as good
+   as the layouts they reached. *)
+let test_flat_coverage () =
+  let rand = Random.State.make [| 28 |] in
+  let ring = new_stats () and table = new_stats () in
+  for _ = 1 to 20 do
+    let ops = QCheck.Gen.generate1 ~rand (QCheck.gen gen_ops) in
+    (match check_ring ring ops with Some msg -> Alcotest.fail msg | None -> ());
+    match check_table table ops with Some msg -> Alcotest.fail msg | None -> ()
+  done;
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "fixed-seed sequences never %s" what)
+    [
+      ("wrapped a ring entry", ring.wraps);
+      ("grew the ring", ring.grows);
+      ("wrapped the table window", table.wraps);
+      ("grew the table", table.grows);
+      ("compacted the table window", table.compactions);
+    ]
+
 let () =
   Alcotest.run "fabric"
     [
@@ -463,6 +659,13 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_fabric_conservation ] );
+      ( "flat",
+        [
+          QCheck_alcotest.to_alcotest prop_flat_ring;
+          QCheck_alcotest.to_alcotest prop_flat_table;
+          Alcotest.test_case "fixed-seed sequences wrap, grow and compact" `Quick
+            test_flat_coverage;
+        ] );
       ( "topology",
         [
           Alcotest.test_case "validation rejects malformed topologies" `Quick test_validation;
