@@ -212,6 +212,8 @@ let run_sim_micro scale =
     m.Experiments.mi_legs_words;
   Format.printf "  fabric drained straight allocates %.1f words/packet@."
     m.Experiments.mi_drain_words;
+  Format.printf "  switch drained in-process in 100-cycle legs allocates %.1f words/packet@."
+    m.Experiments.mi_switch_legs_words;
   [
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
     (* The host-speed reference the gate divides [kernel_ns] by. *)
@@ -226,6 +228,7 @@ let run_sim_micro scale =
     ("fabric-boundary/words", m.Experiments.mi_boundary_words);
     ("fabric-legs/words_per_pkt", m.Experiments.mi_legs_words);
     ("fabric-drain/words_per_pkt", m.Experiments.mi_drain_words);
+    ("switch-legs/words_per_pkt", m.Experiments.mi_switch_legs_words);
   ]
 
 let run_longrun scale =

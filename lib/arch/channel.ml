@@ -134,7 +134,7 @@ let set_slots t f =
   end
 
 let next_due t =
-  if t.count = 0 then None
+  if t.count = 0 then max_int
   else begin
     let mask = Array.length t.buckets - 1 in
     let c = ref t.base in
@@ -143,5 +143,5 @@ let next_due t =
     done;
     (* Tighten the lower bound so later scans restart here. *)
     t.base <- !c;
-    Some !c
+    !c
   end

@@ -58,6 +58,7 @@ val set_slots : t -> (seq:int -> stage:int -> slot:int -> int) -> unit
     in {!iter} order; nothing else changes.  How a restored machine
     gives the deliveries it decoded their new slab slots. *)
 
-val next_due : t -> int option
-(** Earliest cycle with a scheduled delivery, if any.  Lets the simulator
-    fast-forward over idle cycles instead of polling each one. *)
+val next_due : t -> int
+(** Earliest cycle with a scheduled delivery, [max_int] if none.  Lets
+    the simulator fast-forward over idle cycles instead of polling each
+    one. *)

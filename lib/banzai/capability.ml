@@ -23,19 +23,6 @@ let default =
     template = Taxonomy.Pairs;
   }
 
-let unrestricted =
-  {
-    max_expr_depth = max_int;
-    max_expr_size = max_int;
-    max_stateless_per_stage = max_int;
-    max_atoms_per_stage = max_int;
-    max_stages = max_int;
-    allow_mul_div = true;
-    allow_hash = true;
-    allow_table = true;
-    template = Taxonomy.Pairs;
-  }
-
 let ( let* ) = Result.bind
 let check b msg = if b then Ok () else Error msg
 

@@ -22,11 +22,5 @@ val default : limits
 (** A machine comparable to the paper's targets: 16 stages, pairs of
     atoms per stage, depth-6 expressions, multiply and hash available. *)
 
-val unrestricted : limits
-(** PVSM: "a switch pipeline with no computational or resource limits". *)
-
-val check_expr : limits -> Expr.t -> (unit, string) result
-val check_stage : limits -> Config.stage -> (unit, string) result
-
 val check : limits -> Config.t -> (unit, string) result
 (** Full machine-fit check, including the stage count. *)

@@ -336,8 +336,6 @@ let binop_symbol = function
   | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
   | Log_and -> "&&" | Log_or -> "||"
 
-let pp_binop ppf op = Format.pp_print_string ppf (binop_symbol op)
-
 let rec pp ppf = function
   | Const c -> Format.fprintf ppf "%d" c
   | Field i -> Format.fprintf ppf "f%d" i

@@ -103,4 +103,3 @@ val size : t -> int
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_binop : Format.formatter -> binop -> unit

@@ -193,16 +193,3 @@ let stateful (a : Atom.stateful) =
     guard = simplified_guard;
     update = Option.map expr a.Atom.update;
   }
-
-let config (t : Config.t) =
-  {
-    t with
-    Config.stages =
-      Array.map
-        (fun (s : Config.stage) ->
-          {
-            Config.stateless = List.map stateless_op s.Config.stateless;
-            atoms = List.map stateful s.Config.atoms;
-          })
-        t.Config.stages;
-  }

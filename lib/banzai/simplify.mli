@@ -23,5 +23,3 @@ val pred : Expr.t -> Expr.t
 
 val stateless_op : Atom.stateless_op -> Atom.stateless_op
 val stateful : Atom.stateful -> Atom.stateful
-val config : Config.t -> Config.t
-(** Simplifies every expression in every stage. *)

@@ -20,10 +20,3 @@ let diff a b =
       Array.iteri (fun i v -> if v <> b.(r).(i) then out := (r, i, v, b.(r).(i)) :: !out) ra)
     a;
   List.rev !out
-
-let pp ppf t =
-  Array.iteri
-    (fun r ra ->
-      Format.fprintf ppf "reg%d: [%s]@," r
-        (String.concat "; " (Array.to_list (Array.map string_of_int ra))))
-    t

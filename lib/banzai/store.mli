@@ -17,5 +17,3 @@ val equal : t -> t -> bool
 val diff : t -> t -> (int * int * int * int) list
 (** [diff a b] lists [(reg, idx, a_value, b_value)] for every cell where
     the stores disagree — the functional-equivalence counterexamples. *)
-
-val pp : Format.formatter -> t -> unit

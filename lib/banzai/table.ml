@@ -54,8 +54,6 @@ let lookup t keys =
   in
   go t.entries
 
-let copy t = { t with entries = t.entries }
-
 let pp ppf t =
   Format.fprintf ppf "table %s/%d (default %d):@," t.tbl_name t.tbl_arity t.tbl_default;
   List.iter

@@ -47,8 +47,4 @@ val lookup : t -> int list -> int
     action.
     @raise Invalid_argument on arity mismatch. *)
 
-val copy : t -> t
-(** Snapshot of the current entries (used to replicate the configuration
-    across pipelines without sharing mutability). *)
-
 val pp : Format.formatter -> t -> unit

@@ -74,5 +74,3 @@ let release t slot =
 let clear t =
   Vec.clear t.free;
   t.next <- 0
-
-let live t = t.next - Vec.length t.free

@@ -69,7 +69,3 @@ val release : t -> int -> unit
 val clear : t -> unit
 (** Release every slot at once, keeping the arrays: slots then come out
     in the order a fresh slab hands them out ([0, 1, ...]). *)
-
-val live : t -> int
-(** Slots currently claimed ([next] minus the free list), for
-    diagnostics. *)

@@ -85,9 +85,6 @@ exception Conservation of string
     installed; with a monitor the violation goes through
     {!Mp5_fault.Monitor.report} (exit 3 in the CLI). *)
 
-val snapshot_magic : string
-(** ["mp5-fab/1"]. *)
-
 val run :
   ?monitor:Mp5_fault.Monitor.t ->
   ?cycle_budget:int ->
@@ -141,22 +138,15 @@ val resume :
     a source that does not match.  The source is read only after every
     checksum has passed, so a snapshot error leaves it untouched.
 
-    In-process resume.  A run or resume that suspends parks its fabric
-    in a per-domain slot, keyed by the returned snapshot string through
-    an ephemeron: the parked machines live exactly as long as that
-    string does, and a later suspension in the same domain replaces
-    them.  A [resume] whose [snapshot] is physically that string, under
-    the same topology, routing policy and program (all physically
-    equal), decodes into the parked node machines, forwarding table,
-    metadata tables and link rings instead of building new ones.  The
-    bytes are still verified and decoded in full, so the result is the
-    one a fresh decode gives.  The next resume in the domain empties
-    the slot, whatever string it is handed, so the parked fabric is
-    taken at most once: a second resume of the same string, a resume of
-    an equal copy, and a resume in another process or domain take the
-    fresh path.  A resume that fails parks nothing.  A fabric snapshot is a fixed point
-    of resume: a zero-budget resume re-encodes the same bytes, on either
-    path. *)
+    In-process resume ({!Mp5_core.Leg.parking}), as {!Mp5_core.Sim.resume}:
+    handed the very string a suspension returned, under the same
+    topology, routing policy and program (all physically equal),
+    [resume] decodes into the parked node machines, forwarding table,
+    metadata tables and link rings instead of building new ones.  Only
+    that string, at most once; a resume that fails parks nothing.  The
+    bytes are verified and decoded in full on either path, and a fabric
+    snapshot is a fixed point of resume: a zero-budget resume
+    re-encodes the same bytes. *)
 
 val results_equal : result -> result -> bool
 (** Exact equality on every field, histograms included — the

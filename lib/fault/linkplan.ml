@@ -4,9 +4,6 @@ type event = { from_ : int; until_ : int; link : int; kind : kind }
 type plan = { events : event list }
 
 let empty = { events = [] }
-let is_empty p = match p.events with [] -> true | _ :: _ -> false
-let down ~from_ ~until_ ~link = { from_; until_; link; kind = Link_down }
-let delay ~from_ ~until_ ~link ~extra = { from_; until_; link; kind = Link_delay extra }
 
 (* --- plan text format --- *)
 

@@ -36,10 +36,6 @@ type event = { from_ : int; until_ : int; link : int; kind : kind }
 type plan = { events : event list }
 
 val empty : plan
-val is_empty : plan -> bool
-
-val down : from_:int -> until_:int -> link:int -> event
-val delay : from_:int -> until_:int -> link:int -> extra:int -> event
 
 val parse : string -> (plan, string) result
 (** Parse the text format; errors carry the offending line number. *)

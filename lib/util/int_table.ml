@@ -42,8 +42,6 @@ let find t key =
   if key <> empty && Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i
   else raise Not_found
 
-let mem t key = key <> empty && t.keys.(probe t.keys key) = key
-
 let rec replace t key v =
   if key = empty then invalid_arg "Int_table.replace: reserved key";
   let keys = t.keys in
@@ -72,14 +70,6 @@ and resize t cap =
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty;
   t.len <- 0
-
-(* The load-factor bound [replace] grows at: [4 * len <= 3 * slots]. *)
-let reserve t n =
-  let cap = ref (Array.length t.keys) in
-  while 4 * n > 3 * !cap do
-    cap := 2 * !cap
-  done;
-  if !cap > Array.length t.keys then resize t !cap
 
 let remove t key =
   let keys = t.keys and vals = t.vals in

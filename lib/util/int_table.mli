@@ -16,18 +16,12 @@ val length : t -> int
 val find : t -> int -> int
 (** @raise Not_found when the key has no binding. *)
 
-val mem : t -> int -> bool
-
 val replace : t -> int -> int -> unit
 (** Insert or overwrite.
     @raise Invalid_argument on the reserved key [min_int]. *)
 
 val clear : t -> unit
 (** Remove every binding, keeping the slot arrays: allocates nothing. *)
-
-val reserve : t -> int -> unit
-(** [reserve t n] sizes the table so that [n] bindings in total fit
-    without growing again. *)
 
 val remove : t -> int -> unit
 (** No-op when the key has no binding. *)

@@ -30,10 +30,3 @@ let sub t off len =
   Array.sub t.data off len
 
 let clear t = t.len <- 0
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.len - 1 downto 0 do
-    acc := t.data.(i) :: !acc
-  done;
-  !acc

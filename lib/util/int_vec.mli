@@ -32,5 +32,3 @@ val sub : t -> int -> int -> int array
 
 val clear : t -> unit
 (** Reset the length to zero, keeping the backing array. *)
-
-val to_list : t -> int list

@@ -61,10 +61,6 @@ let summarize xs =
       p99 = percentile xs 99.0;
     }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f p50=%.4f p99=%.4f"
-    s.n s.mean s.stddev s.min s.max s.p50 s.p99
-
 type counter = { mutable cnt : int; mutable sum : float; mutable mx : float }
 
 let counter () = { cnt = 0; sum = 0.0; mx = 0.0 }

@@ -22,8 +22,6 @@ type summary = {
 val summarize : float array -> summary
 (** Total on the empty array: every field of the summary is zero. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type counter
 (** Streaming counter: count / sum / max. *)
 

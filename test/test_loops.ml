@@ -1,6 +1,6 @@
 (* Idle fast-forward across remap boundaries.
 
-   With nothing in flight the drive loop jumps to the next event, but
+   With nothing in flight the leg loop jumps to the next event, but
    it must still visit every remap boundary (a remap can move cells
    while idle).  On traces with a long arrival gap spanning hundreds of
    boundaries, attaching instruments must change nothing: the results
