@@ -33,9 +33,6 @@ val make : n_switches:int -> n_hosts:int -> edge list -> (t, string) result
 (** Validate and build; errors name the offending edge by index and
     endpoints (["topology: edge 3 (h1-s0): ..."]). *)
 
-val make_exn : n_switches:int -> n_hosts:int -> edge list -> t
-(** {!make}, raising [Invalid_argument] on validation failure. *)
-
 (** {2 Stock shapes}
 
     All raise [Invalid_argument] on a bad shape.  Host links have delay
@@ -79,8 +76,6 @@ val out_links : t -> int -> int array
 
 val switch_peers : t -> int -> (int * int) array
 (** [(neighbour switch, out-link id)] pairs, for shortest-path search. *)
-
-val pp_endpoint : Format.formatter -> endpoint -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Stable pretty-print (pinned by [test/cram/fabric.t]). *)

@@ -29,12 +29,6 @@ type drop_cause = Fifo_full | No_phantom | Starved | Pipeline_down | Injected
     [Injected]: dropped by an explicit fault-plan event (crossbar drop,
     FIFO slot loss). *)
 
-val lat_bins : int
-(** Latency histogram bins; bin [lat_bins - 1] collects the overflow. *)
-
-val occ_bins : int
-(** FIFO-occupancy histogram bins; the last bin collects the overflow. *)
-
 type t = {
   m_stages : int;
   m_k : int;

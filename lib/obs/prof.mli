@@ -34,10 +34,6 @@ type phase =
 val phase_name : phase -> string
 (** Lowercase stable identifier, used in JSON snapshots and traces. *)
 
-val hist_bins : int
-(** Buckets per duration histogram: bucket [i] counts spans with
-    [2^i <= ns < 2^(i+1)] (bucket 0 also absorbs sub-nanosecond). *)
-
 type t
 
 val create : ?mode:mode -> ?max_events:int -> unit -> t

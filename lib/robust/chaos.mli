@@ -30,8 +30,6 @@ type crash =
   | Wedge_at of int
       (** stop beating at [cycle >= c] and spin; the watchdog must kill us *)
 
-val pp_crash : Format.formatter -> crash -> unit
-
 type case = {
   cs_seed : int;  (** {!Mp5_fuzz.Progen} program and trace seed *)
   cs_k : int;

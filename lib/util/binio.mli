@@ -119,12 +119,6 @@ val write_file_durable : ?fsync:bool -> path:string -> string -> unit
     [true]), rename, directory [fsync].  At no instant does [path] hold
     a partial file. *)
 
-val slot_path : path:string -> int -> string
-(** Slot [0] is [path] itself; slot [i > 0] is [path.i]. *)
-
-val slot_paths : path:string -> keep:int -> string list
-(** All rotation slots, newest first. *)
-
 val rotate : path:string -> keep:int -> unit
 (** Shift [path -> path.1 -> ...], keeping at most [keep] slots.  Every
     step is a rename: a crash mid-rotation loses history depth, never a
@@ -226,7 +220,7 @@ val of_file : magic:string -> path:string -> (reader, string) result
 
 val load_latest_valid :
   magic:string -> path:string -> keep:int -> (string * string, string) result
-(** Walk the rotation chain newest-first ({!slot_paths}) and return the
+(** Walk the rotation chain newest-first ([path], [path.1], ...) and return the
     first [(slot, contents)] whose framing validates; a torn newest
     snapshot falls back to the previous slot.  [Error] joins the
     per-slot reasons when no slot validates. *)

@@ -21,9 +21,6 @@ type pattern =
 (** §4.3.1 state access patterns: uniform, or skewed with 95% of packets
     touching 30% of the states (the datacenter heavy-tail shape). *)
 
-val pattern_dist : pattern -> n:int -> Mp5_util.Dist.discrete
-(** For [Skewed_rotating] this is the distribution of the first window. *)
-
 type sensitivity_spec = {
   n_packets : int;
   k : int;                    (** pipelines; line rate = k pkts/cycle at 64 B *)

@@ -242,8 +242,10 @@ let test_xbar_dup () =
    grows the packet slab past 64 packets — mid-phase — and ECN marking
    (threshold 0) writes a slab column after that growth.  The bare run,
    the run with metrics and an event trace, and a run suspended and
-   resumed every few dozen cycles (each resume rebuilds the slab at its
-   live size, so it grows at other cycles) must all agree. *)
+   resumed every few dozen cycles must all agree, whether each resume
+   decodes a copy of the string into a new machine (whose slab is rebuilt
+   at its live size, so it grows at other cycles) or recycles the
+   suspended machine, which keeps its largest slab. *)
 let test_xbar_dup_slab_growth () =
   let sw =
     Switch.create_exn ~pad_to_stages:32 (Sources.sensitivity_program ~stateful:4 ~reg_size:512)
@@ -265,16 +267,21 @@ let test_xbar_dup_slab_growth () =
   check "packets ECN-marked" true (bare.Sim.marked > 0);
   check "instrumented run = bare run" true (Sim.results_equal bare instrumented);
   let source () = Mp5_workload.Packet_source.of_array trace in
-  let rec drain = function
+  let rec drain ~copy = function
     | Sim.Completed s -> s
     | Sim.Suspended snap -> (
-        match Sim.resume ~cycle_budget:97 ~snapshot:snap prog (source ()) with
-        | Ok o -> drain o
+        let snapshot = if copy then Bytes.to_string (Bytes.of_string snap) else snap in
+        match Sim.resume ~cycle_budget:97 ~snapshot prog (source ()) with
+        | Ok o -> drain ~copy o
         | Error _ -> Alcotest.fail "fresh snapshot rejected")
   in
-  let chunked = drain (Sim.run_source ~fault:plan ~cycle_budget:41 params prog (source ())) in
-  check "chunked run = bare run" true
-    (Sim.summary_equal (Sim.summary_of_result ~packets:(Array.length trace) bare) chunked)
+  let chunked ~copy =
+    Sim.summary_equal
+      (Sim.summary_of_result ~packets:(Array.length trace) bare)
+      (drain ~copy (Sim.run_source ~fault:plan ~cycle_budget:41 params prog (source ())))
+  in
+  check "chunked run (new machines) = bare run" true (chunked ~copy:true);
+  check "chunked run (recycled) = bare run" true (chunked ~copy:false)
 
 let test_stall () =
   let sw = sens_switch () in
