@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-e2e-smoke cli-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke perf-smoke loc clean
+.PHONY: all build test bench bench-smoke bench-e2e-smoke cli-smoke metrics-smoke profile-smoke fault-smoke longrun-smoke chaos-smoke fabric-smoke forge-smoke perf-smoke loc clean
 
 all: build
 
@@ -91,6 +91,16 @@ chaos-smoke:
 fabric-smoke:
 	dune build @fabric
 	dune exec bench/main.exe -- --smoke fabric --json BENCH_fabric.json
+
+# Snapshot forgery smoke: the forge bench experiment suspends a switch
+# and a 2x2 leaf-spine run of each of 20 progen programs at three
+# cycles, lists every field the decode reads (with its stated rule),
+# forges each to six values, reseals and resumes.  Each case must end
+# in Ok, a positioned Corrupt or a Mismatch; an exception fails the
+# run (exit 3).  Prints the field, rule and case counts and the wall
+# time, and writes BENCH_forge.json.
+forge-smoke:
+	dune exec bench/main.exe -- --smoke forge --json BENCH_forge.json
 
 # Performance gate: sim-micro times the closure kernels on a
 # heavy-hitter trace and writes its row to BENCH_results.json.

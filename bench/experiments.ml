@@ -1043,3 +1043,150 @@ let fabric scale =
     fb_hops_mean = Fb.Hist.mean r.Fb.fr_hops_hist;
     fb_seconds = seconds;
   }
+
+(* --- forge: every snapshot field forged ---
+
+   Per progen seed and suspension cycle, a switch run and a 2x2
+   leaf-spine run of the seed's program are suspended.  The decode's
+   field walk ({!Mp5_util.Codec.walk}) lists every field of each
+   snapshot with its rule, and each field is forged in turn to each of
+   [forge_values], resealed and resumed for [forge_budget] cycles.  A
+   case must end in [Ok], a [Corrupt] naming a byte offset, or a
+   [Mismatch]; an exception or an unpositioned error is a failure.
+   Each case copies, reseals and decodes the whole snapshot, so the
+   walk is quadratic in the snapshot's size, and a switch resume runs a
+   full major collection first ({!Sim.resume}): the experiment counts
+   each snapshot's fields by rule rather than keeping them, so the heap
+   that collection scans stays small. *)
+
+module Codec = Mp5_util.Codec
+
+type forge_result = {
+  fo_snapshots : int;
+  fo_fields : int;
+  fo_rules : (Codec.rule * int) list;  (** fields per stated rule *)
+  fo_cases : int;
+  fo_decoded : int;                    (** cases that resumed *)
+  fo_failures : string list;
+  fo_seconds : float;
+}
+
+let forge_values = [ -1; 0; 7; 1 lsl 16; 1 lsl 40; max_int ]
+let forge_budget = 50
+
+(* Words a case may allocate per snapshot byte: a fresh machine and
+   [forge_budget] cycles of its run take about 2 (16 bytes a byte); a
+   forged value that sizes memory takes far more. *)
+let forge_words = 8
+let forge_cycles = [ 3; 8; 12 ]
+let forge_rules = [ Codec.Any; Range; Count; Xref; Frame ]
+
+(* A message naming a byte offset ("byte N: ..."), wherever it starts. *)
+let positioned msg =
+  let n = String.length msg in
+  let digit i = i < n && msg.[i] >= '0' && msg.[i] <= '9' in
+  let rec at i = i + 5 < n && ((String.sub msg i 5 = "byte " && digit (i + 5)) || at (i + 1)) in
+  at 0
+
+(* One seed's snapshots: a switch run and a fabric run of its program,
+   each suspended at every cycle of [forge_cycles]. *)
+let forge_seed seed =
+  let module Fb = Mp5_fabric.Fabric in
+  let snapshots = ref 0 and cases = ref 0 and decoded = ref 0 in
+  let per_rule = Array.make (List.length forge_rules) 0 and failures = ref [] in
+  let walk what resume snap =
+    incr snapshots;
+    let fields =
+      snd (Codec.walk (fun () -> resume ~cycle_budget:0 (Bytes.to_string (Bytes.of_string snap))))
+    in
+    List.iter
+      (fun (f : Codec.field) ->
+        List.iteri (fun i r -> if r = f.Codec.rule then per_rule.(i) <- per_rule.(i) + 1) forge_rules)
+      fields;
+    List.iter
+      (fun (f : Codec.field) ->
+        List.iter
+          (fun v ->
+            incr cases;
+            let forged = Codec.forge snap fields f v in
+            let fail msg =
+              failures :=
+                Printf.sprintf "%s: %s at byte %d = %d: %s" what f.Codec.what f.Codec.pos v msg
+                :: !failures
+            in
+            let _, promoted, major = Gc.counters () in
+            let before = Gc.minor_words () +. major -. promoted in
+            (match resume ~cycle_budget:forge_budget forged with
+            | Ok _ -> incr decoded
+            | Error (Sim.Mismatch _) -> ()
+            | Error (Sim.Corrupt msg) -> if not (positioned msg) then fail ("unpositioned: " ^ msg)
+            | exception e -> fail (Printexc.to_string e));
+            let _, promoted, major = Gc.counters () in
+            let words = Gc.minor_words () +. major -. promoted -. before in
+            if words > float_of_int (forge_words * String.length snap) then
+              fail (Printf.sprintf "allocated %.0f words" words))
+          forge_values)
+      fields
+  in
+  let limits = Mp5_fuzz.Progen.limits in
+  let prog =
+    match Mp5_domino.Compile.compile ~limits (Mp5_fuzz.Progen.generate seed) with
+    | Ok t -> Mp5_core.Transform.transform ~limits t.Mp5_domino.Compile.config
+    | Error _ -> failwith (Printf.sprintf "forge: progen seed %d does not compile" seed)
+  in
+  let k = 2 + (seed mod 3) in
+  let trace = Mp5_fuzz.Progen.trace ~seed ~k ~n:200 in
+  let topo = Mp5_fabric.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:1 ~delay:2 in
+  let rng = Mp5_util.Rng.create seed in
+  let hosts =
+    Array.init 60 (fun i ->
+        {
+          Mp5_banzai.Machine.time = i;
+          port = Mp5_util.Rng.int rng 2;
+          headers = Array.init 4 (fun _ -> Mp5_util.Rng.int rng 16 - 2);
+        })
+  in
+  let dst (i : Mp5_banzai.Machine.input) = 1 - (i.Mp5_banzai.Machine.port mod 2) in
+  let fp =
+    {
+      Fb.fp_sim = Sim.default_params ~k:2;
+      fp_topo = topo;
+      fp_policy = Mp5_fabric.Routing.shortest_paths topo;
+      fp_plan = Mp5_fault.Linkplan.empty;
+    }
+  in
+  List.iter
+    (fun cycles ->
+      let params = Sim.default_params ~k in
+      (match Sim.run_source ~cycle_budget:cycles params prog (Psource.of_array trace) with
+      | Sim.Suspended snap ->
+          walk (Printf.sprintf "seed %d switch @%d" seed cycles)
+            (fun ~cycle_budget snapshot ->
+              Sim.resume ~cycle_budget ~snapshot prog (Psource.of_array trace))
+            snap
+      | Sim.Completed _ -> ());
+      match Fb.run ~cycle_budget:cycles ~dst fp prog (Psource.of_array hosts) with
+      | Fb.Suspended snap ->
+          walk (Printf.sprintf "seed %d fabric @%d" seed cycles)
+            (fun ~cycle_budget snapshot ->
+              Fb.resume ~cycle_budget ~dst ~snapshot fp prog (Psource.of_array hosts))
+            snap
+      | Fb.Completed _ -> ())
+    forge_cycles;
+  (!snapshots, per_rule, !cases, !decoded, List.rev !failures)
+
+let forge () =
+  let t0 = Unix.gettimeofday () in
+  let per_seed = par_map forge_seed (List.init 20 Fun.id) in
+  let sum f = List.fold_left (fun n s -> n + f s) 0 per_seed in
+  let per_rule i = sum (fun (_, r, _, _, _) -> r.(i)) in
+  let rules = List.mapi (fun i r -> (r, per_rule i)) forge_rules in
+  {
+    fo_snapshots = sum (fun (n, _, _, _, _) -> n);
+    fo_fields = List.fold_left (fun n (_, c) -> n + c) 0 rules;
+    fo_rules = rules;
+    fo_cases = sum (fun (_, _, n, _, _) -> n);
+    fo_decoded = sum (fun (_, _, _, n, _) -> n);
+    fo_failures = List.concat_map (fun (_, _, _, _, f) -> f) per_seed;
+    fo_seconds = Unix.gettimeofday () -. t0;
+  }

@@ -362,10 +362,38 @@ let run_fabric scale =
     ("seconds", r.Experiments.fb_seconds);
   ]
 
+let run_forge () =
+  let r = Experiments.forge () in
+  let module C = Mp5_util.Codec in
+  Format.printf "@.forge: every field of %d snapshots forged (mp5-snap/1 and mp5-fab/1)@."
+    r.Experiments.fo_snapshots;
+  let ruled = List.fold_left (fun n (_, c) -> n + c) 0 r.Experiments.fo_rules in
+  Format.printf "  %d fields, %d with a rule (%s)@." r.Experiments.fo_fields ruled
+    (String.concat ", "
+       (List.map
+          (fun (rule, n) -> Printf.sprintf "%s %d" (C.rule_name rule) n)
+          r.Experiments.fo_rules));
+  Format.printf "  %d cases (%d resumed, the rest rejected), %.1fs@." r.Experiments.fo_cases
+    r.Experiments.fo_decoded r.Experiments.fo_seconds;
+  List.iteri
+    (fun i f -> if i < 20 then Format.printf "  FAILED %s@." f)
+    r.Experiments.fo_failures;
+  if r.Experiments.fo_failures <> [] then
+    failwith "forge: a forged snapshot raised or was rejected without a position";
+  [
+    ("snapshots", float_of_int r.Experiments.fo_snapshots);
+    ("fields", float_of_int r.Experiments.fo_fields);
+    ("fields_with_rule", float_of_int ruled);
+    ("cases", float_of_int r.Experiments.fo_cases);
+    ("resumed", float_of_int r.Experiments.fo_decoded);
+    ("failures", float_of_int (List.length r.Experiments.fo_failures));
+    ("seconds", r.Experiments.fo_seconds);
+  ]
+
 let all =
   [ "table1"; "sram"; "d2"; "d3"; "d4"; "fig7a"; "fig7b"; "fig7c"; "fig7d"; "fig8";
     "ablate-priority"; "ablate-period"; "ablate-fifo"; "ablate-gate"; "degraded";
-    "sim-micro"; "longrun"; "chaos"; "fabric" ]
+    "sim-micro"; "longrun"; "chaos"; "fabric"; "forge" ]
 
 (* Timing experiments must not share the process with an idle worker
    domain: every minor collection then pays a stop-the-world rendezvous,
@@ -521,6 +549,7 @@ let () =
         | "chaos" -> Some (fun () -> serially (fun () -> run_chaos scale))
         (* serially: the fabric row reports its run's wall-clock. *)
         | "fabric" -> Some (fun () -> serially (fun () -> run_fabric scale))
+        | "forge" -> Some run_forge
         | _ -> None (* unreachable: names validated above *)
       in
       match runner with

@@ -127,7 +127,10 @@ let set_slots t f =
       let b = t.buckets.(i) in
       let j = ref 0 in
       while !j < t.fill.(i) do
-        b.(!j + 3) <- f ~seq:b.(!j) ~stage:(b.(!j + 1) lsr 12) ~slot:b.(!j + 3);
+        let packed = b.(!j + 1) in
+        b.(!j + 3) <-
+          f ~seq:b.(!j) ~stage:(packed lsr 12) ~dest:((packed lsr 6) land 63) ~cell:b.(!j + 2)
+            ~slot:b.(!j + 3);
         j := !j + 4
       done
     done

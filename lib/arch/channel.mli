@@ -53,8 +53,9 @@ val iter :
     channel (all but [slot], which names a slab slot of the running
     machine).  The callback must not [schedule]. *)
 
-val set_slots : t -> (seq:int -> stage:int -> slot:int -> int) -> unit
-(** Replace every pending delivery's [slot] by the function's answer,
+val set_slots : t -> (seq:int -> stage:int -> dest:int -> cell:int -> slot:int -> int) -> unit
+(** Replace every pending delivery's [slot] by the function's answer
+    (given its seq, stage, destination pipeline, cell and slot),
     in {!iter} order; nothing else changes.  How a restored machine
     gives the deliveries it decoded their new slab slots. *)
 

@@ -268,62 +268,61 @@ let snapshot t =
     t.rings;
   List.sort compare !entries |> List.map (fun (_, key, is_data) -> (key, is_data))
 
-(* --- snapshot support ---
+(* --- checkpointing ---
 
-   A checkpoint records everything observable about the queue: per-ring
-   contents head-to-tail (with stable head sequence numbers, which
-   positions are built from), logical capacities (adaptive rings may
-   have grown), and the high-water mark.  Physical storage size is not
-   observable and not recorded.  Positions are the caller's: a restored
-   entry's position is [restore_entry]'s answer.  Both directions walk
-   the rings in place: nothing is copied out. *)
+   Everything observable about the queue: per ring its logical capacity
+   (an adaptive ring's grows), the stable sequence number of its head,
+   which positions are built from, and its entries head to tail; then
+   the high-water mark.  Physical storage is not observable and not
+   recorded.  Both directions walk the rings in place, and a decode
+   overwrites every ring, so a FIFO is decoded into as it stands. *)
 
 let rings t = Array.length t.rings
 let ring_capacity t ~ring = t.rings.(ring).capacity
-let ring_head_seq t ~ring = t.rings.(ring).head_seq
 let ring_length t ~ring = t.rings.(ring).len
 
-let iter_ring_entries t ~ring f =
-  iter_ring
-    (fun ts key state v ->
-      f ~ts ~key ~cancelled:(state land cancelled <> 0)
-        ~data:(if state land has_data <> 0 then v else -1))
-    t.rings.(ring)
+(* Cycles and seqs stay below it, so a forged key cannot overflow a
+   phantom head's code ([-2 - key]) nor a head seq a position. *)
+let max_key = 1 lsl 60
 
-let clear t =
-  Array.iter
-    (fun r ->
-      r.head <- 0;
-      r.len <- 0;
-      r.head_seq <- 0)
-    t.rings;
-  t.data_count <- 0;
-  t.high_water <- 0;
-  t.cancelled_count <- 0
-
-let restore_ring t ~ring ~capacity ~head_seq ~entries =
-  let r = t.rings.(ring) in
-  if r.len <> 0 then invalid_arg "Fifo.restore_ring: ring not empty";
-  if capacity <= 0 then invalid_arg "Fifo: ring capacity must be positive";
-  if entries < 0 || entries > capacity then
-    invalid_arg "Fifo.restore_ring: more entries than capacity";
-  (* storage grown to the entries about to be restored, never to the
-     recorded capacity: a forged capacity must not size memory *)
-  if entries > r.mask + 1 then begin
-    let slots = pow2_at_least entries in
-    r.cells <- Array.make (4 * slots) 0;
-    r.mask <- slots - 1
+let codec io t ~data ~phantom =
+  let module C = Mp5_util.Codec in
+  if C.reading io then begin
+    t.data_count <- 0;
+    t.cancelled_count <- 0
   end;
-  r.head <- 0;
-  r.head_seq <- head_seq;
-  r.capacity <- capacity
-
-let restore_entry t ~ring ~ts ~key ~cancelled:is_cancelled ~data =
-  let state = (if data >= 0 then has_data else 0) lor if is_cancelled then cancelled else 0 in
-  let pos = push_entry t ~ring ~ts ~key ~data:(max data 0) ~state in
-  if pos < 0 then invalid_arg "Fifo.restore_entry: more entries than capacity";
-  if data >= 0 then t.data_count <- t.data_count + 1;
-  if is_cancelled then t.cancelled_count <- t.cancelled_count + 1;
-  pos
-
-let restore_high_water t hw = t.high_water <- hw
+  t.high_water <- C.nat io ~what:"FIFO high-water mark" t.high_water;
+  let k = Array.length t.rings in
+  C.expect io ~n:k ~what:"FIFO ring count"
+    ~mismatch:"snapshot: FIFO ring count does not match k" k;
+  for ring = 0 to k - 1 do
+    let r = t.rings.(ring) in
+    r.capacity <- C.int io ~lo:1 ~hi:max_key ~what:"FIFO ring capacity" r.capacity;
+    r.head_seq <- C.int io ~lo:0 ~hi:(max_int lsr 7) ~what:"FIFO ring head seq" r.head_seq;
+    let at = C.position io in
+    (* an entry is at least ts, key and two flag bytes *)
+    let n = C.count io ~min_bytes:18 ~what:"FIFO ring length" r.len in
+    if n > r.capacity then C.fail ~at "snapshot: Fifo.restore_ring: more entries than capacity";
+    (* storage for the entries read, never for the recorded capacity *)
+    if n > r.mask + 1 then begin
+      let slots = pow2_at_least n in
+      r.cells <- Array.make (4 * slots) 0;
+      r.mask <- slots - 1
+    end;
+    for i = 0 to n - 1 do
+      let c = r.cells and o = off r i in
+      c.(o) <- C.word io ~what:"FIFO entry time" c.(o);
+      c.(o + o_key) <- C.int io ~lo:0 ~hi:max_key ~what:"FIFO entry key" c.(o + o_key);
+      let state = c.(o + o_state) in
+      let gone = C.bool io ~what:"FIFO entry cancelled" (state land cancelled <> 0) in
+      let full = C.bool io ~what:"FIFO entry data" (state land has_data <> 0) in
+      c.(o + o_data) <- (if full then data c.(o + o_data) else 0);
+      c.(o + o_state) <- (if full then has_data else 0) lor if gone then cancelled else 0;
+      if C.reading io then begin
+        if full then t.data_count <- t.data_count + 1
+        else if not gone then phantom c.(o + o_key) (((r.head_seq + i) lsl 6) lor ring);
+        if gone then t.cancelled_count <- t.cancelled_count + 1
+      end
+    done;
+    r.len <- n
+  done

@@ -135,16 +135,7 @@ val snapshot : t -> (int * bool) list
 (** Queued entries in logical (timestamp) order as [(key, is_data)],
     cancelled entries skipped — for visualisation and debugging. *)
 
-(** {2 Checkpointing}
-
-    A checkpoint records the complete observable queue state — per-ring
-    contents with stable sequence numbers, logical capacities, the
-    high-water mark ({!max_occupancy}) — read in place through the
-    accessors below, and rebuilds it into a FIFO from {!create} (or
-    {!create_small}) of the same [k]: {!restore_ring} per ring, then
-    its entries head to tail with {!restore_entry}, which answers with
-    each entry's position as a push would.  Neither direction allocates
-    beyond ring storage for the restored entries. *)
+(** {2 Checkpointing} *)
 
 val rings : t -> int
 (** [k], the number of rings. *)
@@ -152,38 +143,16 @@ val rings : t -> int
 val ring_capacity : t -> ring:int -> int
 (** Logical capacity of a ring (an adaptive ring's grows). *)
 
-val ring_head_seq : t -> ring:int -> int
-(** Stable sequence number of the ring's head entry. *)
-
 val ring_length : t -> ring:int -> int
 (** Entries queued in the ring, phantoms and cancelled ones included. *)
 
-val iter_ring_entries :
-  t -> ring:int -> (ts:int -> key:int -> cancelled:bool -> data:int -> unit) -> unit
-(** Every entry of the ring, head to tail; [data] is the payload, or
-    [-1] for a phantom. *)
-
-val clear : t -> unit
-(** Empty every ring and forget the high-water mark, keeping the
-    storage: a FIFO to {!restore_ring} into again without allocating.
-    Logical capacities are left as they were; {!restore_ring} sets each
-    ring's. *)
-
-val restore_ring : t -> ring:int -> capacity:int -> head_seq:int -> entries:int -> unit
-(** Set an empty ring's logical capacity and head sequence number, with
-    storage for [entries] entries.  Storage is sized by [entries], never
-    by [capacity].
-    @raise Invalid_argument if the ring is not empty, on a non-positive
-    capacity, or on more entries than the capacity. *)
-
-val restore_entry : t -> ring:int -> ts:int -> key:int -> cancelled:bool -> data:int -> int
-(** Append one entry at the ring's tail, [data = -1] for a phantom, and
-    return its position.  A push in all but its counters: on a full
-    ring an adaptive FIFO
-    doubles the capacity, so restore at most the entries
-    {!restore_ring} was given.
-    @raise Invalid_argument on a negative key or a full non-adaptive
-    ring. *)
-
-val restore_high_water : t -> int -> unit
-(** Set the {!max_occupancy} a checkpoint recorded. *)
+val codec : Mp5_util.Codec.t -> t -> data:(int -> int) -> phantom:(int -> int -> unit) -> unit
+(** The FIFO's part of a machine snapshot ({!Mp5_util.Codec}): its
+    high-water mark, then per ring its logical capacity, its head's
+    stable sequence number and its entries head to tail, written from
+    [t] or read over every ring of [t] (same [k]), whatever it held.
+    Ring storage grows to the entries read, never to a recorded
+    capacity.  [data] writes a data entry's payload, or reads one, and
+    returns it; on a decode, [phantom key pos] gets each live phantom's
+    key and the position a push would have answered.  Rules: a capacity
+    in [\[1, 2^60\]], no more entries than it, keys in [\[0, 2^60\]]. *)

@@ -64,36 +64,30 @@ let move t ~cell ~to_ =
   t.loads.(to_) <- t.loads.(to_) + c;
   t.pipelines.(cell) <- to_
 
-let w_state w t =
-  Mp5_util.Binio.w_int_array w t.pipelines;
-  Mp5_util.Binio.w_int_array w t.counts;
-  Mp5_util.Binio.w_int_array w t.inflights
-
-let r_state r t =
+(* A cell's pipeline indexes [loads] and every per-pipeline row of the
+   resumed run; its in-flight count must equal the pins its restored
+   accesses hold, which the caller checks once every packet is read.
+   [loads] is the per-pipeline aggregation of [counts], recomputed
+   rather than trusted. *)
+let codec io t =
+  let module C = Mp5_util.Codec in
   let mismatch = "snapshot: index map size does not match the program" in
-  let first = Mp5_util.Binio.position r + 8 in
-  Mp5_util.Binio.r_int_array_into r t.pipelines ~mismatch;
-  (* A cell's pipeline indexes [loads] here and every per-pipeline row
-     of the resumed run: an out-of-range one fails now, positioned. *)
-  Array.iteri
-    (fun cell p ->
-      if p < 0 || p >= t.k then
-        raise
-          (Mp5_util.Binio.Corrupt
-             {
-               pos = first + (8 * cell);
-               reason = Printf.sprintf "index map pipeline %d out of range [0, %d)" p t.k;
-             }))
-    t.pipelines;
-  Mp5_util.Binio.r_int_array_into r t.counts ~mismatch;
-  Mp5_util.Binio.r_int_array_into r t.inflights ~mismatch;
-  (* [loads] is the per-pipeline aggregation of [counts]; recompute it
-     rather than trusting a serialized copy. *)
-  Array.fill t.loads 0 t.k 0;
-  for cell = 0 to Array.length t.pipelines - 1 do
-    let p = t.pipelines.(cell) in
-    t.loads.(p) <- t.loads.(p) + t.counts.(cell)
-  done
+  let len = Array.length t.pipelines in
+  C.ints_in io C.Xref ~lo:0 ~hi:(t.k - 1) ~what:"index map pipeline" ~mismatch t.pipelines
+    ~pos:0 ~len;
+  C.ints_in io C.Range ~lo:0 ~hi:max_int ~what:"index map access count" ~mismatch t.counts
+    ~pos:0 ~len;
+  let pins = C.position io + 8 in
+  C.ints_in io C.Xref ~lo:0 ~hi:max_int ~what:"index map in-flight count" ~mismatch
+    t.inflights ~pos:0 ~len;
+  if C.reading io then begin
+    Array.fill t.loads 0 t.k 0;
+    for cell = 0 to len - 1 do
+      let p = t.pipelines.(cell) in
+      t.loads.(p) <- t.loads.(p) + t.counts.(cell)
+    done
+  end;
+  pins
 
 let cells_of_pipeline t p =
   let out = ref [] in

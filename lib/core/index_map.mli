@@ -56,13 +56,13 @@ val cells_of_pipeline : t -> int -> int list
 
 (** {2 Checkpointing} *)
 
-val w_state : Mp5_util.Binio.writer -> t -> unit
-(** Serialize the mutable state: the per-cell pipeline assignment,
-    access counters and in-flight counters, as three int arrays. *)
-
-val r_state : Mp5_util.Binio.reader -> t -> unit
-(** Overwrite the map's mutable state from {!w_state} output, read in
-    place; the per-pipeline load aggregates are recomputed from the
-    counters rather than deserialized.  Raises [Failure] when an array's
-    length is not {!size}, and {!Mp5_util.Binio.Corrupt}, positioned at
-    the entry, when a cell's pipeline is outside [\[0, k)]. *)
+val codec : Mp5_util.Codec.t -> t -> int
+(** The map's section of a machine snapshot: the per-cell pipeline
+    assignment, access counters and in-flight counters, as three int
+    arrays of {!size} entries, written from the map or read into it in
+    place ({!Mp5_util.Codec}).  A pipeline must lie in [\[0, k)] and a
+    counter must be non-negative, else {!Mp5_util.Binio.Corrupt}
+    positioned at the entry; the per-pipeline loads are recomputed from
+    the counters.  Returns the offset of the first in-flight counter
+    read (meaningless on a writer), where the caller reports a counter
+    that does not match the restored pins. *)

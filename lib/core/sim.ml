@@ -15,6 +15,7 @@ module Monitor = Mp5_fault.Monitor
 module Psource = Mp5_workload.Packet_source
 module Binio = Mp5_util.Binio
 module Hashing = Mp5_util.Hashing
+module C = Mp5_util.Codec
 
 type mode = Mp5 | Static_shard | No_d4 | Naive_single | Ideal
 
@@ -213,10 +214,12 @@ type sim = {
   dig_lo : Int_vec.t;
   dig : Hashing.state;
   (* Decode scratch, kept so a recycled machine decodes without growing
-     it: the seq -> slab slot index of the restored packets, and one
-     (seq, stage, position) triple per queued live phantom. *)
+     it: the seq -> slab slot index of the restored packets, one
+     (seq, stage, position) triple per queued live phantom, and per
+     register the offset its in-flight counts were read at. *)
   dec_slots : Int_table.t;
   dec_phantoms : Int_vec.t;
+  dec_pins : int array;
   (* telemetry (lib/obs): [None] when disabled, so every instrumentation
      site below costs one immediate-branch and the instrumented state
      lives entirely outside the simulated machine — results are
@@ -230,11 +233,12 @@ type sim = {
   mutable pf : Prof.t option;
   (* fault injection and runtime invariant monitor (lib/fault): same
      discipline as the telemetry above — [None] costs one branch per
-     site and leaves results bit-identical.  [flt] is mutable only so
-     [resume] can swap in a runtime rebuilt from a snapshot; [fplan]
-     keeps the plan itself for embedding in snapshots. *)
+     site and leaves results bit-identical.  [flt] and [fplan] are
+     mutable only so a decode can install the runtime and plan its
+     snapshot carries; [fplan] keeps the plan itself for embedding in
+     snapshots. *)
   mutable flt : Fault.t option;
-  fplan : Fault.plan option;
+  mutable fplan : Fault.plan option;
   mutable mon : Monitor.t option;
   (* ghost packets from crossbar duplication get fresh seqs starting at
      the trace length; [max_int] (never reached) without a fault
@@ -409,6 +413,7 @@ let create ?observer ?metrics ?events ?fault ?monitor ?prof params prog =
       dig = Hashing.start ();
       dec_slots = Int_table.create ();
       dec_phantoms = Int_vec.create ();
+      dec_pins = Array.make (Array.length config.Config.regs) 0;
       ms = metrics;
       tr = events;
       pf = prof;
@@ -790,6 +795,18 @@ let aim sim pkt =
   f.Expr.len <- sl.Slab.nf;
   f
 
+(* Access [i]'s guard state and cell as its kernels resolve them from
+   the headers in [frame]: what arrival records, and what a decode
+   requires of an access not yet executed. *)
+let[@inline] header_gk sim frame i =
+  match sim.kernel.Kernel.guard.(i) with
+  | Kernel.G_true -> gk_true
+  | Kernel.G_pred p -> if p frame then gk_true else gk_false
+  | Kernel.G_unknown -> gk_unknown
+
+let[@inline] header_cell sim frame i =
+  match sim.kernel.Kernel.index.(i) with Kernel.I_cell f -> f frame | Kernel.I_none -> -1
+
 let resolve sim now entry_pipeline pkt =
   (* Injected phantom-delivery delay: phantoms scheduled while the
      window is open arrive late, violating Invariant 1's preemptive
@@ -802,18 +819,10 @@ let resolve sim now entry_pipeline pkt =
   for i = 0 to sl.Slab.na - 1 do
     let plan = sim.accesses.(i) in
     let map = sim.maps.(plan.Transform.reg) in
-    (match sim.kernel.Kernel.guard.(i) with
-    | Kernel.G_true -> sl.Slab.gk.(ab + i) <- gk_true
-    | Kernel.G_pred p -> sl.Slab.gk.(ab + i) <- (if p frame then gk_true else gk_false)
-    | Kernel.G_unknown -> sl.Slab.gk.(ab + i) <- gk_unknown);
-    (match sim.kernel.Kernel.index.(i) with
-    | Kernel.I_cell f ->
-        let cell = f frame in
-        sl.Slab.cell.(ab + i) <- cell;
-        sl.Slab.dest.(ab + i) <- Index_map.pipeline_of map cell
-    | Kernel.I_none ->
-        sl.Slab.cell.(ab + i) <- -1;
-        sl.Slab.dest.(ab + i) <- Index_map.pipeline_of map 0);
+    sl.Slab.gk.(ab + i) <- header_gk sim frame i;
+    let cell = header_cell sim frame i in
+    sl.Slab.cell.(ab + i) <- cell;
+    sl.Slab.dest.(ab + i) <- Index_map.pipeline_of map (max cell 0);
     if sl.Slab.gk.(ab + i) <> gk_false then begin
       (* Count the resolved access and pin the cell against remaps. *)
       let cell = sl.Slab.cell.(ab + i) in
@@ -1412,7 +1421,7 @@ let movement_phase sim now =
    start can prove it is feeding the same packets. *)
 type loop_state = {
   ck : Leg.clock;
-  first_arrival : int;
+  mutable first_arrival : int;
   sd : Hashing.state;
   track_src : bool;
 }
@@ -1575,72 +1584,59 @@ let observe sim now =
       in
       f { occ_cycle = now; occ_slots; occ_queues }
 
-(* --- snapshots (mp5-snap/1) --- *)
+(* --- snapshots (mp5-snap/1) ---
+
+   Each section is one function over a {!Codec.t}: it writes the
+   machine's fields on an encode and reads them back, each under its
+   stated rule, on a decode (see lib/util/codec.mli).  [machine] runs
+   the sections in file order; on a decode it builds the machine once
+   the params and program sections have named it. *)
 
 let snap_magic = "mp5-snap/1"
 let snapshot_magic = snap_magic
 
-let mode_tag = function
-  | Mp5 -> 0
-  | Static_shard -> 1
-  | No_d4 -> 2
-  | Naive_single -> 3
-  | Ideal -> 4
+exception Resume_mismatch of string
 
-let mode_of_tag = function
-  | 0 -> Mp5
-  | 1 -> Static_shard
-  | 2 -> No_d4
-  | 3 -> Naive_single
-  | 4 -> Ideal
-  | t -> failwith (Printf.sprintf "snapshot: unknown mode %d" t)
+(* Bounds no run reaches.  A transfer descriptor packs a pipeline in 6
+   bits, so [k <= 64]; the rest keep a forged field from sizing memory
+   or overflowing a cycle count or seq (a FIFO codes a phantom head as
+   [-2 - key]). *)
+let max_k = 64
+let max_capacity = (1 lsl 16) - 1
+let max_period = 1 lsl 30
+let max_time = 1 lsl 60
 
-let w_params b (p : params) =
-  Binio.w_int b p.k;
-  Binio.w_int b (mode_tag p.mode);
-  Binio.w_int b p.fifo_capacity;
-  Binio.w_bool b p.adaptive_fifos;
-  Binio.w_int b p.remap_period;
-  (match p.shard_init with
-  | `Round_robin -> Binio.w_int b 0
-  | `Blocked -> Binio.w_int b 1
-  | `Random seed ->
-      Binio.w_int b 2;
-      Binio.w_int b seed);
-  Binio.w_bool b p.remap_noise_gate;
-  Binio.w_bool b p.stateless_priority;
-  Binio.w_opt_int b p.starvation_threshold;
-  Binio.w_opt_int b p.ecn_threshold
+let modes = [| Mp5; Static_shard; No_d4; Naive_single; Ideal |]
+let rec mode_tag m i = if modes.(i) = m then i else mode_tag m (i + 1)
 
-let r_params r =
-  let k = Binio.r_int r in
-  let mode = mode_of_tag (Binio.r_int r) in
-  let fifo_capacity = Binio.r_int r in
-  let adaptive_fifos = Binio.r_bool r in
-  let remap_period = Binio.r_int r in
+let threshold io ~what v =
+  if C.bool io ~what (v <> None) then
+    Some (C.int io ~lo:0 ~hi:max_period ~what (Option.value v ~default:0))
+  else None
+
+let params io (p : params) =
+  let k = C.int io ~lo:1 ~hi:max_k ~what:"pipeline count" p.k in
+  let mode = C.choice io ~n:5 ~what:"snapshot: unknown mode" (mode_tag p.mode 0) in
+  let fifo_capacity = C.int io ~lo:1 ~hi:max_capacity ~what:"FIFO capacity" p.fifo_capacity in
+  let adaptive_fifos = C.bool io ~what:"adaptive FIFOs" p.adaptive_fifos in
+  let remap_period = C.int io ~lo:1 ~hi:max_period ~what:"remap period" p.remap_period in
+  let tag, seed =
+    match p.shard_init with `Round_robin -> (0, 0) | `Blocked -> (1, 0) | `Random s -> (2, s)
+  in
   let shard_init =
-    match Binio.r_int r with
+    match C.choice io ~n:3 ~what:"snapshot: unknown shard placement" tag with
     | 0 -> `Round_robin
     | 1 -> `Blocked
-    | 2 -> `Random (Binio.r_int r)
-    | t -> failwith (Printf.sprintf "snapshot: unknown shard placement %d" t)
+    | _ -> `Random (C.word io ~what:"shard seed" seed)
   in
-  let remap_noise_gate = Binio.r_bool r in
-  let stateless_priority = Binio.r_bool r in
-  let starvation_threshold = Binio.r_opt_int r in
-  let ecn_threshold = Binio.r_opt_int r in
-  {
-    k;
-    mode;
-    fifo_capacity;
-    adaptive_fifos;
-    remap_period;
-    shard_init;
-    remap_noise_gate;
-    stateless_priority;
-    starvation_threshold;
-    ecn_threshold;
-  }
+  let remap_noise_gate = C.bool io ~what:"remap noise gate" p.remap_noise_gate in
+  let stateless_priority = C.bool io ~what:"stateless priority" p.stateless_priority in
+  let starvation_threshold = threshold io ~what:"starvation threshold" p.starvation_threshold in
+  let ecn_threshold = threshold io ~what:"ECN threshold" p.ecn_threshold in
+  if not (C.reading io) then p
+  else
+    { k; mode = modes.(mode); fifo_capacity; adaptive_fifos; remap_period; shard_init;
+      remap_noise_gate; stateless_priority; starvation_threshold; ecn_threshold }
 
 (* Structural digest of the transformed program: resuming under a
    different program would silently misinterpret every serialized cell
@@ -1664,350 +1660,501 @@ let prog_digest (prog : Transform.t) =
   Array.iter (fun s -> feed (if s then 1 else 0)) prog.Transform.sharded;
   Hashing.value st
 
-(* The wire layout of a packet is unchanged from the boxed-record era:
-   guard state was already encoded 0/1/2 (now the [gk_*] constants
-   verbatim), so slab-era snapshots stay byte-identical. *)
-let w_packet b sim pkt =
-  let sl = sim.sl in
-  Binio.w_int b sl.Slab.seq.(pkt);
-  Binio.w_int b sl.Slab.time_in.(pkt);
-  Binio.w_bool b (sl.Slab.ecn.(pkt) <> 0);
-  Binio.w_int_sub b sl.Slab.fields ~pos:(pkt * sl.Slab.nf) ~len:sl.Slab.nf;
-  let ab = pkt * sl.Slab.na in
-  for i = 0 to sl.Slab.na - 1 do
-    Binio.w_int b sl.Slab.gk.(ab + i);
-    Binio.w_int b sl.Slab.cell.(ab + i);
-    Binio.w_int b sl.Slab.dest.(ab + i);
-    Binio.w_bool b (sl.Slab.done_.(ab + i) <> 0);
-    Binio.w_bool b (sl.Slab.counted.(ab + i) <> 0)
-  done
+let program io prog =
+  let d = prog_digest prog in
+  if C.xword io ~what:"program digest" d <> d then
+    raise (Resume_mismatch "snapshot was taken against a different program")
 
-(* Each restored packet enters the decode's seq -> slot index. *)
-let r_packet r sim =
-  let seq = Binio.r_int r in
-  let time_in = Binio.r_int r in
-  let ecn = Binio.r_bool r in
-  let pkt = Slab.alloc sim.sl in
-  let sl = sim.sl in
-  Binio.r_int_sub_into r sl.Slab.fields ~pos:(pkt * sl.Slab.nf) ~len:sl.Slab.nf
-    ~mismatch:"snapshot: packet field count does not match the program";
-  sl.Slab.seq.(pkt) <- seq;
-  sl.Slab.time_in.(pkt) <- time_in;
-  sl.Slab.ecn.(pkt) <- (if ecn then 1 else 0);
-  let ab = pkt * sl.Slab.na in
-  for i = 0 to sl.Slab.na - 1 do
-    (* Explicit order: each component is a separate sequenced read. *)
-    let gk = Binio.r_int r in
-    if gk <> gk_unknown && gk <> gk_false && gk <> gk_true then
-      failwith (Printf.sprintf "snapshot: unknown guard state %d" gk);
-    sl.Slab.gk.(ab + i) <- gk;
-    sl.Slab.cell.(ab + i) <- Binio.r_int r;
-    sl.Slab.dest.(ab + i) <- Binio.r_int r;
-    sl.Slab.done_.(ab + i) <- (if Binio.r_bool r then 1 else 0);
-    sl.Slab.counted.(ab + i) <- (if Binio.r_bool r then 1 else 0);
-    sl.Slab.pos.(ab + i) <- -1
-  done;
-  Int_table.replace sim.dec_slots seq pkt;
-  pkt
+(* [now] is the next cycle to visit, so resuming replays that cycle in
+   full.  A progress mark past [now] never happened; the in-flight count
+   is checked against the packets the later sections hold. *)
+let loop io sim st =
+  let ck = st.ck in
+  ck.Leg.now <- C.int io ~lo:0 ~hi:max_time ~what:"cycle" ck.Leg.now;
+  st.first_arrival <- C.word io ~what:"first arrival" st.first_arrival;
+  ck.Leg.last_score <- C.nat io ~what:"progress score" ck.Leg.last_score;
+  ck.Leg.last_progress_t <-
+    C.xref io ~lo:min_int ~hi:ck.Leg.now ~what:"last progress cycle" ck.Leg.last_progress_t;
+  sim.delivered <- C.nat io ~what:"delivered" sim.delivered;
+  sim.dropped <- C.nat io ~what:"dropped" sim.dropped;
+  sim.dropped_stateless <- C.nat io ~what:"dropped stateless" sim.dropped_stateless;
+  sim.marked <- C.nat io ~what:"marked" sim.marked;
+  sim.in_flight <- C.xref io ~lo:0 ~hi:max_int ~what:"in flight" sim.in_flight;
+  sim.first_exit <- C.int io ~lo:(-1) ~hi:max_time ~what:"first exit" sim.first_exit;
+  sim.last_exit <- C.word io ~what:"last exit" sim.last_exit;
+  sim.dup_base <- C.nat io ~what:"ghost seq base" sim.dup_base;
+  sim.dup_next <- C.xref io ~lo:sim.dup_base ~hi:max_int ~what:"next ghost seq" sim.dup_next
 
-let w_fifo b sim f =
-  Binio.w_int b (Fifo.max_occupancy f);
-  Binio.w_int b (Fifo.rings f);
-  let entry ~ts ~key ~cancelled ~data =
-    Binio.w_int b ts;
-    Binio.w_int b key;
-    Binio.w_bool b cancelled;
-    if data < 0 then Binio.w_bool b false
-    else begin
-      Binio.w_bool b true;
-      w_packet b sim data
-    end
+(* The source cursor: packets consumed, the last arrival time and the
+   digest of the consumed prefix, which a resume replays. *)
+type cursor = { mutable consumed : int; mutable last_time : int }
+
+let source io st cur =
+  cur.consumed <- C.int io ~lo:0 ~hi:max_time ~what:"packets consumed" cur.consumed;
+  cur.last_time <- C.word io ~what:"last arrival time" cur.last_time;
+  st.sd.Hashing.hi <- C.word io ~what:"source digest" st.sd.Hashing.hi;
+  st.sd.Hashing.lo <- C.word io ~what:"source digest" st.sd.Hashing.lo
+
+let probability io p =
+  let at = C.position io in
+  let p = Int64.float_of_bits (C.i64 io ~what:"fault probability" (Int64.bits_of_float p)) in
+  if not (p >= 0.0 && p <= 1.0) then C.fail ~at "fault probability %g out of [0, 1]" p;
+  p
+
+let fault_event io ~k ~stages (e : Fault.event) =
+  let from_ = C.int io ~lo:0 ~hi:max_time ~what:"fault event start" e.Fault.from_ in
+  let until_ = C.xref io ~lo:from_ ~hi:max_time ~what:"fault event end" e.Fault.until_ in
+  let pipe p = C.index io ~bound:k ~what:"fault pipeline" p in
+  let stage s = C.index io ~bound:stages ~what:"fault stage" s in
+  let tag, a, b, p =
+    match e.Fault.kind with
+    | Fault.Pipe_down x -> (0, x, 0, 0.0)
+    | Fault.Pipe_up x -> (1, x, 0, 0.0)
+    | Fault.Fifo_loss { stage; pipe } -> (2, stage, pipe, 0.0)
+    | Fault.Stall { stage; pipe } -> (3, stage, pipe, 0.0)
+    | Fault.Xbar_drop p -> (4, 0, 0, p)
+    | Fault.Xbar_dup p -> (5, 0, 0, p)
+    | Fault.Phantom_delay x -> (6, x, 0, 0.0)
   in
-  for ring = 0 to Fifo.rings f - 1 do
-    Binio.w_int b (Fifo.ring_capacity f ~ring);
-    Binio.w_int b (Fifo.ring_head_seq f ~ring);
-    Binio.w_int b (Fifo.ring_length f ~ring);
-    Fifo.iter_ring_entries f ~ring entry
-  done
-
-(* Restore into [f], a FIFO fresh from [create]: the snapshot's rings
-   and entries go straight into its storage.  Each live phantom's
-   (seq, stage, position) is noted for [position_phantoms]: its packet
-   may be restored later in the decode. *)
-let r_fifo_into r sim ~stage f =
-  let high_water = Binio.r_int r in
-  if Binio.r_int r <> sim.p.k then failwith "snapshot: FIFO ring count does not match k";
-  for ring = 0 to sim.p.k - 1 do
-    let capacity = Binio.r_int r in
-    let head_seq = Binio.r_int r in
-    (* an entry is at least ts, key and two flag bytes *)
-    let entries = Binio.r_count r ~min_bytes:18 ~what:"FIFO ring length" in
-    Fifo.restore_ring f ~ring ~capacity ~head_seq ~entries;
-    for _ = 1 to entries do
-      let ts = Binio.r_int r in
-      let key = Binio.r_int r in
-      let cancelled = Binio.r_bool r in
-      let data = if Binio.r_bool r then r_packet r sim else -1 in
-      let pos = Fifo.restore_entry f ~ring ~ts ~key ~cancelled ~data in
-      if data < 0 && not cancelled then begin
-        Int_vec.push sim.dec_phantoms key;
-        Int_vec.push sim.dec_phantoms stage;
-        Int_vec.push sim.dec_phantoms pos
-      end
-    done
-  done;
-  Fifo.restore_high_water f high_water
-
-let w_queue b sim q =
-  match q with
-  | None -> Binio.w_int b 0
-  | Some (Logical f) ->
-      Binio.w_int b 1;
-      w_fifo b sim f
-  | Some (Per_cell pc) ->
-      Binio.w_int b 2;
-      let cells =
-        Hashtbl.fold (fun c f acc -> (c, f) :: acc) pc.pc_cells []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Binio.w_int b (List.length cells);
-      List.iter
-        (fun (c, f) ->
-          Binio.w_int b c;
-          w_fifo b sim f)
-        cells;
-      let ready =
-        Hashtbl.fold (fun c () acc -> c :: acc) pc.pc_ready [] |> List.sort compare
-      in
-      Binio.w_int_array b (Array.of_list ready);
-      Binio.w_int b pc.pc_high
-
-let r_queue r sim stage pipe =
-  let kind = Binio.r_int r in
-  match (kind, sim.fifos.(stage).(pipe)) with
-  | 0, None -> ()
-  | 1, Some (Logical f) -> r_fifo_into r sim ~stage f
-  | 2, Some (Per_cell old) ->
-      (* a cell is its index plus a FIFO of at least two ints *)
-      let n = Binio.r_count r ~min_bytes:24 ~what:"per-cell queue count" in
-      let pc =
-        { pc_cells = Hashtbl.create (max 8 n); pc_ready = Hashtbl.create (max 8 n); pc_high = 0 }
-      in
-      for _ = 1 to n do
-        let c = Binio.r_int r in
-        (* A recycled machine's queue still holds the cell FIFOs it
-           encoded: restore into those rather than new ones. *)
-        (match Hashtbl.find_opt old.pc_cells c with
-        | Some f when not (Hashtbl.mem pc.pc_cells c) ->
-            Fifo.clear f;
-            Hashtbl.add pc.pc_cells c f
-        | _ -> ());
-        r_fifo_into r sim ~stage (cell_fifo sim pc c)
-      done;
-      Array.iter (fun c -> Hashtbl.replace pc.pc_ready c ()) (Binio.r_int_array r);
-      pc.pc_high <- Binio.r_int r;
-      sim.fifos.(stage).(pipe) <- Some (Per_cell pc)
-  | _ ->
-      failwith
-        (Printf.sprintf "snapshot: queue kind %d at stage %d pipe %d does not match the machine"
-           kind stage pipe)
-
-let w_plan b (plan : Fault.plan) =
-  Binio.w_int b plan.Fault.seed;
-  Binio.w_int b (List.length plan.Fault.events);
-  List.iter
-    (fun (e : Fault.event) ->
-      Binio.w_int b e.Fault.from_;
-      Binio.w_int b e.Fault.until_;
-      match e.Fault.kind with
-      | Fault.Pipe_down p ->
-          Binio.w_int b 0;
-          Binio.w_int b p
-      | Fault.Pipe_up p ->
-          Binio.w_int b 1;
-          Binio.w_int b p
-      | Fault.Fifo_loss { stage; pipe } ->
-          Binio.w_int b 2;
-          Binio.w_int b stage;
-          Binio.w_int b pipe
-      | Fault.Stall { stage; pipe } ->
-          Binio.w_int b 3;
-          Binio.w_int b stage;
-          Binio.w_int b pipe
-      | Fault.Xbar_drop p ->
-          Binio.w_int b 4;
-          Binio.w_i64 b (Int64.bits_of_float p)
-      | Fault.Xbar_dup p ->
-          Binio.w_int b 5;
-          Binio.w_i64 b (Int64.bits_of_float p)
-      | Fault.Phantom_delay e ->
-          Binio.w_int b 6;
-          Binio.w_int b e)
-    plan.Fault.events
-
-let r_plan r =
-  let seed = Binio.r_int r in
-  let n = Binio.r_int r in
-  let rec events n acc =
-    if n = 0 then List.rev acc
-    else begin
-      let from_ = Binio.r_int r in
-      let until_ = Binio.r_int r in
-      let kind =
-        match Binio.r_int r with
-        | 0 -> Fault.Pipe_down (Binio.r_int r)
-        | 1 -> Fault.Pipe_up (Binio.r_int r)
-        | 2 ->
-            let stage = Binio.r_int r in
-            let pipe = Binio.r_int r in
-            Fault.Fifo_loss { stage; pipe }
-        | 3 ->
-            let stage = Binio.r_int r in
-            let pipe = Binio.r_int r in
-            Fault.Stall { stage; pipe }
-        | 4 -> Fault.Xbar_drop (Int64.float_of_bits (Binio.r_i64 r))
-        | 5 -> Fault.Xbar_dup (Int64.float_of_bits (Binio.r_i64 r))
-        | 6 -> Fault.Phantom_delay (Binio.r_int r)
-        | t -> failwith (Printf.sprintf "snapshot: unknown fault kind %d" t)
-      in
-      events (n - 1) ({ Fault.from_; until_; kind } :: acc)
-    end
+  let kind =
+    match C.choice io ~n:7 ~what:"snapshot: unknown fault kind" tag with
+    | 0 -> Fault.Pipe_down (pipe a)
+    | 1 -> Fault.Pipe_up (pipe a)
+    | 2 ->
+        let stage = stage a in
+        Fault.Fifo_loss { stage; pipe = pipe b }
+    | 3 ->
+        let stage = stage a in
+        Fault.Stall { stage; pipe = pipe b }
+    | 4 -> Fault.Xbar_drop (probability io p)
+    | 5 -> Fault.Xbar_dup (probability io p)
+    | _ -> Fault.Phantom_delay (C.int io ~lo:0 ~hi:max_capacity ~what:"phantom delay" a)
   in
-  { Fault.seed; events = events n [] }
+  { Fault.from_; until_; kind }
 
-(* In-flight packets live in exactly three places at a cycle boundary:
-   stage slots (all empty — the movement phase just ran), FIFO data
-   entries, and the pending transfer buffers.  The same census the
-   monitor takes, used to cross-check a decoded snapshot. *)
-let count_in_flight sim =
-  let counted = ref 0 in
-  Array.iter
-    (fun row -> Array.iter (fun pkt -> if pkt <> no_pkt then incr counted) row)
-    sim.slots;
-  Array.iter
-    (fun row ->
-      Array.iter
-        (function
-          | Some (Logical f) -> counted := !counted + Fifo.data_length f
-          | Some (Per_cell pc) ->
-              Hashtbl.iter (fun _ f -> counted := !counted + Fifo.data_length f) pc.pc_cells
-          | None -> ())
-        row)
-    sim.fifos;
-  Array.iter (fun v -> counted := !counted + Int_vec.length v) sim.t_pkts;
-  !counted
+let no_event = { Fault.from_ = 0; until_ = 0; kind = Fault.Pipe_down 0 }
 
-(* Serialize the machine at a top-of-cycle boundary.  Slots are not
-   serialized: the movement phase empties every one of them each cycle,
-   so at the boundary all in-flight packets sit in FIFOs or transfer
-   buffers.  [st.ck.now] is the next cycle to visit, so resuming replays
-   that cycle in full — bit-identically to the uninterrupted run. *)
-let encode_into b sim st source =
-  Binio.w_tag b 1;
-  w_params b sim.p;
-  Binio.w_tag b 2;
-  Binio.w_int b (prog_digest sim.prog);
-  Binio.w_tag b 3;
-  Binio.w_int b st.ck.Leg.now;
-  Binio.w_int b st.first_arrival;
-  Binio.w_int b st.ck.Leg.last_score;
-  Binio.w_int b st.ck.Leg.last_progress_t;
-  Binio.w_int b sim.delivered;
-  Binio.w_int b sim.dropped;
-  Binio.w_int b sim.dropped_stateless;
-  Binio.w_int b sim.marked;
-  Binio.w_int b sim.in_flight;
-  Binio.w_int b sim.first_exit;
-  Binio.w_int b sim.last_exit;
-  Binio.w_int b sim.dup_base;
-  Binio.w_int b sim.dup_next;
-  Binio.w_tag b 4;
-  Binio.w_int b (Psource.consumed source);
-  Binio.w_int b (Psource.last_time source);
-  Binio.w_int b st.sd.Hashing.hi;
-  Binio.w_int b st.sd.Hashing.lo;
-  Binio.w_tag b 5;
-  (match (sim.fplan, sim.flt) with
-  | Some plan, Some f ->
-      Binio.w_bool b true;
-      w_plan b plan;
-      let saved = Fault.save f in
-      Binio.w_int b (Array.length saved.Fault.sv_rng);
-      Array.iter (fun w -> Binio.w_i64 b w) saved.Fault.sv_rng;
-      Binio.w_int b saved.Fault.sv_next_i;
-      Binio.w_int_array b (Array.of_list saved.Fault.sv_active)
-  | _ -> Binio.w_bool b false);
-  Binio.w_tag b 6;
-  (match sim.ms with
-  | Some m ->
-      Binio.w_bool b true;
-      Binio.w_int_array b (Metrics.dump m)
-  | None -> Binio.w_bool b false);
-  Binio.w_tag b 7;
+(* A machine keeps a plan only when it has events (see [active_plan]);
+   the runtime restarts from the plan, at the saved RNG state, event
+   cursor and active windows ({!Fault.codec}). *)
+let fault io sim now =
+  let k = sim.p.k and stages = sim.n_stages in
+  if C.bool io ~what:"fault plan" (sim.flt <> None) then begin
+    let plan = Option.value sim.fplan ~default:Fault.empty in
+    let seed = C.word io ~what:"fault seed" plan.Fault.seed in
+    let at = C.position io in
+    (* an event is at least its window, its kind and one payload word *)
+    let n = C.count io ~min_bytes:32 ~what:"fault event count" (List.length plan.Fault.events) in
+    if n = 0 then C.fail ~at "empty fault plan";
+    if C.reading io then begin
+      let events = List.init n (fun _ -> fault_event io ~k ~stages no_event) in
+      let plan = { Fault.seed; events } in
+      sim.fplan <- Some plan;
+      sim.flt <- Some (Fault.codec io (Fault.start plan ~k ~stages) ~now)
+    end
+    else begin
+      List.iter (fun e -> ignore (fault_event io ~k ~stages e : Fault.event)) plan.Fault.events;
+      ignore (Fault.codec io (Option.get sim.flt) ~now : Fault.t)
+    end
+  end
+
+let metrics io sim =
+  if C.bool io ~what:"metrics" (sim.ms <> None) then
+    match sim.ms with
+    | Some m -> Metrics.codec io m
+    | None ->
+        raise
+          (Resume_mismatch "snapshot carries metrics; resume with ~metrics to receive them")
+  else if sim.ms <> None then
+    raise (Resume_mismatch "snapshot has no metrics, but ~metrics was passed")
+
+let store io sim =
   for p = 0 to sim.p.k - 1 do
     for reg = 0 to Array.length sim.config.Config.regs - 1 do
-      Binio.w_int_array b (Store.array sim.stores.(p) ~reg)
+      let a = Store.array sim.stores.(p) ~reg in
+      C.ints io ~what:"register cell"
+        ~mismatch:"snapshot: register array size does not match the program" a ~pos:0
+        ~len:(Array.length a)
     done
+  done
+
+(* An access not yet executed holds the guard and cell its packet's
+   headers resolve to, as at arrival: the transformer keeps a resolved
+   guard's and index's fields unwritten until the access.  A ghost's
+   accesses were pre-completed, known false. *)
+let resolved_from_headers sim pkt i =
+  let sl = sim.sl in
+  let ai = (pkt * sl.Slab.na) + i in
+  sl.Slab.done_.(ai) <> 0
+  || sl.Slab.seq.(pkt) >= sim.dup_base
+  ||
+  let frame = aim sim pkt in
+  header_gk sim frame i = sl.Slab.gk.(ai) && header_cell sim frame i = sl.Slab.cell.(ai)
+
+(* The wire layout of a packet is unchanged from the boxed-record era:
+   guard state was already encoded 0/1/2 (now the [gk_*] constants
+   verbatim), so slab-era snapshots stay byte-identical.  A decoded
+   packet takes a fresh slab slot and enters the decode's seq -> slot
+   index.  An access's cell indexes its register ([Atom] reads it
+   unchecked) and its destination every per-pipeline row; a pin holds a
+   resolved cell.  The packet waits at [stage] on pipeline [pipe], where
+   it executes each access of [stage] not known false. *)
+let packet io sim ~stage ~pipe pkt =
+  let pkt = if C.reading io then Slab.alloc sim.sl else pkt in
+  let sl = sim.sl in
+  let seq = C.int io ~lo:0 ~hi:max_time ~what:"packet seq" sl.Slab.seq.(pkt) in
+  sl.Slab.seq.(pkt) <- seq;
+  sl.Slab.time_in.(pkt) <- C.word io ~what:"packet arrival" sl.Slab.time_in.(pkt);
+  sl.Slab.ecn.(pkt) <- C.flag io ~what:"packet ECN mark" sl.Slab.ecn.(pkt);
+  C.ints io ~what:"packet header field"
+    ~mismatch:"snapshot: packet field count does not match the program" sl.Slab.fields
+    ~pos:(pkt * sl.Slab.nf) ~len:sl.Slab.nf;
+  let ab = pkt * sl.Slab.na in
+  for i = 0 to sl.Slab.na - 1 do
+    let size = sim.config.Config.regs.(sim.accesses.(i).Transform.reg).Config.size in
+    let at = C.position io in
+    sl.Slab.gk.(ab + i) <-
+      C.choice io ~n:3 ~what:"snapshot: unknown guard state" sl.Slab.gk.(ab + i);
+    let cell = C.xref io ~lo:(-1) ~hi:(size - 1) ~what:"access cell" sl.Slab.cell.(ab + i) in
+    sl.Slab.cell.(ab + i) <- cell;
+    let here = sim.accesses.(i).Transform.stage = stage && sl.Slab.gk.(ab + i) <> gk_false in
+    sl.Slab.dest.(ab + i) <-
+      C.xref io ~lo:(if here then pipe else 0) ~hi:(if here then pipe else sim.p.k - 1)
+        ~what:"access destination pipeline" sl.Slab.dest.(ab + i);
+    sl.Slab.done_.(ab + i) <- C.flag io ~what:"access done" sl.Slab.done_.(ab + i);
+    if C.reading io && not (resolved_from_headers sim pkt i) then
+      C.fail ~at "access %d's guard and cell are not those its packet's headers give" i;
+    let at = C.position io in
+    let counted = C.flag io ~what:"access pin" sl.Slab.counted.(ab + i) in
+    if counted <> 0 && cell < 0 then C.fail ~at "in-flight pin on unresolved access %d" i;
+    sl.Slab.counted.(ab + i) <- counted;
+    if C.reading io then sl.Slab.pos.(ab + i) <- -1
   done;
-  Binio.w_tag b 8;
-  Array.iter (Index_map.w_state b) sim.maps;
-  Binio.w_tag b 9;
+  if C.reading io then Int_table.replace sim.dec_slots seq pkt;
+  pkt
+
+let queue_kind = function None -> 0 | Some (Logical _) -> 1 | Some (Per_cell _) -> 2
+
+(* A per-cell queue is its cells' FIFOs in ascending cell order, the
+   cells whose head may be ready, and its high-water mark.  A recycled
+   machine's queue still holds the cell FIFOs it encoded: the decode
+   restores into those rather than new ones. *)
+let per_cell io sim ~stage ~pipe old fifo =
+  let sorted t = Hashtbl.fold (fun c v acc -> (c, v) :: acc) t [] |> List.sort compare in
+  let cells = if C.reading io then [||] else Array.of_list (sorted old.pc_cells) in
+  (* a cell is its index plus a FIFO of at least two ints *)
+  let n = C.count io ~min_bytes:24 ~what:"per-cell queue count" (Array.length cells) in
+  let pc =
+    if C.reading io then
+      { pc_cells = Hashtbl.create (max 8 n); pc_ready = Hashtbl.create (max 8 n); pc_high = 0 }
+    else old
+  in
+  let prev = ref (-1) in
+  for i = 0 to n - 1 do
+    let c =
+      C.xref io ~lo:(!prev + 1) ~hi:max_int ~what:"per-cell queue cell"
+        (if C.reading io then 0 else fst cells.(i))
+    in
+    prev := c;
+    if C.reading io then begin
+      Option.iter (Hashtbl.add pc.pc_cells c) (Hashtbl.find_opt old.pc_cells c);
+      fifo (cell_fifo sim pc c)
+    end
+    else fifo (snd cells.(i))
+  done;
+  let ready =
+    C.int_array_in io C.Xref ~lo:0 ~hi:max_int ~what:"ready cell"
+      (Array.of_list (List.map fst (sorted pc.pc_ready)))
+  in
+  pc.pc_high <- C.nat io ~what:"per-cell high-water mark" pc.pc_high;
+  if C.reading io then begin
+    Array.iter (fun c -> Hashtbl.replace pc.pc_ready c ()) ready;
+    sim.fifos.(stage).(pipe) <- Some (Per_cell pc)
+  end
+
+(* Each stateful stage input's queue.  A decoded packet waits at the
+   stage and pipeline the walk is at; a decoded live phantom's (seq,
+   stage, position) is noted for [position_phantoms], since its packet
+   may come later in the decode. *)
+let queues io sim =
+  if C.reading io then begin
+    Int_table.clear sim.dec_slots;
+    Int_vec.clear sim.dec_phantoms
+  end;
+  let stage = ref 0 and pipe = ref 0 in
+  let data pkt = packet io sim ~stage:!stage ~pipe:!pipe pkt in
+  let phantom key pos =
+    Int_vec.push sim.dec_phantoms key;
+    Int_vec.push sim.dec_phantoms !stage;
+    Int_vec.push sim.dec_phantoms pos
+  in
+  let fifo f = Fifo.codec io f ~data ~phantom in
   for s = 0 to sim.n_stages - 1 do
     for p = 0 to sim.p.k - 1 do
-      w_queue b sim sim.fifos.(s).(p)
+      stage := s;
+      pipe := p;
+      let q = sim.fifos.(s).(p) in
+      let at = C.position io in
+      let kind = C.xref io ~lo:0 ~hi:2 ~what:"queue kind" (queue_kind q) in
+      if kind <> queue_kind q then
+        C.fail ~at "snapshot: queue kind %d at stage %d pipe %d does not match the machine" kind s
+          p;
+      match q with
+      | None -> ()
+      | Some (Logical f) -> fifo f
+      | Some (Per_cell pc) -> per_cell io sim ~stage:s ~pipe:p pc fifo
     done
-  done;
-  Binio.w_tag b 10;
+  done
+
+(* Element [i] of [v] to write; a reader ignores it (0). *)
+let nth io v i = if C.reading io then 0 else Int_vec.get v i
+
+(* A forged transfer descriptor must fail at decode, positioned at the
+   descriptor, not as an index error when the resumed run applies it:
+   the movement phase only ever queues a known tag, between existing
+   pipelines, into a stage past the first, with a queued or stateful
+   packet only into a stage that has input queues and at most one
+   stateless packet per destination slot. *)
+let check_transfer sim ~pos ~stage ~slot_taken desc =
+  let k = sim.p.k in
+  let tag = desc land 3 and dest = (desc lsr 2) land 63 and src = (desc lsr 8) land 63 in
+  if desc < 0 || tag > t_queued then C.fail ~at:pos "transfer descriptor %d: unknown tag" desc;
+  if stage = 0 then C.fail ~at:pos "transfer into stage 0";
+  if dest >= k then C.fail ~at:pos "transfer destination pipeline %d out of range [0, %d)" dest k;
+  if src >= k then C.fail ~at:pos "transfer source pipeline %d out of range [0, %d)" src k;
+  if tag = t_stateless then begin
+    if slot_taken.(dest) then
+      C.fail ~at:pos "second stateless transfer into stage %d pipe %d" stage dest;
+    slot_taken.(dest) <- true
+  end
+  else if sim.fifos.(stage).(dest) = None then
+    C.fail ~at:pos "%s transfer into stateless stage %d"
+      (if tag = t_stateful then "stateful" else "queued") stage
+
+(* Per stage, the packets the movement phase queued for the next apply
+   phase, each after its packed descriptor.  The movement phase packs a
+   queued access, and its cell, into a stateful transfer, and only
+   there. *)
+let transfers io sim =
+  let slot_taken = Array.make sim.p.k false in
   for s = 0 to sim.n_stages - 1 do
     let pkts = sim.t_pkts.(s) and descs = sim.t_descs.(s) in
-    Binio.w_int b (Int_vec.length pkts);
-    for i = 0 to Int_vec.length pkts - 1 do
-      Binio.w_int b (Int_vec.get descs i);
-      w_packet b sim (Int_vec.get pkts i)
+    (* a transfer is its descriptor and a packet of at least 25 bytes *)
+    let n = C.count io ~min_bytes:33 ~what:"transfer count" (Int_vec.length pkts) in
+    Array.fill slot_taken 0 sim.p.k false;
+    for i = 0 to n - 1 do
+      let pos = C.position io in
+      let desc = C.xword io ~what:"transfer descriptor" (nth io descs i) in
+      if C.reading io then check_transfer sim ~pos ~stage:s ~slot_taken desc;
+      let pkt = packet io sim ~stage:s ~pipe:((desc lsr 2) land 63) (nth io pkts i) in
+      if C.reading io then begin
+        let ai = queued_index sim pkt s in
+        let cell = if ai < 0 then -1 else sim.sl.Slab.cell.(ai) in
+        if (ai >= 0) <> (desc land 3 = t_stateful) || desc lsr 14 <> cell + 1 then
+          C.fail ~at:pos "transfer descriptor %d does not match its packet at stage %d" desc s;
+        Int_vec.push descs desc;
+        Int_vec.push pkts pkt
+      end
     done
-  done;
-  Binio.w_tag b 11;
-  Binio.w_int b (Channel.pending sim.channel);
-  Channel.iter sim.channel (fun ~at ~seq ~stage ~dest ~ring ~cell ~slot:_ ->
-      Binio.w_int b at;
-      Binio.w_int b seq;
-      Binio.w_int b stage;
-      Binio.w_int b dest;
-      Binio.w_int b ring;
-      Binio.w_int b cell);
-  Binio.w_tag b 12;
-  (* The seqs of pending deliveries whose packet was dropped: the
-     deliverer's own test, so a resumed machine suppresses exactly the
-     deliveries this one would. *)
-  let doomed = ref [] and na = sim.sl.Slab.na in
-  Channel.iter sim.channel (fun ~at:_ ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ ~slot ->
-      if delivery_doomed sim.sl ~na ~seq ~slot then doomed := seq :: !doomed);
-  Binio.w_int_array b (Array.of_list (List.sort_uniq compare !doomed));
-  Binio.w_tag b 13;
-  Array.iter (fun row -> Binio.w_int_array b row) sim.hw_key;
-  Array.iter (fun row -> Binio.w_int_array b row) sim.hw_since;
-  (* Claims persist across the boundary: [spawn_dup] reads them during
-     the next apply phase. *)
+  done
+
+(* The largest phantom delay the fault plan can add to a delivery. *)
+let plan_delay sim =
+  match sim.fplan with
+  | None -> 0
+  | Some plan ->
+      List.fold_left
+        (fun m (e : Fault.event) ->
+          match e.Fault.kind with Fault.Phantom_delay d -> max m d | _ -> m)
+        0 plan.Fault.events
+
+(* A pending phantom delivery.  It was scheduled at an arrival before
+   [now] for a stage ahead, so it is due between [now] and the pipeline
+   depth plus the plan's delay after it.  Its destination must be a
+   stateful stage's queue on an existing pipeline.  The decode schedules
+   it with its seq's byte position as the slot: [slot_deliveries] finds
+   its packet once every packet section is read. *)
+let delivery io sim ~now ~max_cell ~at ~seq ~stage ~dest ~ring ~cell =
+  let hi = now + sim.n_stages + plan_delay sim in
+  let at = C.xref io ~lo:now ~hi ~what:"phantom delivery cycle" at in
+  let seq_at = C.position io in
+  let seq = C.xref io ~lo:0 ~hi:max_time ~what:"phantom delivery seq" seq in
+  let stage_at = C.position io in
+  let stage = C.index io ~bound:sim.n_stages ~what:"phantom delivery stage" stage in
+  let dest = C.index io ~bound:sim.p.k ~what:"phantom delivery pipeline" dest in
+  let ring = C.index io ~bound:sim.p.k ~what:"phantom delivery ring" ring in
+  let cell = C.xref io ~lo:(-1) ~hi:(max_cell - 1) ~what:"phantom delivery cell" cell in
+  if C.reading io then begin
+    if sim.fifos.(stage).(dest) = None then
+      C.fail ~at:stage_at "phantom delivery to stateless stage %d" stage;
+    Channel.schedule sim.channel ~at ~seq ~stage ~dest ~ring ~cell ~slot:seq_at
+  end
+
+let channel io sim ~now =
+  let max_cell =
+    Array.fold_left (fun m (r : Config.reg) -> max m r.Config.size) 0 sim.config.Config.regs
+  in
+  let n = C.count io ~min_bytes:48 ~what:"pending delivery count" (Channel.pending sim.channel) in
+  if C.reading io then
+    for _ = 1 to n do
+      delivery io sim ~now ~max_cell ~at:0 ~seq:0 ~stage:0 ~dest:0 ~ring:0 ~cell:0
+    done
+  else
+    Channel.iter sim.channel (fun ~at ~seq ~stage ~dest ~ring ~cell ~slot:_ ->
+        delivery io sim ~now ~max_cell ~at ~seq ~stage ~dest ~ring ~cell)
+
+(* After the packet sections: record each queued live phantom's
+   position in its packet's slab column, as its delivery did.  A
+   phantom whose packet is not in flight keeps no position; nothing
+   will look for it. *)
+let position_phantoms sim =
+  let ph = sim.dec_phantoms in
+  for j = 0 to (Int_vec.length ph / 3) - 1 do
+    match Int_table.find sim.dec_slots (Int_vec.get ph (3 * j)) with
+    | pkt ->
+        let ai = queued_index sim pkt (Int_vec.get ph ((3 * j) + 1)) in
+        if ai >= 0 then sim.sl.Slab.pos.(ai) <- Int_vec.get ph ((3 * j) + 2)
+    | exception Not_found -> ()
+  done
+
+(* Give each pending delivery its packet's slab access index, or -1
+   when its seq is doomed.  The decoder scheduled each with its byte
+   position as the slot, so a delivery for a seq neither in flight nor
+   doomed — one that would wedge its queue — is reported there. *)
+let slot_deliveries sim doomed =
+  Array.iter (fun seq -> Int_table.replace sim.dec_slots seq (-1)) doomed;
+  Channel.set_slots sim.channel (fun ~seq ~stage ~dest ~cell ~slot:at ->
+      match Int_table.find sim.dec_slots seq with
+      | -1 -> -1
+      | pkt ->
+          let ai = queued_index sim pkt stage in
+          if ai < 0 then
+            C.fail ~at "phantom delivery for seq %d at stage %d, where it queues no access" seq
+              stage;
+          if sim.sl.Slab.dest.(ai) <> dest || sim.sl.Slab.cell.(ai) <> cell then
+            C.fail ~at "phantom delivery for seq %d at stage %d is not its access's" seq stage;
+          ai
+      | exception Not_found ->
+          C.fail ~at "phantom delivery for seq %d, which is neither in flight nor dropped" seq)
+
+(* The seqs of pending deliveries whose packet was dropped: the
+   deliverer's own test, so a resumed machine suppresses exactly the
+   deliveries this one would.  Every packet section is read by now, so
+   the decode slots the deliveries here. *)
+let doomed io sim =
+  let seqs =
+    if C.reading io then [||]
+    else begin
+      let doomed = ref [] and na = sim.sl.Slab.na in
+      Channel.iter sim.channel (fun ~at:_ ~seq ~stage:_ ~dest:_ ~ring:_ ~cell:_ ~slot ->
+          if delivery_doomed sim.sl ~na ~seq ~slot then doomed := seq :: !doomed);
+      Array.of_list (List.sort_uniq compare !doomed)
+    end
+  in
+  let seqs = C.int_array_in io C.Xref ~lo:0 ~hi:max_time ~what:"doomed seq" seqs in
+  if C.reading io then begin
+    position_phantoms sim;
+    slot_deliveries sim seqs
+  end
+
+(* Head watches, then the crossbar claims, which persist across the
+   boundary: [spawn_dup] reads them during the next apply phase. *)
+let watches io sim =
+  let mismatch = "snapshot: head watch row size mismatch" in
   Array.iter
     (fun row ->
-      Binio.w_int b (Array.length row);
-      Array.iter (fun c -> Binio.w_int b (if c then 1 else 0)) row)
+      C.ints_in io C.Xref ~lo:(-1) ~hi:max_int ~what:"watched head" ~mismatch row ~pos:0
+        ~len:(Array.length row))
+    sim.hw_key;
+  Array.iter
+    (fun row -> C.ints io ~what:"head watch start" ~mismatch row ~pos:0 ~len:(Array.length row))
+    sim.hw_since;
+  Array.iter
+    (fun row ->
+      C.fixed io ~n:(Array.length row) ~mismatch:"snapshot: claim row size mismatch";
+      for i = 0 to Array.length row - 1 do
+        row.(i) <- C.int io ~lo:0 ~hi:1 ~what:"crossbar claim" (Bool.to_int row.(i)) = 1
+      done)
     sim.claimed;
-  Binio.w_bool b sim.claims_dirty;
-  Binio.w_tag b 14;
-  Binio.w_int b sim.ed.Hashing.hi;
-  Binio.w_int b sim.ed.Hashing.lo;
-  Binio.w_int b (Int_vec.length sim.log_keys);
-  for i = 0 to Int_vec.length sim.log_keys - 1 do
-    Binio.w_int b (Int_vec.get sim.log_keys i);
-    Binio.w_int b (Int_vec.get sim.dig_hi i);
-    Binio.w_int b (Int_vec.get sim.dig_lo i)
-  done;
-  Binio.w_tag b 15
+  let at = C.position io in
+  sim.claims_dirty <- C.bool io ~what:"claims dirty" sim.claims_dirty;
+  (* claims are cleared before a movement phase only when dirty *)
+  if not sim.claims_dirty && Array.exists (Array.exists Fun.id) sim.claimed then
+    C.fail ~at "crossbar claims set but not marked dirty"
+
+(* The exit digest, then the access log: per touched (register, cell)
+   its packed key, which indexes the log's rows, and its digest. *)
+let digests io sim =
+  sim.ed.Hashing.hi <- C.word io ~what:"exit digest" sim.ed.Hashing.hi;
+  sim.ed.Hashing.lo <- C.word io ~what:"exit digest" sim.ed.Hashing.lo;
+  let n_keys = C.count io ~min_bytes:24 ~what:"access log length" (Int_vec.length sim.log_keys) in
+  if C.reading io then begin
+    Int_vec.reserve sim.log_keys n_keys;
+    Int_vec.reserve sim.dig_hi n_keys;
+    Int_vec.reserve sim.dig_lo n_keys
+  end;
+  for i = 0 to n_keys - 1 do
+    let at = C.position io in
+    let key = C.xword io ~what:"access log key" (nth io sim.log_keys i) in
+    let hi = C.word io ~what:"access digest" (nth io sim.dig_hi i) in
+    let lo = C.word io ~what:"access digest" (nth io sim.dig_lo i) in
+    if C.reading io then begin
+      let reg = key lsr 32 and cell = key land 0xFFFFFFFF in
+      if reg >= Array.length sim.log_slot || cell >= Array.length sim.log_slot.(reg) then
+        C.fail ~at "access log key %d outside the register file" key;
+      sim.log_slot.(reg).(cell) <- i;
+      Int_vec.push sim.log_keys key;
+      Int_vec.push sim.dig_hi hi;
+      Int_vec.push sim.dig_lo lo
+    end
+  done
+
+(* Serialize the machine at a top-of-cycle boundary, or rebuild one.
+   Slots are not serialized: the movement phase empties every one of
+   them each cycle, so at the boundary all in-flight packets sit in
+   FIFOs or transfer buffers.  [p] and [prog] are the machine's params
+   and program on an encode; on a decode the program to check against,
+   and [make] builds the machine for the params read. *)
+let machine io ~p ~prog ~make st cur =
+  C.tag io 1 ~what:"params section";
+  let p = params io p in
+  C.tag io 2 ~what:"program section";
+  program io prog;
+  let sim = make p in
+  C.tag io 3 ~what:"loop section";
+  loop io sim st;
+  C.tag io 4 ~what:"source section";
+  source io st cur;
+  C.tag io 5 ~what:"fault section";
+  fault io sim st.ck.Leg.now;
+  C.tag io 6 ~what:"metrics section";
+  metrics io sim;
+  C.tag io 7 ~what:"store section";
+  store io sim;
+  C.tag io 8 ~what:"index map section";
+  Array.iteri (fun r m -> sim.dec_pins.(r) <- Index_map.codec io m) sim.maps;
+  C.tag io 9 ~what:"queue section";
+  queues io sim;
+  C.tag io 10 ~what:"transfer section";
+  transfers io sim;
+  C.tag io 11 ~what:"channel section";
+  channel io sim ~now:st.ck.Leg.now;
+  C.tag io 12 ~what:"doomed section";
+  doomed io sim;
+  C.tag io 13 ~what:"watch section";
+  watches io sim;
+  C.tag io 14 ~what:"digest section";
+  digests io sim;
+  C.tag io 15 ~what:"end marker";
+  sim
+
+let encode_into io sim st source =
+  let cur = { consumed = Psource.consumed source; last_time = Psource.last_time source } in
+  ignore (machine io ~p:sim.p ~prog:sim.prog ~make:(fun _ -> sim) st cur : sim)
 
 let encode sim st source =
   let t0 = span_start sim in
-  let snap = Binio.to_string ~magic:snap_magic (fun b -> encode_into b sim st source) in
+  let snap = C.encode ~magic:snap_magic (fun io -> encode_into io sim st source) in
   mark sim Prof.Checkpoint t0;
   snap
 
@@ -2311,90 +2458,31 @@ let results_equal (a : result) (b : result) =
   && a.latencies = b.latencies
   && tbl_sorted a.access_seqs = tbl_sorted b.access_seqs
 
-exception Resume_mismatch of string
-
-(* A forged transfer descriptor must fail at decode, positioned at the
-   descriptor, not as an index error when the resumed run applies it:
-   the movement phase only ever queues a known tag, between existing
-   pipelines, into a stage past the first, with a queued or stateful
-   packet only into a stage that has input queues and at most one
-   stateless packet per destination slot. *)
-let check_transfer sim ~pos ~stage ~slot_taken desc =
-  let bad fmt = Printf.ksprintf (fun reason -> raise (Binio.Corrupt { pos; reason })) fmt in
-  let k = sim.p.k in
-  let tag = desc land 3 and dest = (desc lsr 2) land 63 and src = (desc lsr 8) land 63 in
-  if desc < 0 || tag > t_queued then bad "transfer descriptor %d: unknown tag" desc;
-  if stage = 0 then bad "transfer into stage 0";
-  if dest >= k then bad "transfer destination pipeline %d out of range [0, %d)" dest k;
-  if src >= k then bad "transfer source pipeline %d out of range [0, %d)" src k;
-  if tag = t_stateless then begin
-    if slot_taken.(dest) then bad "second stateless transfer into stage %d pipe %d" stage dest;
-    slot_taken.(dest) <- true
-  end
-  else if sim.fifos.(stage).(dest) = None then
-    bad "%s transfer into stateless stage %d"
-      (if tag = t_stateful then "stateful" else "queued")
-      stage
-
-(* After the packet sections: record each queued live phantom's
-   position in its packet's slab column, as its delivery did.  A
-   phantom whose packet is not in flight keeps no position; nothing
-   will look for it. *)
-let position_phantoms sim =
-  let ph = sim.dec_phantoms in
-  let j = ref 0 in
-  while !j < Int_vec.length ph do
-    (match Int_table.find sim.dec_slots (Int_vec.get ph !j) with
-    | pkt ->
-        let ai = queued_index sim pkt (Int_vec.get ph (!j + 1)) in
-        if ai >= 0 then sim.sl.Slab.pos.(ai) <- Int_vec.get ph (!j + 2)
-    | exception Not_found -> ());
-    j := !j + 3
-  done
-
-(* Give each pending delivery its packet's slab access index, or -1
-   when its seq is doomed.  The decoder scheduled each with its byte
-   position as the slot, so a delivery for a seq neither in flight nor
-   doomed — one that would wedge its queue — is reported there. *)
-let slot_deliveries sim doomed =
-  Array.iter (fun seq -> Int_table.replace sim.dec_slots seq (-1)) doomed;
-  let bad pos fmt = Printf.ksprintf (fun reason -> raise (Binio.Corrupt { pos; reason })) fmt in
-  Channel.set_slots sim.channel (fun ~seq ~stage ~slot:pos ->
-      match Int_table.find sim.dec_slots seq with
-      | -1 -> -1
-      | pkt ->
-          let ai = queued_index sim pkt stage in
-          if ai < 0 then
-            bad pos "phantom delivery for seq %d at stage %d, where it queues no access" seq stage;
-          ai
-      | exception Not_found ->
-          bad pos "phantom delivery for seq %d, which is neither in flight nor dropped" seq)
-
 (* [into], a suspended machine (a switch's, or a retired fabric
    node's), when it can stand in for [create params prog] in
    [decode_machine]: the same program (physically, so the kernels are
-   the ones [create] would build) and the snapshot's params and fault
-   plan.  It is reset to what [create] leaves in every part the decode
-   does not overwrite whole, keeping the storage: FIFO rings, the
-   channel calendar, slab columns, transfer vectors and the access log
-   (only the touched cells of its rows are reset); its hooks are unset
-   and it takes the new leg's instruments.  Stores, index maps, head
-   watches, claims and every counter are overwritten by their sections,
-   the decode scratch is emptied where the decode uses it, and per-cell
-   queues are rebuilt by [r_queue] around their old cell FIFOs. *)
-let recycle into ?observer ?metrics ?events ?monitor ?prof ~params ~fplan prog =
+   the ones [create] would build) and the snapshot's params.  It is
+   reset to what [create] leaves in every part the decode does not
+   overwrite whole, keeping the storage: the channel calendar, slab
+   columns, transfer vectors and the access log (only the touched cells
+   of its rows are reset); its hooks are unset and it takes the new
+   leg's instruments.  The fault runtime, stores, index maps, FIFOs,
+   head watches, claims and every counter are overwritten by their
+   sections, the decode scratch is emptied where the decode uses it,
+   and per-cell queues are rebuilt by [per_cell] around their old cell
+   FIFOs. *)
+let recycle into ?observer ?metrics ?events ?monitor ?prof ~params prog =
   match into with
-  | Some sim when sim.prog == prog && sim.p = params && sim.fplan = fplan ->
+  | Some sim when sim.prog == prog && sim.p = params ->
       check_metrics metrics ~n_stages:sim.n_stages ~k:params.k;
       sim.observer <- observer;
       sim.ms <- metrics;
       sim.tr <- events;
       sim.mon <- monitor;
       sim.pf <- prof;
+      sim.fplan <- None;
+      sim.flt <- None;
       Slab.clear sim.sl;
-      Array.iter
-        (Array.iter (function Some (Logical f) -> Fifo.clear f | Some (Per_cell _) | None -> ()))
-        sim.fifos;
       Array.iter (fun row -> Array.fill row 0 (Array.length row) no_pkt) sim.slots;
       Channel.clear sim.channel;
       Array.iter Int_vec.clear sim.t_pkts;
@@ -2412,6 +2500,36 @@ let recycle into ?observer ?metrics ?events ?monitor ?prof ~params ~fplan prog =
       Some sim
   | _ -> None
 
+(* Every decoded index map's in-flight counts must be the pins its
+   restored accesses hold, cell by cell, or [decr_inflight] would trip
+   partway through the resumed run.  The pins are taken off the counts
+   (failing at a count they would take below zero) and put back, so the
+   check copies nothing; a count left over is reported at its entry. *)
+let check_pins sim =
+  let sl = sim.sl and na = sim.sl.Slab.na in
+  let bad reg cell =
+    C.fail ~at:(sim.dec_pins.(reg) + (8 * cell))
+      "index map in-flight count of cell %d of register %d does not match its restored pins" cell
+      reg
+  in
+  let shift ~take =
+    for ai = 0 to (sl.Slab.next * na) - 1 do
+      if sl.Slab.counted.(ai) <> 0 then begin
+        let reg = sim.accesses.(ai mod na).Transform.reg and cell = sl.Slab.cell.(ai) in
+        if take && Index_map.inflight sim.maps.(reg) cell = 0 then bad reg cell;
+        (if take then Index_map.decr_inflight else Index_map.incr_inflight) sim.maps.(reg) cell
+      end
+    done
+  in
+  shift ~take:true;
+  Array.iteri
+    (fun reg m ->
+      for cell = 0 to Index_map.size m - 1 do
+        if Index_map.inflight m cell <> 0 then bad reg cell
+      done)
+    sim.maps;
+  shift ~take:false
+
 (* Decode a machine snapshot into a rebuilt [(sim, loop_state)] plus the
    source cursor and last arrival time it expects, shared by [resume]
    and [node_restore] below.  The machine is [into] when {!recycle}
@@ -2419,184 +2537,27 @@ let recycle into ?observer ?metrics ?events ?monitor ?prof ~params ~fplan prog =
    Source positioning is the caller's business: [resume] replays or
    re-attaches a full source, a fabric node restore attaches a fresh
    live queue pre-positioned at the cursor. *)
-let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src prog r =
-  Binio.r_tag r ~expect:1 ~what:"params section";
-  let params = r_params r in
-  Binio.r_tag r ~expect:2 ~what:"program section";
-  let pdig = Binio.r_int r in
-  if pdig <> prog_digest prog then
-    raise (Resume_mismatch "snapshot was taken against a different program");
-  Binio.r_tag r ~expect:3 ~what:"loop section";
-  let now = Binio.r_int r in
-  let first_arrival = Binio.r_int r in
-  let last_score = Binio.r_int r in
-  let last_progress_t = Binio.r_int r in
-  let delivered = Binio.r_int r in
-  let dropped = Binio.r_int r in
-  let dropped_stateless = Binio.r_int r in
-  let marked = Binio.r_int r in
-  let in_flight = Binio.r_int r in
-  let first_exit = Binio.r_int r in
-  let last_exit = Binio.r_int r in
-  let dup_base = Binio.r_int r in
-  let dup_next = Binio.r_int r in
-  Binio.r_tag r ~expect:4 ~what:"source section";
-  let consumed = Binio.r_int r in
-  let src_last_time = Binio.r_int r in
-  let sd_hi = Binio.r_int r in
-  let sd_lo = Binio.r_int r in
-  let sd = { Hashing.hi = sd_hi; lo = sd_lo } in
-  Binio.r_tag r ~expect:5 ~what:"fault section";
-  let fault_state =
-    if Binio.r_bool r then begin
-      let plan = r_plan r in
-      let n = Binio.r_int r in
-      let rng = Array.make (max n 1) 0L in
-      for i = 0 to n - 1 do
-        rng.(i) <- Binio.r_i64 r
-      done;
-      let rng = Array.sub rng 0 n in
-      let sv_next_i = Binio.r_int r in
-      let sv_active = Array.to_list (Binio.r_int_array r) in
-      Some (plan, { Fault.sv_rng = rng; sv_next_i; sv_active })
-    end
-    else None
-  in
-  Binio.r_tag r ~expect:6 ~what:"metrics section";
-  let mdump = if Binio.r_bool r then Some (Binio.r_int_array r) else None in
-  (match (mdump, metrics) with
-  | Some _, None ->
-      raise
-        (Resume_mismatch "snapshot carries metrics; resume with ~metrics to receive them")
-  | None, Some _ -> raise (Resume_mismatch "snapshot has no metrics, but ~metrics was passed")
-  | Some d, Some m -> Metrics.restore_into m d
-  | None, None -> ());
-  let fault = Option.map fst fault_state in
-  let sim =
-    let fplan = active_plan fault in
-    match recycle into ?observer ?metrics ?events ?monitor ?prof ~params ~fplan prog with
+let decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src prog io =
+  let st = fresh_loop_state ~start:0 ~track_src in
+  let cur = { consumed = 0; last_time = 0 } in
+  let make params =
+    match recycle into ?observer ?metrics ?events ?monitor ?prof ~params prog with
     | Some sim -> sim
-    | None -> create ?observer ?metrics ?events ?fault ?monitor ?prof params prog
+    | None -> create ?observer ?metrics ?events ?monitor ?prof params prog
   in
-  (match (fault_state, sim.flt) with
-  | Some (plan, saved), Some _ ->
-      sim.flt <- Some (Fault.restore plan ~k:params.k ~stages:sim.n_stages ~now saved)
-  | None, None -> ()
-  | _ -> assert false);
-  Binio.r_tag r ~expect:7 ~what:"store section";
-  for p = 0 to params.k - 1 do
-    for reg = 0 to Array.length sim.config.Config.regs - 1 do
-      Binio.r_int_array_into r (Store.array sim.stores.(p) ~reg)
-        ~mismatch:"snapshot: register array size does not match the program"
-    done
-  done;
-  Binio.r_tag r ~expect:8 ~what:"index map section";
-  Array.iter (Index_map.r_state r) sim.maps;
-  Binio.r_tag r ~expect:9 ~what:"queue section";
-  Int_table.clear sim.dec_slots;
-  Int_vec.clear sim.dec_phantoms;
-  for s = 0 to sim.n_stages - 1 do
-    for p = 0 to params.k - 1 do
-      r_queue r sim s p
-    done
-  done;
-  Binio.r_tag r ~expect:10 ~what:"transfer section";
-  let slot_taken = Array.make params.k false in
-  for s = 0 to sim.n_stages - 1 do
-    let n = Binio.r_int r in
-    Array.fill slot_taken 0 params.k false;
-    for _ = 1 to n do
-      let desc_at = Binio.position r in
-      let desc = Binio.r_int r in
-      check_transfer sim ~pos:desc_at ~stage:s ~slot_taken desc;
-      let pkt = r_packet r sim in
-      Int_vec.push sim.t_descs.(s) desc;
-      Int_vec.push sim.t_pkts.(s) pkt
-    done
-  done;
-  Binio.r_tag r ~expect:11 ~what:"channel section";
-  let n_pending = Binio.r_count r ~min_bytes:48 ~what:"pending delivery count" in
-  for _ = 1 to n_pending do
-    let at = Binio.r_int r in
-    let seq_at = Binio.position r in
-    let seq = Binio.r_int r in
-    (* A forged delivery must fail here, positioned, not as an index
-       error when the resumed run drains it: the destination must be a
-       stateful stage's queue on an existing pipeline. *)
-    let stage_at = Binio.position r in
-    let stage = Binio.r_index r ~bound:sim.n_stages ~what:"phantom delivery stage" in
-    let dest = Binio.r_index r ~bound:params.k ~what:"phantom delivery pipeline" in
-    let ring = Binio.r_index r ~bound:params.k ~what:"phantom delivery ring" in
-    let cell = Binio.r_int r in
-    if sim.fifos.(stage).(dest) = None then
-      raise
-        (Binio.Corrupt
-           {
-             pos = stage_at;
-             reason = Printf.sprintf "phantom delivery to stateless stage %d" stage;
-           });
-    Channel.schedule sim.channel ~at ~seq ~stage ~dest ~ring ~cell ~slot:seq_at
-  done;
-  Binio.r_tag r ~expect:12 ~what:"doomed section";
-  let doomed = Binio.r_int_array r in
-  position_phantoms sim;
-  slot_deliveries sim doomed;
-  Binio.r_tag r ~expect:13 ~what:"watch section";
-  let mismatch = "snapshot: head watch row size mismatch" in
-  Array.iter (fun row -> Binio.r_int_array_into r row ~mismatch) sim.hw_key;
-  Array.iter (fun row -> Binio.r_int_array_into r row ~mismatch) sim.hw_since;
-  Array.iter
-    (fun row ->
-      if Binio.r_array_length r <> Array.length row then
-        failwith "snapshot: claim row size mismatch";
-      for i = 0 to Array.length row - 1 do
-        row.(i) <- Binio.r_int r <> 0
-      done)
-    sim.claimed;
-  sim.claims_dirty <- Binio.r_bool r;
-  Binio.r_tag r ~expect:14 ~what:"digest section";
-  sim.ed.Hashing.hi <- Binio.r_int r;
-  sim.ed.Hashing.lo <- Binio.r_int r;
-  let n_keys = Binio.r_count r ~min_bytes:24 ~what:"access log length" in
-  Int_vec.reserve sim.log_keys n_keys;
-  Int_vec.reserve sim.dig_hi n_keys;
-  Int_vec.reserve sim.dig_lo n_keys;
-  for i = 0 to n_keys - 1 do
-    let key_at = Binio.position r in
-    let key = Binio.r_int r in
-    let reg = key lsr 32 and cell = key land 0xFFFFFFFF in
-    if reg >= Array.length sim.log_slot || cell >= Array.length sim.log_slot.(reg) then
-      raise
-        (Binio.Corrupt
-           {
-             pos = key_at;
-             reason = Printf.sprintf "access log key %d outside the register file" key;
-           });
-    sim.log_slot.(reg).(cell) <- i;
-    Int_vec.push sim.log_keys key;
-    Int_vec.push sim.dig_hi (Binio.r_int r);
-    Int_vec.push sim.dig_lo (Binio.r_int r)
-  done;
-  Binio.r_tag r ~expect:15 ~what:"end marker";
-  if Binio.remaining r <> 0 then failwith "snapshot: trailing data after end marker";
-  sim.delivered <- delivered;
-  sim.dropped <- dropped;
-  sim.dropped_stateless <- dropped_stateless;
-  sim.marked <- marked;
-  sim.first_exit <- first_exit;
-  sim.last_exit <- last_exit;
-  sim.dup_base <- dup_base;
-  sim.dup_next <- dup_next;
-  let counted = count_in_flight sim in
-  if counted <> in_flight then
+  let sim = machine io ~p:(default_params ~k:1) ~prog ~make st cur in
+  if C.remaining io <> 0 then C.fail ~at:(C.position io) "snapshot: trailing data after end marker";
+  (* At a cycle boundary every in-flight packet sits in a FIFO or a
+     transfer buffer (the movement phase empties the slots), and each
+     one decoded took a slab slot from an empty slab. *)
+  let counted = sim.sl.Slab.next in
+  if counted <> sim.in_flight then
     raise
       (Resume_mismatch
-         (Printf.sprintf "snapshot inconsistent: %d packets serialized, %d in flight"
-            counted in_flight));
-  sim.in_flight <- in_flight;
-  let ck = { Leg.now; last_score; last_progress_t; visited = 0 } in
-  let st = { ck; first_arrival; sd; track_src } in
-  (sim, st, consumed, src_last_time)
+         (Printf.sprintf "snapshot inconsistent: %d packets serialized, %d in flight" counted
+            sim.in_flight));
+  check_pins sim;
+  (sim, st, cur.consumed, cur.last_time)
 
 (* Run a snapshot decoder, mapping what it can raise to a
    [resume_error]. *)
@@ -2626,7 +2587,8 @@ let resume ?observer ?metrics ?events ?monitor ?prof ?checkpoint_every ?on_check
   | Ok r -> (
       match
         decoding (fun () ->
-            decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src:true prog r)
+            decode_machine ?observer ?metrics ?events ?monitor ?prof ?into ~track_src:true prog
+              (C.reader r))
       with
       | Error e -> Error e
       | Ok (sim, st, consumed, _) -> (
@@ -2725,15 +2687,17 @@ let node_max_queue node = max_queue_depth node.nd_sim
 let node_access_digest node = access_digest node.nd_sim
 let node_store node = merge_stores node.nd_sim
 
-let node_encode w node =
-  Binio.w_framed w ~magic:snap_magic (fun w ->
-      encode_into w node.nd_sim node.nd_st node.nd_src)
+let node_encode io node =
+  C.framed io ~magic:snap_magic (fun io -> encode_into io node.nd_sim node.nd_st node.nd_src)
 
-let node_restore ?into ~on_exit ~on_drop r prog =
+let node_restore ?into ~on_exit ~on_drop io prog =
   let into = match into with Some nd -> Some nd.nd_sim | None -> None in
+  let decoded = ref None in
   match
     decoding (fun () ->
-        decode_machine ?into ~track_src:false prog (Binio.r_framed r ~magic:snap_magic))
+        C.framed io ~magic:snap_magic (fun io ->
+            decoded := Some (decode_machine ?into ~track_src:false prog io));
+        Option.get !decoded)
   with
   | Error e -> Error e
   | Ok (sim, st, consumed, last_time) ->

@@ -320,7 +320,11 @@ val resume :
     Damaged input — bad magic, truncated payload, checksum or framing
     failure — returns [Error (Corrupt msg)] with a byte-positioned
     message; a well-formed snapshot for a different program, source, or
-    instrumentation returns [Error (Mismatch msg)].
+    instrumentation returns [Error (Mismatch msg)].  Every field has a
+    stated rule ({!Mp5_util.Codec}; the section functions in sim.ml
+    state them, DESIGN.md "Checkpoint boundary" lists them), and a
+    field that breaks it is a [Corrupt] positioned at the field, so a
+    decode never raises, nor sizes memory from a forged value.
 
     In-process resume ({!Leg.parking}): handed the very string a
     suspension returned, for the same program (physically), [resume]
@@ -428,9 +432,9 @@ val node_next_event : node -> now:int -> int
 (** After an idle cycle [now], the machine's next phantom delivery, remap
     boundary or fault-plan edge ([max_int] for none). *)
 
-val node_encode : Mp5_util.Binio.writer -> node -> unit
-(** Append the node machine to a caller's writer as one nested
-    ["mp5-snap/1"] frame ({!Mp5_util.Binio.w_framed}), byte-identical to
+val node_encode : Mp5_util.Codec.t -> node -> unit
+(** Append the node machine to a caller's writing codec as one nested
+    ["mp5-snap/1"] frame ({!Mp5_util.Codec.framed}), byte-identical to
     a length-prefixed standard snapshot.  The ingress queue is NOT
     included — the fabric snapshot carries pending packets itself,
     since it owns their metadata. *)
@@ -439,10 +443,10 @@ val node_restore :
   ?into:node ->
   on_exit:(seq:int -> latency:int -> fields:int array -> off:int -> unit) ->
   on_drop:(seq:int -> unit) ->
-  Mp5_util.Binio.reader ->
+  Mp5_util.Codec.t ->
   Transform.t ->
   (node, resume_error) Stdlib.result
-(** Read one {!node_encode} frame from the caller's reader (through a
+(** Read one {!node_encode} frame from the caller's reading codec (through a
     bounded sub-reader, in place; the frame's magic, length and checksum
     are verified) and rebuild the node with a fresh, empty ingress queue
     positioned at the snapshot's admission cursor and last arrival time;
@@ -453,7 +457,7 @@ val node_restore :
 
     [into] is a retired node whose machine is decoded into instead of a
     new one, when it runs the same program (physically equal) with the
-    snapshot's params and fault plan: its FIFOs, channel, slab, transfer
+    snapshot's params: its fault runtime, FIFOs, channel, slab, transfer
     vectors and access log are reset, keeping their storage, and the decode then
     runs exactly as on a fresh machine.  Any other [into] is ignored.
     [into] must not be stepped again whatever the outcome: an error may

@@ -5,6 +5,7 @@ module Transform = Mp5_core.Transform
 module Psource = Mp5_workload.Packet_source
 module Hashing = Mp5_util.Hashing
 module Binio = Mp5_util.Binio
+module C = Mp5_util.Codec
 module Monitor = Mp5_fault.Monitor
 module Linkplan = Mp5_fault.Linkplan
 module Store = Mp5_banzai.Store
@@ -64,19 +65,12 @@ module Hist = struct
 
   let equal a b = a.count = b.count && a.sum = b.sum && a.max = b.max && a.buckets = b.buckets
 
-  let encode w t =
-    Binio.w_int w t.count;
-    Binio.w_int w t.sum;
-    Binio.w_int w t.max;
-    Binio.w_int_array w t.buckets
-
-  let decode r =
-    let count = Binio.r_int r in
-    let sum = Binio.r_int r in
-    let max = Binio.r_int r in
-    let buckets = Binio.r_int_array r in
-    if Array.length buckets <> n_buckets then failwith "fabric snapshot: histogram shape";
-    { count; sum; max; buckets }
+  let codec io t =
+    t.count <- C.nat io ~what:"histogram count" t.count;
+    t.sum <- C.word io ~what:"histogram sum" t.sum;
+    t.max <- C.word io ~what:"histogram max" t.max;
+    C.ints_in io C.Range ~lo:0 ~hi:max_int ~what:"histogram bucket"
+      ~mismatch:"fabric snapshot: histogram shape" t.buckets ~pos:0 ~len:n_buckets
 end
 
 (* --- fabric state --- *)
@@ -97,7 +91,7 @@ type params = {
    ring entry while it is on a link.  Bounded: an entry exists only
    while its packet does. *)
 type t = {
-  p : params;
+  mutable p : params;                        (* its link plan is the snapshot's on a resume *)
   prog : Transform.t;
   fwd : int array array;                     (* switch -> dst host -> egress port *)
   lk_delay : int array;                      (* link -> send-to-arrival cycles *)
@@ -109,7 +103,7 @@ type t = {
   metas : Table.t array;                     (* per node, local seq -> metadata *)
   links : Ring.t array;                      (* per link, packets in flight *)
   last_due : int array;                      (* per link, due cycle of its latest send *)
-  anchor : int;
+  mutable anchor : int;
   ck : Leg.clock;
   mutable injected : int;
   mutable delivered : int;                   (* packets handed to hosts *)
@@ -359,27 +353,25 @@ let create ?monitor ~dst ~hosts ~anchor p prog =
 (* Fabric-wide packet conservation: everything injected is in a switch,
    queued at its ingress, in flight on a link, delivered, or counted
    dropped — summed over nodes and links. *)
+let accounted fab =
+  Array.fold_left
+    (fun n nd -> n + Sim.node_in_flight nd + Sim.node_backlog nd + Sim.node_dropped nd)
+    (fab.delivered + fab.miss_dropped + fab.link_dropped)
+    fab.nodes
+  + Array.fold_left (fun n ring -> n + Ring.length ring) 0 fab.links
+
 let conservation_check fab t =
-  let in_nodes = ref 0 and backlog = ref 0 and node_dropped = ref 0 in
-  Array.iter
-    (fun nd ->
-      in_nodes := !in_nodes + Sim.node_in_flight nd;
-      backlog := !backlog + Sim.node_backlog nd;
-      node_dropped := !node_dropped + Sim.node_dropped nd)
-    fab.nodes;
-  let on_links = Array.fold_left (fun acc ring -> acc + Ring.length ring) 0 fab.links in
-  let accounted =
-    !in_nodes + !backlog + on_links + fab.delivered + !node_dropped + fab.miss_dropped
-    + fab.link_dropped
-  in
+  let accounted = accounted fab in
   if accounted <> fab.injected then begin
+    let sum f = Array.fold_left (fun n nd -> n + f nd) 0 fab.nodes in
     let msg =
       Printf.sprintf
         "fabric conservation violated at cycle %d: injected %d <> %d accounted (%d in \
          switches + %d queued + %d on links + %d delivered + %d node-dropped + %d \
          fwd-miss + %d link-dropped)"
-        t fab.injected accounted !in_nodes !backlog on_links fab.delivered !node_dropped
-        fab.miss_dropped fab.link_dropped
+        t fab.injected accounted (sum Sim.node_in_flight) (sum Sim.node_backlog)
+        (Array.fold_left (fun n ring -> n + Ring.length ring) 0 fab.links)
+        fab.delivered (sum Sim.node_dropped) fab.miss_dropped fab.link_dropped
     in
     match fab.mon with
     | Some mon -> Monitor.report mon ~cycle:t msg
@@ -416,101 +408,61 @@ let nodes_dropped fab =
   done;
   !n
 
-(* --- snapshots ("mp5-fab/1") --- *)
-
 let snap_magic = "mp5-fab/1"
-let w_input w (i : Machine.input) =
-  Binio.w_int w i.Machine.time;
-  Binio.w_int w i.Machine.port;
-  Binio.w_int_array w i.Machine.headers
-
-let r_input r =
-  let time = Binio.r_int r in
-  let port = Binio.r_int r in
-  let headers = Binio.r_int_array r in
-  { Machine.time; port; headers }
-
-(* A packet's metadata is written (fabric seq, destination, injection
-   cycle, hops), wherever it is held. *)
-let w_meta w ~fseq ~dst ~inject ~hops =
-  Binio.w_int w fseq;
-  Binio.w_int w dst;
-  Binio.w_int w inject;
-  Binio.w_int w hops
-
-let r_dst ~n_hosts r = Binio.r_index r ~bound:n_hosts ~what:"fabric packet destination host"
-
-let encode_into fab w =
-  Binio.w_tag w 1;
-  Binio.w_int w (Topology.digest fab.p.fp_topo);
-  Binio.w_int w (Routing.digest fab.p.fp_policy);
-  Binio.w_string w (Linkplan.to_string fab.p.fp_plan);
-  Binio.w_int w fab.anchor;
-  Binio.w_int w fab.ck.Leg.now;
-  Binio.w_int w fab.injected;
-  Binio.w_int w fab.delivered;
-  Binio.w_int w fab.miss_dropped;
-  Binio.w_int w fab.link_dropped;
-  Binio.w_int w fab.last_event;
-  Binio.w_int w fab.ck.Leg.last_score;
-  Binio.w_int w fab.ck.Leg.last_progress_t;
-  Binio.w_int w fab.ed.Hashing.hi;
-  Binio.w_int w fab.ed.Hashing.lo;
-  Binio.w_int w fab.src.Hashing.hi;
-  Binio.w_int w fab.src.Hashing.lo;
-  Binio.w_tag w 2;
-  Hist.encode w fab.hop_hist;
-  Hist.encode w fab.e2e_hist;
-  Hist.encode w fab.hops_hist;
-  Binio.w_tag w 3;
-  Binio.w_int w (Array.length fab.nodes);
-  Array.iteri
-    (fun i nd ->
-      Sim.node_encode w nd;
-      Binio.w_int w (Sim.node_backlog nd);
-      Sim.node_iter_pending nd (w_input w);
-      (* All live metadata for this node (pending + in-machine), in
-         ascending local seq so the byte stream is canonical. *)
-      let metas = fab.metas.(i) in
-      Binio.w_int w (Table.length metas);
-      Table.iter metas (fun seq slot ->
-          Binio.w_int w seq;
-          w_meta w ~fseq:(Table.get metas slot Table.fseq) ~dst:(Table.get metas slot Table.dst)
-            ~inject:(Table.get metas slot Table.inject) ~hops:(Table.get metas slot Table.hops)))
-    fab.nodes;
-  Binio.w_tag w 4;
-  Binio.w_int w (Array.length fab.links);
-  (* Each link's packets oldest first: due, aux, the input (time,
-     port, headers as an int array), then the metadata. *)
-  Array.iteri
-    (fun li ring ->
-      Binio.w_int w fab.last_due.(li);
-      Binio.w_int w (Ring.length ring);
-      Ring.iter ring (fun pos ->
-          let field k = Ring.get ring pos k in
-          Binio.w_int w (field Ring.due);
-          Binio.w_int w (field Ring.aux);
-          Binio.w_int w (field Ring.time);
-          Binio.w_int w (field Ring.port);
-          Binio.w_int w (field Ring.nh);
-          for j = 0 to field Ring.nh - 1 do
-            Binio.w_int w (field (Ring.header_base + j))
-          done;
-          w_meta w ~fseq:(field Ring.fseq) ~dst:(field Ring.dst) ~inject:(field Ring.inject)
-            ~hops:(field Ring.hops)))
-    fab.links;
-  Binio.w_tag w 5
-
-let encode fab = Binio.to_string ~magic:snap_magic (encode_into fab)
 
 exception Restore_mismatch of string
 
-(* A parked fabric is decoded into only under the topology, routing
-   policy and program (all physically) it ran: its forwarding table,
-   node count and kernels are theirs.  The node machines make their own
-   check of the snapshot's params ({!Sim.node_restore}). *)
-let fits old p prog =
-  old.p.fp_topo == p.fp_topo && old.p.fp_policy == p.fp_policy && old.prog == prog
+(* Cycles stay below it, so a forged one cannot overflow. *)
+let max_time = 1 lsl 60
+
+(* --- snapshots ("mp5-fab/1") ---
+
+   Each section is one function over a {!Mp5_util.Codec.t}, writing the
+   fabric's fields on an encode and reading them back, each under its
+   stated rule, on a decode. *)
+
+(* The topology and routing policy the snapshot was taken under, the
+   link plan it ran, then the clock, counters and digests.  Every event
+   and progress mark lies between the anchor and the next cycle. *)
+let header io fab =
+  let topo = Topology.digest fab.p.fp_topo in
+  if C.xword io ~what:"topology digest" topo <> topo then
+    raise (Restore_mismatch "snapshot was taken against a different topology");
+  let pol = Routing.digest fab.p.fp_policy in
+  if C.xword io ~what:"routing policy digest" pol <> pol then
+    raise (Restore_mismatch "snapshot was taken against a different routing policy");
+  let at = C.position io in
+  let text =
+    C.string io ~what:"link plan" (if C.reading io then "" else Linkplan.to_string fab.p.fp_plan)
+  in
+  if C.reading io then begin
+    let plan =
+      match Linkplan.parse text with
+      | Ok plan -> plan
+      | Error msg -> C.fail ~at "fabric snapshot: embedded link plan: %s" msg
+    in
+    (match Linkplan.validate plan ~n_links:(Topology.n_links fab.p.fp_topo) with
+    | Ok () -> ()
+    | Error msg -> C.fail ~at "fabric snapshot: embedded link plan: %s" msg);
+    fab.p <- { fab.p with fp_plan = plan }
+  end;
+  let ck = fab.ck in
+  let injected_at = C.position io + 16 in
+  fab.anchor <- C.int io ~lo:0 ~hi:max_time ~what:"fabric anchor" fab.anchor;
+  ck.Leg.now <- C.xref io ~lo:fab.anchor ~hi:max_time ~what:"fabric cycle" ck.Leg.now;
+  fab.injected <- C.nat io ~what:"injected" fab.injected;
+  fab.delivered <- C.nat io ~what:"delivered" fab.delivered;
+  fab.miss_dropped <- C.nat io ~what:"forwarding misses" fab.miss_dropped;
+  fab.link_dropped <- C.nat io ~what:"link drops" fab.link_dropped;
+  fab.last_event <- C.xref io ~lo:fab.anchor ~hi:ck.Leg.now ~what:"last event" fab.last_event;
+  ck.Leg.last_score <- C.nat io ~what:"progress score" ck.Leg.last_score;
+  ck.Leg.last_progress_t <-
+    C.xref io ~lo:fab.anchor ~hi:ck.Leg.now ~what:"last progress cycle" ck.Leg.last_progress_t;
+  fab.ed.Hashing.hi <- C.word io ~what:"exit digest" fab.ed.Hashing.hi;
+  fab.ed.Hashing.lo <- C.word io ~what:"exit digest" fab.ed.Hashing.lo;
+  fab.src.Hashing.hi <- C.word io ~what:"source digest" fab.src.Hashing.hi;
+  fab.src.Hashing.lo <- C.word io ~what:"source digest" fab.src.Hashing.lo;
+  injected_at
 
 (* The most free slots a decoded node's metadata window may hold: seqs
    between its oldest and newest live packet whose packets have left.
@@ -519,148 +471,206 @@ let fits old p prog =
    sizing a table beyond what the snapshot's own entries account for. *)
 let max_window_gap = 1 lsl 20
 
-let node_corrupt i pos fmt =
-  Printf.ksprintf
-    (fun reason ->
-      raise (Binio.Corrupt { pos; reason = Printf.sprintf "fabric node %d: %s" i reason }))
-    fmt
+let node_corrupt i pos fmt = C.fail ~at:pos ("fabric node %d: " ^^ fmt) i
 
-let decode_fabric ?monitor ?into ~dst ~hosts p prog r =
-  Binio.r_tag r ~expect:1 ~what:"fabric header";
-  let topo_dig = Binio.r_int r in
-  if topo_dig <> Topology.digest p.fp_topo then
-    raise (Restore_mismatch "snapshot was taken against a different topology");
-  let pol_dig = Binio.r_int r in
-  if pol_dig <> Routing.digest p.fp_policy then
-    raise (Restore_mismatch "snapshot was taken against a different routing policy");
-  let plan_text = Binio.r_string r in
-  let plan =
-    match Linkplan.parse plan_text with
-    | Ok plan -> plan
-    | Error msg -> failwith ("fabric snapshot: embedded link plan: " ^ msg)
+(* A packet injected into a switch and not yet admitted: the link it
+   arrived on, its time and headers. *)
+let no_input = { Machine.time = 0; port = 0; headers = [||] }
+
+let pending_input io ~n_links (i : Machine.input) =
+  let time = C.word io ~what:"pending packet time" i.Machine.time in
+  let port = C.index io ~bound:n_links ~what:"pending packet port" i.Machine.port in
+  let headers = C.int_array io ~what:"pending packet header" i.Machine.headers in
+  if C.reading io then { Machine.time; port; headers } else i
+
+let table_get metas slot f = if slot < 0 then 0 else Table.get metas slot f
+
+(* A live packet's metadata entry at a switch: its local seq, which on
+   a decode must be [seq], the next live one, then fabric seq,
+   destination host (it indexes the forwarding table when the packet
+   exits), injection cycle and hops. *)
+let table_entry io fab ~node metas ~seq slot =
+  let at = C.position io in
+  let key = C.xword io ~what:"packet metadata key" seq in
+  if key <> seq then node_corrupt node at "packet metadata key %d, expected live seq %d" key seq;
+  let fseq =
+    C.xref io ~lo:0 ~hi:(fab.injected - 1) ~what:"fabric seq" (table_get metas slot Table.fseq)
   in
-  let p = { p with fp_plan = plan } in
-  let anchor = Binio.r_int r in
-  let now = Binio.r_int r in
-  let injected = Binio.r_int r in
-  let delivered = Binio.r_int r in
-  let miss_dropped = Binio.r_int r in
-  let link_dropped = Binio.r_int r in
-  let last_event = Binio.r_int r in
-  let last_score = Binio.r_int r in
-  let last_progress_t = Binio.r_int r in
-  let ed_hi = Binio.r_int r in
-  let ed_lo = Binio.r_int r in
-  let src_hi = Binio.r_int r in
-  let src_lo = Binio.r_int r in
-  Binio.r_tag r ~expect:2 ~what:"fabric histograms";
-  let hop_hist = Hist.decode r in
-  let e2e_hist = Hist.decode r in
-  let hops_hist = Hist.decode r in
-  let fab =
-    {
-      (blank ?monitor ?into ~dst ~hosts ~anchor p prog) with
-      ck = { Leg.now; last_score; last_progress_t; visited = 0 };
-      injected;
-      delivered;
-      miss_dropped;
-      link_dropped;
-      last_event;
-      ed = { Hashing.hi = ed_hi; lo = ed_lo };
-      src = { Hashing.hi = src_hi; lo = src_lo };
-      hop_hist;
-      e2e_hist;
-      hops_hist;
-    }
+  let dst =
+    C.index io ~bound:(Topology.n_hosts fab.p.fp_topo) ~what:"fabric packet destination host"
+      (table_get metas slot Table.dst)
   in
-  let n_hosts = Topology.n_hosts p.fp_topo in
-  Binio.r_tag r ~expect:3 ~what:"fabric nodes";
-  if Binio.r_int r <> Topology.n_switches p.fp_topo then
+  let inject = C.word io ~what:"injection cycle" (table_get metas slot Table.inject) in
+  let hops = C.nat io ~what:"hops" (table_get metas slot Table.hops) in
+  if C.reading io then Table.add metas key ~fseq ~dst ~inject ~hops
+
+(* After a node's machine frame: its pending packets, then the
+   metadata of every live packet, in ascending local seq so the byte
+   stream is canonical.  The live seqs are the in-flight packets',
+   which the machine frame does not check, so on a decode they must be
+   distinct and below the admitted count, then the pending ones', which
+   follow it. *)
+let node_state io fab i nd ~frame_at =
+  let machine = if C.reading io then Sim.node_machine_seqs nd else [||] in
+  let n_machine = Array.length machine in
+  let first_pending = Sim.node_next_seq nd in
+  for j = 0 to n_machine - 1 do
+    let seq = machine.(j) in
+    if seq < 0 || seq >= first_pending || (j > 0 && seq = machine.(j - 1)) then
+      node_corrupt i frame_at "in-flight packet seq %d is not a distinct seq below %d admitted" seq
+        first_pending
+  done;
+  let n_links = Topology.n_links fab.p.fp_topo in
+  let n_pending = C.count io ~min_bytes:24 ~what:"pending packets" (Sim.node_backlog nd) in
+  if C.reading io then
+    for _ = 1 to n_pending do
+      ignore (Sim.node_inject nd (pending_input io ~n_links no_input) : int)
+    done
+  else Sim.node_iter_pending nd (fun inp -> ignore (pending_input io ~n_links inp : Machine.input));
+  let metas = fab.metas.(i) in
+  let at = C.position io in
+  let n_metas = C.xword io ~what:"packet metadata count" (Table.length metas) in
+  if C.reading io then begin
+    let live j = if j < n_machine then machine.(j) else first_pending + j - n_machine in
+    if n_metas <> n_machine + n_pending then
+      node_corrupt i at "%d packet metadata entries for %d live packets" n_metas
+        (n_machine + n_pending);
+    (* A window's free slots are packets that left while an older one
+       stayed, up to the last one admitted, after which the resumed run
+       adds its seqs; nothing in the snapshot bounds their count, so cap
+       it before the table is sized from it. *)
+    if n_metas > 0 then begin
+      let last = first_pending + n_pending - 1 in
+      let free = last - live 0 + 1 - n_metas in
+      if free > max_window_gap then
+        node_corrupt i at "live seqs %d..%d leave %d free slots (at most %d)" (live 0) last free
+          max_window_gap;
+      Table.reserve metas ~span:(live (n_metas - 1) - live 0 + 1)
+    end;
+    (* A node's packets are its seqs, so its next seq is bounded too:
+       each packet it admitted was delivered, dropped or is in flight. *)
+    let accounted = Sim.node_delivered nd + Sim.node_dropped nd + Sim.node_in_flight nd in
+    if first_pending <> accounted then
+      node_corrupt i frame_at "%d packets admitted, %d delivered, dropped or in flight"
+        first_pending accounted;
+    for j = 0 to n_metas - 1 do
+      table_entry io fab ~node:i metas ~seq:(live j) (-1)
+    done
+  end
+  else Table.iter metas (fun seq slot -> table_entry io fab ~node:i metas ~seq slot)
+
+(* Every switch, in node order: its machine as a nested ["mp5-snap/1"]
+   frame, then its state in the fabric. *)
+let nodes io fab ~into =
+  let n = Topology.n_switches fab.p.fp_topo in
+  if C.xword io ~what:"node count" n <> n then
     raise (Restore_mismatch "snapshot node count does not match the topology");
-  make_nodes fab (fun i ~on_exit ~on_drop ->
-      let into = match into with Some old -> Some old.nodes.(i) | None -> None in
-      let frame_at = Binio.position r in
-      let nd =
-        match Sim.node_restore ?into ~on_exit ~on_drop r prog with
-        | Ok nd -> nd
-        | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
-        | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
-      in
-      (* The live local seqs: the in-flight packets', which the machine
-         frame does not check, so they must be distinct and below the
-         admitted count, then the pending ones', which follow it. *)
-      let machine = Sim.node_machine_seqs nd in
-      let n_machine = Array.length machine in
-      let first_pending = Sim.node_next_seq nd in
-      for j = 0 to n_machine - 1 do
-        let seq = machine.(j) in
-        if seq < 0 || seq >= first_pending || (j > 0 && seq = machine.(j - 1)) then
-          node_corrupt i frame_at "in-flight packet seq %d is not a distinct seq below %d admitted"
-            seq first_pending
-      done;
-      let n_pending = Binio.r_count r ~min_bytes:24 ~what:"pending packets" in
-      for _ = 1 to n_pending do
-        ignore (Sim.node_inject nd (r_input r) : int)
-      done;
-      let live j = if j < n_machine then machine.(j) else first_pending + j - n_machine in
-      let at = Binio.position r in
-      let n_metas = Binio.r_int r in
-      if n_metas <> n_machine + n_pending then
-        node_corrupt i at "%d packet metadata entries for %d live packets" n_metas
-          (n_machine + n_pending);
-      (* A window's free slots are packets that left while an older one
-         stayed; nothing in the snapshot bounds their count, so cap it
-         before the table is sized from it. *)
-      let metas = fab.metas.(i) in
-      if n_metas > 0 then begin
-        let span = live (n_metas - 1) - live 0 + 1 in
-        if span - n_metas > max_window_gap then
-          node_corrupt i at "live seqs %d..%d leave %d free slots (at most %d)" (live 0)
-            (live (n_metas - 1)) (span - n_metas) max_window_gap;
-        Table.reserve metas ~span
-      end;
-      (* The keys must be exactly those seqs, in that order. *)
-      for j = 0 to n_metas - 1 do
-        let at = Binio.position r in
-        let seq = Binio.r_int r in
-        if seq <> live j then
-          node_corrupt i at "packet metadata key %d, expected live seq %d" seq (live j);
-        let fseq = Binio.r_int r in
-        let dst = r_dst ~n_hosts r in
-        let inject = Binio.r_int r in
-        let hops = Binio.r_int r in
-        Table.add metas seq ~fseq ~dst ~inject ~hops
-      done;
-      nd);
-  Binio.r_tag r ~expect:4 ~what:"fabric links";
-  if Binio.r_int r <> Array.length fab.links then
+  if C.reading io then
+    make_nodes fab (fun i ~on_exit ~on_drop ->
+        let into = match into with Some old -> Some old.nodes.(i) | None -> None in
+        let frame_at = C.position io in
+        let nd =
+          match Sim.node_restore ?into ~on_exit ~on_drop io fab.prog with
+          | Ok nd -> nd
+          | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
+          | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
+        in
+        node_state io fab i nd ~frame_at;
+        (* the fabric visited every cycle a node had work in *)
+        let next = Sim.node_next_event nd ~now:(fab.ck.Leg.now - 1) in
+        if next < fab.ck.Leg.now then
+          node_corrupt i frame_at "machine event at cycle %d, before the fabric's cycle %d" next
+            fab.ck.Leg.now;
+        nd)
+  else
+    Array.iteri
+      (fun i nd ->
+        Sim.node_encode io nd;
+        node_state io fab i nd ~frame_at:(-1))
+      fab.nodes
+
+let ring_get ring pos f = if pos < 0 then 0 else Ring.get ring pos f
+
+(* A packet on a link: due cycle, last-hop latency, the input (time,
+   port, headers), then its metadata.  Whatever was due before the
+   cycle just stepped has been delivered, and a link never reorders:
+   dues rise along the link up to its latest send's, [last]. *)
+let link_entry io fab ring pos ~first ~last =
+  let due =
+    C.xref io ~lo:first ~hi:last ~what:"link packet due cycle" (ring_get ring pos Ring.due)
+  in
+  let aux = C.word io ~what:"link packet latency" (ring_get ring pos Ring.aux) in
+  let time = C.word io ~what:"link packet time" (ring_get ring pos Ring.time) in
+  let port = C.word io ~what:"link packet port" (ring_get ring pos Ring.port) in
+  let nh = C.count io ~min_bytes:8 ~what:"array length" (ring_get ring pos Ring.nh) in
+  let pos = if C.reading io then Ring.reserve ring ~nh else pos in
+  Ring.set ring pos Ring.due due;
+  Ring.set ring pos Ring.aux aux;
+  Ring.set ring pos Ring.time time;
+  Ring.set ring pos Ring.port port;
+  for j = Ring.header_base to Ring.header_base + nh - 1 do
+    Ring.set ring pos j (C.word io ~what:"link packet header" (Ring.get ring pos j))
+  done;
+  Ring.set ring pos Ring.fseq
+    (C.xref io ~lo:0 ~hi:(fab.injected - 1) ~what:"fabric seq" (Ring.get ring pos Ring.fseq));
+  Ring.set ring pos Ring.dst
+    (C.index io ~bound:(Topology.n_hosts fab.p.fp_topo) ~what:"fabric packet destination host"
+       (Ring.get ring pos Ring.dst));
+  Ring.set ring pos Ring.inject (C.word io ~what:"injection cycle" (Ring.get ring pos Ring.inject));
+  Ring.set ring pos Ring.hops (C.nat io ~what:"hops" (Ring.get ring pos Ring.hops));
+  due
+
+(* Each link's due cycle of its latest send, then its packets oldest
+   first. *)
+let links io fab =
+  let n = Array.length fab.links in
+  if C.xword io ~what:"link count" n <> n then
     raise (Restore_mismatch "snapshot link count does not match the topology");
   Array.iteri
     (fun li ring ->
-      fab.last_due.(li) <- Binio.r_int r;
-      let n_fl = Binio.r_int r in
-      for _ = 1 to n_fl do
-        let due = Binio.r_int r in
-        let aux = Binio.r_int r in
-        let time = Binio.r_int r in
-        let port = Binio.r_int r in
-        let nh = Binio.r_array_length r in
-        let pos = Ring.reserve ring ~nh in
-        Ring.set ring pos Ring.due due;
-        Ring.set ring pos Ring.aux aux;
-        Ring.set ring pos Ring.time time;
-        Ring.set ring pos Ring.port port;
-        for j = 0 to nh - 1 do
-          Ring.set ring pos (Ring.header_base + j) (Binio.r_int r)
-        done;
-        Ring.set ring pos Ring.fseq (Binio.r_int r);
-        Ring.set ring pos Ring.dst (r_dst ~n_hosts r);
-        Ring.set ring pos Ring.inject (Binio.r_int r);
-        Ring.set ring pos Ring.hops (Binio.r_int r)
-      done)
-    fab.links;
-  Binio.r_tag r ~expect:5 ~what:"fabric end marker";
-  if Binio.remaining r <> 0 then failwith "fabric snapshot: trailing data after end marker";
+      fab.last_due.(li) <- C.word io ~what:"link last due cycle" fab.last_due.(li);
+      (* a packet is at least five ints and its metadata's four *)
+      let n = C.count io ~min_bytes:72 ~what:"link packet count" (Ring.length ring) in
+      let last = fab.last_due.(li) in
+      if C.reading io then begin
+        let first = ref (fab.ck.Leg.now - 1) in
+        for _ = 1 to n do
+          first := link_entry io fab ring (-1) ~first:!first ~last
+        done
+      end
+      else Ring.iter ring (fun pos -> ignore (link_entry io fab ring pos ~first:0 ~last : int)))
+    fab.links
+
+let fabric io fab ~into =
+  C.tag io 1 ~what:"fabric header";
+  let injected_at = header io fab in
+  C.tag io 2 ~what:"fabric histograms";
+  Hist.codec io fab.hop_hist;
+  Hist.codec io fab.e2e_hist;
+  Hist.codec io fab.hops_hist;
+  C.tag io 3 ~what:"fabric nodes";
+  nodes io fab ~into;
+  C.tag io 4 ~what:"fabric links";
+  links io fab;
+  C.tag io 5 ~what:"fabric end marker";
+  if C.reading io && accounted fab <> fab.injected then
+    C.fail ~at:injected_at "fabric snapshot: %d packets injected, %d accounted for" fab.injected
+      (accounted fab)
+
+let encode fab = C.encode ~magic:snap_magic (fun io -> fabric io fab ~into:None)
+
+(* A parked fabric is decoded into only under the topology, routing
+   policy and program (all physically) it ran: its forwarding table,
+   node count and kernels are theirs.  The node machines make their own
+   check of the snapshot's params ({!Sim.node_restore}). *)
+let fits old p prog =
+  old.p.fp_topo == p.fp_topo && old.p.fp_policy == p.fp_policy && old.prog == prog
+
+let decode_fabric ?monitor ?into ~dst ~hosts p prog io =
+  let fab = blank ?monitor ?into ~dst ~hosts ~anchor:0 p prog in
+  fabric io fab ~into;
+  if C.remaining io <> 0 then
+    C.fail ~at:(C.position io) "fabric snapshot: trailing data after end marker";
   fab
 
 (* --- the fabric as the leg loop's target ({!Leg}) --- *)
@@ -780,7 +790,7 @@ let resume ?monitor ?cycle_budget ~dst ~snapshot p prog source =
   | Ok r -> (
       let decoded =
         let into = match parked with Some old when fits old p prog -> Some old | _ -> None in
-        match decode_fabric ?monitor ?into ~dst ~hosts:source p prog r with
+        match decode_fabric ?monitor ?into ~dst ~hosts:source p prog (C.reader r) with
         | fab -> Ok fab
         | exception e -> Error (e, Printexc.get_raw_backtrace ())
       in

@@ -122,13 +122,16 @@ val resume :
     digests guard against resuming under a different fabric; the link
     plan travels inside the snapshot.  Monitor counters restart (the
     snapshot does not carry monitor state) but conservation holds at
-    every epoch of the resumed run.  Forged metadata, such as a packet
-    destination outside the topology's hosts, a node's metadata keys
-    other than exactly its live local seqs (its in-flight packets' and
-    its pending ones', ascending), an in-flight packet's seq that is
-    repeated or not below the node's admitted count, or a live window
-    with more than 2{^20} free slots, is a positioned [Corrupt],
-    reported before anything is sized from it.
+    every epoch of the resumed run.
+
+    Every field has a stated rule (the section functions in fabric.ml
+    and, per node, sim.ml; DESIGN.md "Checkpoint boundary" lists them):
+    a field that breaks it is a [Corrupt] positioned at the field and
+    reported before anything is sized from it, such as a destination
+    outside the topology's hosts, metadata keys other than a node's
+    live seqs, or a window of more than 2{^20} free slots.  A topology,
+    routing policy, node or link count other than the fabric's is a
+    [Mismatch].
 
     Errors, in precedence order: bad framing (magic, lengths); a
     payload that fails its checksum, reported as

@@ -304,56 +304,47 @@ let recompute_edge t ~now =
    else ([down]/[n_down], the stall matrix, the probabilities, the next
    edge) is recomputed by replaying the consumed prefix. *)
 
-type saved = { sv_rng : int64 array; sv_next_i : int; sv_active : int list }
-
 let index_of_event t e =
-  let rec go i =
-    if i >= Array.length t.events then invalid_arg "Fault.save: active event not in plan"
-    else if t.events.(i) == e then i
-    else go (i + 1)
-  in
+  let rec go i = if t.events.(i) == e then i else go (i + 1) in
   go 0
 
-let save t =
-  {
-    sv_rng = Rng.state t.rng;
-    sv_next_i = t.next_i;
-    sv_active = List.map (index_of_event t) t.active;
-  }
-
-let restore plan ~k ~stages ~now saved =
-  let t = { (start plan ~k ~stages) with rng = Rng.of_state saved.sv_rng } in
-  let n = Array.length t.events in
-  if saved.sv_next_i < 0 || saved.sv_next_i > n then
-    invalid_arg "Fault.restore: event cursor out of range";
-  List.iter
-    (fun i ->
-      if i < 0 || i >= saved.sv_next_i then
-        invalid_arg "Fault.restore: active index out of range")
-    saved.sv_active;
-  (* Replay the down/up transitions of the consumed prefix; the
-     conditional logic matches [on_cycle]'s, so the final flags equal the
-     live runtime's at save time. *)
-  for i = 0 to saved.sv_next_i - 1 do
-    match t.events.(i).kind with
-    | Pipe_down p ->
-        if not t.down.(p) then begin
-          t.down.(p) <- true;
-          t.n_down <- t.n_down + 1
-        end
-    | Pipe_up p ->
-        if t.down.(p) then begin
-          t.down.(p) <- false;
-          t.n_down <- t.n_down - 1
-        end
-    | Fifo_loss _ | Stall _ | Xbar_drop _ | Xbar_dup _ | Phantom_delay _ -> ()
-  done;
-  t.next_i <- saved.sv_next_i;
-  t.applied <- saved.sv_next_i;
-  t.active <- List.map (fun i -> t.events.(i)) saved.sv_active;
-  recompute_windows t;
-  recompute_edge t ~now;
-  t
+let codec io t ~now =
+  let module C = Mp5_util.Codec in
+  C.fixed io ~n:4 ~mismatch:"snapshot: fault RNG state size does not match";
+  let words = Rng.state t.rng in
+  Array.iteri (fun i w -> words.(i) <- C.i64 io ~what:"fault RNG word" w) words;
+  let next_i = C.int io ~lo:0 ~hi:(Array.length t.events) ~what:"fault event cursor" t.next_i in
+  let active =
+    C.int_array_in io C.Xref ~lo:0 ~hi:(next_i - 1) ~what:"active fault window"
+      (Array.of_list (List.map (index_of_event t) t.active))
+  in
+  if not (C.reading io) then t
+  else begin
+    let t = { t with rng = Rng.of_state words } in
+    (* Replay the down/up transitions of the consumed prefix; the
+       conditional logic matches [on_cycle]'s, so the final flags equal
+       the live runtime's at the checkpoint. *)
+    for i = 0 to next_i - 1 do
+      match t.events.(i).kind with
+      | Pipe_down p ->
+          if not t.down.(p) then begin
+            t.down.(p) <- true;
+            t.n_down <- t.n_down + 1
+          end
+      | Pipe_up p ->
+          if t.down.(p) then begin
+            t.down.(p) <- false;
+            t.n_down <- t.n_down - 1
+          end
+      | Fifo_loss _ | Stall _ | Xbar_drop _ | Xbar_dup _ | Phantom_delay _ -> ()
+    done;
+    t.next_i <- next_i;
+    t.applied <- next_i;
+    t.active <- Array.to_list (Array.map (fun i -> t.events.(i)) active);
+    recompute_windows t;
+    recompute_edge t ~now;
+    t
+  end
 
 let on_cycle t ~now =
   if now < t.next_edge then []

@@ -128,24 +128,13 @@ val dup_transfer : t -> bool
 val applied : t -> int
 (** Events whose start edge has been processed so far. *)
 
-(** {2 Checkpointing}
+(** {2 Checkpointing} *)
 
-    A runtime's serializable residue: RNG words, the consumed-prefix
-    cursor of the (deterministically sorted) event array, and the active
-    windows as indices into it.  {!restore} rebuilds everything else —
-    down flags, stall matrix, probabilities, next edge — by replaying the
-    consumed prefix against a fresh {!start} of the same plan. *)
-
-type saved = {
-  sv_rng : int64 array;   (** {!Mp5_util.Rng.state} words *)
-  sv_next_i : int;        (** events consumed from the sorted array *)
-  sv_active : int list;   (** active windows, as sorted-array indices *)
-}
-
-val save : t -> saved
-
-val restore : plan -> k:int -> stages:int -> now:int -> saved -> t
-(** [restore plan ~k ~stages ~now saved] — [plan], [k], [stages] must be
-    the ones the saved runtime was started with ([Invalid_argument] on
-    shape mismatches that are detectable).  [now] re-anchors the edge
-    computation at the resume cycle. *)
+val codec : Mp5_util.Codec.t -> t -> now:int -> t
+(** A runtime's part of a machine snapshot ({!Mp5_util.Codec}): its RNG
+    words, the consumed-prefix cursor of the (deterministically sorted)
+    event array, and the active windows as indices into it, at most the
+    cursor.  An encode returns [t]; a decode is given a fresh {!start}
+    of the plan the runtime ran and returns it rebuilt at cycle [now]:
+    down flags, stall matrix, probabilities and next edge come from
+    replaying the consumed prefix. *)

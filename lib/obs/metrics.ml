@@ -216,120 +216,51 @@ let equal a b =
   && a.m_imb_after = b.m_imb_after && a.m_lat_hist = b.m_lat_hist
   && a.m_lat_count = b.m_lat_count && a.m_lat_sum = b.m_lat_sum && a.m_lat_max = b.m_lat_max
 
-(* --- checkpoint flattening ---
+(* --- checkpointing ---
 
-   A fixed-layout int array: stages, k, cycles, the five per-slot arrays,
-   the occupancy histogram, the two per-stage crossbar arrays, every
-   scalar counter in declaration order, then the latency histogram and
-   its three scalars.  [restore_into] refuses a dump whose shape
-   (stages/k, hence total length) does not match the target. *)
+   One fixed-layout int array: stages, k, cycles, the five per-slot
+   arrays, the occupancy histogram, the two per-stage crossbar arrays,
+   every scalar counter in declaration order, then the latency histogram
+   and its three scalars. *)
 
-let dump m =
-  let slots = m.m_stages * m.m_k in
-  let n = 3 + (5 * slots) + occ_bins + (2 * m.m_stages) + 21 + lat_bins + 3 in
-  let out = Array.make n 0 in
-  let i = ref 0 in
-  let add x =
-    out.(!i) <- x;
-    incr i
-  in
-  let add_arr a = Array.iter add a in
-  add m.m_stages;
-  add m.m_k;
-  add m.m_cycles;
-  add_arr m.m_busy;
-  add_arr m.m_idle;
-  add_arr m.m_blocked;
-  add_arr m.m_claimed;
-  add_arr m.m_occ_hwm;
-  add_arr m.m_occ_hist;
-  add_arr m.m_xfer;
-  add_arr m.m_xfer_cross;
-  add m.m_arrivals;
-  add m.m_delivered;
-  add m.m_ecn_marked;
-  add m.m_drop_fifo_full;
-  add m.m_drop_no_phantom;
-  add m.m_drop_starved;
-  add m.m_drop_pipeline_down;
-  add m.m_drop_injected;
-  add m.m_fault_events;
-  add m.m_fault_stall_cycles;
-  add m.m_pipe_down_cycles;
-  add m.m_evac_moves;
-  add m.m_dup_packets;
-  add m.m_phantom_scheduled;
-  add m.m_phantom_delivered;
-  add m.m_phantom_doomed;
-  add m.m_phantom_dropped;
-  add m.m_remap_periods;
-  add m.m_remap_moves;
-  add m.m_imb_before;
-  add m.m_imb_after;
-  add_arr m.m_lat_hist;
-  add m.m_lat_count;
-  add m.m_lat_sum;
-  add m.m_lat_max;
-  assert (!i = n);
-  out
-
-let restore_into m d =
-  let slots = m.m_stages * m.m_k in
-  let expect = 3 + (5 * slots) + occ_bins + (2 * m.m_stages) + 21 + lat_bins + 3 in
-  if Array.length d < 2 then invalid_arg "Metrics.restore_into: dump too short";
-  if d.(0) <> m.m_stages || d.(1) <> m.m_k then
-    invalid_arg
-      (Printf.sprintf "Metrics.restore_into: dump is %d stages x %d pipelines, target is %d x %d"
-         d.(0) d.(1) m.m_stages m.m_k);
-  if Array.length d <> expect then
-    invalid_arg
-      (Printf.sprintf "Metrics.restore_into: dump has %d words, expected %d" (Array.length d)
-         expect);
-  let i = ref 2 in
-  let get () =
-    let v = d.(!i) in
-    incr i;
-    v
-  in
-  let get_arr a =
-    for j = 0 to Array.length a - 1 do
-      a.(j) <- get ()
-    done
-  in
-  m.m_cycles <- get ();
-  get_arr m.m_busy;
-  get_arr m.m_idle;
-  get_arr m.m_blocked;
-  get_arr m.m_claimed;
-  get_arr m.m_occ_hwm;
-  get_arr m.m_occ_hist;
-  get_arr m.m_xfer;
-  get_arr m.m_xfer_cross;
-  m.m_arrivals <- get ();
-  m.m_delivered <- get ();
-  m.m_ecn_marked <- get ();
-  m.m_drop_fifo_full <- get ();
-  m.m_drop_no_phantom <- get ();
-  m.m_drop_starved <- get ();
-  m.m_drop_pipeline_down <- get ();
-  m.m_drop_injected <- get ();
-  m.m_fault_events <- get ();
-  m.m_fault_stall_cycles <- get ();
-  m.m_pipe_down_cycles <- get ();
-  m.m_evac_moves <- get ();
-  m.m_dup_packets <- get ();
-  m.m_phantom_scheduled <- get ();
-  m.m_phantom_delivered <- get ();
-  m.m_phantom_doomed <- get ();
-  m.m_phantom_dropped <- get ();
-  m.m_remap_periods <- get ();
-  m.m_remap_moves <- get ();
-  m.m_imb_before <- get ();
-  m.m_imb_after <- get ();
-  get_arr m.m_lat_hist;
-  m.m_lat_count <- get ();
-  m.m_lat_sum <- get ();
-  m.m_lat_max <- get ()
+let codec io m =
+  let module C = Mp5_util.Codec in
+  let n = 3 + (5 * m.m_stages * m.m_k) + occ_bins + (2 * m.m_stages) + 21 + lat_bins + 3 in
+  let mismatch = "snapshot: metrics shape does not match the machine" in
+  C.fixed io ~n ~mismatch;
+  C.expect io ~n:m.m_stages ~what:"metrics stage count" ~mismatch m.m_stages;
+  C.expect io ~n:m.m_k ~what:"metrics pipeline count" ~mismatch m.m_k;
+  let w v = C.word io ~what:"metrics counter" v in
+  let arr a = Array.iteri (fun i v -> a.(i) <- w v) a in
+  m.m_cycles <- w m.m_cycles;
+  List.iter arr
+    [ m.m_busy; m.m_idle; m.m_blocked; m.m_claimed; m.m_occ_hwm; m.m_occ_hist; m.m_xfer;
+      m.m_xfer_cross ];
+  m.m_arrivals <- w m.m_arrivals;
+  m.m_delivered <- w m.m_delivered;
+  m.m_ecn_marked <- w m.m_ecn_marked;
+  m.m_drop_fifo_full <- w m.m_drop_fifo_full;
+  m.m_drop_no_phantom <- w m.m_drop_no_phantom;
+  m.m_drop_starved <- w m.m_drop_starved;
+  m.m_drop_pipeline_down <- w m.m_drop_pipeline_down;
+  m.m_drop_injected <- w m.m_drop_injected;
+  m.m_fault_events <- w m.m_fault_events;
+  m.m_fault_stall_cycles <- w m.m_fault_stall_cycles;
+  m.m_pipe_down_cycles <- w m.m_pipe_down_cycles;
+  m.m_evac_moves <- w m.m_evac_moves;
+  m.m_dup_packets <- w m.m_dup_packets;
+  m.m_phantom_scheduled <- w m.m_phantom_scheduled;
+  m.m_phantom_delivered <- w m.m_phantom_delivered;
+  m.m_phantom_doomed <- w m.m_phantom_doomed;
+  m.m_phantom_dropped <- w m.m_phantom_dropped;
+  m.m_remap_periods <- w m.m_remap_periods;
+  m.m_remap_moves <- w m.m_remap_moves;
+  m.m_imb_before <- w m.m_imb_before;
+  m.m_imb_after <- w m.m_imb_after;
+  arr m.m_lat_hist;
+  m.m_lat_count <- w m.m_lat_count;
+  m.m_lat_sum <- w m.m_lat_sum;
+  m.m_lat_max <- w m.m_lat_max
 
 (* --- invariants --- *)
 

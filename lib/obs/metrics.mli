@@ -137,13 +137,11 @@ val validate : t -> (unit, string) result
 
 (* --- checkpointing --- *)
 
-val dump : t -> int array
-(** Every counter and histogram flattened into one fixed-layout int
-    array, for embedding in simulator snapshots. *)
-
-val restore_into : t -> int array -> unit
-(** Overwrite [t]'s counters from a {!dump}.  Raises [Invalid_argument]
-    when the dump's shape (stages, k) does not match [t]'s. *)
+val codec : Mp5_util.Codec.t -> t -> unit
+(** Every counter and histogram as one fixed-layout int array, the
+    metrics part of a machine snapshot ({!Mp5_util.Codec}): written from
+    [t] or read into it in place.  The array's length, stage count and
+    pipeline count must be [t]'s; every counter is a plain word. *)
 
 (* --- exporters --- *)
 

@@ -189,12 +189,6 @@ let w_int_sub w a ~pos ~len =
 
 let w_int_array w a = w_int_sub w a ~pos:0 ~len:(Array.length a)
 
-let w_opt_int w = function
-  | None -> w_bool w false
-  | Some v ->
-      w_bool w true;
-      w_int w v
-
 (* Fill every deferred frame checksum and return the checksum of the
    payload [w.buf.[from] ..].  Frames are sealed in the order they
    closed, so each body is final when it is hashed.  Lane B hashes
@@ -383,14 +377,6 @@ let r_int r =
   r.pos <- r.pos + 8;
   v
 
-let r_index r ~bound ~what =
-  let at = r.pos in
-  let v = r_int r in
-  if v < 0 || v >= bound then
-    raise
-      (Corrupt { pos = at; reason = Printf.sprintf "%s %d out of range [0, %d)" what v bound });
-  v
-
 let r_bool r =
   need r 1;
   match String.unsafe_get r.data r.pos with
@@ -426,8 +412,6 @@ let r_count r ~min_bytes ~what =
     fail r (Printf.sprintf "implausible %s %d" what n);
   n
 
-let r_array_length r = r_count r ~min_bytes:8 ~what:"array length"
-
 (* The caller has checked [8 * len] bytes remain. *)
 let read_ints r dst pos len =
   let at = r.pos in
@@ -437,21 +421,10 @@ let read_ints r dst pos len =
   r.pos <- at + (8 * len)
 
 let r_int_array r =
-  let n = r_array_length r in
+  let n = r_count r ~min_bytes:8 ~what:"array length" in
   let a = Array.make n 0 in
   read_ints r a 0 n;
   a
-
-let r_int_sub_into r dst ~pos ~len ~mismatch =
-  if pos < 0 || len < 0 || pos > Array.length dst - len then
-    invalid_arg "Binio.r_int_sub_into";
-  if r_array_length r <> len then failwith mismatch;
-  read_ints r dst pos len
-
-let r_int_array_into r dst ~mismatch =
-  r_int_sub_into r dst ~pos:0 ~len:(Array.length dst) ~mismatch
-
-let r_opt_int r = if r_bool r then Some (r_int r) else None
 
 let remaining r = r.limit - r.pos
 let position r = r.pos

@@ -6,7 +6,10 @@
     tags are single bytes, and strings/arrays are length-prefixed.
     Reader failures — truncation, checksum mismatch, a wrong tag — raise
     {!Corrupt} with the absolute byte offset in the file, so the error a
-    user sees ("byte N: reason") points at the damage. *)
+    user sees ("byte N: reason") points at the damage.  The snapshot
+    sections are not written against this module directly: each is one
+    function over a {!Codec.t}, which pairs every field's read with its
+    write and its rule. *)
 
 exception Corrupt of { pos : int; reason : string }
 
@@ -32,8 +35,6 @@ val w_int_array : writer -> int array -> unit
 val w_int_sub : writer -> int array -> pos:int -> len:int -> unit
 (** [w_int_sub w a ~pos ~len] writes exactly what
     [w_int_array w (Array.sub a pos len)] writes, without the copy. *)
-
-val w_opt_int : writer -> int option -> unit
 
 (** {3 Checksums}
 
@@ -143,10 +144,6 @@ type reader
 
 val r_int : reader -> int
 
-val r_index : reader -> bound:int -> what:string -> int
-(** An {!r_int} that must lie in [\[0, bound)].
-    @raise Corrupt ["<what> N out of range"], positioned at the int. *)
-
 val r_i64 : reader -> int64
 val r_bool : reader -> bool
 
@@ -161,22 +158,6 @@ val r_count : reader -> min_bytes:int -> what:string -> int
     checked plausible against the bytes left in the window, so a forged
     count is rejected before anything is sized by it.
     @raise Corrupt ["implausible <what> N"]. *)
-
-val r_array_length : reader -> int
-(** The length prefix of a {!w_int_array} ({!r_count} of 8-byte
-    elements); the elements follow as {!r_int}s. *)
-
-val r_int_sub_into :
-  reader -> int array -> pos:int -> len:int -> mismatch:string -> unit
-(** Read a {!w_int_array} of exactly [len] elements straight into
-    [dst.(pos) .. dst.(pos + len - 1)].  @raise Failure [mismatch] when
-    the encoded length differs (after the plausibility check of
-    {!r_array_length}). *)
-
-val r_int_array_into : reader -> int array -> mismatch:string -> unit
-(** {!r_int_sub_into} over the whole of [dst]. *)
-
-val r_opt_int : reader -> int option
 
 val remaining : reader -> int
 (** Bytes left before the end of the window. *)

@@ -177,15 +177,28 @@ let test_pop_on_phantom_raises () =
   Alcotest.check_raises "pop phantom" (Invalid_argument "Fifo.pop_data: head is a phantom")
     (fun () -> ignore (Fifo.pop_data f))
 
-(* [restore_entry] answers with the position a push would have, so a
-   restored phantom takes its data packet like a pushed one. *)
+(* A decoded phantom gets the position a push would have answered
+   ([Fifo.codec]), so it takes its data packet like a pushed one. *)
 let test_restore_positions () =
-  let f = mk ~capacity:4 () in
-  Fifo.restore_ring f ~ring:1 ~capacity:4 ~head_seq:7 ~entries:2;
-  let p = Fifo.restore_entry f ~ring:1 ~ts:3 ~key:3 ~cancelled:false ~data:(-1) in
-  let q = Fifo.restore_entry f ~ring:1 ~ts:4 ~key:4 ~cancelled:false ~data:(-1) in
+  let src = mk ~capacity:4 () in
+  for i = 1 to 7 do
+    ignore (Fifo.push_data src ~ring:1 ~ts:0 ~key:i i : [ `Ok | `Dropped ]);
+    ignore (Fifo.pop_data src : int)
+  done;
+  let p = push src ~ring:1 ~ts:3 ~key:3 in
+  let q = push src ~ring:1 ~ts:4 ~key:4 in
   check_int "first position" ((7 lsl 6) lor 1) p;
   check_int "second position" ((8 lsl 6) lor 1) q;
+  let module C = Mp5_util.Codec in
+  let snap =
+    C.encode ~magic:"fifo" (fun io -> Fifo.codec io src ~data:Fun.id ~phantom:(fun _ _ -> ()))
+  in
+  let f = mk ~capacity:4 () and got = ref [] in
+  (match Mp5_util.Binio.of_string ~magic:"fifo" snap with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+      Fifo.codec (C.reader r) f ~data:Fun.id ~phantom:(fun key pos -> got := (key, pos) :: !got));
+  Alcotest.(check (list (pair int int))) "decoded positions" [ (3, p); (4, q) ] (List.rev !got);
   check "wrong key misses" true (misses f ~pos:p ~key:4);
   insert f ~pos:p ~key:3 30;
   insert f ~pos:q ~key:4 40;
@@ -260,8 +273,10 @@ let test_channel_set_slots () =
   let ch = Channel.create () in
   List.iter (fun (at, seq) -> schedule ch ~at seq) [ (4, 1); (2, 2); (4, 3); (9, 4) ];
   let order = ref [] in
-  Channel.set_slots ch (fun ~seq ~stage ~slot ->
+  Channel.set_slots ch (fun ~seq ~stage ~dest ~cell ~slot ->
       check_int "stage" (seq mod 5) stage;
+      check_int "dest" 1 dest;
+      check_int "cell" (-1) cell;
       check_int "old slot" (3 * seq) slot;
       order := seq :: !order;
       7 * seq);

@@ -474,13 +474,15 @@ let test_node_restore_into () =
           headers = Array.init 4 (fun _ -> Mp5_util.Rng.int rng 16);
         })
   in
-  let encode nd = Binio.to_string ~magic:"node-test" (fun w -> Sim.node_encode w nd) in
+  let encode nd = Mp5_util.Codec.encode ~magic:"node-test" (fun io -> Sim.node_encode io nd) in
   let restore ?into snap exits =
     let on_exit ~seq ~latency ~fields:_ ~off:_ = exits := (seq, latency) :: !exits in
     match Binio.of_string ~magic:"node-test" snap with
     | Error e -> Alcotest.failf "reframe: %s" e
     | Ok r -> (
-        match Sim.node_restore ?into ~on_exit ~on_drop:(fun ~seq:_ -> ()) r prog with
+        match
+          Sim.node_restore ?into ~on_exit ~on_drop:(fun ~seq:_ -> ()) (Mp5_util.Codec.reader r) prog
+        with
         | Ok nd -> nd
         | Error (Sim.Corrupt m | Sim.Mismatch m) -> Alcotest.failf "node restore: %s" m)
   in
@@ -1519,6 +1521,146 @@ let test_rejects_forged_access_key () =
   check_forged_int ~what:"negative access log key" snap prog trace ~at (-1)
     "access log key -1 outside the register file"
 
+(* --- every field forged ---
+
+   The codec lists each field a decode reads (offset, width, rule), so
+   each field of both pinned fixtures is forged in turn to values in and
+   out of every range, the enclosing node frame and then the payload
+   resealed, and resumed.  Each case must end in [Ok], a [Corrupt]
+   naming a byte offset, or a [Mismatch], never an exception.  Its
+   decode (a zero-budget resume: decode and re-encode) must allocate
+   under 16x the snapshot, so no forged value sizes memory, and a case
+   that decodes must then run [forge_budget] cycles without raising. *)
+
+module Codec = Mp5_util.Codec
+
+let forge_values = [ -1; 0; 7; 1 lsl 16; 1 lsl 40; max_int ]
+let forge_budget = 300
+
+(* The fields of [snap], as the decode [resume ~cycle_budget:0 s] reads
+   them. *)
+let walk_fields what resume snap =
+  match Codec.walk (fun () -> resume ~cycle_budget:0 (copy snap)) with
+  | Ok _, fields -> fields
+  | Error (Sim.Corrupt m | Sim.Mismatch m), _ -> Alcotest.failf "%s: pristine: %s" what m
+
+(* Forge every field of [snap] to every value; returns the cases run. *)
+let forge_every_field what resume snap =
+  let fields = walk_fields what resume snap in
+  if fields = [] then Alcotest.failf "%s: the decode noted no fields" what;
+  let cases = ref 0 in
+  List.iter
+    (fun (f : Codec.field) ->
+      List.iter
+        (fun v ->
+          let forged = Codec.forge snap fields f v in
+          let case =
+            Printf.sprintf "%s: %s at byte %d forged to %d" what f.Codec.what f.Codec.pos v
+          in
+          let outcome cycle_budget =
+            match resume ~cycle_budget forged with
+            | Ok _ -> true
+            | Error (Sim.Mismatch _) -> false
+            | Error (Sim.Corrupt msg) ->
+                if byte_pos msg = None then Alcotest.failf "%s: not positioned: %s" case msg;
+                false
+            | exception e -> Alcotest.failf "%s: raised %s" case (Printexc.to_string e)
+          in
+          let before = allocated_bytes () in
+          let decoded = outcome 0 in
+          let allocated = allocated_bytes () -. before in
+          if allocated > float_of_int (16 * String.length snap) then
+            Alcotest.failf "%s: its decode allocated %.0f bytes" case allocated;
+          if decoded then ignore (outcome forge_budget : bool);
+          incr cases)
+        forge_values)
+    fields;
+  !cases
+
+let test_forge_every_field () =
+  let prog, trace, _params, snap = snapshot_fixture () in
+  let resume ~cycle_budget snapshot =
+    Sim.resume ~cycle_budget ~snapshot prog (Psource.of_array trace)
+  in
+  ignore (forge_every_field "mp5-snap/1" resume snap : int);
+  let prog, trace, dst, fp, fsnap = fabric_snapshot () in
+  let resume ~cycle_budget snapshot =
+    Fabric.resume ~cycle_budget ~dst ~snapshot fp prog (Psource.of_array trace)
+  in
+  ignore (forge_every_field "mp5-fab/1" resume fsnap : int)
+
+(* A queued packet's access cell indexes its register unchecked, and
+   its destination every per-pipeline row: in the pinned fixture, byte
+   822 is the first queued packet's cell (seq 32, cell 5) and byte 830
+   its destination (pipeline 1).  Forged out of range, each is rejected
+   at the field. *)
+(* The pinned fixture's fields, as its decode reads them. *)
+let fixture_fields prog trace snap =
+  walk_fields "fixture"
+    (fun ~cycle_budget s -> Sim.resume ~cycle_budget ~snapshot:s prog (Psource.of_array trace))
+    snap
+
+(* The offset of the first field named [what]. *)
+let field_at fields what =
+  match List.find_opt (fun (f : Codec.field) -> f.Codec.what = what) fields with
+  | Some f -> f.Codec.pos
+  | None -> Alcotest.failf "no %s field" what
+
+let test_rejects_forged_access () =
+  let prog, trace, _params, snap = snapshot_fixture () in
+  let fields = fixture_fields prog trace snap in
+  let field at =
+    match List.find_opt (fun (f : Codec.field) -> f.Codec.pos = at) fields with
+    | Some f -> f.Codec.what
+    | None -> Alcotest.failf "no field at byte %d" at
+  in
+  Alcotest.(check (pair string int)) "byte 822" ("access cell", 5) (field 822, int_at snap 822);
+  Alcotest.(check (pair string int))
+    "byte 830" ("access destination pipeline", 1) (field 830, int_at snap 830);
+  check_forged_int ~what:"access cell 65536" snap prog trace ~at:822 65536 "access cell 65536";
+  check_forged_int ~what:"access cell -5" snap prog trace ~at:822 (-5) "access cell -5";
+  check_forged_int ~what:"access destination 9" snap prog trace ~at:830 9
+    "access destination pipeline 9 out of range"
+
+(* An index map's in-flight count must be the pins its restored
+   accesses hold on the cell, and its access count non-negative: either
+   forged is rejected at the entry, not by [Index_map.decr_inflight]'s
+   assertion partway through the resumed run. *)
+let test_rejects_forged_pins () =
+  let prog, trace, _params, snap = snapshot_fixture () in
+  let fields = fixture_fields prog trace snap in
+  let pins = field_at fields "index map in-flight count" in
+  check_forged_int ~what:"one pin too many" snap prog trace ~at:pins
+    (int_at snap pins + 1)
+    "does not match its restored pins";
+  check_forged_int ~what:"negative in-flight count" snap prog trace ~at:pins (-1)
+    "index map in-flight count -1 out of range";
+  let counts = field_at fields "index map access count" in
+  check_forged_int ~what:"negative access count" snap prog trace ~at:counts (-1)
+    "index map access count -1 out of range"
+
+(* The params and loop bounds are checked before anything is sized from
+   them: [k] within a transfer descriptor's 6 bits (a forged 0 would
+   divide by zero, 2^32 exhaust memory), a bounded FIFO capacity and
+   remap period, a bounded cycle, and a progress mark no later than it
+   (a forged one would trip the deadlock guard inside [Sim.resume]). *)
+let test_rejects_forged_params () =
+  let prog, trace, _params, snap = snapshot_fixture () in
+  let fields = fixture_fields prog trace snap in
+  let forge what v needle =
+    check_forged_int ~what:(Printf.sprintf "%s %d" what v) snap prog trace
+      ~at:(field_at fields what) v needle
+  in
+  forge "pipeline count" 0 "pipeline count 0 out of range [1, 64]";
+  forge "pipeline count" 65 "pipeline count 65 out of range [1, 64]";
+  forge "pipeline count" (1 lsl 32) "pipeline count 4294967296 out of range";
+  forge "FIFO capacity" (1 lsl 40) "FIFO capacity 1099511627776 out of range";
+  forge "remap period" 0 "remap period 0 out of range";
+  forge "cycle" (1 lsl 61) "cycle 2305843009213693952 out of range";
+  let now = int_at snap (field_at fields "cycle") in
+  forge "last progress cycle" (now + 1)
+    (Printf.sprintf "last progress cycle %d out of range" (now + 1))
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -1546,6 +1688,17 @@ let () =
             `Quick test_rejects_orphan_delivery;
           Alcotest.test_case "an access log key outside the register file is rejected" `Quick
             test_rejects_forged_access_key;
+          Alcotest.test_case "an access cell or destination out of range is rejected" `Quick
+            test_rejects_forged_access;
+          Alcotest.test_case "forged index map pins or counts are rejected at the entry" `Quick
+            test_rejects_forged_pins;
+          Alcotest.test_case "forged params and loop bounds are rejected before sizing" `Quick
+            test_rejects_forged_params;
+        ] );
+      ( "forge",
+        [
+          Alcotest.test_case "every field of both fixtures forged: Ok, Corrupt or Mismatch"
+            `Quick test_forge_every_field;
         ] );
       ( "rotation",
         [
