@@ -259,15 +259,6 @@ let ring_data t ~ring i =
   let o = off r i in
   if r.cells.(o + o_state) = has_data then r.cells.(o + o_data) else -1
 
-let snapshot t =
-  let entries = ref [] in
-  Array.iter
-    (iter_ring (fun ts key state _ ->
-         if state land cancelled = 0 then
-           entries := (ts, key, state land has_data <> 0) :: !entries))
-    t.rings;
-  List.sort compare !entries |> List.map (fun (_, key, is_data) -> (key, is_data))
-
 (* --- checkpointing ---
 
    Everything observable about the queue: per ring its logical capacity

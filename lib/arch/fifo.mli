@@ -131,10 +131,6 @@ val ring_data : t -> ring:int -> int -> int
     a closure, so a census that reads it allocates nothing.
     @raise Invalid_argument when [i] is not below {!ring_length}. *)
 
-val snapshot : t -> (int * bool) list
-(** Queued entries in logical (timestamp) order as [(key, is_data)],
-    cancelled entries skipped — for visualisation and debugging. *)
-
 (** {2 Checkpointing} *)
 
 val rings : t -> int
