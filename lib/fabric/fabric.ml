@@ -412,6 +412,10 @@ let snap_magic = "mp5-fab/1"
 
 exception Restore_mismatch of string
 
+(* A node frame [Sim.node_restore] rejected, its message positioned in
+   the fabric snapshot. *)
+exception Node_corrupt of string
+
 (* Cycles stay below it, so a forged one cannot overflow. *)
 let max_time = 1 lsl 60
 
@@ -572,7 +576,7 @@ let nodes io fab ~into =
         let nd =
           match Sim.node_restore ?into ~on_exit ~on_drop io fab.prog with
           | Ok nd -> nd
-          | Error (Sim.Corrupt msg) -> failwith ("fabric snapshot: node: " ^ msg)
+          | Error (Sim.Corrupt msg) -> raise (Node_corrupt ("fabric snapshot: node: " ^ msg))
           | Error (Sim.Mismatch msg) -> raise (Restore_mismatch ("node: " ^ msg))
         in
         node_state io fab i nd ~frame_at;
@@ -799,7 +803,7 @@ let resume ?monitor ?cycle_budget ~dst ~snapshot p prog source =
       | Ok (), Error (Restore_mismatch msg, _) -> Error (Sim.Mismatch msg)
       | Ok (), Error (Binio.Corrupt { pos; reason }, _) ->
           Error (Sim.Corrupt (Binio.corrupt_message ~pos ~reason))
-      | Ok (), Error (Failure msg, _) -> Error (Sim.Corrupt msg)
+      | Ok (), Error (Node_corrupt msg, _) -> Error (Sim.Corrupt msg)
       | Ok (), Error (e, bt) -> Printexc.raise_with_backtrace e bt
       | Ok (), Ok fab -> (
           match

@@ -98,7 +98,28 @@ let test_metrics_dims_checked () =
     (try
        ignore (Switch.run ~metrics:m ~k:2 sw trace);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A resume reports it as a mismatch, into the suspended machine (the
+     very string, first: every resume empties the parking slot) and
+     into a new one (a copy). *)
+  let params = Sim.default_params ~k:2 in
+  let snap =
+    match
+      Sim.run_source ~metrics:(Metrics.create ~stages:(stages_of sw) ~k:2) ~cycle_budget:3 params
+        sw.Switch.prog (Mp5_workload.Packet_source.of_array trace)
+    with
+    | Sim.Suspended s -> s
+    | Sim.Completed _ -> Alcotest.fail "expected a suspension"
+  in
+  List.iter
+    (fun (what, snapshot) ->
+      let source = Mp5_workload.Packet_source.of_array trace in
+      match Sim.resume ~metrics:m ~snapshot sw.Switch.prog source with
+      | Error (Sim.Mismatch _) -> ()
+      | Error (Sim.Corrupt msg) ->
+          Alcotest.failf "%s: mis-sized metrics read as corrupt: %s" what msg
+      | Ok _ -> Alcotest.failf "%s: mis-sized metrics accepted on resume" what)
+    [ ("very string", snap); ("copy", Bytes.to_string (Bytes.of_string snap)) ]
 
 (* --- drop attribution --- *)
 
