@@ -96,9 +96,9 @@ let test_full_seq_accounting () =
   check "remap boundaries visited" true (m.Mp5_obs.Metrics.m_remap_periods > 0);
   Alcotest.(check int) "remap spans" m.Mp5_obs.Metrics.m_remap_periods (Prof.count pf Prof.Remap)
 
-(* The mode is a label: a sampled profile of a run that asks for
-   [~loop:Fast] (accepted, no effect) records the one loop's per-phase
-   spans, the same set as a full profile. *)
+(* The mode is a label: a sampled profile records the one cycle loop's
+   per-phase spans, the same set as a full profile.  The run passes
+   [~loop:Fast], as the benchmark driver does; it has no effect. *)
 let test_sampled_seq_accounting () =
   ignore
     (counted ~mode:Prof.Sampled ~loop:Sim.Fast Prof.[ Deliver; Apply; Source; Pop; Exec; Movement ]

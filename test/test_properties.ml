@@ -170,13 +170,12 @@ let prop_recirc_k1_equivalent =
         QCheck.Test.fail_reportf "program:\n%s\n%s" src (Format.asprintf "%a" Equiv.pp rep);
       true)
 
-let prop_loop_variants_bit_identical =
-  (* [~loop] is accepted and has no effect: [Fast] and [Generic] runs of
-     a random program are bit-identical, and a checkpoint taken under
-     either resumes onto the uninterrupted run's summary (snapshots
-     record no loop variant).  [Fast]'s string is resumed as is (into its
-     machine), [Generic]'s as a copy (into a new one). *)
-  QCheck.Test.make ~name:"fast/generic loops resume each other" ~count:100
+let prop_checkpoint_resumes =
+  (* A checkpoint of a random program resumes onto the uninterrupted
+     run's summary, as the very string (into its suspended machine) and
+     as a copy (into a new one).  [~loop] has no effect; the one call
+     that passes it keeps the benchmark driver's argument compiled. *)
+  QCheck.Test.make ~name:"checkpoints resume as the very string and as a copy" ~count:100
     QCheck.(small_nat)
     (fun seed ->
       let src, t = compile_gen seed in
@@ -184,14 +183,10 @@ let prop_loop_variants_bit_identical =
       let k = 2 + (seed mod 4) in
       let trace = gen_trace ~seed ~k ~n:200 in
       let params = Sim.default_params ~k in
-      let generic = Sim.run ~loop:Sim.Generic params prog trace in
-      let fast = Sim.run ~loop:Sim.Fast params prog trace in
-      if not (Sim.results_equal generic fast) then
-        QCheck.Test.fail_reportf "~loop:Fast changes the run on:\n%s" src;
-      let want = Sim.summary_of_result ~packets:(Array.length trace) generic in
-      let resumed loop ~copy =
+      let want = Sim.summary_of_result ~packets:(Array.length trace) (Sim.run params prog trace) in
+      let resumed ~copy =
         match
-          Sim.run_source ~loop ~cycle_budget:30 params prog
+          Sim.run_source ~loop:Sim.Fast ~cycle_budget:30 params prog
             (Mp5_workload.Packet_source.of_array trace)
         with
         | Sim.Completed s -> s (* finished inside the budget; nothing to resume *)
@@ -202,10 +197,10 @@ let prop_loop_variants_bit_identical =
             | Ok (Sim.Suspended _) -> QCheck.Test.fail_report "resume suspended without a budget"
             | Error _ -> QCheck.Test.fail_report "resume rejected")
       in
-      if not (Sim.summary_equal want (resumed Sim.Fast ~copy:false)) then
-        QCheck.Test.fail_reportf "fast checkpoint -> resume diverges:\n%s" src;
-      if not (Sim.summary_equal want (resumed Sim.Generic ~copy:true)) then
-        QCheck.Test.fail_reportf "generic checkpoint -> resume diverges:\n%s" src;
+      if not (Sim.summary_equal want (resumed ~copy:false)) then
+        QCheck.Test.fail_reportf "very-string checkpoint -> resume diverges:\n%s" src;
+      if not (Sim.summary_equal want (resumed ~copy:true)) then
+        QCheck.Test.fail_reportf "copied checkpoint -> resume diverges:\n%s" src;
       true)
 
 let prop_sim_deterministic =
@@ -227,8 +222,8 @@ let prop_pretty_roundtrip =
     QCheck.(small_nat)
     (fun seed ->
       let src = Progen.generate seed in
-      let once = Pretty.program_to_string (Parser.parse src) in
-      let twice = Pretty.program_to_string (Parser.parse once) in
+      let once = Format.asprintf "%a" Pretty.program (Parser.parse src) in
+      let twice = Format.asprintf "%a" Pretty.program (Parser.parse once) in
       if once <> twice then
         QCheck.Test.fail_reportf "not a fixpoint:\n%s\n----\n%s" once twice;
       true)
@@ -520,7 +515,7 @@ let () =
             prop_transform_invariants;
             prop_finite_fifo_accounting;
             prop_recirc_k1_equivalent;
-            prop_loop_variants_bit_identical;
+            prop_checkpoint_resumes;
             prop_sim_deterministic;
           ] );
       ("pretty", q [ prop_pretty_roundtrip ]);

@@ -703,12 +703,10 @@ let test_rejects_bad_cadence () =
     [ (0, 1, "checkpoint_every"); (5, 0, "heartbeat_every") ]
 
 (* Snapshots carry no monitor state, and the monitor is a pure
-   observer.  The test's name dates from two cycle loops, when fabric
-   nodes stepped on the generic (instrumented) or fast (bare) loop; now
-   the drain's legs alternate monitored and bare, and at every
-   suspension it writes the bytes an all-monitored drain writes, then
+   observer: a drain whose legs alternate monitored and bare writes, at
+   every suspension, the bytes an all-monitored drain writes, then
    finishes equal to the straight run. *)
-let test_fabric_alternating_loops () =
+let test_fabric_alternating_monitors () =
   let prog, trace, dst, fp = fabric_fixture () in
   let straight = fabric_completed (Fabric.run ~dst fp prog (Psource.of_array trace)) in
   let monitor () = Mp5_fault.Monitor.create ~epoch:16 () in
@@ -1718,8 +1716,8 @@ let () =
             test_fabric_take_once;
           Alcotest.test_case "a failed resume leaves no machines behind" `Quick
             test_fabric_failed_resume;
-          Alcotest.test_case "legs alternating generic and fast nodes resume bit-identical"
-            `Quick test_fabric_alternating_loops;
+          Alcotest.test_case "legs alternating monitored and bare nodes resume bit-identical"
+            `Quick test_fabric_alternating_monitors;
           Alcotest.test_case "damaged or mismatched fabric snapshots are rejected" `Quick
             test_fabric_rejects;
           Alcotest.test_case "node errors carry absolute file offsets" `Quick
