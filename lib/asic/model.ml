@@ -49,8 +49,6 @@ let clock_ghz c =
   let t = t_base_ns +. (t_mux_ns *. log2 c.k) +. (t_wire_ns *. float_of_int c.k) in
   1.0 /. t
 
-let meets_1ghz c = clock_ghz c >= 1.0
-
 type sram_overhead = {
   bits_per_index : int;
   total_bits : int;

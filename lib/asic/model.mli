@@ -48,8 +48,6 @@ val area : config -> area_breakdown
 val clock_ghz : config -> float
 (** Achievable clock frequency. *)
 
-val meets_1ghz : config -> bool
-
 type sram_overhead = {
   bits_per_index : int;       (** 6 pipeline id + 16 access + 8 in-flight *)
   total_bits : int;

@@ -64,10 +64,6 @@ val frame_of_array : int array -> frame
 (** View a standalone header array as a frame ([off = 0],
     [len = Array.length a]).  The array is aliased, not copied. *)
 
-val getf : frame -> int -> int
-(** Bounds-checked field read; raises the interpreter's own
-    [Invalid_argument] message on a bad field id. *)
-
 val setf : frame -> int -> int -> unit
 (** Bounds-checked field write; raises [Invalid_argument "index out of
     bounds"], matching [fields.(i) <- v] on a plain array. *)

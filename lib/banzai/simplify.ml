@@ -177,8 +177,6 @@ let rec pred p =
   let p' = pred_rewrite (expr p) in
   if Expr.equal p' p then p else pred p'
 
-let stateless_op (op : Atom.stateless_op) = { op with Atom.rhs = expr op.Atom.rhs }
-
 let stateful (a : Atom.stateful) =
   let simplified_guard =
     match Option.map pred a.Atom.guard with

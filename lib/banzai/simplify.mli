@@ -21,5 +21,4 @@ val pred : Expr.t -> Expr.t
     [x || x] is [x], ...), legal only where the result is tested for
     truth — atom guards. *)
 
-val stateless_op : Atom.stateless_op -> Atom.stateless_op
 val stateful : Atom.stateful -> Atom.stateful

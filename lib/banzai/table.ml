@@ -16,9 +16,7 @@ let create ~name ~arity ?(default_action = 0) () =
   if arity <= 0 then invalid_arg "Table.create: arity must be positive";
   { tbl_name = name; tbl_arity = arity; tbl_default = default_action; entries = []; next_id = 0 }
 
-let name t = t.tbl_name
 let arity t = t.tbl_arity
-let default_action t = t.tbl_default
 let size t = List.length t.entries
 
 (* Highest priority first; ties by insertion order (oldest first). *)

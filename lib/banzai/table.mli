@@ -24,9 +24,7 @@ type entry = {
 val create : name:string -> arity:int -> ?default_action:int -> unit -> t
 (** An empty table; [default_action] defaults to 0. *)
 
-val name : t -> string
 val arity : t -> int
-val default_action : t -> int
 val size : t -> int
 
 (** {2 Control plane} *)

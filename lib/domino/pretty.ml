@@ -45,8 +45,6 @@ let rec stmt_indented indent ppf (s : Ast.stmt) =
         Format.fprintf ppf "%s}" pad
       end
 
-let stmt ppf s = stmt_indented 0 ppf s
-
 let program ppf (p : Ast.program) =
   Format.fprintf ppf "@[<v>struct Packet {@,";
   List.iter (fun (f, _) -> Format.fprintf ppf "    int %s;@," f) p.Ast.packet_fields;
@@ -69,5 +67,3 @@ let program ppf (p : Ast.program) =
   Format.fprintf ppf "@,void %s(struct Packet %s) {@," p.Ast.func_name p.Ast.param;
   List.iter (fun s -> Format.fprintf ppf "%a@," (stmt_indented 4) s) p.Ast.body;
   Format.fprintf ppf "}@]@."
-
-let program_to_string p = Format.asprintf "%a" program p

@@ -4,10 +4,4 @@
     AST (the round-trip property tested in the suite) — used by the
     compiler CLI and by the fuzzer to report minimal counterexamples. *)
 
-val expr : Format.formatter -> Ast.expr -> unit
-(** Fully parenthesised, so precedence never needs re-deriving. *)
-
-val stmt : Format.formatter -> Ast.stmt -> unit
 val program : Format.formatter -> Ast.program -> unit
-
-val program_to_string : Ast.program -> string

@@ -159,5 +159,3 @@ let check (prog : Ast.program) =
     table_index;
     locals = List.rev !locals_order;
   }
-
-let check_string src = check (Parser.parse src)

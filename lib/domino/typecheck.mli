@@ -21,6 +21,3 @@ exception Error of string * Ast.loc
 
 val check : Ast.program -> env
 (** @raise Error on any violation, with a source location. *)
-
-val check_string : string -> env
-(** Parse + check. *)

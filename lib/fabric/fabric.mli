@@ -34,14 +34,10 @@ module Hist : sig
 
   type t = { mutable count : int; mutable sum : int; mutable max : int; buckets : int array }
 
-  val create : unit -> t
-  val observe : t -> int -> unit
   val mean : t -> float
 
   val percentile : t -> float -> int
   (** Upper bound of the bucket holding the p-th percentile sample. *)
-
-  val equal : t -> t -> bool
 end
 
 type params = {

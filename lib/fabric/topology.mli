@@ -39,12 +39,7 @@ val make : n_switches:int -> n_hosts:int -> edge list -> (t, string) result
     0; [delay] applies to switch-switch trunks. *)
 
 val line : switches:int -> hosts_per_sw:int -> delay:int -> t
-val tree : depth:int -> fanout:int -> hosts_per_leaf:int -> delay:int -> t
 val leaf_spine : leaves:int -> spines:int -> hosts_per_leaf:int -> delay:int -> t
-
-val fat_tree : k:int -> delay:int -> t
-(** Classic k-ary fat-tree ([k] even): [k] pods of [k/2] edge and [k/2]
-    aggregation switches, [(k/2)^2] cores, [k^3/4] hosts. *)
 
 val of_spec : string -> (t, string) result
 (** Parse a CLI topology spec, positioned errors on the offending token:

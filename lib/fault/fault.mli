@@ -80,7 +80,6 @@ val validate : plan -> k:int -> stages:int -> (unit, string) result
 (** Check every event against the machine's shape (pipeline and stage
     ranges, probabilities, cycle ranges) before running. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp_plan : Format.formatter -> plan -> unit
 
 (** {2 Runtime}

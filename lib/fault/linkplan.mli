@@ -46,9 +46,6 @@ val load : path:string -> (plan, string) result
 val validate : plan -> n_links:int -> (unit, string) result
 (** Check every event against the fabric's shape (link ids in range). *)
 
-val pp_event : Format.formatter -> event -> unit
-val pp_plan : Format.formatter -> plan -> unit
-
 val to_string : plan -> string
 (** {!pp_plan} to a string; [parse] of the output round-trips, which is
     how fabric snapshots embed their link plan. *)

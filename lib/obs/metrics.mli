@@ -109,9 +109,6 @@ val dup_packet : t -> unit
 
 (* --- accessors for tests and reports --- *)
 
-val cell : int array -> t -> stage:int -> pipe:int -> int
-(** [cell m.m_busy m ~stage ~pipe] reads one flattened slot counter. *)
-
 val total : int array -> int
 val dropped_total : t -> int
 
@@ -120,12 +117,6 @@ val faulted : t -> bool
 
 val lat_mass : t -> int
 (** Total count held by the latency histogram (= deliveries). *)
-
-val lat_percentile : t -> float -> int
-(** Percentile (0..100) read off the latency histogram; the overflow bin
-    answers [m_lat_max]. *)
-
-val occ_percentile : t -> float -> int
 
 val equal : t -> t -> bool
 (** Structural equality of every counter — the differential harness
@@ -144,9 +135,6 @@ val codec : Mp5_util.Codec.t -> t -> unit
     pipeline count must be [t]'s; every counter is a plain word. *)
 
 (* --- exporters --- *)
-
-val to_json : t -> Json.t
-(** Schema ["mp5-metrics/1"]; see EXPERIMENTS.md "Reading a run". *)
 
 val json_string : t -> string
 

@@ -83,24 +83,12 @@ val validate : t -> (unit, string) result
 (** Internal invariants: no open leg, non-negative totals, and every
     phase histogram's mass equal to the phase's span count. *)
 
-val to_json : t -> Json.t
-(** Schema-tagged snapshot (["mp5-prof/1"]): mode, wall time, one
-    entry per live (phase, domain) with count and total, per-phase
-    histograms, GC counters, and event-buffer accounting. *)
-
 val json_string : t -> string
 
 val validate_json : string -> (unit, string) result
 (** Re-check a parsed-back snapshot: schema tag, known mode and phase
     names, non-negative counters, and histogram-mass/count agreement
     per phase. *)
-
-val to_chrome : t -> Json.t
-(** Chrome trace-event JSON ([{"traceEvents": [...]}]) from the raw
-    event buffer: one complete-span ["X"] event per recorded span and
-    one instant ["i"] per point event, pid 1, one tid per domain (with
-    thread-name metadata), timestamps in microseconds from the first
-    [enter].  Loadable in Perfetto as one track per domain. *)
 
 val chrome_string : t -> string
 

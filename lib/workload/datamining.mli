@@ -6,8 +6,6 @@
     Offered as an alternative traffic model for the real-application
     experiments; the paper's Figure 8 uses web search. *)
 
-val cdf : (float * float) array
-val dist : Mp5_util.Dist.empirical
 val sample_flow_size : Mp5_util.Rng.t -> int
 val sample_flow_packets : Mp5_util.Rng.t -> mean_pkt_bytes:float -> int
 val mean_flow_size : unit -> float

@@ -56,10 +56,6 @@ type flow_packet = {
   seqno : int;        (** packet's position within its flow *)
 }
 
-val bimodal_datacenter : Mp5_util.Dist.bimodal
-(** Packet sizes clustered at 200 B and 1400 B (Benson et al., IMC 2010),
-    as §4.4 uses. *)
-
 val flows :
   seed:int ->
   n_packets:int ->

@@ -6,11 +6,6 @@
     100 KB, but flows over 1 MB carry most of the bytes.  We encode the
     published CDF as a piecewise-linear empirical distribution. *)
 
-val cdf : (float * float) array
-(** (flow size in bytes, cumulative probability) knots. *)
-
-val dist : Mp5_util.Dist.empirical
-
 val sample_flow_size : Mp5_util.Rng.t -> int
 (** A flow size in bytes. *)
 

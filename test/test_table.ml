@@ -85,7 +85,7 @@ let test_parse_and_typecheck () =
   check "handle found" true (Table.arity (Switch.table sw "acl") = 2)
 
 let tc_err src =
-  match Typecheck.check_string src with
+  match Typecheck.check (Parser.parse src) with
   | exception Typecheck.Error _ -> ()
   | _ -> Alcotest.fail "expected type error"
 

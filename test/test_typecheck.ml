@@ -10,12 +10,12 @@ let wrap body =
     body
 
 let ok src =
-  match Typecheck.check_string src with
+  match Typecheck.check (Parser.parse src) with
   | _ -> true
   | exception Typecheck.Error _ -> false
 
 let expect_err name src =
-  match Typecheck.check_string src with
+  match Typecheck.check (Parser.parse src) with
   | exception Typecheck.Error _ -> ()
   | _ -> Alcotest.failf "%s: expected a type error" name
 
@@ -60,7 +60,7 @@ let test_declaration_conflicts () =
 let test_hash_arity () = expect_err "hash without args" (wrap "p.x = hash();")
 
 let test_env_contents () =
-  let env = Typecheck.check_string (wrap "int t = 1; p.x = t;") in
+  let env = Typecheck.check (Parser.parse (wrap "int t = 1; p.x = t;")) in
   check "fields recorded" true (env.Typecheck.fields = [| "x"; "y" |]);
   check "regs recorded" true (Array.length env.Typecheck.regs = 2);
   check "scalar size 1" true (env.Typecheck.regs.(0).Mp5_banzai.Config.size = 1);
