@@ -16,7 +16,6 @@ let create ?(epoch = 64) ?(fail_fast = true) ?events () =
   if epoch <= 0 then invalid_arg "Monitor.create: epoch must be positive";
   { epoch; fail_fast; events; next_due = 0; checks = 0; violations = 0; last = None }
 
-let epoch t = t.epoch
 let due t ~now = now >= t.next_due
 
 let mark t ~now =

@@ -35,8 +35,6 @@ val create : ?epoch:int -> ?fail_fast:bool -> ?events:Mp5_obs.Trace.t -> unit ->
     [events] attaches an event-trace ring whose tail is embedded in
     diagnostics. *)
 
-val epoch : t -> int
-
 val due : t -> now:int -> bool
 (** Is a check due at cycle [now]?  One int compare — the simulator
     calls this every cycle. *)
