@@ -124,15 +124,6 @@ let validate t =
   |> List.mapi check_stage
   |> List.fold_left (fun acc r -> let* () = acc in r) (Ok ())
 
-let add_field t name =
-  let id = Array.length t.fields in
-  ({ t with fields = Array.append t.fields [| name |] }, id)
-
-let stateful_stages t =
-  Array.to_list t.stages
-  |> List.mapi (fun i s -> (i, s))
-  |> List.filter_map (fun (i, s) -> if s.atoms <> [] then Some i else None)
-
 let regs_of_stage stage =
   List.map (fun (a : Atom.stateful) -> a.reg) stage.atoms |> List.sort_uniq compare
 

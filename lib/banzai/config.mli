@@ -41,13 +41,6 @@ val validate : t -> (unit, string) result
     sizes positive, init lengths correct, no [State_val] leaks.  Every
     compiler pass output must validate. *)
 
-val add_field : t -> string -> t * int
-(** Appends a metadata field, returning the new configuration and the new
-    field id. *)
-
-val stateful_stages : t -> int list
-(** Indices of stages containing at least one stateful atom. *)
-
 val regs_of_stage : stage -> int list
 (** Distinct register arrays accessed in a stage. *)
 

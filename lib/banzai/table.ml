@@ -36,8 +36,6 @@ let add_exact t ~key ?(priority = 0) ~action () =
   add t { key = List.map (fun v -> (v, -1)) key; priority; action };
   t
 
-let clear t = t.entries <- []
-
 let matches entry keys =
   List.for_all2 (fun (v, m) k -> k land m = v land m) entry.key keys
 

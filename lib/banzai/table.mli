@@ -35,8 +35,6 @@ val add : t -> entry -> unit
 val add_exact : t -> key:int list -> ?priority:int -> action:int -> unit -> t
 (** Convenience: full-width masks.  Returns the table for chaining. *)
 
-val clear : t -> unit
-
 (** {2 Data plane} *)
 
 val lookup : t -> int list -> int

@@ -88,8 +88,3 @@ let codec io t =
     done
   end;
   pins
-
-let cells_of_pipeline t p =
-  let out = ref [] in
-  Array.iteri (fun cell q -> if q = p then out := cell :: !out) t.pipelines;
-  List.rev !out

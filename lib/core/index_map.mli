@@ -52,8 +52,6 @@ val move : t -> cell:int -> to_:int -> unit
 (** Remap one index.  The caller is responsible for moving the register
     value between the pipelines' physical arrays. *)
 
-val cells_of_pipeline : t -> int -> int list
-
 (** {2 Checkpointing} *)
 
 val codec : Mp5_util.Codec.t -> t -> int

@@ -1671,12 +1671,12 @@ let source io st cur =
 let probability io p =
   let at = C.position io in
   let p = Int64.float_of_bits (C.i64 io ~what:"fault probability" (Int64.bits_of_float p)) in
-  if not (p >= 0.0 && p <= 1.0) then C.fail ~at "fault probability %g out of [0, 1]" p;
+  if not (Fault.valid_probability p) then C.fail ~at "fault probability %g out of [0, 1]" p;
   p
 
 let fault_event io ~k ~stages (e : Fault.event) =
-  let from_ = C.int io ~lo:0 ~hi:max_time ~what:"fault event start" e.Fault.from_ in
-  let until_ = C.xref io ~lo:from_ ~hi:max_time ~what:"fault event end" e.Fault.until_ in
+  let from_ = C.int io ~lo:0 ~hi:Fault.max_cycle ~what:"fault event start" e.Fault.from_ in
+  let until_ = C.xref io ~lo:from_ ~hi:Fault.max_cycle ~what:"fault event end" e.Fault.until_ in
   let pipe p = C.index io ~bound:k ~what:"fault pipeline" p in
   let stage s = C.index io ~bound:stages ~what:"fault stage" s in
   let tag, a, b, p =
@@ -1701,7 +1701,9 @@ let fault_event io ~k ~stages (e : Fault.event) =
         Fault.Stall { stage; pipe = pipe b }
     | 4 -> Fault.Xbar_drop (probability io p)
     | 5 -> Fault.Xbar_dup (probability io p)
-    | _ -> Fault.Phantom_delay (C.int io ~lo:0 ~hi:max_capacity ~what:"phantom delay" a)
+    | _ ->
+        Fault.Phantom_delay
+          (C.int io ~lo:0 ~hi:Fault.max_phantom_delay ~what:"phantom delay" a)
   in
   { Fault.from_; until_; kind }
 

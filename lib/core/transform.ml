@@ -178,11 +178,6 @@ let transform ?limits ?pad_to_stages ?flow_order config =
   | Ok t -> t
   | Error msg -> invalid_arg msg
 
-let accesses_by_stage t =
-  let by_stage = Array.make (Array.length t.config.Config.stages) [] in
-  Array.iter (fun acc -> by_stage.(acc.stage) <- acc :: by_stage.(acc.stage)) t.accesses;
-  Array.map List.rev by_stage
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>transformed config (%d stages, stage 0 = address resolution):@,"
     (Array.length t.config.Config.stages);

@@ -88,7 +88,4 @@ val transform :
 (** {!create}, raising [Invalid_argument msg] where it returns
     [Error msg]. *)
 
-val accesses_by_stage : t -> access list array
-(** Index [stage] of the transformed config -> accesses there. *)
-
 val pp : Format.formatter -> t -> unit

@@ -16,8 +16,9 @@
 
     {2 Plan text format}
 
-    One event per line (or [;]-separated), [#] comments, blank lines
-    ignored:
+    The statement grammar of {!Plan_syntax} (one statement per line or
+    [;]-separated, [#] comments), with a [seed N] statement and the
+    event keywords:
 
     {v
     seed 42
@@ -76,9 +77,20 @@ val parse : string -> (plan, string) result
 val load : path:string -> (plan, string) result
 (** {!parse} on a file's contents; errors are prefixed with the path. *)
 
+val max_cycle : int
+(** [2^60]: the last cycle an event may reach, the bound a snapshot
+    holds every cycle to. *)
+
+val max_phantom_delay : int
+(** [65535]: the largest [extra] a snapshot records. *)
+
+val valid_probability : float -> bool
+(** [0 <= p <= 1] ([nan] is not). *)
+
 val validate : plan -> k:int -> stages:int -> (unit, string) result
 (** Check every event against the machine's shape (pipeline and stage
-    ranges, probabilities, cycle ranges) before running. *)
+    ranges) and the bounds above before running: a plan that validates
+    can be suspended and resumed. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 

@@ -10,8 +10,9 @@
 
     {2 Plan text format}
 
-    One event per line (or [;]-separated), [#] comments, blank lines
-    ignored — the {!Fault} grammar with link events:
+    The statement grammar of {!Plan_syntax} (one statement per line or
+    [;]-separated, [#] comments) with link events; windows start at
+    cycle 0 or later and link ids are non-negative:
 
     {v
     link-down @500..900 link=3        # sends onto link 3 are dropped

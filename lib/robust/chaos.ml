@@ -1,10 +1,8 @@
 module Binio = Mp5_util.Binio
-module Config = Mp5_banzai.Config
 module Store = Mp5_banzai.Store
 module Fault = Mp5_fault.Fault
 module Sim = Mp5_core.Sim
 module Switch = Mp5_core.Switch
-module Transform = Mp5_core.Transform
 module Progen = Mp5_fuzz.Progen
 module Packet_source = Mp5_workload.Packet_source
 
@@ -219,76 +217,6 @@ let case_of_string s =
         with Bad m -> Error ("chaos case: " ^ m)
       end
 
-(* {2 Result artifact: the child ships its summary to the parent} *)
-
-let result_magic = "mp5-chaos-result/1"
-
-let summary_write b ~(config : Config.t) (s : Sim.summary) =
-  Binio.w_int b s.Sim.s_delivered;
-  Binio.w_int b s.Sim.s_dropped;
-  Binio.w_int b s.Sim.s_dropped_stateless;
-  Binio.w_int b s.Sim.s_marked;
-  Binio.w_int b s.Sim.s_cycles;
-  Binio.w_int b s.Sim.s_input_span;
-  Binio.w_i64 b (Int64.bits_of_float s.Sim.s_normalized_throughput);
-  Binio.w_int b s.Sim.s_max_queue;
-  Binio.w_int b s.Sim.s_packets;
-  Binio.w_int b (Array.length config.Config.regs);
-  Array.iteri
-    (fun r _ -> Binio.w_int_array b (Store.array s.Sim.s_store ~reg:r))
-    config.Config.regs;
-  Binio.w_int b s.Sim.s_digests.Sim.dg_exits;
-  Binio.w_int b s.Sim.s_digests.Sim.dg_access
-
-let summary_read r ~(config : Config.t) =
-  let s_delivered = Binio.r_int r in
-  let s_dropped = Binio.r_int r in
-  let s_dropped_stateless = Binio.r_int r in
-  let s_marked = Binio.r_int r in
-  let s_cycles = Binio.r_int r in
-  let s_input_span = Binio.r_int r in
-  let s_normalized_throughput = Int64.float_of_bits (Binio.r_i64 r) in
-  let s_max_queue = Binio.r_int r in
-  let s_packets = Binio.r_int r in
-  let nregs = Binio.r_int r in
-  if nregs <> Array.length config.Config.regs then
-    failwith
-      (Printf.sprintf "result has %d register arrays, program has %d" nregs
-         (Array.length config.Config.regs));
-  let s_store = Store.create config in
-  Array.iteri
-    (fun ri _ ->
-      let a = Binio.r_int_array r in
-      let dst = Store.array s_store ~reg:ri in
-      if Array.length a <> Array.length dst then
-        failwith (Printf.sprintf "register array %d: size %d, expected %d" ri
-                    (Array.length a) (Array.length dst));
-      Array.blit a 0 dst 0 (Array.length a))
-    config.Config.regs;
-  let dg_exits = Binio.r_int r in
-  let dg_access = Binio.r_int r in
-  {
-    Sim.s_delivered;
-    s_dropped;
-    s_dropped_stateless;
-    s_marked;
-    s_cycles;
-    s_input_span;
-    s_normalized_throughput;
-    s_max_queue;
-    s_packets;
-    s_store;
-    s_digests = { Sim.dg_exits; dg_access };
-  }
-
-let read_result ~config path =
-  match Binio.of_file ~magic:result_magic ~path with
-  | Error m -> Error m
-  | Ok r -> (
-      try Ok (summary_read r ~config) with
-      | Binio.Corrupt { pos; reason } -> Error (Binio.corrupt_message ~pos ~reason)
-      | Failure m -> Error m)
-
 let mismatch_reason (a : Sim.summary) (b : Sim.summary) =
   let parts = ref [] in
   let note p = parts := p :: !parts in
@@ -327,7 +255,6 @@ let run_case_real ~dir ~log case =
   let src_text = Progen.generate case.cs_seed in
   let sw = Switch.create_exn ~limits:Progen.limits src_text in
   let prog = sw.Switch.prog in
-  let config = prog.Transform.config in
   let params = Sim.default_params ~k:case.cs_k in
   let trace = Progen.trace ~seed:case.cs_seed ~k:case.cs_k ~n:case.cs_packets in
   let expected =
@@ -375,8 +302,11 @@ let run_case_real ~dir ~log case =
       Supervisor.Heartbeat.beat hb ~cycle
     in
     let source = Packet_source.of_array trace in
+    (* The child holds the oracle too (computed before the fork), so it
+       judges its own recovered run and leaves only the verdict. *)
     let finish (s : Sim.summary) =
-      Binio.to_file ~magic:result_magic ~path:result_path (fun b -> summary_write b ~config s);
+      Binio.write_file_durable ~path:result_path
+        (if Sim.summary_equal expected s then "ok" else mismatch_reason expected s);
       0
     in
     match resume with
@@ -424,10 +354,10 @@ let run_case_real ~dir ~log case =
   let failure =
     match verdict with
     | Supervisor.Completed _ -> (
-        match read_result ~config result_path with
-        | Error m -> Error (Printf.sprintf "result artifact: %s" m)
-        | Ok got ->
-            if Sim.summary_equal expected got then Ok () else Error (mismatch_reason expected got))
+        match In_channel.with_open_bin result_path In_channel.input_all with
+        | "ok" -> Ok ()
+        | reason -> Error reason
+        | exception Sys_error m -> Error m)
     | Supervisor.Failed { last; _ } ->
         Error (Format.asprintf "leg %a" Supervisor.pp_child_end last)
     | Supervisor.Gave_up { restarts; _ } ->

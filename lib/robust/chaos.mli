@@ -8,9 +8,11 @@
     the same simulation under {!Supervisor.supervise} with the scheduled
     crashes injected from inside the child — [kill -9] at a chosen cycle,
     a checkpoint write torn mid-write / before / after its atomic rename,
-    or a wedge that stops the heartbeat until the watchdog fires — and
-    finally demands the recovered run's summary be bit-identical
-    ({!Mp5_core.Sim.summary_equal}) to the oracle.
+    or a wedge that stops the heartbeat until the watchdog fires.  The
+    leg that finishes holds the oracle too (forked after it was
+    computed): it demands its recovered summary be bit-identical
+    ({!Mp5_core.Sim.summary_equal}) and leaves the verdict, ["ok"] or
+    the mismatch, in a text file for the parent.
 
     {!soak} runs many campaigns; any failing case is delta-debugged with
     {!shrink} to a minimal (plan, crash schedule, trace length) and
@@ -62,8 +64,8 @@ type outcome = {
   co_verdict : Supervisor.verdict;
   co_failure : string option;
       (** [None] = the supervised run recovered bit-identically;
-          [Some reason] otherwise (digest/counter mismatch, supervisor
-          gave up, result artifact unreadable) *)
+          [Some reason] otherwise (digest/counter mismatch, a leg that
+          failed, supervisor gave up) *)
 }
 
 val run_case :

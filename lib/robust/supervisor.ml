@@ -46,7 +46,6 @@ let pp_verdict ppf = function
 
 type config = {
   snapshot_path : string;
-  snapshot_magic : string;
   keep_snapshots : int;
   heartbeat_path : string;
   hang_timeout : float;
@@ -54,15 +53,12 @@ type config = {
   max_restarts : int;
   backoff_base : float;
   backoff_max : float;
-  resume_existing : bool;
-  retryable : child_end -> bool;
   log : string -> unit;
 }
 
 let default ~snapshot_path =
   {
     snapshot_path;
-    snapshot_magic = Mp5_core.Sim.snapshot_magic;
     keep_snapshots = 2;
     heartbeat_path = snapshot_path ^ ".hb";
     hang_timeout = 5.0;
@@ -70,10 +66,11 @@ let default ~snapshot_path =
     max_restarts = 5;
     backoff_base = 0.1;
     backoff_max = 2.0;
-    resume_existing = false;
-    retryable = (function Signaled _ | Hung -> true | Exited _ -> false);
     log = (fun line -> prerr_endline line);
   }
+
+(* A signal or a hang may not recur; a plain non-zero exit will. *)
+let retryable = function Signaled _ | Hung -> true | Exited _ -> false
 
 let backoff ~base ~cap ~restart =
   let restart = max 1 restart in
@@ -132,10 +129,8 @@ let run_leg cfg ~attempt ~resume ~child =
 
 let supervise cfg ~child =
   if cfg.keep_snapshots < 1 then invalid_arg "Supervisor.supervise: keep_snapshots < 1";
-  if not cfg.resume_existing then begin
-    Binio.remove_slots ~path:cfg.snapshot_path ~keep:cfg.keep_snapshots;
-    try Sys.remove cfg.heartbeat_path with Sys_error _ -> ()
-  end;
+  Binio.remove_slots ~path:cfg.snapshot_path ~keep:cfg.keep_snapshots;
+  (try Sys.remove cfg.heartbeat_path with Sys_error _ -> ());
   cfg.log
     (Printf.sprintf "[supervisor] supervising: snapshot %s (keep %d), hang timeout %gs, max restarts %d"
        (Filename.basename cfg.snapshot_path)
@@ -143,7 +138,7 @@ let supervise cfg ~child =
   let rec leg ~restarts =
     let resume =
       match
-        Binio.load_latest_valid ~magic:cfg.snapshot_magic ~path:cfg.snapshot_path
+        Binio.load_latest_valid ~magic:Mp5_core.Sim.snapshot_magic ~path:cfg.snapshot_path
           ~keep:cfg.keep_snapshots
       with
       | Ok (slot, contents) -> Some (slot, contents)
@@ -161,7 +156,7 @@ let supervise cfg ~child =
           (Printf.sprintf "[supervisor] run completed after %d restart%s" restarts
              (if restarts = 1 then "" else "s"));
         Completed { restarts }
-    | e when not (cfg.retryable e) ->
+    | e when not (retryable e) ->
         cfg.log (Format.asprintf "[supervisor] leg %d %a: not retryable" restarts pp_child_end e);
         Failed { restarts; last = e }
     | e ->

@@ -43,8 +43,8 @@ val pp_child_end : Format.formatter -> child_end -> unit
 type verdict =
   | Completed of { restarts : int }  (** a leg exited 0 *)
   | Failed of { restarts : int; last : child_end }
-      (** a leg ended in a way [retryable] rejects (default: any
-          non-zero plain exit — crashing again will not fix bad input) *)
+      (** a leg exited with a non-zero code: unlike a signal or a hang,
+          running it again will not fix bad input *)
   | Gave_up of { restarts : int; last : child_end }
       (** restart budget exhausted; the newest snapshot is kept on disk
           for post-mortem resumption *)
@@ -52,8 +52,9 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 type config = {
-  snapshot_path : string;  (** rotation-chain base path *)
-  snapshot_magic : string;  (** framing magic used to validate slots *)
+  snapshot_path : string;
+      (** rotation-chain base path; slots are validated against
+          {!Mp5_core.Sim.snapshot_magic} *)
   keep_snapshots : int;  (** rotation depth (≥ 1) *)
   heartbeat_path : string;
   hang_timeout : float;  (** seconds without a beat before SIGKILL *)
@@ -61,29 +62,24 @@ type config = {
   max_restarts : int;
   backoff_base : float;  (** first backoff, seconds *)
   backoff_max : float;  (** backoff cap, seconds *)
-  resume_existing : bool;
-      (** [false] (default): delete leftover slots and start fresh;
-          [true]: adopt a pre-existing chain and resume from it *)
-  retryable : child_end -> bool;
   log : string -> unit;
 }
 
 val default : snapshot_path:string -> config
-(** Magic {!Mp5_core.Sim.snapshot_magic}, keep 2, heartbeat at
-    [snapshot_path ^ ".hb"], hang timeout 5s, poll 50ms, 5 restarts,
-    backoff 0.1s..2s, fresh start, retry on signal/hang only, log to
-    stderr. *)
+(** Keep 2, heartbeat at [snapshot_path ^ ".hb"], hang timeout 5s,
+    poll 50ms, 5 restarts, backoff 0.1s..2s, log to stderr. *)
 
 val backoff : base:float -> cap:float -> restart:int -> float
 (** [min cap (base * 2^(restart-1))] — the delay before restart [n ≥ 1]. *)
 
 val supervise :
   config -> child:(attempt:int -> resume:(string * string) option -> int) -> verdict
-(** Run [child] under supervision.  Each leg forks; the child calls
-    [child ~attempt ~resume] (attempt 0 is the first leg) and must
-    [exit] with its code — [resume] is [Some (slot, snapshot)] when a
-    valid snapshot was found in the rotation chain (newest valid slot
-    wins: a torn newest snapshot falls back to the previous one).  The
-    parent polls the heartbeat file and [waitpid]; on a retryable end it
-    sleeps the backoff and starts the next leg.  Uncaught child
-    exceptions exit with code 125. *)
+(** Run [child] under supervision, from a fresh start: leftover slots
+    of the rotation chain and the heartbeat file are deleted first.
+    Each leg forks; the child calls [child ~attempt ~resume] (attempt 0
+    is the first leg) and must [exit] with its code — [resume] is
+    [Some (slot, snapshot)] when a valid snapshot was found in the
+    rotation chain (newest valid slot wins: a torn newest snapshot falls
+    back to the previous one).  The parent polls the heartbeat file and
+    [waitpid]; on a signal or a hang it sleeps the backoff and starts
+    the next leg.  Uncaught child exceptions exit with code 125. *)

@@ -340,8 +340,6 @@ let remove_slots ~path ~keep =
   let tmp = path ^ ".tmp" in
   if Sys.file_exists tmp then Sys.remove tmp
 
-let to_file ~magic ~path body = write_file_durable ~path (to_string ~magic body)
-
 (* --- reading ---
 
    A reader is a window [\[pos, limit)] on the caller's string: the
@@ -524,18 +522,6 @@ let r_framed r ~magic =
       in
       if sum <> stored_sum r.data hdr then raise (Corrupt { pos = hdr; reason = checksum_mismatch });
       { data = r.data; pos = body_at; limit; outer = None }
-
-let of_file ~magic ~path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let s = really_input_string ic (in_channel_length ic) in
-          match of_string ~magic s with
-          | Ok r -> Ok r
-          | Error e -> Error (Printf.sprintf "%s: %s" path e))
 
 (* Walk the rotation chain newest-first and return the first slot whose
    framing (magic, length, checksum) validates.  A torn or zero-length

@@ -89,9 +89,6 @@ val to_string : magic:string -> (writer -> unit) -> string
     bytes both times.
     @raise Invalid_argument when it does not. *)
 
-val to_file : magic:string -> path:string -> (writer -> unit) -> unit
-(** {!write_file_durable} of {!to_string}. *)
-
 (** {3 Nested frames}
 
     A snapshot can carry whole snapshots of another schema inside its
@@ -194,10 +191,6 @@ val r_framed : reader -> magic:string -> reader
     @raise Corrupt positioned inside the frame — a forged payload length
     is reported at its own length field, a checksum mismatch at the
     frame's. *)
-
-val of_file : magic:string -> path:string -> (reader, string) result
-(** {!of_string} on a file's contents; errors are prefixed with the
-    path. *)
 
 val load_latest_valid :
   magic:string -> path:string -> keep:int -> (string * string, string) result

@@ -44,15 +44,10 @@ let skewed ~n ~hot_fraction ~hot_mass =
   (* Degenerate case: everything hot. *)
   if cold = 0 then uniform_discrete n else discrete weights
 
-let zipf ~n ~alpha =
-  discrete (Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) alpha))
-
 let sample rng d =
   let n = Array.length d.prob in
   let i = Rng.int rng n in
   if Rng.float rng 1.0 < d.prob.(i) then i else d.alias.(i)
-
-let support d = Array.length d.prob
 
 type empirical = { knots : (float * float) array }
 

@@ -4,7 +4,6 @@
       95%-of-packets-to-30%-of-states access pattern of §4.3.1);
     - empirical CDFs given as (value, cumulative-probability) knots (used
       for the DCTCP web-search flow-size distribution of §4.4);
-    - Zipf, for heavy-tail ablations;
     - bimodal packet sizes (§4.4). *)
 
 type discrete
@@ -24,11 +23,7 @@ val skewed : n:int -> hot_fraction:float -> hot_mass:float -> discrete
     rest uniformly on the remaining values.  The paper's skewed pattern is
     [skewed ~hot_fraction:0.3 ~hot_mass:0.95]. *)
 
-val zipf : n:int -> alpha:float -> discrete
-
 val sample : Rng.t -> discrete -> int
-
-val support : discrete -> int
 
 type empirical
 (** A piecewise-linear empirical CDF over positive values. *)

@@ -62,23 +62,3 @@ let feed st x =
 
 let value st = ((st.hi land 0x3FFF_FFFF) lsl 32) lor st.lo
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-         done;
-         !c))
-
-let crc32 xs =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFF in
-  List.iter
-    (fun x ->
-      for shift = 0 to 7 do
-        let byte = (x lsr (shift * 8)) land 0xFF in
-        crc := table.((!crc lxor byte) land 0xFF) lxor (!crc lsr 8)
-      done)
-    xs;
-  !crc lxor 0xFFFFFFFF

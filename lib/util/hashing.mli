@@ -27,10 +27,6 @@ val combine : int -> int -> int
     on the order the items are visited in.  The result stays a
     non-negative 62-bit value. *)
 
-val crc32 : int list -> int
-(** CRC-32 (IEEE polynomial) over the same byte stream, as switch hardware
-    commonly provides.  Result fits in 32 bits. *)
-
 (** {2 Streaming FNV-1a}
 
     The same hash as {!fnv1a}, as a mutable fold state, so callers can

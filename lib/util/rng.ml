@@ -80,11 +80,3 @@ let bool t = bits t land 1 = 1
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -37,6 +37,3 @@ val bool : t -> bool
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

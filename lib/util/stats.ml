@@ -33,43 +33,3 @@ let percentile xs p =
   else
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p99 : float;
-}
-
-let summarize xs =
-  if Array.length xs = 0 then
-    (* Total on empty input: an experiment with zero samples reports a
-       zero summary instead of blowing up the whole bench run. *)
-    { n = 0; mean = 0.0; stddev = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p99 = 0.0 }
-  else
-    let lo, hi = min_max xs in
-    {
-      n = Array.length xs;
-      mean = mean xs;
-      stddev = stddev xs;
-      min = lo;
-      max = hi;
-      p50 = percentile xs 50.0;
-      p99 = percentile xs 99.0;
-    }
-
-type counter = { mutable cnt : int; mutable sum : float; mutable mx : float }
-
-let counter () = { cnt = 0; sum = 0.0; mx = 0.0 }
-
-let add c x =
-  c.cnt <- c.cnt + 1;
-  c.sum <- c.sum +. x;
-  if x > c.mx then c.mx <- x
-
-let count c = c.cnt
-let total c = c.sum
-let maximum c = c.mx

@@ -29,7 +29,8 @@ let test_stateless_program_stages () =
   let t = compile "struct Packet { int x; };\nvoid func(struct Packet p) { p.x = p.x * 2 + 1; }" in
   (* No atoms: just the two write-back stages. *)
   check_int "stages" 2 (Array.length t.Compile.config.Config.stages);
-  check "no atoms" true (Config.stateful_stages t.Compile.config = [])
+  check "no atoms" true
+    (Array.for_all (fun s -> s.Config.atoms = []) t.Compile.config.Config.stages)
 
 let test_single_atom_stage () =
   let t = compile (wrap "r[p.x % 4] = r[p.x % 4] + 1;") in

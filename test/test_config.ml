@@ -86,20 +86,6 @@ let test_reg_in_two_stages () =
   in
   check "same stage ok" true (ok (Config.validate same_stage))
 
-let test_add_field () =
-  let c, id = Config.add_field (base_config ()) "$t1" in
-  check_int "new id" 3 id;
-  check_int "n_user_fields preserved" 2 c.Config.n_user_fields;
-  check "name recorded" true (c.Config.fields.(3) = "$t1")
-
-let test_stateful_stages () =
-  let c = base_config () in
-  Alcotest.(check (list int)) "stateful stage list" [ 0 ] (Config.stateful_stages c);
-  let c2 =
-    { c with Config.stages = Array.append c.Config.stages [| Config.empty_stage |] }
-  in
-  Alcotest.(check (list int)) "empty stage not stateful" [ 0 ] (Config.stateful_stages c2)
-
 let test_stage_of_reg () =
   let c = base_config () in
   check "found" true (Config.stage_of_reg c 0 = Some 0);
@@ -152,8 +138,6 @@ let () =
         ] );
       ( "helpers",
         [
-          Alcotest.test_case "add_field" `Quick test_add_field;
-          Alcotest.test_case "stateful_stages" `Quick test_stateful_stages;
           Alcotest.test_case "stage_of_reg" `Quick test_stage_of_reg;
           Alcotest.test_case "field_id" `Quick test_field_id;
         ] );

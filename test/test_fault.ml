@@ -6,6 +6,7 @@
    smoke checks for every fault event the plan language can express. *)
 
 module Fault = Mp5_fault.Fault
+module Linkplan = Mp5_fault.Linkplan
 module Monitor = Mp5_fault.Monitor
 module Metrics = Mp5_obs.Metrics
 module Sim = Mp5_core.Sim
@@ -34,15 +35,30 @@ let all_kinds_src =
    xbar-dup @100..2000 p=0.005\n\
    phantom-delay @500..900 extra=3\n"
 
+(* Link plans: fabric snapshots embed [to_string] and parse it back. *)
+let link_src = "link-down @500..900 link=3 # comment\nlink-delay @100 link=0 extra=5; link-down @7 link=1"
+
+let link_parse_exn src =
+  match Linkplan.parse src with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "link plan %S does not parse: %s" src e
+
 let test_parse_all_kinds () =
   let p = parse_exn all_kinds_src in
   check_int "seed" 42 p.Fault.seed;
   check_int "seven events" 7 (List.length p.Fault.events);
   (* The printed plan re-parses to the same value. *)
   let printed = Format.asprintf "%a" Fault.pp_plan p in
-  match Fault.parse printed with
+  (match Fault.parse printed with
   | Ok p' -> check "pp round trip" true (p = p')
-  | Error e -> Alcotest.failf "printed plan does not re-parse: %s\n%s" e printed
+  | Error e -> Alcotest.failf "printed plan does not re-parse: %s\n%s" e printed);
+  let lp = link_parse_exn link_src in
+  let printed = Linkplan.to_string lp in
+  Alcotest.(check string) "link plan text"
+    "link-down @500..900 link=3; link-delay @100 link=0 extra=5; link-down @7 link=1" printed;
+  check "link round trip" true (link_parse_exn printed = lp);
+  check "empty link plan" true (Linkplan.to_string Linkplan.empty = ""
+                                && link_parse_exn "" = Linkplan.empty)
 
 let test_parse_separators () =
   let p = parse_exn "# comment\nseed 7; down @10 pipe=0 # trailing\n\nup @20 pipe=0" in
@@ -50,19 +66,110 @@ let test_parse_separators () =
   check "empty plan is empty" true (Fault.is_empty Fault.empty);
   check "this plan is not" true (not (Fault.is_empty p))
 
+(* Both languages read statements, cycle specs and arguments the same
+   way, so both report the same positioned messages. *)
 let test_parse_errors () =
-  List.iter
-    (fun src ->
-      match Fault.parse src with
-      | Ok _ -> Alcotest.failf "plan %S should not parse" src
-      | Error e -> check "error non-empty" true (String.length e > 0))
+  let pin parse (src, want) =
+    match parse src with
+    | Ok _ -> Alcotest.failf "plan %S should not parse" src
+    | Error e -> Alcotest.(check string) src want e
+  in
+  List.iter (pin Fault.parse)
     [
-      "seed 1\ndown @x pipe=0";
-      "down @10";
-      "stall @5..2 stage=0 pipe=0";
-      "xbar-drop @1..2 p=nope";
-      "frobnicate @10 pipe=1";
+      ("seed 1\ndown @x pipe=0", "line 2: bad cycle spec \"@x\"");
+      ("down @10", "line 1: missing argument pipe=");
+      ("up @1..2 pipe=0", "line 1: expected a single cycle (@C), got a window");
+      ("stall @5..2 stage=0 pipe=0", "line 1: empty window @5..2");
+      ("xbar-drop @1..2 p=nope", "line 1: argument p=\"nope\" is not a number");
+      ("xbar-drop @1..2 p=2", "line 1: probability p=2 out of [0,1]");
+      ("xbar-dup @1..2 p=nan", "line 1: probability p=nan out of [0,1]");
+      ("frobnicate @10 pipe=1", "line 1: unknown fault event \"frobnicate\"");
+      ("seed x", "line 1: bad seed \"x\"");
+    ];
+  List.iter (pin Linkplan.parse)
+    [
+      ("link-down @5..9 link=0; link-down @x link=0", "line 1: bad cycle spec \"@x\"");
+      ("link-down @5..9", "line 1: missing argument link=");
+      ("link-down @9..5 link=0", "line 1: empty window @9..5");
+      ("link-down @-5..9 link=0", "line 1: cycle window must satisfy 0 <= A <= B");
+      ("link-down @5 link=-1", "line 1: link id must be >= 0");
+      ("link-down @5 link=one", "line 1: argument link=\"one\" is not an integer");
+      ("link-delay @5 link=1 extra=0", "line 1: extra= must be positive");
+      ("link-down @5 link=1 junk", "line 1: expected key=value, got \"junk\"");
+      ("# c\nlink-up @5 link=1", "line 2: unknown link event \"link-up\"");
     ]
+
+(* Totality over mutated text of both languages: byte flips,
+   truncations, statements spliced in at ';', and integers swapped for
+   huge and negative ones.  Every case parses or fails with a
+   ["line N: ..."] message, and what parses prints to text that parses
+   back to the same plan (the fault printer's [%g] probabilities are
+   held to a fixed point of print-then-parse). *)
+let test_parse_mutated () =
+  let st = Random.State.make [| 32 |] in
+  let statements src =
+    String.split_on_char '\n' src |> List.concat_map (String.split_on_char ';')
+  in
+  let numbers =
+    [| "-1"; "-0"; "0"; "65535"; "65536"; "1152921504606846976"; "4611686018427387903";
+       "4611686018427387904"; "-4611686018427387904"; "99999999999999999999"; "0x7fffffff";
+       "1e400"; "nan" |]
+  in
+  let mutate pool src =
+    let n = String.length src in
+    match Random.State.int st 4 with
+    | 0 when n > 0 ->
+        let b = Bytes.of_string src in
+        Bytes.set b (Random.State.int st n) (Char.chr (Random.State.int st 256));
+        Bytes.to_string b
+    | 1 -> String.sub src 0 (Random.State.int st (n + 1))
+    | 2 ->
+        let pick l = List.nth l (Random.State.int st (List.length l)) in
+        let stmts = statements src in
+        let i = Random.State.int st (List.length stmts + 1) in
+        String.concat ";"
+          (List.filteri (fun j _ -> j < i) stmts
+          @ [ pick (statements (pick pool)) ]
+          @ List.filteri (fun j _ -> j >= i) stmts)
+    | _ ->
+        (* Swap the digit run around a random position for a number. *)
+        let is_digit c = c >= '0' && c <= '9' in
+        let i = if n = 0 then 0 else Random.State.int st n in
+        if i >= n || not (is_digit src.[i]) then src
+        else begin
+          let a = ref i and b = ref i in
+          while !a > 0 && is_digit src.[!a - 1] do decr a done;
+          while !b < n && is_digit src.[!b] do incr b done;
+          String.sub src 0 !a
+          ^ numbers.(Random.State.int st (Array.length numbers))
+          ^ String.sub src !b (n - !b)
+        end
+  in
+  let positioned e =
+    match String.index_opt e ':' with
+    | Some i when i > 5 && String.sub e 0 5 = "line " ->
+        String.for_all (fun c -> c >= '0' && c <= '9') (String.sub e 5 (i - 5))
+    | _ -> false
+  in
+  let run ~pool ~roundtrip parse =
+    for case = 1 to 2000 do
+      let src = ref (List.nth pool (case mod List.length pool)) in
+      for _ = 0 to Random.State.int st 3 do
+        src := mutate pool !src
+      done;
+      match parse !src with
+      | exception exn -> Alcotest.failf "%S raised %s" !src (Printexc.to_string exn)
+      | Ok p -> if not (roundtrip p) then Alcotest.failf "%S does not round-trip" !src
+      | Error e -> if not (positioned e) then Alcotest.failf "%S: unpositioned %S" !src e
+    done
+  in
+  let fault_text p = Format.asprintf "%a" Fault.pp_plan p in
+  run ~pool:[ all_kinds_src; "seed 3; down @0 pipe=0 # x" ] Fault.parse ~roundtrip:(fun p ->
+      match Fault.parse (fault_text p) with
+      | Ok p' -> fault_text p' = fault_text p
+      | Error _ -> false);
+  run ~pool:[ link_src; "link-delay @0..4 link=2 extra=1" ] Linkplan.parse ~roundtrip:(fun p ->
+      Linkplan.parse (Linkplan.to_string p) = Ok p)
 
 let test_validate_ranges () =
   let bad = parse_exn "seed 1; down @5 pipe=9" in
@@ -76,6 +183,53 @@ let test_validate_ranges () =
      with Invalid_argument _ -> true);
   let deep = parse_exn "seed 1; stall @5..9 stage=40 pipe=0" in
   check "stage out of range" true (Fault.validate deep ~k:4 ~stages:16 = Ok () = false)
+
+(* A plan that validates must also resume: validation holds every event
+   to the bounds a snapshot's fault section reads back.  Each plan that
+   validates runs heavy_hitter for 20 cycles, suspends, and resumes a
+   copy of its snapshot (the cross-process path). *)
+let test_validated_plan_resumes () =
+  let sw = Switch.create_exn Sources.heavy_hitter in
+  let k = 4 in
+  let trace =
+    Tracegen.sensitivity
+      {
+        Tracegen.n_packets = 400;
+        k;
+        pkt_bytes = 64;
+        n_fields = 2;
+        index_fields = [ 0 ];
+        reg_size = 512;
+        pattern = Tracegen.Uniform;
+        n_ports = 64;
+        seed = 3;
+      }
+  in
+  let source () = Mp5_workload.Packet_source.of_array trace in
+  let stages = Array.length sw.Switch.prog.Mp5_core.Transform.config.Mp5_banzai.Config.stages in
+  List.iter
+    (fun (src, valid) ->
+      let plan = parse_exn src in
+      check (src ^ " validates") valid (Fault.validate plan ~k ~stages = Ok ());
+      if valid then
+        match
+          Sim.run_source ~fault:plan ~cycle_budget:20 (Sim.default_params ~k) sw.Switch.prog
+            (source ())
+        with
+        | Sim.Completed _ -> Alcotest.failf "%s: did not suspend" src
+        | Sim.Suspended snap -> (
+            let snapshot = Bytes.to_string (Bytes.of_string snap) in
+            match Sim.resume ~snapshot sw.Switch.prog (source ()) with
+            | Ok (Sim.Completed _) -> ()
+            | Ok (Sim.Suspended _) -> Alcotest.failf "%s: resume suspended" src
+            | Error (Sim.Corrupt m | Sim.Mismatch m) -> Alcotest.failf "%s: resume: %s" src m))
+    [
+      ("seed 1; phantom-delay @0..100 extra=65535", true);
+      ("seed 1; up @1152921504606846976 pipe=1", true);
+      ("seed 1; phantom-delay @0..100 extra=70000", false);
+      ("seed 1; up @2000000000000000000 pipe=1", false);
+      ("seed 1; stall @0..1152921504606846977 stage=1 pipe=0", false);
+    ]
 
 (* --- simulation helpers --- *)
 
@@ -364,7 +518,9 @@ let () =
           Alcotest.test_case "all kinds + pp round trip" `Quick test_parse_all_kinds;
           Alcotest.test_case "separators and comments" `Quick test_parse_separators;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "mutated plans parse or fail positioned" `Quick test_parse_mutated;
           Alcotest.test_case "validation ranges" `Quick test_validate_ranges;
+          Alcotest.test_case "a plan that validates resumes" `Quick test_validated_plan_resumes;
         ] );
       ( "degraded mode",
         [

@@ -69,13 +69,6 @@ let test_move_updates_load () =
   check_int "moved" 3 (Index_map.pipeline_of m 0);
   Alcotest.(check (array int)) "load follows" [| 0; 0; 0; 1 |] (Index_map.per_pipeline_load m)
 
-let test_cells_of_pipeline () =
-  let m = mk () in
-  Alcotest.(check (list int)) "p1 cells" [ 1; 5 ] (Index_map.cells_of_pipeline m 1);
-  Index_map.move m ~cell:1 ~to_:0;
-  Alcotest.(check (list int)) "after move" [ 5 ] (Index_map.cells_of_pipeline m 1);
-  Alcotest.(check (list int)) "p0 gains" [ 0; 1; 4 ] (Index_map.cells_of_pipeline m 0)
-
 let () =
   Alcotest.run "index_map"
     [
@@ -89,6 +82,5 @@ let () =
           Alcotest.test_case "inflight counters" `Quick test_inflight;
           Alcotest.test_case "per-pipeline load" `Quick test_per_pipeline_load;
           Alcotest.test_case "move updates load" `Quick test_move_updates_load;
-          Alcotest.test_case "cells_of_pipeline" `Quick test_cells_of_pipeline;
         ] );
     ]

@@ -61,8 +61,7 @@ let test_heartbeat () =
    raise signals on themselves directly.  Timings are tightened so the
    whole group runs in well under a second. *)
 
-let config ~dir ?(max_restarts = 3) ?(retryable = fun e ->
-    match e with Supervisor.Exited _ -> false | _ -> true) logs =
+let config ~dir ?(max_restarts = 3) logs =
   let snapshot_path = Filename.concat dir "run.snap" in
   {
     (Supervisor.default ~snapshot_path) with
@@ -71,7 +70,6 @@ let config ~dir ?(max_restarts = 3) ?(retryable = fun e ->
     max_restarts;
     backoff_base = 0.01;
     backoff_max = 0.02;
-    retryable;
     log = (fun line -> logs := line :: !logs);
   }
 

@@ -53,12 +53,6 @@ let test_priority_tie_insertion_order () =
   Table.add t { Table.key = [ (0, 0) ]; priority = 5; action = 2 };
   check_int "oldest wins ties" 1 (Table.lookup t [ 0 ])
 
-let test_clear () =
-  let t = Table.create ~name:"t" ~arity:1 () in
-  let _ = Table.add_exact t ~key:[ 1 ] ~action:1 () in
-  Table.clear t;
-  check_int "cleared" 0 (Table.lookup t [ 1 ])
-
 let test_arity_checks () =
   let t = Table.create ~name:"t" ~arity:2 () in
   Alcotest.check_raises "bad entry arity"
@@ -183,7 +177,6 @@ let () =
           Alcotest.test_case "wildcard" `Quick test_wildcard;
           Alcotest.test_case "priority" `Quick test_priority;
           Alcotest.test_case "priority ties" `Quick test_priority_tie_insertion_order;
-          Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "arity checks" `Quick test_arity_checks;
           Alcotest.test_case "expression lookup" `Quick test_expr_lookup;
         ] );

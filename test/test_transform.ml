@@ -110,16 +110,6 @@ let test_figure3_exclusive_stage () =
   check "all sharded" true (Array.for_all Fun.id prog.Transform.sharded);
   check_int "three accesses" 3 (Array.length prog.Transform.accesses)
 
-let test_accesses_by_stage () =
-  let prog, _ = transform (wrap "r[p.x % 8] = r[p.x % 8] + 1; s[p.y % 8] = s[p.y % 8] + 1;") in
-  let by_stage = Transform.accesses_by_stage prog in
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 by_stage in
-  check_int "all accesses assigned" (Array.length prog.Transform.accesses) total;
-  Array.iteri
-    (fun stage accs ->
-      List.iter (fun (a : Transform.access) -> check_int "stage matches" stage a.Transform.stage) accs)
-    by_stage
-
 let test_pad_to_stages () =
   let prog, _ = transform ~pad_to_stages:16 (wrap "r[0] = r[0] + 1;") in
   check_int "padded" 16 (Array.length prog.Transform.config.Config.stages);
@@ -161,7 +151,6 @@ let () =
           Alcotest.test_case "serialization" `Quick test_serialization_splits_multi_array_stage;
           Alcotest.test_case "budget exhausted rejected" `Quick test_no_budget_rejected;
           Alcotest.test_case "figure 3 exclusive stage" `Quick test_figure3_exclusive_stage;
-          Alcotest.test_case "accesses_by_stage" `Quick test_accesses_by_stage;
           Alcotest.test_case "pad_to_stages" `Quick test_pad_to_stages;
           Alcotest.test_case "transformed configs validate" `Quick
             test_transformed_config_validates;
