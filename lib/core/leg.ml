@@ -90,14 +90,12 @@ let position source ~consumed ~digest ~fold ~what =
         if i = consumed then
           if sd = digest then Ok ()
           else Error (what ^ " does not replay the checkpointed run's packets")
-        else
-          match Psource.next source with
-          | None ->
-              Error
-                (Printf.sprintf "%s ended after %d packets; snapshot consumed %d" what i consumed)
-          | Some input ->
-              fold sd input;
-              replay (i + 1)
+        else if Psource.ready source then begin
+          fold sd source;
+          Psource.advance source;
+          replay (i + 1)
+        end
+        else Error (Printf.sprintf "%s ended after %d packets; snapshot consumed %d" what i consumed)
       in
       replay 0
   | c ->

@@ -60,9 +60,10 @@ val position :
   Mp5_workload.Packet_source.t ->
   consumed:int ->
   digest:Mp5_util.Hashing.state ->
-  fold:(Mp5_util.Hashing.state -> Mp5_banzai.Machine.input -> unit) ->
+  fold:(Mp5_util.Hashing.state -> Mp5_workload.Packet_source.t -> unit) ->
   what:string ->
   (unit, string) result
 (** Position a resumed leg's source [what] at a snapshot's cursor: as it
     is if it is there, or, fresh, by replaying the consumed prefix under
-    a new digest ([fold] per packet) that must equal [digest]. *)
+    a new digest ([fold] per packet, reading the source's buffered
+    packet) that must equal [digest]. *)

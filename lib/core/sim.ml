@@ -1420,10 +1420,11 @@ type loop_state = {
   track_src : bool;
 }
 
-let fold_src_digest sd (input : Machine.input) =
-  Hashing.feed sd input.Machine.time;
-  Hashing.feed sd input.Machine.port;
-  let headers = input.Machine.headers in
+(* Folds the source's buffered packet. *)
+let fold_src_digest sd source =
+  Hashing.feed sd (Psource.time source);
+  Hashing.feed sd (Psource.port source);
+  let headers = Psource.headers source in
   Hashing.feed sd (Array.length headers);
   for i = 0 to Array.length headers - 1 do
     Hashing.feed sd headers.(i)
@@ -1434,7 +1435,9 @@ let arrival_phase sim now source st =
      stage; the Naive_single baseline funnels everything into pipeline
      0, and a downed pipeline admits nothing (degraded capacity is
      (k - n_down)/k of ideal by construction).  Both loops admit here;
-     no closure captures [entry], so neither ref is boxed. *)
+     no closure captures [entry], so neither ref is boxed.  The packet
+     is read off the source's buffer, its headers copied straight into
+     the slab slot, before the source advances past it. *)
   let max_accept = match sim.p.mode with Naive_single -> 1 | _ -> sim.p.k in
   let entry = ref 0 in
   let admitting = ref true in
@@ -1443,25 +1446,23 @@ let arrival_phase sim now source st =
     | Some f -> while !entry < max_accept && Fault.is_down f !entry do incr entry done
     | None -> ());
     if !entry >= max_accept then admitting := false
-    else
-      match Psource.peek source with
-      | Some input when input.Machine.time <= now ->
-          ignore (Psource.next source : Machine.input option);
-          let seq = Psource.consumed source - 1 in
-          if st.track_src then fold_src_digest st.sd input;
-          let pkt = alloc_packet sim ~seq ~now input.Machine.headers in
-          let pipeline = !entry in
-          (match sim.ms with Some m -> Metrics.arrival m | None -> ());
-          (match sim.tr with
-          | Some tr ->
-              Etrace.emit tr ~kind:Etrace.Arrival ~cycle:now ~seq ~stage:0 ~pipe:pipeline
-                ~aux:0
-          | None -> ());
-          resolve sim now pipeline pkt;
-          sim.slots.(0).(pipeline) <- pkt;
-          sim.in_flight <- sim.in_flight + 1;
-          incr entry
-      | _ -> admitting := false
+    else if Psource.ready source && Psource.time source <= now then begin
+      let seq = Psource.consumed source in
+      if st.track_src then fold_src_digest st.sd source;
+      let pkt = alloc_packet sim ~seq ~now (Psource.headers source) in
+      Psource.advance source;
+      let pipeline = !entry in
+      (match sim.ms with Some m -> Metrics.arrival m | None -> ());
+      (match sim.tr with
+      | Some tr ->
+          Etrace.emit tr ~kind:Etrace.Arrival ~cycle:now ~seq ~stage:0 ~pipe:pipeline ~aux:0
+      | None -> ());
+      resolve sim now pipeline pkt;
+      sim.slots.(0).(pipeline) <- pkt;
+      sim.in_flight <- sim.in_flight + 1;
+      incr entry
+    end
+    else admitting := false
   done
 
 let remap_phase sim now =
@@ -2196,13 +2197,11 @@ let remap_due sim st t =
 type node = {
   nd_sim : sim;
   nd_st : loop_state;
-  nd_q : Machine.input Queue.t;
   nd_src : Psource.t;
   nd_cycle : int -> unit;
 }
 
-let make_node sim st q src =
-  { nd_sim = sim; nd_st = st; nd_q = q; nd_src = src; nd_cycle = make_cycle sim src st }
+let make_node sim st src = { nd_sim = sim; nd_st = st; nd_src = src; nd_cycle = make_cycle sim src st }
 
 (* One machine cycle, then the remap boundary if one falls at [now].
    Remap boundaries are the profiler's epoch marks: GC counters are
@@ -2234,15 +2233,14 @@ let node_next_event node ~now =
 let switch =
   {
     Leg.clock = (fun nd -> nd.nd_st.ck);
-    live = (fun nd -> nd.nd_sim.in_flight > 0 || Option.is_some (Psource.peek nd.nd_src));
+    live = (fun nd -> nd.nd_sim.in_flight > 0 || Psource.ready nd.nd_src);
     busy = (fun nd -> nd.nd_sim.in_flight > 0);
     step = (fun nd now -> node_step nd ~now);
     score = (fun nd -> nd.nd_sim.delivered + nd.nd_sim.dropped + Psource.consumed nd.nd_src);
     next_event =
       (fun nd now ->
-        match Psource.peek nd.nd_src with
-        | Some input -> Int.min input.Machine.time (node_next_event nd ~now)
-        | None -> max_int);
+        if Psource.ready nd.nd_src then Int.min (Psource.time nd.nd_src) (node_next_event nd ~now)
+        else max_int);
     encode = (fun nd -> encode nd.nd_sim nd.nd_st nd.nd_src);
     parked = Leg.parking ();
   }
@@ -2289,7 +2287,7 @@ let finish_summary sim st source =
    verified in its terminal state. *)
 let leg ~what ?checkpoint_every ?on_checkpoint ?heartbeat_every ?on_heartbeat ?stop ?cycle_budget
     sim st source =
-  let nd = make_node sim st (Queue.create ()) source in
+  let nd = make_node sim st source in
   match
     Leg.run switch ~what ?prof:sim.pf ?cycle_budget ?stop ?checkpoint_every ?on_checkpoint
       ?heartbeat_every ?on_heartbeat nd
@@ -2325,9 +2323,8 @@ let stream ?loop:(_ : loop option) ?metrics ?events ?fault ?monitor ?prof
     ?checkpoint_every ?on_checkpoint ?heartbeat_every ?on_heartbeat ?stop ?cycle_budget
     ~on_exit ~on_access params prog source =
   let start_time =
-    match Psource.peek source with
-    | Some i -> i.Machine.time
-    | None -> invalid_arg "Sim.run_source: empty source"
+    if Psource.ready source then Psource.time source
+    else invalid_arg "Sim.run_source: empty source"
   in
   if Psource.consumed source > 0 then
     invalid_arg "Sim.run_source: source already partially consumed";
@@ -2598,28 +2595,27 @@ let summary_equal (a : summary) (b : summary) =
   && Store.equal a.s_store b.s_store
   && a.s_digests = b.s_digests
 
-(* --- fabric nodes (lib/fabric): fed by a live queue source, whose
+(* --- fabric nodes (lib/fabric): fed by an ingress source, whose
    cursor [node_inject] derives local seqs from --- *)
 
 let fabric_node ~on_exit ~on_drop ?consumed ?last_time sim st =
   sim.on_exit <- Some on_exit;
   sim.on_drop <- Some on_drop;
-  let q = Queue.create () in
-  make_node sim st q (Psource.of_queue ?consumed ?last_time q)
+  make_node sim st (Psource.ingress ?consumed ?last_time ())
 
 let node_create ~anchor ~on_exit ~on_drop params prog =
   let st = fresh_loop_state ~start:anchor ~track_src:false in
   fabric_node ~on_exit ~on_drop (create params prog) st
 
-(* Sequence numbers are assigned in admission order, which for a queue
-   source is push order, so the local seq of a pushed packet is known at
-   push time: its 0-based position in the overall push stream. *)
-let node_next_seq node =
-  Psource.consumed node.nd_src + Psource.buffered node.nd_src + Queue.length node.nd_q
+(* Sequence numbers are assigned in admission order, which for an
+   ingress source is push order, so the local seq of a pushed packet is
+   known at push time: its 0-based position in the overall push
+   stream. *)
+let node_next_seq node = Psource.consumed node.nd_src + Psource.pending node.nd_src
 
-let node_inject node input =
+let node_inject node ~time ~port src ~off ~mask ~n =
   let seq = node_next_seq node in
-  Queue.push input node.nd_q;
+  Psource.push node.nd_src ~time ~port src ~off ~mask ~n;
   seq
 
 let node_in_flight node = node.nd_sim.in_flight
@@ -2643,14 +2639,12 @@ let node_machine_seqs node =
   Array.sort Int.compare seqs;
   seqs
 
-let node_backlog node = Queue.length node.nd_q + Psource.buffered node.nd_src
+let node_backlog node = Psource.pending node.nd_src
 
-(* Injected-but-unadmitted packets in admission order: the lookahead
-   slot first, then the ingress queue.  What a fabric snapshot records
-   so a restored node can be re-injected the exact backlog. *)
-let node_iter_pending node f =
-  (match Psource.lookahead node.nd_src with Some x -> f x | None -> ());
-  Queue.iter f node.nd_q
+(* Injected-but-unadmitted packets in admission order: what a fabric
+   snapshot records so a restored node can be re-injected the exact
+   backlog. *)
+let node_iter_pending node f = Psource.iter_pending node.nd_src f
 
 let node_delivered node = node.nd_sim.delivered
 let node_dropped node = node.nd_sim.dropped

@@ -367,12 +367,15 @@ val node_create :
     recycled right after), and the hook must neither write it nor keep
     it.  A hook that needs the headers later copies them out. *)
 
-val node_inject : node -> Mp5_banzai.Machine.input -> int
-(** Queue one packet for admission and return the local sequence number
-    it will carry (its 0-based position in the node's push stream) — the
-    key the driver uses to track per-packet fabric metadata across
-    [on_exit]/[on_drop].  The input's [time] must be at or before the
-    next cycle to be stepped, or admission stalls. *)
+val node_inject :
+  node -> time:int -> port:int -> int array -> off:int -> mask:int -> n:int -> int
+(** Push one packet onto the node's ingress ring for admission (its [n]
+    headers are [src.((off + j) land mask)], as
+    {!Mp5_workload.Packet_source.push} reads them) and return the local
+    sequence number it will carry (its 0-based position in the node's
+    push stream) — the key the driver uses to track per-packet fabric
+    metadata across [on_exit]/[on_drop].  [time] must be at or before
+    the next cycle to be stepped, or admission stalls. *)
 
 val node_next_seq : node -> int
 (** The local seq the next {!node_inject} will return: the packets the
@@ -398,12 +401,13 @@ val node_machine_seqs : node -> int array
     them checks them first. *)
 
 val node_backlog : node -> int
-(** Packets injected but not yet admitted (ingress queue + lookahead). *)
+(** Packets injected but not yet admitted (the ingress ring and the
+    source's buffered packet). *)
 
 val node_iter_pending : node -> (Mp5_banzai.Machine.input -> unit) -> unit
 (** The {!node_backlog} injected-but-unadmitted packets, in admission
-    order — what a fabric snapshot serializes alongside {!node_encode}
-    (which excludes the ingress queue). *)
+    order, each a fresh input — what a fabric snapshot serializes
+    alongside {!node_encode} (which excludes the ingress ring). *)
 
 val node_delivered : node -> int
 val node_dropped : node -> int

@@ -142,11 +142,11 @@ type outcome = Completed of result | Suspended of string
 exception Conservation of string
 
 (* The host source digest folds each injected packet's time, port and
-   headers. *)
-let feed_input st (input : Machine.input) =
-  Hashing.feed st input.Machine.time;
-  Hashing.feed st input.Machine.port;
-  let headers = input.Machine.headers in
+   headers, read off the source's buffer. *)
+let feed_input st source =
+  Hashing.feed st (Psource.time source);
+  Hashing.feed st (Psource.port source);
+  let headers = Psource.headers source in
   for f = 0 to Array.length headers - 1 do
     Hashing.feed st headers.(f)
   done
@@ -173,31 +173,29 @@ let send fab ~now ~link ~aux ~fseq ~dst ~inject ~hops ~time ~port src ~off ~n =
   end
 
 (* Host injection: every source packet due at (or before) this cycle
-   enters its source host's uplink. *)
+   enters its source host's uplink, its headers copied from the source's
+   buffer into the link's ring.  [dst_of] reads a view of the buffer: a
+   4-word record per packet, the one allocation on this path. *)
 let inject_phase fab t =
   let n_hosts = Topology.n_hosts fab.p.fp_topo in
-  let continue_ = ref true in
-  while !continue_ do
-    match Psource.peek fab.hosts with
-    | Some input when input.Machine.time <= t ->
-        ignore (Psource.next fab.hosts : Machine.input option);
-        feed_input fab.src input;
-        let fseq = fab.injected in
-        fab.injected <- fab.injected + 1;
-        let src = input.Machine.port mod n_hosts in
-        let dst = fab.dst_of input in
-        if dst < 0 || dst >= n_hosts then begin
-          (* No deliverable destination: a forwarding miss at ingress. *)
-          fab.miss_dropped <- fab.miss_dropped + 1;
-          fab.last_event <- t
-        end
-        else begin
-          let time = input.Machine.time and headers = input.Machine.headers in
-          send fab ~now:t ~link:(Topology.host_uplink fab.p.fp_topo src) ~aux:0 ~fseq ~dst
-            ~inject:time ~hops:0 ~time ~port:input.Machine.port headers ~off:0
-            ~n:(Array.length headers)
-        end
-    | _ -> continue_ := false
+  let hosts = fab.hosts in
+  while Psource.ready hosts && Psource.time hosts <= t do
+    feed_input fab.src hosts;
+    let fseq = fab.injected in
+    fab.injected <- fab.injected + 1;
+    let time = Psource.time hosts and port = Psource.port hosts in
+    let headers = Psource.headers hosts in
+    let src = port mod n_hosts in
+    let dst = fab.dst_of { Machine.time; port; headers } in
+    if dst < 0 || dst >= n_hosts then begin
+      (* No deliverable destination: a forwarding miss at ingress. *)
+      fab.miss_dropped <- fab.miss_dropped + 1;
+      fab.last_event <- t
+    end
+    else
+      send fab ~now:t ~link:(Topology.host_uplink fab.p.fp_topo src) ~aux:0 ~fseq ~dst
+        ~inject:time ~hops:0 ~time ~port headers ~off:0 ~n:(Array.length headers);
+    Psource.advance hosts
   done
 
 (* Link delivery, ascending link id, FIFO within a link: one fixed
@@ -212,8 +210,11 @@ let delivery_phase fab t =
       and hops = Ring.get ring pos Ring.hops in
       let s = fab.lk_sw.(li) in
       if s >= 0 then begin
-        let input = { Machine.time = t; port = li; headers = Ring.headers ring pos } in
-        let lseq = Sim.node_inject fab.nodes.(s) input in
+        (* The entry's headers go straight into the node's ingress ring. *)
+        let lseq =
+          Sim.node_inject fab.nodes.(s) ~time:t ~port:li (Ring.words ring)
+            ~off:(pos + Ring.header_base) ~mask:(Ring.mask ring) ~n:(Ring.get ring pos Ring.nh)
+        in
         Table.add fab.metas.(s) lseq ~fseq ~dst:(Ring.get ring pos Ring.dst) ~inject ~hops
       end
       else begin
@@ -528,7 +529,12 @@ let node_state io fab i nd ~frame_at =
   let n_pending = C.count io ~min_bytes:24 ~what:"pending packets" (Sim.node_backlog nd) in
   if C.reading io then
     for _ = 1 to n_pending do
-      ignore (Sim.node_inject nd (pending_input io ~n_links no_input) : int)
+      let i = pending_input io ~n_links no_input in
+      let headers = i.Machine.headers in
+      ignore
+        (Sim.node_inject nd ~time:i.Machine.time ~port:i.Machine.port headers ~off:0 ~mask:(-1)
+           ~n:(Array.length headers)
+          : int)
     done
   else Sim.node_iter_pending nd (fun inp -> ignore (pending_input io ~n_links inp : Machine.input));
   let metas = fab.metas.(i) in
@@ -737,7 +743,7 @@ let step fab t =
    delivery, a link-plan edge or a node's own ({!Sim.node_next_event}),
    so a fabric visits exactly the boundaries a plain run does. *)
 let next_event fab t =
-  let e = match Psource.peek fab.hosts with Some i -> i.Machine.time | None -> max_int in
+  let e = if Psource.ready fab.hosts then Psource.time fab.hosts else max_int in
   let e = ref (Int.min (Int.min e (min_link_due fab)) (Linkplan.next_edge fab.p.fp_plan ~now:t)) in
   for i = 0 to Array.length fab.nodes - 1 do
     e := Int.min !e (Sim.node_next_event fab.nodes.(i) ~now:t)
@@ -749,7 +755,7 @@ let fabric =
     Leg.clock = (fun fab -> fab.ck);
     live =
       (fun fab ->
-        Option.is_some (Psource.peek fab.hosts) || any_node_work fab || min_link_due fab < max_int);
+        Psource.ready fab.hosts || any_node_work fab || min_link_due fab < max_int);
     busy = any_node_work;
     step;
     score =
@@ -772,9 +778,7 @@ let leg ~what fab ~cycle_budget ~sabotage =
 
 let run ?monitor ?cycle_budget ?(sabotage = 0) ~dst p prog source =
   let anchor =
-    match Psource.peek source with
-    | Some i -> i.Machine.time
-    | None -> invalid_arg "Fabric.run: empty source"
+    if Psource.ready source then Psource.time source else invalid_arg "Fabric.run: empty source"
   in
   if Psource.consumed source > 0 then
     invalid_arg "Fabric.run: source already partially consumed";

@@ -75,13 +75,8 @@ module Ring = struct
 
   let head t = t.head
 
-  let headers t pos =
-    let n = get t pos nh in
-    let a = Array.make n 0 in
-    for j = 0 to n - 1 do
-      a.(j) <- get t pos (header_base + j)
-    done;
-    a
+  let words t = t.buf
+  let mask t = t.mask
 
   let pop t =
     t.head <- t.head + header_base + get t t.head nh;

@@ -100,8 +100,14 @@ module Ring : sig
   (** [get t pos k]: field [k] of the entry at [pos]; header [i] is field
       [header_base + i]. *)
 
-  val headers : t -> int -> int array
-  (** A fresh copy of the headers of the entry at [pos]. *)
+  val words : t -> int array
+  (** The backing array: field [k] of the entry at [pos] is
+      [(words t).((pos + k) land mask t)], until the next push (which
+      may grow it).  What a consumer with its own [(src, off, mask)]
+      reader copies an entry's headers out of without a fresh array. *)
+
+  val mask : t -> int
+  (** The index mask {!words} is read with. *)
 
   val pop : t -> unit
   (** Drop the oldest entry.  The ring must not be empty. *)

@@ -25,11 +25,12 @@ let default_spec topo =
     seed = 42;
   }
 
-(* One packet per pull, constant memory.  Arrival times are
-   nondecreasing ([per_cycle] packets per cycle), [port] is the source
-   host (its uplink carries the packet in), and the dst field names a
-   uniformly random host other than the source (any other host when the
-   fabric has one host, which routes to itself). *)
+(* One packet per fill, constant memory: each is written straight into
+   the source's buffer.  Arrival times are nondecreasing ([per_cycle]
+   packets per cycle), [port] is the source host (its uplink carries the
+   packet in), and the dst field names a uniformly random host other
+   than the source (any other host when the fabric has one host, which
+   routes to itself). *)
 let source spec =
   if spec.n_packets <= 0 then invalid_arg "Traffic.source: n_packets must be positive";
   if spec.per_cycle <= 0 then invalid_arg "Traffic.source: per_cycle must be positive";
@@ -39,29 +40,29 @@ let source spec =
   let is_index = Array.init spec.n_fields (fun f -> List.mem f spec.index_fields) in
   let rng = Rng.create spec.seed in
   let i = ref 0 in
-  Psource.of_pull ~total:spec.n_packets (fun () ->
-      if !i >= spec.n_packets then None
-      else begin
-        let time = !i / spec.per_cycle in
-        let src = Rng.int rng n_hosts in
-        let dst =
-          if n_hosts = 1 then 0
-          else begin
-            let d = Rng.int rng (n_hosts - 1) in
-            if d >= src then d + 1 else d
-          end
-        in
-        (* Field order is draw order. *)
-        let headers = Array.make spec.n_fields 0 in
-        for f = 0 to spec.n_fields - 1 do
-          headers.(f) <-
-            (if f = spec.dst_field then dst
-             else if is_index.(f) then Rng.int rng spec.reg_size
-             else Rng.int rng 1024)
-        done;
-        incr i;
-        Some { Machine.time; port = src; headers }
-      end)
+  Psource.of_fill ~total:spec.n_packets (fun src ->
+      !i < spec.n_packets
+      && begin
+           let time = !i / spec.per_cycle in
+           let s = Rng.int rng n_hosts in
+           let dst =
+             if n_hosts = 1 then 0
+             else begin
+               let d = Rng.int rng (n_hosts - 1) in
+               if d >= s then d + 1 else d
+             end
+           in
+           (* Field order is draw order. *)
+           let headers = Psource.set src ~time ~port:s ~n:spec.n_fields in
+           for f = 0 to spec.n_fields - 1 do
+             headers.(f) <-
+               (if f = spec.dst_field then dst
+                else if is_index.(f) then Rng.int rng spec.reg_size
+                else Rng.int rng 1024)
+           done;
+           incr i;
+           true
+         end)
 
 let dst_of_input spec (input : Machine.input) =
   if spec.dst_field < Array.length input.Machine.headers then

@@ -44,10 +44,14 @@ let skewed ~n ~hot_fraction ~hot_mass =
   (* Degenerate case: everything hot. *)
   if cold = 0 then uniform_discrete n else discrete weights
 
+(* [Rng.float rng 1.0], computed here so the draw stays unboxed: a float
+   returned across the module boundary would be boxed on every sample. *)
+let two53 = 9007199254740992.0
+
 let sample rng d =
   let n = Array.length d.prob in
   let i = Rng.int rng n in
-  if Rng.float rng 1.0 < d.prob.(i) then i else d.alias.(i)
+  if float_of_int (Rng.float_bits rng) /. two53 < d.prob.(i) then i else d.alias.(i)
 
 type empirical = { knots : (float * float) array }
 
@@ -102,7 +106,8 @@ let bimodal ~lo ~hi ~lo_prob =
   if lo_prob < 0.0 || lo_prob > 1.0 then invalid_arg "Dist.bimodal: lo_prob";
   { lo; hi; lo_prob }
 
-let sample_bimodal rng b = if Rng.float rng 1.0 < b.lo_prob then b.lo else b.hi
+let sample_bimodal rng b =
+  if float_of_int (Rng.float_bits rng) /. two53 < b.lo_prob then b.lo else b.hi
 
 let mean_bimodal b =
   (b.lo_prob *. float_of_int b.lo) +. ((1.0 -. b.lo_prob) *. float_of_int b.hi)

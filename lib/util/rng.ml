@@ -71,9 +71,8 @@ let int t bound =
   done;
   !r
 
-let float t bound =
-  let v = bits t land 0x1F_FFFF_FFFF_FFFF in
-  bound *. (float_of_int v /. 9007199254740992.0)
+let float_bits t = bits t land 0x1F_FFFF_FFFF_FFFF
+let float t bound = bound *. (float_of_int (float_bits t) /. 9007199254740992.0)
 
 let bool t = bits t land 1 = 1
 

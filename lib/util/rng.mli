@@ -33,6 +33,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val float_bits : t -> int
+(** The 53-bit draw behind {!float}: [float t b] is
+    [b *. (float_of_int (float_bits t) /. 0x1p53)].  An immediate int,
+    so a caller can compare the draw against a float without boxing
+    it across the module boundary. *)
+
 val bool : t -> bool
 
 val pick : t -> 'a array -> 'a

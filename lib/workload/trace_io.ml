@@ -90,15 +90,21 @@ let scan sc s start stop =
 
 exception Bad_line of string
 
-(* The packet of a scanned, non-blank line; [arity] latches the first
-   packet's field count.  @raise Bad_line with the unpositioned reason. *)
-let packet sc arity n =
+(* The header count of a scanned, non-blank line, whose time, port and
+   headers are then [sc.buf.(0)], [sc.buf.(1)] and [sc.buf.(2 ..)];
+   [arity] latches the first packet's field count.
+   @raise Bad_line with the unpositioned reason. *)
+let fields_of arity n =
   let bad fmt = Printf.ksprintf (fun msg -> raise (Bad_line msg)) fmt in
   if n = not_int then bad "not an integer";
   if n < 2 then bad "need at least time and port";
   let fields = n - 2 in
   if !arity = -1 then arity := fields;
   if fields <> !arity then bad "%d fields, expected %d (truncated line?)" fields !arity;
+  fields
+
+let packet sc arity n =
+  let fields = fields_of arity n in
   { Machine.time = sc.buf.(0); port = sc.buf.(1); headers = Array.sub sc.buf 2 fields }
 
 (* The packet count of [s] if every line is well formed: its lines that
@@ -152,13 +158,15 @@ let of_string s =
   | None -> if !n = 0 then Error "no packets in trace" else Ok packets
 
 (* Streaming reader: same grammar, scanner and error shape as
-   [of_string], but one line in memory at a time.  Errors surface as
-   [Packet_source.Error] mid-stream (the pull happens long after the
+   [of_string], but one line in memory at a time, each packet written
+   from the scanner straight into the source's buffer.  Errors surface as
+   [Packet_source.Error] mid-stream (the fill happens long after the
    open), positioned exactly like the batch reader's.  Arrival times must
    be nondecreasing — the batch path tolerates disorder because the whole
-   trace is visible, but the simulator's idle fast-forward trusts [peek]
-   to bound the next arrival, which only a sorted stream can promise. *)
-let stream_channel ?path ic =
+   trace is visible, but the simulator's idle fast-forward trusts the
+   buffered packet to bound the next arrival, which only a sorted stream
+   can promise.  [close] runs once, at the end of the stream. *)
+let channel_source ?path ~close ic =
   let prefix = match path with None -> "" | Some p -> p ^ ": " in
   let sc = scanner () in
   let pos = ref 0 in
@@ -173,44 +181,40 @@ let stream_channel ?path ic =
              (Printf.sprintf "%sbyte %d (line %d): %s" prefix at !lineno msg)))
       fmt
   in
-  let rec pull () =
+  let rec fill src =
     match input_line ic with
-    | exception End_of_file -> None
+    | exception End_of_file ->
+        close ();
+        false
     | raw -> (
         incr lineno;
         let start = !pos in
         pos := !pos + String.length raw + 1;
         let n = scan sc raw 0 (String.length raw) in
-        if n = blank then pull ()
+        if n = blank then fill src
         else
-          match packet sc arity n with
+          match fields_of arity n with
           | exception Bad_line msg -> fail start "%s" msg
-          | p ->
-              if p.Machine.time < !last_time then
+          | fields ->
+              let time = sc.buf.(0) in
+              if time < !last_time then
                 fail start
                   "arrival time %d before previous packet's %d (streamed traces must be time-sorted)"
-                  p.Machine.time !last_time;
-              last_time := p.Machine.time;
-              Some p)
+                  time !last_time;
+              last_time := time;
+              Array.blit sc.buf 2 (Packet_source.set src ~time ~port:sc.buf.(1) ~n:fields) 0 fields;
+              true)
   in
-  Packet_source.of_pull pull
+  Packet_source.of_fill fill
 
+let stream_channel ?path ic = channel_source ?path ~close:ignore ic
+
+(* Closed at the end of the stream by the fill itself: a source has no
+   explicit close, and the channel must outlive this function. *)
 let stream ~path =
   match open_in_bin path with
   | exception Sys_error e -> Error e
-  | ic ->
-      (* Closed at EOF by the pull itself: a source has no explicit close,
-         and the channel must outlive this function. *)
-      let src = stream_channel ~path ic in
-      let closing =
-        Packet_source.of_pull (fun () ->
-            match Packet_source.next src with
-            | Some _ as r -> r
-            | None ->
-                close_in_noerr ic;
-                None)
-      in
-      Ok closing
+  | ic -> Ok (channel_source ~path ~close:(fun () -> close_in_noerr ic) ic)
 
 let save ~path trace =
   let oc = open_out_bin path in

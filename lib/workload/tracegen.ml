@@ -1,5 +1,6 @@
 module Rng = Mp5_util.Rng
 module Dist = Mp5_util.Dist
+module Hashing = Mp5_util.Hashing
 module Machine = Mp5_banzai.Machine
 
 type pattern = Uniform | Skewed | Skewed_rotating of int | Uniform_bursty of int
@@ -27,17 +28,42 @@ let arrival_time ~k ~bytes i =
      stay exact: t_i = floor(i * bytes / (64 * k)). *)
   i * bytes / (64 * k)
 
-(* The generator closure is the single source of truth for the draw
-   sequence; the array builder below materializes it with an explicit
-   in-order loop.  That construction — rather than two parallel
-   [Array.init] bodies — is what makes "streamed runs are byte-identical
-   to array runs" true without relying on evaluation-order folklore. *)
-let sensitivity_gen spec =
+(* The producer is the single source of truth for the draw sequence;
+   the array builder below materializes it with an explicit in-order
+   loop.  That construction — rather than two parallel [Array.init]
+   bodies — is what makes "streamed runs are byte-identical to array
+   runs" true without relying on evaluation-order folklore.  It writes
+   each packet straight into the source's buffer and allocates nothing
+   per packet: the index fields and their generators sit in two arrays,
+   and the bursty pattern's hashes fold through one reused state. *)
+let sensitivity_fill spec =
   let rng = Rng.create spec.seed in
   let dist = pattern_dist spec.pattern ~n:spec.reg_size in
   (* Independent index streams per field, so different arrays see
      different (but identically distributed) access sequences. *)
   let field_rngs = List.map (fun f -> (f, Rng.split rng)) spec.index_fields in
+  let idx_fields = Array.of_list (List.map fst field_rngs)
+  and idx_rngs = Array.of_list (List.map snd field_rngs) in
+  (* [Hashing.fnv1a [a; b; c]] and [[a; b; c; d]] without the lists: a
+     state fed the seed 0, then each key. *)
+  let hs = Hashing.start () in
+  let fnv3 a b c =
+    Hashing.reset hs;
+    Hashing.feed hs 0;
+    Hashing.feed hs a;
+    Hashing.feed hs b;
+    Hashing.feed hs c;
+    Hashing.value hs
+  in
+  let fnv4 a b c d =
+    Hashing.reset hs;
+    Hashing.feed hs 0;
+    Hashing.feed hs a;
+    Hashing.feed hs b;
+    Hashing.feed hs c;
+    Hashing.feed hs d;
+    Hashing.value hs
+  in
   let place i field idx =
     match spec.pattern with
     | Skewed_rotating window ->
@@ -50,47 +76,46 @@ let sensitivity_gen spec =
         (* 90% of draws hit the current window's active block; the
            decision bit comes from an independent hash so the uniform
            tail covers every cell. *)
-        let h = Mp5_util.Hashing.fnv1a [ i; field; idx; spec.seed ] in
+        let h = fnv4 i field idx spec.seed in
         if h mod 10 < 9 then
-          let start =
-            Mp5_util.Hashing.fnv1a [ i / max 1 window; field; spec.seed ] mod n
-          in
+          let start = fnv3 (i / max 1 window) field spec.seed mod n in
           (start + (h / 10 mod active)) mod n
         else idx
   in
   let next = ref 0 in
-  fun () ->
-    if !next >= spec.n_packets then None
-    else begin
-      let i = !next in
-      incr next;
-      let headers = Array.make spec.n_fields 0 in
-      for f = 0 to spec.n_fields - 1 do
-        headers.(f) <- Rng.int rng 1024
-      done;
-      List.iter (fun (f, frng) -> headers.(f) <- place i f (Dist.sample frng dist)) field_rngs;
-      Some
-        {
-          Machine.time = arrival_time ~k:spec.k ~bytes:spec.pkt_bytes i;
-          port = i mod spec.n_ports;
-          headers;
-        }
-    end
+  fun src ->
+    !next < spec.n_packets
+    && begin
+         let i = !next in
+         incr next;
+         let headers =
+           Packet_source.set src
+             ~time:(arrival_time ~k:spec.k ~bytes:spec.pkt_bytes i)
+             ~port:(i mod spec.n_ports) ~n:spec.n_fields
+         in
+         for f = 0 to spec.n_fields - 1 do
+           headers.(f) <- Rng.int rng 1024
+         done;
+         for j = 0 to Array.length idx_fields - 1 do
+           let f = idx_fields.(j) in
+           headers.(f) <- place i f (Dist.sample idx_rngs.(j) dist)
+         done;
+         true
+       end
 
 let sensitivity_source spec =
-  Packet_source.of_pull ~total:spec.n_packets (sensitivity_gen spec)
+  Packet_source.of_fill ~total:spec.n_packets (sensitivity_fill spec)
 
-let materialize n gen =
-  match gen () with
+let sensitivity spec =
+  let src = sensitivity_source spec in
+  match Packet_source.next src with
   | None -> [||]
   | Some first ->
-      let a = Array.make n first in
-      for i = 1 to n - 1 do
-        a.(i) <- (match gen () with Some p -> p | None -> assert false)
+      let a = Array.make spec.n_packets first in
+      for i = 1 to spec.n_packets - 1 do
+        a.(i) <- (match Packet_source.next src with Some p -> p | None -> assert false)
       done;
       a
-
-let sensitivity spec = materialize spec.n_packets (sensitivity_gen spec)
 
 type flow_packet = {
   flow : int;
@@ -116,7 +141,7 @@ type active_flow = {
   mutable af_sent : int;
 }
 
-let flows_gen ~seed ~n_packets ~k ~concurrency ?(sizes = bimodal_datacenter)
+let flows_gen ~seed ~k ~concurrency ?(sizes = bimodal_datacenter)
     ?(n_ports = 64) ?(flow_sizes = `Websearch) () =
   let sample_flow_packets =
     match flow_sizes with
@@ -146,52 +171,57 @@ let flows_gen ~seed ~n_packets ~k ~concurrency ?(sizes = bimodal_datacenter)
     active.(slot) <- fresh_flow ()
   done;
   let total_bytes = ref 0 in
-  let emitted = ref 0 in
+  (* One packet per call; the caller stops after [n_packets]. *)
   fun () ->
-    if !emitted >= n_packets then None
-    else begin
-      incr emitted;
-      let slot = Rng.int rng (Array.length active) in
-      let f = active.(slot) in
-      let bytes = Dist.sample_bimodal rng sizes in
-      let time = !total_bytes / (64 * k) in
-      total_bytes := !total_bytes + bytes;
-      let pkt =
-        {
-          flow = f.af_id;
-          src = f.af_src;
-          dst = f.af_dst;
-          sport = f.af_sport;
-          dport = f.af_dport;
-          bytes;
-          time;
-          port = f.af_id mod n_ports;
-          seqno = f.af_sent;
-        }
-      in
-      f.af_sent <- f.af_sent + 1;
-      f.af_remaining <- f.af_remaining - 1;
-      if f.af_remaining <= 0 then active.(slot) <- fresh_flow ();
-      Some pkt
-    end
+    let slot = Rng.int rng (Array.length active) in
+    let f = active.(slot) in
+    let bytes = Dist.sample_bimodal rng sizes in
+    let time = !total_bytes / (64 * k) in
+    total_bytes := !total_bytes + bytes;
+    let pkt =
+      {
+        flow = f.af_id;
+        src = f.af_src;
+        dst = f.af_dst;
+        sport = f.af_sport;
+        dport = f.af_dport;
+        bytes;
+        time;
+        port = f.af_id mod n_ports;
+        seqno = f.af_sent;
+      }
+    in
+    f.af_sent <- f.af_sent + 1;
+    f.af_remaining <- f.af_remaining - 1;
+    if f.af_remaining <= 0 then active.(slot) <- fresh_flow ();
+    pkt
 
 let flows ~seed ~n_packets ~k ~concurrency ?sizes ?n_ports () =
-  let gen = flows_gen ~seed ~n_packets ~k ~concurrency ?sizes ?n_ports () in
-  match gen () with
-  | None -> [||]
-  | Some first ->
-      let a = Array.make n_packets first in
-      for i = 1 to n_packets - 1 do
-        a.(i) <- (match gen () with Some p -> p | None -> assert false)
-      done;
-      a
+  if n_packets <= 0 then [||]
+  else begin
+    let gen = flows_gen ~seed ~k ~concurrency ?sizes ?n_ports () in
+    let a = Array.make n_packets (gen ()) in
+    for i = 1 to n_packets - 1 do
+      a.(i) <- gen ()
+    done;
+    a
+  end
 
+(* The flow packet and [fill]'s header array are the two allocations
+   per packet left on this path: [fill] is the app's adapter. *)
 let flow_source ~seed ~n_packets ~k ~concurrency ?sizes ?n_ports ?flow_sizes ~fill () =
-  let gen = flows_gen ~seed ~n_packets ~k ~concurrency ?sizes ?n_ports ?flow_sizes () in
-  Packet_source.of_pull ~total:n_packets (fun () ->
-      match gen () with
-      | None -> None
-      | Some p -> Some { Machine.time = p.time; port = p.port; headers = fill p })
+  let gen = flows_gen ~seed ~k ~concurrency ?sizes ?n_ports ?flow_sizes () in
+  let emitted = ref 0 in
+  Packet_source.of_fill ~total:n_packets (fun src ->
+      !emitted < n_packets
+      && begin
+           incr emitted;
+           let p = gen () in
+           let h = fill p in
+           let n = Array.length h in
+           Array.blit h 0 (Packet_source.set src ~time:p.time ~port:p.port ~n) 0 n;
+           true
+         end)
 
 let headers_of_flows pkts ~fill =
   Array.map

@@ -523,7 +523,12 @@ let check_ring stats ops =
            | Some e ->
                let head = Ring.head ring in
                let headers = Array.sub e Ring.header_base (Array.length e - Ring.header_base) in
-               if Ring.headers ring head <> headers then
+               let words = Ring.words ring and mask = Ring.mask ring in
+               let got =
+                 Array.init (Ring.get ring head Ring.nh) (fun j ->
+                     words.((head + Ring.header_base + j) land mask))
+               in
+               if got <> headers then
                  fail := Some (Printf.sprintf "step %d: head headers differ" step);
                Ring.pop ring
          end

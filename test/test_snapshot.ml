@@ -486,12 +486,18 @@ let test_node_restore_into () =
         | Ok nd -> nd
         | Error (Sim.Corrupt m | Sim.Mismatch m) -> Alcotest.failf "node restore: %s" m)
   in
+  let inject nd (i : Mp5_banzai.Machine.input) =
+    let headers = i.Mp5_banzai.Machine.headers in
+    ignore
+      (Sim.node_inject nd ~time:i.Mp5_banzai.Machine.time ~port:i.Mp5_banzai.Machine.port headers
+         ~off:0 ~mask:(-1) ~n:(Array.length headers)
+        : int)
+  in
   (* Step cycles [from, until), each cycle's arrivals injected first. *)
   let run nd ~from ~until =
     for t = from to until - 1 do
       Array.iter
-        (fun (i : Mp5_banzai.Machine.input) ->
-          if i.Mp5_banzai.Machine.time = t then ignore (Sim.node_inject nd i : int))
+        (fun (i : Mp5_banzai.Machine.input) -> if i.Mp5_banzai.Machine.time = t then inject nd i)
         trace;
       Sim.node_step nd ~now:t
     done
@@ -513,7 +519,7 @@ let test_node_restore_into () =
         let exits = ref [] in
         let nd = restore ?into snap exits in
         if encode nd <> snap then Alcotest.failf "%s: a restored node re-encodes differently" what;
-        List.iter (fun i -> ignore (Sim.node_inject nd i : int)) (List.rev !pending);
+        List.iter (inject nd) (List.rev !pending);
         let snaps =
           List.map
             (fun (from, until) ->
@@ -557,6 +563,53 @@ let test_fabric_fixed_point () =
   (* and the re-encoded string resumes the same way in turn *)
   if again "second recycled" fresh <> snap then
     Alcotest.fail "second recycled resume re-encodes different bytes"
+
+(* A snapshot taken while a node's ingress ring holds packets: the
+   first suspension cycle at which some node has injected packets it has
+   not admitted yet (read from the snapshot's "pending packets" counts,
+   as its decode reads them).  Resumed with a zero budget it re-encodes
+   the same bytes, fresh or recycled, and drained it gives the straight
+   run's result. *)
+let test_fabric_pending_ring () =
+  let prog, trace, dst, fp = fabric_fixture () in
+  (* One packet admitted per cycle per switch, so a delivery burst
+     queues on the ring. *)
+  let fp = { fp with Fabric.fp_sim = { fp.Fabric.fp_sim with Sim.mode = Sim.Naive_single } } in
+  let fx = (prog, trace, dst, fp) in
+  let straight = fabric_completed (Fabric.run ~dst fp prog (Psource.of_array trace)) in
+  let resume ~cycle_budget snapshot =
+    Fabric.resume ~cycle_budget ~dst ~snapshot fp prog (Psource.of_array trace)
+  in
+  let pending snap =
+    List.fold_left
+      (fun acc (f : Mp5_util.Codec.field) ->
+        if f.Mp5_util.Codec.what = "pending packets" then
+          acc + Int64.to_int (String.get_int64_le snap f.Mp5_util.Codec.pos)
+        else acc)
+      0
+      (match Mp5_util.Codec.walk (fun () -> resume ~cycle_budget:0 (copy snap)) with
+      | Ok _, fields -> fields
+      | Error (Sim.Corrupt m | Sim.Mismatch m), _ -> Alcotest.failf "pristine: %s" m)
+  in
+  let rec find budget =
+    if budget > 60 then Alcotest.fail "no suspension cycle finds an ingress ring holding packets"
+    else
+      match Fabric.run ~cycle_budget:budget ~dst fp prog (Psource.of_array trace) with
+      | Fabric.Suspended snap when pending snap > 0 -> snap
+      | Fabric.Suspended _ -> find (budget + 1)
+      | Fabric.Completed _ -> Alcotest.fail "the fabric drained before a ring held packets"
+  in
+  let snap = find 1 in
+  List.iter
+    (fun (what, s) ->
+      match expect_resumed what (resume ~cycle_budget:0 s) with
+      | Fabric.Suspended again ->
+          if again <> snap then Alcotest.failf "%s: the ring does not re-encode the same bytes" what;
+          let _, r = fabric_chain ~copy_snaps:true fx (Fabric.Suspended again) in
+          if not (Fabric.results_equal straight r) then
+            Alcotest.failf "%s: the resumed ring diverges from the straight run" what
+      | Fabric.Completed _ -> Alcotest.failf "%s: a zero-budget resume completed" what)
+    [ ("fresh", copy snap); ("recycled", snap) ]
 
 (* The suspended fabric is taken at most once: a string resumed twice
    drains to the straight result both times, the second time into new
@@ -1708,6 +1761,8 @@ let () =
         [
           Alcotest.test_case "mid-flight fabric snapshot/resume is invisible" `Quick
             test_fabric_resume;
+          Alcotest.test_case "a snapshot with packets on an ingress ring resumes" `Quick
+            test_fabric_pending_ring;
           Alcotest.test_case "a fabric snapshot is a fixed point of resume" `Quick
             test_fabric_fixed_point;
           Alcotest.test_case "a node restored into a retired node = a fresh restore" `Quick

@@ -409,6 +409,120 @@ let test_scanner_equivalence () =
     cases;
   Sys.remove path
 
+(* --- the cursor ---------------------------------------------------- *)
+
+module Psource = Mp5_workload.Packet_source
+
+(* Every packet of a source read through the cursor, each copied out of
+   the buffer before the source advances past it. *)
+let drain_cursor s =
+  let acc = ref [] in
+  while Psource.ready s do
+    acc :=
+      { Machine.time = Psource.time s; port = Psource.port s; headers = Array.copy (Psource.headers s) }
+      :: !acc;
+    Psource.advance s
+  done;
+  List.rev !acc
+
+let drain_next s = List.of_seq (Seq.of_dispenser (fun () -> Psource.next s))
+
+(* The cursor, the [next] adapter and the materialized array (and the
+   cursor over that array) see one packet sequence. *)
+let same_sequence what mk array =
+  let cursor = drain_cursor (mk ()) in
+  check (what ^ ": cursor = next") true (cursor = drain_next (mk ()));
+  check (what ^ ": cursor = array") true (cursor = Array.to_list array);
+  check (what ^ ": cursor over the array") true (drain_cursor (Psource.of_array array) = cursor);
+  check_int (what ^ ": length") (Array.length array) (List.length cursor)
+
+let test_cursor_tracegen () =
+  List.iter
+    (fun (what, pattern) ->
+      (* Five fields, three of them indices, so the bursty pattern's
+         hashes see several fields. *)
+      let spec =
+        { (spec ~n:1500 ~pattern ()) with Tracegen.n_fields = 5; index_fields = [ 0; 2; 4 ] }
+      in
+      same_sequence what (fun () -> Tracegen.sensitivity_source spec) (Tracegen.sensitivity spec))
+    [
+      ("uniform", Tracegen.Uniform);
+      ("skewed", Tracegen.Skewed);
+      ("skewed-rotating", Tracegen.Skewed_rotating 200);
+      ("uniform-bursty", Tracegen.Uniform_bursty 300);
+    ]
+
+let test_cursor_traffic () =
+  let topo = Mp5_fabric.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~delay:1 in
+  let spec =
+    {
+      (Mp5_fabric.Traffic.default_spec topo) with
+      Mp5_fabric.Traffic.n_packets = 1000;
+      n_fields = 4;
+      index_fields = [ 1; 2 ];
+      seed = 5;
+    }
+  in
+  let mk () = Mp5_fabric.Traffic.source spec in
+  same_sequence "traffic" mk (Array.of_list (drain_next (mk ())))
+
+(* The buffer is read only and stays valid until the next fill: an
+   array source hands out each input's own header array. *)
+let test_cursor_contract () =
+  let a =
+    [| { Machine.time = 0; port = 1; headers = [| 7; 8 |] }; { Machine.time = 2; port = 3; headers = [| 9 |] } |]
+  in
+  let s = Psource.of_array a in
+  check "ready twice keeps the packet" true (Psource.ready s && Psource.ready s && Psource.time s = 0);
+  check "the input's own headers" true (Psource.headers s == a.(0).Machine.headers);
+  Psource.advance s;
+  check_int "consumed" 1 (Psource.consumed s);
+  check "second" true (Psource.ready s && Psource.port s = 3 && Psource.headers s = [| 9 |]);
+  Psource.advance s;
+  check "exhausted" false (Psource.ready s);
+  check_int "last time" 2 (Psource.last_time s);
+  match Psource.advance s with
+  | () -> Alcotest.fail "advance past the end"
+  | exception Invalid_argument _ -> ()
+
+(* An ingress source against a queue: pushes of 0-9 headers, some read
+   out of a wrapped ring through its mask, interleaved with admissions,
+   so the ring wraps, grows while wrapped and empties.  [pending] and
+   [iter_pending] see what the queue holds. *)
+let test_ingress_ring () =
+  let rng = Rng.create 12 in
+  let s = Psource.ingress () in
+  let q = Queue.create () in
+  let src = Array.init 16 (fun i -> 100 + i) in
+  for step = 1 to 5000 do
+    if Rng.int rng 3 > 0 && Queue.length q < 200 then begin
+      let n = Rng.int rng 10 and off = Rng.int rng 16 in
+      let port = Rng.int rng 4 in
+      Psource.push s ~time:step ~port src ~off ~mask:15 ~n;
+      Queue.push
+        { Machine.time = step; port; headers = Array.init n (fun j -> src.((off + j) land 15)) }
+        q
+    end
+    else begin
+      let want = Queue.take_opt q in
+      match (want, Psource.ready s) with
+      | None, false -> ()
+      | Some w, true ->
+          let got =
+            { Machine.time = Psource.time s; port = Psource.port s; headers = Array.copy (Psource.headers s) }
+          in
+          if got <> w then Alcotest.failf "step %d: the ring's head differs" step;
+          Psource.advance s
+      | _ -> Alcotest.failf "step %d: ready disagrees with the queue" step
+    end;
+    check_int "pending" (Queue.length q) (Psource.pending s);
+    if step mod 97 = 0 then begin
+      let seen = ref [] in
+      Psource.iter_pending s (fun i -> seen := i :: !seen);
+      check "iter_pending" true (List.rev !seen = List.of_seq (Queue.to_seq q))
+    end
+  done
+
 let () =
   Alcotest.run "workload"
     [
@@ -430,6 +544,13 @@ let () =
           Alcotest.test_case "headers adapter" `Quick test_headers_of_flows;
           Alcotest.test_case "web-search distribution" `Quick test_websearch;
           Alcotest.test_case "data-mining distribution" `Quick test_datamining;
+        ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "Tracegen: cursor = next = array" `Quick test_cursor_tracegen;
+          Alcotest.test_case "Traffic: cursor = next = array" `Quick test_cursor_traffic;
+          Alcotest.test_case "buffer contract" `Quick test_cursor_contract;
+          Alcotest.test_case "ingress ring = a queue" `Quick test_ingress_ring;
         ] );
       ( "trace-io",
         [
