@@ -278,10 +278,17 @@ let rec comp tables ~state e : frame -> int =
         let b = kb fields in
         Mp5_util.Hashing.fnv1a2 a b land 0x7FFFFFFF
   | Hash args ->
+      (* The interpreter's fold — seed 0, then each key left to right —
+         through a state this node owns: nothing allocated per call. *)
       let ks = Array.of_list (List.map (comp tables ~state) args) in
+      let st = Mp5_util.Hashing.start () in
       fun fields ->
-        Mp5_util.Hashing.fnv1a (Array.to_list (Array.map (fun k -> k fields) ks))
-        land 0x7FFFFFFF
+        Mp5_util.Hashing.reset st;
+        Mp5_util.Hashing.feed st 0;
+        for i = 0 to Array.length ks - 1 do
+          Mp5_util.Hashing.feed st ((Array.unsafe_get ks i) fields)
+        done;
+        Mp5_util.Hashing.value st land 0x7FFFFFFF
   | Lookup (id, keys) ->
       if id < 0 || id >= Array.length tables then
         fun _ -> invalid_arg (Printf.sprintf "Expr.eval: table %d out of range" id)

@@ -180,12 +180,24 @@ let test_hash_and_lookup () =
       Expr.Hash [ Field 0 ];
       Expr.Hash [ Field 0; Field 1 ];
       Expr.Hash [ Field 0; Field 1; Field 4 ];
+      Expr.Hash [ Field 0; Field 1; Field 2; Field 3 ];
+      Expr.Hash [ Field 4; Const 7; Field 1; Binop (Add, Field 2, Const 1); Field 0 ];
+      (* A many-key hash whose key is another one: each owns its state. *)
+      Expr.Hash [ Field 1; Hash [ Field 0; Field 2; Field 3 ]; Field 4 ];
       Expr.Hash [ Const (-1) ];
       Expr.Lookup (0, [ Field 0 ]);        (* hit: key 3 *)
       Expr.Lookup (0, [ Field 4 ]);        (* miss -> default action *)
       Expr.Lookup (1, [ Field 2; Field 3 ]);
       Expr.Lookup (99, [ Field 0 ]);       (* out-of-range table id raises *)
-    ]
+    ];
+  (* A compiled many-key hash reuses its state: evaluations in a row
+     each match the interpreter. *)
+  let e = Expr.Hash [ Field 0; Field 1; Field 2; Field 3; Field 4 ] in
+  let k = Expr.compile tables ~state:None e in
+  List.iter
+    (fun fields ->
+      check_int "repeated hash" (Expr.eval_raw tables fields None e) (k (Expr.frame_of_array fields)))
+    [ fields; [| 0; 0; 0; 0; 0; 0 |]; fields; [| -4; 1 lsl 40; 7; 7; 7; 1 |] ]
 
 (* --- atoms --------------------------------------------------------- *)
 

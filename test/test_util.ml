@@ -417,6 +417,46 @@ let test_packet_path_allocates_nothing () =
          Mp5_arch.Channel.schedule ch ~at:(i + 3) ~seq:i ~stage:2 ~dest:1 ~ring:0 ~cell:i
            ~slot:i;
          Mp5_arch.Channel.drain ch ~now:i deliver));
+  (* A cursor fill plus advance: each producer writes the source's own
+     buffer, so a packet reaches the reader with nothing allocated. *)
+  let module Psource = Mp5_workload.Packet_source in
+  let m = 20_000 in
+  let expect_cursor_free what s =
+    expect_free what
+      (words_per_call m (fun _ ->
+           if Psource.ready s then begin
+             sum := !sum + Psource.time s + (Psource.headers s).(0);
+             Psource.advance s
+           end))
+  in
+  expect_cursor_free "Packet_source.of_array cursor"
+    (Psource.of_array
+       (Array.init m (fun i -> { Mp5_banzai.Machine.time = i; port = 0; headers = [| i; 1 |] })));
+  List.iter
+    (fun pattern ->
+      expect_cursor_free "Tracegen cursor"
+        (Mp5_workload.Tracegen.sensitivity_source
+           {
+             Mp5_workload.Tracegen.n_packets = m;
+             k = 4;
+             pkt_bytes = 64;
+             n_fields = 6;
+             index_fields = [ 0; 1; 2; 3 ];
+             reg_size = 512;
+             pattern;
+             n_ports = 64;
+             seed = 3;
+           }))
+    Mp5_workload.Tracegen.[ Uniform; Skewed; Skewed_rotating 500; Uniform_bursty 700 ];
+  let topo = Mp5_fabric.Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~delay:1 in
+  expect_cursor_free "Traffic cursor"
+    (Mp5_fabric.Traffic.source
+       { (Mp5_fabric.Traffic.default_spec topo) with Mp5_fabric.Traffic.n_packets = m });
+  (* A compiled many-key [hash(...)] folds through a state it owns. *)
+  let module Expr = Mp5_banzai.Expr in
+  let h = Expr.compile [||] ~state:None (Expr.Hash [ Field 0; Field 1; Field 2; Field 3 ]) in
+  let frame = Expr.frame_of_array [| 1; 2; 3; 4 |] in
+  expect_free "compiled 4-key hash" (words_per_call n (fun _ -> sum := !sum + h frame));
   ignore (Sys.opaque_identity !sum)
 
 (* A clean monitor check allocates nothing: a metered flowlet run with a
