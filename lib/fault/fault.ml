@@ -52,17 +52,22 @@ let max_cycle = 1 lsl 60
 let max_phantom_delay = (1 lsl 16) - 1
 let valid_probability p = p >= 0.0 && p <= 1.0
 
-(* One event statement: the cycle spec is read before the arguments. *)
+(* One event statement: the cycle spec is read before the arguments,
+   and an argument the event does not take fails after them. *)
 let event st =
   let module P = Plan_syntax in
   let a = P.args st in
   let at kind =
     let at = P.at a in
-    point ~at (kind ())
+    let e = point ~at (kind ()) in
+    P.close a;
+    e
   in
   let span kind =
     let from_, until_ = P.span a in
-    window ~from_ ~until_ (kind ())
+    let e = window ~from_ ~until_ (kind ()) in
+    P.close a;
+    e
   in
   let pipe () = P.int a "pipe" in
   let stage_pipe () =

@@ -28,7 +28,8 @@ let pp_plan ppf p =
 let to_string p = Format.asprintf "%a" pp_plan p
 
 (* One event statement: the window is read before [link=] and the
-   kind's own arguments. *)
+   kind's own arguments, and an argument the kind does not take fails
+   after them. *)
 let event st =
   let module P = Plan_syntax in
   let a = P.args st in
@@ -37,7 +38,9 @@ let event st =
     if from_ < 0 then P.fail st "cycle window must satisfy 0 <= A <= B";
     let link = P.int a "link" in
     if link < 0 then P.fail st "link id must be >= 0";
-    { from_; until_; link; kind = kind () }
+    let kind = kind () in
+    P.close a;
+    { from_; until_; link; kind }
   in
   match st.P.keyword with
   | "link-down" -> event (fun () -> Link_down)

@@ -53,7 +53,14 @@ let load ~path parse =
   | exception Sys_error msg -> Error msg
   | text -> Result.map_error (fun msg -> path ^ ": " ^ msg) (parse text)
 
-type args = { st : stmt; cycles : (int * int) option; kv : (string * string) list }
+(* [read] collects the keys the keyword has asked for, so {!close} can
+   name one it never read. *)
+type args = {
+  st : stmt;
+  cycles : (int * int) option;
+  kv : (string * string) list;
+  mutable read : string list;
+}
 
 (* "@C" or "@A..B": the first '.' must start the "..". *)
 let cycle_spec st w =
@@ -69,17 +76,22 @@ let cycle_spec st w =
   | _ -> fail st (Printf.sprintf "bad cycle spec %S" w)
 
 let args st =
-  List.fold_left
-    (fun a w ->
-      if w.[0] = '@' then { a with cycles = Some (cycle_spec st w) }
-      else
-        match String.index_opt w '=' with
-        | Some i ->
-            let kv = (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1)) in
-            { a with kv = kv :: a.kv }
-        | None -> fail st (Printf.sprintf "expected key=value, got %S" w))
-    { st; cycles = None; kv = [] }
-    st.words
+  let a =
+    List.fold_left
+      (fun a w ->
+        if w.[0] = '@' then { a with cycles = Some (cycle_spec st w) }
+        else
+          match String.index_opt w '=' with
+          | Some i ->
+              let key = String.sub w 0 i in
+              if List.mem_assoc key a.kv then
+                fail st (Printf.sprintf "repeated argument %s=" key);
+              { a with kv = (key, String.sub w (i + 1) (String.length w - i - 1)) :: a.kv }
+          | None -> fail st (Printf.sprintf "expected key=value, got %S" w))
+      { st; cycles = None; kv = []; read = [] }
+      st.words
+  in
+  { a with kv = List.rev a.kv }
 
 let at a =
   match a.cycles with
@@ -95,6 +107,7 @@ let span a =
   | None -> fail a.st "missing cycle spec (@A..B)"
 
 let arg of_string what a name =
+  a.read <- name :: a.read;
   match List.assoc_opt name a.kv with
   | Some v -> (
       match of_string v with
@@ -104,6 +117,12 @@ let arg of_string what a name =
 
 let int = arg int_of_string_opt "an integer"
 let float = arg float_of_string_opt "a number"
+
+let close a =
+  match List.find_opt (fun (key, _) -> not (List.mem key a.read)) a.kv with
+  | Some (key, _) ->
+      fail a.st (Printf.sprintf "unknown argument %s= for %s" key a.st.keyword)
+  | None -> ()
 
 let pp_cycles ppf (from_, until_) =
   if from_ = until_ then Format.fprintf ppf "@%d" from_

@@ -10,7 +10,8 @@
 
     [#] starts a comment that runs to the end of its line, and blank
     statements are skipped.  A language gives each keyword its meaning
-    and reads the statement's cycle spec and arguments through {!args};
+    and reads the statement's cycle spec and arguments through {!args}
+    (then {!close}s them, so an argument it does not take is an error);
     every error, the reader's or the language's ({!fail}), comes out as
     ["line N: <message>"]. *)
 
@@ -30,10 +31,11 @@ val load : path:string -> (string -> ('a, string) result) -> ('a, string) result
 
 type args
 (** A statement's words read as an optional cycle spec (the last one
-    wins) and [key=value] arguments. *)
+    wins) and [key=value] arguments, each key at most once. *)
 
 val args : stmt -> args
-(** Fails on a word that is neither a cycle spec nor [key=value]. *)
+(** Fails on a word that is neither a cycle spec nor [key=value], and on
+    a key given twice. *)
 
 val at : args -> int
 (** The cycle of an [@C] spec; fails on a window or no spec. *)
@@ -48,6 +50,11 @@ val int : args -> string -> int
 
 val float : args -> string -> float
 (** The number argument [name=X]. *)
+
+val close : args -> unit
+(** Fails on the first argument, in statement order, that neither {!int}
+    nor {!float} has read: a key the keyword does not take.  A language
+    calls it once the statement's meaning is built. *)
 
 val pp_cycles : Format.formatter -> int * int -> unit
 (** [@C] for [(C, C)], [@A..B] otherwise: the spec {!span} reads back. *)

@@ -85,6 +85,11 @@ let test_parse_errors () =
       ("xbar-dup @1..2 p=nan", "line 1: probability p=nan out of [0,1]");
       ("frobnicate @10 pipe=1", "line 1: unknown fault event \"frobnicate\"");
       ("seed x", "line 1: bad seed \"x\"");
+      (* A misspelt key next to a repeated one once ran with the last
+         repeat (pipeline 2 down) and exited 0. *)
+      ("seed 1; down @100 pipr=1 pipe=1 pipe=2", "line 1: repeated argument pipe=");
+      ("seed 1; down @100 pipr=1 pipe=1", "line 1: unknown argument pipr= for down");
+      ("stall @1..2 stage=0 pipe=0 p=0.5", "line 1: unknown argument p= for stall");
     ];
   List.iter (pin Linkplan.parse)
     [
@@ -97,6 +102,10 @@ let test_parse_errors () =
       ("link-delay @5 link=1 extra=0", "line 1: extra= must be positive");
       ("link-down @5 link=1 junk", "line 1: expected key=value, got \"junk\"");
       ("# c\nlink-up @5 link=1", "line 2: unknown link event \"link-up\"");
+      ("link-down @5 link=1 link=2", "line 1: repeated argument link=");
+      ("link-down @5 link=1 extra=3", "line 1: unknown argument extra= for link-down");
+      ("link-delay @5 link=1 extra=2\nlink-delay @6 extra=2 lnk=1 link=1",
+       "line 2: unknown argument lnk= for link-delay");
     ]
 
 (* Totality over mutated text of both languages: byte flips,
