@@ -294,9 +294,15 @@ let rec comp tables ~state e : frame -> int =
         fun _ -> invalid_arg (Printf.sprintf "Expr.eval: table %d out of range" id)
       else
         let tbl = tables.(id) in
+        (* Keys evaluated left to right, as the interpreter's [List.map]
+           does, into an array this node owns. *)
         let ks = Array.of_list (List.map (comp tables ~state) keys) in
+        let vs = Array.make (Array.length ks) 0 in
         fun fields ->
-          norm32 (Table.lookup tbl (Array.to_list (Array.map (fun k -> k fields) ks)))
+          for i = 0 to Array.length ks - 1 do
+            Array.unsafe_set vs i ((Array.unsafe_get ks i) fields)
+          done;
+          norm32 (Table.lookup_keys tbl vs)
 
 let compile tables ~state e = comp tables ~state e
 

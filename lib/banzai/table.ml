@@ -50,6 +50,24 @@ let lookup t keys =
   in
   go t.entries
 
+(* [lookup] over an array of keys, for the compiled kernels: the walk
+   allocates nothing. *)
+let rec matches_at key keys i =
+  match key with
+  | [] -> true
+  | (v, m) :: rest -> Array.unsafe_get keys i land m = v land m && matches_at rest keys (i + 1)
+
+let rec first_match default keys = function
+  | [] -> default
+  | (_, e) :: rest -> if matches_at e.key keys 0 then e.action else first_match default keys rest
+
+let lookup_keys t keys =
+  if Array.length keys <> t.tbl_arity then
+    invalid_arg
+      (Printf.sprintf "Table.lookup: table %s has arity %d, got %d keys" t.tbl_name t.tbl_arity
+         (Array.length keys));
+  first_match t.tbl_default keys t.entries
+
 let pp ppf t =
   Format.fprintf ppf "table %s/%d (default %d):@," t.tbl_name t.tbl_arity t.tbl_default;
   List.iter

@@ -43,4 +43,8 @@ val lookup : t -> int list -> int
     action.
     @raise Invalid_argument on arity mismatch. *)
 
+val lookup_keys : t -> int array -> int
+(** {!lookup} of the keys in an array, allocating nothing; the same
+    result and the same [Invalid_argument].  The array is only read. *)
+
 val pp : Format.formatter -> t -> unit

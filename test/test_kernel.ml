@@ -189,15 +189,25 @@ let test_hash_and_lookup () =
       Expr.Lookup (0, [ Field 4 ]);        (* miss -> default action *)
       Expr.Lookup (1, [ Field 2; Field 3 ]);
       Expr.Lookup (99, [ Field 0 ]);       (* out-of-range table id raises *)
+      Expr.Lookup (1, [ Field 0 ]);        (* arity mismatch raises *)
+      Expr.Lookup (0, [ Field 0; Field 1 ]);
+      (* a lookup keyed by another: each owns its key array *)
+      Expr.Lookup (1, [ Binop (Sub, Lookup (0, [ Field 4 ]), Const 6); Field 3 ]);
     ];
-  (* A compiled many-key hash reuses its state: evaluations in a row
-     each match the interpreter. *)
+  (* A compiled many-key hash reuses its state, and a lookup its key
+     array: evaluations in a row each match the interpreter. *)
   let e = Expr.Hash [ Field 0; Field 1; Field 2; Field 3; Field 4 ] in
   let k = Expr.compile tables ~state:None e in
   List.iter
     (fun fields ->
       check_int "repeated hash" (Expr.eval_raw tables fields None e) (k (Expr.frame_of_array fields)))
-    [ fields; [| 0; 0; 0; 0; 0; 0 |]; fields; [| -4; 1 lsl 40; 7; 7; 7; 1 |] ]
+    [ fields; [| 0; 0; 0; 0; 0; 0 |]; fields; [| -4; 1 lsl 40; 7; 7; 7; 1 |] ];
+  let e = Expr.Lookup (1, [ Field 2; Field 3 ]) in
+  let k = Expr.compile tables ~state:None e in
+  List.iter
+    (fun fields ->
+      check_int "repeated lookup" (Expr.eval_raw tables fields None e) (k (Expr.frame_of_array fields)))
+    [ fields; [| 0; 0; 1; 2; 0; 0 |]; fields; [| 0; 0; 1; 3; 0; 0 |] ]
 
 (* --- atoms --------------------------------------------------------- *)
 
