@@ -108,7 +108,7 @@ forge-smoke:
 # committed in git HEAD: heavy-hitter-2k/kernel_ns divided by
 # host/calib_ns, a fixed host-calibration loop timed in the same run
 # (+/-25% band on the ratio: above fails as a regression, well below
-# warns that the baseline should be refreshed), and nine deterministic
+# warns that the baseline should be refreshed), and deterministic
 # allocation counters that fail above 1.02x:
 # heavy-hitter-2k/words_per_pkt (minor plus direct major words per
 # packet), generic/words_per_pkt (the same count: there is one cycle
@@ -123,8 +123,12 @@ forge-smoke:
 # path alone) and switch-legs/words_per_pkt (one switch drained
 # in-process in 100-cycle legs, each Sim.resume decoding into the
 # machine the previous leg suspended, less a straight drain: the leg
-# boundaries alone).  No committed baseline skips a comparison
-# with a warning.
+# boundaries alone), tracegen/words_per_pkt and traffic/words_per_pkt
+# (each generator drained through its Packet_source cursor, less a
+# one-packet drain) and one app/<name>/words_per_pkt per lib/apps
+# program (its flow trace run straight, less a one-packet run: the
+# cycle loop in steady state).  No committed baseline skips a
+# comparison with a warning.
 perf-smoke:
 	sh scripts/perf_gate.sh
 

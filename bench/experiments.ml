@@ -616,6 +616,14 @@ type micro = {
           the fabric): the inter-switch packet path *)
   mi_switch_legs_words : float;
       (** words per packet of the heavy-hitter trace in 100-cycle legs *)
+  mi_app_words : (string * float) list;
+      (** per [lib/apps] program, words per packet of a straight drain
+          of its 2000-packet flow trace, less a one-packet drain's: the
+          cycle loop in steady state *)
+  mi_tracegen_words : float;
+      (** words per packet of a [Tracegen] source drained through its
+          cursor alone, less a one-packet drain's *)
+  mi_traffic_words : float;  (** the same for the fabric fixture's [Traffic] source *)
 }
 
 (* Words allocated by the second of two [f ()] calls: minor plus
@@ -632,6 +640,10 @@ let alloc_words f =
   let before = words () in
   ignore (f ());
   words () -. before
+
+(* Words per packet of [f n] less [f 1], over the [n - 1] packets
+   between: what each packet costs once building the run is paid. *)
+let steady_words n f = (alloc_words (fun () -> f n) -. alloc_words (fun () -> f 1)) /. float_of_int (n - 1)
 
 module Fb = Mp5_fabric.Fabric
 
@@ -720,12 +732,8 @@ let fabric_legs_words () =
    per packet are the packet path's alone. *)
 let fabric_drain_words () =
   let fp, prog, spec, dst = fabric_fixture () in
-  let drain n_packets =
-    alloc_words (fun () ->
-        Fb.run ~dst fp prog (Mp5_fabric.Traffic.source { spec with Mp5_fabric.Traffic.n_packets }))
-  in
-  let n = spec.Mp5_fabric.Traffic.n_packets in
-  (drain n -. drain 1) /. float_of_int (n - 1)
+  steady_words spec.Mp5_fabric.Traffic.n_packets (fun n_packets ->
+      Fb.run ~dst fp prog (Mp5_fabric.Traffic.source { spec with Mp5_fabric.Traffic.n_packets }))
 
 (* A single switch drained in-process in 100-cycle legs, each
    [Sim.resume] handed the string the previous leg returned, so it
@@ -748,6 +756,47 @@ let switch_legs_words prog params trace =
   in
   let straight () = ignore (Sim.run_source params prog (Psource.of_array trace)) in
   (alloc_words legs -. alloc_words straight) /. float_of_int (Array.length trace)
+
+(* Every app's cycle loop on its flow trace, with nothing attached. *)
+let app_words () =
+  let flows = Tracegen.flows ~seed:3 ~n_packets:2000 ~k:4 ~concurrency:128 () in
+  let params = Sim.default_params ~k:4 in
+  List.map
+    (fun (name, src) ->
+      let prog = (Switch.create_exn src).Switch.prog in
+      let trace = Traces.trace_for name flows in
+      ( name,
+        steady_words (Array.length trace) (fun n ->
+            Sim.run_source params prog (Psource.of_array (Array.sub trace 0 n))) ))
+    Sources.all_named
+
+(* A source drained through its cursor, nothing kept: the generator
+   alone. *)
+let drain_cursor s =
+  while Psource.ready s do
+    Psource.advance s
+  done
+
+let tracegen_words () =
+  steady_words 4000 (fun n_packets ->
+      drain_cursor
+        (Tracegen.sensitivity_source
+           {
+             Tracegen.n_packets;
+             k = 4;
+             pkt_bytes = 64;
+             n_fields = 6;
+             index_fields = [ 0; 1; 2; 3 ];
+             reg_size = 512;
+             pattern = Tracegen.Skewed_rotating 500;
+             n_ports = 64;
+             seed = 3;
+           }))
+
+let traffic_words () =
+  let _, _, spec, _ = fabric_fixture () in
+  steady_words spec.Mp5_fabric.Traffic.n_packets (fun n_packets ->
+      drain_cursor (Mp5_fabric.Traffic.source { spec with Mp5_fabric.Traffic.n_packets }))
 
 (* Host-speed reference: a fixed loop shaped like the cycle loop —
    indirect calls through an array of closures, read-modify-writes on a
@@ -832,6 +881,9 @@ let sim_micro scale =
     mi_legs_words = fabric_legs_words ();
     mi_drain_words = fabric_drain_words ();
     mi_switch_legs_words = switch_legs_words sw.Switch.prog params trace;
+    mi_app_words = app_words ();
+    mi_tracegen_words = tracegen_words ();
+    mi_traffic_words = traffic_words ();
   }
 
 (* --- longrun: multi-megapacket streamed run with chunked resume ---

@@ -214,6 +214,12 @@ let run_sim_micro scale =
     m.Experiments.mi_drain_words;
   Format.printf "  switch drained in-process in 100-cycle legs allocates %.1f words/packet@."
     m.Experiments.mi_switch_legs_words;
+  Format.printf "  generators through the cursor: Tracegen %.2f, Traffic %.2f words/packet@."
+    m.Experiments.mi_tracegen_words m.Experiments.mi_traffic_words;
+  Format.printf "  cycle loop per app (flow trace, steady state), words/packet:@.";
+  List.iter
+    (fun (name, w) -> Format.printf "    %-16s %6.1f@." name w)
+    m.Experiments.mi_app_words;
   [
     ("heavy-hitter-2k/kernel_ns", m.Experiments.mi_kernel_ns);
     (* The host-speed reference the gate divides [kernel_ns] by. *)
@@ -229,7 +235,10 @@ let run_sim_micro scale =
     ("fabric-legs/words_per_pkt", m.Experiments.mi_legs_words);
     ("fabric-drain/words_per_pkt", m.Experiments.mi_drain_words);
     ("switch-legs/words_per_pkt", m.Experiments.mi_switch_legs_words);
+    ("tracegen/words_per_pkt", m.Experiments.mi_tracegen_words);
+    ("traffic/words_per_pkt", m.Experiments.mi_traffic_words);
   ]
+  @ List.map (fun (name, w) -> ("app/" ^ name ^ "/words_per_pkt", w)) m.Experiments.mi_app_words
 
 let run_longrun scale =
   let r = Experiments.longrun scale in

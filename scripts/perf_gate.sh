@@ -49,6 +49,16 @@
 #                                  machine the previous leg suspended,
 #                                  less a straight drain: the leg
 #                                  boundaries alone
+#   tracegen/words_per_pkt         words per packet of a Tracegen source
+#                                  (Skewed_rotating, four index fields)
+#                                  drained through its cursor, less a
+#                                  one-packet drain: the generator alone
+#   traffic/words_per_pkt          the same for the fabric's Traffic source
+#   app/<name>/words_per_pkt       per lib/apps program, words per packet
+#                                  of a straight Sim.run_source of its
+#                                  2000-packet flow trace, less a
+#                                  one-packet drain: the cycle loop in
+#                                  steady state
 #
 # The harness already takes the min over 5 interleaved repetitions,
 # but shared runners also swing between whole invocations (observed
@@ -66,7 +76,13 @@ set -eu
 RESULTS=BENCH_results.json
 KEY='heavy-hitter-2k/kernel_ns'
 CALIB='host/calib_ns'
-WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte verify/words_per_pkt fabric-boundary/words fabric-legs/words_per_pkt fabric-drain/words_per_pkt switch-legs/words_per_pkt'
+WORDS_KEYS='heavy-hitter-2k/words_per_pkt generic/words_per_pkt golden/words_per_pkt trace_io/words_per_byte verify/words_per_pkt fabric-boundary/words fabric-legs/words_per_pkt fabric-drain/words_per_pkt switch-legs/words_per_pkt tracegen/words_per_pkt traffic/words_per_pkt'
+
+# The app/<name>/words_per_pkt keys of a results file on stdin, one a
+# line: the gate takes every one the baseline or the fresh run holds.
+app_keys() {
+  grep -o '"app/[A-Za-z0-9_]*/words_per_pkt"' | tr -d '"' || true
+}
 
 extract() {
   # Pull a bare number out of  "<key>": <float>  without a JSON parser;
@@ -110,7 +126,8 @@ while [ "$attempt" -le 3 ]; do
     exit 1
   fi
   if [ "$attempt" -eq 1 ]; then
-    for words_key in $WORDS_KEYS; do
+    apps=$( { git show "HEAD:$RESULTS" 2>/dev/null || true; cat "$RESULTS"; } | app_keys | sort -u)
+    for words_key in $WORDS_KEYS $apps; do
       words=$(extract "$words_key" < "$RESULTS")
       if [ -z "$words" ]; then
         echo "perf-gate: FAIL: $words_key missing from fresh $RESULTS" >&2
